@@ -84,6 +84,12 @@ impl ShardedClock {
     /// for the global `fetch_add` hot spot.
     pub(crate) fn tick(&self, proc: u32) -> u64 {
         let shard = proc as usize & (CLOCK_SHARDS - 1);
+        // ord: AcqRel — Release pairs with the Acquire shard loads of
+        // `sample_rv`/`now`: a sampler that sees this count also sees the
+        // commit locks taken before the bump, so every variable of a
+        // commit stamped within its vector reads as locked or as released
+        // with the new value, never as the pre-commit word. Acquire chains
+        // the bumps of one shard, keeping that argument transitive.
         let count = self.shards[shard].count.fetch_add(1, Ordering::AcqRel) + 1;
         pack_version(shard, count)
     }
@@ -93,6 +99,8 @@ impl ShardedClock {
     pub(crate) fn now(&self) -> u64 {
         self.shards
             .iter()
+            // ord: Acquire pairs with `tick`'s AcqRel bump, as the
+            // engine's `sample_rv` does shard by shard.
             .map(|s| s.count.load(Ordering::Acquire))
             .sum()
     }

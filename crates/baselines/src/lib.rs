@@ -12,19 +12,19 @@
 //!
 //! Three baselines, all implementing the shared
 //! [`WordStm`](oftm_core::api::WordStm) interface and the low-level
-//! recorder, so the checkers and benchmarks treat them uniformly:
+//! recorder, so the checkers and benchmarks treat them uniformly. TL and
+//! TL2 are one engine, [`VersionedLockStm`], under its two read policies
+//! (see [`vlock`]):
 //!
-//! | impl | progress | strictly DAP? |
-//! |------|----------|----------------|
-//! | [`CoarseStm`] | blocking (one global lock) | no (the lock) |
-//! | [`TlStm`]     | blocking (commit-time per-object locks) | **yes** |
-//! | [`Tl2Stm`]    | blocking + global version clock | no (the clock) |
+//! | impl | engine | progress | strictly DAP? |
+//! |------|--------|----------|----------------|
+//! | [`CoarseStm`] | [`coarse`] | blocking (one global lock) | no (the lock) |
+//! | [`TlStm`]     | [`vlock`], per-object policy | blocking (commit-time per-object locks) | **yes** |
+//! | [`Tl2Stm`]    | [`vlock`], snapshot policy | blocking + sharded version clock read at `begin` | no (the clock) |
 
 mod clock;
 pub mod coarse;
-pub mod tl;
-pub mod tl2;
+pub mod vlock;
 
 pub use coarse::CoarseStm;
-pub use tl::TlStm;
-pub use tl2::Tl2Stm;
+pub use vlock::{Tl2Stm, TlStm, VersionedLockStm, CLOCK_SHARDS};

@@ -339,90 +339,57 @@ impl HistoryBuilder {
         Self::default()
     }
 
-    /// Complete read: invocation immediately followed by its response.
-    pub fn read(&mut self, tx: TxId, x: TVarId, v: Value) -> &mut Self {
-        self.h.push(Event::Invoke {
-            proc: tx.process(),
-            tx,
-            op: TmOp::Read(x),
-        });
-        self.h.push(Event::Respond {
-            proc: tx.process(),
-            tx,
-            resp: TmResp::Value(v),
-        });
-        self
-    }
-
-    /// Complete write acknowledged with `ok`.
-    pub fn write(&mut self, tx: TxId, x: TVarId, v: Value) -> &mut Self {
-        self.h.push(Event::Invoke {
-            proc: tx.process(),
-            tx,
-            op: TmOp::Write(x, v),
-        });
-        self.h.push(Event::Respond {
-            proc: tx.process(),
-            tx,
-            resp: TmResp::Ok,
-        });
-        self
-    }
-
-    /// `tryC` followed by `C_k`.
-    pub fn commit(&mut self, tx: TxId) -> &mut Self {
-        self.h.push(Event::Invoke {
-            proc: tx.process(),
-            tx,
-            op: TmOp::TryCommit,
-        });
-        self.h.push(Event::Respond {
-            proc: tx.process(),
-            tx,
-            resp: TmResp::Committed,
-        });
-        self
-    }
-
-    /// `tryC` with no response yet (commit-pending).
-    pub fn try_commit_pending(&mut self, tx: TxId) -> &mut Self {
-        self.h.push(Event::Invoke {
-            proc: tx.process(),
-            tx,
-            op: TmOp::TryCommit,
-        });
-        self
-    }
-
-    /// Forceful abort: the abort event `A_k` delivered as the response to
-    /// the given operation invocation.
-    pub fn aborted_op(&mut self, tx: TxId, op: TmOp) -> &mut Self {
+    /// A bare invocation, to be answered by a later [`Self::respond`]
+    /// with other transactions' events in between.
+    pub fn invoke(&mut self, tx: TxId, op: TmOp) -> &mut Self {
         self.h.push(Event::Invoke {
             proc: tx.process(),
             tx,
             op,
         });
+        self
+    }
+
+    /// A bare response, answering the transaction's pending invocation.
+    pub fn respond(&mut self, tx: TxId, resp: TmResp) -> &mut Self {
         self.h.push(Event::Respond {
             proc: tx.process(),
             tx,
-            resp: TmResp::Aborted,
+            resp,
         });
         self
     }
 
+    /// Complete read: invocation immediately followed by its response.
+    pub fn read(&mut self, tx: TxId, x: TVarId, v: Value) -> &mut Self {
+        self.invoke(tx, TmOp::Read(x)).respond(tx, TmResp::Value(v))
+    }
+
+    /// Complete write acknowledged with `ok`.
+    pub fn write(&mut self, tx: TxId, x: TVarId, v: Value) -> &mut Self {
+        self.invoke(tx, TmOp::Write(x, v)).respond(tx, TmResp::Ok)
+    }
+
+    /// `tryC` followed by `C_k`.
+    pub fn commit(&mut self, tx: TxId) -> &mut Self {
+        self.invoke(tx, TmOp::TryCommit)
+            .respond(tx, TmResp::Committed)
+    }
+
+    /// `tryC` with no response yet (commit-pending).
+    pub fn try_commit_pending(&mut self, tx: TxId) -> &mut Self {
+        self.invoke(tx, TmOp::TryCommit)
+    }
+
+    /// Forceful abort: the abort event `A_k` delivered as the response to
+    /// the given operation invocation.
+    pub fn aborted_op(&mut self, tx: TxId, op: TmOp) -> &mut Self {
+        self.invoke(tx, op).respond(tx, TmResp::Aborted)
+    }
+
     /// Voluntary abort: `tryA` followed by `A_k`.
     pub fn abort(&mut self, tx: TxId) -> &mut Self {
-        self.h.push(Event::Invoke {
-            proc: tx.process(),
-            tx,
-            op: TmOp::TryAbort,
-        });
-        self.h.push(Event::Respond {
-            proc: tx.process(),
-            tx,
-            resp: TmResp::Aborted,
-        });
-        self
+        self.invoke(tx, TmOp::TryAbort).respond(tx, TmResp::Aborted)
     }
 
     /// A low-level step.

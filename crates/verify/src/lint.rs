@@ -394,8 +394,8 @@ fn is_ordering_critical(rel: &str) -> bool {
         "crates/core/src/reclaim.rs",
         "crates/core/src/contention.rs",
         "crates/core/src/kernel.rs",
-        "crates/baselines/src/tl.rs",
-        "crates/baselines/src/tl2.rs",
+        "crates/baselines/src/clock.rs",
+        "crates/baselines/src/vlock.rs",
     ];
     const PREFIX: &[&str] = &[
         "crates/core/src/dstm/",

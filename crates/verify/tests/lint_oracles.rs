@@ -62,7 +62,7 @@ fn await_across_live_attempt_fails() {
 #[test]
 fn unguarded_abort_tag_fails() {
     let src = include_str!("fixtures/double_abort_tag.rs");
-    let v = lint_source("crates/baselines/src/tl2.rs", src);
+    let v = lint_source("crates/baselines/src/vlock.rs", src);
     let lines = rule_lines(&v, RULE_ABORT);
     assert_eq!(lines.len(), 1, "exactly the unguarded tag: {v:?}");
     assert_eq!(lines[0], 7, "{v:?}");
@@ -71,7 +71,7 @@ fn unguarded_abort_tag_fails() {
 #[test]
 fn missing_var_attribution_fails() {
     let src = include_str!("fixtures/abort_no_var.rs");
-    let v = lint_source("crates/baselines/src/tl2.rs", src);
+    let v = lint_source("crates/baselines/src/vlock.rs", src);
     let lines = rule_lines(&v, RULE_ABORT_VAR);
     assert_eq!(lines.len(), 1, "exactly the unattributed tag: {v:?}");
     assert_eq!(lines[0], 10, "{v:?}");
