@@ -9,8 +9,7 @@
 //! atomic two-queue transfer below), which is where transactions earn
 //! their keep over per-operation locks.
 
-use crate::ctx::{atomically_async, atomically_async_ro};
-use crate::future::Committed;
+use crate::future::{atomically_async, atomically_async_ro, Committed};
 use oftm_core::api::WordStm;
 use oftm_histories::Value;
 use oftm_structs::{TxHashMap, TxIntSet, TxQueue};
@@ -35,7 +34,7 @@ impl AsyncIntSet {
     }
 
     /// Runs as a read-only transaction (never parks — see
-    /// [`crate::run_transaction_async_ro`]).
+    /// [`crate::atomically_async_ro_budgeted`]).
     pub async fn contains(&self, stm: &dyn WordStm, proc: u32, v: u64) -> Committed<bool> {
         let set = self.0;
         atomically_async_ro(stm, proc, move |ctx| set.contains_in(ctx, v)).await

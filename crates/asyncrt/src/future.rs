@@ -1,20 +1,23 @@
-//! The transaction futures: retry-until-commit as a `Future`, with
-//! **wake-on-commit parking** instead of spin backoff between aborted
-//! attempts.
+//! The transaction future: the async waiter of the one transaction
+//! driver ([`oftm_core::driver`]) — retry-until-commit as a `Future`,
+//! with **wake-on-commit parking** where the sync loop
+//! ([`oftm_core::driver::drive`]) spins.
 //!
-//! A poll runs whole attempts synchronously — `begin`, body, `tryC` — so
-//! a transaction never holds STM state across an await point (a
-//! `WordTx` is single-threaded and must die with its attempt). What
-//! crosses polls is only the retry state: the attempt count, the aborted
-//! attempt's *footprint* ([`oftm_core::api::WordTx::footprint`]), and the
-//! [`WaitSnapshot`] of the park protocol.
+//! A poll runs whole attempts synchronously — [`Driver::attempt`]: begin,
+//! body, `tryC` — so a transaction never holds STM state across an await
+//! point (a `WordTx` is single-threaded and must die with its attempt).
+//! What crosses polls is only the retry state: the driver's attempt
+//! count, the aborted attempt's *footprint*
+//! ([`oftm_core::api::WordTx::footprint`]), and the [`WaitSnapshot`] of
+//! the park protocol.
 //!
-//! The per-abort decision tree (one policy with the sync loops — see
+//! The per-abort decision tree (one policy with the sync loop — see
 //! [`oftm_core::contention`]):
 //!
-//! 1. the first [`ContentionPolicy::immediate_retries`] consecutive
-//!    aborts re-run inline — the conflicting commit usually *just*
-//!    happened, so an immediate re-run sees the new world;
+//! 1. the first consecutive abort
+//!    ([`oftm_core::contention::retry_immediately`]) re-runs inline — the
+//!    conflicting commit usually *just* happened, so an immediate re-run
+//!    sees the new world;
 //! 2. otherwise the future parks: snapshot the footprint's notification
 //!    shards, register the task's [`Waker`] with the STM's
 //!    [`CommitNotifier`], arm the watchdog timeout
@@ -28,14 +31,22 @@
 //! An abort with an **empty footprint** (the body aborted before touching
 //! any t-variable) has nothing to park on; the future yields (self-wake +
 //! `Pending`) so a contended executor still interleaves other tasks.
+//!
+//! The body of an `atomically_async*` future receives one [`TxCtx`] per
+//! attempt, so *several collection operations compose into one atomic
+//! transaction* — the multi-structure transactions (dequeue here, enqueue
+//! there) the differential harness checks conservation over. The driver
+//! frees an aborted attempt's allocations before the future parks, so a
+//! long park cannot pin them.
 
 use crate::timer;
 use oftm_core::api::{TxResult, WordStm, WordTx};
-use oftm_core::contention::ContentionPolicy;
+use oftm_core::contention::{park_timeout, retry_immediately};
+use oftm_core::driver::{Driver, TxCtx};
 use oftm_core::notify::WaitSnapshot;
-use oftm_core::{BudgetExceeded, TxError};
+use oftm_core::BudgetExceeded;
 use oftm_histories::TVarId;
-use oftm_obs::{pack_tx, AbortCause, Counter, VarAttr, TX_UNKNOWN};
+use oftm_obs::Counter;
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll, Waker};
@@ -44,7 +55,7 @@ use std::task::{Context, Poll, Waker};
 use oftm_core::notify::CommitNotifier;
 
 /// A committed async transaction: the body's result plus the retry
-/// accounting, reported with the same meaning as the sync loops'
+/// accounting, reported with the same meaning as the sync loop's
 /// `(result, attempts)` pairs (one attempt per `begin`).
 #[derive(Clone, Copy, Debug)]
 pub struct Committed<R> {
@@ -55,16 +66,20 @@ pub struct Committed<R> {
     pub parks: u32,
 }
 
-/// Cross-poll retry state shared by [`TxFuture`] and the collection-level
-/// future in [`crate::ctx`].
-pub(crate) struct ParkCore<'s> {
-    pub stm: &'s dyn WordStm,
-    pub proc: u32,
-    pub policy: ContentionPolicy,
-    pub max_attempts: u32,
-    pub attempts: u32,
+/// Cross-poll retry state of a [`TxFuture`]: the driver plus the park
+/// protocol's bookkeeping.
+struct ParkCore<'s> {
+    /// A read-only driver never parks: a read-only abort means a
+    /// conflicting commit *just* landed, so the immediate re-run observes
+    /// the new snapshot and (on the wait-free backends) cannot abort the
+    /// same way again — parking would trade that certain progress for a
+    /// wake round-trip. Past the immediate-retry budget the future yields
+    /// (self-wake) instead of parking, so a contended executor still
+    /// interleaves peers.
+    driver: Driver<'s>,
     consecutive_aborts: u32,
     parks: u32,
+    /// The last attempt's access log, as [`Driver::attempt`] left it.
     footprint: Vec<TVarId>,
     snap: WaitSnapshot,
     /// `Some` while parked: the armed watchdog deadline. Lets a re-poll
@@ -81,55 +96,17 @@ pub(crate) struct ParkCore<'s> {
     /// Ring-clock start of the current park: emitted as a `"park"` span
     /// on the meaningful wake (only when tracing is enabled).
     park_started_ns: Option<u64>,
-    /// When the in-flight attempt began; feeds the attempt-latency
-    /// histogram when the attempt's fate settles ([`ParkCore::end_attempt`]).
-    attempt_started: Option<std::time::Instant>,
-    /// Attempts begin via [`WordStm::begin_ro`], and aborts never park:
-    /// a read-only abort means a conflicting commit *just* landed, so the
-    /// immediate re-run observes the new snapshot and (on the wait-free
-    /// backends) cannot abort the same way again — parking would trade
-    /// that certain progress for a wake round-trip. Past the immediate-
-    /// retry budget the future yields (self-wake) instead of parking, so
-    /// a contended executor still interleaves peers.
-    read_only: bool,
 }
 
 /// What the poll loop does after an aborted attempt.
-pub(crate) enum AfterAbort {
+enum AfterAbort {
     /// Re-run the attempt inside this same poll.
     RetryNow,
     /// Return `Pending`; a wake (commit or watchdog) re-polls.
     Pend,
 }
 
-impl<'s> ParkCore<'s> {
-    pub fn new(stm: &'s dyn WordStm, proc: u32, max_attempts: u32) -> Self {
-        ParkCore {
-            stm,
-            proc,
-            policy: ContentionPolicy::default(),
-            max_attempts,
-            attempts: 0,
-            consecutive_aborts: 0,
-            parks: 0,
-            footprint: Vec::new(),
-            snap: WaitSnapshot::new(),
-            parked_until: None,
-            parked_at: None,
-            park_started_ns: None,
-            attempt_started: None,
-            read_only: false,
-        }
-    }
-
-    /// Read-only retry core: see the `read_only` field docs.
-    pub fn new_ro(stm: &'s dyn WordStm, proc: u32, max_attempts: u32) -> Self {
-        ParkCore {
-            read_only: true,
-            ..Self::new(stm, proc, max_attempts)
-        }
-    }
-
+impl ParkCore<'_> {
     /// Poll-entry gate. `true`: run attempts. `false`: this wake was
     /// stale — neither the parked footprint changed nor our deadline
     /// passed; stay `Pending`. The notifier registration is necessarily
@@ -137,12 +114,12 @@ impl<'s> ParkCore<'s> {
     /// snapshot), and the armed watchdog entry is still pending, so no
     /// re-registration is needed: both route wakes to the task, not to a
     /// specific waker clone.
-    pub fn should_run(&mut self) -> bool {
+    fn should_run(&mut self) -> bool {
         match self.parked_until {
             None => true,
             Some(deadline) => {
-                let stats = self.stm.stats();
-                if self.stm.notifier().changed_since(&self.snap)
+                let stats = self.driver.stm.stats();
+                if self.driver.stm.notifier().changed_since(&self.snap)
                     || std::time::Instant::now() >= deadline
                 {
                     self.parked_until = None;
@@ -154,7 +131,7 @@ impl<'s> ParkCore<'s> {
                         oftm_obs::ring::emit_span(
                             "park",
                             "async_park_core",
-                            u64::from(self.proc),
+                            u64::from(self.driver.proc),
                             u64::from(self.parks),
                             t0,
                         );
@@ -168,92 +145,26 @@ impl<'s> ParkCore<'s> {
         }
     }
 
-    /// True once the retry budget is spent.
-    pub fn exhausted(&self) -> bool {
-        self.attempts >= self.max_attempts
-    }
-
-    pub fn begin_attempt(&mut self) -> Box<dyn WordTx + 's> {
-        if self.attempts > 0 {
-            self.stm.stats().incr(Counter::Retries);
-        }
-        self.attempts += 1;
-        self.footprint.clear();
-        self.attempt_started = Some(std::time::Instant::now());
-        if self.read_only {
-            self.stm.begin_ro(self.proc)
-        } else {
-            self.stm.begin(self.proc)
-        }
-    }
-
-    /// Records the attempt-latency sample once the attempt's fate is
-    /// settled (committed, or aborted and its transaction dropped). Parks
-    /// happen between attempts, so park time never inflates the sample.
-    pub fn end_attempt(&mut self) {
-        if let Some(at) = self.attempt_started.take() {
-            self.stm
-                .stats()
-                .record_attempt_ns(at.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Tags the spent retry budget on the cause taxonomy (the async
-    /// analogue of the sync loops' budget accounting).
-    pub fn budget_exhausted(&self) -> BudgetExceeded {
-        // No conflicting variable and no aggressor: the budget ran out
-        // across attempts that each tagged their own cause already.
-        self.stm.stats().abort_at(
-            AbortCause::BudgetExhausted,
-            VarAttr::NoVar,
-            pack_tx(self.proc, self.max_attempts),
-            TX_UNKNOWN,
-        );
-        BudgetExceeded {
-            attempts: self.max_attempts,
-        }
-    }
-
-    /// Captures `tx`'s footprint (call on every attempt right before its
-    /// fate is decided — `tryC` consumes the transaction, and an abort
-    /// needs the footprint to park on). [`WordTx::footprint`] may emit
-    /// duplicates (collection traversals re-touch link words constantly),
-    /// so the log is deduplicated here, before anything registers
-    /// per-entry state on it: parking on an N-op transaction must
-    /// register each notify shard once, not once per touch.
-    pub fn capture_footprint(&mut self, tx: &dyn WordTx) {
-        self.footprint.clear();
-        tx.footprint(&mut self.footprint);
-        self.footprint.sort_unstable();
-        self.footprint.dedup();
-    }
-
-    pub fn committed<R>(&self, value: R) -> Committed<R> {
-        Committed {
-            value,
-            attempts: self.attempts,
-            parks: self.parks,
-        }
-    }
-
     /// The park protocol (see module docs). `waker` is the polling task's.
-    pub fn after_abort(&mut self, waker: &Waker) -> AfterAbort {
+    fn after_abort(&mut self, waker: &Waker) -> AfterAbort {
         self.consecutive_aborts += 1;
-        if self.policy.retry_immediately(self.consecutive_aborts) {
+        if retry_immediately(self.consecutive_aborts) {
             return AfterAbort::RetryNow;
         }
-        if self.read_only {
-            // Read-only futures never park (see the field docs): yield so
-            // the executor can interleave, then re-run.
+        if self.driver.read_only || self.footprint.is_empty() {
+            // Read-only futures never park (see the `driver` field) and an
+            // empty footprint has nothing to watch: yield (stay runnable,
+            // let peers in), then re-run.
             waker.wake_by_ref();
             return AfterAbort::Pend;
         }
-        if self.footprint.is_empty() {
-            // Nothing to watch: yield (stay runnable, let peers in).
-            waker.wake_by_ref();
-            return AfterAbort::Pend;
-        }
-        let notifier = self.stm.notifier();
+        // The log may hold duplicates (collection traversals re-touch link
+        // words constantly); dedup before anything registers per-entry
+        // state on it: parking on an N-op transaction must register each
+        // notify shard once, not once per touch.
+        self.footprint.sort_unstable();
+        self.footprint.dedup();
+        let notifier = self.driver.stm.notifier();
         notifier.snapshot(self.footprint.iter().copied(), &mut self.snap);
         if !notifier.park(&self.snap, waker) {
             // A commit raced the registration — the world changed under
@@ -261,8 +172,8 @@ impl<'s> ParkCore<'s> {
             return AfterAbort::RetryNow;
         }
         self.parks += 1;
-        self.stm.stats().incr(Counter::Parks);
-        let timeout = self.policy.park_timeout(self.proc, self.consecutive_aborts);
+        self.driver.stm.stats().incr(Counter::Parks);
+        let timeout = park_timeout(self.driver.proc, self.consecutive_aborts);
         let now = std::time::Instant::now();
         self.parked_until = Some(now + timeout);
         self.parked_at = Some(now);
@@ -272,60 +183,62 @@ impl<'s> ParkCore<'s> {
     }
 }
 
-/// Future returned by [`run_transaction_async_budgeted`].
+/// The future behind every `*_async*` name.
 pub struct TxFuture<'s, R, F> {
     core: ParkCore<'s>,
     body: F,
     _r: std::marker::PhantomData<fn() -> R>,
 }
 
+impl<'s, R, F> TxFuture<'s, R, F> {
+    fn new(stm: &'s dyn WordStm, proc: u32, max_attempts: u32, read_only: bool, body: F) -> Self {
+        TxFuture {
+            core: ParkCore {
+                driver: Driver::new(stm, proc, max_attempts, read_only),
+                consecutive_aborts: 0,
+                parks: 0,
+                footprint: Vec::new(),
+                snap: WaitSnapshot::new(),
+                parked_until: None,
+                parked_at: None,
+                park_started_ns: None,
+            },
+            body,
+            _r: std::marker::PhantomData,
+        }
+    }
+}
+
 impl<R, F> Future for TxFuture<'_, R, F>
 where
-    F: FnMut(&mut dyn WordTx) -> TxResult<R> + Unpin,
+    F: FnMut(&mut TxCtx<'_, '_>) -> TxResult<R> + Unpin,
 {
     type Output = Result<Committed<R>, BudgetExceeded>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        if !this.core.should_run() {
+        let TxFuture { core, body, .. } = self.get_mut();
+        if !core.should_run() {
             return Poll::Pending; // stale wake: stay parked
         }
-        loop {
-            if this.core.exhausted() {
-                return Poll::Ready(Err(this.core.budget_exhausted()));
+        while !core.driver.exhausted() {
+            let footprint = (!core.driver.read_only).then_some(&mut core.footprint);
+            if let Some(value) = core.driver.attempt(body, footprint) {
+                return Poll::Ready(Ok(Committed {
+                    value,
+                    attempts: core.driver.attempts(),
+                    parks: core.parks,
+                }));
             }
-            let mut tx = this.core.begin_attempt();
-            match (this.body)(tx.as_mut()) {
-                Ok(r) => {
-                    this.core.capture_footprint(tx.as_ref());
-                    match tx.try_commit() {
-                        Ok(()) => {
-                            this.core.end_attempt();
-                            return Poll::Ready(Ok(this.core.committed(r)));
-                        }
-                        Err(TxError::Aborted) => this.core.end_attempt(),
-                    }
-                }
-                Err(TxError::Aborted) => {
-                    // Drop (not tryA), exactly like the sync retry loop:
-                    // the body already observed the abort event.
-                    this.core.capture_footprint(tx.as_ref());
-                    drop(tx);
-                    this.core.end_attempt();
-                }
-            }
-            if this.core.exhausted() {
-                // The final attempt just aborted: report immediately, as
-                // the sync loop does — parking here would delay the error
-                // by a park timeout and count a park that could never
-                // precede another attempt.
-                return Poll::Ready(Err(this.core.budget_exhausted()));
-            }
-            match this.core.after_abort(cx.waker()) {
-                AfterAbort::RetryNow => continue,
-                AfterAbort::Pend => return Poll::Pending,
+            // When the final attempt has just aborted, report at once, as
+            // the sync loop does — parking would delay the error by a park
+            // timeout and count a park that could never precede another
+            // attempt.
+            if !core.driver.exhausted() && matches!(core.after_abort(cx.waker()), AfterAbort::Pend)
+            {
+                return Poll::Pending;
             }
         }
+        Poll::Ready(Err(core.driver.budget_exceeded()))
     }
 }
 
@@ -338,16 +251,12 @@ pub fn run_transaction_async_budgeted<'s, R, F>(
     stm: &'s dyn WordStm,
     proc: u32,
     max_attempts: u32,
-    body: F,
-) -> TxFuture<'s, R, F>
+    mut body: F,
+) -> TxFuture<'s, R, impl FnMut(&mut TxCtx<'_, '_>) -> TxResult<R> + Unpin>
 where
     F: FnMut(&mut dyn WordTx) -> TxResult<R> + Unpin,
 {
-    TxFuture {
-        core: ParkCore::new(stm, proc, max_attempts),
-        body,
-        _r: std::marker::PhantomData,
-    }
+    atomically_async_budgeted(stm, proc, max_attempts, move |ctx| body(ctx.tx()))
 }
 
 /// Like [`oftm_core::run_transaction`], asynchronously: retries until
@@ -357,10 +266,8 @@ pub async fn run_transaction_async<R, F>(stm: &dyn WordStm, proc: u32, body: F) 
 where
     F: FnMut(&mut dyn WordTx) -> TxResult<R> + Unpin,
 {
-    match run_transaction_async_budgeted(stm, proc, u32::MAX, body).await {
-        Ok(c) => c,
-        Err(e) => panic!("run_transaction_async: {e}"),
-    }
+    (run_transaction_async_budgeted(stm, proc, u32::MAX, body).await)
+        .unwrap_or_else(|e| panic!("run_transaction_async: {e}"))
 }
 
 /// Read-only [`run_transaction_async_budgeted`]: attempts run on
@@ -371,25 +278,62 @@ pub fn run_transaction_async_ro_budgeted<'s, R, F>(
     stm: &'s dyn WordStm,
     proc: u32,
     max_attempts: u32,
+    mut body: F,
+) -> TxFuture<'s, R, impl FnMut(&mut TxCtx<'_, '_>) -> TxResult<R> + Unpin>
+where
+    F: FnMut(&mut dyn WordTx) -> TxResult<R> + Unpin,
+{
+    atomically_async_ro_budgeted(stm, proc, max_attempts, move |ctx| body(ctx.tx()))
+}
+
+/// Asynchronous [`oftm_structs::atomically_budgeted`]: runs `body` with a
+/// [`TxCtx`] until an attempt commits, parking on commit notifications
+/// between contended attempts and releasing attempt-local allocations on
+/// abort.
+pub fn atomically_async_budgeted<'s, R, F>(
+    stm: &'s dyn WordStm,
+    proc: u32,
+    max_attempts: u32,
     body: F,
 ) -> TxFuture<'s, R, F>
 where
-    F: FnMut(&mut dyn WordTx) -> TxResult<R> + Unpin,
+    F: FnMut(&mut TxCtx<'_, '_>) -> TxResult<R> + Unpin,
 {
-    TxFuture {
-        core: ParkCore::new_ro(stm, proc, max_attempts),
-        body,
-        _r: std::marker::PhantomData,
-    }
+    TxFuture::new(stm, proc, max_attempts, false, body)
 }
 
-/// Read-only [`run_transaction_async`].
-pub async fn run_transaction_async_ro<R, F>(stm: &dyn WordStm, proc: u32, body: F) -> Committed<R>
+/// Asynchronous [`oftm_structs::atomically`]: retries until commit
+/// (`u32::MAX` budget; exhausting it fails loudly, matching the sync
+/// API).
+pub async fn atomically_async<R, F>(stm: &dyn WordStm, proc: u32, body: F) -> Committed<R>
 where
-    F: FnMut(&mut dyn WordTx) -> TxResult<R> + Unpin,
+    F: FnMut(&mut TxCtx<'_, '_>) -> TxResult<R> + Unpin,
 {
-    match run_transaction_async_ro_budgeted(stm, proc, u32::MAX, body).await {
-        Ok(c) => c,
-        Err(e) => panic!("run_transaction_async_ro: {e}"),
-    }
+    (atomically_async_budgeted(stm, proc, u32::MAX, body).await)
+        .unwrap_or_else(|e| panic!("atomically_async: {e}"))
+}
+
+/// Asynchronous [`oftm_structs::atomically_ro_budgeted`]: attempts run on
+/// [`WordStm::begin_ro`] and aborted attempts never park (they retry
+/// inline or yield) — `Committed::parks` is always zero. The body must
+/// not write, retire, or allocate.
+pub fn atomically_async_ro_budgeted<'s, R, F>(
+    stm: &'s dyn WordStm,
+    proc: u32,
+    max_attempts: u32,
+    body: F,
+) -> TxFuture<'s, R, F>
+where
+    F: FnMut(&mut TxCtx<'_, '_>) -> TxResult<R> + Unpin,
+{
+    TxFuture::new(stm, proc, max_attempts, true, body)
+}
+
+/// Asynchronous [`oftm_structs::atomically_ro`].
+pub async fn atomically_async_ro<R, F>(stm: &dyn WordStm, proc: u32, body: F) -> Committed<R>
+where
+    F: FnMut(&mut TxCtx<'_, '_>) -> TxResult<R> + Unpin,
+{
+    (atomically_async_ro_budgeted(stm, proc, u32::MAX, body).await)
+        .unwrap_or_else(|e| panic!("atomically_async_ro: {e}"))
 }

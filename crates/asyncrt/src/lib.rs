@@ -17,10 +17,13 @@
 //!   publishes its committed writes to its [`CommitNotifier`]; the
 //!   runtime is therefore *backend-agnostic* — anything implementing
 //!   [`WordStm`] gets async execution for free.
-//! * **Futures, not an executor contract** ([`run_transaction_async`],
-//!   [`atomically_async`]): a poll runs whole attempts synchronously (a
-//!   `WordTx` is single-threaded and never crosses an await point); only
-//!   retry state crosses polls. The futures are plain
+//! * **One future, not an executor contract** ([`TxFuture`], behind
+//!   [`run_transaction_async`], [`atomically_async`] and their budgeted
+//!   and read-only variants): the async *waiter* of the one transaction
+//!   driver ([`oftm_core::driver`]). A poll runs whole attempts
+//!   synchronously through the same `Driver::attempt` the sync loop calls
+//!   (a `WordTx` is single-threaded and never crosses an await point);
+//!   only retry state crosses polls. The futures are plain
 //!   `std::future::Future`s — they run on anything that can poll; the
 //!   `async-executor` shim (a small work-stealing pool + `block_on`)
 //!   exists because the container has no crates.io access.
@@ -28,7 +31,7 @@
 //!   transactions *mutually abort* and nobody commits (possible under
 //!   obstruction-freedom — both back off, both park, no publisher). A
 //!   parked future therefore also arms a randomized timeout drawn from
-//!   the same [`oftm_core::contention`] schedule the sync loops spin on —
+//!   the same [`oftm_core::contention`] schedule the sync loop spins on —
 //!   the safety net that preserves the paper's "eventually runs alone"
 //!   progress argument.
 //!
@@ -65,18 +68,14 @@
 //! ```
 
 mod collections;
-mod ctx;
 mod future;
 pub mod timer;
 
 pub use collections::{AsyncHashMap, AsyncIntSet, AsyncQueue};
-pub use ctx::{
-    atomically_async, atomically_async_budgeted, atomically_async_ro, atomically_async_ro_budgeted,
-    CtxFuture,
-};
 pub use future::{
-    run_transaction_async, run_transaction_async_budgeted, run_transaction_async_ro,
-    run_transaction_async_ro_budgeted, Committed, TxFuture,
+    atomically_async, atomically_async_budgeted, atomically_async_ro, atomically_async_ro_budgeted,
+    run_transaction_async, run_transaction_async_budgeted, run_transaction_async_ro_budgeted,
+    Committed, TxFuture,
 };
 
 #[allow(unused_imports)] // rustdoc links

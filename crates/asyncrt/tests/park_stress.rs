@@ -9,12 +9,10 @@ mod common;
 
 use async_executor::Executor;
 use common::{make_stm, STM_NAMES};
-use oftm_asyncrt::{
-    atomically_async_budgeted, run_transaction_async_budgeted, run_transaction_async_ro_budgeted,
-};
+use oftm_asyncrt::{run_transaction_async_budgeted, run_transaction_async_ro_budgeted};
 use oftm_core::api::{run_transaction_with_budget, WordStm};
 use oftm_histories::TVarId;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Generous budget: exhausting it means livelock (or a lost wakeup that
@@ -328,29 +326,6 @@ fn async_two_queue_transfer_conserves_elements() {
             "{name}: elements not conserved across async two-queue transfers"
         );
     }
-}
-
-/// The async collection loop releases an aborted attempt's allocations,
-/// exactly like the sync `atomically_budgeted`.
-#[test]
-fn aborted_async_attempt_releases_allocations() {
-    let stm = make_stm("dstm");
-    let anchor = stm.alloc_tvar(0);
-    assert_eq!(stm.live_tvars(), 1);
-    let first = AtomicU32::new(0);
-    let done = async_executor::block_on(atomically_async_budgeted(&*stm, 0, 8, |ctx| {
-        let node = ctx.alloc_block(&[1, 2]);
-        if first.fetch_add(1, Ordering::Relaxed) == 0 {
-            return Err(oftm_core::TxError::Aborted); // simulated conflict
-        }
-        ctx.write(anchor, node.0)?;
-        Ok(node)
-    }))
-    .expect("second attempt commits");
-    assert_eq!(done.attempts, 2);
-    assert_eq!(stm.live_tvars(), 3, "aborted attempt's block must be freed");
-    let (v, _) = run_transaction_with_budget(&*stm, 1, 8, |tx| tx.read(done.value)).unwrap();
-    assert_eq!(v, 1);
 }
 
 /// A parked future that is dropped (client gave up) must not wedge the

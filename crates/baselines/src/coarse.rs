@@ -265,7 +265,7 @@ impl WordTx for CoarseTx<'_> {
 
 impl Drop for CoarseTx<'_> {
     fn drop(&mut self) {
-        // A transaction dropped without tryC/tryA — the retry loops do
+        // A transaction dropped without tryC/tryA — the driver does
         // this when the body observes an application-level abort — must
         // not leave its in-place writes behind: restore the undo log
         // while the gate is still held. (tryC/tryA both clear the guard

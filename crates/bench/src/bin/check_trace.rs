@@ -7,9 +7,14 @@
 //!
 //! * the envelope is well-formed (`traceEvents` array, `otherData`
 //!   carrying `dropped_events`) and every event line parses;
-//! * per-thread spans are **disjoint or properly nested** — a partial
-//!   overlap on one `tid` track means a span's start/duration was
-//!   computed wrong, and the tracing UI would render garbage;
+//! * per-track spans are **disjoint or properly nested** — a partial
+//!   overlap on one `(pid, tid)` track means a span's start/duration was
+//!   computed wrong or a span sits on the wrong track, and the tracing UI
+//!   would render garbage;
+//! * every **cell** (the window from one `"cell"` marker to the next)
+//!   holds at least one `"attempt"` span — the transaction driver emits
+//!   one per attempt whatever entry point the cell's workload used, so a
+//!   cell without any means an attempt path that bypasses the driver;
 //! * every `abort` instant carries its `cause`, `var` attribution and
 //!   `victim` — the invariant that makes a timeline cross-referencable
 //!   with the heatmap and edge tables.
@@ -40,7 +45,7 @@ fn num_after(line: &str, key: &str) -> Option<f64> {
     raw_after(line, key)?.parse().ok()
 }
 
-/// One parsed complete-event span on a thread track.
+/// One parsed complete-event span on a `(pid, tid)` track.
 struct Span {
     start: f64,
     end: f64,
@@ -78,7 +83,11 @@ pub fn validate(doc: &str) -> Result<Summary, Vec<String>> {
         aborts: 0,
         dropped: 0,
     };
-    let mut by_tid: Vec<(u64, Vec<Span>)> = Vec::new();
+    let mut by_track: Vec<((u64, u64), Vec<Span>)> = Vec::new();
+    // Cell markers (`ts`, scenario, line) and attempt-span starts, for the
+    // every-cell-has-attempts rule.
+    let mut cells: Vec<(f64, String, usize)> = Vec::new();
+    let mut attempt_starts: Vec<f64> = Vec::new();
     let mut saw_tail = false;
 
     for (idx, line) in lines {
@@ -130,12 +139,15 @@ pub fn validate(doc: &str) -> Result<Summary, Vec<String>> {
                     continue;
                 }
                 summary.spans += 1;
-                let tid_key = tid as u64;
-                let track = match by_tid.iter_mut().find(|(t, _)| *t == tid_key) {
+                if name == "\"attempt\"" {
+                    attempt_starts.push(ts);
+                }
+                let key = (num_after(line, "pid").unwrap_or(0.0) as u64, tid as u64);
+                let track = match by_track.iter_mut().find(|(t, _)| *t == key) {
                     Some((_, v)) => v,
                     None => {
-                        by_tid.push((tid_key, Vec::new()));
-                        &mut by_tid.last_mut().unwrap().1
+                        by_track.push((key, Vec::new()));
+                        &mut by_track.last_mut().unwrap().1
                     }
                 };
                 track.push(Span {
@@ -145,6 +157,9 @@ pub fn validate(doc: &str) -> Result<Summary, Vec<String>> {
                 });
             }
             "\"i\"" => {
+                if name == "\"cell\"" {
+                    cells.push((ts, raw_after(line, "cat").unwrap_or_default(), n));
+                }
                 if name == "\"abort\"" {
                     summary.aborts += 1;
                     if raw_after(line, "cause")
@@ -174,11 +189,23 @@ pub fn validate(doc: &str) -> Result<Summary, Vec<String>> {
         errors.push("document ended without the otherData envelope tail".into());
     }
 
-    // Span discipline per thread track: sorted by (start, longest-first),
+    // Every cell ran transactions, and every attempt leaves a span.
+    cells.sort_by(|a, b| a.0.total_cmp(&b.0));
+    for (i, (start, scenario, line_no)) in cells.iter().enumerate() {
+        let end = cells.get(i + 1).map_or(f64::INFINITY, |c| c.0);
+        if !attempt_starts.iter().any(|t| (*start..end).contains(t)) {
+            errors.push(format!(
+                "line {line_no}: cell {scenario} has no \"attempt\" span — its attempts \
+                 bypass the transaction driver"
+            ));
+        }
+    }
+
+    // Span discipline per track: sorted by (start, longest-first),
     // a sweep with a stack of open ends must nest — an interval crossing
     // the enclosing span's end is a partial overlap, i.e. a broken
     // timeline.
-    for (tid, mut spans) in by_tid {
+    for ((pid, tid), mut spans) in by_track {
         spans.sort_by(|a, b| a.start.total_cmp(&b.start).then(b.end.total_cmp(&a.end)));
         let mut open: Vec<(f64, usize)> = Vec::new();
         for s in &spans {
@@ -188,7 +215,7 @@ pub fn validate(doc: &str) -> Result<Summary, Vec<String>> {
             if let Some(&(end, outer_line)) = open.last() {
                 if s.end > end {
                     errors.push(format!(
-                        "tid {tid}: span at line {} ([{:.3}, {:.3}]) partially overlaps \
+                        "pid {pid} tid {tid}: span at line {} ([{:.3}, {:.3}]) partially overlaps \
                          span at line {outer_line} (ends {end:.3}) — neither disjoint nor nested",
                         s.line_no, s.start, s.end
                     ));
@@ -312,6 +339,34 @@ mod tests {
         );
         let ok = doc(&[&span(0, 10.0, 5.0), &span(1, 12.0, 6.0)], 0);
         assert!(validate(&ok).is_ok());
+        // Same tid under another pid (a parked proc's track) is another track.
+        let parked = span(0, 12.0, 6.0).replace("\"pid\": 0", "\"pid\": 1");
+        assert!(validate(&doc(&[&span(0, 10.0, 5.0), &parked], 0)).is_ok());
+    }
+
+    #[test]
+    fn cell_without_an_attempt_span_fails() {
+        let cell = |ts: f64, scenario: &str| {
+            format!(
+                "{{\"name\": \"cell\", \"cat\": \"{scenario}\", \"ph\": \"i\", \"s\": \"t\", \
+                 \"ts\": {ts:.3}, \"pid\": 0, \"tid\": 9, \"args\": {{\"a\": 1, \"b\": 2}}}}"
+            )
+        };
+        let first = cell(5.0, "intset-read-mostly");
+        let second = cell(50.0, "mixed-map");
+        // An attempt in each window passes; the intset cell's attempt
+        // missing (what the pre-driver collection loop exported) fails.
+        let ok = doc(
+            &[&first, &span(0, 10.0, 5.0), &second, &span(1, 60.0, 5.0)],
+            0,
+        );
+        assert!(validate(&ok).is_ok());
+        let bad = doc(&[&first, &second, &span(1, 60.0, 5.0)], 0);
+        let errors = validate(&bad).unwrap_err();
+        assert!(
+            errors.len() == 1 && errors[0].contains("cell \"intset-read-mostly\" has no"),
+            "{errors:?}"
+        );
     }
 
     #[test]

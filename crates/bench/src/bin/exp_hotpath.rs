@@ -374,6 +374,8 @@ fn measure(
     let small = stm_name.starts_with("algo2");
     let (universe, buckets) = if small { (24u64, 8) } else { (128, 32) };
 
+    // Trace marker: `check_trace` demands an "attempt" span in every cell.
+    oftm_obs::ring::emit("cell", scenario, threads as u64, seed);
     let stm = make_stm(stm_name, None);
     let set = TxIntSet::create(&*stm);
     let map = TxHashMap::create(&*stm, buckets);

@@ -7,12 +7,16 @@
 //! minimal interface over word-sized t-variables, mirroring the TM
 //! operations of Section 2.2: `read`, `write`, `tryC`, `tryA`. The richer
 //! typed API (`TVar<T>`) of the DSTM implementation is layered separately.
+//!
+//! The `run_transaction*` functions are the word-level names of the one
+//! transaction driver in [`crate::driver`]: each forwards to
+//! [`drive`] with its body adapted as `|ctx| body(ctx.tx())`.
 
+use crate::driver::drive;
 use crate::notify::CommitNotifier;
 use oftm_histories::{TVarId, TxId, Value};
-use oftm_obs::{pack_tx, AbortCause, Forensics, StmStats, VarAttr, TX_UNKNOWN};
+use oftm_obs::{Forensics, StmStats};
 use std::fmt;
-use std::time::Instant;
 
 /// Why a transactional operation did not produce a result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,10 +170,10 @@ pub trait WordStm: Send + Sync {
     fn notifier(&self) -> &CommitNotifier;
 
     /// The telemetry registry of this STM instance. Backends tag every
-    /// aborted attempt with exactly one [`AbortCause`] and count
-    /// begins/commits/reclamation at their own sites; the retry loops
-    /// record attempt latencies and budget exhaustion into the same
-    /// registry (see [`oftm_obs`]). Always on — the cost is a handful of
+    /// aborted attempt with exactly one [`oftm_obs::AbortCause`] and count
+    /// begins/commits/reclamation at their own sites; the driver
+    /// ([`crate::driver`]) records attempt latencies and budget exhaustion
+    /// into the same registry (see [`oftm_obs`]). Always on — the cost is a handful of
     /// uncontended relaxed increments per transaction.
     fn stats(&self) -> &StmStats;
 
@@ -209,49 +213,32 @@ impl fmt::Display for BudgetExceeded {
 
 impl std::error::Error for BudgetExceeded {}
 
-/// Runs `body` inside transactions until one commits, in the standard
-/// retry-loop style. Each retry uses a fresh transaction identifier.
-/// Returns the committed body result together with the number of attempts.
+/// Runs `body` inside transactions until one commits. Each retry uses a
+/// fresh transaction identifier. Returns the committed body result
+/// together with the number of attempts.
 pub fn run_transaction<R>(
     stm: &dyn WordStm,
     proc: u32,
     body: impl FnMut(&mut dyn WordTx) -> TxResult<R>,
 ) -> (R, u32) {
-    match run_transaction_with_budget(stm, proc, u32::MAX, body) {
-        Ok(out) => out,
-        // u32::MAX attempts without a commit is indistinguishable from a
-        // hang in practice; keep the unbounded signature but fail loudly.
-        Err(e) => panic!("run_transaction: {e}"),
-    }
+    // u32::MAX attempts without a commit is indistinguishable from a hang
+    // in practice; keep the unbounded signature but fail loudly.
+    run_transaction_with_budget(stm, proc, u32::MAX, body)
+        .unwrap_or_else(|e| panic!("run_transaction: {e}"))
 }
 
 /// Like [`run_transaction`], but gives up after `max_attempts` aborted
 /// attempts instead of retrying forever. Harness workloads use this so a
 /// livelocking STM produces a seeded, reportable failure rather than a
-/// silent hang.
-///
-/// Aborted attempts are separated by randomized bounded exponential
-/// backoff. This is the paper's own progress recipe (Section 1):
-/// obstruction-free TMs guarantee nothing under sustained step contention,
-/// but contention that is *spread out* by backoff makes solo runs — and
-/// hence commits — overwhelmingly likely. Without it, symmetric workloads
-/// on CM-less implementations (e.g. Algorithm 2, where even reads take
-/// revocable ownership) mutually abort forever. Sequential executions
-/// never abort, so they never pay the backoff.
+/// silent hang. Aborted attempts are separated by randomized bounded
+/// exponential backoff (see [`drive`], which this forwards to).
 pub fn run_transaction_with_budget<R>(
     stm: &dyn WordStm,
     proc: u32,
     max_attempts: u32,
-    body: impl FnMut(&mut dyn WordTx) -> TxResult<R>,
+    mut body: impl FnMut(&mut dyn WordTx) -> TxResult<R>,
 ) -> Result<(R, u32), BudgetExceeded> {
-    retry_loop(
-        || stm.begin(proc),
-        stm.stats(),
-        stm.name(),
-        proc,
-        max_attempts,
-        body,
-    )
+    drive(stm, proc, max_attempts, false, |ctx| body(ctx.tx()))
 }
 
 /// Read-only counterpart of [`run_transaction`]: every attempt begins via
@@ -263,10 +250,8 @@ pub fn run_transaction_ro<R>(
     proc: u32,
     body: impl FnMut(&mut dyn WordTx) -> TxResult<R>,
 ) -> (R, u32) {
-    match run_transaction_ro_with_budget(stm, proc, u32::MAX, body) {
-        Ok(out) => out,
-        Err(e) => panic!("run_transaction_ro: {e}"),
-    }
+    run_transaction_ro_with_budget(stm, proc, u32::MAX, body)
+        .unwrap_or_else(|e| panic!("run_transaction_ro: {e}"))
 }
 
 /// Like [`run_transaction_ro`], but gives up after `max_attempts` aborted
@@ -276,88 +261,9 @@ pub fn run_transaction_ro_with_budget<R>(
     stm: &dyn WordStm,
     proc: u32,
     max_attempts: u32,
-    body: impl FnMut(&mut dyn WordTx) -> TxResult<R>,
-) -> Result<(R, u32), BudgetExceeded> {
-    retry_loop(
-        || stm.begin_ro(proc),
-        stm.stats(),
-        stm.name(),
-        proc,
-        max_attempts,
-        body,
-    )
-}
-
-/// The shared retry loop of [`run_transaction_with_budget`] and
-/// [`run_transaction_ro_with_budget`] — identical except for how each
-/// attempt's transaction begins.
-fn retry_loop<'s, R>(
-    begin: impl Fn() -> Box<dyn WordTx + 's>,
-    stats: &StmStats,
-    stm_name: &'static str,
-    proc: u32,
-    max_attempts: u32,
     mut body: impl FnMut(&mut dyn WordTx) -> TxResult<R>,
 ) -> Result<(R, u32), BudgetExceeded> {
-    let mut attempts = 0;
-    while attempts < max_attempts {
-        if attempts > 0 {
-            retry_backoff(proc, attempts);
-            stats.incr(oftm_obs::Counter::Retries);
-        }
-        attempts += 1;
-        let started = Instant::now();
-        // Attempt spans (Chrome-trace "X" slices) only when tracing is on;
-        // the ring clock is sampled per attempt so slices nest correctly
-        // inside the emitting thread's track.
-        let span_started = oftm_obs::ring::enabled().then(oftm_obs::ring::clock_ns);
-        let mut tx = begin();
-        let committed = match body(tx.as_mut()) {
-            Ok(r) => match tx.try_commit() {
-                Ok(()) => Some(r),
-                Err(TxError::Aborted) => None,
-            },
-            Err(TxError::Aborted) => None,
-        };
-        stats.record_attempt_ns(started.elapsed().as_nanos() as u64);
-        if let Some(t0) = span_started {
-            oftm_obs::ring::emit_span(
-                "attempt",
-                stm_name,
-                u64::from(proc),
-                u64::from(attempts),
-                t0,
-            );
-        }
-        if let Some(r) = committed {
-            return Ok((r, attempts));
-        }
-    }
-    // Only the loop can see its budget run dry; the per-attempt causes
-    // were tagged by the backend as each attempt died. No single
-    // t-variable is responsible and no peer won anything, hence the
-    // explicit NoVar / unknown-aggressor attribution.
-    stats.abort_at(
-        AbortCause::BudgetExhausted,
-        VarAttr::NoVar,
-        pack_tx(proc, max_attempts),
-        TX_UNKNOWN,
-    );
-    Err(BudgetExceeded {
-        attempts: max_attempts,
-    })
-}
-
-/// Spins for a pseudo-random duration in `[0, 2^min(attempt, 8))` µs,
-/// seeded by `(proc, attempt)` so threads desynchronize deterministically.
-/// Public so higher-level retry loops (e.g. the collection `atomically`,
-/// which additionally releases attempt-local allocations on abort) can
-/// share the exact backoff schedule of [`run_transaction_with_budget`].
-/// The schedule itself lives in [`crate::contention`], which the async
-/// runtime's park timeouts also derive from — one policy, two waiting
-/// styles.
-pub fn retry_backoff(proc: u32, attempt: u32) {
-    crate::contention::spin_backoff(proc, attempt);
+    drive(stm, proc, max_attempts, true, |ctx| body(ctx.tx()))
 }
 
 #[cfg(test)]

@@ -1,29 +1,28 @@
-//! **Contention policy** — the single source of truth for what a retry
-//! loop does between aborted attempts, shared by the synchronous
-//! spin-backoff paths ([`crate::api::run_transaction_with_budget`], the
-//! collection retry loop in `oftm-structs`) and the asynchronous park
-//! path (`oftm-asyncrt`).
+//! **Contention policy** — the single source of truth for what happens
+//! between two aborted attempts of the transaction driver
+//! ([`crate::driver`]), shared by its two waiters: the synchronous
+//! [`crate::driver::drive`] loop and the asynchronous park path
+//! (`oftm-asyncrt`).
 //!
 //! The paper's own progress recipe (Section 1) is randomized bounded
 //! exponential backoff: obstruction-free TMs guarantee nothing under
 //! sustained step contention, but contention *spread out* by backoff
 //! makes solo runs — and hence commits — overwhelmingly likely. The two
-//! execution styles consume that recipe differently:
+//! waiters consume that recipe differently:
 //!
-//! * the **sync** loops *spin* for [`backoff_micros`] microseconds and
-//!   retry unconditionally;
-//! * the **async** runtime retries immediately a bounded number of times
-//!   ([`ContentionPolicy::immediate_retries`]), then *parks* on its
-//!   footprint's commit notifications, with [`ContentionPolicy::
-//!   park_timeout_micros`] (the same schedule, scaled) as the watchdog
-//!   deadline that keeps mutually-aborting transactions from sleeping
-//!   forever when neither ever commits.
+//! * the **sync** loop *spins* for [`backoff_micros`] microseconds and
+//!   retries unconditionally ([`spin_backoff`]);
+//! * the **async** future retries immediately a bounded number of times
+//!   ([`retry_immediately`]), then *parks* on its footprint's commit
+//!   notifications, with [`park_timeout`] (the same schedule, scaled) as
+//!   the watchdog deadline that keeps mutually-aborting transactions from
+//!   sleeping forever when neither ever commits.
 //!
 //! Keeping both on one schedule makes attempt accounting comparable:
-//! every loop counts an attempt per `begin`, and the async path's
-//! timeout-driven re-runs are bounded by the sync path's spin-driven
-//! ones — which is what lets the harnesses claim "strictly fewer wasted
-//! re-runs" as an apples-to-apples number.
+//! the driver counts an attempt per `begin` either way, and the async
+//! path's timeout-driven re-runs are bounded by the sync path's
+//! spin-driven ones — which is what lets the harnesses claim "strictly
+//! fewer wasted re-runs" as an apples-to-apples number.
 
 use std::time::Duration;
 
@@ -42,7 +41,7 @@ pub fn backoff_micros(proc: u32, attempt: u32) -> u64 {
     (z ^ (z >> 31)) % (1u64 << attempt.min(BACKOFF_CAP_EXP))
 }
 
-/// Spins for [`backoff_micros`]`(proc, attempt)` — the sync loops' wait.
+/// Spins for [`backoff_micros`]`(proc, attempt)` — the sync loop's wait.
 pub fn spin_backoff(proc: u32, attempt: u32) {
     let end = std::time::Instant::now() + Duration::from_micros(backoff_micros(proc, attempt));
     while std::time::Instant::now() < end {
@@ -50,61 +49,36 @@ pub fn spin_backoff(proc: u32, attempt: u32) {
     }
 }
 
-/// How a retry loop behaves between aborted attempts (see module docs).
-#[derive(Clone, Copy, Debug)]
-pub struct ContentionPolicy {
-    /// Aborted attempts the async path re-runs immediately before it
-    /// parks. The first abort usually means the conflicting commit *just*
-    /// landed — an immediate re-run sees the new state and commonly
-    /// succeeds; parking that case would trade one cheap attempt for a
-    /// context round-trip.
-    pub immediate_retries: u32,
-    /// Multiplier from the backoff schedule to the park watchdog timeout:
-    /// a parked transaction sleeps `park_scale ×` the time its sync twin
-    /// would have spun (plus the floor below), because a wake normally
-    /// arrives from a commit much earlier — the timeout only exists so
-    /// mutually-aborting transactions (both parked, neither committed,
-    /// nobody left to publish) eventually re-run.
-    pub park_scale: u32,
-    /// Minimum park timeout in microseconds (delays of 0–1 µs from the
-    /// early schedule would make the watchdog a busy loop).
-    pub park_floor_micros: u64,
+/// Aborted attempts the async path re-runs immediately before it parks.
+/// The first abort usually means the conflicting commit *just* landed —
+/// an immediate re-run sees the new state and commonly succeeds; parking
+/// that case would trade one cheap attempt for a context round-trip.
+const IMMEDIATE_RETRIES: u32 = 1;
+
+/// Multiplier from the backoff schedule to the park watchdog timeout: a
+/// parked transaction sleeps this many times what its sync twin would
+/// have spun (plus the floor below), because a wake normally arrives
+/// from a commit much earlier — the timeout only exists so
+/// mutually-aborting transactions (both parked, neither committed, nobody
+/// left to publish) eventually re-run.
+const PARK_SCALE: u64 = 8;
+
+/// Minimum park timeout in microseconds (delays of 0–1 µs from the early
+/// schedule would make the watchdog a busy loop).
+const PARK_FLOOR_MICROS: u64 = 50;
+
+/// True if the `n`-th consecutive abort (1-based) should re-run
+/// immediately instead of parking.
+pub fn retry_immediately(consecutive_aborts: u32) -> bool {
+    consecutive_aborts <= IMMEDIATE_RETRIES
 }
 
-impl Default for ContentionPolicy {
-    fn default() -> Self {
-        ContentionPolicy {
-            immediate_retries: 1,
-            park_scale: 8,
-            park_floor_micros: 50,
-        }
-    }
-}
-
-/// Hard ceiling on any park watchdog timeout: one second. The timeout is
-/// a liveness safety net, not a wait estimate — an uncapped
-/// `park_scale × backoff` product (a caller-supplied scale can be
-/// anything up to `u32::MAX`) would turn a missed wake-up into an
-/// effectively permanent sleep instead of a late re-run.
-pub const MAX_PARK_MICROS: u64 = 1_000_000;
-
-impl ContentionPolicy {
-    /// True if the `n`-th consecutive abort (1-based) should re-run
-    /// immediately instead of parking.
-    pub fn retry_immediately(&self, consecutive_aborts: u32) -> bool {
-        consecutive_aborts <= self.immediate_retries
-    }
-
-    /// Watchdog deadline distance for a park after `consecutive_aborts`
-    /// aborts — the safety net, not the expected wake path. Clamped to
-    /// `[park_floor_micros, `[`MAX_PARK_MICROS`]`]`.
-    pub fn park_timeout(&self, proc: u32, consecutive_aborts: u32) -> Duration {
-        let micros = backoff_micros(proc, consecutive_aborts)
-            .saturating_mul(u64::from(self.park_scale))
-            .max(self.park_floor_micros)
-            .min(MAX_PARK_MICROS);
-        Duration::from_micros(micros)
-    }
+/// Watchdog deadline distance for a park after `consecutive_aborts`
+/// aborts — the safety net, not the expected wake path. Between
+/// 50 µs (the floor) and 8 × 255 µs (the scaled cap of the schedule).
+pub fn park_timeout(proc: u32, consecutive_aborts: u32) -> Duration {
+    let micros = backoff_micros(proc, consecutive_aborts) * PARK_SCALE;
+    Duration::from_micros(micros.max(PARK_FLOOR_MICROS))
 }
 
 #[cfg(test)]
@@ -129,29 +103,18 @@ mod tests {
     }
 
     #[test]
-    fn policy_schedule() {
-        let p = ContentionPolicy::default();
-        assert!(p.retry_immediately(1));
-        assert!(!p.retry_immediately(2));
-        assert!(p.park_timeout(0, 2) >= Duration::from_micros(p.park_floor_micros));
-    }
-
-    #[test]
-    fn park_timeout_is_capped() {
-        // Regression: `backoff × park_scale` had no upper bound, so an
-        // overflow-sized scale parked a transaction for (effectively)
-        // forever if its wake-up was ever missed.
-        let p = ContentionPolicy {
-            immediate_retries: 1,
-            park_scale: u32::MAX,
-            park_floor_micros: 50,
-        };
+    fn park_schedule() {
+        assert!(retry_immediately(1));
+        assert!(!retry_immediately(2));
+        // The whole reachable range: the floor below, the scaled cap of
+        // the backoff schedule above.
+        let most = Duration::from_micros(PARK_SCALE * ((1 << BACKOFF_CAP_EXP) - 1));
+        assert_eq!(most, Duration::from_micros(8 * 255));
         for proc in 0..8 {
             for aborts in 1..32 {
-                assert!(p.park_timeout(proc, aborts) <= Duration::from_micros(MAX_PARK_MICROS));
+                let t = park_timeout(proc, aborts);
+                assert!(Duration::from_micros(50) <= t && t <= most, "{t:?}");
             }
         }
-        // The floor still applies below the cap.
-        assert!(p.park_timeout(0, 1) >= Duration::from_micros(50));
     }
 }

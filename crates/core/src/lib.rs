@@ -19,8 +19,12 @@
 //!   publishes committed writes so the async runtime (`oftm-asyncrt`) can
 //!   park aborted transactions and wake them only when their footprint
 //!   actually changes.
-//! * [`contention`] — the shared retry policy (backoff schedule, park
-//!   timeouts) behind both the sync spin loops and the async park path.
+//! * [`driver`] — the one transaction driver: a single attempt function
+//!   (begin, body, `tryC` or drop, accounting, allocation release) with
+//!   the sync spin loop around it; every `run_transaction*` /
+//!   `atomically*` name and the async future forward here.
+//! * [`contention`] — what the driver's two waiters do between aborted
+//!   attempts (backoff schedule, park timeouts).
 //! * [`kernel`] — the notify/grace protocol kernels written generically
 //!   over a synchronization facade, so `oftm-verify`'s bounded model
 //!   checker can interleave the production protocol code exhaustively.
@@ -43,6 +47,7 @@
 pub mod api;
 pub mod cm;
 pub mod contention;
+pub mod driver;
 pub mod dstm;
 pub mod kernel;
 pub mod notify;
@@ -55,7 +60,6 @@ pub use api::{
     run_transaction, run_transaction_with_budget, BudgetExceeded, TxError, TxResult, WordStm,
     WordTx,
 };
-pub use contention::ContentionPolicy;
 pub use dstm::{Dstm, DstmWord, Progress, TVar, Tx};
 pub use notify::{CommitNotifier, WaitSnapshot, NOTIFY_SHARDS};
 pub use reclaim::{GraceTracker, RetiredBlock, TxGrace};

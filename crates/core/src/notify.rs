@@ -99,7 +99,7 @@ impl Iterator for MaskBits {
 
 /// A waiter's sampled view of its footprint: the deduplicated shard set
 /// with the sequence number each shard had at snapshot time. Reusable —
-/// the async retry loop keeps one and re-snapshots into it per park.
+/// the transaction future keeps one and re-snapshots into it per park.
 #[derive(Default)]
 pub struct WaitSnapshot {
     /// `(shard index, sampled seq)`, one entry per distinct shard.

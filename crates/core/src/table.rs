@@ -31,7 +31,7 @@
 //!   addressable from a single base id.
 //!
 //! Both ranges map to slots in lazily materialized, append-only **pages**
-//! ([`PAGE_SIZE`] slots each) reached through atomic page directories:
+//! (`PAGE_SIZE` slots each) reached through atomic page directories:
 //! one flat directory for the static range, a two-level one for the
 //! (much larger) dynamic range. `get` is a wait-free double array index —
 //! two or three `Acquire` loads plus an `Arc` clone, no lock, no hashing,
@@ -65,10 +65,10 @@
 //! allocated inside a transaction that later aborts stays allocated (and
 //! unreachable — the write that would have published it was discarded).
 //! This mirrors DSTM's object allocation semantics and keeps `alloc` safe
-//! to call both inside and outside transactions. (The collection layer
-//! compensates: its retry loop frees blocks allocated by an aborted
-//! attempt immediately, which is safe precisely because they were never
-//! published.) Freeing, by contrast, **is** transactional in effect: a
+//! to call both inside and outside transactions. (The transaction
+//! driver compensates: it frees blocks an aborted attempt allocated
+//! through its [`crate::driver::TxCtx`] immediately, which is safe
+//! precisely because they were never published.) Freeing, by contrast, **is** transactional in effect: a
 //! collection node is retired via [`crate::api::WordTx::retire_tvar_block`],
 //! which defers the actual [`VarTable::remove_block`] to after the
 //! unlinking transaction's commit *plus* the grace period. The

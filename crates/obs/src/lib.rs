@@ -58,10 +58,10 @@ pub enum AbortCause {
     CmArbitrated,
     /// The caller abandoned a still-viable attempt: an explicit `tryA`,
     /// or a body that returned `Err` without any backend operation
-    /// failing (collection retry loops do this to rerun a precondition).
+    /// failing (collection bodies do this to rerun a precondition).
     ExplicitRetry,
-    /// The bounded retry loop gave up: `max_attempts` attempts all
-    /// aborted. Counted once per exhausted loop, by the loop.
+    /// The transaction driver gave up: `max_attempts` attempts all
+    /// aborted. Counted once per exhausted budget, by the driver.
     BudgetExhausted,
 }
 

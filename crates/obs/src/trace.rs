@@ -3,14 +3,15 @@
 //! `chrome://tracing` (or ui.perfetto.dev).
 //!
 //! Span-structured records come from [`crate::ring::emit_span`] — attempt
-//! spans from the retry loops, park spans from the async runtime,
+//! spans from the transaction driver, park spans from the async runtime,
 //! migration-barrier spans from the hybrid — and instants from
 //! [`crate::ring::emit`]: every abort carries its cause and the
 //! t-variable it was attributed to ([`crate::StmStats::abort_at`] emits
 //! them), commits and budget exhaustions ride along. The mapping:
 //!
-//! * `dur > 0` → a `"ph": "X"` complete event (one slice on the emitting
-//!   thread's track, `ts`/`dur` in microseconds);
+//! * `dur > 0` → a `"ph": "X"` complete event (one slice on the event's
+//!   track — [`TxEvent::track`]: the emitting thread's, or the parked
+//!   process's for `"park"` — `ts`/`dur` in microseconds);
 //! * `dur == 0` → a `"ph": "i"` thread-scoped instant;
 //! * `kind == "abort"` instants additionally carry `"cause"` (the abort
 //!   cause name, stashed in the event's `stm` field by `abort_at`) and
@@ -27,14 +28,32 @@ use crate::ring::{self, Drained, TxEvent};
 /// [`crate::VarAttr::NoVar`] — rendered as `"var": "none"`.
 pub const NO_VAR: u64 = u64::MAX;
 
+impl TxEvent {
+    /// The Chrome-trace track `(pid, tid)` this event renders on: the
+    /// emitting thread's (`pid` 0) — except for `"park"` spans. A parked
+    /// transaction is on no thread: its span starts on the thread that
+    /// polled it into the park and is emitted by whichever thread polls
+    /// the wake, where it would partially overlap that thread's own
+    /// attempt slices. It goes on the parked process's track (`pid` 1,
+    /// `tid` = the span's `a` word, the proc), where parks are disjoint
+    /// because a process runs one transaction at a time.
+    pub fn track(&self) -> (u64, u64) {
+        if self.kind == "park" {
+            (1, self.a)
+        } else {
+            (0, self.thread)
+        }
+    }
+}
+
 fn event_json(e: &TxEvent) -> String {
     let ts = e.nanos as f64 / 1000.0;
-    let tid = e.thread;
+    let (pid, tid) = e.track();
     if e.dur > 0 {
         let dur = e.dur as f64 / 1000.0;
         format!(
             "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {ts:.3}, \
-             \"dur\": {dur:.3}, \"pid\": 0, \"tid\": {tid}, \
+             \"dur\": {dur:.3}, \"pid\": {pid}, \"tid\": {tid}, \
              \"args\": {{\"a\": {}, \"b\": {}}}}}",
             e.kind, e.stm, e.a, e.b
         )
@@ -46,14 +65,14 @@ fn event_json(e: &TxEvent) -> String {
         };
         format!(
             "{{\"name\": \"abort\", \"cat\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \
-             \"ts\": {ts:.3}, \"pid\": 0, \"tid\": {tid}, \
+             \"ts\": {ts:.3}, \"pid\": {pid}, \"tid\": {tid}, \
              \"args\": {{\"cause\": \"{}\", \"var\": {var}, \"victim\": {}}}}}",
             e.stm, e.stm, e.b
         )
     } else {
         format!(
             "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \
-             \"ts\": {ts:.3}, \"pid\": 0, \"tid\": {tid}, \
+             \"ts\": {ts:.3}, \"pid\": {pid}, \"tid\": {tid}, \
              \"args\": {{\"a\": {}, \"b\": {}}}}}",
             e.kind, e.stm, e.a, e.b
         )
@@ -100,7 +119,10 @@ mod tests {
     #[test]
     fn spans_render_as_complete_events() {
         let d = Drained {
-            events: vec![ev(2000, 3, "attempt", "tl2", 1500)],
+            events: vec![
+                ev(2000, 3, "attempt", "tl2", 1500),
+                ev(2500, 3, "park", "async_park_core", 900),
+            ],
             dropped: 0,
             dropped_by_thread: vec![],
         };
@@ -108,7 +130,9 @@ mod tests {
         assert!(j.contains("\"ph\": \"X\""), "{j}");
         assert!(j.contains("\"ts\": 2.000"), "{j}");
         assert!(j.contains("\"dur\": 1.500"), "{j}");
-        assert!(j.contains("\"tid\": 3"), "{j}");
+        assert!(j.contains("\"pid\": 0, \"tid\": 3"), "{j}");
+        // A park sits on its proc's track (a = 42), not the waker's.
+        assert!(j.contains("\"pid\": 1, \"tid\": 42"), "{j}");
         assert!(j.starts_with("{\"traceEvents\": ["), "{j}");
         assert_eq!(j.matches('{').count(), j.matches('}').count(), "{j}");
     }

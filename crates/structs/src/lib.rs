@@ -25,7 +25,7 @@
 //! always safe as the null pointer [`NIL`].
 //!
 //! Allocation is not a transactional effect at the STM level (DSTM's
-//! object-allocation semantics), but the retry loops here compensate:
+//! object-allocation semantics), but the transaction driver compensates:
 //! blocks allocated by an attempt that aborts are freed before the retry
 //! (they were never published, so the free is safe). Symmetrically,
 //! nodes *unlinked* by `remove`/`dequeue` are retired via

@@ -16,17 +16,18 @@
 //!   Release, AcqRel, SeqCst}` use in a protocol-critical module must
 //!   carry a `// ord:` comment naming the pairing it participates in,
 //!   on the same line or within the 6 lines above.
-//! * **await-in-attempt** — in the async layers (`oftm-asyncrt`,
-//!   `oftm-structs`), a function that starts a word-STM attempt
-//!   (`begin_attempt(` / `.begin(` / `.begin_ro(`) must not contain
-//!   `.await`: a live `WordTx` crossing a suspension point would pin an
-//!   ownership record across arbitrary executor delays (the PR 5
-//!   invariant).
+//! * **await-in-attempt** — in the transaction driver
+//!   (`crates/core/src/driver.rs`) and the layers that call it
+//!   (`oftm-asyncrt`, `oftm-structs`), a function that runs a word-STM
+//!   attempt (`.attempt(`, the driver's single entry, or a raw `.begin(`
+//!   / `.begin_ro(`) must not contain `.await`: a live `WordTx` crossing
+//!   a suspension point would pin an ownership record across arbitrary
+//!   executor delays (the PR 5 invariant).
 //! * **abort-tag-once** — an `.abort(AbortCause::…)` call site must sit
 //!   in a function that manipulates a per-transaction tag-once flag
 //!   (`dead` / `finished` / `cause_tagged` / `guard`), so one attempt
 //!   can never tag two causes.
-//!   `BudgetExhausted` is exempt: it is tagged by the retry loops, after
+//!   `BudgetExhausted` is exempt: it is tagged by the driver, after
 //!   the attempt has fully finished.
 //! * **std-sync-lock** — `std::sync::Mutex` / `RwLock` are forbidden
 //!   outside an explicit allowlist: the STM hot paths must stay
@@ -487,8 +488,9 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
         });
     };
 
-    let in_async_layer =
-        rel.starts_with("crates/asyncrt/src/") || rel.starts_with("crates/structs/src/");
+    let in_attempt_scope = rel == "crates/core/src/driver.rs"
+        || rel.starts_with("crates/asyncrt/src/")
+        || rel.starts_with("crates/structs/src/");
 
     for (idx, line) in lines.iter().enumerate() {
         if line.skipped {
@@ -528,16 +530,16 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
         }
 
         // await-in-attempt --------------------------------------------------
-        if in_async_layer && code.contains(".await") {
+        if in_attempt_scope && code.contains(".await") {
             if let Some(span) = innermost_span(&spans, idx) {
-                if span.code.contains("begin_attempt(")
+                if span.code.contains(".attempt(")
                     || span.code.contains(".begin(")
                     || span.code.contains(".begin_ro(")
                 {
                     push(
                         idx,
                         RULE_AWAIT,
-                        "`.await` inside a function that starts a word-STM attempt: a live \
+                        "`.await` inside a function that runs a word-STM attempt: a live \
                          transaction must never cross a suspension point"
                             .to_string(),
                     );
@@ -656,7 +658,7 @@ fn collect_rs(dir: &Path, under_src: bool, out: &mut Vec<PathBuf>) -> std::io::R
 }
 
 /// Lints every `.rs` file under the `src/` trees of `root` (the workspace
-/// root: `root/src` plus `root/crates/*/…/src`), honouring [`SKIP_DIRS`].
+/// root: `root/src` plus `root/crates/*/…/src`), honouring `SKIP_DIRS`.
 pub fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
     let mut files = Vec::new();
     for top in ["src", "crates"] {

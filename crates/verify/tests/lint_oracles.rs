@@ -55,7 +55,12 @@ fn await_across_live_attempt_fails() {
         .nth(lines[0] - 1)
         .unwrap()
         .contains("yield_to_executor().await"));
-    // The async layers are the rule's scope; elsewhere it does not apply.
+    // The driver itself is in scope, so an `.await` can never appear
+    // around its attempt; elsewhere the rule does not apply.
+    assert_eq!(
+        rule_lines(&lint_source("crates/core/src/driver.rs", src), RULE_AWAIT),
+        lines
+    );
     assert!(rule_lines(&lint_source("crates/core/src/api.rs", src), RULE_AWAIT).is_empty());
 }
 
