@@ -14,7 +14,7 @@ use oftm_core::api::{run_transaction, WordStm};
 use oftm_core::cm::{Aggressive, ContentionManager, Courteous, Greedy, Karma, Polite, Randomized};
 use oftm_core::dstm::{Dstm, DstmWord};
 use oftm_core::record::Recorder;
-use oftm_histories::TVarId;
+use oftm_histories::{BaseObjId, DapViolation, TVarId};
 use oftm_hybrid::{HybridConfig, HybridStm};
 use oftm_obs::StatsSnapshot;
 use std::sync::Arc;
@@ -31,16 +31,36 @@ pub const STM_NAMES: &[&str] = &[
     "hybrid",
 ];
 
+/// The `"dstm"` backend of [`make_stm`], concretely typed: the DAP
+/// experiments need its commit counter's base-object id.
+pub fn make_dstm(recorder: Option<Arc<Recorder>>) -> DstmWord {
+    let mut d = Dstm::new(Arc::new(Polite::default()));
+    if let Some(r) = recorder {
+        d = d.with_recorder(r);
+    }
+    DstmWord::new(d)
+}
+
+/// Splits the strict-DAP violations of a DSTM history into the distinct
+/// transaction pairs that met on some descriptor and those that met on
+/// the commit counter `counter` (a pair can be in both): Theorem 13's
+/// hot spot and the engine's chosen one, reported apart.
+pub fn dap_pairs_by_object(violations: &[DapViolation], counter: BaseObjId) -> (usize, usize) {
+    let pairs = |on_counter: bool| {
+        violations
+            .iter()
+            .filter(|v| (v.obj == counter) == on_counter)
+            .map(|v| (v.tx_a, v.tx_b))
+            .collect::<std::collections::BTreeSet<_>>()
+            .len()
+    };
+    (pairs(false), pairs(true))
+}
+
 /// Builds an STM implementation by name, optionally instrumented.
 pub fn make_stm(name: &str, recorder: Option<Arc<Recorder>>) -> Box<dyn WordStm> {
     match name {
-        "dstm" => {
-            let mut d = Dstm::new(Arc::new(Polite::default()));
-            if let Some(r) = recorder {
-                d = d.with_recorder(r);
-            }
-            Box::new(DstmWord::new(d))
-        }
+        "dstm" => Box::new(make_dstm(recorder)),
         "tl" => {
             let mut s = TlStm::new();
             if let Some(r) = recorder {

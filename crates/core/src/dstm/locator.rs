@@ -111,36 +111,6 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Locator<T> {
     }
 }
 
-/// Which field of a locator a read resolved to. Recorded in read-set
-/// entries; validation checks that re-resolving yields the same class on
-/// the same locator (see `tx.rs`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ValueClass {
-    /// Resolved to `old` (owner aborted, or unknown/live third party).
-    Old,
-    /// Resolved to `new` (owner committed).
-    New,
-    /// Resolved to the caller's own tentative value.
-    Mine,
-}
-
-/// Classifies how a locator resolves right now for transaction `me`.
-pub fn classify<T>(loc: &Locator<T>, me: &Descriptor) -> ValueClass {
-    if std::ptr::eq(Arc::as_ptr(&loc.owner), me as *const Descriptor) {
-        // Our own locator: tentative (if we aborted, validation fails via
-        // our own status check, not via the class).
-        return ValueClass::Mine;
-    }
-    match loc.owner.status() {
-        TxState::Committed => ValueClass::New,
-        TxState::Aborted => ValueClass::Old,
-        // A live foreign owner: the last committed value is `old`. Readers
-        // never use this directly (they first resolve the conflict), but
-        // validation may observe it transiently.
-        TxState::Live => ValueClass::Old,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,28 +137,6 @@ mod tests {
         }
         assert!(owner.try_commit());
         assert_eq!(unsafe { *loc.committed_value() }, 42);
-    }
-
-    #[test]
-    fn classification_follows_status() {
-        let owner = Arc::new(Descriptor::new(TxId::new(1, 2), 0));
-        let me = Descriptor::new(TxId::new(2, 0), 0);
-        let loc = Locator::new(Arc::clone(&owner), 1u64, 2u64);
-        assert_eq!(classify(&loc, &me), ValueClass::Old); // live foreign
-        owner.try_commit();
-        assert_eq!(classify(&loc, &me), ValueClass::New);
-
-        let owner2 = Arc::new(Descriptor::new(TxId::new(1, 3), 0));
-        let loc2 = Locator::new(Arc::clone(&owner2), 1u64, 2u64);
-        owner2.try_abort();
-        assert_eq!(classify(&loc2, &me), ValueClass::Old);
-    }
-
-    #[test]
-    fn classification_detects_own_locator() {
-        let me = Arc::new(Descriptor::new(TxId::new(3, 0), 0));
-        let loc = Locator::new(Arc::clone(&me), 1u64, 2u64);
-        assert_eq!(classify(&loc, &me), ValueClass::Mine);
     }
 
     #[test]

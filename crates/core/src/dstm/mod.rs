@@ -17,7 +17,7 @@ pub mod tx;
 pub mod word;
 
 pub use descriptor::{Descriptor, TxState};
-pub use locator::{Locator, ValueClass};
+pub use locator::Locator;
 pub use stm::{Dstm, Progress};
 pub use tvar::TVar;
 pub use tx::Tx;

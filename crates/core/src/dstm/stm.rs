@@ -6,11 +6,12 @@ use super::tvar::TVar;
 use super::tx::{ReadEntry, Tx};
 use crate::api::{TxError, TxResult};
 use crate::cm::{Aggressive, ContentionManager};
+use crate::kernel::CommitGate;
 use crate::pool::SlotPool;
-use crate::record::Recorder;
-use oftm_histories::{TVarId, TxId};
+use crate::record::{fresh_base_id, Recorder};
+use oftm_histories::{BaseObjId, TVarId, TxId};
 use oftm_obs::{Counter, StmStats};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,6 +42,12 @@ pub struct Dstm {
     epoch: Instant,
     tx_seq: AtomicU32,
     tvar_seq: AtomicU32,
+    /// Commit counter gating read-set validation (see [`super::tx`]): the
+    /// one word every transaction of this instance shares. Boxed so the
+    /// counter's cache-line alignment is the heap block's, not `Dstm`'s:
+    /// over-aligning `Dstm` reshuffles every struct that embeds one.
+    gate: Box<CommitGate<AtomicU64>>,
+    gate_base: BaseObjId,
     /// Pooled read-set buffers (keyed by process), recycled across
     /// transactions so the steady state allocates nothing per attempt.
     read_scratch: SlotPool<Vec<ReadEntry>>,
@@ -69,6 +76,8 @@ impl Dstm {
             epoch: Instant::now(),
             tx_seq: AtomicU32::new(0),
             tvar_seq: AtomicU32::new(0),
+            gate: Box::default(),
+            gate_base: fresh_base_id(),
             read_scratch: SlotPool::new(),
             stats: Arc::new(StmStats::new()),
         }
@@ -134,6 +143,16 @@ impl Dstm {
 
     pub(crate) fn recorder(&self) -> Option<&Recorder> {
         self.recorder.as_deref()
+    }
+
+    pub(crate) fn gate(&self) -> &CommitGate<AtomicU64> {
+        &self.gate
+    }
+
+    /// Base-object identity of the commit counter: what the strict-DAP
+    /// checkers name when t-variable-disjoint transactions meet on it.
+    pub fn commit_counter_base(&self) -> BaseObjId {
+        self.gate_base
     }
 
     /// Shared recorder handle, if any.

@@ -9,7 +9,7 @@
 //! its read-set stays valid (no ABA) until the transaction ends.
 
 use super::descriptor::Descriptor;
-use super::locator::{classify, Locator, ValueClass};
+use super::locator::Locator;
 use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
 use oftm_histories::{BaseObjId, TVarId, TxId};
 use std::sync::atomic::Ordering;
@@ -99,21 +99,15 @@ impl<T: Clone + Send + Sync + 'static> Drop for TVarInner<T> {
     }
 }
 
-/// Result of probing a t-variable: the identity of the current locator and
-/// how it resolves for the probing transaction. Read-set validation
-/// compares stored probes against fresh ones.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Probe {
-    pub addr: usize,
-    pub class: ValueClass,
-}
-
 /// Object-safe view of a t-variable used by the type-erased read-set.
 pub(crate) trait TVarDyn: Send + Sync {
     fn base(&self) -> BaseObjId;
-    /// Loads the current locator (under the transaction's guard) and
-    /// classifies it for `me`.
-    fn probe(&self, guard: &Guard, me: &Descriptor) -> Probe;
+    /// Address of the currently installed locator. Read-set validation
+    /// compares it with the address recorded at read time: a recorded
+    /// locator's owner was already `Committed` or `Aborted` (both
+    /// terminal), so the logical value can only change by the pointer
+    /// changing, and the transaction's pin rules out address reuse.
+    fn current(&self, guard: &Guard) -> usize;
 }
 
 impl<T: Clone + Send + Sync + 'static> TVarDyn for TVarInner<T> {
@@ -121,15 +115,8 @@ impl<T: Clone + Send + Sync + 'static> TVarDyn for TVarInner<T> {
         self.base
     }
 
-    fn probe(&self, guard: &Guard, me: &Descriptor) -> Probe {
-        // ord: Acquire pairs with the locator-install CAS's Release half.
-        let shared = self.ptr.load(Ordering::Acquire, guard);
-        // SAFETY: loaded under `guard`; see `read_atomic`.
-        let loc = unsafe { shared.deref() };
-        Probe {
-            addr: shared.as_raw() as usize,
-            class: classify(loc, me),
-        }
+    fn current(&self, guard: &Guard) -> usize {
+        self.load(guard).as_raw() as usize
     }
 }
 
@@ -188,15 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_reports_new_for_initial() {
-        let v = TVar::new(TVarId(2), 1u64);
-        let me = Descriptor::new(TxId::new(1, 0), 0);
-        let guard = crossbeam_epoch::pin();
-        let p = v.inner.probe(&guard, &me);
-        assert_eq!(p.class, ValueClass::New); // initial locator is committed
-    }
-
-    #[test]
     fn cas_swings_and_retires() {
         let v = TVar::new(TVarId(3), 1u64);
         let me = Arc::new(Descriptor::new(TxId::new(1, 0), 0));
@@ -204,8 +182,7 @@ mod tests {
         let cur = v.inner.load(&guard);
         let newloc = Owned::new(Locator::new(Arc::clone(&me), 1u64, 9u64));
         let addr = v.inner.cas(cur, newloc, &guard).expect("uncontended CAS");
-        let re = v.inner.load(&guard);
-        assert_eq!(re.as_raw() as usize, addr);
+        assert_eq!(v.inner.current(&guard), addr);
         // Owner still live: logical value is old = 1.
         assert_eq!(v.read_atomic(), 1);
         me.try_commit();

@@ -1,4 +1,4 @@
-//! The transaction engine: acquisition, invisible reads, incremental
+//! The transaction engine: acquisition, invisible reads, gated
 //! validation, commit and abort.
 //!
 //! This follows the DSTM recipe the paper describes in Section 1:
@@ -6,35 +6,69 @@
 //! * **writes** acquire exclusive-but-revocable ownership by CAS-ing a new
 //!   locator into the t-variable;
 //! * **reads** are invisible: they resolve the current committed value and
-//!   remember `(locator, resolution)` in a private read-set;
-//! * on *every* subsequent access and at commit, the whole read-set is
-//!   re-validated ("the state of `y` is re-read to ensure that `T_i` still
-//!   observes a consistent state"), which yields opacity, not just
-//!   serializability;
+//!   remember the locator's address in a private, append-only read-set;
+//! * after every read and acquisition and at commit the transaction must
+//!   still observe a consistent state ("the state of `y` is re-read to
+//!   ensure that `T_i` still observes a consistent state"), which yields
+//!   opacity, not just serializability — checked through the commit
+//!   counter below, not by re-reading every time;
 //! * encountering a **live owner** invokes the contention manager, which
 //!   may back off but must eventually abort the owner (obstruction-
 //!   freedom);
 //! * **commit** is a single CAS on the own descriptor's status word.
+//!
+//! ## The commit-counter gate
+//!
+//! A read-set entry's locator had a `Committed` or `Aborted` owner when it
+//! was recorded, so its logical value changes only when an update
+//! transaction that swung the pointer away *commits*. The instance counts
+//! those commit points in one shared word
+//! ([`crate::kernel::CommitGate`]). A transaction keeps the counter value
+//! under which its read-set was last known valid; a check that finds the
+//! counter there returns at once, and only a moved counter costs the scan
+//! over the read-set (`ptr == recorded address` per entry), after which
+//! the value loaded *before* the scan is kept. A read is therefore O(1)
+//! while no update transaction commits and O(|read-set|) once per foreign
+//! update commit, and a peer that merely acquires a variable we read (and
+//! rolls back, or is still running) no longer aborts us.
+//!
+//! Why no stale combination gets through: an update transaction bumps the
+//! counter after its last acquisition and before its status CAS. A reader
+//! that obtains a value some transaction committed — directly, or copied
+//! into a later locator's `old` — observed that `Committed` status with
+//! Acquire, so the bump (sequenced before the Release CAS) and every
+//! pointer the committer swung are visible to it: the check after that
+//! read finds the counter moved and the scan finds any entry the committer
+//! overwrote. A reader that meets the writer still `Live` goes through the
+//! contention manager as ever. Between update transactions the bumps
+//! arbitrate: a committer validates *after* its own bump unless that bump
+//! was the first since its last validation, so of two committers that each
+//! read what the other acquired, the later bumper scans and aborts. Reads
+//! stay invisible; what is given up is strict disjoint-access-parallelism
+//! on this one word, which Theorem 13 shows an OFTM never had. The
+//! `model_gate` suite in `oftm-verify` checks the argument exhaustively
+//! and refutes the orderings that break it.
 
 use super::descriptor::{Descriptor, TxState};
-use super::locator::{Locator, ValueClass};
+use super::locator::Locator;
 use super::stm::{Dstm, Progress};
-use super::tvar::{Probe, TVar, TVarDyn};
+use super::tvar::{TVar, TVarDyn};
 use crate::api::{TxError, TxResult};
 use crate::cm::Resolution;
 use crossbeam_epoch::{Guard, Owned};
 use oftm_histories::{Access, ProcId, TxId};
 use oftm_obs::{pack_tx, AbortCause, Counter, VarAttr, TX_UNKNOWN};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One entry of the invisible read-set. The id is denormalized out of the
-/// trait object: dedup and upgrade scans compare it on every read, and a
-/// virtual `tvar_id()` per comparison is measurable on the hot path.
+/// One entry of the invisible read-set: the locator address the read
+/// resolved. The id is denormalized out of the trait object: upgrade scans
+/// compare it, and a virtual `tvar_id()` per comparison is measurable.
 pub(crate) struct ReadEntry {
     id: oftm_histories::TVarId,
     tvar: Arc<dyn TVarDyn>,
-    probe: Probe,
+    addr: usize,
 }
 
 /// A live transaction on a [`Dstm`] instance.
@@ -47,6 +81,11 @@ pub struct Tx<'s> {
     desc: Arc<Descriptor>,
     guard: Guard,
     read_set: Vec<ReadEntry>,
+    /// Commit-counter value under which the whole read-set was last known
+    /// valid (module docs).
+    seen: u64,
+    /// Read-set scans run so far (what the gate exists to avoid).
+    full_scans: Cell<u32>,
     /// Number of successful acquisitions (for statistics).
     writes: usize,
     finished: bool,
@@ -62,15 +101,19 @@ impl<'s> Tx<'s> {
         // validate tens of entries and must not re-grow a fresh `Vec`
         // every attempt.
         let read_set = stm.take_read_scratch(desc.id().proc);
-        Tx {
+        let tx = Tx {
             stm,
             desc,
             guard: crossbeam_epoch::pin(),
             read_set,
+            seen: stm.gate().sample(),
+            full_scans: Cell::new(0),
             writes: 0,
             finished: false,
             cause_tagged: false,
-        }
+        };
+        tx.rstep(stm.commit_counter_base(), Access::Read);
+        tx
     }
 
     /// This transaction's packed forensic identity ([`pack_tx`]).
@@ -122,27 +165,36 @@ impl<'s> Tx<'s> {
         }
     }
 
-    /// Re-validates the entire read-set (incremental validation). Returns
-    /// the first invalidated entry's t-variable (the conflict attribution
-    /// of a `ReadValidation` abort), or `None` when consistent.
+    /// Scans the entire read-set. Returns the first invalidated entry's
+    /// t-variable (the conflict attribution of a `ReadValidation` abort),
+    /// or `None` when consistent.
     fn first_invalid(&self) -> Option<oftm_histories::TVarId> {
+        self.full_scans.set(self.full_scans.get() + 1);
         self.read_set
             .iter()
             .find(|e| {
                 self.rstep(e.tvar.base(), Access::Read);
-                e.tvar.probe(&self.guard, &self.desc) != e.probe
+                e.tvar.current(&self.guard) != e.addr
             })
             .map(|e| e.id)
     }
 
+    /// The gate check (module docs): free while no update transaction
+    /// reached its commit point since the read-set was last known valid.
     fn validate_or_abort(&mut self) -> TxResult<()> {
-        match self.first_invalid() {
-            None => Ok(()),
-            Some(x) => {
-                self.abort_self(AbortCause::ReadValidation, VarAttr::Var(x.0), TX_UNKNOWN);
-                Err(TxError::Aborted)
+        self.rstep(self.stm.commit_counter_base(), Access::Read);
+        match self.stm.gate().check(self.seen, || self.first_invalid()) {
+            Ok(now) => {
+                self.seen = now;
+                Ok(())
             }
+            Err(x) => self.fail_validation(x),
         }
+    }
+
+    fn fail_validation(&mut self, x: oftm_histories::TVarId) -> TxResult<()> {
+        self.abort_self(AbortCause::ReadValidation, VarAttr::Var(x.0), TX_UNKNOWN);
+        Err(TxError::Aborted)
     }
 
     /// Marks ourselves aborted. `cause`, `var` and `aggressor` attribute
@@ -224,15 +276,15 @@ impl<'s> Tx<'s> {
 
             let status = loc.owner.status();
             self.rstep(loc.owner.base(), Access::Read);
-            let (val, class) = match status {
+            let val = match status {
                 TxState::Committed => {
                     self.rstep(loc.base, Access::Read);
                     // SAFETY: observed Committed with Acquire.
-                    (unsafe { loc.committed_value().clone() }, ValueClass::New)
+                    unsafe { loc.committed_value().clone() }
                 }
                 TxState::Aborted => {
                     self.rstep(loc.base, Access::Read);
-                    (loc.old.clone(), ValueClass::Old)
+                    loc.old.clone()
                 }
                 TxState::Live => {
                     // Paper: "T_i just needs to make sure that no other
@@ -245,21 +297,18 @@ impl<'s> Tx<'s> {
             };
 
             let addr = shared.as_raw() as usize;
-            let probe = Probe { addr, class };
-            // Re-reading a variable must not duplicate its entry: `write`
-            // upgrades read entries to ownership, and a stale duplicate
-            // left behind would fail every later validation (a permanent
-            // self-abort loop for read-read-write patterns, e.g. list
-            // traversals that re-read the link they then update).
+            // Append-only: duplicates are harmless (`write` upgrades every
+            // entry of the variable). Only a loop re-reading one variable
+            // is kept from growing the set.
             if !self
                 .read_set
-                .iter()
-                .any(|e| e.id == v.inner.id && e.probe == probe)
+                .last()
+                .is_some_and(|e| e.id == v.inner.id && e.addr == addr)
             {
                 self.read_set.push(ReadEntry {
                     id: v.inner.id,
                     tvar: v.inner.clone() as Arc<dyn TVarDyn>,
-                    probe,
+                    addr,
                 });
             }
             self.stm.cm().on_open(&self.desc);
@@ -313,20 +362,14 @@ impl<'s> Tx<'s> {
 
             // If we read this variable earlier, the value we saw must still
             // be the one we are about to supersede — otherwise our snapshot
-            // is stale. Every entry for the variable must agree (probes are
-            // deduplicated, but distinct stale probes can coexist).
+            // is stale. Every entry for the variable must agree.
             let addr = shared.as_raw() as usize;
             if self
                 .read_set
                 .iter()
-                .any(|e| e.id == v.inner.id && e.probe.addr != addr)
+                .any(|e| e.id == v.inner.id && e.addr != addr)
             {
-                self.abort_self(
-                    AbortCause::ReadValidation,
-                    VarAttr::Var(v.inner.id.0),
-                    TX_UNKNOWN,
-                );
-                return Err(TxError::Aborted);
+                return self.fail_validation(v.inner.id);
             }
 
             let new_loc = Owned::new(Locator::new(Arc::clone(&self.desc), old_val, value.clone()));
@@ -336,10 +379,7 @@ impl<'s> Tx<'s> {
                     // Upgrade every read entry of this variable: ownership
                     // now protects it.
                     for entry in self.read_set.iter_mut().filter(|e| e.id == v.inner.id) {
-                        entry.probe = Probe {
-                            addr: new_addr,
-                            class: ValueClass::Mine,
-                        };
+                        entry.addr = new_addr;
                     }
                     self.writes += 1;
                     self.stm.cm().on_open(&self.desc);
@@ -367,9 +407,15 @@ impl<'s> Tx<'s> {
         // DSTM has no commit lock; the "critical section" is the terminal
         // validate + status CAS, after which the new values are visible.
         let cs_started = Instant::now();
-        if let Some(x) = self.first_invalid() {
-            self.abort_self(AbortCause::ReadValidation, VarAttr::Var(x.0), TX_UNKNOWN);
-            return Err(TxError::Aborted);
+        if self.writes == 0 {
+            // Nothing acquired: no pointer swung, so no bump.
+            self.validate_or_abort()?;
+        } else {
+            self.rstep(self.stm.commit_counter_base(), Access::Modify);
+            let gate = self.stm.gate();
+            if let Err(x) = gate.commit_point(self.seen, || self.first_invalid()) {
+                return self.fail_validation(x);
+            }
         }
         let won = self.desc.try_commit();
         self.rstep(
@@ -427,15 +473,10 @@ impl<'s> Tx<'s> {
             self.finished = true;
             return Err(TxError::Aborted);
         }
-        let cs_started = Instant::now();
-        if let Some(x) = self.first_invalid() {
-            self.abort_self(AbortCause::ReadValidation, VarAttr::Var(x.0), TX_UNKNOWN);
-            return Err(TxError::Aborted);
-        }
+        // No critical section to time: nothing is published, and once
+        // gated the whole completion is one load.
+        self.validate_or_abort()?;
         self.finished = true;
-        self.stm
-            .stats()
-            .record_commit_cs_ns(cs_started.elapsed().as_nanos() as u64);
         self.stm.stats().incr(commit_counter);
         self.stm.cm().on_commit(&self.desc);
         Ok(())
@@ -455,6 +496,12 @@ impl<'s> Tx<'s> {
     /// Number of read-set entries.
     pub fn read_count(&self) -> usize {
         self.read_set.len()
+    }
+
+    /// Number of read-set scans this transaction has run.
+    #[cfg(test)]
+    pub(crate) fn full_scans(&self) -> u32 {
+        self.full_scans.get()
     }
 }
 
@@ -659,6 +706,133 @@ mod tests {
         let mut t1 = s.begin(1);
         assert_eq!(t1.read(&x).unwrap(), 7);
         t1.commit_read_only().unwrap();
+    }
+
+    #[test]
+    fn peer_acquire_then_rollback_does_not_abort_reader() {
+        // Only a commit changes a logical value: a peer that acquires what
+        // we read and rolls back moved the pointer, not the counter.
+        let s = stm();
+        let x: TVar<u64> = TVar::new(TVarId(0), 0);
+        let y: TVar<u64> = TVar::new(TVarId(1), 0);
+        let mut t1 = s.begin(1);
+        assert_eq!(t1.read(&x).unwrap(), 0);
+        let mut t2 = s.begin(2);
+        t2.write(&x, 1).unwrap();
+        t2.rollback();
+        assert_eq!(t1.read(&y).unwrap(), 0);
+        t1.commit().unwrap();
+    }
+
+    #[test]
+    fn full_scans_follow_foreign_update_commits_only() {
+        enum Foreign {
+            Nothing,
+            UpdateCommit,
+            ReadOnlyCommit,
+        }
+        for (foreign, scans) in [
+            (Foreign::Nothing, 0),
+            (Foreign::UpdateCommit, 1),
+            (Foreign::ReadOnlyCommit, 0),
+        ] {
+            let s = stm();
+            let vars: Vec<TVar<u64>> = (0..64).map(|i| TVar::new(TVarId(i), i)).collect();
+            let other: TVar<u64> = TVar::new(TVarId(64), 0);
+            let mut t1 = s.begin(1);
+            for (i, v) in vars.iter().enumerate() {
+                if i == 32 {
+                    let mut t2 = s.begin(2);
+                    match foreign {
+                        Foreign::Nothing => t2.rollback(),
+                        Foreign::UpdateCommit => {
+                            t2.write(&other, 1).unwrap();
+                            t2.commit().unwrap();
+                        }
+                        Foreign::ReadOnlyCommit => {
+                            t2.read(&other).unwrap();
+                            t2.commit_read_only().unwrap();
+                        }
+                    }
+                }
+                assert_eq!(t1.read(v).unwrap(), i as u64);
+            }
+            assert_eq!(t1.read_count(), 64);
+            let counted = t1.full_scans();
+            t1.commit_read_only().unwrap();
+            assert_eq!(counted, scans);
+        }
+    }
+
+    #[test]
+    fn rereading_one_variable_does_not_grow_the_read_set() {
+        let s = stm();
+        let x: TVar<u64> = TVar::new(TVarId(0), 3);
+        let mut tx = s.begin(1);
+        for _ in 0..100 {
+            assert_eq!(tx.read(&x).unwrap(), 3);
+        }
+        assert_eq!(tx.read_count(), 1);
+        tx.commit().unwrap();
+    }
+
+    /// Two writers keep `x + y == 0`; a reader checks it *inside* the
+    /// transaction body after every read, so a torn pair fails even in an
+    /// attempt that would later abort (opacity, not just serializability).
+    fn in_body_opacity(cm: Arc<dyn crate::cm::ContentionManager>) {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let s = Dstm::new(cm);
+        let x = s.new_tvar(0i64);
+        let y = s.new_tvar(0i64);
+        // Raised on drop, so a failed assertion below stops the writers
+        // (the scope joins them) and the test fails instead of hanging.
+        struct Stop<'a>(&'a AtomicBool);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let done = AtomicBool::new(false);
+        std::thread::scope(|sc| {
+            let _stop = Stop(&done);
+            for p in 1..=2u32 {
+                let (s, x, y, done) = (&s, &x, &y, &done);
+                sc.spawn(move || {
+                    while !done.load(Ordering::Relaxed) {
+                        s.atomically(p, |tx| {
+                            let vx = tx.read(x)?;
+                            tx.write(x, vx + i64::from(p))?;
+                            let vy = tx.read(y)?;
+                            tx.write(y, vy - i64::from(p))
+                        });
+                    }
+                });
+            }
+            for _ in 0..100_000 {
+                let mut tx = s.begin(0);
+                let body = |tx: &mut Tx<'_>| -> TxResult<()> {
+                    let vx = tx.read(&x)?;
+                    let vy = tx.read(&y)?;
+                    assert_eq!(vx + vy, 0, "torn pair inside the body");
+                    assert_eq!(tx.read(&x)?, vx, "x moved under a live reader");
+                    Ok(())
+                };
+                if body(&mut tx).is_ok() {
+                    let _ = tx.commit_read_only();
+                }
+            }
+        });
+        assert_eq!(x.read_atomic() + y.read_atomic(), 0);
+    }
+
+    #[test]
+    fn in_body_opacity_aggressive() {
+        in_body_opacity(Arc::new(Aggressive));
+    }
+
+    #[test]
+    fn in_body_opacity_polite() {
+        in_body_opacity(Arc::new(crate::cm::Polite::default()));
     }
 
     #[test]

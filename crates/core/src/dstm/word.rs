@@ -11,9 +11,11 @@
 //! happens to write nothing is *promoted* to the same completion at
 //! `try_commit` (detect-on-commit). Progress is the backend's usual
 //! obstruction-freedom — reads may still have to abort a live writer via
-//! the contention manager — and consistency still comes from incremental
-//! revalidation (invisible reads have no snapshot clock), so a read costs
-//! O(|read-set|); cheaper than the write path, but not wait-free.
+//! the contention manager — and consistency still comes from revalidating
+//! invisible reads, gated by the instance's commit counter (see
+//! [`super::tx`]): a read costs one load of that counter while no update
+//! transaction commits and O(|read-set|) once per foreign update commit;
+//! cheaper than the write path, but not wait-free.
 
 use super::stm::Dstm;
 use super::tvar::TVar;
@@ -119,7 +121,6 @@ impl DstmWord {
             retired: Vec::new(),
             touched: scratch.touched,
             written: scratch.written,
-            last_var: None,
             ro,
             pin: crossbeam_epoch::pin(),
         })
@@ -139,31 +140,17 @@ struct DstmWordTx<'s> {
     /// Ids written; published to the commit notifier on a successful
     /// commit.
     written: Vec<TVarId>,
-    /// Last resolved variable handle: collection code reads a link and
-    /// immediately writes it back (the upgrade pattern), so a one-entry
-    /// cache removes the second table probe.
-    last_var: Option<(TVarId, TVar<Value>)>,
     /// Declared read-only: writes and retires panic (caller bug), and the
     /// commit takes the CAS-free read-only completion unconditionally.
     ro: bool,
     /// Adapter-lifetime epoch pin threaded through table lookups (the
-    /// typed transaction holds its own for locator protection).
+    /// typed transaction holds its own for locator protection). Handles
+    /// are borrowed under it: the read-set entry's `Arc` is the only
+    /// refcount traffic a read causes.
     pin: crossbeam_epoch::Guard,
 }
 
 impl DstmWordTx<'_> {
-    /// Resolves `x` through the one-entry handle cache.
-    fn var(&mut self, x: TVarId) -> TVar<Value> {
-        if let Some((cached, var)) = &self.last_var {
-            if *cached == x {
-                return TVar::clone(var);
-            }
-        }
-        let var = TVar::clone(&self.word.vars.get_or_panic_in(x, &self.pin));
-        self.last_var = Some((x, TVar::clone(&var)));
-        var
-    }
-
     fn record_invoke(&self, op: TmOp) {
         if let (Some(rec), Some(tx)) = (self.word.stm.recorder_arc(), self.tx.as_ref()) {
             rec.invoke(tx.id(), op);
@@ -183,11 +170,11 @@ impl WordTx for DstmWordTx<'_> {
     }
 
     fn read(&mut self, x: TVarId) -> TxResult<Value> {
-        let var = self.var(x);
+        let var = self.word.vars.get_ref_or_panic_in(x, &self.pin);
         self.touched.push(x);
         self.record_invoke(TmOp::Read(x));
         let id = self.id();
-        let r = self.tx.as_mut().unwrap().read(&var);
+        let r = self.tx.as_mut().unwrap().read(var);
         match &r {
             Ok(v) => self.record_respond(id, TmResp::Value(*v)),
             Err(TxError::Aborted) => self.record_respond(id, TmResp::Aborted),
@@ -197,12 +184,12 @@ impl WordTx for DstmWordTx<'_> {
 
     fn write(&mut self, x: TVarId, v: Value) -> TxResult<()> {
         assert!(!self.ro, "dstm: write on a declared read-only transaction");
-        let var = self.var(x);
+        let var = self.word.vars.get_ref_or_panic_in(x, &self.pin);
         self.touched.push(x);
         self.written.push(x);
         self.record_invoke(TmOp::Write(x, v));
         let id = self.id();
-        let r = self.tx.as_mut().unwrap().write(&var, v);
+        let r = self.tx.as_mut().unwrap().write(var, v);
         match &r {
             Ok(()) => self.record_respond(id, TmResp::Ok),
             Err(TxError::Aborted) => self.record_respond(id, TmResp::Aborted),
@@ -389,6 +376,50 @@ mod tests {
         assert!(h.iter().any(|te| te.event.is_step()));
         // And the run is serializable per Definition 1.
         assert!(oftm_histories::serializable(&h, 8).is_serializable());
+    }
+
+    /// Two transactions on disjoint t-variables, back to back under a
+    /// recorder: the strict-DAP violations and the commit counter's id.
+    fn disjoint_pair(
+        run: impl Fn(&DstmWord, u32, TVarId),
+    ) -> (Vec<oftm_histories::DapViolation>, oftm_histories::BaseObjId) {
+        let rec = Arc::new(Recorder::new());
+        let s = DstmWord::new(Dstm::default().with_recorder(Arc::clone(&rec)));
+        s.register_tvar(TVarId(0), 0);
+        s.register_tvar(TVarId(1), 0);
+        run(&s, 0, TVarId(0));
+        run(&s, 1, TVarId(1));
+        let counter = s.inner().commit_counter_base();
+        (oftm_histories::check_strict_dap(&rec.snapshot()), counter)
+    }
+
+    #[test]
+    fn disjoint_updates_conflict_on_the_commit_counter_only() {
+        // The trade the gate makes, reported exactly: both bump one word.
+        let (violations, counter) = disjoint_pair(|s, p, x| {
+            run_transaction(s, p, |tx| {
+                let v = tx.read(x)?;
+                tx.write(x, v + 1)
+            });
+        });
+        assert!(
+            !violations.is_empty() && violations.iter().all(|v| v.obj == counter),
+            "disjoint DSTM updates must meet on the commit counter {counter} \
+             and nowhere else, got {violations:?}"
+        );
+    }
+
+    #[test]
+    fn disjoint_read_only_transactions_share_no_written_object() {
+        let (violations, _) = disjoint_pair(|s, p, x| {
+            let mut tx = s.begin_ro(p);
+            tx.read(x).unwrap();
+            tx.try_commit().unwrap();
+        });
+        assert!(
+            violations.is_empty(),
+            "read-only DSTM transactions must not write shared memory, got {violations:?}"
+        );
     }
 
     #[test]

@@ -2,14 +2,16 @@
 //! lets `oftm-verify`'s bounded model checker execute the *production*
 //! protocol code under a deterministic scheduler.
 //!
-//! The two most safety-critical lock-free kernels in this crate are the
-//! commit-notification snapshot/park-vs-publish protocol ([`crate::notify`])
-//! and the grace-period slot-claim/flush protocol ([`crate::reclaim`]).
-//! Both used to hard-code `std::sync::atomic`; their correctness arguments
-//! lived entirely in module docs, checked only by stochastic tests. This
-//! module makes the argument mechanizable: the protocol logic is written
-//! once, generically over a [`SyncFacade`] (an atomic-`u64` + mutex + waker
-//! vocabulary), and instantiated twice:
+//! The most safety-critical lock-free kernels in this crate are the
+//! commit-notification snapshot/park-vs-publish protocol ([`crate::notify`]),
+//! the grace-period slot-claim/flush protocol ([`crate::reclaim`]) and the
+//! commit-counter validation gate of [`crate::dstm`] ([`CommitGate`]).
+//! The first two used to hard-code `std::sync::atomic`; their correctness
+//! arguments lived entirely in module docs, checked only by stochastic
+//! tests. This module makes the argument mechanizable: the protocol logic
+//! is written once, generically over a [`SyncFacade`] (an atomic-`u64` +
+//! mutex + waker vocabulary; [`CommitGate`] needs only the atomic), and
+//! instantiated twice:
 //!
 //! * [`StdSync`] — `std::sync::atomic::AtomicU64` + `parking_lot::Mutex` +
 //!   `std::task::Waker`. This is what [`crate::notify::CommitNotifier`] and
@@ -20,7 +22,8 @@
 //!   `model_notify`/`model_grace` suites there exhaustively interleave the
 //!   *same* [`NotifyProto`]/[`GraceCore`] code that runs in production and
 //!   assert that no schedule loses a wakeup or flushes a retire-set a live
-//!   reader predates.
+//!   reader predates; `model_gate` does the same for [`CommitGate`] (no
+//!   torn read pair, no write skew).
 //!
 //! The model explores sequentially consistent interleavings (CHESS-style);
 //! the `Ordering` arguments threaded through the facade document the
@@ -546,5 +549,69 @@ impl<F: SyncFacade, S: SlotSet<F::Au64>> GraceCore<F, S> {
     pub fn freed_total(&self) -> u64 {
         // ord: Relaxed — diagnostic counter only.
         self.freed_blocks.load(Ordering::Relaxed)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Gate kernel: the commit counter behind DSTM's read-set validation.
+// ---------------------------------------------------------------------------
+
+/// The commit-counter validation gate of [`crate::dstm`]: one word counting
+/// the update transactions that reached their commit point, written once
+/// and shared by [`crate::dstm::Dstm`] (`AtomicU64`) and the `oftm-verify`
+/// model checker (`model_gate`). A transaction keeps the counter value
+/// under which its whole read-set was last known valid (`seen`) and pays
+/// for a read-set scan only when the counter has moved past it. See
+/// [`crate::dstm::tx`] for why that is enough. On its own cache line: every
+/// read loads it, only update commits write it.
+#[repr(align(64))]
+pub struct CommitGate<A: AtomicU64Like> {
+    commits: A,
+}
+
+impl<A: AtomicU64Like> Default for CommitGate<A> {
+    fn default() -> Self {
+        CommitGate { commits: A::new(0) }
+    }
+}
+
+impl<A: AtomicU64Like> CommitGate<A> {
+    /// Begin-time sample; must precede the transaction's first read.
+    pub fn sample(&self) -> u64 {
+        // ord: Acquire pairs with the AcqRel bump in `commit_point`: every
+        // pointer a counted committer swung is visible to the reads and
+        // scans that follow this load.
+        self.commits.load(Ordering::Acquire)
+    }
+
+    /// Gate check after a read or an acquisition, and at a read-only
+    /// commit. `Ok` carries the value to keep as `seen`: unchanged when no
+    /// update transaction reached its commit point since `seen`, otherwise
+    /// the value loaded **before** `scan` validated the read-set (adopting
+    /// one loaded after it would cover a commit the scan never saw).
+    /// `Err` is `scan`'s first invalid entry.
+    pub fn check<X>(&self, seen: u64, scan: impl FnOnce() -> Option<X>) -> Result<u64, X> {
+        let now = self.sample();
+        if now == seen {
+            return Ok(seen);
+        }
+        scan().map_or(Ok(now), Err)
+    }
+
+    /// Commit point of an update transaction: counts it — after its last
+    /// acquisition, before its status CAS — and validates its read-set
+    /// unless this is the first bump since `seen`. Bump *then* validate:
+    /// of two committers that read each other's writes, the later bumper
+    /// sees the earlier one's bump and, in the scan, its acquisitions.
+    pub fn commit_point<X>(&self, seen: u64, scan: impl FnOnce() -> Option<X>) -> Result<(), X> {
+        // ord: AcqRel — Release publishes this committer's pointer swings
+        // to every Acquire `sample` that reads this bump or a later one
+        // (RMWs continue the release sequence); Acquire makes the earlier
+        // bumpers' swings visible to the scan below.
+        let before = self.commits.fetch_add(1, Ordering::AcqRel);
+        if before == seen {
+            return Ok(());
+        }
+        scan().map_or(Ok(()), Err)
     }
 }

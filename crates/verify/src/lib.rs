@@ -14,10 +14,12 @@
 //! * [`model`] — a deterministic bounded-preemption interleaving
 //!   explorer (a miniature loom/CHESS) plus [`model::sync`], an
 //!   instrumented implementation of [`oftm_core::kernel::SyncFacade`].
-//!   The `model_notify`/`model_grace` test suites run the *production*
-//!   notify and grace-period kernels under it and exhaustively check, at
-//!   preemption bound ≥ 2, that no interleaving loses a wakeup or
-//!   flushes a retire-set a live reader predates.
+//!   The `model_notify`/`model_grace`/`model_gate` test suites run the
+//!   *production* notify, grace-period and commit-gate kernels under it
+//!   and exhaustively check, at preemption bound ≥ 2, that no
+//!   interleaving loses a wakeup, flushes a retire-set a live reader
+//!   predates, or lets a DSTM reader combine a committed value with a
+//!   stale earlier read.
 //!
 //! Run the lint with `cargo run -p oftm-verify --bin oftm-lint`; run the
 //! model suites with `cargo test -p oftm-verify`. Both are CI gates (the

@@ -1,6 +1,7 @@
 //! **Instrumented synchronization facade** — implements
 //! [`oftm_core::kernel::SyncFacade`] so the production protocol kernels
-//! ([`oftm_core::kernel::NotifyProto`], [`oftm_core::kernel::GraceCore`])
+//! ([`oftm_core::kernel::NotifyProto`], [`oftm_core::kernel::GraceCore`],
+//! [`oftm_core::kernel::CommitGate`] over [`MAtomicU64`] directly)
 //! run under the model scheduler. Every operation calls
 //! `super::step`/`super::step_blocked` *before* executing, making it a
 //! scheduling decision point; the operation itself then runs atomically
