@@ -282,10 +282,7 @@ impl Algo2Stm {
     }
 
     fn initial_of(&self, x: TVarId) -> u64 {
-        self.initial
-            .get(x)
-            .map(|v| *v)
-            .unwrap_or(oftm_histories::INITIAL_VALUE)
+        self.initial.get(x).unwrap_or(oftm_histories::INITIAL_VALUE)
     }
 
     fn reclaim_after_commit(&self, grace: TxGrace, retired: Vec<RetiredBlock>) {

@@ -28,7 +28,7 @@ use oftm_core::api::{TxResult, WordStm, WordTx};
 use oftm_core::notify::CommitNotifier;
 use oftm_core::reclaim::{GraceTracker, RetiredBlock, TxGrace};
 use oftm_core::record::{fresh_base_id, Recorder};
-use oftm_core::table::VarTable;
+use oftm_core::table::{Pinned, VarTable};
 use oftm_histories::{Access, TVarId, TmOp, TmResp, TxId, Value};
 use oftm_obs::{pack_tx, AbortCause, Counter, StmStats, VarAttr, TX_UNKNOWN};
 use parking_lot::{Mutex, MutexGuard};
@@ -88,7 +88,32 @@ impl CoarseStm {
     /// read could observe dirty, later-rolled-back state.
     pub fn peek(&self, x: TVarId) -> Option<Value> {
         let _serialized = self.gate.lock();
-        self.store.get(x).map(|c| c.load(Ordering::Acquire))
+        let pin = epoch::pin();
+        let cell = self.store.get_ref_in(x, &pin)?;
+        Some(cell.load(Ordering::Acquire))
+    }
+
+    fn begin_inner(&self, proc: u32, ro: bool) -> Box<dyn WordTx + '_> {
+        self.stats.incr(Counter::Begins);
+        let seq = self.tx_seq.fetch_add(1, Ordering::Relaxed);
+        let id = TxId::new(proc, seq);
+        // Acquiring the global lock is a modifying step on the lock word.
+        let guard = self.gate.lock();
+        if let Some(r) = self.recorder.as_deref() {
+            r.step(id.process(), Some(id), self.lock_base, Access::Modify);
+        }
+        Box::new(CoarseTx {
+            stm: self,
+            id,
+            guard: Some(guard),
+            undo: Vec::new(),
+            touched: Vec::new(),
+            grace: Some(self.reclaim.begin()),
+            retired: Vec::new(),
+            ro,
+            gate_held_at: Instant::now(),
+            pin: epoch::pin(),
+        })
     }
 
     fn reclaim_after_commit(&self, grace: TxGrace, retired: Vec<RetiredBlock>) {
@@ -112,9 +137,9 @@ struct CoarseTx<'s> {
     /// The guard is held for the whole transaction: coarse two-phase
     /// locking degenerated to a single lock.
     guard: Option<MutexGuard<'s, ()>>,
-    /// Undo log for tryA: `(id, cell, previous value)`. The ids double as
-    /// the commit-notification publish set.
-    undo: Vec<(TVarId, Arc<AtomicU64>, Value)>,
+    /// Undo log for tryA: `(id, cell, previous value)`, the cells borrowed
+    /// under `pin`. The ids double as the commit-notification publish set.
+    undo: Vec<(TVarId, Pinned<AtomicU64>, Value)>,
     /// Footprint log (reads and writes) for the async runtime's parking.
     touched: Vec<TVarId>,
     /// Grace-period registration; dropped (slot released, retire-set
@@ -126,9 +151,9 @@ struct CoarseTx<'s> {
     /// When the gate was acquired; its hold length is this backend's
     /// commit critical section.
     gate_held_at: Instant,
-    /// Transaction-lifetime epoch pin: the paged-slab table's per-access
-    /// pins nest under it (a counter bump instead of an epoch
-    /// publication per read/write).
+    /// Transaction-lifetime epoch pin: every cell is looked up under it,
+    /// and it keeps the cells the undo log borrows allocated. Declared
+    /// after `undo`, so it drops after the log.
     pin: Guard,
 }
 
@@ -157,8 +182,6 @@ impl WordTx for CoarseTx<'_> {
         if !self.ro {
             self.touched.push(x);
         }
-        // The handle is not retained (undo logging happens on writes
-        // only): borrow under the pin, skip the `Arc` refcount RMWs.
         let v = self
             .stm
             .store
@@ -180,9 +203,11 @@ impl WordTx for CoarseTx<'_> {
         }
         debug_assert!(self.guard.is_some(), "transaction completed");
         self.touched.push(x);
-        let cell = self.stm.store.get_or_panic_in(x, &self.pin);
-        self.undo
-            .push((x, Arc::clone(&cell), cell.load(Ordering::Acquire)));
+        let cell = self.stm.store.get_ref_or_panic_in(x, &self.pin);
+        // SAFETY: loaded under `self.pin`, which outlives `self.undo` (field
+        // order); only this transaction dereferences the entry.
+        let kept = unsafe { Pinned::new(cell) };
+        self.undo.push((x, kept, cell.load(Ordering::Acquire)));
         cell.store(v, Ordering::Release);
         if let Some(r) = self.rec() {
             r.respond(self.id, TmResp::Ok);
@@ -307,8 +332,8 @@ impl WordStm for CoarseStm {
 
     fn free_tvar_block(&self, base: TVarId, len: usize) {
         // Like allocation, eviction does not take the gate: the committing
-        // transaction may still notionally hold it, and the cells are Arc-
-        // shared, so an undo log referencing them stays valid.
+        // transaction may still notionally hold it, and a cell an undo log
+        // borrows stays allocated under that transaction's pin.
         self.stats.add(Counter::TvarsFreed, len as u64);
         self.store.remove_block(base, len);
     }
@@ -318,49 +343,12 @@ impl WordStm for CoarseStm {
     }
 
     fn begin(&self, proc: u32) -> Box<dyn WordTx + '_> {
-        self.stats.incr(Counter::Begins);
-        let seq = self.tx_seq.fetch_add(1, Ordering::Relaxed);
-        let id = TxId::new(proc, seq);
-        // Acquiring the global lock is a modifying step on the lock word.
-        let guard = self.gate.lock();
-        if let Some(r) = self.recorder.as_deref() {
-            r.step(id.process(), Some(id), self.lock_base, Access::Modify);
-        }
-        Box::new(CoarseTx {
-            stm: self,
-            id,
-            guard: Some(guard),
-            undo: Vec::new(),
-            touched: Vec::new(),
-            grace: Some(self.reclaim.begin()),
-            retired: Vec::new(),
-            ro: false,
-            gate_held_at: Instant::now(),
-            pin: epoch::pin(),
-        })
+        self.begin_inner(proc, false)
     }
 
     fn begin_ro(&self, proc: u32) -> Box<dyn WordTx + '_> {
-        self.stats.incr(Counter::Begins);
         self.stats.incr(Counter::BeginsRo);
-        let seq = self.tx_seq.fetch_add(1, Ordering::Relaxed);
-        let id = TxId::new(proc, seq);
-        let guard = self.gate.lock();
-        if let Some(r) = self.recorder.as_deref() {
-            r.step(id.process(), Some(id), self.lock_base, Access::Modify);
-        }
-        Box::new(CoarseTx {
-            stm: self,
-            id,
-            guard: Some(guard),
-            undo: Vec::new(),
-            touched: Vec::new(),
-            grace: Some(self.reclaim.begin()),
-            retired: Vec::new(),
-            ro: true,
-            gate_held_at: Instant::now(),
-            pin: epoch::pin(),
-        })
+        self.begin_inner(proc, true)
     }
 
     fn notifier(&self) -> &CommitNotifier {

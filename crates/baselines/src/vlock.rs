@@ -62,10 +62,12 @@
 //!     version aborts.
 //!
 //! Transactions reuse pooled scratch buffers (read-set, write-set, lock
-//! log), the write-set carries the variable handles it resolved (commit
-//! takes zero table probes), and a transaction-lifetime epoch pin makes
-//! the paged-slab table's per-read pins nest for free — steady-state
-//! transactions allocate nothing and take no lock before commit.
+//! log), and both logs carry the variables they resolved (commit takes
+//! zero table probes) as *borrows* under the transaction-lifetime epoch
+//! pin: the table owns every t-variable and evicts through the epoch, so
+//! no entry counts a reference — a count would turn every logged read
+//! into a write to the line the other cores are reading. Steady-state
+//! transactions allocate nothing and write nothing shared before commit.
 
 use crate::clock::{readable, ShardedClock, LOCK_BIT};
 use crossbeam_epoch::{self as epoch, Guard};
@@ -74,9 +76,10 @@ use oftm_core::notify::CommitNotifier;
 use oftm_core::pool::SlotPool;
 use oftm_core::reclaim::{GraceTracker, RetiredBlock, TxGrace};
 use oftm_core::record::{fresh_base_id, Recorder};
-use oftm_core::table::VarTable;
+use oftm_core::table::{Pinned, VarTable};
 use oftm_histories::{Access, BaseObjId, TVarId, TmOp, TmResp, TxId, Value};
 use oftm_obs::{pack_tx, AbortCause, Counter, StmStats, VarAttr, TX_UNKNOWN};
+use std::mem::ManuallyDrop;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -242,16 +245,20 @@ impl VLockVar {
     }
 }
 
-type ReadEntry<S> = (Arc<VLockVar>, TVarId, S);
-type WriteEntry = (TVarId, Value, Arc<VLockVar>);
+type ReadEntry<S> = (Pinned<VLockVar>, TVarId, S);
+type WriteEntry = (TVarId, Value, Pinned<VLockVar>);
 
 /// Pooled per-transaction buffers: popped at `begin`, cleared and pushed
-/// back when the transaction completes, so steady-state transactions
-/// reuse the same allocations.
+/// back (the same `Box`) when the transaction completes, so steady-state
+/// transactions reuse the same allocations.
 #[derive(Default)]
 struct Scratch<S> {
     reads: Vec<ReadEntry<S>>,
+    /// Redo log in program order, carrying resolved variables; sorted and
+    /// deduplicated by `try_commit`.
     writes: Vec<WriteEntry>,
+    /// Lock log of the commit attempt: the words locked over, parallel to
+    /// the (deduplicated, sorted) prefix of `writes`.
     locked: Vec<u64>,
     retired: Vec<RetiredBlock>,
 }
@@ -341,7 +348,9 @@ impl<P: ReadPolicy> VersionedLockStm<P> {
     pub fn peek(&self, x: TVarId) -> Option<Value> {
         // ord: Acquire pairs with the committer's Release value store
         // (oracle/inspection read; not validated against the lock word).
-        self.vars.get(x).map(|v| v.value.load(Ordering::Acquire))
+        let pin = epoch::pin();
+        let var = self.vars.get_ref_in(x, &pin)?;
+        Some(var.value.load(Ordering::Acquire))
     }
 
     /// Total commits stamped so far across all shards (diagnostics; the
@@ -506,39 +515,27 @@ impl<P: ReadPolicy> Drop for Attempt<'_, P> {
 
 struct RwTx<'s, P: ReadPolicy> {
     at: Attempt<'s, P>,
-    /// Epoch pin held for the transaction's lifetime: table lookups nest
-    /// their pins under it (a cheap counter bump instead of an epoch
-    /// publication per read).
+    /// Epoch pin held for the transaction's lifetime: every variable the
+    /// logs borrow was loaded under it and stays allocated until it drops.
     pin: Guard,
     snap: P::Snapshot,
-    reads: Vec<ReadEntry<P::Seen>>,
-    /// Redo log in program order, carrying resolved handles; sorted and
-    /// deduplicated by `try_commit`.
-    writes: Vec<WriteEntry>,
-    /// Lock log of the commit attempt: the words locked over, parallel to
-    /// the (deduplicated, sorted) prefix of `writes`.
-    locked: Vec<u64>,
-    retired: Vec<RetiredBlock>,
+    /// The logs. Taken out (and given back to the pool) by `Drop` only,
+    /// which runs — and empties them — before `pin` drops.
+    log: ManuallyDrop<Box<Scratch<P::Seen>>>,
 }
 
 impl<P: ReadPolicy> RwTx<'_, P> {
-    /// Resolves `x`, preferring handles this transaction already holds
-    /// (write-set entries, then the most recent read — the read-then-
-    /// write upgrade pattern) over a table probe.
-    fn var(&self, x: TVarId) -> Arc<VLockVar> {
-        if let Some((_, _, var)) = self.writes.iter().rev().find(|(w, _, _)| *w == x) {
-            return Arc::clone(var);
-        }
-        if let Some((var, rx, _)) = self.reads.last() {
-            if *rx == x {
-                return Arc::clone(var);
-            }
-        }
-        self.at.stm.vars.get_or_panic_in(x, &self.pin)
+    /// Looks `x` up for a log entry to keep.
+    fn var(&self, x: TVarId) -> Pinned<VLockVar> {
+        // SAFETY: loaded under `self.pin`, which this transaction holds
+        // until after `Drop` has emptied the logs; nobody else
+        // dereferences the entry.
+        unsafe { Pinned::new(self.at.stm.vars.get_ref_or_panic_in(x, &self.pin)) }
     }
 
     fn buffered(&self, x: TVarId) -> Option<Value> {
-        self.writes
+        self.log
+            .writes
             .iter()
             .rev()
             .find(|(w, _, _)| *w == x)
@@ -549,9 +546,9 @@ impl<P: ReadPolicy> RwTx<'_, P> {
     /// this commit holds is judged by the word it locked over; one held by
     /// somebody else is about to change.
     fn first_stale_read(&self) -> Option<usize> {
-        self.reads.iter().position(|(var, x, seen)| {
-            let word = match self.writes.binary_search_by_key(x, |(w, _, _)| *w) {
-                Ok(i) => self.locked[i],
+        self.log.reads.iter().position(|(var, x, seen)| {
+            let word = match self.log.writes.binary_search_by_key(x, |(w, _, _)| *w) {
+                Ok(i) => self.log.locked[i],
                 Err(_) => {
                     self.at.rstep(var.lock_base, Access::Read);
                     // ord: Acquire pairs with `unlock`'s Release
@@ -569,13 +566,13 @@ impl<P: ReadPolicy> RwTx<'_, P> {
 
     /// Fails the commit on the stale read-set entry `i`.
     fn doom_on_read(&mut self, i: usize) -> TxResult<()> {
-        let (var, x, _) = &self.reads[i];
-        self.at.doom(AbortCause::ReadValidation, *x, var)
+        let (var, x, _) = self.log.reads[i];
+        self.at.doom(AbortCause::ReadValidation, x, &var)
     }
 
     /// Restores every word this commit attempt locked over.
     fn unlock_held(&self) {
-        for ((_, _, var), prev) in self.writes.iter().zip(&self.locked).rev() {
+        for ((_, _, var), prev) in self.log.writes.iter().zip(&self.log.locked).rev() {
             var.unlock(*prev);
         }
     }
@@ -592,7 +589,7 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
             self.at.rrespond(TmResp::Value(v));
             return Ok(v);
         }
-        let var = self.at.stm.vars.get_or_panic_in(x, &self.pin);
+        let var = self.var(x);
         let mut patience = P::read_patience(self.at.stm.lock_patience);
         loop {
             self.at.rstep(var.lock_base, Access::Read);
@@ -601,7 +598,7 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
                 let Some(seen) = P::admit(word, &self.snap) else {
                     return self.at.doom(AbortCause::ReadValidation, x, &var);
                 };
-                self.reads.push((var, x, seen));
+                self.log.reads.push((var, x, seen));
                 self.at.rrespond(TmResp::Value(val));
                 return Ok(val);
             }
@@ -616,8 +613,8 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
 
     fn write(&mut self, x: TVarId, v: Value) -> TxResult<()> {
         self.at.invoke(TmOp::Write(x, v))?;
-        let var = self.var(x); // existence check + handle capture
-        self.writes.push((x, v, var));
+        let var = self.var(x); // existence check, kept for commit
+        self.log.writes.push((x, v, var));
         self.at.rrespond(TmResp::Ok);
         Ok(())
     }
@@ -627,7 +624,7 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
         self.at.invoke(TmOp::TryCommit)?;
         let stm = self.at.stm;
 
-        if self.writes.is_empty() {
+        if self.log.writes.is_empty() {
             // Detect-on-commit promotion: no locks, no clock bump.
             if P::REVALIDATES_PROMOTED {
                 if let Some(i) = self.first_stale_read() {
@@ -635,16 +632,16 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
                 }
             }
             stm.stats.incr(Counter::CommitsPromoted);
-            self.at.finish(&mut self.retired);
+            self.at.finish(&mut self.log.retired);
             return Ok(());
         }
 
         // Deduplicate the write-set in place (stable sort keeps program
         // order within a key; keep the *last* write) and lock in global
         // t-variable order to avoid deadlock among committers. No table
-        // probe and no allocation: the handles ride in the write-set.
-        self.writes.sort_by_key(|(x, _, _)| *x);
-        self.writes.dedup_by(|later, earlier| {
+        // probe and no allocation: the variables ride in the write-set.
+        self.log.writes.sort_by_key(|(x, _, _)| *x);
+        self.log.writes.dedup_by(|later, earlier| {
             if later.0 == earlier.0 {
                 earlier.1 = later.1;
                 true
@@ -658,20 +655,20 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
         // spin or abort.
         let me = self.at.packed_id();
         let cs_started = Instant::now();
-        self.locked.clear();
-        for i in 0..self.writes.len() {
-            let (x, _, var) = &self.writes[i];
+        self.log.locked.clear();
+        for i in 0..self.log.writes.len() {
+            let (x, _, var) = self.log.writes[i];
             let mut patience = stm.lock_patience;
             loop {
                 self.at.rstep(var.lock_base, Access::Modify);
                 if let Some(prev) = var.try_lock(me) {
-                    self.locked.push(prev);
+                    self.log.locked.push(prev);
                     break;
                 }
                 patience = patience.saturating_sub(1);
                 if patience == 0 {
                     self.unlock_held();
-                    return self.at.doom(AbortCause::LockBusy, *x, var);
+                    return self.at.doom(AbortCause::LockBusy, x, &var);
                 }
                 std::hint::spin_loop();
             }
@@ -692,7 +689,7 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
         }
 
         // Apply and release with the new commit stamp.
-        for (_, v, var) in &self.writes {
+        for (_, v, var) in &self.log.writes {
             // ord: Release — together with `unlock`'s Release version
             // store, pairs with readers' Acquire value/version loads: a
             // clean sandwich implies they saw this value.
@@ -705,8 +702,9 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
             .record_commit_cs_ns(cs_started.elapsed().as_nanos() as u64);
         stm.stats.incr(Counter::Commits);
         // Writes are visible and stamped: wake parked conflicters.
-        stm.notify.publish(self.writes.iter().map(|(x, _, _)| *x));
-        self.at.finish(&mut self.retired);
+        stm.notify
+            .publish(self.log.writes.iter().map(|(x, _, _)| *x));
+        self.at.finish(&mut self.log.retired);
         Ok(())
     }
 
@@ -715,12 +713,12 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
     }
 
     fn retire_tvar_block(&mut self, base: TVarId, len: usize) {
-        self.retired.push(RetiredBlock { base, len });
+        self.log.retired.push(RetiredBlock { base, len });
     }
 
     fn footprint(&self, out: &mut Vec<TVarId>) {
-        out.extend(self.reads.iter().map(|(_, x, _)| *x));
-        out.extend(self.writes.iter().map(|(x, _, _)| *x));
+        out.extend(self.log.reads.iter().map(|(_, x, _)| *x));
+        out.extend(self.log.writes.iter().map(|(x, _, _)| *x));
         out.extend(self.at.conflict_hint);
     }
 }
@@ -729,20 +727,13 @@ impl<P: ReadPolicy> Drop for RwTx<'_, P> {
     fn drop(&mut self) {
         // Return the (cleared) buffers to the pool: the next transaction
         // begins with warm capacity instead of fresh allocations.
-        let mut s = Scratch {
-            reads: std::mem::take(&mut self.reads),
-            writes: std::mem::take(&mut self.writes),
-            locked: std::mem::take(&mut self.locked),
-            retired: std::mem::take(&mut self.retired),
-        };
-        s.reads.clear();
-        s.writes.clear();
-        s.locked.clear();
-        s.retired.clear();
-        self.at
-            .stm
-            .scratch
-            .put(self.at.id.proc as usize, Box::new(s));
+        // SAFETY: `drop` runs once and nothing reads the field after it.
+        let mut log = unsafe { ManuallyDrop::take(&mut self.log) };
+        log.reads.clear();
+        log.writes.clear();
+        log.locked.clear();
+        log.retired.clear();
+        self.at.stm.scratch.put(self.at.id.proc as usize, log);
     }
 }
 
@@ -764,8 +755,6 @@ impl<P: ReadPolicy> WordTx for RoTx<'_, P> {
     fn read(&mut self, x: TVarId) -> TxResult<Value> {
         self.at.invoke(TmOp::Read(x))?;
         let stm = self.at.stm;
-        // No read-set to retain the handle in: borrow under the pin and
-        // skip the per-read `Arc` refcount round-trip.
         let var = stm.vars.get_ref_or_panic_in(x, &self.pin);
         self.at.rstep(var.lock_base, Access::Read);
         let (ver, val) = match var.read_consistent() {
@@ -862,19 +851,12 @@ impl<P: ReadPolicy> WordStm for VersionedLockStm<P> {
     fn begin(&self, proc: u32) -> Box<dyn WordTx + '_> {
         let at = self.attempt(proc);
         let snap = P::begin(|| self.sample_rv(at.id));
-        let scratch = self
-            .scratch
-            .take(proc as usize)
-            .map(|b| *b)
-            .unwrap_or_default();
+        let log = self.scratch.take(proc as usize).unwrap_or_default();
         Box::new(RwTx {
             at,
             pin: epoch::pin(),
             snap,
-            reads: scratch.reads,
-            writes: scratch.writes,
-            locked: scratch.locked,
-            retired: scratch.retired,
+            log: ManuallyDrop::new(log),
         })
     }
 
@@ -1085,7 +1067,8 @@ mod tests {
         s.stats().forensics().set_sample_period(1);
         s.stats().forensics().reset();
         let before = s.stats().snapshot();
-        let x = s.vars.get_or_panic(X);
+        let pin = epoch::pin();
+        let x = s.vars.get_ref_or_panic_in(X, &pin);
         // What a committer does to X on its way in, frozen there.
         let prev = x.try_lock(pack_tx(7, 3)).expect("uncontended");
 

@@ -1,7 +1,8 @@
 //! The Greedy (timestamp) contention manager: older transactions win.
 //!
-//! Each transaction carries its birth timestamp (nanoseconds since the STM
-//! epoch). On conflict, if `me` is older than the owner, the owner is
+//! Each transaction carries its birth order (its begin sequence number in
+//! the STM instance — an order is all this policy compares, so no clock
+//! is read). On conflict, if `me` is older than the owner, the owner is
 //! aborted immediately; otherwise `me` backs off, giving the older owner
 //! time to finish — but only `max_attempts` times, after which the owner is
 //! aborted anyway (the owner might be preempted or crashed, and

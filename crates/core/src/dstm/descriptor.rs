@@ -43,7 +43,8 @@ pub struct Descriptor {
     status: AtomicU8,
     /// Base-object identity of the status word, for the low-level recorder.
     base: BaseObjId,
-    /// Birth timestamp (nanoseconds since the STM epoch) — Greedy manager.
+    /// Birth order within the STM instance (its begin sequence number;
+    /// smaller is older) — Greedy manager.
     birth: u64,
     /// Work-based priority — Karma manager.
     karma: AtomicU64,
@@ -75,16 +76,6 @@ impl Descriptor {
             // u64::MAX = unset (t-variable id 0 is legal, MAX is not).
             killer_var: AtomicU64::new(u64::MAX),
         }
-    }
-
-    /// Creates an already-committed descriptor (used for the initial
-    /// locator of every t-variable: the "initializing transaction T_0").
-    pub fn committed(id: TxId) -> Self {
-        let d = Descriptor::new(id, 0);
-        // ord: Release publishes the descriptor's construction to readers
-        // that Acquire-load the status via `status()`.
-        d.status.store(TxState::Committed as u8, Ordering::Release);
-        d
     }
 
     pub fn id(&self) -> TxId {
@@ -268,13 +259,6 @@ mod tests {
                 "exactly one of commit/abort must win (committed={committed}, aborted={aborted})"
             );
         }
-    }
-
-    #[test]
-    fn precommitted_descriptor() {
-        let d = Descriptor::committed(TxId::new(0, 0));
-        assert_eq!(d.status(), TxState::Committed);
-        assert!(!d.try_abort());
     }
 
     #[test]

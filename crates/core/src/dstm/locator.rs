@@ -12,6 +12,10 @@
 //! | `Aborted`    | `old`         |
 //! | `Live`       | `old` is the last committed value; `new` is tentative and owner-private |
 //!
+//! A t-variable's *first* locator has no owner: it stands for the paper's
+//! initialising transaction `T_0`, committed by definition, so its row is
+//! `Committed` without a descriptor to allocate, point at or load.
+//!
 //! ### Aliasing discipline (the `UnsafeCell` part)
 //!
 //! `new` is mutated by exactly one thread — the owner, strictly before its
@@ -21,7 +25,7 @@
 //!
 //! * while the owner is `Live`, only the owner touches `new`;
 //! * the status word flips to `Committed` exactly once, after which nobody
-//!   writes `new` again.
+//!   writes `new` again (`T_0`'s locator is never written at all).
 //!
 //! This is the publication pattern from *Rust Atomics and Locks* (release/
 //! acquire hand-off of non-atomic data); the `unsafe` blocks below each
@@ -34,8 +38,8 @@ use std::sync::Arc;
 
 /// A DSTM locator for values of type `T`.
 pub struct Locator<T> {
-    /// The transaction that installed this locator.
-    pub owner: Arc<Descriptor>,
+    /// The transaction that installed this locator; `None` is `T_0`.
+    pub owner: Option<Arc<Descriptor>>,
     /// Value of the t-variable before `owner`'s (tentative) update.
     pub old: T,
     /// `owner`'s tentative value; becomes the committed value if `owner`
@@ -47,7 +51,7 @@ pub struct Locator<T> {
 
 /// SAFETY: `Locator` is shared between threads behind epoch-protected
 /// pointers. All fields except `new` are immutable after construction
-/// (`owner` is itself `Sync`). Access to `new` follows the single-writer /
+/// (a descriptor is itself `Sync`). Access to `new` follows the single-writer /
 /// post-publication-readers protocol documented on the module; the status
 /// word provides the release/acquire edge. `T: Send` is required because
 /// ownership of the contained values effectively moves between threads via
@@ -61,23 +65,47 @@ impl<T> Locator<T> {
     /// tentative values.
     pub fn new(owner: Arc<Descriptor>, old: T, tentative: T) -> Self {
         Locator {
-            owner,
+            owner: Some(owner),
             old,
             new: UnsafeCell::new(tentative),
             base: crate::record::fresh_base_id(),
         }
     }
 
-    /// Reads the committed value.
-    ///
-    /// # Safety
-    /// The caller must have observed `self.owner.status() == Committed`
-    /// (an `Acquire` load — [`Descriptor::status`] provides it). Per the
-    /// module protocol no thread writes `new` after the status becomes
-    /// `Committed`, so the shared reference cannot alias a write.
-    pub unsafe fn committed_value(&self) -> &T {
-        debug_assert_eq!(self.owner.status(), TxState::Committed);
-        &*self.new.get()
+    /// `T_0`'s locator for a fresh t-variable whose pointer cell is base
+    /// object `cell`. It shares the cell's identity: whoever reads it
+    /// loaded the cell first, and nobody ever modifies it.
+    pub fn initial(cell: BaseObjId, value: T) -> Self
+    where
+        T: Clone,
+    {
+        Locator {
+            owner: None,
+            old: value.clone(),
+            new: UnsafeCell::new(value),
+            base: cell,
+        }
+    }
+
+    /// Whether `tx` installed this locator.
+    pub fn owned_by(&self, tx: &Arc<Descriptor>) -> bool {
+        self.owner.as_ref().is_some_and(|o| Arc::ptr_eq(o, tx))
+    }
+
+    /// The logical value as a transaction other than the owner resolves it
+    /// (the module table), or the live owner standing in the way.
+    pub fn resolve(&self) -> Result<&T, &Arc<Descriptor>> {
+        match &self.owner {
+            Some(owner) => match owner.status() {
+                TxState::Live => Err(owner),
+                TxState::Aborted => Ok(&self.old),
+                // SAFETY: `Committed` observed with Acquire (`status`);
+                // nobody writes `new` after the commit CAS.
+                TxState::Committed => Ok(unsafe { &*self.new.get() }),
+            },
+            // SAFETY: `T_0`'s locator is never owned, so never written.
+            None => Ok(unsafe { &*self.new.get() }),
+        }
     }
 
     /// Reads the tentative value as the owner.
@@ -104,8 +132,7 @@ impl<T> Locator<T> {
 impl<T: std::fmt::Debug> std::fmt::Debug for Locator<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Locator")
-            .field("owner", &self.owner.id())
-            .field("status", &self.owner.status())
+            .field("owner", &self.owner.as_ref().map(|o| (o.id(), o.status())))
             .field("old", &self.old)
             .finish()
     }
@@ -121,9 +148,25 @@ mod tests {
         let owner = Arc::new(Descriptor::new(TxId::new(1, 0), 0));
         let loc = Locator::new(Arc::clone(&owner), 10u64, 11u64);
         assert_eq!(loc.old, 10);
+        assert_eq!(loc.resolve().unwrap_err().id(), owner.id());
         assert!(owner.try_commit());
-        // SAFETY: status observed Committed just above.
-        assert_eq!(unsafe { *loc.committed_value() }, 11);
+        assert_eq!(loc.resolve().ok(), Some(&11));
+    }
+
+    #[test]
+    fn aborted_owner_resolves_to_old() {
+        let owner = Arc::new(Descriptor::new(TxId::new(1, 2), 0));
+        let loc = Locator::new(Arc::clone(&owner), 10u64, 11u64);
+        assert!(owner.try_abort());
+        assert_eq!(loc.resolve().ok(), Some(&10));
+    }
+
+    #[test]
+    fn initial_locator_is_committed_without_a_descriptor() {
+        let loc = Locator::initial(BaseObjId(7), 5u64);
+        assert!(loc.owner.is_none());
+        assert_eq!(loc.resolve().ok(), Some(&5));
+        assert_eq!(loc.base, BaseObjId(7));
     }
 
     #[test]
@@ -136,7 +179,7 @@ mod tests {
             assert_eq!(*loc.tentative_value(), 42);
         }
         assert!(owner.try_commit());
-        assert_eq!(unsafe { *loc.committed_value() }, 42);
+        assert_eq!(loc.resolve().ok(), Some(&42));
     }
 
     #[test]
@@ -153,9 +196,8 @@ mod tests {
                 assert!(owner2.try_commit());
             });
             loop {
-                if loc.owner.status() == TxState::Committed {
-                    // SAFETY: observed Committed with Acquire.
-                    assert_eq!(unsafe { *loc.committed_value() }, 7);
+                if let Ok(v) = loc.resolve() {
+                    assert_eq!(*v, 7);
                     break;
                 }
                 std::hint::spin_loop();

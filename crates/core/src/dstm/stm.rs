@@ -3,7 +3,7 @@
 
 use super::descriptor::Descriptor;
 use super::tvar::TVar;
-use super::tx::{ReadEntry, Tx};
+use super::tx::{Scratch, Tx};
 use crate::api::{TxError, TxResult};
 use crate::cm::{Aggressive, ContentionManager};
 use crate::kernel::CommitGate;
@@ -40,7 +40,10 @@ pub struct Dstm {
     progress: Progress,
     recorder: Option<Arc<Recorder>>,
     epoch: Instant,
-    tx_seq: AtomicU32,
+    /// Begin sequence numbers: the low half is the `TxId` counter, the
+    /// whole word a transaction's birth order (64 bits, so it never wraps
+    /// and a [`Dstm::with_tx_base`] offset cannot invert it).
+    tx_seq: AtomicU64,
     tvar_seq: AtomicU32,
     /// Commit counter gating read-set validation (see [`super::tx`]): the
     /// one word every transaction of this instance shares. Boxed so the
@@ -48,9 +51,9 @@ pub struct Dstm {
     /// over-aligning `Dstm` reshuffles every struct that embeds one.
     gate: Box<CommitGate<AtomicU64>>,
     gate_base: BaseObjId,
-    /// Pooled read-set buffers (keyed by process), recycled across
+    /// Pooled per-transaction buffers (keyed by process), recycled across
     /// transactions so the steady state allocates nothing per attempt.
-    read_scratch: SlotPool<Vec<ReadEntry>>,
+    scratch: SlotPool<Scratch>,
     /// Always-on telemetry: begins/commits/aborts-by-cause and latency
     /// histograms. Shared with the word-level adapter ([`super::word`]),
     /// so one registry covers both API layers of this instance. Behind an
@@ -74,11 +77,11 @@ impl Dstm {
             progress: Progress::ObstructionFree,
             recorder: None,
             epoch: Instant::now(),
-            tx_seq: AtomicU32::new(0),
+            tx_seq: AtomicU64::new(0),
             tvar_seq: AtomicU32::new(0),
             gate: Box::default(),
             gate_base: fresh_base_id(),
-            read_scratch: SlotPool::new(),
+            scratch: SlotPool::new(),
             stats: Arc::new(StmStats::new()),
         }
     }
@@ -96,7 +99,7 @@ impl Dstm {
     pub fn with_tx_base(self, base: u32) -> Self {
         // ord: Relaxed — single-threaded builder; atomicity alone keeps
         // later ids unique.
-        self.tx_seq.store(base, Ordering::Relaxed);
+        self.tx_seq.store(u64::from(base), Ordering::Relaxed);
         self
     }
 
@@ -107,17 +110,8 @@ impl Dstm {
         &self.stats
     }
 
-    /// Pops a pooled read-set buffer (empty, warm capacity).
-    pub(crate) fn take_read_scratch(&self, proc: u32) -> Vec<ReadEntry> {
-        self.read_scratch
-            .take(proc as usize)
-            .map(|b| *b)
-            .unwrap_or_default()
-    }
-
-    /// Returns a cleared read-set buffer to the pool.
-    pub(crate) fn return_read_scratch(&self, proc: u32, buf: Vec<ReadEntry>) {
-        self.read_scratch.put(proc as usize, Box::new(buf));
+    pub(crate) fn scratch(&self) -> &SlotPool<Scratch> {
+        &self.scratch
     }
 
     /// Switches the instance to the eventually-ic progress policy with the
@@ -155,11 +149,6 @@ impl Dstm {
         self.gate_base
     }
 
-    /// Shared recorder handle, if any.
-    pub fn recorder_arc(&self) -> Option<Arc<Recorder>> {
-        self.recorder.clone()
-    }
-
     /// Nanoseconds since this instance was created.
     pub fn now_nanos(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
@@ -181,7 +170,7 @@ impl Dstm {
     pub fn begin(&self, proc: u32) -> Tx<'_> {
         // ord: Relaxed — atomicity alone keeps transaction ids unique.
         let seq = self.tx_seq.fetch_add(1, Ordering::Relaxed);
-        let desc = Arc::new(Descriptor::new(TxId::new(proc, seq), self.now_nanos()));
+        let desc = Arc::new(Descriptor::new(TxId::new(proc, seq as u32), seq));
         self.stats.incr(Counter::Begins);
         Tx::new(self, desc)
     }

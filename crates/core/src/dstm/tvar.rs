@@ -1,35 +1,54 @@
 //! Transactional variables: a CAS-able pointer to the current locator.
 //!
-//! A `TVar<T>` is the paper's t-variable. Its entire shared state is one
-//! atomic pointer to the currently installed [`Locator`]; acquiring the
-//! variable (for reading or writing) is a CAS on this pointer, exactly the
-//! "exclusive but revocable ownership" scheme of Section 1. Replaced
-//! locators are reclaimed through `crossbeam_epoch`: a transaction pins the
-//! epoch for its whole lifetime, so every locator address it recorded in
-//! its read-set stays valid (no ABA) until the transaction ends.
+//! A t-variable's entire shared state ([`TVarInner`]) is one atomic
+//! pointer to the currently installed [`Locator`] beside two ids;
+//! acquiring the variable is a CAS on this pointer, exactly the "exclusive
+//! but revocable ownership" scheme of Section 1. A fresh variable costs
+//! two allocations: the state and `T_0`'s locator ([`Locator::initial`]).
+//!
+//! Everything is reclaimed through `crossbeam_epoch` and nothing is
+//! counted on a transaction's path: a transaction pins the epoch for its
+//! whole lifetime, so every locator address in its read-set stays valid
+//! (no ABA) and so does the state the entry borrows. The word-level table
+//! owns its `TVarInner`s and evicts them with `defer_destroy`; the typed
+//! [`TVar`] is a handle whose clones are counted among themselves only and
+//! whose last drop retires the state the same way — dropping it in the
+//! middle of a transaction that read through it frees nothing that
+//! transaction can still reach.
 
-use super::descriptor::Descriptor;
 use super::locator::Locator;
 use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
-use oftm_histories::{BaseObjId, TVarId, TxId};
+use oftm_histories::{BaseObjId, TVarId};
+use std::mem::ManuallyDrop;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A shared transactional variable holding values of type `T`.
 ///
 /// Cloning a `TVar` clones a handle to the same variable (like `Arc`).
+#[derive(Clone)]
 pub struct TVar<T: Clone + Send + Sync + 'static> {
-    pub(crate) inner: Arc<TVarInner<T>>,
+    inner: Arc<Handle<T>>,
 }
 
-impl<T: Clone + Send + Sync + 'static> Clone for TVar<T> {
-    fn clone(&self) -> Self {
-        TVar {
-            inner: Arc::clone(&self.inner),
-        }
+/// What the clones of a [`TVar`] share: the state, owned until the last
+/// clone drops.
+struct Handle<T: Clone + Send + Sync + 'static>(ManuallyDrop<Owned<TVarInner<T>>>);
+
+impl<T: Clone + Send + Sync + 'static> Drop for Handle<T> {
+    fn drop(&mut self) {
+        // SAFETY: the field is not touched again.
+        let state = unsafe { ManuallyDrop::take(&mut self.0) };
+        let guard = crossbeam_epoch::pin();
+        // SAFETY: unlinked — this was the last handle, so no new operation
+        // can reach the state; a transaction that read through a handle
+        // earlier holds a pin that predates this call.
+        unsafe { guard.defer_destroy(state.into_shared(&guard)) };
     }
 }
 
+/// The shared state of one t-variable. `repr(C)`: see [`TVarInner::erased`].
+#[repr(C)]
 pub(crate) struct TVarInner<T: Clone + Send + Sync + 'static> {
     pub id: TVarId,
     /// Base-object identity of the locator-pointer cell.
@@ -38,25 +57,22 @@ pub(crate) struct TVarInner<T: Clone + Send + Sync + 'static> {
 }
 
 impl<T: Clone + Send + Sync + 'static> TVar<T> {
-    /// Creates a t-variable with an initial value, installed by the
-    /// conceptual initializing transaction `T_0` (a pre-committed
-    /// descriptor), so the resolution rules need no special "no locator"
-    /// case.
+    /// Creates a t-variable with an initial value, written by the
+    /// conceptual initializing transaction `T_0`.
     pub fn new(id: TVarId, initial: T) -> Self {
-        let init_desc = Arc::new(Descriptor::committed(TxId::new(u32::MAX, id.0 as u32)));
-        let locator = Locator::new(init_desc, initial.clone(), initial);
+        let state = Owned::new(TVarInner::new(id, initial));
         TVar {
-            inner: Arc::new(TVarInner {
-                id,
-                base: crate::record::fresh_base_id(),
-                ptr: Atomic::new(locator),
-            }),
+            inner: Arc::new(Handle(ManuallyDrop::new(state))),
         }
+    }
+
+    pub(crate) fn state(&self) -> &TVarInner<T> {
+        &self.inner.0
     }
 
     /// The t-variable's identifier.
     pub fn id(&self) -> TVarId {
-        self.inner.id
+        self.state().id
     }
 
     /// Reads the current committed value outside any transaction.
@@ -66,28 +82,14 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// and post-run inspection. Linearizes at the locator load + status
     /// read.
     pub fn read_atomic(&self) -> T {
-        let guard = crossbeam_epoch::pin();
-        // ord: Acquire pairs with the Release half of the locator-install
-        // CAS so the locator's fields are visible.
-        let shared = self.inner.ptr.load(Ordering::Acquire, &guard);
-        // SAFETY: `shared` was loaded under `guard`; locators are only
-        // retired via `defer_destroy` after being unlinked, so the
-        // reference is valid for the guard's lifetime.
-        let loc = unsafe { shared.deref() };
-        match loc.owner.status() {
-            super::descriptor::TxState::Committed => {
-                // SAFETY: status observed Committed with Acquire.
-                unsafe { loc.committed_value().clone() }
-            }
-            _ => loc.old.clone(),
-        }
+        self.state().read_atomic()
     }
 }
 
 impl<T: Clone + Send + Sync + 'static> Drop for TVarInner<T> {
     fn drop(&mut self) {
-        // SAFETY: `&mut self` in drop means no other thread holds a handle;
-        // the current locator can be reclaimed immediately.
+        // SAFETY: `&mut self` in drop means no pin can reach the state any
+        // more; the current locator can be reclaimed immediately.
         unsafe {
             let guard = crossbeam_epoch::unprotected();
             // ord: Relaxed — exclusive access in Drop (&mut self).
@@ -99,33 +101,56 @@ impl<T: Clone + Send + Sync + 'static> Drop for TVarInner<T> {
     }
 }
 
-/// Object-safe view of a t-variable used by the type-erased read-set.
-pub(crate) trait TVarDyn: Send + Sync {
-    fn base(&self) -> BaseObjId;
+/// Internal helpers for the transaction engine.
+impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
+    pub(crate) fn new(id: TVarId, initial: T) -> Self {
+        let base = crate::record::fresh_base_id();
+        TVarInner {
+            id,
+            base,
+            ptr: Atomic::new(Locator::initial(base, initial)),
+        }
+    }
+
+    /// See [`TVar::read_atomic`].
+    pub(crate) fn read_atomic(&self) -> T {
+        let guard = crossbeam_epoch::pin();
+        // SAFETY: loaded under `guard`; locators are only retired via
+        // `defer_destroy` after being unlinked, so the reference is valid
+        // for the guard's lifetime.
+        let loc = unsafe { self.load(&guard).deref() };
+        // A live owner's tentative value is not committed yet.
+        loc.resolve().unwrap_or(&loc.old).clone()
+    }
+
+    /// The view of this state that does not depend on `T`: what a
+    /// type-erased read-set entry borrows.
+    pub(crate) fn erased(&self) -> &TVarInner<()> {
+        debug_assert_eq!(
+            std::alloc::Layout::new::<Self>(),
+            std::alloc::Layout::new::<TVarInner<()>>()
+        );
+        // SAFETY: `repr(C)` over two plain ids and one pointer cell gives
+        // every instantiation the same layout (`T` sits behind the cell's
+        // thin pointer). The view is a borrow — never dropped — through
+        // which the engine reads the ids and compares the cell's pointer
+        // (`current`); it never dereferences that pointer.
+        unsafe { &*(self as *const Self).cast() }
+    }
+
+    /// Loads the current locator under `guard`.
+    pub(crate) fn load<'g>(&self, guard: &'g Guard) -> Shared<'g, Locator<T>> {
+        // ord: Acquire pairs with the locator-install CAS's Release half.
+        self.ptr.load(Ordering::Acquire, guard)
+    }
+
     /// Address of the currently installed locator. Read-set validation
     /// compares it with the address recorded at read time: a recorded
     /// locator's owner was already `Committed` or `Aborted` (both
     /// terminal), so the logical value can only change by the pointer
     /// changing, and the transaction's pin rules out address reuse.
-    fn current(&self, guard: &Guard) -> usize;
-}
-
-impl<T: Clone + Send + Sync + 'static> TVarDyn for TVarInner<T> {
-    fn base(&self) -> BaseObjId {
-        self.base
-    }
-
-    fn current(&self, guard: &Guard) -> usize {
+    pub(crate) fn current(&self, guard: &Guard) -> usize {
         self.load(guard).as_raw() as usize
-    }
-}
-
-/// Internal helpers for the transaction engine.
-impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
-    /// Loads the current locator under `guard`.
-    pub(crate) fn load<'g>(&self, guard: &'g Guard) -> Shared<'g, Locator<T>> {
-        // ord: Acquire pairs with the locator-install CAS's Release half.
-        self.ptr.load(Ordering::Acquire, guard)
     }
 
     /// Attempts to swing the locator pointer from `current` to `new`,
@@ -159,6 +184,8 @@ impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dstm::descriptor::Descriptor;
+    use oftm_histories::TxId;
 
     #[test]
     fn initial_value_readable() {
@@ -171,7 +198,7 @@ mod tests {
         let v = TVar::new(TVarId(1), 7u64);
         let w = v.clone();
         assert_eq!(w.read_atomic(), 7);
-        assert!(Arc::ptr_eq(&v.inner, &w.inner));
+        assert!(std::ptr::eq(v.state(), w.state()));
     }
 
     #[test]
@@ -179,10 +206,12 @@ mod tests {
         let v = TVar::new(TVarId(3), 1u64);
         let me = Arc::new(Descriptor::new(TxId::new(1, 0), 0));
         let guard = crossbeam_epoch::pin();
-        let cur = v.inner.load(&guard);
+        let cur = v.state().load(&guard);
         let newloc = Owned::new(Locator::new(Arc::clone(&me), 1u64, 9u64));
-        let addr = v.inner.cas(cur, newloc, &guard).expect("uncontended CAS");
-        assert_eq!(v.inner.current(&guard), addr);
+        let addr = v.state().cas(cur, newloc, &guard).expect("uncontended CAS");
+        assert_eq!(v.state().current(&guard), addr);
+        assert_eq!(v.state().erased().current(&guard), addr);
+        assert_eq!(v.state().erased().id, TVarId(3));
         // Owner still live: logical value is old = 1.
         assert_eq!(v.read_atomic(), 1);
         me.try_commit();
@@ -194,13 +223,13 @@ mod tests {
         let v = TVar::new(TVarId(4), 1u64);
         let me = Arc::new(Descriptor::new(TxId::new(1, 0), 0));
         let guard = crossbeam_epoch::pin();
-        let cur = v.inner.load(&guard);
+        let cur = v.state().load(&guard);
         // First CAS wins.
         let l1 = Owned::new(Locator::new(Arc::clone(&me), 1u64, 2u64));
-        v.inner.cas(cur, l1, &guard).unwrap();
+        v.state().cas(cur, l1, &guard).unwrap();
         // Second CAS with the stale `cur` must fail and hand the locator back.
         let l2 = Owned::new(Locator::new(Arc::clone(&me), 1u64, 3u64));
-        assert!(v.inner.cas(cur, l2, &guard).is_err());
+        assert!(v.state().cas(cur, l2, &guard).is_err());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! * **writes** acquire exclusive-but-revocable ownership by CAS-ing a new
 //!   locator into the t-variable;
 //! * **reads** are invisible: they resolve the current committed value and
-//!   remember the locator's address in a private, append-only read-set;
+//!   remember the locator's address in a private, append-only read-set —
+//!   and write nothing shared at all: the entry *borrows* the t-variable
+//!   under the transaction's pin instead of counting a reference to it;
 //! * after every read and acquisition and at commit the transaction must
 //!   still observe a consistent state ("the state of `y` is re-read to
 //!   ensure that `T_i` still observes a consistent state"), which yields
@@ -52,35 +54,54 @@
 use super::descriptor::{Descriptor, TxState};
 use super::locator::Locator;
 use super::stm::{Dstm, Progress};
-use super::tvar::{TVar, TVarDyn};
+use super::tvar::{TVar, TVarInner};
 use crate::api::{TxError, TxResult};
 use crate::cm::Resolution;
-use crossbeam_epoch::{Guard, Owned};
-use oftm_histories::{Access, ProcId, TxId};
+use crate::table::Pinned;
+use crossbeam_epoch::{Guard, Owned, Shared};
+use oftm_histories::{Access, ProcId, TVarId, TxId};
 use oftm_obs::{pack_tx, AbortCause, Counter, VarAttr, TX_UNKNOWN};
 use std::cell::Cell;
+use std::mem::ManuallyDrop;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One entry of the invisible read-set: the locator address the read
-/// resolved. The id is denormalized out of the trait object: upgrade scans
-/// compare it, and a virtual `tvar_id()` per comparison is measurable.
+/// One entry of the invisible read-set: the t-variable (borrowed, type
+/// erased; its address is its identity) and the address of the locator the
+/// read resolved. Validating it is one load of the variable's pointer cell.
 pub(crate) struct ReadEntry {
-    id: oftm_histories::TVarId,
-    tvar: Arc<dyn TVarDyn>,
+    var: Pinned<TVarInner<()>>,
     addr: usize,
+}
+
+impl ReadEntry {
+    fn is_of(&self, var: &TVarInner<()>) -> bool {
+        std::ptr::eq(&*self.var, var)
+    }
+}
+
+/// Pooled per-transaction buffers: popped at `begin` and handed back —
+/// cleared, the same `Box` — when the transaction drops. `touched` and
+/// `written` are the word-level adapter's footprint logs ([`super::word`]).
+#[derive(Default)]
+pub(crate) struct Scratch {
+    read_set: Vec<ReadEntry>,
+    pub(crate) touched: Vec<TVarId>,
+    pub(crate) written: Vec<TVarId>,
 }
 
 /// A live transaction on a [`Dstm`] instance.
 ///
 /// Not `Send`: a transaction is executed by a single process (thread), as
 /// in the paper's model. Holds an epoch pin for its whole lifetime so that
-/// read-set locator addresses cannot be reclaimed-and-reused (no ABA).
+/// read-set locator addresses cannot be reclaimed-and-reused (no ABA) and
+/// the t-variables the read-set borrows stay allocated.
 pub struct Tx<'s> {
     stm: &'s Dstm,
     desc: Arc<Descriptor>,
     guard: Guard,
-    read_set: Vec<ReadEntry>,
+    /// Taken out (and given back to the pool) by `Drop` only.
+    pub(crate) scratch: ManuallyDrop<Box<Scratch>>,
     /// Commit-counter value under which the whole read-set was last known
     /// valid (module docs).
     seen: u64,
@@ -92,25 +113,32 @@ pub struct Tx<'s> {
     /// Whether an abort cause has been recorded for this attempt. Each
     /// aborted attempt contributes exactly one cause to the telemetry; the
     /// first site that discovers the attempt dead tags it.
-    cause_tagged: bool,
+    cause_tagged: Cell<bool>,
+}
+
+/// What [`Tx::open`] found in a t-variable.
+enum Opened<'g, T> {
+    /// Our own locator.
+    Mine(&'g Locator<T>),
+    /// A locator whose owner is settled, and the value it resolves to.
+    Settled(Shared<'g, Locator<T>>, &'g T),
 }
 
 impl<'s> Tx<'s> {
     pub(crate) fn new(stm: &'s Dstm, desc: Arc<Descriptor>) -> Self {
-        // Reuse a pooled read-set buffer: steady-state transactions
-        // validate tens of entries and must not re-grow a fresh `Vec`
-        // every attempt.
-        let read_set = stm.take_read_scratch(desc.id().proc);
+        // Reuse pooled buffers: steady-state transactions validate tens of
+        // entries and must not re-grow a fresh `Vec` every attempt.
+        let scratch = stm.scratch().take(desc.id().proc as usize);
         let tx = Tx {
             stm,
             desc,
             guard: crossbeam_epoch::pin(),
-            read_set,
+            scratch: ManuallyDrop::new(scratch.unwrap_or_default()),
             seen: stm.gate().sample(),
             full_scans: Cell::new(0),
             writes: 0,
             finished: false,
-            cause_tagged: false,
+            cause_tagged: Cell::new(false),
         };
         tx.rstep(stm.commit_counter_base(), Access::Read);
         tx
@@ -127,9 +155,8 @@ impl<'s> Tx<'s> {
     /// names the peer that won it ([`TX_UNKNOWN`] when no peer is
     /// identifiable), feeding the contention heatmap and the
     /// who-aborted-whom edge table.
-    fn tag_abort(&mut self, cause: AbortCause, var: VarAttr, aggressor: u64) {
-        if !self.cause_tagged {
-            self.cause_tagged = true;
+    fn tag_abort(&self, cause: AbortCause, var: VarAttr, aggressor: u64) {
+        if !self.cause_tagged.replace(true) {
             self.stm
                 .stats()
                 .abort_at(cause, var, self.packed_id(), aggressor);
@@ -155,7 +182,7 @@ impl<'s> Tx<'s> {
     /// Checks our own fate: a forcefully aborted transaction must stop.
     /// Discovering the abort here means a peer killed us through the
     /// contention manager — the only writer of a foreign status word.
-    fn check_self(&mut self) -> TxResult<()> {
+    fn check_self(&self) -> TxResult<()> {
         if self.desc.status() == TxState::Live {
             Ok(())
         } else {
@@ -168,15 +195,16 @@ impl<'s> Tx<'s> {
     /// Scans the entire read-set. Returns the first invalidated entry's
     /// t-variable (the conflict attribution of a `ReadValidation` abort),
     /// or `None` when consistent.
-    fn first_invalid(&self) -> Option<oftm_histories::TVarId> {
+    fn first_invalid(&self) -> Option<TVarId> {
         self.full_scans.set(self.full_scans.get() + 1);
-        self.read_set
+        self.scratch
+            .read_set
             .iter()
             .find(|e| {
-                self.rstep(e.tvar.base(), Access::Read);
-                e.tvar.current(&self.guard) != e.addr
+                self.rstep(e.var.base, Access::Read);
+                e.var.current(&self.guard) != e.addr
             })
-            .map(|e| e.id)
+            .map(|e| e.var.id)
     }
 
     /// The gate check (module docs): free while no update transaction
@@ -192,7 +220,7 @@ impl<'s> Tx<'s> {
         }
     }
 
-    fn fail_validation(&mut self, x: oftm_histories::TVarId) -> TxResult<()> {
+    fn fail_validation(&mut self, x: TVarId) -> TxResult<()> {
         self.abort_self(AbortCause::ReadValidation, VarAttr::Var(x.0), TX_UNKNOWN);
         Err(TxError::Aborted)
     }
@@ -218,12 +246,7 @@ impl<'s> Tx<'s> {
     /// `owner` per the contention manager and the progress policy. Returns
     /// when the owner is no longer live (aborted by us or completed by
     /// itself) or asks the caller to re-examine the variable.
-    fn resolve_conflict(
-        &self,
-        owner: &Arc<Descriptor>,
-        var: oftm_histories::TVarId,
-        attempt: &mut u32,
-    ) {
+    fn resolve_conflict(&self, owner: &Arc<Descriptor>, var: TVarId, attempt: &mut u32) {
         match self.stm.cm().resolve(&self.desc, owner, *attempt) {
             Resolution::AbortOther => {
                 // The eventual-ic variant (Definition 4) refuses to kill an
@@ -257,64 +280,7 @@ impl<'s> Tx<'s> {
 
     /// Reads t-variable `v` within the transaction.
     pub fn read<T: Clone + Send + Sync + 'static>(&mut self, v: &TVar<T>) -> TxResult<T> {
-        self.check_self()?;
-        let mut attempt = 0u32;
-        loop {
-            let shared = v.inner.load(&self.guard);
-            self.rstep(v.inner.base, Access::Read);
-            // SAFETY: loaded under our guard, locators are retired via
-            // defer_destroy only after unlinking.
-            let loc = unsafe { shared.deref() };
-
-            if Arc::ptr_eq(&loc.owner, &self.desc) {
-                // Our own tentative value.
-                self.rstep(loc.base, Access::Read);
-                // SAFETY: we are the owner and live (checked above).
-                let val = unsafe { loc.tentative_value().clone() };
-                return Ok(val);
-            }
-
-            let status = loc.owner.status();
-            self.rstep(loc.owner.base(), Access::Read);
-            let val = match status {
-                TxState::Committed => {
-                    self.rstep(loc.base, Access::Read);
-                    // SAFETY: observed Committed with Acquire.
-                    unsafe { loc.committed_value().clone() }
-                }
-                TxState::Aborted => {
-                    self.rstep(loc.base, Access::Read);
-                    loc.old.clone()
-                }
-                TxState::Live => {
-                    // Paper: "T_i just needs to make sure that no other
-                    // transaction T_k is currently updating y; if not, then
-                    // T_i may have to eventually abort T_k."
-                    self.resolve_conflict(&loc.owner, v.inner.id, &mut attempt);
-                    self.check_self()?;
-                    continue;
-                }
-            };
-
-            let addr = shared.as_raw() as usize;
-            // Append-only: duplicates are harmless (`write` upgrades every
-            // entry of the variable). Only a loop re-reading one variable
-            // is kept from growing the set.
-            if !self
-                .read_set
-                .last()
-                .is_some_and(|e| e.id == v.inner.id && e.addr == addr)
-            {
-                self.read_set.push(ReadEntry {
-                    id: v.inner.id,
-                    tvar: v.inner.clone() as Arc<dyn TVarDyn>,
-                    addr,
-                });
-            }
-            self.stm.cm().on_open(&self.desc);
-            self.validate_or_abort()?;
-            return Ok(val);
-        }
+        self.read_var(v.state())
     }
 
     /// Writes `value` to t-variable `v` within the transaction, acquiring
@@ -324,73 +290,124 @@ impl<'s> Tx<'s> {
         v: &TVar<T>,
         value: T,
     ) -> TxResult<()> {
-        self.check_self()?;
+        self.write_var(v.state(), value)
+    }
+
+    /// Opens `v`: loads its locator, settling any conflict with a live
+    /// foreign owner through the contention manager first (paper: "T_i
+    /// just needs to make sure that no other transaction T_k is currently
+    /// updating y; if not, then T_i may have to eventually abort T_k").
+    fn open<'g, T: Clone + Send + Sync + 'static>(
+        &'g self,
+        v: &TVarInner<T>,
+        attempt: &mut u32,
+    ) -> TxResult<Opened<'g, T>> {
+        loop {
+            self.check_self()?;
+            let shared = v.load(&self.guard);
+            self.rstep(v.base, Access::Read);
+            // SAFETY: loaded under our guard, locators are retired via
+            // defer_destroy only after unlinking.
+            let loc = unsafe { shared.deref() };
+            if loc.owned_by(&self.desc) {
+                return Ok(Opened::Mine(loc));
+            }
+            match loc.resolve() {
+                Ok(val) => {
+                    // `T_0` has no status word to have read.
+                    if let Some(owner) = &loc.owner {
+                        self.rstep(owner.base(), Access::Read);
+                    }
+                    self.rstep(loc.base, Access::Read);
+                    return Ok(Opened::Settled(shared, val));
+                }
+                Err(owner) => {
+                    self.rstep(owner.base(), Access::Read);
+                    self.resolve_conflict(owner, v.id, attempt);
+                }
+            }
+        }
+    }
+
+    /// [`Tx::read`] on the state itself. `v` must not be retired yet: the
+    /// caller reaches it through a live typed handle, or loaded it from
+    /// the word-level table after this transaction began.
+    pub(crate) fn read_var<T: Clone + Send + Sync + 'static>(
+        &mut self,
+        v: &TVarInner<T>,
+    ) -> TxResult<T> {
+        let (addr, val) = match self.open(v, &mut 0)? {
+            Opened::Mine(loc) => {
+                self.rstep(loc.base, Access::Read);
+                // SAFETY: we are the owner and live (`open` checked).
+                return Ok(unsafe { loc.tentative_value().clone() });
+            }
+            Opened::Settled(shared, val) => (shared.as_raw() as usize, val.clone()),
+        };
+        // Append-only: duplicates are harmless (`write` upgrades every
+        // entry of the variable). Only a loop re-reading one variable is
+        // kept from growing the set.
+        let (var, read_set) = (v.erased(), &mut self.scratch.read_set);
+        if !read_set
+            .last()
+            .is_some_and(|e| e.is_of(var) && e.addr == addr)
+        {
+            // SAFETY: `v` is not retired yet (this function's contract) and
+            // retirement is `defer_destroy`, so `self.guard`, pinned at
+            // `begin`, keeps it allocated until it drops; the read-set is
+            // emptied in `Drop`, before the guard goes.
+            let var = unsafe { Pinned::new(var) };
+            read_set.push(ReadEntry { var, addr });
+        }
+        self.stm.cm().on_open(&self.desc);
+        self.validate_or_abort()?;
+        Ok(val)
+    }
+
+    /// [`Tx::write`] on the state itself; same contract as
+    /// [`Tx::read_var`] (no entry is kept, so only for the call).
+    pub(crate) fn write_var<T: Clone + Send + Sync + 'static>(
+        &mut self,
+        v: &TVarInner<T>,
+        value: T,
+    ) -> TxResult<()> {
         let mut attempt = 0u32;
         loop {
-            let shared = v.inner.load(&self.guard);
-            self.rstep(v.inner.base, Access::Read);
-            // SAFETY: as in `read`.
-            let loc = unsafe { shared.deref() };
-
-            if Arc::ptr_eq(&loc.owner, &self.desc) {
-                // Already own it: update the tentative value in place.
-                // SAFETY: we are the live owner; no outstanding references
-                // to the tentative value exist (reads clone it out).
-                unsafe { loc.set_tentative(value) };
-                self.rstep(loc.base, Access::Modify);
-                return Ok(());
-            }
-
-            let status = loc.owner.status();
-            self.rstep(loc.owner.base(), Access::Read);
-            let old_val = match status {
-                TxState::Committed => {
-                    self.rstep(loc.base, Access::Read);
-                    // SAFETY: observed Committed with Acquire.
-                    unsafe { loc.committed_value().clone() }
+            let (shared, old_val) = match self.open(v, &mut attempt)? {
+                Opened::Mine(loc) => {
+                    // Already own it: update the tentative value in place.
+                    // SAFETY: we are the live owner; no outstanding references
+                    // to the tentative value exist (reads clone it out).
+                    unsafe { loc.set_tentative(value) };
+                    self.rstep(loc.base, Access::Modify);
+                    return Ok(());
                 }
-                TxState::Aborted => {
-                    self.rstep(loc.base, Access::Read);
-                    loc.old.clone()
-                }
-                TxState::Live => {
-                    self.resolve_conflict(&loc.owner, v.inner.id, &mut attempt);
-                    self.check_self()?;
-                    continue;
-                }
+                Opened::Settled(shared, val) => (shared, val.clone()),
             };
 
             // If we read this variable earlier, the value we saw must still
             // be the one we are about to supersede — otherwise our snapshot
             // is stale. Every entry for the variable must agree.
-            let addr = shared.as_raw() as usize;
-            if self
-                .read_set
-                .iter()
-                .any(|e| e.id == v.inner.id && e.addr != addr)
-            {
-                return self.fail_validation(v.inner.id);
+            let (var, addr) = (v.erased(), shared.as_raw() as usize);
+            let mut entries = self.scratch.read_set.iter();
+            if entries.any(|e| e.is_of(var) && e.addr != addr) {
+                return self.fail_validation(v.id);
             }
 
             let new_loc = Owned::new(Locator::new(Arc::clone(&self.desc), old_val, value.clone()));
-            match v.inner.cas(shared, new_loc, &self.guard) {
-                Ok(new_addr) => {
-                    self.rstep(v.inner.base, Access::Modify);
-                    // Upgrade every read entry of this variable: ownership
-                    // now protects it.
-                    for entry in self.read_set.iter_mut().filter(|e| e.id == v.inner.id) {
-                        entry.addr = new_addr;
-                    }
-                    self.writes += 1;
-                    self.stm.cm().on_open(&self.desc);
-                    self.validate_or_abort()?;
-                    return Ok(());
+            // Failure: someone interposed; re-examine. (The rejected
+            // locator is dropped here, unpublished.)
+            if let Ok(new_addr) = v.cas(shared, new_loc, &self.guard) {
+                self.rstep(v.base, Access::Modify);
+                // Upgrade every read entry of this variable: ownership now
+                // protects it.
+                let entries = self.scratch.read_set.iter_mut();
+                for entry in entries.filter(|e| e.is_of(var)) {
+                    entry.addr = new_addr;
                 }
-                Err(_rejected) => {
-                    // Someone interposed; re-examine. (The rejected locator
-                    // is dropped here, unpublished.)
-                    continue;
-                }
+                self.writes += 1;
+                self.stm.cm().on_open(&self.desc);
+                return self.validate_or_abort();
             }
         }
     }
@@ -398,12 +415,16 @@ impl<'s> Tx<'s> {
     /// `tryC`: validates and attempts the commit CAS. Consumes the
     /// transaction.
     pub fn commit(mut self) -> TxResult<()> {
-        if self.desc.status() != TxState::Live {
-            let (killer, kvar) = self.desc.killer();
-            self.tag_abort(AbortCause::CmArbitrated, VarAttr::opt(kvar), killer);
-            self.finished = true;
-            return Err(TxError::Aborted);
-        }
+        self.complete()
+    }
+
+    /// [`Tx::commit`] in place: the word-level adapter still needs the
+    /// footprint logs in `scratch` once the verdict is in.
+    pub(crate) fn complete(&mut self) -> TxResult<()> {
+        // Settled on every path below: killed already, failed validation
+        // (`abort_self`), or through the status CAS.
+        self.finished = true;
+        self.check_self()?;
         // DSTM has no commit lock; the "critical section" is the terminal
         // validate + status CAS, after which the new values are visible.
         let cs_started = Instant::now();
@@ -452,27 +473,21 @@ impl<'s> Tx<'s> {
     /// linearization point (everything read was simultaneously current at
     /// that instant).
     pub fn commit_read_only(mut self) -> TxResult<()> {
-        self.commit_read_only_inner(Counter::CommitsRo)
+        self.complete_read_only(Counter::CommitsRo)
     }
 
-    /// Read-only commit for a transaction that *declared* update intent but
-    /// acquired nothing; the word-level adapter routes such transactions
-    /// here and the promotion is counted separately.
-    pub(crate) fn commit_read_only_promoted(mut self) -> TxResult<()> {
-        self.commit_read_only_inner(Counter::CommitsPromoted)
-    }
-
-    fn commit_read_only_inner(&mut self, commit_counter: Counter) -> TxResult<()> {
+    /// [`Tx::commit_read_only`] in place, counted under `commit_counter`:
+    /// the word-level adapter routes a transaction that *declared* update
+    /// intent but acquired nothing here as [`Counter::CommitsPromoted`].
+    pub(crate) fn complete_read_only(&mut self, commit_counter: Counter) -> TxResult<()> {
         assert_eq!(
             self.writes, 0,
             "commit_read_only on a transaction that acquired variables"
         );
-        if self.desc.status() != TxState::Live {
-            let (killer, kvar) = self.desc.killer();
-            self.tag_abort(AbortCause::CmArbitrated, VarAttr::opt(kvar), killer);
-            self.finished = true;
-            return Err(TxError::Aborted);
-        }
+        // Settled on every path below: killed already, failed validation
+        // (`abort_self`), or through the status CAS.
+        self.finished = true;
+        self.check_self()?;
         // No critical section to time: nothing is published, and once
         // gated the whole completion is one load.
         self.validate_or_abort()?;
@@ -495,7 +510,7 @@ impl<'s> Tx<'s> {
 
     /// Number of read-set entries.
     pub fn read_count(&self) -> usize {
-        self.read_set.len()
+        self.scratch.read_set.len()
     }
 
     /// Number of read-set scans this transaction has run.
@@ -513,10 +528,16 @@ impl Drop for Tx<'_> {
         if !self.finished {
             self.abort_self(AbortCause::ExplicitRetry, VarAttr::NoVar, TX_UNKNOWN);
         }
-        // Return the read-set buffer (cleared, capacity kept) to the pool.
-        let mut buf = std::mem::take(&mut self.read_set);
-        buf.clear();
-        self.stm.return_read_scratch(self.desc.id().proc, buf);
+        // Hand the buffers back, capacity kept — and emptied while
+        // `self.guard` still pins what the read-set borrowed.
+        // SAFETY: `drop` runs once and nothing reads the field after it.
+        let mut scratch = unsafe { ManuallyDrop::take(&mut self.scratch) };
+        scratch.read_set.clear();
+        scratch.touched.clear();
+        scratch.written.clear();
+        self.stm
+            .scratch()
+            .put(self.desc.id().proc as usize, scratch);
     }
 }
 
@@ -833,6 +854,87 @@ mod tests {
     #[test]
     fn in_body_opacity_polite() {
         in_body_opacity(Arc::new(crate::cm::Polite::default()));
+    }
+
+    // The payload of the two tests below is an `Arc<Token>`: its drop
+    // count moves when the locator holding the last clone is freed.
+    use crate::table::test_support::{collect_until, Counted as Token};
+
+    #[test]
+    fn dropping_the_last_handle_mid_transaction_frees_nothing_the_reader_borrowed() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let drops = Arc::new(AtomicUsize::new(0));
+        let s = stm();
+        let v = TVar::new(TVarId(0), Arc::new(Token(Arc::clone(&drops))));
+        let other: TVar<u64> = TVar::new(TVarId(1), 0);
+        let mut t1 = s.begin(1);
+        drop(t1.read(&v).unwrap());
+        drop(v); // the read-set entry now borrows a retired t-variable
+        let mut t2 = s.begin(2);
+        t2.write(&other, 1).unwrap();
+        t2.commit().unwrap();
+        // The foreign commit moved the gate: this read scans v's entry.
+        assert_eq!(t1.read(&other).unwrap(), 1);
+        assert_eq!(t1.full_scans(), 1);
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "freed under the reader");
+        t1.commit_read_only().unwrap();
+        collect_until(&drops, 1);
+    }
+
+    #[test]
+    fn handles_dropped_by_another_thread_while_readers_validate() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::sync::Mutex;
+        const VARS: usize = 2_000;
+        let drops = Arc::new(AtomicUsize::new(0));
+        let s = stm();
+        let vars: Mutex<Vec<TVar<Arc<Token>>>> = Mutex::new(
+            (0..VARS as u64)
+                .map(|i| TVar::new(TVarId(i), Arc::new(Token(Arc::clone(&drops)))))
+                .collect(),
+        );
+        let gate_mover: TVar<u64> = TVar::new(TVarId(VARS as u64), 0);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|sc| {
+            // Drops the registry's handles one by one.
+            sc.spawn(|| {
+                while let Some(v) = { vars.lock().unwrap().pop() } {
+                    drop(v);
+                    std::thread::yield_now();
+                }
+                done.store(true, Ordering::Release);
+            });
+            // Keeps every reader's gate moving, so reads run full scans.
+            sc.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    s.atomically(9, |tx| {
+                        let n = tx.read(&gate_mover)?;
+                        tx.write(&gate_mover, n + 1)
+                    });
+                }
+            });
+            for p in 0..2u32 {
+                let (s, vars, done) = (&s, &vars, &done);
+                sc.spawn(move || {
+                    while !done.load(Ordering::Acquire) {
+                        let mut tx = s.begin(p);
+                        for _ in 0..32 {
+                            // Read through a clone and let go of it: the
+                            // dropper may have popped the original, making
+                            // this the last handle.
+                            let Some(v) = vars.lock().unwrap().last().cloned() else {
+                                break;
+                            };
+                            if tx.read(&v).is_err() {
+                                break;
+                            }
+                        }
+                        let _ = tx.commit_read_only();
+                    }
+                });
+            }
+        });
+        collect_until(&drops, VARS);
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //! cheaper than the write path, but not wait-free.
 
 use super::stm::Dstm;
-use super::tvar::TVar;
+use super::tvar::TVarInner;
 use super::tx::Tx;
 use crate::api::{TxError, TxResult, WordStm, WordTx};
 use crate::notify::CommitNotifier;
-use crate::pool::SlotPool;
 use crate::reclaim::{GraceTracker, RetiredBlock, TxGrace};
 use crate::table::VarTable;
 use oftm_histories::{TVarId, TmOp, TmResp, TxId, Value};
@@ -33,25 +32,15 @@ use oftm_obs::{Counter, StmStats};
 /// The table is a shared [`VarTable`], so t-variables allocated with
 /// [`WordStm::alloc_tvar`] — including mid-transaction — are immediately
 /// visible to every running transaction. Retired blocks are evicted after
-/// a grace period (see [`GraceTracker`]); evicting only drops the table's
-/// `Arc`, so a zombie transaction's read-set keeps the [`TVar`] state (and
-/// its epoch-protected locators) alive until the zombie finishes.
+/// a grace period (see [`GraceTracker`]). The table owns the state and
+/// evicts it through the epoch, so what a zombie transaction's read-set
+/// borrowed (the state and its locators) stays allocated until the
+/// zombie's pin is released.
 pub struct DstmWord {
     stm: Dstm,
-    vars: VarTable<TVar<Value>>,
+    vars: VarTable<TVarInner<Value>>,
     reclaim: GraceTracker,
     notify: CommitNotifier,
-    /// Pooled footprint-tracking buffers (ids touched / ids written), so
-    /// the adapter's commit-notification bookkeeping allocates nothing at
-    /// steady state.
-    scratch: SlotPool<TouchScratch>,
-}
-
-/// Pooled per-transaction id logs (see [`DstmWord::scratch`]).
-#[derive(Default)]
-struct TouchScratch {
-    touched: Vec<TVarId>,
-    written: Vec<TVarId>,
 }
 
 impl DstmWord {
@@ -61,7 +50,6 @@ impl DstmWord {
             vars: VarTable::new(),
             reclaim: GraceTracker::new(),
             notify: CommitNotifier::new(),
-            scratch: SlotPool::new(),
         }
     }
 
@@ -72,7 +60,8 @@ impl DstmWord {
 
     /// Reads a t-variable non-transactionally (test oracle).
     pub fn peek(&self, x: TVarId) -> Option<Value> {
-        self.vars.get(x).map(|v| v.read_atomic())
+        let pin = crossbeam_epoch::pin();
+        self.vars.get_ref_in(x, &pin).map(TVarInner::read_atomic)
     }
 
     /// Visits every live t-variable with its current committed value.
@@ -108,140 +97,126 @@ impl DstmWord {
             // `BeginsRo` counts the declared read-only subset.
             self.stm.stats().incr(Counter::BeginsRo);
         }
-        let scratch = self
-            .scratch
-            .take(proc as usize)
-            .map(|b| *b)
-            .unwrap_or_default();
         Box::new(DstmWordTx {
-            tx: Some(self.stm.begin(proc)),
+            tx: self.stm.begin(proc),
             word: self,
-            proc,
-            grace: Some(self.reclaim.begin()),
+            grace: self.reclaim.begin(),
             retired: Vec::new(),
-            touched: scratch.touched,
-            written: scratch.written,
             ro,
             pin: crossbeam_epoch::pin(),
         })
     }
 }
 
+/// The typed transaction plus what the word interface adds. Its footprint
+/// logs ride in the typed transaction's pooled scratch: `touched` is every
+/// id this transaction tried to access (recorded at op entry, so an access
+/// that *aborts on* a variable still lands the variable in the footprint
+/// the async runtime parks on), `written` what a successful commit
+/// publishes to the commit notifier.
 struct DstmWordTx<'s> {
-    tx: Option<Tx<'s>>,
+    tx: Tx<'s>,
     word: &'s DstmWord,
-    proc: u32,
-    grace: Option<TxGrace>,
+    /// Dropping it (any abort path) releases the active-transaction slot
+    /// and discards the retire-set with the transaction.
+    grace: TxGrace,
     retired: Vec<RetiredBlock>,
-    /// Footprint log: every id this transaction tried to access (recorded
-    /// at op entry, so an access that *aborts on* a variable still lands
-    /// the variable in the footprint the async runtime parks on).
-    touched: Vec<TVarId>,
-    /// Ids written; published to the commit notifier on a successful
-    /// commit.
-    written: Vec<TVarId>,
     /// Declared read-only: writes and retires panic (caller bug), and the
     /// commit takes the CAS-free read-only completion unconditionally.
     ro: bool,
-    /// Adapter-lifetime epoch pin threaded through table lookups (the
-    /// typed transaction holds its own for locator protection). Handles
-    /// are borrowed under it: the read-set entry's `Arc` is the only
-    /// refcount traffic a read causes.
+    /// Adapter-lifetime epoch pin the table lookups borrow under (the
+    /// typed transaction's own, older pin is what keeps its read-set's
+    /// borrows alive). Nested in that one, so it costs no publication.
     pin: crossbeam_epoch::Guard,
 }
 
 impl DstmWordTx<'_> {
     fn record_invoke(&self, op: TmOp) {
-        if let (Some(rec), Some(tx)) = (self.word.stm.recorder_arc(), self.tx.as_ref()) {
-            rec.invoke(tx.id(), op);
+        if let Some(rec) = self.word.stm.recorder() {
+            rec.invoke(self.tx.id(), op);
         }
     }
 
-    fn record_respond(&self, id: TxId, resp: TmResp) {
-        if let Some(rec) = self.word.stm.recorder_arc() {
-            rec.respond(id, resp);
+    fn record_respond(&self, resp: TmResp) {
+        if let Some(rec) = self.word.stm.recorder() {
+            rec.respond(self.tx.id(), resp);
         }
+    }
+
+    /// Records the response event of a read or write.
+    fn respond<T>(&self, r: TxResult<T>, ok: impl FnOnce(&T) -> TmResp) -> TxResult<T> {
+        match &r {
+            Ok(v) => self.record_respond(ok(v)),
+            Err(TxError::Aborted) => self.record_respond(TmResp::Aborted),
+        }
+        r
     }
 }
 
 impl WordTx for DstmWordTx<'_> {
     fn id(&self) -> TxId {
-        self.tx.as_ref().expect("transaction still running").id()
+        self.tx.id()
     }
 
     fn read(&mut self, x: TVarId) -> TxResult<Value> {
         let var = self.word.vars.get_ref_or_panic_in(x, &self.pin);
-        self.touched.push(x);
+        self.tx.scratch.touched.push(x);
         self.record_invoke(TmOp::Read(x));
-        let id = self.id();
-        let r = self.tx.as_mut().unwrap().read(var);
-        match &r {
-            Ok(v) => self.record_respond(id, TmResp::Value(*v)),
-            Err(TxError::Aborted) => self.record_respond(id, TmResp::Aborted),
-        }
-        r
+        let r = self.tx.read_var(var);
+        self.respond(r, |v| TmResp::Value(*v))
     }
 
     fn write(&mut self, x: TVarId, v: Value) -> TxResult<()> {
         assert!(!self.ro, "dstm: write on a declared read-only transaction");
         let var = self.word.vars.get_ref_or_panic_in(x, &self.pin);
-        self.touched.push(x);
-        self.written.push(x);
+        self.tx.scratch.touched.push(x);
+        self.tx.scratch.written.push(x);
         self.record_invoke(TmOp::Write(x, v));
-        let id = self.id();
-        let r = self.tx.as_mut().unwrap().write(var, v);
-        match &r {
-            Ok(()) => self.record_respond(id, TmResp::Ok),
-            Err(TxError::Aborted) => self.record_respond(id, TmResp::Aborted),
-        }
-        r
+        let r = self.tx.write_var(var, v);
+        self.respond(r, |()| TmResp::Ok)
     }
 
     fn try_commit(mut self: Box<Self>) -> TxResult<()> {
-        let tx = self.tx.take().expect("transaction still running");
-        let id = tx.id();
-        self.record_invoke_for(id, TmOp::TryCommit);
+        self.record_invoke(TmOp::TryCommit);
         // Detect-on-commit promotion: a transaction that wrote nothing
         // installed no locators, so its descriptor is unreachable from
         // every t-variable and the status CAS publishes nothing — take
         // the validate-only read-only completion. Declared read-only
         // transactions (`begin_ro`) land here by construction.
         let r = if self.ro {
-            tx.commit_read_only()
-        } else if self.written.is_empty() {
-            tx.commit_read_only_promoted()
+            self.tx.complete_read_only(Counter::CommitsRo)
+        } else if self.tx.scratch.written.is_empty() {
+            self.tx.complete_read_only(Counter::CommitsPromoted)
         } else {
-            tx.commit()
+            self.tx.complete()
         };
         match &r {
             Ok(()) => {
-                self.record_respond(id, TmResp::Committed);
+                self.record_respond(TmResp::Committed);
                 // The commit's status CAS made the new values current:
                 // wake transactions parked on what we wrote.
-                if !self.written.is_empty() {
-                    self.word.notify.publish(self.written.iter().copied());
+                let written = &self.tx.scratch.written;
+                if !written.is_empty() {
+                    self.word.notify.publish(written.iter().copied());
                 }
-                // The typed transaction (and its epoch pin) is finished:
-                // hand the retire-set to the grace tracker and evict every
+                // Hand the retire-set to the grace tracker and evict every
                 // block whose grace period has elapsed.
-                self.word.reclaim_after_commit(
-                    self.grace.take().expect("grace slot held until completion"),
-                    std::mem::take(&mut self.retired),
-                );
+                let this = *self;
+                this.word.reclaim_after_commit(this.grace, this.retired);
             }
-            Err(TxError::Aborted) => self.record_respond(id, TmResp::Aborted),
+            Err(TxError::Aborted) => self.record_respond(TmResp::Aborted),
         }
         r
     }
 
-    fn try_abort(mut self: Box<Self>) {
-        let tx = self.tx.take().expect("transaction still running");
-        let id = tx.id();
-        self.record_invoke_for(id, TmOp::TryAbort);
-        tx.rollback();
-        self.record_respond(id, TmResp::Aborted);
-        // Dropping `self.grace` releases the active-transaction slot; the
-        // retire-set is discarded with the transaction.
+    fn try_abort(self: Box<Self>) {
+        self.record_invoke(TmOp::TryAbort);
+        let this = *self;
+        let id = this.tx.id();
+        this.tx.rollback();
+        if let Some(rec) = this.word.stm.recorder() {
+            rec.respond(id, TmResp::Aborted);
+        }
     }
 
     fn retire_tvar_block(&mut self, base: TVarId, len: usize) {
@@ -250,27 +225,7 @@ impl WordTx for DstmWordTx<'_> {
     }
 
     fn footprint(&self, out: &mut Vec<TVarId>) {
-        out.extend_from_slice(&self.touched);
-    }
-}
-
-impl Drop for DstmWordTx<'_> {
-    fn drop(&mut self) {
-        let mut s = TouchScratch {
-            touched: std::mem::take(&mut self.touched),
-            written: std::mem::take(&mut self.written),
-        };
-        s.touched.clear();
-        s.written.clear();
-        self.word.scratch.put(self.proc as usize, Box::new(s));
-    }
-}
-
-impl DstmWordTx<'_> {
-    fn record_invoke_for(&self, id: TxId, op: TmOp) {
-        if let Some(rec) = self.word.stm.recorder_arc() {
-            rec.invoke(id, op);
-        }
+        out.extend_from_slice(&self.tx.scratch.touched);
     }
 }
 
@@ -281,14 +236,14 @@ impl WordStm for DstmWord {
 
     fn register_tvar(&self, x: TVarId, initial: Value) {
         self.stm.stats().incr(Counter::TvarsAllocated);
-        self.vars.insert(x, TVar::new(x, initial));
+        self.vars.insert(x, TVarInner::new(x, initial));
     }
 
     fn alloc_tvar_block(&self, initials: &[Value]) -> TVarId {
         self.stm
             .stats()
             .add(Counter::TvarsAllocated, initials.len() as u64);
-        self.vars.alloc_block(initials, TVar::new)
+        self.vars.alloc_block(initials, TVarInner::new)
     }
 
     fn free_tvar_block(&self, base: TVarId, len: usize) {

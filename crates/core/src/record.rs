@@ -10,11 +10,13 @@
 //! (strict-DAP, Definition 12) and the per-transaction views need.
 //!
 //! Recording is optional: production paths pass no recorder and pay only a
-//! branch on an `Option`.
+//! branch on an `Option` (base-object ids come out of per-thread blocks,
+//! so drawing one shares nothing either).
 
 use oftm_histories::{
     Access, BaseObjId, Event, History, ProcId, TVarId, TmOp, TmResp, TxId, Value,
 };
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -22,12 +24,32 @@ use std::time::Instant;
 /// Global allocator of base-object identifiers. Every descriptor status
 /// word, locator, t-variable pointer cell, lock word or clock cell that an
 /// implementation wants visible to the conflict checkers draws a fresh id
-/// here.
+/// from [`fresh_base_id`].
 static NEXT_BASE_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Reserves a fresh base-object id.
+/// Ids a thread reserves at once. Every `begin`, acquisition and
+/// t-variable allocation draws an id whether or not a recorder is
+/// attached, so the shared counter is touched once per block, not per id.
+const BASE_ID_BLOCK: u64 = 1024;
+
+thread_local! {
+    /// This thread's reserved range: next id to hand out, and its end.
+    static BASE_IDS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Reserves a fresh base-object id: unique across threads, neither dense
+/// nor ordered between them.
 pub fn fresh_base_id() -> BaseObjId {
-    BaseObjId(NEXT_BASE_ID.fetch_add(1, Ordering::Relaxed))
+    BASE_IDS.with(|ids| {
+        let (mut next, mut end) = ids.get();
+        if next == end {
+            // ord: Relaxed — atomicity alone keeps the blocks disjoint.
+            next = NEXT_BASE_ID.fetch_add(BASE_ID_BLOCK, Ordering::Relaxed);
+            end = next + BASE_ID_BLOCK;
+        }
+        ids.set((next + 1, end));
+        BaseObjId(next)
+    })
 }
 
 /// An append-only recorder of low-level events shared by all threads of an
@@ -127,6 +149,34 @@ mod tests {
         let a = fresh_base_id();
         let b = fresh_base_id();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn fresh_ids_unique_across_threads() {
+        // More than two blocks per thread, so refills interleave.
+        const PER_THREAD: usize = 2 * BASE_ID_BLOCK as usize + 100;
+        let mut all: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..PER_THREAD)
+                            .map(|_| fresh_base_id().0)
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(
+            all.len(),
+            4 * PER_THREAD,
+            "a base-object id was handed out twice"
+        );
     }
 
     #[test]

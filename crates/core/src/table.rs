@@ -33,9 +33,10 @@
 //! Both ranges map to slots in lazily materialized, append-only **pages**
 //! (`PAGE_SIZE` slots each) reached through atomic page directories:
 //! one flat directory for the static range, a two-level one for the
-//! (much larger) dynamic range. `get` is a wait-free double array index —
-//! two or three `Acquire` loads plus an `Arc` clone, no lock, no hashing,
-//! no allocation. Pages are installed with a single CAS on first touch
+//! (much larger) dynamic range. A lookup is a wait-free double array
+//! index — two or three `Acquire` loads and nothing else: no lock, no
+//! hashing, no allocation, no write to shared memory. Pages are installed
+//! with a single CAS on first touch
 //! and never move or shrink, so readers need no synchronization with
 //! growth; an insertion is visible to *already running* transactions,
 //! which is what allocation inside a transaction requires.
@@ -51,13 +52,19 @@
 //! retired block only once **no in-flight transaction predates the
 //! retiring commit** — so by the time [`VarTable::remove_block`] runs, no
 //! transaction that could legitimately reach the block is still running.
-//! The eviction itself is nonetheless fully race-safe: slots hold their
-//! `Arc<V>` behind an epoch-protected pointer, a reader pins the epoch
-//! across its load-and-clone, and `remove` retires the old pointer via
-//! `defer_destroy` — a racing reader (a contract-breaking zombie) either
-//! sees the value and keeps it alive through its own `Arc`, or sees the
-//! tombstone and panics. Memory safety never depends on the caller
-//! honoring the retire contract; only the panic-vs-value outcome does.
+//! The eviction itself is nonetheless fully race-safe: a slot owns its
+//! `V` (one `Box`) behind an epoch-protected pointer, lookups hand out
+//! `&V` for the lifetime of the caller's pin, and `remove` retires the
+//! old pointer via `defer_destroy` — a racing reader (a contract-breaking
+//! zombie) either sees the value, which its pin then keeps allocated
+//! until it unpins, or sees the tombstone and panics. Memory safety never
+//! depends on the caller honoring the retire contract; only the
+//! panic-vs-value outcome does.
+//!
+//! Nothing is reference-counted: a count would sit in the t-variable's
+//! own allocation, and every read that kept a handle would write the line
+//! the other cores are reading. A transaction holds a pin from `begin` to
+//! completion, so a log entry that outlives the lookup is a [`Pinned`].
 //!
 //! ## Allocation vs. retirement semantics
 //!
@@ -79,8 +86,8 @@
 
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
 use oftm_histories::{TVarId, Value};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// First t-variable id handed out by dynamic allocation. Static
 /// registrations use small ids, so the two ranges never collide; every
@@ -110,10 +117,54 @@ const L1_MASK: usize = L1_PAGES - 1;
 const DYN_L1S: usize = 1 << L1_BITS;
 const DYN_CAPACITY: u64 = (DYN_L1S * L1_PAGES * PAGE_SIZE) as u64;
 
-/// One page of epoch-protected slots. A slot owns (a boxed) `Arc<V>`;
+/// A reference into epoch-protected state (a [`VarTable`] value, or
+/// anything else retired through `defer_destroy`) held past the call that
+/// loaded it: what a transaction's read-set, write-set or undo log keeps
+/// per entry.
+pub struct Pinned<V>(NonNull<V>);
+
+impl<V> Clone for Pinned<V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<V> Copy for Pinned<V> {}
+
+// SAFETY: a `&V` with its lifetime erased, so sending one is sound for
+// `V: Sync`. (Needed for pooled buffers of them, which change threads
+// only once emptied: a transaction and its pin stay on one thread.)
+unsafe impl<V: Sync> Send for Pinned<V> {}
+
+impl<V> Pinned<V> {
+    /// Erases the lifetime of `v`.
+    ///
+    /// # Safety
+    /// `v` must have been loaded under an epoch pin from a structure that
+    /// retires through `defer_destroy`, and the result (and every copy)
+    /// must be dereferenced only while that pin is held: a transaction
+    /// loads it under the pin it owns from `begin`, alone dereferences it,
+    /// and clears the buffers that hold it before its pin drops.
+    pub unsafe fn new(v: &V) -> Self {
+        Pinned(NonNull::from(v))
+    }
+}
+
+impl<V> std::ops::Deref for Pinned<V> {
+    type Target = V;
+
+    fn deref(&self) -> &V {
+        // SAFETY: `new`'s contract — the pin under which the pointee was
+        // loaded is still held, and retirement is `defer_destroy`, which
+        // frees nothing a pin that predates it can reach.
+        unsafe { self.0.as_ref() }
+    }
+}
+
+/// One page of epoch-protected slots. A slot owns its `V` (one `Box`);
 /// null = never inserted, or tombstoned by `remove`.
 struct Page<V> {
-    slots: Box<[Atomic<Arc<V>>]>,
+    slots: Box<[Atomic<V>]>,
 }
 
 impl<V> Page<V> {
@@ -203,10 +254,9 @@ pub struct VarTable<V> {
 }
 
 // SAFETY: the auto-impls would be unconditional (`AtomicPtr<T>` is
-// `Send + Sync` for *any* `T`), which must not stand: `get` clones
-// `Arc<V>` handles out to arbitrary threads, so sharing the table is
-// only sound when `V` itself is shareable. Explicit impls restore the
-// bounds the old `RwLock<HashMap<_, Arc<V>>>` fields implied.
+// `Send + Sync` for *any* `T`), which must not stand: lookups hand `&V`
+// to arbitrary threads (`V: Sync`), and whichever thread evicts or
+// collects drops the `V` another one inserted (`V: Send`).
 unsafe impl<V: Send + Sync> Send for VarTable<V> {}
 unsafe impl<V: Send + Sync> Sync for VarTable<V> {}
 
@@ -231,7 +281,7 @@ impl<V> VarTable<V> {
     /// directories) are installed on the way; without it, a missing page
     /// resolves to `None` (the id was certainly never inserted). Ids
     /// outside both ranges panic when `create` is set and miss otherwise.
-    fn slot(&self, x: TVarId, create: bool) -> Option<&Atomic<Arc<V>>> {
+    fn slot(&self, x: TVarId, create: bool) -> Option<&Atomic<V>> {
         let (dir, idx) = if x.0 < DYNAMIC_TVAR_BASE {
             if x.0 >= STATIC_SPAN {
                 assert!(
@@ -265,10 +315,10 @@ impl<V> VarTable<V> {
 
     /// Fills `slot` with `v`, adjusting the live count (and retiring a
     /// replaced value through the epoch, for re-registration).
-    fn fill(&self, slot: &Atomic<Arc<V>>, v: Arc<V>, guard: &Guard) {
-        // ord: AcqRel — Release publishes `v`'s construction to `get_in`'s
-        // Acquire load; Acquire pairs with the previous occupant's
-        // publishing swap before we retire it.
+    fn fill(&self, slot: &Atomic<V>, v: V, guard: &Guard) {
+        // ord: AcqRel — Release publishes `v`'s construction to
+        // `get_ref_in`'s Acquire load; Acquire pairs with the previous
+        // occupant's publishing swap before we retire it.
         let old = slot.swap(Owned::new(v), Ordering::AcqRel, guard);
         if old.is_null() {
             // ord: Relaxed counter — read only by the `len` diagnostic.
@@ -283,7 +333,7 @@ impl<V> VarTable<V> {
     pub fn insert(&self, x: TVarId, v: V) {
         let slot = self.slot(x, true).expect("slot created");
         let guard = epoch::pin();
-        self.fill(slot, Arc::new(v), &guard);
+        self.fill(slot, v, &guard);
     }
 
     /// Inserts the state for `x` only if the slot is empty (atomic
@@ -298,7 +348,7 @@ impl<V> VarTable<V> {
         // incumbent's publishing store.
         match slot.compare_exchange(
             Shared::null(),
-            Owned::new(Arc::new(v)),
+            Owned::new(v),
             Ordering::AcqRel,
             Ordering::Acquire, // ord: failure pairs with the incumbent's Release
             &guard,
@@ -312,38 +362,13 @@ impl<V> VarTable<V> {
         }
     }
 
-    /// Looks up the state for `x` under a caller-held epoch pin.
+    /// Looks up the state for `x` under a caller-held epoch pin — the only
+    /// lookup there is, and the hot path of every transactional read.
     /// **Wait-free**: two (static ids) or three (dynamic ids) `Acquire`
-    /// loads and an `Arc` clone — the hot path of every transactional
-    /// read. Backends hold one pin for a whole transaction and thread it
-    /// through here, so the per-read cost is pure loads.
-    pub fn get_in(&self, x: TVarId, guard: &Guard) -> Option<Arc<V>> {
-        let slot = self.slot(x, false)?;
-        // ord: Acquire pairs with the Release swap/CAS that installed the
-        // slot's value, making the pointee's construction visible.
-        let sh = slot.load(Ordering::Acquire, guard);
-        if sh.is_null() {
-            None
-        } else {
-            // SAFETY: loaded under the pin; `remove` retires slot contents
-            // via `defer_destroy`, so the pointee outlives the guard.
-            Some(Arc::clone(unsafe { sh.deref() }))
-        }
-    }
-
-    /// Like [`VarTable::get_in`] with a pin taken internally (external
-    /// callers: oracles, registration-time checks).
-    pub fn get(&self, x: TVarId) -> Option<Arc<V>> {
-        self.get_in(x, &epoch::pin())
-    }
-
-    /// Borrowing variant of [`VarTable::get_in`] for read paths that do
-    /// not retain the handle past the current operation (the declared
-    /// read-only transactions keep no read-set): skips the `Arc`
-    /// refcount round-trip — two atomic RMWs per read on the hottest
-    /// path in the workspace. The reference is valid for the guard's
-    /// lifetime: eviction retires the slot's `Arc` via `defer_destroy`,
-    /// which cannot run before the pin is released.
+    /// loads. Backends hold one pin for a whole transaction and thread it
+    /// through here. The reference is valid for the guard's lifetime:
+    /// eviction retires the slot's `V` via `defer_destroy`, which cannot
+    /// run before the pin is released.
     pub fn get_ref_in<'g>(&self, x: TVarId, guard: &'g Guard) -> Option<&'g V> {
         let slot = self.slot(x, false)?;
         // ord: Acquire pairs with the Release swap/CAS that installed the
@@ -353,9 +378,8 @@ impl<V> VarTable<V> {
             None
         } else {
             // SAFETY: loaded under the pin; `remove` retires slot contents
-            // via `defer_destroy`, so the `Arc` — and hence the pointee it
-            // keeps alive — outlives the guard.
-            Some(unsafe { &**sh.deref() })
+            // via `defer_destroy`, so the pointee outlives the guard.
+            Some(unsafe { sh.deref() })
         }
     }
 
@@ -366,17 +390,13 @@ impl<V> VarTable<V> {
             .unwrap_or_else(|| panic!("t-variable {x} not registered"))
     }
 
-    /// Looks up `x` under a caller-held pin, panicking with the uniform
-    /// diagnostic if absent.
-    pub fn get_or_panic_in(&self, x: TVarId, guard: &Guard) -> Arc<V> {
-        self.get_in(x, guard)
-            .unwrap_or_else(|| panic!("t-variable {x} not registered"))
-    }
-
-    /// Looks up `x`, panicking with the uniform diagnostic if absent.
-    pub fn get_or_panic(&self, x: TVarId) -> Arc<V> {
-        self.get(x)
-            .unwrap_or_else(|| panic!("t-variable {x} not registered"))
+    /// A copy of the state for `x`, taken under an internal pin (external
+    /// callers: oracles, registration-time checks).
+    pub fn get(&self, x: TVarId) -> Option<V>
+    where
+        V: Clone,
+    {
+        self.get_ref_in(x, &epoch::pin()).cloned()
     }
 
     /// Allocates `initials.len()` fresh t-variables with **contiguous**
@@ -402,13 +422,13 @@ impl<V> VarTable<V> {
             let slot = self.slot(id, true).expect("slot created");
             // Fresh ids are never concurrently targeted, but `fill` keeps
             // the accounting uniform.
-            self.fill(slot, Arc::new(make(id, init)), &guard);
+            self.fill(slot, make(id, init), &guard);
         }
         TVarId(base)
     }
 
     /// Tombstones the slot behind `slot`, returning whether it was full.
-    fn clear(&self, slot: &Atomic<Arc<V>>, guard: &Guard) -> bool {
+    fn clear(&self, slot: &Atomic<V>, guard: &Guard) -> bool {
         // ord: AcqRel — Acquire pairs with the publishing swap so the
         // retired value is fully visible before `defer_destroy`; Release
         // orders the tombstone for subsequent Acquire readers.
@@ -425,11 +445,10 @@ impl<V> VarTable<V> {
         true
     }
 
-    /// Removes the state for `x`; `true` if it was present. Outstanding
-    /// `Arc` handles (e.g. a zombie transaction's read-set) keep the state
-    /// alive; only the table's reference is dropped. The slot becomes a
-    /// permanent tombstone — dynamic ids are never reused, so a freed id
-    /// can only ever miss.
+    /// Removes the state for `x`; `true` if it was present. The state is
+    /// freed once every pin that could have loaded it (e.g. a zombie
+    /// transaction's) is released. The slot becomes a permanent tombstone
+    /// — dynamic ids are never reused, so a freed id can only ever miss.
     pub fn remove(&self, x: TVarId) -> bool {
         let Some(slot) = self.slot(x, false) else {
             return false;
@@ -485,7 +504,7 @@ impl<V> VarTable<V> {
         let mut visit_page = |page: &Page<V>, first_id: u64| {
             for (k, slot) in page.slots.iter().enumerate() {
                 // ord: Acquire pairs with the Release swap/CAS that
-                // installed the slot's value (same pairing as `get_in`).
+                // installed the slot's value (same pairing as `get_ref_in`).
                 let sh = slot.load(Ordering::Acquire, &guard);
                 if !sh.is_null() {
                     // SAFETY: loaded under the pin; eviction retires slot
@@ -557,7 +576,7 @@ mod tests {
     fn insert_then_get() {
         let t: VarTable<u64> = VarTable::new();
         t.insert(TVarId(3), 30);
-        assert_eq!(*t.get(TVarId(3)).unwrap(), 30);
+        assert_eq!(t.get(TVarId(3)), Some(30));
         assert!(t.get(TVarId(4)).is_none());
         assert_eq!(t.len(), 1);
     }
@@ -575,7 +594,7 @@ mod tests {
         let t: VarTable<u64> = VarTable::new();
         assert!(t.insert_if_absent(TVarId(3), 30));
         assert!(!t.insert_if_absent(TVarId(3), 99));
-        assert_eq!(*t.get(TVarId(3)).unwrap(), 30);
+        assert_eq!(t.get(TVarId(3)), Some(30));
         assert_eq!(t.len(), 1);
         // Racing registrations agree on one winner and one live entry.
         let t: VarTable<u64> = VarTable::new();
@@ -597,7 +616,7 @@ mod tests {
         let t: VarTable<u64> = VarTable::new();
         t.insert(TVarId(3), 30);
         t.insert(TVarId(3), 31);
-        assert_eq!(*t.get(TVarId(3)).unwrap(), 31);
+        assert_eq!(t.get(TVarId(3)), Some(31));
         assert_eq!(t.len(), 1);
         assert_eq!(t.freed(), 0, "replacement is not a free");
     }
@@ -610,7 +629,7 @@ mod tests {
         assert_eq!(a.0 + 2, b.0, "blocks must be back-to-back");
         assert!(a.0 >= DYNAMIC_TVAR_BASE);
         for (i, want) in [(a.0, 1), (a.0 + 1, 2), (b.0, 3), (b.0 + 1, 4), (b.0 + 2, 5)] {
-            assert_eq!(*t.get(TVarId(i)).unwrap(), want);
+            assert_eq!(t.get(TVarId(i)), Some(want));
         }
         assert_eq!(t.dynamic_allocated(), 5);
     }
@@ -661,7 +680,7 @@ mod tests {
     #[should_panic(expected = "not registered")]
     fn get_or_panic_diagnostic() {
         let t: VarTable<u64> = VarTable::new();
-        let _ = t.get_or_panic(TVarId(77));
+        let _ = t.get_ref_or_panic_in(TVarId(77), &epoch::pin());
     }
 
     #[test]
@@ -670,7 +689,7 @@ mod tests {
         let t: VarTable<u64> = VarTable::new();
         let a = t.alloc_block(&[9], |_, v| v);
         t.remove(a);
-        let _ = t.get_or_panic(a);
+        let _ = t.get_ref_or_panic_in(a, &epoch::pin());
     }
 
     #[test]
@@ -682,8 +701,8 @@ mod tests {
         for k in 0..3 {
             assert!(t.get(TVarId(a.0 + k)).is_none(), "freed id still resolves");
         }
-        assert_eq!(*t.get(b).unwrap(), 4);
-        assert_eq!(*t.get(TVarId(b.0 + 1)).unwrap(), 5);
+        assert_eq!(t.get(b), Some(4));
+        assert_eq!(t.get(TVarId(b.0 + 1)), Some(5));
         assert_eq!(t.len(), 2);
         assert_eq!(t.freed(), 3);
         // Idempotent: re-removal is a no-op and does not inflate the metric.
@@ -713,14 +732,31 @@ mod tests {
         );
     }
 
+    /// The liveness argument every borrowing backend rests on: a value
+    /// evicted while a pin that loaded it is held is freed after that pin
+    /// is released — not at the tombstone, not twice, not never.
     #[test]
-    fn outstanding_handles_survive_removal() {
-        let t: VarTable<u64> = VarTable::new();
-        let a = t.alloc_block(&[9], |_, v| v);
-        let held = t.get(a).unwrap();
-        t.remove(a);
-        assert!(t.get(a).is_none());
-        assert_eq!(*held, 9, "zombie-held state stays valid after eviction");
+    fn a_pin_keeps_an_evicted_value_allocated() {
+        use super::test_support::{collect_until, Counted};
+        let drops = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let t: VarTable<Counted> = VarTable::new();
+        let a = t.alloc_block(&[9], |_, _| Counted(std::sync::Arc::clone(&drops)));
+        let pin = epoch::pin();
+        let held = t.get_ref_or_panic_in(a, &pin);
+        assert!(t.remove(a));
+        assert!(t.get_ref_in(a, &pin).is_none());
+        // A collection run by somebody else must pass the value over too.
+        std::thread::scope(|s| s.spawn(|| drop(epoch::pin())).join().unwrap());
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "freed under the pin");
+        assert_eq!(
+            std::sync::Arc::strong_count(&held.0),
+            2,
+            "zombie-held state stays valid after eviction"
+        );
+        drop(pin);
+        collect_until(&drops, 1);
+        drop(t);
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "freed twice");
     }
 
     #[test]
@@ -749,7 +785,7 @@ mod tests {
         let _ = t.alloc_block(&filler, |_, v| v);
         let b = t.alloc_block(&[10, 11, 12, 13], |_, v| v);
         for k in 0..4 {
-            assert_eq!(*t.get(TVarId(b.0 + k)).unwrap(), 10 + k);
+            assert_eq!(t.get(TVarId(b.0 + k)), Some(10 + k));
         }
         t.remove_block(b, 4);
         for k in 0..4 {
@@ -758,8 +794,8 @@ mod tests {
         assert_eq!(t.len(), PAGE_SIZE - 2);
     }
 
-    /// Readers racing eviction either get the value (kept alive by their
-    /// own `Arc`) or a clean miss — never a torn state. This is the
+    /// Readers racing eviction either get the value (kept allocated by
+    /// their pin) or a clean miss — never a torn state. This is the
     /// concurrent alloc/get/remove stress the epoch protection exists for.
     #[test]
     fn concurrent_get_races_remove_safely() {
@@ -785,10 +821,11 @@ mod tests {
                     while !stop.load(std::sync::atomic::Ordering::Acquire) {
                         let candidates: Vec<TVarId> =
                             published.lock().unwrap().iter().copied().collect();
+                        let pin = epoch::pin();
                         for b in candidates {
-                            if let Some(v) = t.get(b) {
+                            if let Some(v) = t.get_ref_in(b, &pin) {
                                 // The paired word must agree if still live.
-                                if let Some(w) = t.get(TVarId(b.0 + 1)) {
+                                if let Some(w) = t.get_ref_in(TVarId(b.0 + 1), &pin) {
                                     assert_eq!(*w, *v + 1, "torn block observed");
                                 }
                             }
@@ -803,5 +840,35 @@ mod tests {
             t.dynamic_allocated(),
             "live + freed must equal allocated"
         );
+    }
+}
+
+/// Drop counting for the liveness tests here and in `dstm::tx`.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// A payload that counts its drops.
+    pub(crate) struct Counted(pub(crate) Arc<AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Unpins (collecting each time) until `drops` reaches `want`: sibling
+    /// tests pin the same process-global epoch and may hold garbage back
+    /// for a moment. Fails if it never gets there, or overshoots.
+    pub(crate) fn collect_until(drops: &AtomicUsize, want: usize) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while drops.load(Ordering::SeqCst) < want {
+            assert!(Instant::now() < deadline, "retired state never freed");
+            drop(crossbeam_epoch::pin());
+            std::thread::yield_now();
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), want, "freed twice");
     }
 }

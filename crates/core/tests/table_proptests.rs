@@ -2,7 +2,7 @@
 //! interleaved static inserts, block allocations, frees and lookups,
 //! replayed against a model `HashMap` — the slab must agree op-for-op on
 //! presence, values, the live count and the freed metric, and a freed id
-//! must keep producing the uniform `get_or_panic` diagnostic.
+//! must keep producing the uniform `get_ref_or_panic_in` diagnostic.
 //!
 //! A failing case prints `PROPTEST_SEED=…` for exact replay (the shim has
 //! no shrinking; seeds replay instead).
@@ -70,7 +70,7 @@ proptest! {
                 }
                 // Lookup of a static id.
                 _ => {
-                    let got = table.get(TVarId(a)).map(|v| *v);
+                    let got = table.get(TVarId(a));
                     prop_assert_eq!(got, model.get(&a).copied(), "get({})", a);
                 }
             }
@@ -80,8 +80,9 @@ proptest! {
 
         // Every model entry resolves; every freed block misses — and via
         // the uniform diagnostic.
+        let pin = crossbeam_epoch::pin();
         for (&k, &v) in &model {
-            prop_assert_eq!(*table.get_or_panic(TVarId(k)), v);
+            prop_assert_eq!(*table.get_ref_or_panic_in(TVarId(k), &pin), v);
         }
         for &(base, len, freed) in &blocks {
             if freed {
@@ -89,7 +90,7 @@ proptest! {
                     let id = TVarId(base + k as u64);
                     prop_assert!(table.get(id).is_none(), "freed id {} still resolves", id.0);
                     let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        table.get_or_panic(id)
+                        *table.get_ref_or_panic_in(id, &pin)
                     }))
                     .expect_err("freed id must panic");
                     let msg = panic

@@ -311,6 +311,10 @@ pub struct Owned<T> {
 // SAFETY: `Owned` is a unique owner (a `Box` by another name); sending
 // it transfers the single handle, which is safe exactly when `T: Send`.
 unsafe impl<T: Send> Send for Owned<T> {}
+// SAFETY: `&Owned<T>` only hands out `&T` (`Deref`), so sharing it is
+// sharing `&T` — safe exactly when `T: Sync` (as for `Box`, and as in the
+// real crate).
+unsafe impl<T: Sync> Sync for Owned<T> {}
 
 impl<T> Owned<T> {
     pub fn new(value: T) -> Self {

@@ -277,6 +277,61 @@ fn hybrid_history_spanning_forced_migration_is_serializable() {
     assert_eq!(v, 256, "lost update across migration");
 }
 
+/// A contract-breaking zombie: its variable is evicted under it with
+/// `free_tvar_block` directly — no grace period, so nothing but the
+/// zombie's own epoch pin stands between its logs (which *borrow* the
+/// variable) and freed memory. Whatever it does next must end in a clean
+/// commit or abort, or in the uniform `not registered` panic.
+#[test]
+fn zombie_over_an_evicted_variable_fails_cleanly() {
+    use oftm::core::api::TxResult;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    for name in STMS {
+        for reread in [false, true] {
+            let stm = oftm_bench_shim::make_stm(name, None);
+            stm.register_tvar(TVarId(0), 0);
+            let node = stm.alloc_tvar_block(&[7, 8]);
+            let outcome = catch_unwind(AssertUnwindSafe(|| -> TxResult<()> {
+                let mut zombie = stm.begin(1);
+                // Both logs now hold an entry over the block.
+                assert_eq!(zombie.read(node)?, 7);
+                zombie.write(TVarId(node.0 + 1), 9)?;
+                stm.free_tvar_block(node, 2);
+                if *name != "coarse" {
+                    // A foreign commit: the zombie must re-validate what
+                    // it read. (Under the global lock nobody else can run
+                    // beside the zombie; its undo log is the borrower.)
+                    run_transaction(&*stm, 2, |tx| {
+                        let v = tx.read(TVarId(0))?;
+                        tx.write(TVarId(0), v + 1)
+                    });
+                }
+                zombie.read(TVarId(0))?;
+                if reread {
+                    let v = zombie.read(node)?;
+                    assert_eq!(v, 7, "{name}: evicted variable read garbage");
+                }
+                zombie.try_commit()
+            }));
+            if let Err(payload) = outcome {
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default();
+                assert!(
+                    msg.contains("not registered"),
+                    "{name} (reread: {reread}): zombie died of {msg:?}"
+                );
+            }
+            // The instance is still usable and the eviction stood.
+            let (v, _) = run_transaction(&*stm, 3, |tx| tx.read(TVarId(0)));
+            assert!(v <= 1, "{name}: {v}");
+            assert_eq!(stm.live_tvars(), 1, "{name}");
+        }
+    }
+}
+
 #[test]
 fn obstruction_freedom_flags_match_design() {
     let expectations = [
