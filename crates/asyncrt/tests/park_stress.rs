@@ -5,15 +5,18 @@
 //! strictly fewer re-runs than the spin-backoff baseline at equal
 //! contention.
 
-mod common;
-
 use async_executor::Executor;
-use common::{make_stm, STM_NAMES};
 use oftm_asyncrt::{run_transaction_async_budgeted, run_transaction_async_ro_budgeted};
+use oftm_bench::STM_NAMES;
 use oftm_core::api::{run_transaction_with_budget, WordStm};
 use oftm_histories::TVarId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The bench factory's backend, shareable with executor tasks.
+fn make_stm(name: &str) -> Arc<dyn WordStm> {
+    Arc::from(oftm_bench::make_stm(name, None))
+}
 
 /// Generous budget: exhausting it means livelock (or a lost wakeup that
 /// even the watchdog path failed to paper over), reported as a failure.

@@ -10,7 +10,8 @@ use oftm_asyncrt::run_transaction_async_budgeted;
 use oftm_core::api::{run_transaction_with_budget, WordStm};
 use oftm_core::TxError;
 use oftm_histories::TVarId;
-use oftm_obs::ring::{self, TxEvent};
+use oftm_obs::ring::{self, Drained, TxEvent};
+use oftm_obs::trace::{chrome_json, validate};
 use std::future::Future;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -22,30 +23,6 @@ const WAITER: u32 = 7;
 struct NoopWake;
 impl Wake for NoopWake {
     fn wake(self: Arc<Self>) {}
-}
-
-/// Spans that cross the end of the span enclosing them, per track — the
-/// sweep `check_trace` runs over an exported file.
-fn partial_overlaps(spans: &[TxEvent]) -> Vec<(TxEvent, TxEvent)> {
-    let mut sorted: Vec<&TxEvent> = spans.iter().collect();
-    sorted.sort_by_key(|e| (e.track(), e.nanos, std::cmp::Reverse(e.dur)));
-    let mut bad = Vec::new();
-    let mut open: Vec<&TxEvent> = Vec::new();
-    for e in sorted {
-        while open
-            .last()
-            .is_some_and(|o| o.track() != e.track() || o.nanos + o.dur <= e.nanos)
-        {
-            open.pop();
-        }
-        if let Some(outer) = open.last() {
-            if e.nanos + e.dur > outer.nanos + outer.dur {
-                bad.push((**outer, *e));
-            }
-        }
-        open.push(e);
-    }
-    bad
 }
 
 #[test]
@@ -108,6 +85,12 @@ fn parked_transaction_spans_nest_on_every_track() {
     let of_waiter = |e: &&TxEvent| e.kind == "attempt" && e.a == u64::from(WAITER);
     assert_eq!(spans.iter().filter(of_waiter).count(), 3, "{spans:?}");
     assert_eq!(spans.iter().filter(|e| e.kind == "park").count(), 1);
-    let bad = partial_overlaps(&spans);
-    assert!(bad.is_empty(), "spans neither disjoint nor nested: {bad:?}");
+    // The exporter's own gate: disjoint or nested on every track.
+    let exported = chrome_json(&Drained {
+        events: spans,
+        ..Drained::default()
+    });
+    if let Err(errors) = validate(&exported) {
+        panic!("spans neither disjoint nor nested: {errors:?}\n{exported}");
+    }
 }

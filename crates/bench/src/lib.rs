@@ -1,13 +1,14 @@
-//! # oftm-bench — workload generators and the experiment harness
+//! # oftm-bench — workload generators and the differential runner
 //!
-//! Shared machinery for the experiment binaries (`src/bin/*`, one per
-//! figure/claim of the paper — see DESIGN.md's per-experiment index) and
-//! the Criterion benches. Everything operates through the uniform
-//! [`WordStm`] interface so DSTM, Algorithm 2 and the lock-based baselines
-//! run byte-identical workloads.
+//! Shared machinery for the paper-reproduction binaries (`src/bin/*`, one
+//! per figure/claim of the paper — the root README's "Experiments" section
+//! is the per-experiment index) and the differential scenario runner
+//! ([`harness`]). Everything operates through the uniform [`WordStm`]
+//! interface so DSTM, Algorithm 2 and the lock-based baselines run
+//! byte-identical workloads. Timing comparisons across commits come from
+//! the `benchmark/` package, not from here.
 
 pub mod harness;
-pub mod structs_harness;
 
 use oftm_baselines::{CoarseStm, Tl2Stm, TlStm};
 use oftm_core::api::{run_transaction, WordStm};
@@ -16,7 +17,6 @@ use oftm_core::dstm::{Dstm, DstmWord};
 use oftm_core::record::Recorder;
 use oftm_histories::{BaseObjId, DapViolation, TVarId};
 use oftm_hybrid::{HybridConfig, HybridStm};
-use oftm_obs::StatsSnapshot;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -281,85 +281,8 @@ pub fn run_workload(
     }
 }
 
-/// The `meta` block every `BENCH_*.json` emitter puts at the top level:
-/// the harness seed, the git revision the binary was run against, and
-/// the run profile — the three facts needed to compare committed
-/// `BENCH_*.json` snapshots across PRs (a number without its revision
-/// and profile is not a datum). Returns a complete `"meta": {...}` JSON
-/// member (no trailing comma).
-pub fn bench_meta_json(seed: u64, run_profile: &str) -> String {
-    let mut git_rev = std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| {
-            s.trim()
-                .chars()
-                .filter(|c| c.is_ascii_hexdigit())
-                .collect::<String>()
-        })
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into());
-    // Numbers produced from an uncommitted tree must not masquerade as
-    // the named commit's — that would attribute them to code that did
-    // not produce them.
-    let dirty = std::process::Command::new("git")
-        .args(["status", "--porcelain"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| !o.stdout.is_empty())
-        .unwrap_or(false);
-    if dirty {
-        git_rev.push_str("-dirty");
-    }
-    format!("\"meta\": {{\"seed\": {seed}, \"git_rev\": \"{git_rev}\", \"run_profile\": \"{run_profile}\"}}")
-}
-
-/// The shared head of a `BENCH_*.json` document: the opening brace, the
-/// `"bench"` name, the [`bench_meta_json`] block, and (when `stms` is
-/// non-empty) the `"stms"` axis — assembly the table emitters used to
-/// duplicate. The caller appends `"results": [...]` and the closing
-/// brace.
-pub fn bench_json_head(bench: &str, seed: u64, run_profile: &str, stms: &[&str]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"bench\": \"{}\",\n", json_escape_free(bench)));
-    s.push_str(&format!("  {},\n", bench_meta_json(seed, run_profile)));
-    if !stms.is_empty() {
-        s.push_str(&format!(
-            "  \"stms\": [{}],\n",
-            stms.iter()
-                .map(|n| format!("\"{}\"", json_escape_free(n)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-    }
-    s
-}
-
-/// The telemetry delta of a timed phase: `stm`'s counters and histograms
-/// now, minus the `base` snapshot taken when the clock started (after
-/// warmup). Every `BENCH_*.json` cell embeds the result's
-/// [`StatsSnapshot::json`].
-pub fn stats_since(stm: &dyn WordStm, base: &StatsSnapshot) -> StatsSnapshot {
-    stm.stats().snapshot().since(base)
-}
-
-/// Asserts (rather than escapes) that a string destined for a
-/// hand-rolled `BENCH_*.json` needs no JSON escaping — every emitted
-/// string is a static identifier, so an escape-worthy character is a
-/// bug, not data. Shared by all the JSON-emitting experiment binaries.
-pub fn json_escape_free(s: &str) -> &str {
-    assert!(s
-        .chars()
-        .all(|c| c.is_ascii_graphic() && c != '"' && c != '\\'));
-    s
-}
-
-/// Prints a Markdown-style table row (experiment binaries share a uniform
-/// output format that EXPERIMENTS.md records).
+/// Prints a Markdown-style table row (the experiment binaries share one
+/// output format).
 pub fn print_row(cells: &[String]) {
     println!("| {} |", cells.join(" | "));
 }
@@ -441,15 +364,6 @@ mod tests {
             });
             assert_eq!(total, 8 * 1000, "{name}: money not conserved");
         }
-    }
-
-    #[test]
-    fn bench_meta_block_shape() {
-        let m = bench_meta_json(42, "smoke");
-        assert!(m.starts_with("\"meta\": {"), "{m}");
-        assert!(m.contains("\"seed\": 42"), "{m}");
-        assert!(m.contains("\"run_profile\": \"smoke\""), "{m}");
-        assert!(m.contains("\"git_rev\": \""), "{m}");
     }
 
     #[test]

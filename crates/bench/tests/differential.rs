@@ -1,12 +1,14 @@
-//! Enforced gate: the differential stress harness over the full scenario
-//! matrix. Any oracle violation panics with the scenario's reproduction
-//! seed (`HARNESS_SEED=… cargo test -p oftm-bench`).
+//! Enforced gate: the differential runner over the full scenario matrix —
+//! all eleven kinds, every STM, every per-cell oracle. Any violation
+//! panics with the scenario's reproduction seed
+//! (`HARNESS_SEED=… cargo test -p oftm-bench`).
 
 use oftm_bench::harness::{
-    run_differential, run_matrix, run_migration_forcing, Scenario, ScenarioKind, ALL_SCENARIOS,
+    derive_seed, report, run_differential, run_matrix, run_migration_forcing, Scenario,
+    ScenarioKind, ALL_SCENARIOS,
 };
 
-/// All five scenarios × {1, 2, 4} threads, every STM, one seed per cell.
+/// All eleven scenarios × {1, 2, 4} threads, every STM, one seed per cell.
 #[test]
 fn differential_matrix_low_concurrency() {
     match run_matrix(&[1, 2, 4], 1) {
@@ -30,11 +32,26 @@ fn differential_matrix_eight_threads() {
 #[test]
 fn bank_transfer_multi_seed() {
     for round in 0..4u64 {
-        let seed = oftm_bench::harness::derive_seed(0xB4A2_0000 | round);
+        let seed = derive_seed(0xB4A2_0000 | round);
         let sc = Scenario::new(ScenarioKind::BankTransfer, 4, seed);
         if let Err(failures) = run_differential(&sc) {
-            let lines: Vec<String> = failures.iter().map(|f| f.to_string()).collect();
-            panic!("bank-transfer differential failures:\n{}", lines.join("\n"));
+            panic!(
+                "bank-transfer differential failures:\n{}",
+                report(&failures)
+            );
+        }
+    }
+}
+
+/// The queue's FIFO/conservation oracles across several independent seeds
+/// at moderate concurrency (the likeliest shape to expose lost elements).
+#[test]
+fn queue_multi_seed() {
+    for round in 0..3u64 {
+        let seed = derive_seed(0x0_BEEF_0000 | round);
+        let sc = Scenario::new(ScenarioKind::QueueProducerConsumer, 4, seed);
+        if let Err(failures) = run_differential(&sc) {
+            panic!("queue differential failures:\n{}", report(&failures));
         }
     }
 }
@@ -50,18 +67,14 @@ fn hybrid_migration_forced_mid_scenario() {
         (0x316A_0001u64, ScenarioKind::Hotspot),
         (0x316A_0002u64, ScenarioKind::WriteHeavy),
     ] {
-        let seed = oftm_bench::harness::derive_seed(salt);
-        let mut sc = Scenario::new(kind, 8, seed);
+        let mut sc = Scenario::new(kind, 8, derive_seed(salt));
         sc.ops_per_thread = 256; // long enough that a storm must escalate
         match run_migration_forcing(&sc) {
             Ok(outcome) => assert!(
                 outcome.stats.get(oftm_obs::Counter::ModeMigrations) > 0,
                 "forcing cell reported success without migrations"
             ),
-            Err(failures) => {
-                let lines: Vec<String> = failures.iter().map(|f| f.to_string()).collect();
-                panic!("migration-forcing failures:\n{}", lines.join("\n"));
-            }
+            Err(failures) => panic!("migration-forcing failures:\n{}", report(&failures)),
         }
     }
 }
@@ -74,11 +87,7 @@ fn hybrid_migration_forced_mid_scenario() {
 /// count is exactly `ops_per_thread`.
 #[test]
 fn exact_checkers_engage_on_small_runs() {
-    let mut sc = Scenario::new(
-        ScenarioKind::WriteHeavy,
-        1,
-        oftm_bench::harness::derive_seed(0xE4AC),
-    );
+    let mut sc = Scenario::new(ScenarioKind::WriteHeavy, 1, derive_seed(0xE4AC));
     sc.ops_per_thread = 6; // 6 txs ≤ exact-check cap of 10, deterministically
     match run_differential(&sc) {
         Ok(report) => {
@@ -90,9 +99,27 @@ fn exact_checkers_engage_on_small_runs() {
                 );
             }
         }
-        Err(failures) => {
-            let lines: Vec<String> = failures.iter().map(|f| f.to_string()).collect();
-            panic!("small-run differential failures:\n{}", lines.join("\n"));
+        Err(failures) => panic!("small-run differential failures:\n{}", report(&failures)),
+    }
+}
+
+/// Attempt accounting: every outcome reports at least one attempt per
+/// committed op, and the budget machinery never fires on these workloads.
+#[test]
+fn attempts_reported_per_outcome() {
+    let sc = Scenario::new(ScenarioKind::IntSetMix, 4, derive_seed(0xA77E));
+    match run_differential(&sc) {
+        Ok(report) => {
+            for o in &report.outcomes {
+                assert!(
+                    o.attempts >= o.committed_ops,
+                    "{}: {} attempts for {} committed ops",
+                    o.stm,
+                    o.attempts,
+                    o.committed_ops
+                );
+            }
         }
+        Err(failures) => panic!("intset differential failures:\n{}", report(&failures)),
     }
 }

@@ -36,7 +36,11 @@ use oftm_histories::BaseObjId;
 use std::cell::UnsafeCell;
 use std::sync::Arc;
 
-/// A DSTM locator for values of type `T`.
+/// A DSTM locator for values of type `T`. `repr(C)` with `owner` first:
+/// a pointer to any `Locator<T>` is a pointer to its owner, which is what
+/// lets a type-erased read-set entry name who replaced the locator it
+/// read ([`super::tvar::TVarInner::current_owner`]).
+#[repr(C)]
 pub struct Locator<T> {
     /// The transaction that installed this locator; `None` is `T_0`.
     pub owner: Option<Arc<Descriptor>>,

@@ -16,9 +16,10 @@
 //! middle of a transaction that read through it frees nothing that
 //! transaction can still reach.
 
+use super::descriptor::Descriptor;
 use super::locator::Locator;
 use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
-use oftm_histories::{BaseObjId, TVarId};
+use oftm_histories::{BaseObjId, TVarId, TxId};
 use std::mem::ManuallyDrop;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -134,8 +135,23 @@ impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
         // every instantiation the same layout (`T` sits behind the cell's
         // thin pointer). The view is a borrow — never dropped — through
         // which the engine reads the ids and compares the cell's pointer
-        // (`current`); it never dereferences that pointer.
+        // (`current`); the one thing it reads behind that pointer is the
+        // `T`-independent first field (`current_owner`).
         unsafe { &*(self as *const Self).cast() }
+    }
+
+    /// The transaction that installed the current locator (`None` is
+    /// `T_0`): whom to name when a read of this variable fails validation.
+    /// Abort path only; sound on the [`TVarInner::erased`] view.
+    #[cold]
+    pub(crate) fn current_owner(&self, guard: &Guard) -> Option<TxId> {
+        let loc = self.load(guard).as_raw();
+        // SAFETY: never null and loaded under `guard` (locators are only
+        // retired via `defer_destroy` after being unlinked). `Locator` is
+        // `repr(C)` with `owner` first, so the cast holds whatever `T` the
+        // variable really carries, and `owner` is immutable once built.
+        let owner = unsafe { &*loc.cast::<Option<Arc<Descriptor>>>() };
+        owner.as_ref().map(|d| d.id())
     }
 
     /// Loads the current locator under `guard`.

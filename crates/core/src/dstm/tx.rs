@@ -193,9 +193,10 @@ impl<'s> Tx<'s> {
     }
 
     /// Scans the entire read-set. Returns the first invalidated entry's
-    /// t-variable (the conflict attribution of a `ReadValidation` abort),
-    /// or `None` when consistent.
-    fn first_invalid(&self) -> Option<TVarId> {
+    /// t-variable and the transaction whose acquisition replaced the
+    /// locator we read (the conflict attribution of a `ReadValidation`
+    /// abort), or `None` when consistent.
+    fn first_invalid(&self) -> Option<(TVarId, u64)> {
         self.full_scans.set(self.full_scans.get() + 1);
         self.scratch
             .read_set
@@ -204,7 +205,19 @@ impl<'s> Tx<'s> {
                 self.rstep(e.var.base, Access::Read);
                 e.var.current(&self.guard) != e.addr
             })
-            .map(|e| e.var.id)
+            .map(|e| (e.var.id, self.aggressor_over(&e.var)))
+    }
+
+    /// Who holds `var` now, as a forensic aggressor id: the same meaning
+    /// TL/TL2's commit-lock writer stamp has. [`TX_UNKNOWN`] for `T_0`'s
+    /// locator and for our own. Kept out of line: abort path only.
+    #[cold]
+    #[inline(never)]
+    fn aggressor_over<T: Clone + Send + Sync + 'static>(&self, var: &TVarInner<T>) -> u64 {
+        match var.current_owner(&self.guard) {
+            Some(id) if id != self.desc.id() => pack_tx(id.proc, id.seq),
+            _ => TX_UNKNOWN,
+        }
     }
 
     /// The gate check (module docs): free while no update transaction
@@ -216,12 +229,12 @@ impl<'s> Tx<'s> {
                 self.seen = now;
                 Ok(())
             }
-            Err(x) => self.fail_validation(x),
+            Err(invalid) => self.fail_validation(invalid),
         }
     }
 
-    fn fail_validation(&mut self, x: TVarId) -> TxResult<()> {
-        self.abort_self(AbortCause::ReadValidation, VarAttr::Var(x.0), TX_UNKNOWN);
+    fn fail_validation(&mut self, (x, aggressor): (TVarId, u64)) -> TxResult<()> {
+        self.abort_self(AbortCause::ReadValidation, VarAttr::Var(x.0), aggressor);
         Err(TxError::Aborted)
     }
 
@@ -391,7 +404,7 @@ impl<'s> Tx<'s> {
             let (var, addr) = (v.erased(), shared.as_raw() as usize);
             let mut entries = self.scratch.read_set.iter();
             if entries.any(|e| e.is_of(var) && e.addr != addr) {
-                return self.fail_validation(v.id);
+                return self.fail_validation((v.id, self.aggressor_over(v)));
             }
 
             let new_loc = Owned::new(Locator::new(Arc::clone(&self.desc), old_val, value.clone()));
@@ -434,8 +447,8 @@ impl<'s> Tx<'s> {
         } else {
             self.rstep(self.stm.commit_counter_base(), Access::Modify);
             let gate = self.stm.gate();
-            if let Err(x) = gate.commit_point(self.seen, || self.first_invalid()) {
-                return self.fail_validation(x);
+            if let Err(invalid) = gate.commit_point(self.seen, || self.first_invalid()) {
+                return self.fail_validation(invalid);
             }
         }
         let won = self.desc.try_commit();

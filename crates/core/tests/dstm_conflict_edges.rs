@@ -1,9 +1,9 @@
 //! Edge-attribution exactness for DSTM: a deterministically forced
 //! conflict must produce exactly one who-aborted-whom edge naming the
-//! aggressor **transaction** (not just its process) via the descriptor's
-//! killer stamp — and a conflict whose aggressor is genuinely unknown
-//! must produce a heatmap row and **no** edge (attribution is reported,
-//! never invented). Sibling of the cause-exactness tests in
+//! aggressor **transaction** (not just its process) — via the
+//! descriptor's killer stamp for a contention-manager kill, via the
+//! owner of the locator that replaced the one we read for a failed
+//! validation. Sibling of the cause-exactness tests in
 //! `cm_forced_conflict.rs`.
 
 use oftm_core::cm::{Aggressive, Polite};
@@ -54,12 +54,12 @@ fn forced_cm_kill_records_one_exact_edge() {
 }
 
 /// Forced stale read under Polite: commit-time validation catches the
-/// invalidated read, but DSTM's locator does not record which peer
-/// committed the newer version — the heatmap must still attribute the
-/// variable, and the edge table must stay empty rather than fabricate
-/// an aggressor.
+/// invalidated read, and the locator now installed in the variable names
+/// the transaction whose acquisition replaced the one we read — the same
+/// meaning TL/TL2's writer stamp has. Exactly one edge: that writer,
+/// `ReadValidation`, over `x`.
 #[test]
-fn stale_read_attributes_variable_without_fabricating_an_edge() {
+fn stale_read_names_the_writer_that_replaced_the_locator() {
     let stm = Dstm::new(Arc::new(Polite::default()));
     let x = stm.new_tvar(0u64);
     let forensics = stm.stats().forensics();
@@ -67,8 +67,10 @@ fn stale_read_attributes_variable_without_fabricating_an_edge() {
     forensics.reset();
 
     let mut reader = stm.begin(0);
+    let reader_id = reader.id();
     assert_eq!(reader.read(&x).expect("clean first read"), 0);
     let mut writer = stm.begin(1);
+    let writer_id = writer.id();
     writer.write(&x, 7).expect("writer is unopposed");
     writer.commit().expect("writer commits");
     assert!(
@@ -80,8 +82,11 @@ fn stale_read_attributes_variable_without_fabricating_an_edge() {
     assert_eq!(hot.len(), 1, "the stale variable is attributed: {hot:?}");
     assert_eq!(hot[0].var, x.id().0);
     assert_eq!(hot[0].dominant_cause(), AbortCause::ReadValidation);
-    assert!(
-        forensics.edges().top_k(8).is_empty(),
-        "no peer is identifiable here — an edge would be an invention"
-    );
+    let edges = forensics.edges().top_k(8);
+    assert_eq!(edges.len(), 1, "exactly one edge: {edges:?}");
+    let e = &edges[0];
+    assert_eq!((e.count, e.cause), (1, AbortCause::ReadValidation));
+    assert_eq!(e.var, x.id().0);
+    assert_eq!(e.last_aggressor, pack_tx(writer_id.proc, writer_id.seq));
+    assert_eq!(e.last_victim, pack_tx(reader_id.proc, reader_id.seq));
 }

@@ -7,8 +7,7 @@
 //! commit-critical-section length, park duration). The always-on cost of
 //! a transaction is a handful of uncontended relaxed increments plus two
 //! monotonic clock reads — cheap enough that the numbers are *never*
-//! compiled out, so every `BENCH_*.json` cell and every postmortem has
-//! them.
+//! compiled out, so every test oracle and every postmortem has them.
 //!
 //! Why causes and not just counts: the paper's argument is about *where*
 //! progress is lost — helping, aborts, version-chain walks. A single
@@ -112,9 +111,10 @@ impl AbortCause {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Transactions begun via `begin`.
+    /// Every transaction begun, on either path.
     Begins,
-    /// Transactions begun via the declared read-only path (`begin_ro`).
+    /// The subset of `Begins` that took the declared read-only path
+    /// (`begin_ro`).
     BeginsRo,
     /// Writing commits.
     Commits,
@@ -230,7 +230,7 @@ impl VarAttr {
 /// The abort path is never the hot path (a recorded abort already cost a
 /// failed validation or a lost CAS plus backoff), and recording is two
 /// relaxed increments — so exact tables are affordable, and the gates
-/// (`hot_vars` counts ≤ cell aborts, forced-conflict edge exactness) stay
+/// (heatmap counts ≤ counted aborts, forced-conflict edge exactness) stay
 /// deterministic. Raise `OFTM_FORENSICS_SAMPLE=N` to thin pathological
 /// abort storms to 1-in-N per thread; the first event on each thread is
 /// always recorded, so seeded single-conflict tests survive any rate.
@@ -327,49 +327,6 @@ impl Forensics {
     pub fn reset(&self) {
         self.heatmap.reset();
         self.edges.reset();
-    }
-
-    /// The top-`k` hot variables as a JSON array — the `hot_vars` field
-    /// every contended `BENCH_*.json` cell carries. Per-var `count`s are
-    /// sampled attributions, so they sum to ≤ the cell's exact `aborts`
-    /// (the inequality `check_bench_stats` gates on).
-    pub fn hot_vars_json(&self, k: usize) -> String {
-        let mut s = String::from("[");
-        for (i, h) in self.heatmap.top_k(k).iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"var\": {}, \"count\": {}, \"dominant\": \"{}\"}}",
-                h.var,
-                h.total,
-                h.dominant_cause().name()
-            ));
-        }
-        s.push(']');
-        s
-    }
-
-    /// The top-`k` conflict edges as a JSON array — the `hot_edges`
-    /// field of a `BENCH_*.json` cell.
-    pub fn hot_edges_json(&self, k: usize) -> String {
-        let mut s = String::from("[");
-        for (i, e) in self.edges.top_k(k).iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"aggressor\": {}, \"victim\": {}, \"cause\": \"{}\", \
-                 \"var\": {}, \"count\": {}}}",
-                e.aggressor_proc,
-                e.victim_proc,
-                e.cause.name(),
-                e.var,
-                e.count
-            ));
-        }
-        s.push(']');
-        s
     }
 }
 
@@ -704,7 +661,11 @@ impl StatsSnapshot {
         ABORT_CAUSES.iter().map(|&c| self.get(c.counter())).sum()
     }
 
-    /// Total committed transactions on any path.
+    /// Writing commits plus declared read-only commits. `CommitsPromoted`
+    /// (an update-declared transaction that wrote nothing) is a third
+    /// counter, disjoint from both and not included here: every begun
+    /// attempt ends as exactly one of the three or as one tagged abort,
+    /// `Begins == Commits + CommitsRo + CommitsPromoted + aborts()`.
     pub fn all_commits(&self) -> u64 {
         self.get(Counter::Commits) + self.get(Counter::CommitsRo)
     }
@@ -731,9 +692,10 @@ impl StatsSnapshot {
         }
     }
 
-    /// Total attempts started on any path (`begins + begins_ro`).
+    /// Total attempts started on any path: `Begins` counts every begin,
+    /// the declared read-only ones (`BeginsRo`) included.
     pub fn all_begins(&self) -> u64 {
-        self.get(Counter::Begins) + self.get(Counter::BeginsRo)
+        self.get(Counter::Begins)
     }
 
     /// Aborted attempts as a fraction of started attempts (0 when no
@@ -780,8 +742,7 @@ impl StatsSnapshot {
         }
     }
 
-    /// The canonical JSON object every `BENCH_*.json` cell embeds:
-    /// scalar counters, derived `aborts` (= sum of the cause breakdown
+    /// The snapshot as one JSON object: scalar counters, derived `aborts` (= sum of the cause breakdown
     /// in `abort_causes`), and the three latency histograms.
     pub fn json(&self) -> String {
         let mut s = String::from("{");
@@ -959,10 +920,10 @@ mod tests {
             stats.abort(AbortCause::LockBusy);
         }
         stats.abort(AbortCause::ReadValidation);
-        stats.incr(Counter::BeginsRo);
+        stats.incr(Counter::BeginsRo); // one of the ten, not an eleventh
         let delta = stats.snapshot().since(&warm);
         let r = delta.rates(2.0);
-        assert_eq!(r.begins_per_sec, 5.5); // (10 + 1 ro) / 2s
+        assert_eq!(r.begins_per_sec, 5.0);
         assert_eq!(r.commits_per_sec, 2.0);
         assert_eq!(r.aborts_per_sec, 3.5);
         assert_eq!(r.cause_rate(AbortCause::LockBusy), 3.0);
@@ -1059,28 +1020,25 @@ mod tests {
         stats.forensics().set_sample_period(1);
     }
 
+    /// A declared read-only begin increments `Begins` *and* `BeginsRo`
+    /// (every backend does), so the abort ratio divides by `Begins` alone:
+    /// counting the subset again understated it by up to 2× on a
+    /// read-mostly window.
     #[test]
-    fn forensics_json_fragments_are_balanced() {
+    fn declared_ro_begins_are_not_counted_twice() {
         let stats = StmStats::new();
-        stats.forensics().set_sample_period(1);
-        stats.abort_at(
-            AbortCause::LockBusy,
-            VarAttr::Var(11),
-            pack_tx(4, 1),
-            pack_tx(3, 9),
-        );
-        let vars = stats.forensics().hot_vars_json(8);
-        let edges = stats.forensics().hot_edges_json(8);
-        assert!(vars.contains("\"var\": 11"), "{vars}");
-        assert!(vars.contains("\"dominant\": \"lock_busy\""), "{vars}");
-        assert!(edges.contains("\"aggressor\": 3"), "{edges}");
-        for j in [&vars, &edges] {
-            assert!(j.starts_with('[') && j.ends_with(']'), "{j}");
-            assert_eq!(j.matches('{').count(), j.matches('}').count(), "{j}");
+        for _ in 0..10 {
+            stats.incr(Counter::Begins);
         }
-        stats.forensics().reset();
-        assert_eq!(stats.forensics().hot_vars_json(8), "[]");
-        assert_eq!(stats.forensics().hot_edges_json(8), "[]");
+        for _ in 0..9 {
+            stats.incr(Counter::BeginsRo);
+        }
+        for _ in 0..5 {
+            stats.abort(AbortCause::ReadValidation);
+        }
+        let snap = stats.snapshot();
+        assert_eq!(snap.all_begins(), 10);
+        assert_eq!(snap.abort_ratio(), 0.5);
     }
 
     #[test]

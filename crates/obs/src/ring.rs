@@ -39,7 +39,7 @@ pub struct TxEvent {
     pub a: u64,
     pub b: u64,
     /// Span duration in nanoseconds; 0 marks an instant event. Spans are
-    /// what [`crate::trace::export_chrome`] turns into `"X"` slices.
+    /// what [`crate::trace::chrome_json`] turns into `"X"` slices.
     pub dur: u64,
 }
 
@@ -180,7 +180,7 @@ pub struct Drained {
 
 /// Drains every thread's ring into one time-sorted batch, emptying the
 /// rings. The structured twin of [`drain_json`]; the Chrome-trace
-/// exporter ([`crate::trace::export_chrome`]) consumes this.
+/// exporter ([`crate::trace::chrome_json`]) consumes this.
 pub fn drain() -> Drained {
     let rings: Vec<Arc<Ring>> = registry().lock().unwrap().clone();
     let mut out = Drained::default();

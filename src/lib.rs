@@ -57,8 +57,9 @@
 //! assert_eq!(account_b.read_atomic(), 30);
 //! ```
 //!
-//! See `examples/` for runnable scenarios and DESIGN.md / EXPERIMENTS.md
-//! for the paper-to-code map.
+//! See `examples/` for runnable scenarios and the README's "Experiments"
+//! section for the paper-to-code map (bin → claim → the line a test
+//! checks).
 
 pub use oftm_algo2 as algo2;
 pub use oftm_asyncrt as asyncrt;

@@ -5,91 +5,14 @@
 
 use oftm::core::api::{run_transaction, WordStm};
 use oftm::Recorder;
+use oftm_bench::STM_NAMES as STMS;
 use oftm_histories::{check_of, conflict_serializable, serializable, TVarId};
 use std::sync::Arc;
 
-const STMS: &[&str] = &[
-    "dstm",
-    "tl",
-    "tl2",
-    "coarse",
-    "algo2-cas",
-    "algo2-splitter",
-    "hybrid",
-];
-
 fn instrumented(name: &str) -> (Box<dyn WordStm>, Arc<Recorder>) {
     let rec = Arc::new(Recorder::new());
-    let stm = oftm_bench_shim::make_stm(name, Some(Arc::clone(&rec)));
+    let stm = oftm_bench::make_stm(name, Some(Arc::clone(&rec)));
     (stm, rec)
-}
-
-/// Minimal local copy of the bench factory (the root package does not
-/// depend on oftm-bench to keep the façade lean).
-mod oftm_bench_shim {
-    use super::*;
-    pub fn make_stm(name: &str, rec: Option<Arc<Recorder>>) -> Box<dyn WordStm> {
-        match name {
-            "dstm" => {
-                let mut d = oftm::Dstm::new(Arc::new(oftm::core::cm::Polite::default()));
-                if let Some(r) = rec {
-                    d = d.with_recorder(r);
-                }
-                Box::new(oftm::DstmWord::new(d))
-            }
-            "tl" => {
-                let mut s = oftm::baselines::TlStm::new();
-                if let Some(r) = rec {
-                    s = s.with_recorder(r);
-                }
-                Box::new(s)
-            }
-            "tl2" => {
-                let mut s = oftm::baselines::Tl2Stm::new();
-                if let Some(r) = rec {
-                    s = s.with_recorder(r);
-                }
-                Box::new(s)
-            }
-            "coarse" => {
-                let mut s = oftm::baselines::CoarseStm::new();
-                if let Some(r) = rec {
-                    s = s.with_recorder(r);
-                }
-                Box::new(s)
-            }
-            "algo2-cas" => {
-                let mut s = oftm::algo2::Algo2Stm::new(oftm::algo2::FocKind::Cas);
-                if let Some(r) = rec {
-                    s = s.with_recorder(r);
-                }
-                Box::new(s)
-            }
-            "algo2-splitter" => {
-                let mut s = oftm::algo2::Algo2Stm::new(oftm::algo2::FocKind::SplitterTas);
-                if let Some(r) = rec {
-                    s = s.with_recorder(r);
-                }
-                Box::new(s)
-            }
-            "hybrid" => match rec {
-                Some(r) => Box::new(oftm::HybridStm::with_recorder(
-                    oftm::HybridConfig::default(),
-                    r,
-                )),
-                None => Box::new(oftm::HybridStm::new(oftm::HybridConfig::default())),
-            },
-            // Hair-trigger migration policy, for the forcing test below.
-            "hybrid-eager" => match rec {
-                Some(r) => Box::new(oftm::HybridStm::with_recorder(
-                    oftm::HybridConfig::eager(),
-                    r,
-                )),
-                None => Box::new(oftm::HybridStm::new(oftm::HybridConfig::eager())),
-            },
-            other => panic!("unknown {other}"),
-        }
-    }
 }
 
 #[test]
@@ -181,38 +104,6 @@ fn obstruction_free_impls_satisfy_definition_2() {
     }
 }
 
-/// The enforced differential gate: every STM through every seeded workload
-/// scenario at 1–8 threads, checked against the history checkers, the
-/// algebraic invariants, and cross-STM sequential agreement. Failures
-/// print a `HARNESS_SEED=…` line for one-command reproduction.
-#[test]
-fn differential_harness_gate() {
-    match oftm_bench::harness::run_matrix(&[1, 4, 8], 1) {
-        Ok(cells) => assert_eq!(
-            cells,
-            oftm_bench::harness::ALL_SCENARIOS.len() * 3,
-            "matrix did not cover every scenario × thread-count cell"
-        ),
-        Err(report) => panic!("differential harness failures:\n{report}"),
-    }
-}
-
-/// The collection differential gate: the three dynamic-structure
-/// scenarios (`intset-mix`, `queue-producer-consumer`, `map-churn`) across
-/// every STM × 1–8 threads, with structure invariants, history checks and
-/// cross-STM sequential-replay agreement. Failures print `HARNESS_SEED=…`.
-#[test]
-fn structs_differential_harness_gate() {
-    match oftm_bench::structs_harness::run_structs_matrix(&[1, 4, 8], 1) {
-        Ok(cells) => assert_eq!(
-            cells,
-            oftm_bench::structs_harness::ALL_STRUCT_SCENARIOS.len() * 3,
-            "matrix did not cover every collection scenario × thread-count cell"
-        ),
-        Err(report) => panic!("collection differential failures:\n{report}"),
-    }
-}
-
 /// Dynamic allocation is part of the uniform interface: every STM hands
 /// out contiguous blocks, usable immediately from inside a running
 /// transaction, with ids disjoint from the static range.
@@ -288,7 +179,7 @@ fn zombie_over_an_evicted_variable_fails_cleanly() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     for name in STMS {
         for reread in [false, true] {
-            let stm = oftm_bench_shim::make_stm(name, None);
+            let stm = oftm_bench::make_stm(name, None);
             stm.register_tvar(TVarId(0), 0);
             let node = stm.alloc_tvar_block(&[7, 8]);
             let outcome = catch_unwind(AssertUnwindSafe(|| -> TxResult<()> {

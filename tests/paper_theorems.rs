@@ -1,5 +1,6 @@
 //! Integration: each theorem-level claim of the paper as an executable
-//! assertion (the test-suite companion of EXPERIMENTS.md).
+//! assertion (the test-suite companion of the README's "Experiments"
+//! index and of `crates/bench/tests/paper_bins.rs`).
 
 use oftm::sim::{explore, fig2_scan, summarize, FocRetryConsensus, TasTwoConsensus};
 
