@@ -318,6 +318,14 @@ impl<P: ReadPolicy> VersionedLockStm<P> {
         self
     }
 
+    /// Publishes commits to `notify` instead of an endpoint of its own
+    /// (the hybrid backend hands both embedded engines a clone of its
+    /// notifier, so waiters parked on the facade survive a migration).
+    pub fn with_notifier(mut self, notify: CommitNotifier) -> Self {
+        self.notify = notify;
+        self
+    }
+
     /// Starts transaction sequence numbers at `base`, so two engines
     /// embedded behind one facade (and one recorder) never mint colliding
     /// `TxId`s for the same process.
@@ -721,6 +729,10 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
         out.extend(self.log.writes.iter().map(|(x, _, _)| *x));
         out.extend(self.at.conflict_hint);
     }
+
+    fn doomed(&self) -> bool {
+        self.at.dead
+    }
 }
 
 impl<P: ReadPolicy> Drop for RwTx<'_, P> {
@@ -820,6 +832,10 @@ impl<P: ReadPolicy> WordTx for RoTx<'_, P> {
         // known. Read-only futures never park, so this is purely
         // diagnostic.
         out.extend(self.at.conflict_hint);
+    }
+
+    fn doomed(&self) -> bool {
+        self.at.dead
     }
 }
 
@@ -951,6 +967,21 @@ mod tests {
         run_transaction(&s, 1, |tx| tx.write(X, 9));
         t1.write(Y, 1).unwrap();
         assert!(t1.try_commit().is_err());
+    }
+
+    fn doomed_tells_an_abort_from_a_live_attempt<P: ReadPolicy>() {
+        let mut s = stm::<P>();
+        s.lock_patience = 1;
+        let pin = epoch::pin();
+        let x = s.vars.get_ref_or_panic_in(X, &pin);
+        let prev = x.try_lock(pack_tx(7, 3)).expect("uncontended");
+        for mut tx in [s.begin(0), s.begin_ro(0)] {
+            assert_eq!(tx.read(Y), Ok(0));
+            assert!(!tx.doomed(), "live: the body's to commit or give up on");
+            assert!(tx.read(X).is_err());
+            assert!(tx.doomed());
+        }
+        x.unlock(prev);
     }
 
     fn ro_first_read_refreshes_snapshot<P: ReadPolicy>() {
@@ -1130,6 +1161,7 @@ mod tests {
         buffered_writes_read_back,
         duplicate_writes_last_value_wins,
         stale_read_aborts_at_commit,
+        doomed_tells_an_abort_from_a_live_attempt,
         ro_first_read_refreshes_snapshot,
         ro_snapshot_frozen_after_first_read,
         #[should_panic(expected = "read-only")]

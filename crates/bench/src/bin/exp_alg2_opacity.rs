@@ -17,6 +17,30 @@ use oftm_histories::{
 };
 use std::sync::Arc;
 
+/// Three processes, two two-variable transactions each, recorded.
+fn small_instrumented_run() -> oftm_histories::History {
+    let rec = Arc::new(Recorder::new());
+    let stm = Algo2Stm::new(FocKind::Cas).with_recorder(Arc::clone(&rec));
+    stm.register_tvar(TVarId(0), 0);
+    stm.register_tvar(TVarId(1), 0);
+    std::thread::scope(|s| {
+        for p in 0..3u32 {
+            let stm = &stm;
+            s.spawn(move || {
+                for _ in 0..2 {
+                    run_transaction(stm, p, |tx| {
+                        let x = tx.read(TVarId(0))?;
+                        let y = tx.read(TVarId(1))?;
+                        tx.write(TVarId(0), x + 1)?;
+                        tx.write(TVarId(1), y + 1)
+                    });
+                }
+            });
+        }
+    });
+    rec.snapshot()
+}
+
 fn main() {
     println!("== E5: Algorithm 2 (OFTM from fo-consensus + registers) ==\n");
 
@@ -64,27 +88,19 @@ fn main() {
     }
 
     println!("\n== Exact opacity oracle on a small instrumented run ==\n");
-    let rec = Arc::new(Recorder::new());
-    let stm = Algo2Stm::new(FocKind::Cas).with_recorder(Arc::clone(&rec));
-    stm.register_tvar(TVarId(0), 0);
-    stm.register_tvar(TVarId(1), 0);
-    std::thread::scope(|s| {
-        for p in 0..3u32 {
-            let stm = &stm;
-            s.spawn(move || {
-                for _ in 0..2 {
-                    run_transaction(stm, p, |tx| {
-                        let x = tx.read(TVarId(0))?;
-                        let y = tx.read(TVarId(1))?;
-                        tx.write(TVarId(0), x + 1)?;
-                        tx.write(TVarId(1), y + 1)
-                    });
-                }
-            });
-        }
-    });
-    let h = rec.snapshot();
-    match final_state_opaque(&h, 16) {
+    // The exact oracle takes at most 16 transactions, aborted attempts
+    // included; six commit, and how many abort on the way is up to the
+    // scheduler (a loaded box preempts more). A run that overshoots is
+    // repeated, not judged.
+    let (h, verdict) = (0..16)
+        .map(|_| {
+            let h = small_instrumented_run();
+            let verdict = final_state_opaque(&h, 16);
+            (h, verdict)
+        })
+        .find(|(_, verdict)| !matches!(verdict, OpacityCheck::TooLarge))
+        .expect("sixteen runs in a row overshot the oracle's bound");
+    match verdict {
         OpacityCheck::Opaque { order, visible } => {
             println!("final-state OPAQUE; witness serialization (visible = committed):");
             println!(

@@ -95,6 +95,15 @@ pub trait WordTx {
     /// [`CommitNotifier`]. An abort cannot shrink what was accessed, so
     /// the footprint stays valid on every abort path.
     fn footprint(&self, out: &mut Vec<TVarId>);
+
+    /// True once the STM itself has aborted this attempt — a conflict, a
+    /// failed validation — so that every further operation and `tryC`
+    /// answer `A_k`; false while the attempt is the body's to commit or to
+    /// give up on. What tells an abort apart from an explicit retry after
+    /// the fact. Backends that cannot tell answer `false`.
+    fn doomed(&self) -> bool {
+        false
+    }
 }
 
 /// A word-level software transactional memory.

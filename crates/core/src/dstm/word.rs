@@ -53,6 +53,13 @@ impl DstmWord {
         }
     }
 
+    /// Publishes commits to `notify` instead of an endpoint of its own
+    /// (an embedding backend hands every engine a clone of its notifier).
+    pub fn with_notifier(mut self, notify: CommitNotifier) -> Self {
+        self.notify = notify;
+        self
+    }
+
     /// The underlying typed STM.
     pub fn inner(&self) -> &Dstm {
         &self.stm
@@ -67,8 +74,35 @@ impl DstmWord {
     /// Visits every live t-variable with its current committed value.
     /// Exact only while no writer is in flight (racy snapshot otherwise) —
     /// the hybrid's migration barrier provides that quiescence.
+    ///
+    /// Retired blocks whose grace period has elapsed are evicted first, as
+    /// `VersionedLockStm::for_each_live_value` does: the caller that
+    /// quiesced this engine to migrate away from it will run no further
+    /// commit here to flush them.
     pub fn for_each_live_value(&self, mut f: impl FnMut(TVarId, Value)) {
+        self.evict(self.reclaim.flush());
         self.vars.for_each_live(|id, v| f(id, v.read_atomic()));
+    }
+
+    /// Registers `x` unless the table already holds it; `true` if it did
+    /// not. For an embedding backend that mirrors another engine's ids
+    /// here: a walk and an allocator racing to mirror one id agree on a
+    /// winner.
+    pub fn register_tvar_if_absent(&self, x: TVarId, initial: Value) -> bool {
+        let inserted = self.vars.insert_if_absent(x, TVarInner::new(x, initial));
+        if inserted {
+            self.stm.stats().incr(Counter::TvarsAllocated);
+        }
+        inserted
+    }
+
+    /// Evicts every t-variable: the embedding backend stops mirroring.
+    /// The caller provides quiescence.
+    pub fn evict_all(&self) {
+        let mut evicted = 0;
+        self.vars
+            .for_each_live(|id, _| evicted += u64::from(self.vars.remove(id)));
+        self.stm.stats().add(Counter::TvarsFreed, evicted);
     }
 
     /// Retired blocks still awaiting their grace period (diagnostics).
@@ -76,8 +110,8 @@ impl DstmWord {
         self.reclaim.pending_blocks()
     }
 
-    fn reclaim_after_commit(&self, grace: TxGrace, retired: Vec<RetiredBlock>) {
-        let freed = self.reclaim.retire_and_flush(grace, retired);
+    /// Evicts retired blocks whose grace period has elapsed.
+    fn evict(&self, freed: Vec<RetiredBlock>) {
         if !freed.is_empty() {
             let stats = self.stm.stats();
             stats.incr(Counter::GraceFlushes);
@@ -202,7 +236,8 @@ impl WordTx for DstmWordTx<'_> {
                 // Hand the retire-set to the grace tracker and evict every
                 // block whose grace period has elapsed.
                 let this = *self;
-                this.word.reclaim_after_commit(this.grace, this.retired);
+                let word = this.word;
+                word.evict(word.reclaim.retire_and_flush(this.grace, this.retired));
             }
             Err(TxError::Aborted) => self.record_respond(TmResp::Aborted),
         }
@@ -459,6 +494,40 @@ mod tests {
         assert_eq!(s.live_tvars(), 1);
         assert_eq!(s.reclaim_pending(), 0);
         assert_eq!(s.peek(node), None);
+    }
+
+    /// A retirement parked behind an in-flight peer is still evicted when
+    /// the engine is walked at quiescence with no later commit to flush it
+    /// — what the hybrid does to the engine it migrates away from.
+    #[test]
+    fn live_walk_evicts_retired_blocks_past_their_grace() {
+        let s = word_stm();
+        s.register_tvar(TVarId(0), 0);
+        let blk = s.alloc_tvar_block(&[1, 2]);
+        let peer = s.begin(1);
+        let mut tx = s.begin(2);
+        tx.retire_tvar_block(blk, 2);
+        tx.try_commit().expect("nothing to conflict with");
+        assert_eq!(s.live_tvars(), 3, "the peer may still read the block");
+        drop(peer);
+
+        let mut walked = Vec::new();
+        s.for_each_live_value(|id, _| walked.push(id));
+        assert_eq!(walked, [TVarId(0)]);
+        assert_eq!(s.live_tvars(), 1);
+        assert_eq!(s.reclaim_pending(), 0);
+    }
+
+    #[test]
+    fn mirror_registration_keeps_the_incumbent_and_eviction_empties() {
+        let s = word_stm();
+        assert!(s.register_tvar_if_absent(TVarId(3), 5));
+        assert!(!s.register_tvar_if_absent(TVarId(3), 6));
+        assert_eq!(s.peek(TVarId(3)), Some(5));
+        s.alloc_tvar_block(&[1, 2]);
+        s.evict_all();
+        assert_eq!(s.live_tvars(), 0);
+        assert_eq!(s.peek(TVarId(3)), None);
     }
 
     #[test]

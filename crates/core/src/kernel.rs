@@ -4,8 +4,9 @@
 //!
 //! The most safety-critical lock-free kernels in this crate are the
 //! commit-notification snapshot/park-vs-publish protocol ([`crate::notify`]),
-//! the grace-period slot-claim/flush protocol ([`crate::reclaim`]) and the
-//! commit-counter validation gate of [`crate::dstm`] ([`CommitGate`]).
+//! the grace-period slot-claim/flush protocol ([`crate::reclaim`]), the
+//! commit-counter validation gate of [`crate::dstm`] ([`CommitGate`]) and
+//! the admission gate of `oftm-hybrid` ([`ModeGate`]).
 //! The first two used to hard-code `std::sync::atomic`; their correctness
 //! arguments lived entirely in module docs, checked only by stochastic
 //! tests. This module makes the argument mechanizable: the protocol logic
@@ -23,7 +24,8 @@
 //!   *same* [`NotifyProto`]/[`GraceCore`] code that runs in production and
 //!   assert that no schedule loses a wakeup or flushes a retire-set a live
 //!   reader predates; `model_gate` does the same for [`CommitGate`] (no
-//!   torn read pair, no write skew).
+//!   torn read pair, no write skew) and `model_mode_gate` for [`ModeGate`]
+//!   (one engine hot at a time, no id lost to a migration).
 //!
 //! The model explores sequentially consistent interleavings (CHESS-style);
 //! the `Ordering` arguments threaded through the facade document the
@@ -35,6 +37,7 @@
 use oftm_histories::TVarId;
 use std::ops::Deref;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// Slot value meaning "no transaction registered here" (grace protocol).
 pub const IDLE_SLOT: u64 = u64::MAX;
@@ -55,6 +58,19 @@ pub trait AtomicU64Like: Send + Sync {
         success: Ordering,
         failure: Ordering,
     ) -> Result<u64, u64>;
+    /// Waits until the value satisfies `done` and returns it. Production
+    /// yields between loads; under the model checker the thread is simply
+    /// not runnable until `done` holds, so a wait that can never end is
+    /// reported as a deadlock instead of exploding the schedule space.
+    fn wait_until(&self, done: fn(u64) -> bool, ord: Ordering) -> u64 {
+        loop {
+            let v = self.load(ord);
+            if done(v) {
+                return v;
+            }
+            std::thread::yield_now();
+        }
+    }
 }
 
 impl AtomicU64Like for std::sync::atomic::AtomicU64 {
@@ -133,6 +149,9 @@ impl WakeRef for std::task::Waker {
 pub trait SyncFacade: 'static {
     type Au64: AtomicU64Like;
     type Mutex<T: Send>: MutexLike<T>;
+    /// A memory fence (a decision point and nothing else under the model,
+    /// which is sequentially consistent already).
+    fn fence(ord: Ordering);
 }
 
 /// Production facade: real atomics, `parking_lot` mutexes.
@@ -141,6 +160,10 @@ pub struct StdSync;
 impl SyncFacade for StdSync {
     type Au64 = std::sync::atomic::AtomicU64;
     type Mutex<T: Send> = parking_lot::Mutex<T>;
+    #[inline]
+    fn fence(ord: Ordering) {
+        std::sync::atomic::fence(ord)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -177,7 +200,17 @@ impl<F: SyncFacade, W: WakeRef + Send> ProtoShard<F, W> {
 /// t-variables onto shard indices (hashing, bitmask dedup) stays with the
 /// caller — the protocol's correctness does not depend on it.
 pub struct NotifyProto<F: SyncFacade, W: WakeRef + Send> {
-    shards: Box<[ProtoShard<F, W>]>,
+    shards: Arc<[ProtoShard<F, W>]>,
+}
+
+/// A clone is another handle on the **same** shards: what lets two
+/// engines behind one facade publish where the facade's waiters park.
+impl<F: SyncFacade, W: WakeRef + Send> Clone for NotifyProto<F, W> {
+    fn clone(&self) -> Self {
+        NotifyProto {
+            shards: Arc::clone(&self.shards),
+        }
+    }
 }
 
 impl<F: SyncFacade, W: WakeRef + Send> NotifyProto<F, W> {
@@ -613,5 +646,164 @@ impl<A: AtomicU64Like> CommitGate<A> {
             return Ok(());
         }
         scan().map_or(Ok(()), Err)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Mode gate: begin-vs-migrate and allocate-vs-migrate of a two-engine backend.
+// ---------------------------------------------------------------------------
+
+/// One admission slot of a [`ModeGate`], on a pair of cache lines of its
+/// own: what a begin and a commit write is private to the slot's users.
+#[repr(align(128))]
+struct GateSlot<A, L> {
+    /// Transactions admitted through this slot and still running, per mode.
+    active: [A; 2],
+    /// Caller state that belongs on the same private line.
+    local: L,
+}
+
+/// The admission protocol of a backend that runs one of two engines at a
+/// time (`oftm-hybrid`: mode 0 is TL2, mode 1 is DSTM), written once and
+/// shared with the `oftm-verify` model checker (`model_mode_gate`).
+///
+/// Two store-buffering (Dekker) handshakes against the one `migrating`
+/// flag, both `SeqCst` on either side:
+///
+/// * **begin vs. migrate** — a beginner publishes itself in its slot's
+///   per-mode count and re-reads the flag and the mode; a migrator raises
+///   the flag and reads every slot's count. Either the beginner backs out
+///   or the migrator waits for it, so `quiescent` runs with no transaction
+///   on either engine.
+/// * **allocate vs. migrate** — mode 0's engine is the id authority and
+///   the only one holding t-variables while mode 0 runs. An allocator
+///   inserts there, fences and reads the flag and the mode
+///   ([`ModeGate::must_mirror`]); a migrator raises the flag, fences and
+///   walks the authority's table. Either the allocator mirrors the id
+///   into the other engine itself or the walk finds it.
+///
+/// The shared words are read-mostly (written by migrations only) and kept
+/// off everybody else's lines by the struct's own alignment.
+#[repr(align(128))]
+pub struct ModeGate<F: SyncFacade, L> {
+    mode: F::Au64,
+    migrating: F::Au64,
+    slots: Box<[GateSlot<F::Au64, L>]>,
+}
+
+impl<F: SyncFacade, L> ModeGate<F, L> {
+    /// A gate in mode 0 with `slots` admission slots.
+    pub fn new(slots: usize, mut local: impl FnMut() -> L) -> Self {
+        ModeGate {
+            mode: F::Au64::new(0),
+            migrating: F::Au64::new(0),
+            slots: (0..slots)
+                .map(|_| GateSlot {
+                    active: [F::Au64::new(0), F::Au64::new(0)],
+                    local: local(),
+                })
+                .collect(),
+        }
+    }
+
+    /// The current mode (0 or 1).
+    pub fn mode(&self) -> usize {
+        // ord: SeqCst — one end of both Dekker handshakes.
+        self.mode.load(Ordering::SeqCst) as usize
+    }
+
+    /// The caller state of every slot, in slot order.
+    pub fn locals(&self) -> impl Iterator<Item = &L> {
+        self.slots.iter().map(|s| &s.local)
+    }
+
+    /// The caller state of `slot`.
+    pub fn local(&self, slot: usize) -> &L {
+        &self.slots[slot].local
+    }
+
+    /// Admits a transaction through `slot` and returns the mode it must
+    /// run in; pair with [`ModeGate::leave`] once the engine-side state of
+    /// the transaction is gone.
+    pub fn admit(&self, slot: usize) -> usize {
+        let active = &self.slots[slot].active;
+        loop {
+            let m = self.mode();
+            // ord: SeqCst — the beginner's store of the Dekker pair: our
+            // count is ordered before the flag re-read below and against
+            // the migrator's flag CAS.
+            active[m].fetch_add(1, Ordering::SeqCst);
+            // ord: SeqCst — the beginner's load of the pair. The mode is
+            // read again because a whole migration fits between the first
+            // read and the count.
+            if self.migrating.load(Ordering::SeqCst) == 0 && self.mode() == m {
+                return m;
+            }
+            // ord: SeqCst — symmetric retreat; the drain may be waiting
+            // on this count.
+            active[m].fetch_sub(1, Ordering::SeqCst);
+            // ord: SeqCst — wait out the barrier off the slot's line.
+            self.migrating.wait_until(|v| v == 0, Ordering::SeqCst);
+        }
+    }
+
+    /// Retires the admission [`ModeGate::admit`] returned `mode` for.
+    pub fn leave(&self, slot: usize, mode: usize) {
+        // ord: SeqCst — pairs with the migrator's drain loads.
+        self.slots[slot].active[mode].fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// After inserting an id into the authority's table: must the caller
+    /// also register it with the other engine? `false` means a later
+    /// migration's walk is certain to find it.
+    pub fn must_mirror(&self) -> bool {
+        // ord: SeqCst fence — orders the caller's table insert before the
+        // loads below; pairs with the fence in `migrate` (the table's own
+        // accesses are Release/Acquire, which alone would let the insert
+        // and the flag load pass each other).
+        F::fence(Ordering::SeqCst);
+        // ord: SeqCst — the allocator's loads of the Dekker pair. A clear
+        // flag with mode 0 means no walk has started that could miss the
+        // insert; mode 1 with a clear flag is a finished walk that may
+        // have.
+        self.migrating.load(Ordering::SeqCst) != 0 || self.mode() != 0
+    }
+
+    /// Migrates to `target` unless another migration is running or the
+    /// gate is there already; returns whether it did. `quiescent(from)`
+    /// runs with the flag raised and no transaction admitted on either
+    /// engine, before the new mode is published.
+    pub fn migrate(&self, target: usize, quiescent: impl FnOnce(usize)) -> bool {
+        // ord: SeqCst CAS — the migrator's store of both Dekker pairs;
+        // also serializes migrators (at most one wins).
+        if self
+            .migrating
+            .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
+            .is_err()
+        {
+            return false;
+        }
+        let from = self.mode();
+        if from == target {
+            // ord: SeqCst — lowers the flag symmetric with the CAS.
+            self.migrating.store(0, Ordering::SeqCst);
+            return false;
+        }
+        // ord: SeqCst fence — orders the flag before the table walk in
+        // `quiescent`; pairs with the fence in `must_mirror`.
+        F::fence(Ordering::SeqCst);
+        // Drain. Slot by slot is enough: a count can only rise past zero
+        // again through a beginner that then sees the flag and retreats.
+        for slot in self.slots.iter() {
+            // ord: SeqCst — the migrator's load of the begin pair: either
+            // we see the beginner's count or it sees our flag.
+            slot.active[from].wait_until(|n| n == 0, Ordering::SeqCst);
+        }
+        quiescent(from);
+        // ord: SeqCst — publish the new mode before lowering the flag.
+        self.mode.store(target as u64, Ordering::SeqCst);
+        // ord: SeqCst — beginners may now admit into the new mode.
+        self.migrating.store(0, Ordering::SeqCst);
+        true
     }
 }

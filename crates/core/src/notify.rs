@@ -119,7 +119,11 @@ impl WaitSnapshot {
     }
 }
 
-/// The per-STM commit-notification endpoint (see module docs).
+/// The per-STM commit-notification endpoint (see module docs). A clone is
+/// a second handle on the same endpoint, not a fresh one: an STM embedding
+/// other engines hands each a clone, so whichever engine commits wakes
+/// the embedder's waiters.
+#[derive(Clone)]
 pub struct CommitNotifier {
     proto: NotifyProto<StdSync, Waker>,
 }

@@ -26,39 +26,55 @@
 //!
 //! Both engines see one coherent t-variable space:
 //!
-//! * **One allocator.** All ids are minted by the TL2 engine's
-//!   [`oftm_core::table::VarTable`] (static registrations and dynamic
-//!   `alloc_tvar_block`), then mirrored into the DSTM engine's table at
-//!   the *same ids*. The DSTM table's own dynamic allocator is never
-//!   used, so the two tables can never disagree on what an id means.
+//! * **One allocator, one table while TL2 runs.** All ids are minted by
+//!   the TL2 engine's [`oftm_core::table::VarTable`] (static registrations
+//!   and dynamic `alloc_tvar_block`); the DSTM table's own allocator is
+//!   never used, so the two tables can never disagree on what an id
+//!   means. In TL2 mode the DSTM engine holds **nothing**: an allocation
+//!   goes to TL2 alone, then fences and looks at the gate
+//!   ([`ModeGate::must_mirror`]) and registers the id with DSTM as well
+//!   only if a migration is running or the mode is `Dstm`. The mirror is
+//!   built by the escalation barrier and evicted by the de-escalation
+//!   barrier.
 //! * **Only one engine is ever hot.** A transaction is admitted to the
-//!   current mode's engine only after publishing itself in a per-mode
-//!   active count and re-checking the mode/migration flag (a
+//!   current mode's engine only after publishing itself in its process
+//!   slot's per-mode count and re-checking the mode/migration flag (a
 //!   store-buffering a.k.a. Dekker handshake — both sides are `SeqCst`,
 //!   so either the beginner sees the migration and backs out, or the
-//!   migrator sees the beginner's count and waits). The migrator then
-//!   drains the outgoing engine's active count to **zero** before
+//!   migrator sees the beginner's count and waits). The migrator drains
+//!   every slot's count for the outgoing engine to **zero** before
 //!   touching either table: no TL2 transaction can race a DSTM locator
-//!   on the same variable, ever.
-//! * **Value copy at quiescence.** With both engines quiescent, the
-//!   migrator walks the outgoing engine's live set and writes every
-//!   differing value into the incoming engine through ordinary (chunked)
-//!   transactions — which trivially commit, because nothing else is
-//!   running. Ids retired-with-commit are freed on the *passive* engine
-//!   immediately at commit time (the passive engine has no in-flight
-//!   readers), so the copy simply skips ids the incoming table no longer
-//!   has.
-//! * **Parking survives the switch.** The hybrid owns its
-//!   [`CommitNotifier`]; the transaction wrapper publishes the committed
-//!   write-set there regardless of which engine executed it, so futures
-//!   parked before a migration are woken by commits after it.
+//!   on the same variable, ever. Both handshakes are
+//!   [`oftm_core::kernel::ModeGate`], model-checked by `oftm-verify`'s
+//!   `model_mode_gate`.
+//! * **Value copy at quiescence.** With both engines quiescent the
+//!   migrator walks the outgoing engine's live set. Escalating, it
+//!   registers every id the DSTM table lacks with its current value and
+//!   compares the ones it holds already — an allocator that raced an
+//!   earlier eviction may have left one behind with a stale value.
+//!   De-escalating, it compares every id TL2 still has, then empties the
+//!   DSTM table. Differing values are written through ordinary (chunked)
+//!   transactions, which trivially commit because nothing else is
+//!   running. In `Dstm` mode a retiring commit frees its blocks on TL2
+//!   at once (no TL2 transaction exists to read them) and the copy skips
+//!   ids TL2 no longer has; in TL2 mode there is no mirror to free.
+//! * **Parking survives the switch.** The hybrid owns the
+//!   [`CommitNotifier`] and hands each engine a clone at construction, so
+//!   whichever engine commits publishes where the facade's waiters park:
+//!   futures parked before a migration are woken by commits after it.
+//!
+//! In TL2 mode a transaction pays, over what TL2 charges: a begin count
+//! and two `SeqCst` read-modify-writes on its process slot's private
+//! line, three loads of the two shared read-mostly gate words, one
+//! `Box`, and a second dynamic dispatch per operation.
 //!
 //! ## The policy (knobs in [`HybridConfig`])
 //!
-//! *Escalate fast*: any transaction that fails `escalation_budget`
-//! consecutive attempts while the window's abort profile is
+//! *Escalate fast*: a process whose last `escalation_budget` attempts
+//! were all aborted **by the engine** while the window's abort profile is
 //! `lock_busy`/`read_validation`-dominated requests escalation at its
-//! next begin. *De-escalate slowly*: only after `deescalate_windows`
+//! next begin; an attempt its body gave up on (an explicit retry) neither
+//! extends nor breaks the streak. *De-escalate slowly*: only after `deescalate_windows`
 //! consecutive calm windows (abort ratio ≤ `deescalate_abort_ratio`),
 //! and never closer than `dwell_ops` begins after the last migration —
 //! the de-escalation side is the throttled one, so the controller
@@ -72,13 +88,14 @@
 use oftm_baselines::Tl2Stm;
 use oftm_core::api::{TxResult, WordStm, WordTx};
 use oftm_core::cm::Courteous;
+use oftm_core::kernel::{ModeGate, StdSync};
 use oftm_core::notify::CommitNotifier;
 use oftm_core::record::Recorder;
 use oftm_core::{Dstm, DstmWord};
 use oftm_histories::{TVarId, TxId, Value};
 use oftm_obs::{AbortCause, Counter, StmStats};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Which embedded engine currently executes transactions.
@@ -112,8 +129,13 @@ impl Mode {
     }
 }
 
-/// Per-process slots for the consecutive-abort escalation counters.
+/// Process slots of the admission gate (`proc & 63` picks one).
 const PROC_SLOTS: usize = 64;
+
+/// Begins a process slot counts privately before it adds them to the
+/// shared `ops` clock and looks at the window boundary: below
+/// [`HybridConfig::eager`]'s window, so no policy loses a window to it.
+const BEGIN_BATCH: u64 = 16;
 
 /// Process id the migration copy transactions run under; outside the
 /// harness range so per-proc telemetry and clock-shard choice stay
@@ -127,11 +149,13 @@ const DSTM_TX_BASE: u32 = 1 << 31;
 /// Migration-policy knobs (see crate docs for the policy shape).
 #[derive(Clone, Copy, Debug)]
 pub struct HybridConfig {
-    /// Consecutive failed attempts by one process before that process
-    /// requests escalation at its next begin.
+    /// Consecutive attempts of one process aborted by the engine (not
+    /// given up by the body) before that process requests escalation at
+    /// its next begin.
     pub escalation_budget: u32,
-    /// Begins per controller window; each window closes with a
-    /// `stats().snapshot()` delta the policy decides on.
+    /// Begins per controller window (counted in batches of 16 per
+    /// process); each window closes with a `stats().snapshot()` delta
+    /// the policy decides on.
     pub window_ops: u64,
     /// Escalate when a window's aborts/begins ratio reaches this…
     pub escalate_abort_ratio: f64,
@@ -208,25 +232,27 @@ impl HybridConfig {
     }
 }
 
+/// What a process slot keeps on its private line beside the gate's counts.
+struct ProcLocal {
+    /// Begins through this slot; every [`BEGIN_BATCH`]th feeds `ops`.
+    begins: AtomicU64,
+    /// Consecutive attempts an engine aborted; a commit clears it.
+    streak: AtomicU32,
+}
+
 /// The contention-adaptive hybrid backend (see crate docs).
 pub struct HybridStm {
     tl2: Tl2Stm,
     dstm: DstmWord,
     /// One registry shared by the facade and both engines.
     stats: Arc<StmStats>,
-    /// The hybrid's own notification endpoint: commits publish here no
-    /// matter which engine executed them, so parked futures survive
-    /// migrations.
+    /// The one notification endpoint; both engines publish into clones of
+    /// it, so parked futures survive migrations.
     notify: CommitNotifier,
     cfg: HybridConfig,
-    /// Current [`Mode`] as usize.
-    mode: AtomicUsize,
-    /// A migration is in progress: begins back off, at most one migrator.
-    migrating: AtomicBool,
-    /// In-flight transactions per mode; the migration barrier drains the
-    /// outgoing slot to zero.
-    active: [AtomicU64; 2],
-    /// Begins observed — the controller's logical clock.
+    /// Mode, migration flag and the per-process admission slots.
+    gate: ModeGate<StdSync, ProcLocal>,
+    /// Begins observed, in batches — the controller's logical clock.
     ops: AtomicU64,
     /// Next window boundary (in begins), claimed by CAS.
     next_window: AtomicU64,
@@ -235,8 +261,6 @@ pub struct HybridStm {
     last_migration_op: AtomicU64,
     /// Consecutive calm windows while in DSTM mode.
     calm_windows: AtomicU32,
-    /// Consecutive failed attempts per process slot.
-    consec_aborts: [AtomicU32; PROC_SLOTS],
     /// Snapshot at the last window close; deltas against it drive the
     /// policy. Taken only by the single window-closing thread and by
     /// escalation-profile checks (uncontended in practice).
@@ -261,7 +285,10 @@ impl HybridStm {
     fn build(cfg: HybridConfig, rec: Option<Arc<Recorder>>) -> Self {
         let stats = Arc::new(StmStats::new());
         stats.set_mode(Mode::Tl2.stats_tag());
-        let mut tl2 = Tl2Stm::new().with_stats(Arc::clone(&stats));
+        let notify = CommitNotifier::new();
+        let mut tl2 = Tl2Stm::new()
+            .with_stats(Arc::clone(&stats))
+            .with_notifier(notify.clone());
         let mut dstm_inner = Dstm::new(Arc::new(Courteous {
             patience: cfg.patience,
         }))
@@ -274,26 +301,25 @@ impl HybridStm {
         let prev = stats.snapshot();
         HybridStm {
             tl2,
-            dstm: DstmWord::new(dstm_inner),
+            dstm: DstmWord::new(dstm_inner).with_notifier(notify.clone()),
             stats,
-            notify: CommitNotifier::new(),
+            notify,
             cfg,
-            mode: AtomicUsize::new(Mode::Tl2 as usize),
-            migrating: AtomicBool::new(false),
-            active: [AtomicU64::new(0), AtomicU64::new(0)],
+            gate: ModeGate::new(PROC_SLOTS, || ProcLocal {
+                begins: AtomicU64::new(0),
+                streak: AtomicU32::new(0),
+            }),
             ops: AtomicU64::new(0),
             next_window: AtomicU64::new(cfg.window_ops.max(1)),
             last_migration_op: AtomicU64::new(u64::MAX),
             calm_windows: AtomicU32::new(0),
-            consec_aborts: std::array::from_fn(|_| AtomicU32::new(0)),
             window_prev: Mutex::new(StatsSnapshotBox(prev)),
         }
     }
 
     /// Current execution mode.
     pub fn mode(&self) -> Mode {
-        // ord: SeqCst — one end of the begin/migrate Dekker handshake.
-        Mode::from_usize(self.mode.load(Ordering::SeqCst))
+        Mode::from_usize(self.gate.mode())
     }
 
     /// Process-wide migrations performed so far.
@@ -310,22 +336,31 @@ impl HybridStm {
         }
     }
 
-    /// The per-begin policy hook: per-transaction escalation requests,
-    /// then the windowed controller.
-    fn note_begin(&self, proc: u32) {
+    /// The per-begin policy hook: this process's escalation request, then
+    /// — once per [`BEGIN_BATCH`] begins — the windowed controller.
+    fn note_begin(&self, local: &ProcLocal) {
+        // ord: Relaxed — a heuristic trigger on the slot's private line;
+        // worst case the request fires one begin late.
+        if local.streak.load(Ordering::Relaxed) >= self.cfg.escalation_budget
+            && self.mode() == Mode::Tl2
+            && self.storm_profile()
+        {
+            local.streak.store(0, Ordering::Relaxed);
+            self.stats.incr(Counter::Escalations);
+            // ord: Relaxed — escalation ignores the dwell `op` feeds.
+            self.try_migrate(Mode::Dstm, self.ops.load(Ordering::Relaxed));
+        }
+        // ord: Relaxed load and store, not an RMW — the line is private
+        // unless two threads share a slot, and a begin lost between them
+        // only delays a window.
+        let begins = local.begins.load(Ordering::Relaxed) + 1;
+        local.begins.store(begins, Ordering::Relaxed);
+        if begins % BEGIN_BATCH != 0 {
+            return;
+        }
         // ord: Relaxed — the controller's logical clock; atomicity alone
         // keeps window claims disjoint.
-        let op = self.ops.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.mode() == Mode::Tl2 {
-            let slot = &self.consec_aborts[(proc as usize) & (PROC_SLOTS - 1)];
-            // ord: Relaxed — a heuristic trigger; worst case the request
-            // fires one begin late.
-            if slot.load(Ordering::Relaxed) >= self.cfg.escalation_budget && self.storm_profile() {
-                slot.store(0, Ordering::Relaxed);
-                self.stats.incr(Counter::Escalations);
-                self.try_migrate(Mode::Dstm, op);
-            }
-        }
+        let op = self.ops.fetch_add(BEGIN_BATCH, Ordering::Relaxed) + BEGIN_BATCH;
         // ord: Relaxed CAS — only window-claim uniqueness matters; the
         // snapshot delta inside carries its own ordering.
         let boundary = self.next_window.load(Ordering::Relaxed);
@@ -356,6 +391,8 @@ impl HybridStm {
     /// between the streak and this begin) defers to the next request,
     /// by which point the delta has the evidence.
     fn storm_profile(&self) -> bool {
+        #[cfg(test)]
+        tests::STORM_PROFILES.with(|n| n.set(n.get() + 1));
         let snap = self.stats.snapshot();
         let delta = snap.since(&self.window_prev.lock().0);
         delta.aborts() > 0
@@ -415,62 +452,43 @@ impl HybridStm {
         if target == Mode::Tl2 && last != u64::MAX && op.saturating_sub(last) < self.cfg.dwell_ops {
             return false;
         }
-        // ord: SeqCst CAS — the migrator side of the Dekker handshake;
-        // also serializes migrators (at most one wins).
-        if self
-            .migrating
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return false;
-        }
-        let from = self.mode();
-        if from == target {
-            // ord: SeqCst — release the flag symmetric with the CAS.
-            self.migrating.store(false, Ordering::SeqCst);
-            return false;
-        }
         // Timeline span for the whole barrier (drain + copy + flip): the
         // stop-the-world window every backed-off beginner is waiting out.
         let span_started = oftm_obs::ring::enabled().then(oftm_obs::ring::clock_ns);
-        // Drain: wait out every in-flight transaction of the outgoing
-        // engine. New begins observe `migrating` (SeqCst on both sides)
-        // and back off, so the count is monotonically non-increasing.
-        // ord: SeqCst — pairs with the beginner's SeqCst fetch_add:
-        // either we see their count, or they see our flag.
-        while self.active[from as usize].load(Ordering::SeqCst) > 0 {
-            std::thread::yield_now();
-        }
-        self.copy_values(from);
-        // ord: SeqCst — publish the new mode before lifting the flag.
-        self.mode.store(target as usize, Ordering::SeqCst);
-        self.stats.set_mode(target.stats_tag());
-        self.stats.incr(Counter::ModeMigrations);
-        self.last_migration_op
-            .store(self.ops.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.calm_windows.store(0, Ordering::Relaxed);
-        for slot in &self.consec_aborts {
-            // ord: Relaxed — heuristic counters; resets published lazily.
-            slot.store(0, Ordering::Relaxed);
-        }
-        // ord: SeqCst — beginners may now admit into the new mode.
-        self.migrating.store(false, Ordering::SeqCst);
-        if let Some(t0) = span_started {
+        let migrated = self.gate.migrate(target as usize, |from| {
+            self.copy_values(Mode::from_usize(from));
+            self.stats.set_mode(target.stats_tag());
+            self.stats.incr(Counter::ModeMigrations);
+            // ord: Relaxed — controller bookkeeping, published to the
+            // next window-closer by the gate's SeqCst flag store.
+            self.last_migration_op
+                .store(self.ops.load(Ordering::Relaxed), Ordering::Relaxed);
+            self.calm_windows.store(0, Ordering::Relaxed);
+            for local in self.gate.locals() {
+                // ord: Relaxed — heuristic counters; resets published lazily.
+                local.streak.store(0, Ordering::Relaxed);
+            }
+        });
+        if let (true, Some(t0)) = (migrated, span_started) {
+            let from = target.other();
             oftm_obs::ring::emit_span("migration", "hybrid", from as u64, target as u64, t0);
         }
-        true
+        migrated
     }
 
-    /// With both engines quiescent, copies every differing live value
-    /// from the outgoing engine into the incoming one via ordinary
-    /// chunked transactions (they commit unopposed). Ids the incoming
-    /// table no longer has were retired-with-commit and already freed on
-    /// the passive side — skipped.
+    /// With both engines quiescent, brings the incoming engine up to the
+    /// outgoing one's live values. Escalating builds the DSTM mirror: an
+    /// id it lacks is registered with its current value, one it holds (an
+    /// allocator raced an earlier eviction) is compared. De-escalating
+    /// compares every id TL2 still has — the rest were retired-with-commit
+    /// and freed there at once — and then empties the DSTM table.
+    /// Differing values go through ordinary chunked transactions (they
+    /// commit unopposed).
     fn copy_values(&self, from: Mode) {
         let mut pending: Vec<(TVarId, Value)> = Vec::new();
         match from {
             Mode::Tl2 => self.tl2.for_each_live_value(|id, v| {
-                if self.dstm.peek(id).is_some_and(|cur| cur != v) {
+                if !self.dstm.register_tvar_if_absent(id, v) && self.dstm.peek(id) != Some(v) {
                     pending.push((id, v));
                 }
             }),
@@ -501,31 +519,15 @@ impl HybridStm {
                 }
             }
         }
-    }
-
-    /// Admission: publish an active slot for the current mode and
-    /// re-check the migration handshake.
-    fn admit(&self) -> Mode {
-        loop {
-            let m = self.mode();
-            // ord: SeqCst — the beginner side of the Dekker handshake:
-            // our count must be globally ordered against the migrator's
-            // flag store before we re-read it.
-            self.active[m as usize].fetch_add(1, Ordering::SeqCst);
-            if self.migrating.load(Ordering::SeqCst) || self.mode() != m {
-                // ord: SeqCst — symmetric retreat; the migrator's drain
-                // loop may be watching this count.
-                self.active[m as usize].fetch_sub(1, Ordering::SeqCst);
-                std::thread::yield_now();
-                continue;
-            }
-            return m;
+        if from == Mode::Dstm {
+            self.dstm.evict_all();
         }
     }
 
     fn begin_inner(&self, proc: u32, ro: bool) -> Box<dyn WordTx + '_> {
-        self.note_begin(proc);
-        let mode = self.admit();
+        let slot = proc as usize & (PROC_SLOTS - 1);
+        self.note_begin(self.gate.local(slot));
+        let mode = Mode::from_usize(self.gate.admit(slot));
         let inner = match (mode, ro) {
             (Mode::Tl2, false) => self.tl2.begin(proc),
             (Mode::Tl2, true) => self.tl2.begin_ro(proc),
@@ -536,29 +538,27 @@ impl HybridStm {
             stm: self,
             inner: Some(inner),
             mode,
-            proc,
-            written: Vec::new(),
+            slot,
             retired: Vec::new(),
-            settled: false,
         })
     }
 }
 
 /// A hybrid transaction: delegates to the engine it was admitted to and
-/// keeps the facade-level bookkeeping (commit notification, passive-side
-/// frees, escalation streaks, the active-count slot).
+/// keeps the facade-level bookkeeping (TL2-side frees in `Dstm` mode, the
+/// escalation streak, the admission slot). Reads and writes are forwarded
+/// untouched — a tail call; whether the engine aborted an attempt is asked
+/// of it once, when the attempt ends ([`WordTx::doomed`]).
 struct HybridTx<'s> {
     stm: &'s HybridStm,
     inner: Option<Box<dyn WordTx + 's>>,
     mode: Mode,
-    proc: u32,
-    /// Ids written; published to the hybrid's notifier on commit.
-    written: Vec<TVarId>,
-    /// Blocks retired; freed on the passive engine after commit (the
-    /// active engine defers through its own grace tracker).
+    /// Admission slot (`proc & 63`).
+    slot: usize,
+    /// Blocks retired in `Dstm` mode; freed on TL2 after commit (DSTM
+    /// defers through its own grace tracker). Never filled in TL2 mode,
+    /// where DSTM has nothing to free.
     retired: Vec<(TVarId, usize)>,
-    /// A commit or abort was decided (vs dropped live by a retry loop).
-    settled: bool,
 }
 
 impl HybridTx<'_> {
@@ -569,8 +569,16 @@ impl HybridTx<'_> {
             .as_mut()
     }
 
-    fn abort_slot(&self) -> &AtomicU32 {
-        &self.stm.consec_aborts[(self.proc as usize) & (PROC_SLOTS - 1)]
+    fn streak(&self) -> &AtomicU32 {
+        &self.stm.gate.local(self.slot).streak
+    }
+
+    /// The engine aborted this attempt: only such an attempt extends the
+    /// escalation streak. One its body gives up on by itself (an explicit
+    /// retry) is not TL2's pathology.
+    fn count_engine_abort(&self) {
+        // ord: Relaxed — escalation streak bookkeeping.
+        self.streak().fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -584,54 +592,44 @@ impl WordTx for HybridTx<'_> {
     }
 
     fn write(&mut self, x: TVarId, v: Value) -> TxResult<()> {
-        self.inner().write(x, v)?;
-        self.written.push(x);
-        Ok(())
+        self.inner().write(x, v)
     }
 
     fn try_commit(mut self: Box<Self>) -> TxResult<()> {
         let inner = self.inner.take().expect("transaction still running");
         let r = inner.try_commit();
-        self.settled = true;
         match r {
             Ok(()) => {
-                // Passive-side frees first (the migration drain cannot
-                // start until our active slot drops in Drop, so the
-                // passive engine is still transaction-free here).
+                // TL2-side frees (the migration drain cannot start until
+                // our slot count drops in Drop, so TL2 is still
+                // transaction-free here).
                 for &(base, len) in &self.retired {
-                    match self.mode.other() {
-                        Mode::Tl2 => self.stm.tl2.free_tvar_block(base, len),
-                        Mode::Dstm => self.stm.dstm.free_tvar_block(base, len),
-                    }
+                    self.stm.tl2.free_tvar_block(base, len);
                 }
-                if !self.written.is_empty() {
-                    self.stm.notify.publish(self.written.iter().copied());
+                // ord: Relaxed — escalation streak bookkeeping; the store
+                // is skipped while the private line already reads zero.
+                if self.streak().load(Ordering::Relaxed) != 0 {
+                    self.streak().store(0, Ordering::Relaxed);
                 }
-                // ord: Relaxed — escalation streak bookkeeping.
-                self.abort_slot().store(0, Ordering::Relaxed);
             }
-            Err(_) => {
-                // ord: Relaxed — escalation streak bookkeeping.
-                self.abort_slot().fetch_add(1, Ordering::Relaxed);
-            }
+            Err(_) => self.count_engine_abort(),
         }
         r
     }
 
     fn try_abort(mut self: Box<Self>) {
         let inner = self.inner.take().expect("transaction still running");
+        if inner.doomed() {
+            self.count_engine_abort();
+        }
         inner.try_abort();
-        self.settled = true;
-        // A voluntary abort still extends the streak: the retry loops
-        // abandon attempts this way, and an engine-tagged cause (if any)
-        // is what the escalation profile check filters on.
-        // ord: Relaxed — escalation streak bookkeeping.
-        self.abort_slot().fetch_add(1, Ordering::Relaxed);
     }
 
     fn retire_tvar_block(&mut self, base: TVarId, len: usize) {
         self.inner().retire_tvar_block(base, len);
-        self.retired.push((base, len));
+        if self.mode == Mode::Dstm {
+            self.retired.push((base, len));
+        }
     }
 
     fn footprint(&self, out: &mut Vec<TVarId>) {
@@ -639,23 +637,24 @@ impl WordTx for HybridTx<'_> {
             inner.footprint(out);
         }
     }
+
+    fn doomed(&self) -> bool {
+        self.inner.as_ref().is_some_and(|tx| tx.doomed())
+    }
 }
 
 impl Drop for HybridTx<'_> {
     fn drop(&mut self) {
-        if !self.settled {
-            // Dropped live by a retry loop (the body errored): the inner
-            // engine tags the cause in its own Drop; we extend the
-            // escalation streak.
-            // ord: Relaxed — escalation streak bookkeeping.
-            self.abort_slot().fetch_add(1, Ordering::Relaxed);
+        // Still holding the inner transaction: dropped live by a retry
+        // loop, after the engine aborted it or after the body gave up.
+        if self.doomed() {
+            self.count_engine_abort();
         }
         // Drop the inner transaction (releasing engine-side state)
-        // *before* retiring our active slot: the migration drain treats a
+        // *before* retiring our admission: the migration drain treats a
         // zero count as "the outgoing engine is quiescent".
         self.inner = None;
-        // ord: SeqCst — pairs with the migrator's SeqCst drain loads.
-        self.stm.active[self.mode as usize].fetch_sub(1, Ordering::SeqCst);
+        self.stm.gate.leave(self.slot, self.mode as usize);
     }
 }
 
@@ -665,15 +664,22 @@ impl WordStm for HybridStm {
     }
 
     fn register_tvar(&self, x: TVarId, initial: Value) {
-        // TL2 is the id authority; the DSTM table mirrors every id.
+        // TL2 is the id authority; DSTM mirrors it only while it runs or
+        // is about to.
         self.tl2.register_tvar(x, initial);
-        self.dstm.register_tvar(x, initial);
+        if self.gate.must_mirror() {
+            self.dstm.register_tvar(x, initial);
+        }
     }
 
     fn alloc_tvar_block(&self, initials: &[Value]) -> TVarId {
         let base = self.tl2.alloc_tvar_block(initials);
-        for (k, &v) in initials.iter().enumerate() {
-            self.dstm.register_tvar(TVarId(base.0 + k as u64), v);
+        if self.gate.must_mirror() {
+            // The escalation walk may be registering the same ids.
+            for (k, &v) in initials.iter().enumerate() {
+                self.dstm
+                    .register_tvar_if_absent(TVarId(base.0 + k as u64), v);
+            }
         }
         base
     }
@@ -684,9 +690,10 @@ impl WordStm for HybridStm {
     }
 
     fn live_tvars(&self) -> usize {
-        // The TL2 table is the allocator of record. (The DSTM mirror may
-        // briefly exceed it while an active-side grace period defers a
-        // retired block's eviction — mirrors are freed eagerly.)
+        // The TL2 table is the allocator of record. The DSTM table is
+        // empty in TL2 mode — up to ids an allocator racing a
+        // de-escalation's eviction left behind, which the next round trip
+        // evicts — and a mirror of it in `Dstm` mode.
         self.tl2.live_tvars()
     }
 
@@ -720,6 +727,16 @@ mod tests {
 
     const X: TVarId = TVarId(0);
     const Y: TVarId = TVarId(1);
+
+    thread_local! {
+        /// `storm_profile()` calls made by this thread.
+        pub(super) static STORM_PROFILES: std::cell::Cell<u64> =
+            const { std::cell::Cell::new(0) };
+    }
+
+    fn storm_profiles() -> u64 {
+        STORM_PROFILES.with(std::cell::Cell::get)
+    }
 
     fn stm(cfg: HybridConfig) -> HybridStm {
         let s = HybridStm::new(cfg);
@@ -812,6 +829,74 @@ mod tests {
     }
 
     #[test]
+    fn a_body_that_gives_up_builds_no_streak() {
+        // What a token-ring client does on an empty queue, a thousand
+        // times: the attempt is abandoned by its body (`tryA`, or dropped
+        // live by the retry loop), never aborted by the engine. Eager
+        // policy: two counted aborts would already request escalation.
+        let s = stm(HybridConfig::eager());
+        for i in 0..1_000u64 {
+            let mut tx = s.begin(0);
+            assert_eq!(tx.read(X).unwrap(), i / 10);
+            if i % 2 == 0 {
+                tx.try_abort();
+            } else {
+                drop(tx);
+            }
+            if i % 10 == 9 {
+                run_transaction(&s, 1, |tx| tx.write(X, i / 10 + 1));
+            }
+        }
+        let snap = s.stats().snapshot();
+        assert_eq!(snap.get(Counter::Escalations), 0);
+        assert_eq!(s.migrations(), 0);
+        // ord: Relaxed — single-threaded test read of the streak word.
+        assert_eq!(s.gate.local(0).streak.load(Ordering::Relaxed), 0);
+        assert_eq!(storm_profiles(), 0, "a calm process profiled the storm");
+    }
+
+    #[test]
+    fn calm_handoff_never_profiles_the_storm() {
+        // Two clients hand one token back and forth (the benchmark's
+        // token ring in miniature): a client that finds its source empty
+        // gives up on its own. Default policy, real threads.
+        let s = stm(HybridConfig::default());
+        run_transaction(&s, 9, |tx| tx.write(X, 1));
+        let profiled: u64 = std::thread::scope(|sc| {
+            let clients: Vec<_> = [(0u32, X, Y), (1u32, Y, X)]
+                .into_iter()
+                .map(|(p, from, to)| {
+                    let s = &s;
+                    sc.spawn(move || {
+                        let mut moved = 0;
+                        while moved < 2_000 {
+                            let mut tx = s.begin(p);
+                            let Ok(have) = tx.read(from) else { continue };
+                            if have == 0 {
+                                tx.try_abort();
+                                std::thread::yield_now();
+                                continue;
+                            }
+                            let put = tx
+                                .write(from, have - 1)
+                                .and_then(|()| tx.read(to))
+                                .and_then(|n| tx.write(to, n + 1));
+                            if put.is_ok() && tx.try_commit().is_ok() {
+                                moved += 1;
+                            }
+                        }
+                        storm_profiles()
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).sum()
+        });
+        assert_eq!(profiled, 0, "storm_profile() calls in a calm run");
+        assert_eq!(s.migrations(), 0);
+        assert_eq!(s.peek(X).unwrap() + s.peek(Y).unwrap(), 1);
+    }
+
+    #[test]
     fn dwell_blocks_immediate_oscillation() {
         let mut cfg = HybridConfig::eager();
         cfg.dwell_ops = 10_000; // enormous dwell: second migration impossible
@@ -858,6 +943,7 @@ mod tests {
             }
         }
         assert_eq!(s.mode(), Mode::Dstm);
+        assert_eq!(s.dstm.live_tvars(), s.live_tvars(), "the mirror is whole");
         // The block reads back through the DSTM engine with the TL2-era
         // values (one written, two initial).
         let (vals, _) = run_transaction(&s, 2, |tx| {
@@ -880,22 +966,108 @@ mod tests {
         assert_eq!(s.mode(), Mode::Tl2, "calm traffic must return to TL2");
         assert_eq!(s.peek(blk2), Some(43));
         assert_eq!(s.peek(TVarId(blk.0 + 1)), Some(80));
+        // A full round trip at quiescence: X, Y and the two blocks are
+        // live, and the mirror is gone again.
+        assert_eq!(s.live_tvars(), 2 + 3 + 1);
+        assert_eq!(s.dstm.live_tvars(), 0);
+    }
+
+    /// Forces the barrier, policy aside (no dwell applies at `u64::MAX`).
+    fn force(s: &HybridStm, target: Mode) {
+        assert!(s.try_migrate(target, u64::MAX), "uncontended barrier");
+    }
+
+    #[test]
+    fn dstm_holds_nothing_while_tl2_runs() {
+        let s = stm(HybridConfig::default());
+        assert_eq!(s.dstm.live_tvars(), 0, "registrations went to TL2 only");
+        let mut node = s.alloc_tvar_block(&[0, 0]);
+        for i in 0..1_000u64 {
+            // Replace the node X points at, the way a list would.
+            let fresh = s.alloc_tvar_block(&[i, 0]);
+            run_transaction(&s, 0, |tx| {
+                tx.write(X, fresh.0)?;
+                tx.retire_tvar_block(node, 2);
+                Ok(())
+            });
+            node = fresh;
+        }
+        assert_eq!(s.mode(), Mode::Tl2);
+        assert_eq!(s.live_tvars(), 2 + 2);
+        assert_eq!(s.dstm.live_tvars(), 0);
     }
 
     #[test]
     fn retire_frees_both_engines_after_commit() {
         let s = stm(HybridConfig::default());
-        let blk = s.alloc_tvar_block(&[1, 2]);
-        let live = s.live_tvars();
-        let mut tx = s.begin(1);
-        tx.write(X, 1).unwrap();
-        tx.retire_tvar_block(blk, 2);
-        tx.try_commit().unwrap();
-        assert_eq!(s.live_tvars(), live - 2);
-        // Both engines dropped the block: a fresh transaction in either
-        // mode panics on the uniform diagnostic (checked via peek here).
-        assert_eq!(s.tl2.peek(blk), None);
-        assert_eq!(s.dstm.peek(blk), None);
+        for mode in [Mode::Tl2, Mode::Dstm] {
+            if s.mode() != mode {
+                force(&s, mode);
+            }
+            let blk = s.alloc_tvar_block(&[1, 2]);
+            let live = s.live_tvars();
+            let mut tx = s.begin(1);
+            tx.write(X, 1).unwrap();
+            tx.retire_tvar_block(blk, 2);
+            tx.try_commit().unwrap();
+            assert_eq!(s.live_tvars(), live - 2);
+            // Neither engine has the block: a fresh transaction in either
+            // mode panics on the uniform diagnostic (checked via peek).
+            assert_eq!(s.tl2.peek(blk), None, "{mode:?}");
+            assert_eq!(s.dstm.peek(blk), None, "{mode:?}");
+        }
+        assert_eq!(s.dstm.live_tvars(), s.live_tvars());
+    }
+
+    #[test]
+    fn allocator_outside_transactions_survives_migrations() {
+        // One thread allocates, writes and frees with no transaction of
+        // its own open across the three, so every step can fall on either
+        // side of a barrier; eager traffic keeps the barriers coming.
+        let s = stm(HybridConfig::eager());
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let kept: Vec<(TVarId, u64)> = std::thread::scope(|sc| {
+            for p in 0..2u32 {
+                let (s, stop) = (&s, &stop);
+                sc.spawn(move || {
+                    // ord: Relaxed — a stop flag; the scope's join orders
+                    // everything else.
+                    while !stop.load(Ordering::Relaxed) {
+                        run_transaction(s, p, |tx| {
+                            let v = tx.read(X)?;
+                            std::thread::yield_now();
+                            tx.write(X, v + 1)
+                        });
+                    }
+                });
+            }
+            let mut kept = Vec::new();
+            let mut i = 0u64;
+            while s.migrations() < 10 {
+                assert!(i < 200_000, "eager traffic stopped migrating");
+                let blk = s.alloc_tvar_block(&[i, i]);
+                let last = TVarId(blk.0 + 1);
+                run_transaction(&s, 5, |tx| tx.write(last, i + 1));
+                if i % 64 == 0 {
+                    kept.push((last, i + 1));
+                    s.free_tvar_block(blk, 1);
+                } else {
+                    s.free_tvar_block(blk, 2);
+                }
+                i += 1;
+            }
+            stop.store(true, Ordering::Relaxed);
+            kept
+        });
+        assert!(!kept.is_empty());
+        for round in 0..2 {
+            for &(id, want) in &kept {
+                let (got, _) = run_transaction(&s, 6, |tx| tx.read(id));
+                assert_eq!(got, want, "{id} in {:?} (pass {round})", s.mode());
+            }
+            force(&s, s.mode().other());
+        }
+        assert_eq!(s.live_tvars(), 2 + kept.len());
     }
 
     #[test]

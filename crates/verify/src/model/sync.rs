@@ -1,6 +1,7 @@
 //! **Instrumented synchronization facade** — implements
 //! [`oftm_core::kernel::SyncFacade`] so the production protocol kernels
 //! ([`oftm_core::kernel::NotifyProto`], [`oftm_core::kernel::GraceCore`],
+//! [`oftm_core::kernel::ModeGate`], and
 //! [`oftm_core::kernel::CommitGate`] over [`MAtomicU64`] directly)
 //! run under the model scheduler. Every operation calls
 //! `super::step`/`super::step_blocked` *before* executing, making it a
@@ -18,15 +19,17 @@ use std::sync::Arc;
 
 use super::{step, step_blocked};
 
-/// Model atomic `u64`: each operation is a decision point.
+/// Model atomic `u64`: each operation is a decision point. (The word
+/// sits behind an `Arc` so that a blocked `wait_until` can hand the
+/// scheduler a predicate over it.)
 pub struct MAtomicU64 {
-    v: AtomicU64,
+    v: Arc<AtomicU64>,
 }
 
 impl AtomicU64Like for MAtomicU64 {
     fn new(v: u64) -> Self {
         MAtomicU64 {
-            v: AtomicU64::new(v),
+            v: Arc::new(AtomicU64::new(v)),
         }
     }
 
@@ -60,6 +63,19 @@ impl AtomicU64Like for MAtomicU64 {
         step("atomic.compare_exchange");
         self.v
             .compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
+    }
+
+    /// A *blocking* decision point: the thread is not runnable until
+    /// `done` holds, so a wait nothing will ever end is a model deadlock.
+    fn wait_until(&self, done: fn(u64) -> bool, _ord: Ordering) -> u64 {
+        let v = Arc::clone(&self.v);
+        step_blocked(
+            "atomic.wait_until",
+            Box::new(move || done(v.load(Ordering::SeqCst))),
+        );
+        // Granted with `done` true, and nobody runs before our next
+        // decision point.
+        self.v.load(Ordering::SeqCst)
     }
 }
 
@@ -125,6 +141,10 @@ pub struct ModelSync;
 impl SyncFacade for ModelSync {
     type Au64 = MAtomicU64;
     type Mutex<T: Send> = MMutex<T>;
+
+    fn fence(_ord: Ordering) {
+        step("fence");
+    }
 }
 
 /// Model waker: the kernel-facing half is [`WakeRef`] (what
