@@ -12,10 +12,15 @@
 //! properties under study; the step-accurate, lock-free rendition of
 //! Algorithm 2 lives in `oftm-sim`.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Locks `m`, recovering from poison: the critical sections here insert,
+/// look up or overwrite one entry and leave nothing half-done behind a panic.
+pub(crate) fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A concurrent, append-only `K → Arc<V>` table with create-on-first-use.
 pub struct Registry<K, V> {
@@ -31,7 +36,7 @@ impl<K: Eq + Hash + Clone, V> Registry<K, V> {
 
     /// Returns the cell for `k`, creating it with `init` if absent.
     pub fn get_or_create(&self, k: &K, init: impl FnOnce() -> V) -> Arc<V> {
-        let mut m = self.map.lock();
+        let mut m = locked(&self.map);
         if let Some(v) = m.get(k) {
             return Arc::clone(v);
         }
@@ -42,7 +47,7 @@ impl<K: Eq + Hash + Clone, V> Registry<K, V> {
 
     /// Returns the cell for `k` if it was ever created.
     pub fn get(&self, k: &K) -> Option<Arc<V>> {
-        self.map.lock().get(k).map(Arc::clone)
+        locked(&self.map).get(k).map(Arc::clone)
     }
 
     /// Removes the cell for `k`; `true` if it was present. Outstanding
@@ -51,13 +56,13 @@ impl<K: Eq + Hash + Clone, V> Registry<K, V> {
     /// variable's contiguous `Owner` versions and its winners' `TVar`
     /// cells), keeping eviction O(chain) rather than O(registry).
     pub fn remove(&self, k: &K) -> bool {
-        self.map.lock().remove(k).is_some()
+        locked(&self.map).remove(k).is_some()
     }
 
     /// Number of materialized cells (diagnostics: the paper's unbounded
     /// space, measured).
     pub fn len(&self) -> usize {
-        self.map.lock().len()
+        locked(&self.map).len()
     }
 
     pub fn is_empty(&self) -> bool {

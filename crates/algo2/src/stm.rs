@@ -61,10 +61,10 @@
 //! only a transaction that performed no operations at all acquired
 //! nothing — and that case skips the `State` proposal the same way.
 
-use crate::registry::Registry;
+use crate::registry::{locked, Registry};
 use oftm_core::api::{TxError, TxResult, WordStm, WordTx};
 use oftm_core::notify::CommitNotifier;
-use oftm_core::reclaim::{GraceTracker, RetiredBlock, TxGrace};
+use oftm_core::reclaim::{Guard, RetiredBlock};
 use oftm_core::record::{fresh_base_id, Recorder};
 use oftm_core::table::{VarTable, DYNAMIC_TVAR_BASE};
 use oftm_foc::{CasFoc, FoConsensus, SplitterFoc};
@@ -72,7 +72,7 @@ use oftm_histories::{Access, BaseObjId, TVarId, TmOp, TmResp, TxId, Value};
 use oftm_obs::{pack_tx, AbortCause, Counter, StmStats, VarAttr, TX_UNKNOWN};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Transaction fate values proposed to `State[T_k]`.
@@ -200,7 +200,11 @@ pub struct Algo2Stm {
     /// dynamic-id existence check), so it lives in the lock-free paged
     /// slab rather than a mutexed registry: the check is a wait-free
     /// array index, and allocation/free reuse the slab's exact
-    /// live-count accounting.
+    /// live-count accounting. Its reclamation domain is the instance's:
+    /// transactions register there, and [`WordTx::retire_tvar_block`]
+    /// retires there. Freeing a t-variable evicts its `initial`/`V` cells
+    /// and every `Owner`/`TVar` cell keyed by it — the per-version residue
+    /// footnote 6 of the paper otherwise accumulates forever.
     initial: VarTable<Value>,
     /// Scan memoization: per t-variable, `(version, state)` — every
     /// version `< version` is **decided** (fo-consensus decisions are
@@ -213,12 +217,7 @@ pub struct Algo2Stm {
     /// contention the combined rescan work — and the recorded steps —
     /// grow quadratically in the abort count, which is what used to wedge
     /// the 8-thread collection workloads.
-    scan_hint: Registry<TVarId, parking_lot::Mutex<(u64, u64)>>,
-    /// Grace-period tracker for [`WordTx::retire_tvar_block`]. Freeing a
-    /// t-variable evicts its `initial`/`V` cells and every `Owner`/`TVar`
-    /// cell keyed by it — the per-version residue footnote 6 of the paper
-    /// otherwise accumulates forever.
-    reclaim: GraceTracker,
+    scan_hint: Registry<TVarId, Mutex<(u64, u64)>>,
     notify: CommitNotifier,
     tx_seq: AtomicU32,
     recorder: Option<Arc<Recorder>>,
@@ -248,7 +247,6 @@ impl Algo2Stm {
             v: Registry::new(),
             initial: VarTable::new(),
             scan_hint: Registry::new(),
-            reclaim: GraceTracker::new(),
             notify: CommitNotifier::new(),
             tx_seq: AtomicU32::new(0),
             recorder: None,
@@ -281,12 +279,25 @@ impl Algo2Stm {
             .get_or_create(&(x, version), || FocCell::new(self.kind))
     }
 
-    fn initial_of(&self, x: TVarId) -> u64 {
-        self.initial.get(x).unwrap_or(oftm_histories::INITIAL_VALUE)
+    /// Both lookups below run under the calling transaction's own
+    /// registration: `initial`'s domain is the one it began in.
+    fn initial_of(&self, x: TVarId, grace: &Guard<'_>) -> u64 {
+        let initial = self.initial.get_ref_in(x, grace);
+        initial.copied().unwrap_or(oftm_histories::INITIAL_VALUE)
     }
 
-    fn reclaim_after_commit(&self, grace: TxGrace, retired: Vec<RetiredBlock>) {
-        let freeable = self.reclaim.retire_and_flush(grace, retired);
+    /// Dynamic ids must have been allocated and not yet freed; the lazy
+    /// registries would otherwise silently materialize fresh cells for a
+    /// reclaimed variable and hand back a default value. Static ids keep
+    /// the model's implicit-initial-value semantics.
+    fn check_registered(&self, x: TVarId, grace: &Guard<'_>) {
+        if x.0 >= DYNAMIC_TVAR_BASE && self.initial.get_ref_in(x, grace).is_none() {
+            panic!("t-variable {x} not registered");
+        }
+    }
+
+    fn reclaim_after_commit(&self, grace: Guard<'_>, retired: Vec<RetiredBlock>) {
+        let freeable = self.initial.domain().retire_and_flush(grace, retired);
         if !freeable.is_empty() {
             // `free_tvar_block` below accounts the freed t-variables.
             self.stats.incr(Counter::GraceFlushes);
@@ -309,7 +320,7 @@ pub struct Algo2Tx<'s> {
     touched: Vec<TVarId>,
     /// Grace-period registration; dropped (slot released, retire-set
     /// discarded) on every path that does not commit.
-    grace: Option<TxGrace>,
+    grace: Option<Guard<'s>>,
     retired: Vec<RetiredBlock>,
     completed: bool,
     /// Whether an abort cause has been recorded for this attempt (first
@@ -318,6 +329,12 @@ pub struct Algo2Tx<'s> {
 }
 
 impl<'s> Algo2Tx<'s> {
+    fn grace(&self) -> &Guard<'s> {
+        self.grace
+            .as_ref()
+            .expect("grace slot held until completion")
+    }
+
     /// Tags this attempt's abort cause (first tag wins) with its forensic
     /// attribution: the t-variable fought over (or [`VarAttr::NoVar`]) and
     /// the packed id of the aggressor, [`TX_UNKNOWN`] when no peer can be
@@ -352,13 +369,7 @@ impl<'s> Algo2Tx<'s> {
     /// `procedure acquire(Tk, x)` — returns the current state of `x` or
     /// `A_k`.
     fn acquire(&mut self, x: TVarId) -> TxResult<Value> {
-        // Dynamic ids must have been allocated and not yet freed; the lazy
-        // registries would otherwise silently materialize fresh cells for
-        // a reclaimed variable and hand back a default value. Static ids
-        // keep the model's implicit-initial-value semantics.
-        if x.0 >= DYNAMIC_TVAR_BASE && self.stm.initial.get(x).is_none() {
-            panic!("t-variable {x} not registered");
-        }
+        self.stm.check_registered(x, self.grace());
         let state = if !self.wset.contains(&x) {
             // version ← 1; state ← initial state of x; v ← V[x]
             // …resuming from the memoized decided prefix when one exists
@@ -367,8 +378,8 @@ impl<'s> Algo2Tx<'s> {
             let hint = self
                 .stm
                 .scan_hint
-                .get_or_create(&x, || parking_lot::Mutex::new((1, self.stm.initial_of(x))));
-            let (mut version, mut state) = *hint.lock();
+                .get_or_create(&x, || Mutex::new((1, self.stm.initial_of(x, self.grace()))));
+            let (mut version, mut state) = *locked(&hint);
             let v_cell = self.stm.v.get_or_create(&x, || RegCell::new(V_BOTTOM));
             // ord: Acquire pairs with owners' Release V[x] stores — the
             // wait-freedom guard re-reads this below.
@@ -431,7 +442,7 @@ impl<'s> Algo2Tx<'s> {
                     // `owner`'s fate and hence version `version` are now
                     // decided forever: advance the shared hint (monotonic;
                     // concurrent scanners agree on decided prefixes).
-                    let mut h = hint.lock();
+                    let mut h = locked(&hint);
                     if version + 1 > h.0 {
                         *h = (version + 1, state);
                     }
@@ -504,9 +515,7 @@ impl<'s> Algo2Tx<'s> {
         // grace tracker never frees under a registered transaction) must
         // surface as the uniform panic, not as a default value from cells
         // the lazy registries re-materialized above.
-        if x.0 >= DYNAMIC_TVAR_BASE && self.stm.initial.get(x).is_none() {
-            panic!("t-variable {x} not registered");
-        }
+        self.stm.check_registered(x, self.grace());
         Ok(state)
     }
 }
@@ -674,12 +683,18 @@ pub struct Algo2RoTx<'s> {
     /// Grace-period registration: an invisible reader traverses values it
     /// adopted from committed owners, so retire-sets published while it
     /// runs must not be freed under it.
-    grace: Option<TxGrace>,
+    grace: Option<Guard<'s>>,
     completed: bool,
     cause_tagged: bool,
 }
 
 impl<'s> Algo2RoTx<'s> {
+    fn grace(&self) -> &Guard<'s> {
+        self.grace
+            .as_ref()
+            .expect("grace slot held until completion")
+    }
+
     fn rstep(&self, obj: BaseObjId, access: Access) {
         if let Some(rec) = &self.stm.recorder {
             rec.step(self.id.process(), Some(self.id), obj, access);
@@ -698,12 +713,6 @@ impl<'s> Algo2RoTx<'s> {
         }
     }
 
-    fn exists(&self, x: TVarId) {
-        if x.0 >= DYNAMIC_TVAR_BASE && self.stm.initial.get(x).is_none() {
-            panic!("t-variable {x} not registered");
-        }
-    }
-
     /// Walks the decided prefix of `Owner[x, ·]` without proposing and
     /// returns `(stop_version, state)`: the first version with no decided
     /// committed-or-aborted owner, and the value after the last
@@ -712,8 +721,8 @@ impl<'s> Algo2RoTx<'s> {
         let hint = self
             .stm
             .scan_hint
-            .get_or_create(&x, || parking_lot::Mutex::new((1, self.stm.initial_of(x))));
-        let (mut version, mut state) = *hint.lock();
+            .get_or_create(&x, || Mutex::new((1, self.stm.initial_of(x, self.grace()))));
+        let (mut version, mut state) = *locked(&hint);
         loop {
             let Some(cell) = self.stm.owner.get(&(x, version)) else {
                 break;
@@ -741,7 +750,7 @@ impl<'s> Algo2RoTx<'s> {
             }
             // Version `version` is now decided forever: advance the shared
             // hint under the same monotonic rule `acquire` uses.
-            let mut h = hint.lock();
+            let mut h = locked(&hint);
             if version + 1 > h.0 {
                 *h = (version + 1, state);
             }
@@ -789,7 +798,7 @@ impl WordTx for Algo2RoTx<'_> {
     fn read(&mut self, x: TVarId) -> TxResult<Value> {
         self.touched.push(x);
         self.rinvoke(TmOp::Read(x));
-        self.exists(x);
+        self.stm.check_registered(x, self.grace());
         // A re-read must return the snapshot value already recorded (the
         // entry is covered by validation), not rescan a possibly-advanced
         // chain.
@@ -798,7 +807,7 @@ impl WordTx for Algo2RoTx<'_> {
             return Ok(v);
         }
         let (stop, state) = self.scan_committed(x);
-        self.exists(x);
+        self.stm.check_registered(x, self.grace());
         self.reads.push((x, stop, state));
         // Incremental validation, as in DSTM: every access re-checks the
         // whole read-set so a live read-only transaction never observes a
@@ -951,7 +960,7 @@ impl WordStm for Algo2Stm {
             id: TxId::new(proc, seq),
             wset: HashSet::new(),
             touched: Vec::new(),
-            grace: Some(self.reclaim.begin()),
+            grace: Some(self.initial.domain().begin()),
             retired: Vec::new(),
             completed: false,
             cause_tagged: false,
@@ -968,7 +977,7 @@ impl WordStm for Algo2Stm {
             id: TxId::new(proc, seq),
             reads: Vec::new(),
             touched: Vec::new(),
-            grace: Some(self.reclaim.begin()),
+            grace: Some(self.initial.domain().begin()),
             completed: false,
             cause_tagged: false,
         })

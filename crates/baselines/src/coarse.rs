@@ -23,28 +23,26 @@
 //! promotion is implicit: an empty undo log already skips rollback and
 //! publish work.
 
-use crossbeam_epoch::{self as epoch, Guard};
 use oftm_core::api::{TxResult, WordStm, WordTx};
 use oftm_core::notify::CommitNotifier;
-use oftm_core::reclaim::{GraceTracker, RetiredBlock, TxGrace};
+use oftm_core::reclaim::{Guard, RetiredBlock};
 use oftm_core::record::{fresh_base_id, Recorder};
 use oftm_core::table::{Pinned, VarTable};
 use oftm_histories::{Access, TVarId, TmOp, TmResp, TxId, Value};
 use oftm_obs::{pack_tx, AbortCause, Counter, StmStats, VarAttr, TX_UNKNOWN};
-use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Global-mutex TM.
 pub struct CoarseStm {
-    store: VarTable<AtomicU64>,
-    /// Grace-period tracker. The gate serializes transactions, so at most
-    /// one is ever active and retired blocks free at the very next commit;
-    /// routing them through the shared tracker anyway keeps the
+    /// The gate serializes transactions, so at most one is ever registered
+    /// with the table's reclamation domain and retired blocks free at the
+    /// very next commit; routing them through it anyway keeps the
     /// reclamation semantics identical across backends.
-    reclaim: GraceTracker,
-    /// The serialization gate; holding it *is* the transaction.
+    store: VarTable<AtomicU64>,
+    /// The serialization gate; holding it *is* the transaction. It
+    /// protects no data, so poison is recovered (`enter`).
     gate: Mutex<()>,
     notify: CommitNotifier,
     /// Base-object identity of the lock word.
@@ -68,7 +66,6 @@ impl CoarseStm {
     pub fn new() -> Self {
         CoarseStm {
             store: VarTable::new(),
-            reclaim: GraceTracker::new(),
             gate: Mutex::new(()),
             notify: CommitNotifier::new(),
             lock_base: fresh_base_id(),
@@ -87,10 +84,15 @@ impl CoarseStm {
     /// land in the cells *before* commit (undo-log based), so an ungated
     /// read could observe dirty, later-rolled-back state.
     pub fn peek(&self, x: TVarId) -> Option<Value> {
-        let _serialized = self.gate.lock();
-        let pin = epoch::pin();
+        let _serialized = self.enter();
+        let pin = self.store.domain().begin();
         let cell = self.store.get_ref_in(x, &pin)?;
         Some(cell.load(Ordering::Acquire))
+    }
+
+    /// Takes the gate.
+    fn enter(&self) -> MutexGuard<'_, ()> {
+        self.gate.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn begin_inner(&self, proc: u32, ro: bool) -> Box<dyn WordTx + '_> {
@@ -98,7 +100,7 @@ impl CoarseStm {
         let seq = self.tx_seq.fetch_add(1, Ordering::Relaxed);
         let id = TxId::new(proc, seq);
         // Acquiring the global lock is a modifying step on the lock word.
-        let guard = self.gate.lock();
+        let guard = self.enter();
         if let Some(r) = self.recorder.as_deref() {
             r.step(id.process(), Some(id), self.lock_base, Access::Modify);
         }
@@ -108,26 +110,11 @@ impl CoarseStm {
             guard: Some(guard),
             undo: Vec::new(),
             touched: Vec::new(),
-            grace: Some(self.reclaim.begin()),
             retired: Vec::new(),
             ro,
             gate_held_at: Instant::now(),
-            pin: epoch::pin(),
+            pin: Some(self.store.domain().begin()),
         })
-    }
-
-    fn reclaim_after_commit(&self, grace: TxGrace, retired: Vec<RetiredBlock>) {
-        let freed = self.reclaim.retire_and_flush(grace, retired);
-        if !freed.is_empty() {
-            self.stats.incr(Counter::GraceFlushes);
-            self.stats.add(
-                Counter::TvarsFreed,
-                freed.iter().map(|b| b.len as u64).sum(),
-            );
-        }
-        for blk in freed {
-            self.store.remove_block(blk.base, blk.len);
-        }
     }
 }
 
@@ -142,22 +129,24 @@ struct CoarseTx<'s> {
     undo: Vec<(TVarId, Pinned<AtomicU64>, Value)>,
     /// Footprint log (reads and writes) for the async runtime's parking.
     touched: Vec<TVarId>,
-    /// Grace-period registration; dropped (slot released, retire-set
-    /// discarded) on abort.
-    grace: Option<TxGrace>,
     retired: Vec<RetiredBlock>,
     /// Declared read-only: reads skip the footprint log, writes panic.
     ro: bool,
     /// When the gate was acquired; its hold length is this backend's
     /// commit critical section.
     gate_held_at: Instant,
-    /// Transaction-lifetime epoch pin: every cell is looked up under it,
-    /// and it keeps the cells the undo log borrows allocated. Declared
-    /// after `undo`, so it drops after the log.
-    pin: Guard,
+    /// The transaction's one registration with the store's domain: it
+    /// keeps the cells the undo log borrows allocated. Dropped (retire-set
+    /// discarded) on abort — declared after `undo`, so after the log;
+    /// handed to the commit hook by `try_commit`, done with the log by then.
+    pin: Option<Guard<'s>>,
 }
 
-impl CoarseTx<'_> {
+impl<'s> CoarseTx<'s> {
+    fn pin(&self) -> &Guard<'s> {
+        self.pin.as_ref().expect("held until completion")
+    }
+
     fn rec(&self) -> Option<&Recorder> {
         self.stm.recorder.as_deref()
     }
@@ -185,7 +174,7 @@ impl WordTx for CoarseTx<'_> {
         let v = self
             .stm
             .store
-            .get_ref_or_panic_in(x, &self.pin)
+            .get_ref_or_panic_in(x, self.pin())
             .load(Ordering::Acquire);
         if let Some(r) = self.rec() {
             r.respond(self.id, TmResp::Value(v));
@@ -203,11 +192,11 @@ impl WordTx for CoarseTx<'_> {
         }
         debug_assert!(self.guard.is_some(), "transaction completed");
         self.touched.push(x);
-        let cell = self.stm.store.get_ref_or_panic_in(x, &self.pin);
-        // SAFETY: loaded under `self.pin`, which outlives `self.undo` (field
-        // order); only this transaction dereferences the entry.
-        let kept = unsafe { Pinned::new(cell) };
-        self.undo.push((x, kept, cell.load(Ordering::Acquire)));
+        // SAFETY: loaded under `self.pin`, which is held for as long as
+        // `self.undo` is looked at (see the field); only this transaction
+        // dereferences the entry.
+        let cell = unsafe { Pinned::new(self.stm.store.get_ref_or_panic_in(x, self.pin())) };
+        self.undo.push((x, cell, cell.load(Ordering::Acquire)));
         cell.store(v, Ordering::Release);
         if let Some(r) = self.rec() {
             r.respond(self.id, TmResp::Ok);
@@ -239,10 +228,10 @@ impl WordTx for CoarseTx<'_> {
         if let Some(r) = self.rec() {
             r.respond(self.id, TmResp::Committed);
         }
-        self.stm.reclaim_after_commit(
-            self.grace.take().expect("grace slot held until completion"),
-            std::mem::take(&mut self.retired),
-        );
+        let pin = self.pin.take().expect("held until completion");
+        let retired = std::mem::take(&mut self.retired);
+        let evicted = self.stm.store.retire_and_evict(pin, retired);
+        self.stm.stats.grace_flush(evicted);
         Ok(())
     }
 
@@ -271,8 +260,8 @@ impl WordTx for CoarseTx<'_> {
         if let Some(r) = self.rec() {
             r.respond(self.id, TmResp::Aborted);
         }
-        // Dropping `grace` releases the reclamation slot; the retire-set
-        // is discarded with the transaction.
+        // Dropping `pin` releases the registration; the retire-set is
+        // discarded with the transaction.
     }
 
     fn retire_tvar_block(&mut self, base: TVarId, len: usize) {

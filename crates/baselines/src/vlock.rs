@@ -63,18 +63,18 @@
 //!
 //! Transactions reuse pooled scratch buffers (read-set, write-set, lock
 //! log), and both logs carry the variables they resolved (commit takes
-//! zero table probes) as *borrows* under the transaction-lifetime epoch
-//! pin: the table owns every t-variable and evicts through the epoch, so
-//! no entry counts a reference — a count would turn every logged read
-//! into a write to the line the other cores are reading. Steady-state
+//! zero table probes) as *borrows* under the transaction's one guard of
+//! the table's reclamation domain: the table owns every t-variable and
+//! evicts into that domain, so no entry counts a reference — a count
+//! would turn every logged read into a write to the line the other cores
+//! are reading. Steady-state
 //! transactions allocate nothing and write nothing shared before commit.
 
 use crate::clock::{readable, ShardedClock, LOCK_BIT};
-use crossbeam_epoch::{self as epoch, Guard};
 use oftm_core::api::{TxError, TxResult, WordStm, WordTx};
 use oftm_core::notify::CommitNotifier;
 use oftm_core::pool::SlotPool;
-use oftm_core::reclaim::{GraceTracker, RetiredBlock, TxGrace};
+use oftm_core::reclaim::{Guard, RetiredBlock};
 use oftm_core::record::{fresh_base_id, Recorder};
 use oftm_core::table::{Pinned, VarTable};
 use oftm_histories::{Access, BaseObjId, TVarId, TmOp, TmResp, TxId, Value};
@@ -267,7 +267,6 @@ struct Scratch<S> {
 /// and the [`TlStm`] / [`Tl2Stm`] aliases.
 pub struct VersionedLockStm<P: ReadPolicy> {
     vars: VarTable<VLockVar>,
-    reclaim: GraceTracker,
     notify: CommitNotifier,
     /// Commit-stamp source. Every writing commit bumps its own shard and
     /// every declared-RO transaction samples the whole vector; whether a
@@ -295,7 +294,6 @@ impl<P: ReadPolicy> VersionedLockStm<P> {
     pub fn new() -> Self {
         VersionedLockStm {
             vars: VarTable::new(),
-            reclaim: GraceTracker::new(),
             notify: CommitNotifier::new(),
             clocks: ShardedClock::new(),
             tx_seq: AtomicU32::new(0),
@@ -346,8 +344,8 @@ impl<P: ReadPolicy> VersionedLockStm<P> {
     /// them (they would sit in the table, counted by `live_tvars`, until
     /// it migrated back).
     pub fn for_each_live_value(&self, mut f: impl FnMut(TVarId, Value)) {
-        self.evict(self.reclaim.flush());
-        self.vars.for_each_live(|id, var| {
+        self.stats.grace_flush(self.vars.evict_ripe());
+        self.vars.for_each_live(|id, var, _| {
             // ord: Acquire pairs with the committer's Release value store.
             f(id, var.value.load(Ordering::Acquire));
         });
@@ -356,7 +354,7 @@ impl<P: ReadPolicy> VersionedLockStm<P> {
     pub fn peek(&self, x: TVarId) -> Option<Value> {
         // ord: Acquire pairs with the committer's Release value store
         // (oracle/inspection read; not validated against the lock word).
-        let pin = epoch::pin();
+        let pin = self.vars.domain().begin();
         let var = self.vars.get_ref_in(x, &pin)?;
         Some(var.value.load(Ordering::Acquire))
     }
@@ -383,20 +381,6 @@ impl<P: ReadPolicy> VersionedLockStm<P> {
         rv
     }
 
-    /// Evicts retired blocks whose grace period has elapsed.
-    fn evict(&self, freed: Vec<RetiredBlock>) {
-        if !freed.is_empty() {
-            self.stats.incr(Counter::GraceFlushes);
-            self.stats.add(
-                Counter::TvarsFreed,
-                freed.iter().map(|b| b.len as u64).sum(),
-            );
-        }
-        for blk in freed {
-            self.vars.remove_block(blk.base, blk.len);
-        }
-    }
-
     fn attempt(&self, proc: u32) -> Attempt<'_, P> {
         self.stats.incr(Counter::Begins);
         // ord: Relaxed — atomicity alone keeps transaction ids unique.
@@ -404,7 +388,7 @@ impl<P: ReadPolicy> VersionedLockStm<P> {
         Attempt {
             stm: self,
             id: TxId::new(proc, seq),
-            grace: Some(self.reclaim.begin()),
+            pin: Some(self.vars.domain().begin()),
             dead: false,
             finished: false,
             conflict_hint: None,
@@ -416,9 +400,11 @@ impl<P: ReadPolicy> VersionedLockStm<P> {
 struct Attempt<'s, P: ReadPolicy> {
     stm: &'s VersionedLockStm<P>,
     id: TxId,
-    /// Grace-period registration; dropping it (any abort path) releases
-    /// the slot and discards the retire-set with the transaction.
-    grace: Option<TxGrace>,
+    /// The attempt's one registration with the table's domain: what it
+    /// looks up stays allocated until this goes. Dropping it (any abort
+    /// path) discards the retire-set with the transaction; `finish` hands
+    /// it to the commit hook.
+    pin: Option<Guard<'s>>,
     dead: bool,
     /// Completed through `try_commit`/`try_abort`: every abort cause is
     /// already tagged. A live transaction dropped without either settles
@@ -430,6 +416,15 @@ struct Attempt<'s, P: ReadPolicy> {
 }
 
 impl<P: ReadPolicy> Attempt<'_, P> {
+    /// Looks `x` up, for the operation at hand or for a log entry to keep.
+    fn var(&self, x: TVarId) -> Pinned<VLockVar> {
+        let pin = self.pin.as_ref().expect("held until completion");
+        // SAFETY: loaded under the attempt's guard, which it holds until
+        // `finish` or its drop — after the last look at the logs either
+        // way; nobody else dereferences the entry.
+        unsafe { Pinned::new(self.stm.vars.get_ref_or_panic_in(x, pin)) }
+    }
+
     fn rstep(&self, obj: BaseObjId, access: Access) {
         if let Some(r) = self.stm.recorder.as_deref() {
             r.step(self.id.process(), Some(self.id), obj, access);
@@ -490,7 +485,7 @@ impl<P: ReadPolicy> Attempt<'_, P> {
     }
 
     /// `tryA`. Nothing to undo: writes were buffered, and dropping the
-    /// attempt releases its grace slot.
+    /// attempt releases its registration.
     fn abandon(&mut self) {
         self.finished = true;
         if self.invoke(TmOp::TryAbort).is_ok() {
@@ -499,15 +494,16 @@ impl<P: ReadPolicy> Attempt<'_, P> {
         }
     }
 
-    /// Answers `C_k`, releases the grace slot, hands over the retire-set
-    /// and frees whatever became reclaimable.
+    /// Answers `C_k`, releases the registration, hands over the
+    /// retire-set and frees whatever became reclaimable. Nothing the logs
+    /// borrow is looked at again.
     fn finish(&mut self, retired: &mut Vec<RetiredBlock>) {
         self.rrespond(TmResp::Committed);
-        // The slot is filled at `begin` and emptied only here, and only
-        // `try_commit` — which consumes the transaction — gets here, once.
-        let grace = self.grace.take().expect("grace slot held until completion");
-        let stm = self.stm;
-        stm.evict(stm.reclaim.retire_and_flush(grace, std::mem::take(retired)));
+        // Filled at `begin` and emptied only here, and only `try_commit` —
+        // which consumes the transaction — gets here, once.
+        let pin = self.pin.take().expect("held until completion");
+        let evicted = self.stm.vars.retire_and_evict(pin, std::mem::take(retired));
+        self.stm.stats.grace_flush(evicted);
     }
 }
 
@@ -523,24 +519,12 @@ impl<P: ReadPolicy> Drop for Attempt<'_, P> {
 
 struct RwTx<'s, P: ReadPolicy> {
     at: Attempt<'s, P>,
-    /// Epoch pin held for the transaction's lifetime: every variable the
-    /// logs borrow was loaded under it and stays allocated until it drops.
-    pin: Guard,
     snap: P::Snapshot,
-    /// The logs. Taken out (and given back to the pool) by `Drop` only,
-    /// which runs — and empties them — before `pin` drops.
+    /// The logs. Taken out (and given back to the pool) by `Drop` only.
     log: ManuallyDrop<Box<Scratch<P::Seen>>>,
 }
 
 impl<P: ReadPolicy> RwTx<'_, P> {
-    /// Looks `x` up for a log entry to keep.
-    fn var(&self, x: TVarId) -> Pinned<VLockVar> {
-        // SAFETY: loaded under `self.pin`, which this transaction holds
-        // until after `Drop` has emptied the logs; nobody else
-        // dereferences the entry.
-        unsafe { Pinned::new(self.at.stm.vars.get_ref_or_panic_in(x, &self.pin)) }
-    }
-
     fn buffered(&self, x: TVarId) -> Option<Value> {
         self.log
             .writes
@@ -597,7 +581,7 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
             self.at.rrespond(TmResp::Value(v));
             return Ok(v);
         }
-        let var = self.var(x);
+        let var = self.at.var(x);
         let mut patience = P::read_patience(self.at.stm.lock_patience);
         loop {
             self.at.rstep(var.lock_base, Access::Read);
@@ -621,7 +605,7 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
 
     fn write(&mut self, x: TVarId, v: Value) -> TxResult<()> {
         self.at.invoke(TmOp::Write(x, v))?;
-        let var = self.var(x); // existence check, kept for commit
+        let var = self.at.var(x); // existence check, kept for commit
         self.log.writes.push((x, v, var));
         self.at.rrespond(TmResp::Ok);
         Ok(())
@@ -753,7 +737,6 @@ impl<P: ReadPolicy> Drop for RwTx<'_, P> {
 /// module docs state its wait-free bound and the refresh/freeze rules.
 struct RoTx<'s, P: ReadPolicy> {
     at: Attempt<'s, P>,
-    pin: Guard,
     rv: Rv,
     /// A read has succeeded: the snapshot is frozen from here on.
     read_any: bool,
@@ -767,7 +750,7 @@ impl<P: ReadPolicy> WordTx for RoTx<'_, P> {
     fn read(&mut self, x: TVarId) -> TxResult<Value> {
         self.at.invoke(TmOp::Read(x))?;
         let stm = self.at.stm;
-        let var = stm.vars.get_ref_or_panic_in(x, &self.pin);
+        let var = self.at.var(x);
         self.at.rstep(var.lock_base, Access::Read);
         let (ver, val) = match var.read_consistent() {
             Some(pair) => pair,
@@ -778,7 +761,7 @@ impl<P: ReadPolicy> WordTx for RoTx<'_, P> {
                 loop {
                     patience = patience.saturating_sub(1);
                     if patience == 0 {
-                        return self.at.doom(AbortCause::LockBusy, x, var);
+                        return self.at.doom(AbortCause::LockBusy, x, &var);
                     }
                     std::hint::spin_loop();
                     self.at.rstep(var.lock_base, Access::Read);
@@ -792,7 +775,7 @@ impl<P: ReadPolicy> WordTx for RoTx<'_, P> {
         if !readable(ver, &self.rv) {
             if self.read_any {
                 // Snapshot frozen; this value postdates it.
-                return self.at.doom(AbortCause::ReadValidation, x, var);
+                return self.at.doom(AbortCause::ReadValidation, x, &var);
             }
             // First read: refresh the snapshot instead of aborting.
             self.rv = stm.sample_rv(self.at.id);
@@ -812,7 +795,7 @@ impl<P: ReadPolicy> WordTx for RoTx<'_, P> {
         self.at.finished = true;
         self.at.invoke(TmOp::TryCommit)?;
         // Every read was serializable at begin time: nothing to validate,
-        // nothing to lock, no clock bump. Commit is the grace release.
+        // nothing to lock, no clock bump. Commit is the guard's release.
         self.at.stm.stats.incr(Counter::CommitsRo);
         self.at.finish(&mut Vec::new());
         Ok(())
@@ -870,7 +853,6 @@ impl<P: ReadPolicy> WordStm for VersionedLockStm<P> {
         let log = self.scratch.take(proc as usize).unwrap_or_default();
         Box::new(RwTx {
             at,
-            pin: epoch::pin(),
             snap,
             log: ManuallyDrop::new(log),
         })
@@ -882,7 +864,6 @@ impl<P: ReadPolicy> WordStm for VersionedLockStm<P> {
         let rv = self.sample_rv(at.id);
         Box::new(RoTx {
             at,
-            pin: epoch::pin(),
             rv,
             read_any: false,
         })
@@ -972,7 +953,7 @@ mod tests {
     fn doomed_tells_an_abort_from_a_live_attempt<P: ReadPolicy>() {
         let mut s = stm::<P>();
         s.lock_patience = 1;
-        let pin = epoch::pin();
+        let pin = s.vars.domain().begin();
         let x = s.vars.get_ref_or_panic_in(X, &pin);
         let prev = x.try_lock(pack_tx(7, 3)).expect("uncontended");
         for mut tx in [s.begin(0), s.begin_ro(0)] {
@@ -1098,7 +1079,7 @@ mod tests {
         s.stats().forensics().set_sample_period(1);
         s.stats().forensics().reset();
         let before = s.stats().snapshot();
-        let pin = epoch::pin();
+        let pin = s.vars.domain().begin();
         let x = s.vars.get_ref_or_panic_in(X, &pin);
         // What a committer does to X on its way in, frozen there.
         let prev = x.try_lock(pack_tx(7, 3)).expect("uncontended");

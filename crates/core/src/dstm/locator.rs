@@ -53,7 +53,7 @@ pub struct Locator<T> {
     pub base: BaseObjId,
 }
 
-/// SAFETY: `Locator` is shared between threads behind epoch-protected
+/// SAFETY: `Locator` is shared between threads behind guard-protected
 /// pointers. All fields except `new` are immutable after construction
 /// (a descriptor is itself `Sync`). Access to `new` follows the single-writer /
 /// post-publication-readers protocol documented on the module; the status

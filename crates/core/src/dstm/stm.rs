@@ -8,6 +8,7 @@ use crate::api::{TxError, TxResult};
 use crate::cm::{Aggressive, ContentionManager};
 use crate::kernel::CommitGate;
 use crate::pool::SlotPool;
+use crate::reclaim::GraceTracker;
 use crate::record::{fresh_base_id, Recorder};
 use oftm_histories::{BaseObjId, TVarId, TxId};
 use oftm_obs::{Counter, StmStats};
@@ -51,6 +52,10 @@ pub struct Dstm {
     /// over-aligning `Dstm` reshuffles every struct that embeds one.
     gate: Box<CommitGate<AtomicU64>>,
     gate_base: BaseObjId,
+    /// Every transaction registers here, once, and everything the
+    /// instance unlinks — locators, the state behind a dropped [`TVar`],
+    /// the word-level table's evictions — retires here.
+    domain: Arc<GraceTracker>,
     /// Pooled per-transaction buffers (keyed by process), recycled across
     /// transactions so the steady state allocates nothing per attempt.
     scratch: SlotPool<Scratch>,
@@ -81,6 +86,7 @@ impl Dstm {
             tvar_seq: AtomicU32::new(0),
             gate: Box::default(),
             gate_base: fresh_base_id(),
+            domain: Arc::default(),
             scratch: SlotPool::new(),
             stats: Arc::new(StmStats::new()),
         }
@@ -143,6 +149,10 @@ impl Dstm {
         &self.gate
     }
 
+    pub(crate) fn domain(&self) -> &Arc<GraceTracker> {
+        &self.domain
+    }
+
     /// Base-object identity of the commit counter: what the strict-DAP
     /// checkers name when t-variable-disjoint transactions meet on it.
     pub fn commit_counter_base(&self) -> BaseObjId {
@@ -159,7 +169,7 @@ impl Dstm {
         // ord: Relaxed — atomicity alone keeps ids unique; the t-variable
         // itself is published by the registry's Release install.
         let id = TVarId(u64::from(self.tvar_seq.fetch_add(1, Ordering::Relaxed)));
-        TVar::new(id, initial)
+        TVar::new(id, initial, Arc::clone(&self.domain))
     }
 
     /// Begins a transaction on behalf of process `proc`.

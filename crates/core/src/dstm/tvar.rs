@@ -6,19 +6,21 @@
 //! but revocable ownership" scheme of Section 1. A fresh variable costs
 //! two allocations: the state and `T_0`'s locator ([`Locator::initial`]).
 //!
-//! Everything is reclaimed through `crossbeam_epoch` and nothing is
-//! counted on a transaction's path: a transaction pins the epoch for its
-//! whole lifetime, so every locator address in its read-set stays valid
-//! (no ABA) and so does the state the entry borrows. The word-level table
-//! owns its `TVarInner`s and evicts them with `defer_destroy`; the typed
-//! [`TVar`] is a handle whose clones are counted among themselves only and
-//! whose last drop retires the state the same way — dropping it in the
-//! middle of a transaction that read through it frees nothing that
-//! transaction can still reach.
+//! Everything is reclaimed through the instance's reclamation domain
+//! ([`crate::reclaim::GraceTracker`]) and nothing is counted on a
+//! transaction's path: a transaction holds one guard of that domain for
+//! its whole lifetime, so every locator address in its read-set stays
+//! valid (no ABA) and so does the state the entry borrows. The word-level
+//! table owns its `TVarInner`s and evicts them with `defer_destroy`; the
+//! typed [`TVar`] is a handle whose clones are counted among themselves
+//! only and whose last drop retires the state the same way, into the
+//! domain of the instance that created it — dropping it in the middle of
+//! a transaction that read through it frees nothing that transaction can
+//! still reach.
 
 use super::descriptor::Descriptor;
 use super::locator::Locator;
-use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
+use crate::reclaim::{Atomic, GraceTracker, Guard, Owned, Shared};
 use oftm_histories::{BaseObjId, TVarId, TxId};
 use std::mem::ManuallyDrop;
 use std::sync::atomic::Ordering;
@@ -33,18 +35,21 @@ pub struct TVar<T: Clone + Send + Sync + 'static> {
 }
 
 /// What the clones of a [`TVar`] share: the state, owned until the last
-/// clone drops.
-struct Handle<T: Clone + Send + Sync + 'static>(ManuallyDrop<Owned<TVarInner<T>>>);
+/// clone drops, and the domain of the instance it belongs to.
+struct Handle<T: Clone + Send + Sync + 'static> {
+    state: ManuallyDrop<Owned<TVarInner<T>>>,
+    domain: Arc<GraceTracker>,
+}
 
 impl<T: Clone + Send + Sync + 'static> Drop for Handle<T> {
     fn drop(&mut self) {
         // SAFETY: the field is not touched again.
-        let state = unsafe { ManuallyDrop::take(&mut self.0) };
-        let guard = crossbeam_epoch::pin();
+        let state = unsafe { ManuallyDrop::take(&mut self.state) };
         // SAFETY: unlinked — this was the last handle, so no new operation
         // can reach the state; a transaction that read through a handle
-        // earlier holds a pin that predates this call.
-        unsafe { guard.defer_destroy(state.into_shared(&guard)) };
+        // earlier holds a guard of `domain` (`Tx::read` checks) that
+        // predates this call.
+        unsafe { self.domain.defer_destroy(state.into_shared()) };
     }
 }
 
@@ -58,17 +63,24 @@ pub(crate) struct TVarInner<T: Clone + Send + Sync + 'static> {
 }
 
 impl<T: Clone + Send + Sync + 'static> TVar<T> {
-    /// Creates a t-variable with an initial value, written by the
-    /// conceptual initializing transaction `T_0`.
-    pub fn new(id: TVarId, initial: T) -> Self {
-        let state = Owned::new(TVarInner::new(id, initial));
+    /// Creates a t-variable of the instance that owns `domain`, with an
+    /// initial value written by the conceptual initializing transaction
+    /// `T_0` ([`super::Dstm::new_tvar`]).
+    pub(crate) fn new(id: TVarId, initial: T, domain: Arc<GraceTracker>) -> Self {
+        let state = ManuallyDrop::new(Owned::new(TVarInner::new(id, initial)));
         TVar {
-            inner: Arc::new(Handle(ManuallyDrop::new(state))),
+            inner: Arc::new(Handle { state, domain }),
         }
     }
 
     pub(crate) fn state(&self) -> &TVarInner<T> {
-        &self.inner.0
+        &self.inner.state
+    }
+
+    /// The domain the state retires into: the only one whose guards may
+    /// read through this handle.
+    pub(crate) fn domain(&self) -> &GraceTracker {
+        &self.inner.domain
     }
 
     /// The t-variable's identifier.
@@ -83,22 +95,16 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// and post-run inspection. Linearizes at the locator load + status
     /// read.
     pub fn read_atomic(&self) -> T {
-        self.state().read_atomic()
+        self.state().read_atomic(&self.domain().begin())
     }
 }
 
 impl<T: Clone + Send + Sync + 'static> Drop for TVarInner<T> {
     fn drop(&mut self) {
-        // SAFETY: `&mut self` in drop means no pin can reach the state any
-        // more; the current locator can be reclaimed immediately.
-        unsafe {
-            let guard = crossbeam_epoch::unprotected();
-            // ord: Relaxed — exclusive access in Drop (&mut self).
-            let shared = self.ptr.load(Ordering::Relaxed, guard);
-            if !shared.is_null() {
-                drop(shared.into_owned());
-            }
-        }
+        // SAFETY: the cell owns the current locator, and `&mut self` in
+        // drop means no guard can reach the state any more: it can be
+        // reclaimed immediately.
+        drop(unsafe { self.ptr.take() });
     }
 }
 
@@ -113,13 +119,12 @@ impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
         }
     }
 
-    /// See [`TVar::read_atomic`].
-    pub(crate) fn read_atomic(&self) -> T {
-        let guard = crossbeam_epoch::pin();
+    /// See [`TVar::read_atomic`]; `guard` is of the instance's domain.
+    pub(crate) fn read_atomic(&self, guard: &Guard<'_>) -> T {
         // SAFETY: loaded under `guard`; locators are only retired via
         // `defer_destroy` after being unlinked, so the reference is valid
         // for the guard's lifetime.
-        let loc = unsafe { self.load(&guard).deref() };
+        let loc = unsafe { self.load(guard).deref() };
         // A live owner's tentative value is not committed yet.
         loc.resolve().unwrap_or(&loc.old).clone()
     }
@@ -144,7 +149,7 @@ impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
     /// `T_0`): whom to name when a read of this variable fails validation.
     /// Abort path only; sound on the [`TVarInner::erased`] view.
     #[cold]
-    pub(crate) fn current_owner(&self, guard: &Guard) -> Option<TxId> {
+    pub(crate) fn current_owner(&self, guard: &Guard<'_>) -> Option<TxId> {
         let loc = self.load(guard).as_raw();
         // SAFETY: never null and loaded under `guard` (locators are only
         // retired via `defer_destroy` after being unlinked). `Locator` is
@@ -155,7 +160,7 @@ impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
     }
 
     /// Loads the current locator under `guard`.
-    pub(crate) fn load<'g>(&self, guard: &'g Guard) -> Shared<'g, Locator<T>> {
+    pub(crate) fn load<'g>(&self, guard: &'g Guard<'_>) -> Shared<'g, Locator<T>> {
         // ord: Acquire pairs with the locator-install CAS's Release half.
         self.ptr.load(Ordering::Acquire, guard)
     }
@@ -164,8 +169,8 @@ impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
     /// compares it with the address recorded at read time: a recorded
     /// locator's owner was already `Committed` or `Aborted` (both
     /// terminal), so the logical value can only change by the pointer
-    /// changing, and the transaction's pin rules out address reuse.
-    pub(crate) fn current(&self, guard: &Guard) -> usize {
+    /// changing, and the transaction's guard rules out address reuse.
+    pub(crate) fn current(&self, guard: &Guard<'_>) -> usize {
         self.load(guard).as_raw() as usize
     }
 
@@ -176,24 +181,19 @@ impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
         &self,
         current: Shared<'g, Locator<T>>,
         new: Owned<Locator<T>>,
-        guard: &'g Guard,
+        guard: &'g Guard<'_>,
     ) -> Result<usize, Owned<Locator<T>>> {
-        match self
+        let installed = self
             .ptr
             // ord: AcqRel — Release publishes the new locator's fields to
             // Acquire loaders; Acquire orders the unlinked `current` before
             // defer_destroy. Failure Acquire pairs with the winner's install.
-            .compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire, guard)
-        {
-            Ok(installed) => {
-                // SAFETY: `current` has just been unlinked by this CAS and
-                // can no longer be reached from the t-variable; readers that
-                // loaded it earlier are protected by their own pins.
-                unsafe { guard.defer_destroy(current) };
-                Ok(installed.as_raw() as usize)
-            }
-            Err(e) => Err(e.new),
-        }
+            .compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire)?;
+        // SAFETY: `current` has just been unlinked by this CAS and can no
+        // longer be reached from the t-variable; readers that loaded it
+        // earlier are protected by their own guards.
+        unsafe { guard.core().defer_destroy(current) };
+        Ok(installed.as_raw() as usize)
     }
 }
 
@@ -203,15 +203,19 @@ mod tests {
     use crate::dstm::descriptor::Descriptor;
     use oftm_histories::TxId;
 
+    fn tvar<T: Clone + Send + Sync + 'static>(id: u64, initial: T) -> TVar<T> {
+        TVar::new(TVarId(id), initial, Arc::default())
+    }
+
     #[test]
     fn initial_value_readable() {
-        let v = TVar::new(TVarId(0), 42u64);
+        let v = tvar(0, 42u64);
         assert_eq!(v.read_atomic(), 42);
     }
 
     #[test]
     fn clone_shares_state() {
-        let v = TVar::new(TVarId(1), 7u64);
+        let v = tvar(1, 7u64);
         let w = v.clone();
         assert_eq!(w.read_atomic(), 7);
         assert!(std::ptr::eq(v.state(), w.state()));
@@ -219,9 +223,9 @@ mod tests {
 
     #[test]
     fn cas_swings_and_retires() {
-        let v = TVar::new(TVarId(3), 1u64);
+        let v = tvar(3, 1u64);
         let me = Arc::new(Descriptor::new(TxId::new(1, 0), 0));
-        let guard = crossbeam_epoch::pin();
+        let guard = v.domain().begin();
         let cur = v.state().load(&guard);
         let newloc = Owned::new(Locator::new(Arc::clone(&me), 1u64, 9u64));
         let addr = v.state().cas(cur, newloc, &guard).expect("uncontended CAS");
@@ -236,9 +240,9 @@ mod tests {
 
     #[test]
     fn cas_failure_returns_locator() {
-        let v = TVar::new(TVarId(4), 1u64);
+        let v = tvar(4, 1u64);
         let me = Arc::new(Descriptor::new(TxId::new(1, 0), 0));
-        let guard = crossbeam_epoch::pin();
+        let guard = v.domain().begin();
         let cur = v.state().load(&guard);
         // First CAS wins.
         let l1 = Owned::new(Locator::new(Arc::clone(&me), 1u64, 2u64));
@@ -250,7 +254,7 @@ mod tests {
 
     #[test]
     fn non_u64_payloads_work() {
-        let v = TVar::new(TVarId(5), String::from("hello"));
+        let v = tvar(5, String::from("hello"));
         assert_eq!(v.read_atomic(), "hello");
     }
 }

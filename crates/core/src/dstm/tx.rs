@@ -8,7 +8,7 @@
 //! * **reads** are invisible: they resolve the current committed value and
 //!   remember the locator's address in a private, append-only read-set —
 //!   and write nothing shared at all: the entry *borrows* the t-variable
-//!   under the transaction's pin instead of counting a reference to it;
+//!   under the transaction's guard instead of counting a reference to it;
 //! * after every read and acquisition and at commit the transaction must
 //!   still observe a consistent state ("the state of `y` is re-read to
 //!   ensure that `T_i` still observes a consistent state"), which yields
@@ -57,8 +57,8 @@ use super::stm::{Dstm, Progress};
 use super::tvar::{TVar, TVarInner};
 use crate::api::{TxError, TxResult};
 use crate::cm::Resolution;
+use crate::reclaim::{Guard, Owned, Shared};
 use crate::table::Pinned;
-use crossbeam_epoch::{Guard, Owned, Shared};
 use oftm_histories::{Access, ProcId, TVarId, TxId};
 use oftm_obs::{pack_tx, AbortCause, Counter, VarAttr, TX_UNKNOWN};
 use std::cell::Cell;
@@ -92,14 +92,15 @@ pub(crate) struct Scratch {
 
 /// A live transaction on a [`Dstm`] instance.
 ///
-/// Not `Send`: a transaction is executed by a single process (thread), as
-/// in the paper's model. Holds an epoch pin for its whole lifetime so that
-/// read-set locator addresses cannot be reclaimed-and-reused (no ABA) and
-/// the t-variables the read-set borrows stay allocated.
+/// A transaction is executed by a single process, as in the paper's
+/// model. Holds one guard of the instance's domain for its whole lifetime
+/// so that read-set locator addresses cannot be reclaimed-and-reused (no
+/// ABA) and the t-variables the read-set borrows stay allocated.
 pub struct Tx<'s> {
     stm: &'s Dstm,
     desc: Arc<Descriptor>,
-    guard: Guard,
+    /// Emptied only by [`Tx::release`], after which nothing is read.
+    guard: Option<Guard<'s>>,
     /// Taken out (and given back to the pool) by `Drop` only.
     pub(crate) scratch: ManuallyDrop<Box<Scratch>>,
     /// Commit-counter value under which the whole read-set was last known
@@ -132,7 +133,7 @@ impl<'s> Tx<'s> {
         let tx = Tx {
             stm,
             desc,
-            guard: crossbeam_epoch::pin(),
+            guard: Some(stm.domain().begin()),
             scratch: ManuallyDrop::new(scratch.unwrap_or_default()),
             seen: stm.gate().sample(),
             full_scans: Cell::new(0),
@@ -148,6 +149,19 @@ impl<'s> Tx<'s> {
     fn packed_id(&self) -> u64 {
         let id = self.desc.id();
         pack_tx(id.proc, id.seq)
+    }
+
+    /// What the word-level adapter looks its table up under.
+    pub(crate) fn guard(&self) -> &Guard<'s> {
+        self.guard.as_ref().expect("guard held until release")
+    }
+
+    /// Hands the guard over to the commit hook of a completed transaction.
+    /// The read-set's borrows die with it.
+    pub(crate) fn release(&mut self) -> Guard<'s> {
+        debug_assert!(self.finished);
+        self.scratch.read_set.clear();
+        self.guard.take().expect("released once")
     }
 
     /// Records the abort cause of this attempt, first tag wins. `var`
@@ -203,7 +217,7 @@ impl<'s> Tx<'s> {
             .iter()
             .find(|e| {
                 self.rstep(e.var.base, Access::Read);
-                e.var.current(&self.guard) != e.addr
+                e.var.current(self.guard()) != e.addr
             })
             .map(|e| (e.var.id, self.aggressor_over(&e.var)))
     }
@@ -214,7 +228,7 @@ impl<'s> Tx<'s> {
     #[cold]
     #[inline(never)]
     fn aggressor_over<T: Clone + Send + Sync + 'static>(&self, var: &TVarInner<T>) -> u64 {
-        match var.current_owner(&self.guard) {
+        match var.current_owner(self.guard()) {
             Some(id) if id != self.desc.id() => pack_tx(id.proc, id.seq),
             _ => TX_UNKNOWN,
         }
@@ -292,8 +306,21 @@ impl<'s> Tx<'s> {
     }
 
     /// Reads t-variable `v` within the transaction.
+    ///
+    /// # Panics
+    /// If `v` belongs to another instance ([`Tx::write`] likewise): this
+    /// transaction's guard would not protect what `v` retires.
     pub fn read<T: Clone + Send + Sync + 'static>(&mut self, v: &TVar<T>) -> TxResult<T> {
+        self.check_ours(v);
         self.read_var(v.state())
+    }
+
+    fn check_ours<T: Clone + Send + Sync + 'static>(&self, v: &TVar<T>) {
+        assert!(
+            std::ptr::eq(v.domain(), &**self.stm.domain()),
+            "t-variable {} belongs to another Dstm instance",
+            v.id()
+        );
     }
 
     /// Writes `value` to t-variable `v` within the transaction, acquiring
@@ -303,6 +330,7 @@ impl<'s> Tx<'s> {
         v: &TVar<T>,
         value: T,
     ) -> TxResult<()> {
+        self.check_ours(v);
         self.write_var(v.state(), value)
     }
 
@@ -317,7 +345,7 @@ impl<'s> Tx<'s> {
     ) -> TxResult<Opened<'g, T>> {
         loop {
             self.check_self()?;
-            let shared = v.load(&self.guard);
+            let shared = v.load(self.guard());
             self.rstep(v.base, Access::Read);
             // SAFETY: loaded under our guard, locators are retired via
             // defer_destroy only after unlinking.
@@ -366,9 +394,10 @@ impl<'s> Tx<'s> {
             .is_some_and(|e| e.is_of(var) && e.addr == addr)
         {
             // SAFETY: `v` is not retired yet (this function's contract) and
-            // retirement is `defer_destroy`, so `self.guard`, pinned at
-            // `begin`, keeps it allocated until it drops; the read-set is
-            // emptied in `Drop`, before the guard goes.
+            // retirement is `defer_destroy` into our domain, so
+            // `self.guard`, registered at `begin`, keeps it allocated until
+            // it is released; the read-set is emptied before that
+            // (`release`, `Drop`).
             let var = unsafe { Pinned::new(var) };
             read_set.push(ReadEntry { var, addr });
         }
@@ -410,7 +439,7 @@ impl<'s> Tx<'s> {
             let new_loc = Owned::new(Locator::new(Arc::clone(&self.desc), old_val, value.clone()));
             // Failure: someone interposed; re-examine. (The rejected
             // locator is dropped here, unpublished.)
-            if let Ok(new_addr) = v.cas(shared, new_loc, &self.guard) {
+            if let Ok(new_addr) = v.cas(shared, new_loc, self.guard()) {
                 self.rstep(v.base, Access::Modify);
                 // Upgrade every read entry of this variable: ownership now
                 // protects it.
@@ -542,7 +571,8 @@ impl Drop for Tx<'_> {
             self.abort_self(AbortCause::ExplicitRetry, VarAttr::NoVar, TX_UNKNOWN);
         }
         // Hand the buffers back, capacity kept — and emptied while
-        // `self.guard` still pins what the read-set borrowed.
+        // `self.guard` (a field: it drops after this) still protects what
+        // the read-set borrowed.
         // SAFETY: `drop` runs once and nothing reads the field after it.
         let mut scratch = unsafe { ManuallyDrop::take(&mut self.scratch) };
         scratch.read_set.clear();
@@ -571,7 +601,6 @@ fn backoff(d: Duration) {
 mod tests {
     use super::*;
     use crate::cm::Aggressive;
-    use oftm_histories::TVarId;
 
     fn stm() -> Dstm {
         Dstm::new(Arc::new(Aggressive))
@@ -580,7 +609,7 @@ mod tests {
     #[test]
     fn read_initial_value() {
         let s = stm();
-        let x: TVar<u64> = TVar::new(TVarId(0), 5);
+        let x: TVar<u64> = s.new_tvar(5);
         let mut tx = s.begin(1);
         assert_eq!(tx.read(&x).unwrap(), 5);
         tx.commit().unwrap();
@@ -589,7 +618,7 @@ mod tests {
     #[test]
     fn write_then_read_own() {
         let s = stm();
-        let x: TVar<u64> = TVar::new(TVarId(0), 5);
+        let x: TVar<u64> = s.new_tvar(5);
         let mut tx = s.begin(1);
         tx.write(&x, 9).unwrap();
         assert_eq!(tx.read(&x).unwrap(), 9);
@@ -600,7 +629,7 @@ mod tests {
     #[test]
     fn rollback_discards_writes() {
         let s = stm();
-        let x: TVar<u64> = TVar::new(TVarId(0), 5);
+        let x: TVar<u64> = s.new_tvar(5);
         let tx = {
             let mut tx = s.begin(1);
             tx.write(&x, 9).unwrap();
@@ -613,7 +642,7 @@ mod tests {
     #[test]
     fn drop_without_commit_aborts() {
         let s = stm();
-        let x: TVar<u64> = TVar::new(TVarId(0), 5);
+        let x: TVar<u64> = s.new_tvar(5);
         {
             let mut tx = s.begin(1);
             tx.write(&x, 9).unwrap();
@@ -625,7 +654,7 @@ mod tests {
     #[test]
     fn forceful_abort_stops_victim() {
         let s = stm();
-        let x: TVar<u64> = TVar::new(TVarId(0), 5);
+        let x: TVar<u64> = s.new_tvar(5);
         let mut t1 = s.begin(1);
         t1.write(&x, 6).unwrap();
         // T2 (aggressive CM) steals the variable, aborting T1.
@@ -641,7 +670,7 @@ mod tests {
     #[test]
     fn stale_read_detected_at_commit() {
         let s = stm();
-        let x: TVar<u64> = TVar::new(TVarId(0), 0);
+        let x: TVar<u64> = s.new_tvar(0);
         let mut t1 = s.begin(1);
         assert_eq!(t1.read(&x).unwrap(), 0);
         // T2 commits a change to x behind T1's back.
@@ -655,8 +684,8 @@ mod tests {
     #[test]
     fn stale_read_detected_on_next_access() {
         let s = stm();
-        let x: TVar<u64> = TVar::new(TVarId(0), 0);
-        let y: TVar<u64> = TVar::new(TVarId(1), 0);
+        let x: TVar<u64> = s.new_tvar(0);
+        let y: TVar<u64> = s.new_tvar(0);
         let mut t1 = s.begin(1);
         assert_eq!(t1.read(&x).unwrap(), 0);
         let mut t2 = s.begin(2);
@@ -674,7 +703,7 @@ mod tests {
         // and the stale duplicate failed every later validation — an
         // unconditional self-abort loop even single-threaded.
         let s = stm();
-        let x: TVar<u64> = TVar::new(TVarId(0), 3);
+        let x: TVar<u64> = s.new_tvar(3);
         let mut tx = s.begin(1);
         assert_eq!(tx.read(&x).unwrap(), 3);
         assert_eq!(tx.read(&x).unwrap(), 3);
@@ -687,7 +716,7 @@ mod tests {
     #[test]
     fn read_write_upgrade_same_tx() {
         let s = stm();
-        let x: TVar<u64> = TVar::new(TVarId(0), 3);
+        let x: TVar<u64> = s.new_tvar(3);
         let mut tx = s.begin(1);
         let v = tx.read(&x).unwrap();
         tx.write(&x, v + 1).unwrap();
@@ -699,7 +728,7 @@ mod tests {
     #[test]
     fn upgrade_fails_if_var_changed_since_read() {
         let s = stm();
-        let x: TVar<u64> = TVar::new(TVarId(0), 0);
+        let x: TVar<u64> = s.new_tvar(0);
         let mut t1 = s.begin(1);
         let _ = t1.read(&x).unwrap();
         let mut t2 = s.begin(2);
@@ -712,7 +741,7 @@ mod tests {
     #[test]
     fn aborted_owner_value_resolves_to_old() {
         let s = stm();
-        let x: TVar<u64> = TVar::new(TVarId(0), 5);
+        let x: TVar<u64> = s.new_tvar(5);
         let mut t1 = s.begin(1);
         t1.write(&x, 100).unwrap();
         t1.rollback();
@@ -724,7 +753,7 @@ mod tests {
     #[test]
     fn read_only_commit_detects_stale_read() {
         let s = stm();
-        let x: TVar<u64> = TVar::new(TVarId(0), 0);
+        let x: TVar<u64> = s.new_tvar(0);
         let mut t1 = s.begin(1);
         assert_eq!(t1.read(&x).unwrap(), 0);
         let mut t2 = s.begin(2);
@@ -736,7 +765,7 @@ mod tests {
     #[test]
     fn read_only_commit_succeeds_without_interference() {
         let s = stm();
-        let x: TVar<u64> = TVar::new(TVarId(0), 7);
+        let x: TVar<u64> = s.new_tvar(7);
         let mut t1 = s.begin(1);
         assert_eq!(t1.read(&x).unwrap(), 7);
         t1.commit_read_only().unwrap();
@@ -747,8 +776,8 @@ mod tests {
         // Only a commit changes a logical value: a peer that acquires what
         // we read and rolls back moved the pointer, not the counter.
         let s = stm();
-        let x: TVar<u64> = TVar::new(TVarId(0), 0);
-        let y: TVar<u64> = TVar::new(TVarId(1), 0);
+        let x: TVar<u64> = s.new_tvar(0);
+        let y: TVar<u64> = s.new_tvar(0);
         let mut t1 = s.begin(1);
         assert_eq!(t1.read(&x).unwrap(), 0);
         let mut t2 = s.begin(2);
@@ -771,8 +800,8 @@ mod tests {
             (Foreign::ReadOnlyCommit, 0),
         ] {
             let s = stm();
-            let vars: Vec<TVar<u64>> = (0..64).map(|i| TVar::new(TVarId(i), i)).collect();
-            let other: TVar<u64> = TVar::new(TVarId(64), 0);
+            let vars: Vec<TVar<u64>> = (0..64).map(|i| s.new_tvar(i)).collect();
+            let other: TVar<u64> = s.new_tvar(0);
             let mut t1 = s.begin(1);
             for (i, v) in vars.iter().enumerate() {
                 if i == 32 {
@@ -801,7 +830,7 @@ mod tests {
     #[test]
     fn rereading_one_variable_does_not_grow_the_read_set() {
         let s = stm();
-        let x: TVar<u64> = TVar::new(TVarId(0), 3);
+        let x: TVar<u64> = s.new_tvar(3);
         let mut tx = s.begin(1);
         for _ in 0..100 {
             assert_eq!(tx.read(&x).unwrap(), 3);
@@ -871,15 +900,15 @@ mod tests {
 
     // The payload of the two tests below is an `Arc<Token>`: its drop
     // count moves when the locator holding the last clone is freed.
-    use crate::table::test_support::{collect_until, Counted as Token};
+    use crate::tests::Counted as Token;
 
     #[test]
     fn dropping_the_last_handle_mid_transaction_frees_nothing_the_reader_borrowed() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let drops = Arc::new(AtomicUsize::new(0));
         let s = stm();
-        let v = TVar::new(TVarId(0), Arc::new(Token(Arc::clone(&drops))));
-        let other: TVar<u64> = TVar::new(TVarId(1), 0);
+        let v = s.new_tvar(Arc::new(Token(Arc::clone(&drops))));
+        let other: TVar<u64> = s.new_tvar(0);
         let mut t1 = s.begin(1);
         drop(t1.read(&v).unwrap());
         drop(v); // the read-set entry now borrows a retired t-variable
@@ -891,7 +920,15 @@ mod tests {
         assert_eq!(t1.full_scans(), 1);
         assert_eq!(drops.load(Ordering::SeqCst), 0, "freed under the reader");
         t1.commit_read_only().unwrap();
-        collect_until(&drops, 1);
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "t1's release collects");
+    }
+
+    #[test]
+    #[should_panic(expected = "belongs to another Dstm instance")]
+    fn reading_another_instances_variable_is_refused() {
+        let (s, other) = (stm(), stm());
+        let v = other.new_tvar(0u64);
+        let _ = s.begin(1).read(&v);
     }
 
     #[test]
@@ -902,11 +939,11 @@ mod tests {
         let drops = Arc::new(AtomicUsize::new(0));
         let s = stm();
         let vars: Mutex<Vec<TVar<Arc<Token>>>> = Mutex::new(
-            (0..VARS as u64)
-                .map(|i| TVar::new(TVarId(i), Arc::new(Token(Arc::clone(&drops)))))
+            (0..VARS)
+                .map(|_| s.new_tvar(Arc::new(Token(Arc::clone(&drops)))))
                 .collect(),
         );
-        let gate_mover: TVar<u64> = TVar::new(TVarId(VARS as u64), 0);
+        let gate_mover: TVar<u64> = s.new_tvar(0);
         let done = AtomicBool::new(false);
         std::thread::scope(|sc| {
             // Drops the registry's handles one by one.
@@ -947,14 +984,16 @@ mod tests {
                 });
             }
         });
-        collect_until(&drops, VARS);
+        // The last handle may have dropped after the last release.
+        drop(s.begin(0));
+        assert_eq!(drops.load(Ordering::SeqCst), VARS);
     }
 
     #[test]
     fn write_counts_tracked() {
         let s = stm();
-        let x: TVar<u64> = TVar::new(TVarId(0), 0);
-        let y: TVar<u64> = TVar::new(TVarId(1), 0);
+        let x: TVar<u64> = s.new_tvar(0);
+        let y: TVar<u64> = s.new_tvar(0);
         let mut tx = s.begin(1);
         tx.write(&x, 1).unwrap();
         tx.write(&y, 1).unwrap();

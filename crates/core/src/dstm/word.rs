@@ -22,33 +22,34 @@ use super::tvar::TVarInner;
 use super::tx::Tx;
 use crate::api::{TxError, TxResult, WordStm, WordTx};
 use crate::notify::CommitNotifier;
-use crate::reclaim::{GraceTracker, RetiredBlock, TxGrace};
-use crate::table::VarTable;
+use crate::reclaim::RetiredBlock;
+use crate::table::{Pinned, VarTable};
 use oftm_histories::{TVarId, TmOp, TmResp, TxId, Value};
 use oftm_obs::{Counter, StmStats};
+use std::sync::Arc;
 
 /// A [`Dstm`] with a word-sized t-variable table, implementing [`WordStm`].
 ///
 /// The table is a shared [`VarTable`], so t-variables allocated with
 /// [`WordStm::alloc_tvar`] — including mid-transaction — are immediately
 /// visible to every running transaction. Retired blocks are evicted after
-/// a grace period (see [`GraceTracker`]). The table owns the state and
-/// evicts it through the epoch, so what a zombie transaction's read-set
-/// borrowed (the state and its locators) stays allocated until the
-/// zombie's pin is released.
+/// a grace period (see [`crate::reclaim`]). The table owns the state and
+/// evicts it into the instance's reclamation domain, so what a zombie
+/// transaction's read-set borrowed (the state and its locators) stays
+/// allocated until the zombie's guard is released.
 pub struct DstmWord {
     stm: Dstm,
+    /// Built in `stm`'s domain: a transaction's one guard covers its
+    /// table lookups and its locators alike.
     vars: VarTable<TVarInner<Value>>,
-    reclaim: GraceTracker,
     notify: CommitNotifier,
 }
 
 impl DstmWord {
     pub fn new(stm: Dstm) -> Self {
         DstmWord {
+            vars: VarTable::in_domain(Arc::clone(stm.domain())),
             stm,
-            vars: VarTable::new(),
-            reclaim: GraceTracker::new(),
             notify: CommitNotifier::new(),
         }
     }
@@ -67,8 +68,8 @@ impl DstmWord {
 
     /// Reads a t-variable non-transactionally (test oracle).
     pub fn peek(&self, x: TVarId) -> Option<Value> {
-        let pin = crossbeam_epoch::pin();
-        self.vars.get_ref_in(x, &pin).map(TVarInner::read_atomic)
+        let pin = self.stm.domain().begin();
+        self.vars.get_ref_in(x, &pin).map(|v| v.read_atomic(&pin))
     }
 
     /// Visits every live t-variable with its current committed value.
@@ -80,8 +81,9 @@ impl DstmWord {
     /// quiesced this engine to migrate away from it will run no further
     /// commit here to flush them.
     pub fn for_each_live_value(&self, mut f: impl FnMut(TVarId, Value)) {
-        self.evict(self.reclaim.flush());
-        self.vars.for_each_live(|id, v| f(id, v.read_atomic()));
+        self.stm.stats().grace_flush(self.vars.evict_ripe());
+        self.vars
+            .for_each_live(|id, v, pin| f(id, v.read_atomic(pin)));
     }
 
     /// Registers `x` unless the table already holds it; `true` if it did
@@ -101,28 +103,8 @@ impl DstmWord {
     pub fn evict_all(&self) {
         let mut evicted = 0;
         self.vars
-            .for_each_live(|id, _| evicted += u64::from(self.vars.remove(id)));
+            .for_each_live(|id, _, _| evicted += u64::from(self.vars.remove(id)));
         self.stm.stats().add(Counter::TvarsFreed, evicted);
-    }
-
-    /// Retired blocks still awaiting their grace period (diagnostics).
-    pub fn reclaim_pending(&self) -> usize {
-        self.reclaim.pending_blocks()
-    }
-
-    /// Evicts retired blocks whose grace period has elapsed.
-    fn evict(&self, freed: Vec<RetiredBlock>) {
-        if !freed.is_empty() {
-            let stats = self.stm.stats();
-            stats.incr(Counter::GraceFlushes);
-            stats.add(
-                Counter::TvarsFreed,
-                freed.iter().map(|b| b.len as u64).sum(),
-            );
-        }
-        for blk in freed {
-            self.vars.remove_block(blk.base, blk.len);
-        }
     }
 
     fn begin_inner(&self, proc: u32, ro: bool) -> Box<dyn WordTx + '_> {
@@ -134,10 +116,8 @@ impl DstmWord {
         Box::new(DstmWordTx {
             tx: self.stm.begin(proc),
             word: self,
-            grace: self.reclaim.begin(),
             retired: Vec::new(),
             ro,
-            pin: crossbeam_epoch::pin(),
         })
     }
 }
@@ -149,22 +129,26 @@ impl DstmWord {
 /// the async runtime parks on), `written` what a successful commit
 /// publishes to the commit notifier.
 struct DstmWordTx<'s> {
+    /// Holds the transaction's one registration: dropping it (any abort
+    /// path) releases it and discards the retire-set with the transaction.
     tx: Tx<'s>,
     word: &'s DstmWord,
-    /// Dropping it (any abort path) releases the active-transaction slot
-    /// and discards the retire-set with the transaction.
-    grace: TxGrace,
     retired: Vec<RetiredBlock>,
     /// Declared read-only: writes and retires panic (caller bug), and the
     /// commit takes the CAS-free read-only completion unconditionally.
     ro: bool,
-    /// Adapter-lifetime epoch pin the table lookups borrow under (the
-    /// typed transaction's own, older pin is what keeps its read-set's
-    /// borrows alive). Nested in that one, so it costs no publication.
-    pin: crossbeam_epoch::Guard,
 }
 
 impl DstmWordTx<'_> {
+    /// Looks `x` up for the operation at hand.
+    fn var(&self, x: TVarId) -> Pinned<TVarInner<Value>> {
+        let var = self.word.vars.get_ref_or_panic_in(x, self.tx.guard());
+        // SAFETY: loaded under the transaction's guard, of the domain the
+        // table retires into, and dereferenced by the calling operation
+        // only — which cannot borrow it from `self.tx` and mutate that.
+        unsafe { Pinned::new(var) }
+    }
+
     fn record_invoke(&self, op: TmOp) {
         if let Some(rec) = self.word.stm.recorder() {
             rec.invoke(self.tx.id(), op);
@@ -193,20 +177,20 @@ impl WordTx for DstmWordTx<'_> {
     }
 
     fn read(&mut self, x: TVarId) -> TxResult<Value> {
-        let var = self.word.vars.get_ref_or_panic_in(x, &self.pin);
+        let var = self.var(x);
         self.tx.scratch.touched.push(x);
         self.record_invoke(TmOp::Read(x));
-        let r = self.tx.read_var(var);
+        let r = self.tx.read_var(&var);
         self.respond(r, |v| TmResp::Value(*v))
     }
 
     fn write(&mut self, x: TVarId, v: Value) -> TxResult<()> {
         assert!(!self.ro, "dstm: write on a declared read-only transaction");
-        let var = self.word.vars.get_ref_or_panic_in(x, &self.pin);
+        let var = self.var(x);
         self.tx.scratch.touched.push(x);
         self.tx.scratch.written.push(x);
         self.record_invoke(TmOp::Write(x, v));
-        let r = self.tx.write_var(var, v);
+        let r = self.tx.write_var(&var, v);
         self.respond(r, |()| TmResp::Ok)
     }
 
@@ -233,11 +217,16 @@ impl WordTx for DstmWordTx<'_> {
                 if !written.is_empty() {
                     self.word.notify.publish(written.iter().copied());
                 }
-                // Hand the retire-set to the grace tracker and evict every
-                // block whose grace period has elapsed.
-                let this = *self;
-                let word = this.word;
-                word.evict(word.reclaim.retire_and_flush(this.grace, this.retired));
+                // Release the registration, hand over the retire-set and
+                // evict every block whose grace period has elapsed.
+                let DstmWordTx {
+                    mut tx,
+                    word,
+                    retired,
+                    ..
+                } = *self;
+                let evicted = word.vars.retire_and_evict(tx.release(), retired);
+                word.stm.stats().grace_flush(evicted);
             }
             Err(TxError::Aborted) => self.record_respond(TmResp::Aborted),
         }
@@ -317,7 +306,6 @@ mod tests {
     use crate::api::run_transaction;
     use crate::cm::Polite;
     use crate::record::Recorder;
-    use std::sync::Arc;
 
     fn word_stm() -> DstmWord {
         DstmWord::new(Dstm::new(Arc::new(Polite::default())))
@@ -486,13 +474,13 @@ mod tests {
         retirer.retire_tvar_block(node, 1);
         retirer.try_commit().unwrap();
         assert_eq!(s.live_tvars(), 2, "block must survive the reader");
-        assert_eq!(s.reclaim_pending(), 1);
+        assert_eq!(s.stm.domain().pending_blocks(), 1);
         reader.try_abort();
         // Next completed transaction sweeps the now-safe block.
         let tx = s.begin(3);
         tx.try_commit().unwrap();
         assert_eq!(s.live_tvars(), 1);
-        assert_eq!(s.reclaim_pending(), 0);
+        assert_eq!(s.stm.domain().pending_blocks(), 0);
         assert_eq!(s.peek(node), None);
     }
 
@@ -515,7 +503,7 @@ mod tests {
         s.for_each_live_value(|id, _| walked.push(id));
         assert_eq!(walked, [TVarId(0)]);
         assert_eq!(s.live_tvars(), 1);
-        assert_eq!(s.reclaim_pending(), 0);
+        assert_eq!(s.stm.domain().pending_blocks(), 0);
     }
 
     #[test]

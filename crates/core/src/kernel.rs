@@ -14,7 +14,7 @@
 //! mutex + waker vocabulary; [`CommitGate`] needs only the atomic), and
 //! instantiated twice:
 //!
-//! * [`StdSync`] — `std::sync::atomic::AtomicU64` + `parking_lot::Mutex` +
+//! * [`StdSync`] — `std::sync::atomic::AtomicU64` + `std::sync::Mutex` +
 //!   `std::task::Waker`. This is what [`crate::notify::CommitNotifier`] and
 //!   [`crate::reclaim::GraceTracker`] ship; every method is `#[inline]`
 //!   monomorphized, so the facade costs nothing at runtime.
@@ -35,7 +35,6 @@
 //! remain in the instantiating modules' docs.
 
 use oftm_histories::TVarId;
-use std::ops::Deref;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -112,16 +111,29 @@ impl AtomicU64Like for std::sync::atomic::AtomicU64 {
 pub trait MutexLike<T: Send>: Send + Sync {
     fn new(value: T) -> Self;
     fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R;
+    /// [`MutexLike::with`] if the lock is free right now, `None` if not.
+    fn try_with<R>(&self, f: impl FnOnce(&mut T) -> R) -> Option<R>;
 }
 
-impl<T: Send> MutexLike<T> for parking_lot::Mutex<T> {
+/// Poison is recovered, not propagated: the protected lists stay
+/// consistent across a panicking waker or destructor (both run outside
+/// the lock), and a failed test must not cascade.
+impl<T: Send> MutexLike<T> for std::sync::Mutex<T> {
     #[inline]
     fn new(value: T) -> Self {
-        parking_lot::Mutex::new(value)
+        std::sync::Mutex::new(value)
     }
     #[inline]
     fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        f(&mut self.lock())
+        f(&mut self.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+    #[inline]
+    fn try_with<R>(&self, f: impl FnOnce(&mut T) -> R) -> Option<R> {
+        match self.try_lock() {
+            Ok(mut guard) => Some(f(&mut guard)),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(f(&mut e.into_inner())),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
     }
 }
 
@@ -154,12 +166,12 @@ pub trait SyncFacade: 'static {
     fn fence(ord: Ordering);
 }
 
-/// Production facade: real atomics, `parking_lot` mutexes.
+/// Production facade: real atomics, `std::sync` mutexes.
 pub struct StdSync;
 
 impl SyncFacade for StdSync {
     type Au64 = std::sync::atomic::AtomicU64;
-    type Mutex<T: Send> = parking_lot::Mutex<T>;
+    type Mutex<T: Send> = std::sync::Mutex<T>;
     #[inline]
     fn fence(ord: Ordering) {
         std::sync::atomic::fence(ord)
@@ -347,7 +359,7 @@ impl<F: SyncFacade, W: WakeRef + Send> NotifyProto<F, W> {
 }
 
 // ---------------------------------------------------------------------------
-// Grace kernel: epoch + slot claim/flush for transaction-safe reclamation.
+// Grace kernel: epoch + slot claim/flush, the one reclamation rule.
 // ---------------------------------------------------------------------------
 
 /// A contiguous block of t-variables scheduled for reclamation.
@@ -359,102 +371,101 @@ pub struct RetiredBlock {
     pub len: usize,
 }
 
-/// The active-transaction slot store the grace kernel is generic over.
+/// The registration slot store the grace kernel is generic over.
 /// Production uses [`crate::reclaim`]'s lock-free chunked `SlotArray`
 /// (`AtomicPtr`-chained, unbounded); the model checker uses a fixed array
 /// of instrumented atomics. Both claim with the same CAS protocol; the
 /// chunk-installation visibility argument is `SlotArray`-specific and
 /// stays prose (the model cannot express pointer installation).
 pub trait SlotSet<A: AtomicU64Like>: Send + Sync {
-    /// Owning reference to a claimed slot; dropping the kernel's
-    /// [`GraceHandle`] around it stores [`IDLE_SLOT`] through it.
-    type Handle: Deref<Target = A> + Send;
     /// Claims an idle slot, storing `e` into it (CAS from [`IDLE_SLOT`]).
-    fn claim(&self, e: u64) -> Self::Handle;
+    /// Slots never move and live as long as the set: a guard borrows its.
+    fn claim(&self, e: u64) -> &A;
     /// Minimum epoch over all registered slots ([`IDLE_SLOT`] when none).
     fn min_active(&self) -> u64;
 }
 
-/// An active-transaction registration. Dropping it releases the slot —
-/// abort paths need nothing beyond dropping the transaction.
-pub struct GraceHandle<H>
-where
-    H: Deref,
-    H::Target: AtomicU64Like,
-{
-    slot: H,
+/// A registration with a [`GraceCore`]: nothing tagged at or after the
+/// epoch its slot publishes is reclaimed while it lives. Dropping it
+/// releases the slot — abort paths need nothing beyond dropping the
+/// transaction — and collects whatever memory became reclaimable.
+pub struct GraceGuard<'c, F: SyncFacade, S: SlotSet<F::Au64>, M: Send> {
+    core: &'c GraceCore<F, S, M>,
+    slot: &'c F::Au64,
 }
 
-impl<H> GraceHandle<H>
-where
-    H: Deref,
-    H::Target: AtomicU64Like,
-{
-    /// Republishes the slot's epoch (the begin-revalidation loop).
-    fn publish_epoch(&self, e: u64) {
-        // ord: SeqCst slot publication; must be ordered against the
-        // retirer's SeqCst epoch bump so a flush scan cannot miss a
-        // registered predecessor (see `GraceCore::begin`).
-        self.slot.store(e, Ordering::SeqCst);
+impl<'c, F: SyncFacade, S: SlotSet<F::Au64>, M: Send> GraceGuard<'c, F, S, M> {
+    /// The kernel this guard is registered with.
+    pub fn core(&self) -> &'c GraceCore<F, S, M> {
+        self.core
     }
 
-    fn current(&self) -> u64 {
-        // ord: Relaxed — own slot, only this handle writes it between
-        // claim and drop; the value is compared against a SeqCst epoch
-        // re-read that provides the ordering.
-        self.slot.load(Ordering::Relaxed)
-    }
-}
-
-impl<H> Drop for GraceHandle<H>
-where
-    H: Deref,
-    H::Target: AtomicU64Like,
-{
-    fn drop(&mut self) {
+    fn unregister(&self) {
         // ord: SeqCst release of the slot: a concurrent flush scan either
-        // sees the registration (and holds our bins) or sees IDLE after
-        // we are finished and can no longer touch any block.
+        // sees the registration (and holds what we might reach) or sees
+        // IDLE after we are finished and can no longer touch any of it.
         self.slot.store(IDLE_SLOT, Ordering::SeqCst);
     }
 }
 
-/// One retired batch awaiting its grace period.
-struct Bin {
-    epoch: u64,
-    blocks: Vec<RetiredBlock>,
+impl<F: SyncFacade, S: SlotSet<F::Au64>, M: Send> Drop for GraceGuard<'_, F, S, M> {
+    fn drop(&mut self) {
+        self.unregister();
+        self.core.collect();
+    }
 }
 
-/// The grace-period protocol (epoch counter, per-transaction slots,
-/// retired bins), written once and shared by
-/// [`crate::reclaim::GraceTracker`] (`StdSync` + chunked `SlotArray`) and
-/// the `oftm-verify` model checker (instrumented atomics + fixed slots).
-/// See [`crate::reclaim`] for the full why-this-is-safe argument; the
-/// `model_grace` suite in `oftm-verify` checks it exhaustively at
-/// preemption bound ≥ 2.
-pub struct GraceCore<F: SyncFacade, S: SlotSet<F::Au64>> {
-    /// Monotonic epoch; advanced by every retiring commit.
+/// What awaits its grace period, under one lock.
+struct Bins<M> {
+    /// Retire-sets, one tag per retiring commit; handed back once ripe.
+    blocks: Vec<(u64, Vec<RetiredBlock>)>,
+    /// Deferred memory; dropped by whoever finds it ripe.
+    memory: Vec<(u64, M)>,
+}
+
+/// The grace-period protocol (epoch counter, per-guard slots, epoch-tagged
+/// bins), written once and shared by [`crate::reclaim::GraceTracker`]
+/// (`StdSync` + chunked `SlotArray`) and the `oftm-verify` model checker
+/// (instrumented atomics + fixed slots). One rule for both kinds of
+/// garbage — an item tagged `e` is reclaimed once every registered guard
+/// has published an epoch `> e`: retired id blocks go back to the caller
+/// (which owns the table they index), memory items `M` are dropped. See
+/// [`crate::reclaim`] for why this is safe; `model_grace` checks it
+/// exhaustively at preemption bound 2.
+pub struct GraceCore<F: SyncFacade, S: SlotSet<F::Au64>, M: Send> {
+    /// Monotonic epoch; advanced by every retirement.
     epoch: F::Au64,
     slots: S,
-    /// Retired batches not yet past their grace period.
-    bins: F::Mutex<Vec<Bin>>,
-    /// Blocks currently sitting in `bins` (kept in sync under the `bins`
+    bins: F::Mutex<Bins<M>>,
+    /// Items currently sitting in `bins` (kept in sync under the `bins`
     /// lock). Lets the hot no-reclamation path — every commit of a
     /// workload that never retires anything — skip the lock entirely.
     pending: F::Au64,
-    retired_blocks: F::Au64,
-    freed_blocks: F::Au64,
 }
 
-impl<F: SyncFacade, S: SlotSet<F::Au64>> GraceCore<F, S> {
-    pub fn new(slots: S) -> Self {
+impl<F: SyncFacade, S: SlotSet<F::Au64> + Default, M: Send> Default for GraceCore<F, S, M> {
+    fn default() -> Self {
+        Self::with_slots(S::default())
+    }
+}
+
+impl<F: SyncFacade, S: SlotSet<F::Au64>, M: Send> GraceCore<F, S, M> {
+    pub fn new() -> Self
+    where
+        S: Default,
+    {
+        Self::default()
+    }
+
+    pub fn with_slots(slots: S) -> Self {
         GraceCore {
             epoch: F::Au64::new(1),
             slots,
-            bins: F::Mutex::new(Vec::new()),
+            bins: F::Mutex::new(Bins {
+                blocks: Vec::new(),
+                memory: Vec::new(),
+            }),
             pending: F::Au64::new(0),
-            retired_blocks: F::Au64::new(0),
-            freed_blocks: F::Au64::new(0),
         }
     }
 
@@ -463,125 +474,174 @@ impl<F: SyncFacade, S: SlotSet<F::Au64>> GraceCore<F, S> {
         &self.slots
     }
 
+    /// Whether `guard` is registered here: what protects a pointer is a
+    /// guard of the domain the pointee is retired into.
+    pub fn owns(&self, guard: &GraceGuard<'_, F, S, M>) -> bool {
+        std::ptr::eq(guard.core, self)
+    }
+
     /// Registers a beginning transaction. Must be called before the
     /// transaction performs its first read.
-    pub fn begin(&self) -> GraceHandle<S::Handle> {
+    pub fn begin(&self) -> GraceGuard<'_, F, S, M> {
         // ord: SeqCst epoch sample: the claimed slot value must order
         // against retirements' SeqCst epoch bumps.
-        let e = self.epoch.load(Ordering::SeqCst);
-        let handle = GraceHandle {
-            slot: self.slots.claim(e),
-        };
+        let mut e = self.epoch.load(Ordering::SeqCst);
+        let slot = self.slots.claim(e);
         // Revalidate (all `SeqCst`): if the epoch did not move, our slot
         // write is SeqCst-ordered before any later retirement's bump, so
         // that retirement's flush must see us. If it moved, republish —
         // reading the bump (a SeqCst RMW) happens-before-orders the
-        // retirer's committed unlink ahead of every read this transaction
-        // will do, so the blocks its bin frees are unreachable to us.
-        // Without this, a flush racing our registration could miss the
-        // slot while our reads still observe pre-unlink state on weakly
-        // ordered hardware.
+        // retirer's unlink ahead of every read this transaction will do,
+        // so what its bin frees is unreachable to us. Without this, a
+        // flush racing our registration could miss the slot while our
+        // reads still observe pre-unlink state on weakly ordered hardware.
         loop {
             // ord: SeqCst epoch re-read of the revalidation loop (see the
             // block comment above).
             let now = self.epoch.load(Ordering::SeqCst);
-            if now == handle.current() {
+            if now == e {
                 break;
             }
-            handle.publish_epoch(now);
+            // ord: SeqCst slot publication; must be ordered against the
+            // retirer's SeqCst epoch bump so a flush scan cannot miss a
+            // registered predecessor.
+            slot.store(now, Ordering::SeqCst);
+            e = now;
         }
-        handle
+        GraceGuard { core: self, slot }
     }
 
-    /// Commit hook: releases the committing transaction's slot, enters its
-    /// retire-set (if any) as a new batch, and returns every batch whose
-    /// grace period has elapsed. The caller must evict the returned blocks
-    /// from its variable table — the kernel records ids, not state.
+    /// The tag of a retirement: bumps the epoch, so every later
+    /// registration publishes a strictly greater one.
+    fn tag(&self) -> u64 {
+        // ord: SeqCst epoch bump: orders the tag against every beginner's
+        // SeqCst slot publication (the flush rule's "slot epoch > tag"
+        // comparison depends on it).
+        self.epoch.fetch_add(1, Ordering::SeqCst)
+    }
+
+    /// Enters `n` tagged items under the bins lock.
+    fn enter(&self, n: usize, push: impl FnOnce(&mut Bins<M>)) {
+        self.bins.with(|bins| {
+            // ord: Release pending bump under the bins lock; pairs with
+            // the Acquire fast-path probes of `flush` and `collect`.
+            self.pending.fetch_add(n as u64, Ordering::Release);
+            push(bins);
+        });
+    }
+
+    /// Defers dropping `item` until no guard that predates this call is
+    /// left. The caller must have made whatever `item` stands for
+    /// unreachable to later registrations first (unlink, then defer); it
+    /// need not hold a guard itself.
+    pub fn defer(&self, item: M) {
+        let tag = self.tag();
+        self.enter(1, |bins| bins.memory.push((tag, item)));
+    }
+
+    /// Commit hook: releases the committing transaction's guard, enters
+    /// its retire-set (if any) as a new batch, drops every memory item
+    /// and returns every id block whose grace period has elapsed. The
+    /// caller must evict the returned blocks from its variable table —
+    /// the kernel records ids, not state.
     pub fn retire_and_flush(
         &self,
-        grace: GraceHandle<S::Handle>,
+        guard: GraceGuard<'_, F, S, M>,
         retired: Vec<RetiredBlock>,
     ) -> Vec<RetiredBlock> {
+        debug_assert!(self.owns(&guard), "guard of another domain");
         // Release our slot first: the batch we are about to enter must not
-        // wait on the very transaction that retired it.
-        drop(grace);
+        // wait on the very transaction that retired it. (No collection of
+        // its own: the flush below does it.)
+        guard.unregister();
+        std::mem::forget(guard);
         if !retired.is_empty() {
-            // ord: Relaxed — diagnostic counter only.
-            self.retired_blocks
-                .fetch_add(retired.len() as u64, Ordering::Relaxed);
-            // ord: SeqCst epoch bump: orders the batch tag against every
-            // beginner's SeqCst slot publication (the flush rule's "slot
-            // epoch > batch epoch" comparison depends on it).
-            let tag = self.epoch.fetch_add(1, Ordering::SeqCst);
-            self.bins.with(|bins| {
-                // ord: Release pending bump under the bins lock; pairs
-                // with `flush`'s Acquire fast-path probe.
-                self.pending
-                    .fetch_add(retired.len() as u64, Ordering::Release);
-                bins.push(Bin {
-                    epoch: tag,
-                    blocks: retired,
-                });
-            });
+            let tag = self.tag();
+            self.enter(retired.len(), |bins| bins.blocks.push((tag, retired)));
         }
         self.flush()
     }
 
-    /// Returns every retired batch that no active transaction predates.
-    pub fn flush(&self) -> Vec<RetiredBlock> {
-        // Fast path: nothing pending — workloads that never retire (the
-        // word-level harnesses and benches) pay one relaxed load per
-        // commit instead of two lock acquisitions.
+    /// Whether anything awaits its grace period: workloads that never
+    /// retire pay this one load per commit instead of a lock.
+    fn anything_pending(&self) -> bool {
         // ord: Acquire probe pairing with the Release bumps under the
-        // bins lock; a stale zero only skips a flush some other commit
-        // will perform.
-        if self.pending.load(Ordering::Acquire) == 0 {
+        // bins lock; a stale zero only skips a pass some other release or
+        // commit will perform.
+        self.pending.load(Ordering::Acquire) != 0
+    }
+
+    /// Splits off, under the bins lock, what no registered guard
+    /// predates: memory always, id blocks if `blocks_too`.
+    ///
+    /// The lock is taken BEFORE the slots are scanned. Reversed, an item
+    /// entered between the two steps could be freed against a stale scan
+    /// that missed a reader registered after it — with the lock held
+    /// first, every item we examine was entered before we locked, so any
+    /// reader that can reach it registered (and is visible) before our
+    /// scan. (`model_grace` refutes the reversed order.)
+    fn ripe(&self, bins: &mut Bins<M>, blocks_too: bool) -> (Vec<RetiredBlock>, Vec<M>) {
+        let min_active = self.slots.min_active();
+        let mut memory = Vec::new();
+        let mut i = 0;
+        while i < bins.memory.len() {
+            if bins.memory[i].0 < min_active {
+                memory.push(bins.memory.swap_remove(i).1);
+            } else {
+                i += 1;
+            }
+        }
+        let mut blocks = Vec::new();
+        if blocks_too {
+            bins.blocks.retain_mut(|(epoch, batch)| {
+                let ripe = *epoch < min_active;
+                if ripe {
+                    blocks.append(batch);
+                }
+                !ripe
+            });
+        }
+        // ord: Release pending decrement under the bins lock; pairs with
+        // the Acquire fast-path probe.
+        self.pending
+            .fetch_sub((blocks.len() + memory.len()) as u64, Ordering::Release);
+        (blocks, memory)
+    }
+
+    /// Drops every memory item and returns every retired id block that no
+    /// registered guard predates.
+    pub fn flush(&self) -> Vec<RetiredBlock> {
+        if !self.anything_pending() {
             return Vec::new();
         }
-        // Lock the bins BEFORE scanning the slots (the same order as the
-        // epoch shim's collector). Reversed, a bin pushed between the two
-        // steps could be freed against a stale scan that missed a reader
-        // registered after it — with the lock held first, every bin we
-        // examine was pushed before we locked, so any reader that can
-        // reach its blocks registered (and is visible) before our scan.
-        let out = self.bins.with(|bins| {
-            let min_active = self.slots.min_active();
-            let mut out = Vec::new();
-            bins.retain_mut(|bin| {
-                if bin.epoch < min_active {
-                    out.append(&mut bin.blocks);
-                    false
-                } else {
-                    true
-                }
-            });
-            // ord: Release pending decrement under the bins lock; pairs
-            // with the Acquire fast-path probe above.
-            self.pending.fetch_sub(out.len() as u64, Ordering::Release);
-            out
-        });
-        // ord: Relaxed — diagnostic counter only.
-        self.freed_blocks
-            .fetch_add(out.len() as u64, Ordering::Relaxed);
-        out
+        let (blocks, memory) = self.bins.with(|bins| self.ripe(bins, true));
+        // Destructors are arbitrary code: run them outside the lock.
+        drop(memory);
+        blocks
+    }
+
+    /// A guard's release: drops the memory that became reclaimable, so
+    /// per-operation garbage (a locator per DSTM write) stays bounded on
+    /// paths that never reach a commit hook. Id blocks stay for the next
+    /// [`GraceCore::flush`] — only its caller can evict them. Best
+    /// effort: backs off if the lock is taken (a hard lock would turn a
+    /// preempted holder into a convoy for every releasing thread).
+    fn collect(&self) {
+        if self.anything_pending() {
+            // Dropped — destructors run — once the lock is released.
+            drop(self.bins.try_with(|bins| self.ripe(bins, false)));
+        }
     }
 
     /// Number of retired blocks still awaiting their grace period.
     pub fn pending_blocks(&self) -> usize {
         self.bins
-            .with(|bins| bins.iter().map(|b| b.blocks.len()).sum())
+            .with(|bins| bins.blocks.iter().map(|(_, b)| b.len()).sum())
     }
 
-    /// Total blocks ever retired (diagnostics).
-    pub fn retired_total(&self) -> u64 {
-        // ord: Relaxed — diagnostic counter only.
-        self.retired_blocks.load(Ordering::Relaxed)
-    }
-
-    /// Total blocks whose grace period has elapsed (diagnostics).
-    pub fn freed_total(&self) -> u64 {
-        // ord: Relaxed — diagnostic counter only.
-        self.freed_blocks.load(Ordering::Relaxed)
+    /// Number of memory items still awaiting their grace period.
+    pub fn pending_memory(&self) -> usize {
+        self.bins.with(|bins| bins.memory.len())
     }
 }
 

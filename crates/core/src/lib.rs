@@ -4,7 +4,8 @@
 //! Kapałka, *On Obstruction-Free Transactions* (SPAA 2008): a faithful
 //! implementation of the OFTM design the paper analyses (Section 1's
 //! description of DSTM \[18\]), built on hardware CAS via `std::sync::atomic`
-//! and `crossbeam_epoch` for locator reclamation.
+//! and the crate's own reclamation domains ([`reclaim`]) for locators,
+//! table slots and t-variable ids alike.
 //!
 //! * [`dstm`] — the STM itself: typed [`dstm::TVar`]s, transactions,
 //!   commit/abort via a single status-word CAS, revocable ownership.
@@ -56,12 +57,15 @@ pub mod reclaim;
 pub mod record;
 pub mod table;
 
+#[cfg(test)]
+mod tests;
+
 pub use api::{
     run_transaction, run_transaction_with_budget, BudgetExceeded, TxError, TxResult, WordStm,
     WordTx,
 };
 pub use dstm::{Dstm, DstmWord, Progress, TVar, Tx};
 pub use notify::{CommitNotifier, WaitSnapshot, NOTIFY_SHARDS};
-pub use reclaim::{GraceTracker, RetiredBlock, TxGrace};
+pub use reclaim::{GraceTracker, Guard, RetiredBlock};
 pub use record::{fresh_base_id, Recorder};
 pub use table::{VarTable, DYNAMIC_TVAR_BASE};

@@ -1,158 +1,189 @@
-//! Grace-period tracking for **transaction-safe reclamation** of dynamic
-//! t-variables.
+//! **Reclamation domains**: one registration per transaction protects both
+//! the t-variable *ids* a collection retires and the *memory* an engine
+//! unlinks.
 //!
-//! Collections unlink nodes transactionally, but unlinking alone is not
-//! enough to reclaim the node's t-variables: a transaction that started
-//! *before* the unlink committed may already have read the node's base id
-//! from a link cell and may legitimately touch the node again (zombie
-//! traversals in lazily validating STMs like TL do exactly this). Evicting
-//! the table entry under such a reader turns a benign stale read into the
-//! "t-variable not registered" panic. Freeing must therefore wait out a
-//! **grace period**: the node may be reclaimed once every transaction that
-//! was in flight at retirement time has finished.
+//! Collections unlink nodes transactionally, but a transaction that
+//! started *before* the unlink committed may already have read the node's
+//! base id and may legitimately touch the node again (zombie traversals
+//! in lazily validating STMs like TL do exactly this); evicting the table
+//! entry under it turns a benign stale read into the "t-variable not
+//! registered" panic. The engines have the same problem one level down: a
+//! DSTM write CAS unlinks a locator, a table eviction unlinks a slot's
+//! state, and a reader that loaded the old pointer is still looking at
+//! it. Both kinds of garbage wait out a **grace period**: reclaimed once
+//! every transaction in flight at retirement has finished.
 //!
-//! [`GraceTracker`] implements this with an epoch counter and per-
-//! transaction slots:
+//! A [`GraceTracker`] is one such domain — a value, one per STM instance,
+//! never process-global: an instance's garbage waits on that instance's
+//! transactions only. It is an epoch counter, per-transaction slots and
+//! epoch-tagged bins:
 //!
 //! * [`GraceTracker::begin`] registers the transaction by storing the
-//!   current epoch in a slot (advanced at every retiring commit, so slot
-//!   values order transactions against retirements);
-//! * a committing transaction hands its retire-set to
-//!   [`GraceTracker::retire_and_flush`], which releases the slot, tags the
-//!   batch with the current epoch, advances the epoch, and returns every
-//!   previously retired batch that **no active transaction predates**
-//!   (`slot epoch > batch epoch` for all active slots) for the caller to
-//!   evict from its table;
-//! * an aborting transaction simply drops its [`TxGrace`] handle — its
-//!   retire-set is discarded with it, so a node unlinked by an attempt
-//!   that later aborts stays allocated (the unlink never took effect).
+//!   current epoch in a slot and returns the one [`Guard`] it holds until
+//!   it completes; pointers loaded from an [`Atomic`] under it stay valid
+//!   while it lives;
+//! * unlinked memory goes to `defer_destroy`, which tags it with the
+//!   current epoch, advances the epoch, and bins it;
+//! * a committing transaction hands its guard and its retire-set to
+//!   [`GraceTracker::retire_and_flush`], which releases the slot, bins the
+//!   batch the same way, drops every binned memory item and returns every
+//!   binned id block that **no registered transaction predates** (`slot
+//!   epoch > tag` for all registered slots) — to the caller, because it
+//!   owns the table they index;
+//! * an aborting transaction simply drops its guard — its retire-set is
+//!   discarded with it, so a node unlinked by an attempt that later aborts
+//!   stays allocated. A release also drops whatever memory has become
+//!   reclaimable, so garbage stays bounded on paths that never commit.
 //!
-//! ### Why `slot epoch > batch epoch` is safe
+//! ### Why `slot epoch > tag` is safe
 //!
-//! Every STM in the workspace is single-version: a read returns the
-//! current committed value (or aborts), never an earlier one. A
-//! transaction that begins after a node's unlink committed therefore
-//! cannot obtain the node's id — no committed cell contains it (each
-//! collection node has exactly one incoming link, rewritten by the
-//! unlink). The only endangered transactions are those that read the link
-//! *before* the unlink; they registered their slot (with an epoch ≤ the
-//! batch's tag, which was taken after the unlinking commit) before that
-//! read, so the batch is held until they finish. Slot registration and
-//! the epoch bump use `SeqCst` so a flush that misses an in-flight slot
-//! registration can only involve a transaction that began after the
-//! retiring commit — one that cannot reach the block anyway.
+//! *Memory.* `defer_destroy` requires the pointer to be unlinked first. A
+//! transaction that can still hold it therefore registered before the
+//! retirement's epoch bump, with a published epoch ≤ the tag; the rule
+//! waits for every such guard to go. One that registers later publishes a
+//! greater epoch and can never load the pointer. The retirer itself needs
+//! no registration.
 //!
-//! The race-prone core of this argument — slot claim/revalidation vs.
-//! concurrent retire-and-flush — is **mechanized**: the generic kernel
-//! ([`crate::kernel::GraceCore`], which this module instantiates with
-//! real atomics) also runs under `oftm-verify`'s bounded interleaving
-//! model checker (`crates/verify/tests/model_grace.rs`), which
-//! exhaustively checks, at preemption bound 2, that no block is freed
-//! under a predating reader and that every retired block is freed
-//! exactly once — and that broken variants (inclusive flush epoch,
-//! read-before-register misuse) are caught with a replayable schedule.
+//! *Ids.* Every STM in the workspace is single-version: a read returns the
+//! current committed value (or aborts). A transaction that begins after a
+//! node's unlink committed cannot obtain the node's id — no committed cell
+//! contains it (each collection node has exactly one incoming link,
+//! rewritten by the unlink). The endangered transactions read the link
+//! *before* the unlink; they registered (with an epoch ≤ the batch's tag,
+//! taken after the unlinking commit) before that read.
+//!
+//! Registration and the epoch bump are `SeqCst`, so a flush that misses an
+//! in-flight registration can only involve a transaction that began after
+//! the retirement. That race — slot claim and revalidation vs. concurrent
+//! retire-and-flush — is **mechanized**: the kernel
+//! ([`crate::kernel::GraceCore`]) also runs under `oftm-verify`'s model
+//! checker (`model_grace`), which checks exhaustively, at preemption bound
+//! 2, that nothing is reclaimed under a predating guard, that every
+//! retired block is handed back and every deferred destructor run exactly
+//! once — and refutes three broken variants (inclusive flush epoch,
+//! read-before-register misuse, slots scanned before the bins are locked).
 
-use crate::kernel::{GraceCore, GraceHandle, SlotSet, StdSync, IDLE_SLOT};
+use crate::kernel::{GraceCore, GraceGuard, SlotSet, StdSync, IDLE_SLOT};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::Arc;
 
 pub use crate::kernel::RetiredBlock;
-
-/// Slot value meaning "no transaction registered here".
-const IDLE: u64 = IDLE_SLOT;
 
 /// Slots per chunk of the lock-free slot list.
 const SLOT_CHUNK: usize = 64;
 
-/// One chunk of active-transaction slots, chained into an unbounded
-/// append-only list.
+/// One chunk of registration slots, chained into an unbounded append-only
+/// list.
 struct SlotChunk {
-    slots: [Arc<AtomicU64>; SLOT_CHUNK],
+    slots: [AtomicU64; SLOT_CHUNK],
     next: AtomicPtr<SlotChunk>,
 }
 
-impl SlotChunk {
-    fn new() -> SlotChunk {
+impl Default for SlotChunk {
+    fn default() -> Self {
         SlotChunk {
-            slots: std::array::from_fn(|_| Arc::new(AtomicU64::new(IDLE))),
+            slots: std::array::from_fn(|_| AtomicU64::new(IDLE_SLOT)),
             next: AtomicPtr::default(),
         }
     }
 }
 
-/// A lock-free, append-only list of active-transaction slots: chunks are
+/// A lock-free, append-only list of registration slots: chunks are
 /// installed on demand with a CAS and never move, so registration
-/// (`begin`, on every transaction) scans and claims without any lock —
-/// the `RwLock` this replaced sat on the begin path of every backend.
-/// The list grows without bound (a fixed spine used to panic past
-/// 64 × 64 concurrent registrations), and only ever to the peak
-/// concurrency: slots are recycled front-first.
-struct SlotArray {
+/// (`begin`, on every transaction) scans and claims without any lock, and
+/// a guard borrows its slot for as long as the list lives. The list grows
+/// without bound, and only ever to the peak concurrency: slots are
+/// recycled front-first.
+#[derive(Default)]
+pub struct SlotArray {
     head: SlotChunk,
 }
 
 impl SlotArray {
-    fn new() -> Self {
-        SlotArray {
-            head: SlotChunk::new(),
-        }
+    /// The chunk after `chunk`, if one is installed.
+    fn next(chunk: &SlotChunk, ord: Ordering) -> Option<&SlotChunk> {
+        let p = chunk.next.load(ord);
+        // SAFETY: chunks are append-only and live as long as the list,
+        // which the borrow of `chunk` keeps alive.
+        (!p.is_null()).then(|| unsafe { &*p })
     }
 
-    /// Claims an idle slot with value `e`; scans from the front so slots
-    /// recycle densely (sequential use stays at one slot), appending a
-    /// fresh chunk whenever every existing slot is taken.
-    fn claim(&self, e: u64) -> Arc<AtomicU64> {
+    /// Number of installed slots (tests/diagnostics).
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        // ord: Acquire pairs with the installing CAS (test diagnostic).
+        std::iter::successors(Some(&self.head), |c| Self::next(c, Ordering::Acquire)).count()
+            * SLOT_CHUNK
+    }
+}
+
+impl Drop for SlotArray {
+    fn drop(&mut self) {
+        // ord: Relaxed — exclusive access in Drop (&mut self).
+        let mut p = self.head.next.load(Ordering::Relaxed);
+        while !p.is_null() {
+            // SAFETY: installed via Box::into_raw; guards borrow the list,
+            // so none is left.
+            let chunk = unsafe { Box::from_raw(p) };
+            // ord: Relaxed — exclusive access in Drop (&mut self).
+            p = chunk.next.load(Ordering::Relaxed);
+        }
+    }
+}
+
+impl SlotSet<AtomicU64> for SlotArray {
+    /// Scans from the front so slots recycle densely (sequential use stays
+    /// at one slot), appending a fresh chunk whenever every existing slot
+    /// is taken.
+    fn claim(&self, e: u64) -> &AtomicU64 {
         let mut chunk = &self.head;
         loop {
             for slot in chunk.slots.iter() {
                 // ord: Relaxed pre-screen — the SeqCst CAS is what claims.
-                if slot.load(Ordering::Relaxed) == IDLE
+                if slot.load(Ordering::Relaxed) == IDLE_SLOT
                     // ord: SeqCst registration Dekker-pairs with `flush`'s
                     // SeqCst slot scan (via GraceCore::begin's revalidation
                     // loop); failure is Relaxed — a lost race retries.
                     && slot
-                        .compare_exchange(IDLE, e, Ordering::SeqCst, Ordering::Relaxed)
+                        .compare_exchange(IDLE_SLOT, e, Ordering::SeqCst, Ordering::Relaxed)
                         .is_ok()
                 {
-                    return Arc::clone(slot);
+                    return slot;
                 }
             }
             // ord: Acquire pairs with the installing CAS's Release half so
             // the fresh chunk's slots are visible.
-            let mut p = chunk.next.load(Ordering::Acquire);
-            if p.is_null() {
-                let raw = Box::into_raw(Box::new(SlotChunk::new()));
-                // ord: SeqCst install — `min_active`'s SeqCst scan must be
-                // guaranteed to observe any chunk whose slots a registered
-                // transaction occupies (see the ordering note there);
-                // failure Acquire pairs with the winner's install.
-                match chunk.next.compare_exchange(
-                    std::ptr::null_mut(),
-                    raw,
-                    Ordering::SeqCst,  // ord: see install note above
-                    Ordering::Acquire, // ord: pairs with the winner's install
-                ) {
-                    Ok(_) => p = raw,
-                    Err(winner) => {
+            chunk = match Self::next(chunk, Ordering::Acquire) {
+                Some(next) => next,
+                None => {
+                    let raw = Box::into_raw(Box::<SlotChunk>::default());
+                    // ord: SeqCst install — `min_active`'s SeqCst scan must
+                    // be guaranteed to observe any chunk whose slots a
+                    // registered transaction occupies (see the ordering
+                    // note there); failure Acquire pairs with the winner's
+                    // install.
+                    let installed = chunk.next.compare_exchange(
+                        std::ptr::null_mut(),
+                        raw,
+                        Ordering::SeqCst,  // ord: see install note above
+                        Ordering::Acquire, // ord: pairs with the winner's install
+                    );
+                    if installed.is_err() {
                         // SAFETY: `raw` never escaped.
                         drop(unsafe { Box::from_raw(raw) });
-                        p = winner;
                     }
+                    continue;
                 }
-            }
-            // SAFETY: chunks are append-only and live as long as the list.
-            chunk = unsafe { &*p };
+            };
         }
     }
 
-    /// Minimum epoch over all registered slots (`u64::MAX` when none).
-    ///
     /// Ordering: chunk installation and this scan's `next` loads are both
     /// `SeqCst` — a transaction that overflowed into a freshly installed
     /// chunk registered its slot (`SeqCst`) after the install, so a scan
     /// that could miss the chunk pointer under weaker ordering would
-    /// silently skip a registered transaction and free blocks it can
-    /// still reach.
+    /// silently skip a registered transaction and free what it can still
+    /// reach.
     fn min_active(&self) -> u64 {
         let mut min = u64::MAX;
         let mut chunk = Some(&self.head);
@@ -162,124 +193,246 @@ impl SlotArray {
                 // registration: either the scan sees the slot, or the
                 // registrant's begin-revalidation sees the bumped epoch.
                 let e = slot.load(Ordering::SeqCst);
-                if e != IDLE && e < min {
+                if e != IDLE_SLOT && e < min {
                     min = e;
                 }
             }
             // ord: SeqCst — must not miss a chunk installed (SeqCst) before
             // a registration this scan is obligated to observe.
-            let p = c.next.load(Ordering::SeqCst);
-            // SAFETY: append-only, alive while the list is.
-            chunk = (!p.is_null()).then(|| unsafe { &*p });
+            chunk = Self::next(c, Ordering::SeqCst);
         }
         min
     }
+}
 
-    /// Number of installed slots (tests/diagnostics).
-    #[cfg(test)]
-    fn capacity(&self) -> usize {
-        let mut n = 0;
-        let mut chunk = Some(&self.head);
-        while let Some(c) = chunk {
-            n += SLOT_CHUNK;
-            // ord: Acquire pairs with the installing CAS (test diagnostic).
-            let p = c.next.load(Ordering::Acquire);
-            // SAFETY: as in `min_active`.
-            chunk = (!p.is_null()).then(|| unsafe { &*p });
+/// A deferred destruction: a type-erased `Box` and its dropper.
+pub struct Deferred {
+    ptr: *mut (),
+    drop_fn: unsafe fn(*mut ()),
+}
+
+// SAFETY: the pointee was handed over exclusively via `defer_destroy`
+// and is `Send` (bound there); only whoever drops the item touches it.
+unsafe impl Send for Deferred {}
+
+impl Deferred {
+    fn new<T: Send>(ptr: *mut T) -> Self {
+        unsafe fn drop_boxed<T>(p: *mut ()) {
+            drop(Box::from_raw(p.cast::<T>()));
         }
-        n
+        Deferred {
+            ptr: ptr.cast(),
+            drop_fn: drop_boxed::<T>,
+        }
     }
 }
 
-impl Drop for SlotArray {
+impl Drop for Deferred {
     fn drop(&mut self) {
-        // ord: Relaxed — exclusive access in Drop (&mut self).
-        let mut p = self.head.next.load(Ordering::Relaxed);
-        while !p.is_null() {
-            // SAFETY: installed via Box::into_raw; outstanding `TxGrace`
-            // handles hold their own `Arc`s into the slots.
-            let chunk = unsafe { Box::from_raw(p) };
-            // ord: Relaxed — exclusive access in Drop (&mut self).
-            p = chunk.next.load(Ordering::Relaxed);
-        }
+        // SAFETY: owned since `defer_destroy`; dropped once the grace rule
+        // found no guard that could reach `ptr`, or with the domain, which
+        // outlives every guard.
+        unsafe { (self.drop_fn)(self.ptr) };
     }
 }
 
-impl SlotSet<AtomicU64> for SlotArray {
-    type Handle = Arc<AtomicU64>;
+/// One reclamation domain (see the module docs): the generic grace kernel
+/// instantiated with real atomics, the lock-free chunked [`SlotArray`] and
+/// type-erased boxes as memory items. Dropping it runs every destructor
+/// still deferred.
+pub type GraceTracker = GraceCore<StdSync, SlotArray, Deferred>;
 
-    fn claim(&self, e: u64) -> Arc<AtomicU64> {
-        SlotArray::claim(self, e)
-    }
-
-    fn min_active(&self) -> u64 {
-        SlotArray::min_active(self)
-    }
-}
-
-/// An active-transaction registration. Dropping it releases the slot —
-/// abort paths need nothing beyond dropping the transaction. (The drop
-/// behavior lives in [`crate::kernel::GraceHandle`].)
-pub type TxGrace = GraceHandle<Arc<AtomicU64>>;
-
-/// The per-STM-instance grace-period tracker (see module docs): the
-/// generic grace kernel ([`crate::kernel::GraceCore`]) instantiated with
-/// real atomics and the lock-free chunked `SlotArray`.
-pub struct GraceTracker {
-    core: GraceCore<StdSync, SlotArray>,
-}
-
-impl Default for GraceTracker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// A registration with a [`GraceTracker`]: what a transaction holds from
+/// `begin` to completion (see the module docs). Releasing it — by
+/// dropping it or through [`GraceTracker::retire_and_flush`] — may happen
+/// on any thread.
+pub type Guard<'d> = GraceGuard<'d, StdSync, SlotArray, Deferred>;
 
 impl GraceTracker {
-    pub fn new() -> Self {
-        GraceTracker {
-            core: GraceCore::new(SlotArray::new()),
+    /// Schedules `ptr`'s pointee for destruction once no guard of this
+    /// domain can reach it. The caller need not hold one.
+    ///
+    /// # Safety
+    /// `ptr` must be unlinked: no load after this call returns it, and
+    /// whoever loaded it earlier did so under a guard of this domain. The
+    /// pointee must have been allocated as [`Owned<T>`]/[`Atomic<T>`] (a
+    /// `Box<T>`) and not be retired twice.
+    pub unsafe fn defer_destroy<T: Send>(&self, ptr: Shared<'_, T>) {
+        if !ptr.is_null() {
+            self.defer(Deferred::new(ptr.ptr));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Guard-protected pointers.
+// ---------------------------------------------------------------------------
+
+/// An owning pointer to heap-allocated `T` (like `Box`).
+pub struct Owned<T> {
+    ptr: *mut T,
+}
+
+// SAFETY: `Owned` is a unique owner (a `Box` by another name); sending
+// it transfers the single handle, which is safe exactly when `T: Send`.
+unsafe impl<T: Send> Send for Owned<T> {}
+// SAFETY: `&Owned<T>` only hands out `&T` (`Deref`), so sharing it is
+// sharing `&T` — safe exactly when `T: Sync` (as for `Box`).
+unsafe impl<T: Sync> Sync for Owned<T> {}
+
+impl<T> Owned<T> {
+    pub fn new(value: T) -> Self {
+        Owned {
+            ptr: Box::into_raw(Box::new(value)),
         }
     }
 
-    /// Registers a beginning transaction. Must be called before the
-    /// transaction performs its first read (every backend does this in
-    /// `begin`). The returned handle is released by dropping it or by
-    /// passing it to [`GraceTracker::retire_and_flush`].
-    pub fn begin(&self) -> TxGrace {
-        self.core.begin()
+    /// Relinquishes ownership: to an [`Atomic`], or to whoever frees it.
+    fn into_raw(self) -> *mut T {
+        std::mem::ManuallyDrop::new(self).ptr
     }
 
-    /// Commit hook: releases the committing transaction's slot, enters its
-    /// retire-set (if any) as a new batch, and returns every batch whose
-    /// grace period has elapsed. The caller must evict the returned blocks
-    /// from its variable table — the tracker records ids, not state.
-    pub fn retire_and_flush(
+    /// Converts into a `Shared`, relinquishing ownership to the concurrent
+    /// structure (or to `defer_destroy`).
+    pub fn into_shared<'g>(self) -> Shared<'g, T> {
+        Shared::from_raw(self.into_raw())
+    }
+}
+
+impl<T> std::fmt::Debug for Owned<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Owned({:p})", self.ptr)
+    }
+}
+
+impl<T> std::ops::Deref for Owned<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        // SAFETY: `ptr` came from `Box::into_raw` in `new` and is only
+        // freed by `Drop` (or handed off whole by `into_raw`, which
+        // forgets `self`), so it is live and uniquely ours here.
+        unsafe { &*self.ptr }
+    }
+}
+
+impl<T> Drop for Owned<T> {
+    fn drop(&mut self) {
+        // SAFETY: same provenance as `deref` — the pointer is the live
+        // `Box::into_raw` allocation and this is its unique owner, so
+        // reconstituting the box here frees it exactly once.
+        unsafe { drop(Box::from_raw(self.ptr)) }
+    }
+}
+
+/// A pointer loaned out of an [`Atomic`]; `Copy`, valid for `'g`.
+pub struct Shared<'g, T> {
+    ptr: *mut T,
+    _marker: PhantomData<&'g T>,
+}
+
+impl<T> Clone for Shared<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Shared<'_, T> {}
+
+impl<'g, T> Shared<'g, T> {
+    fn from_raw(ptr: *mut T) -> Self {
+        Shared {
+            ptr,
+            _marker: PhantomData,
+        }
+    }
+
+    pub fn null() -> Self {
+        Self::from_raw(std::ptr::null_mut())
+    }
+
+    pub fn is_null(&self) -> bool {
+        self.ptr.is_null()
+    }
+
+    pub fn as_raw(&self) -> *const T {
+        self.ptr
+    }
+
+    /// # Safety
+    /// The pointee must be valid for `'g` and non-null: loaded under a
+    /// guard that lives for `'g`, from a structure that only retires via
+    /// `defer_destroy` into that guard's domain.
+    pub unsafe fn deref(&self) -> &'g T {
+        &*self.ptr
+    }
+}
+
+/// An atomic pointer to heap-allocated `T`.
+pub struct Atomic<T> {
+    ptr: AtomicPtr<T>,
+}
+
+// SAFETY: `Atomic` shares `T` across every thread that loads the
+// pointer (it is a `&T` factory), so both auto-traits require
+// `T: Send + Sync`; with that bound, sharing or sending the pointer
+// cell adds nothing beyond what `&T`/`T` already permit.
+unsafe impl<T: Send + Sync> Send for Atomic<T> {}
+// SAFETY: as above — `&Atomic<T>` only hands out loads/stores of a
+// pointer whose pointee is `Send + Sync`.
+unsafe impl<T: Send + Sync> Sync for Atomic<T> {}
+
+impl<T> Atomic<T> {
+    pub fn new(value: T) -> Self {
+        Atomic {
+            ptr: AtomicPtr::new(Owned::new(value).into_raw()),
+        }
+    }
+
+    pub fn null() -> Self {
+        Atomic {
+            ptr: AtomicPtr::new(std::ptr::null_mut()),
+        }
+    }
+
+    pub fn load<'g>(&self, ord: Ordering, _guard: &'g Guard<'_>) -> Shared<'g, T> {
+        Shared::from_raw(self.ptr.load(ord))
+    }
+
+    /// Atomically replaces the pointer (`None` is null) and returns the
+    /// previous one, now unlinked: the caller retires it (`defer_destroy`).
+    /// Takes no guard — what comes back is for retiring, not for
+    /// dereferencing.
+    pub fn swap<'a>(&self, new: Option<Owned<T>>, ord: Ordering) -> Shared<'a, T> {
+        let new = new.map_or(std::ptr::null_mut(), Owned::into_raw);
+        Shared::from_raw(self.ptr.swap(new, ord))
+    }
+
+    /// Installs `new` if the cell holds `current`; hands it back if not.
+    /// Like [`Atomic::swap`] it takes no guard.
+    pub fn compare_exchange<'a>(
         &self,
-        grace: TxGrace,
-        retired: Vec<RetiredBlock>,
-    ) -> Vec<RetiredBlock> {
-        self.core.retire_and_flush(grace, retired)
+        current: Shared<'_, T>,
+        new: Owned<T>,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<Shared<'a, T>, Owned<T>> {
+        match self
+            .ptr
+            .compare_exchange(current.ptr, new.ptr, success, failure)
+        {
+            Ok(_) => Ok(new.into_shared()),
+            Err(_) => Err(new),
+        }
     }
 
-    /// Returns every retired batch that no active transaction predates.
-    pub fn flush(&self) -> Vec<RetiredBlock> {
-        self.core.flush()
-    }
-
-    /// Number of retired blocks still awaiting their grace period.
-    pub fn pending_blocks(&self) -> usize {
-        self.core.pending_blocks()
-    }
-
-    /// Total blocks ever retired (diagnostics).
-    pub fn retired_total(&self) -> u64 {
-        self.core.retired_total()
-    }
-
-    /// Total blocks whose grace period has elapsed (diagnostics).
-    pub fn freed_total(&self) -> u64 {
-        self.core.freed_total()
+    /// Takes the pointee out of the cell, leaving it null.
+    ///
+    /// # Safety
+    /// The cell must own its pointee and no guard may still reach it: the
+    /// caller is the `Drop` of the structure the cell belongs to.
+    pub unsafe fn take(&mut self) -> Option<Owned<T>> {
+        let ptr = std::mem::replace(self.ptr.get_mut(), std::ptr::null_mut());
+        (!ptr.is_null()).then(|| Owned { ptr })
     }
 }
 
@@ -287,6 +440,7 @@ impl GraceTracker {
 mod tests {
     use super::*;
     use oftm_histories::TVarId;
+    use std::sync::atomic::AtomicUsize;
 
     fn blk(base: u64, len: usize) -> RetiredBlock {
         RetiredBlock {
@@ -302,8 +456,6 @@ mod tests {
         let freed = t.retire_and_flush(g, vec![blk(100, 2)]);
         assert_eq!(freed, vec![blk(100, 2)]);
         assert_eq!(t.pending_blocks(), 0);
-        assert_eq!(t.retired_total(), 1);
-        assert_eq!(t.freed_total(), 1);
     }
 
     #[test]
@@ -342,11 +494,11 @@ mod tests {
             drop(g);
         }
         assert_eq!(
-            t.core.slots().capacity(),
+            t.slots().capacity(),
             SLOT_CHUNK,
             "sequential use must stay within the first chunk"
         );
-        assert_eq!(t.core.slots().min_active(), u64::MAX, "all slots released");
+        assert_eq!(t.slots().min_active(), u64::MAX, "all slots released");
     }
 
     #[test]
@@ -355,8 +507,8 @@ mod tests {
         // concurrent registration ("more than 4096 concurrent
         // transactions"); the chained list must keep growing instead.
         let t = GraceTracker::new();
-        let held: Vec<TxGrace> = (0..4097).map(|_| t.begin()).collect();
-        assert!(t.core.slots().capacity() > 4096);
+        let held: Vec<Guard<'_>> = (0..4097).map(|_| t.begin()).collect();
+        assert!(t.slots().capacity() > 4096);
         // Reclamation still honors every one of them.
         let committer = t.begin();
         let freed = t.retire_and_flush(committer, vec![blk(100, 1)]);
@@ -367,22 +519,24 @@ mod tests {
 
     #[test]
     fn concurrent_begin_finish_is_consistent() {
-        let t = Arc::new(GraceTracker::new());
+        let t = GraceTracker::new();
+        let freed = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for i in 0..8u64 {
-                let t = Arc::clone(&t);
+                let (t, freed) = (&t, &freed);
                 s.spawn(move || {
                     for k in 0..50u64 {
                         let g = t.begin();
-                        let _ = t.retire_and_flush(g, vec![blk(1 << 32 | i << 16 | k, 2)]);
+                        let out = t.retire_and_flush(g, vec![blk(1 << 32 | i << 16 | k, 2)]);
+                        freed.fetch_add(out.len(), Ordering::Relaxed);
                     }
                 });
             }
         });
-        // Everything retired must eventually flush once no one is active.
-        let _ = t.flush();
+        // Everything retired must eventually flush once no one is active,
+        // and nothing twice.
+        let last = t.flush().len();
         assert_eq!(t.pending_blocks(), 0);
-        assert_eq!(t.retired_total(), 8 * 50);
-        assert_eq!(t.freed_total(), 8 * 50);
+        assert_eq!(freed.into_inner() + last, 8 * 50);
     }
 }

@@ -46,25 +46,31 @@
 //! Because dynamic ids are **never reused**, an evicted slot simply
 //! becomes a permanent tombstone (a null pointer): a later `get` of the
 //! freed id can only miss — it panics with the uniform `t-variable <x>
-//! not registered` diagnostic, never aliases a newer allocation. Slots
-//! are only cleared through the grace-period machinery: backends route
-//! frees through [`crate::reclaim::GraceTracker`], which releases a
-//! retired block only once **no in-flight transaction predates the
-//! retiring commit** — so by the time [`VarTable::remove_block`] runs, no
-//! transaction that could legitimately reach the block is still running.
-//! The eviction itself is nonetheless fully race-safe: a slot owns its
-//! `V` (one `Box`) behind an epoch-protected pointer, lookups hand out
-//! `&V` for the lifetime of the caller's pin, and `remove` retires the
-//! old pointer via `defer_destroy` — a racing reader (a contract-breaking
-//! zombie) either sees the value, which its pin then keeps allocated
-//! until it unpins, or sees the tombstone and panics. Memory safety never
-//! depends on the caller honoring the retire contract; only the
-//! panic-vs-value outcome does.
+//! not registered` diagnostic, never aliases a newer allocation.
+//!
+//! Every table belongs to one reclamation domain
+//! ([`crate::reclaim::GraceTracker`]; its own unless built with
+//! [`VarTable::in_domain`]), and the one [`Guard`] of it a transaction
+//! holds from `begin` to completion carries both stages of an eviction.
+//! *Ids first:* backends route frees through
+//! [`VarTable::retire_and_evict`], which hands a retired block back only
+//! once **no in-flight transaction predates the retiring commit** — so by
+//! the time [`VarTable::remove_block`] runs, no transaction that could
+//! legitimately reach the block is still running. *Then memory:* the
+//! eviction itself is nonetheless fully race-safe. A slot owns its `V`
+//! (one `Box`) behind a guard-protected pointer, lookups hand out `&V` for
+//! the lifetime of the caller's guard, and `remove` retires the old
+//! pointer into the same domain via `defer_destroy` — a racing reader (a
+//! contract-breaking zombie) either sees the value, which its guard then
+//! keeps allocated until it is released, or sees the tombstone and
+//! panics. Memory safety never depends on the caller honoring the retire
+//! contract; only the panic-vs-value outcome does.
 //!
 //! Nothing is reference-counted: a count would sit in the t-variable's
 //! own allocation, and every read that kept a handle would write the line
-//! the other cores are reading. A transaction holds a pin from `begin` to
-//! completion, so a log entry that outlives the lookup is a [`Pinned`].
+//! the other cores are reading. A transaction holds its guard from
+//! `begin` to completion, so a log entry that outlives the lookup is a
+//! [`Pinned`].
 //!
 //! ## Allocation vs. retirement semantics
 //!
@@ -84,10 +90,11 @@
 //! count, every full→empty bumps `freed`, both driven by the atomic swap
 //! that performs the transition, so concurrent churn cannot double-count.
 
-use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
+use crate::reclaim::{Atomic, GraceTracker, Guard, Owned, RetiredBlock, Shared};
 use oftm_histories::{TVarId, Value};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// First t-variable id handed out by dynamic allocation. Static
 /// registrations use small ids, so the two ranges never collide; every
@@ -117,7 +124,7 @@ const L1_MASK: usize = L1_PAGES - 1;
 const DYN_L1S: usize = 1 << L1_BITS;
 const DYN_CAPACITY: u64 = (DYN_L1S * L1_PAGES * PAGE_SIZE) as u64;
 
-/// A reference into epoch-protected state (a [`VarTable`] value, or
+/// A reference into guard-protected state (a [`VarTable`] value, or
 /// anything else retired through `defer_destroy`) held past the call that
 /// loaded it: what a transaction's read-set, write-set or undo log keeps
 /// per entry.
@@ -133,18 +140,19 @@ impl<V> Copy for Pinned<V> {}
 
 // SAFETY: a `&V` with its lifetime erased, so sending one is sound for
 // `V: Sync`. (Needed for pooled buffers of them, which change threads
-// only once emptied: a transaction and its pin stay on one thread.)
+// only once emptied, and for transactions an executor moves.)
 unsafe impl<V: Sync> Send for Pinned<V> {}
 
 impl<V> Pinned<V> {
     /// Erases the lifetime of `v`.
     ///
     /// # Safety
-    /// `v` must have been loaded under an epoch pin from a structure that
-    /// retires through `defer_destroy`, and the result (and every copy)
-    /// must be dereferenced only while that pin is held: a transaction
-    /// loads it under the pin it owns from `begin`, alone dereferences it,
-    /// and clears the buffers that hold it before its pin drops.
+    /// `v` must have been loaded under a [`Guard`] from a structure that
+    /// retires through `defer_destroy` into that guard's domain, and the
+    /// result (and every copy) must be dereferenced only while that guard
+    /// is held: a transaction loads it under the guard it owns from
+    /// `begin`, alone dereferences it, and does so for the last time
+    /// before it releases the guard.
     pub unsafe fn new(v: &V) -> Self {
         Pinned(NonNull::from(v))
     }
@@ -154,14 +162,14 @@ impl<V> std::ops::Deref for Pinned<V> {
     type Target = V;
 
     fn deref(&self) -> &V {
-        // SAFETY: `new`'s contract — the pin under which the pointee was
+        // SAFETY: `new`'s contract — the guard under which the pointee was
         // loaded is still held, and retirement is `defer_destroy`, which
-        // frees nothing a pin that predates it can reach.
+        // frees nothing a guard that predates it can reach.
         unsafe { self.0.as_ref() }
     }
 }
 
-/// One page of epoch-protected slots. A slot owns its `V` (one `Box`);
+/// One page of guard-protected slots. A slot owns its `V` (one `Box`);
 /// null = never inserted, or tombstoned by `remove`.
 struct Page<V> {
     slots: Box<[Atomic<V>]>,
@@ -177,17 +185,10 @@ impl<V> Page<V> {
 
 impl<V> Drop for Page<V> {
     fn drop(&mut self) {
-        // SAFETY: `Drop` has exclusive access; no concurrent readers.
-        let guard = unsafe { epoch::unprotected() };
-        for slot in self.slots.iter() {
-            // ord: Relaxed — exclusive access in Drop; &mut self already
-            // synchronized-with every past writer.
-            let sh = slot.load(Ordering::Relaxed, guard);
-            if !sh.is_null() {
-                // SAFETY: sole owner; the pointee was allocated by
-                // `Owned::new` in insert/alloc.
-                drop(unsafe { sh.into_owned() });
-            }
+        for slot in self.slots.iter_mut() {
+            // SAFETY: a slot owns what it holds (`Owned::new` in
+            // insert/alloc), and lookups borrow the table, so none is left.
+            drop(unsafe { slot.take() });
         }
     }
 }
@@ -251,6 +252,9 @@ pub struct VarTable<V> {
     /// clear slots).
     live: AtomicU64,
     freed: AtomicU64,
+    /// The domain evicted state is retired into — so the one a lookup's
+    /// guard must be registered with.
+    domain: Arc<GraceTracker>,
 }
 
 // SAFETY: the auto-impls would be unconditional (`AtomicPtr<T>` is
@@ -260,21 +264,34 @@ pub struct VarTable<V> {
 unsafe impl<V: Send + Sync> Send for VarTable<V> {}
 unsafe impl<V: Send + Sync> Sync for VarTable<V> {}
 
-impl<V> Default for VarTable<V> {
+impl<V: Send> Default for VarTable<V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<V> VarTable<V> {
+impl<V: Send> VarTable<V> {
+    /// A table in a reclamation domain of its own.
     pub fn new() -> Self {
+        Self::in_domain(Arc::default())
+    }
+
+    /// A table that retires into `domain`, shared with whatever else its
+    /// transactions read under the same guard.
+    pub fn in_domain(domain: Arc<GraceTracker>) -> Self {
         VarTable {
             static_pages: (0..STATIC_PAGES).map(|_| AtomicPtr::default()).collect(),
             dynamic_l1s: (0..DYN_L1S).map(|_| AtomicPtr::default()).collect(),
             next_dynamic: AtomicU64::new(DYNAMIC_TVAR_BASE),
             live: AtomicU64::new(0),
             freed: AtomicU64::new(0),
+            domain,
         }
+    }
+
+    /// The table's reclamation domain: where its transactions register.
+    pub fn domain(&self) -> &GraceTracker {
+        &self.domain
     }
 
     /// Resolves `x` to its slot. With `create`, missing pages (and L1
@@ -314,26 +331,27 @@ impl<V> VarTable<V> {
     }
 
     /// Fills `slot` with `v`, adjusting the live count (and retiring a
-    /// replaced value through the epoch, for re-registration).
-    fn fill(&self, slot: &Atomic<V>, v: V, guard: &Guard) {
+    /// replaced value, for re-registration). Like every mutation of the
+    /// table it registers nowhere: it dereferences nothing it unlinks.
+    fn fill(&self, slot: &Atomic<V>, v: V) {
         // ord: AcqRel — Release publishes `v`'s construction to
         // `get_ref_in`'s Acquire load; Acquire pairs with the previous
         // occupant's publishing swap before we retire it.
-        let old = slot.swap(Owned::new(v), Ordering::AcqRel, guard);
+        let old = slot.swap(Some(Owned::new(v)), Ordering::AcqRel);
         if old.is_null() {
             // ord: Relaxed counter — read only by the `len` diagnostic.
             self.live.fetch_add(1, Ordering::Relaxed);
         } else {
-            // SAFETY: `old` was unlinked by the swap; no new load returns it.
-            unsafe { guard.defer_destroy(old) };
+            // SAFETY: `old` was unlinked by the swap; whoever loaded it
+            // did so under a guard of `domain` (`get_ref_in` checks).
+            unsafe { self.domain.defer_destroy(old) };
         }
     }
 
     /// Inserts (or replaces) the state for `x`.
     pub fn insert(&self, x: TVarId, v: V) {
         let slot = self.slot(x, true).expect("slot created");
-        let guard = epoch::pin();
-        self.fill(slot, v, &guard);
+        self.fill(slot, v);
     }
 
     /// Inserts the state for `x` only if the slot is empty (atomic
@@ -342,7 +360,6 @@ impl<V> VarTable<V> {
     /// check-then-act window.
     pub fn insert_if_absent(&self, x: TVarId, v: V) -> bool {
         let slot = self.slot(x, true).expect("slot created");
-        let guard = epoch::pin();
         // ord: AcqRel — Release publishes the new state to readers'
         // Acquire loads; Acquire on both outcomes pairs with the
         // incumbent's publishing store.
@@ -351,7 +368,6 @@ impl<V> VarTable<V> {
             Owned::new(v),
             Ordering::AcqRel,
             Ordering::Acquire, // ord: failure pairs with the incumbent's Release
-            &guard,
         ) {
             Ok(_) => {
                 // ord: Relaxed counter — read only by the `len` diagnostic.
@@ -362,14 +378,19 @@ impl<V> VarTable<V> {
         }
     }
 
-    /// Looks up the state for `x` under a caller-held epoch pin — the only
-    /// lookup there is, and the hot path of every transactional read.
-    /// **Wait-free**: two (static ids) or three (dynamic ids) `Acquire`
-    /// loads. Backends hold one pin for a whole transaction and thread it
-    /// through here. The reference is valid for the guard's lifetime:
-    /// eviction retires the slot's `V` via `defer_destroy`, which cannot
-    /// run before the pin is released.
-    pub fn get_ref_in<'g>(&self, x: TVarId, guard: &'g Guard) -> Option<&'g V> {
+    /// Looks up the state for `x` under a caller-held guard of the table's
+    /// domain — the only lookup there is, and the hot path of every
+    /// transactional read. **Wait-free**: two (static ids) or three
+    /// (dynamic ids) `Acquire` loads. Backends hold one guard for a whole
+    /// transaction and thread it through here. The reference is valid for
+    /// the guard's lifetime: eviction retires the slot's `V` via
+    /// `defer_destroy`, which cannot run before the guard is released.
+    ///
+    /// # Panics
+    /// If `guard` is registered with another domain: it would protect
+    /// nothing here.
+    pub fn get_ref_in<'g>(&'g self, x: TVarId, guard: &'g Guard<'_>) -> Option<&'g V> {
+        assert!(self.domain.owns(guard), "guard of another domain");
         let slot = self.slot(x, false)?;
         // ord: Acquire pairs with the Release swap/CAS that installed the
         // slot's value, making the pointee's construction visible.
@@ -377,26 +398,26 @@ impl<V> VarTable<V> {
         if sh.is_null() {
             None
         } else {
-            // SAFETY: loaded under the pin; `remove` retires slot contents
-            // via `defer_destroy`, so the pointee outlives the guard.
+            // SAFETY: loaded under a guard of `domain`, into which `remove`
+            // retires slot contents, so the pointee outlives the guard.
             Some(unsafe { sh.deref() })
         }
     }
 
-    /// Looks up `x` by reference under a caller-held pin, panicking with
+    /// Looks up `x` by reference under a caller-held guard, panicking with
     /// the uniform diagnostic if absent.
-    pub fn get_ref_or_panic_in<'g>(&self, x: TVarId, guard: &'g Guard) -> &'g V {
+    pub fn get_ref_or_panic_in<'g>(&'g self, x: TVarId, guard: &'g Guard<'_>) -> &'g V {
         self.get_ref_in(x, guard)
             .unwrap_or_else(|| panic!("t-variable {x} not registered"))
     }
 
-    /// A copy of the state for `x`, taken under an internal pin (external
-    /// callers: oracles, registration-time checks).
+    /// A copy of the state for `x`, taken under a guard of its own
+    /// (external callers: oracles, registration-time checks).
     pub fn get(&self, x: TVarId) -> Option<V>
     where
         V: Clone,
     {
-        self.get_ref_in(x, &epoch::pin()).cloned()
+        self.get_ref_in(x, &self.domain.begin()).cloned()
     }
 
     /// Allocates `initials.len()` fresh t-variables with **contiguous**
@@ -416,56 +437,69 @@ impl<V> VarTable<V> {
         let base = self
             .next_dynamic
             .fetch_add(initials.len() as u64, Ordering::Relaxed);
-        let guard = epoch::pin();
         for (k, &init) in initials.iter().enumerate() {
             let id = TVarId(base + k as u64);
             let slot = self.slot(id, true).expect("slot created");
             // Fresh ids are never concurrently targeted, but `fill` keeps
             // the accounting uniform.
-            self.fill(slot, make(id, init), &guard);
+            self.fill(slot, make(id, init));
         }
         TVarId(base)
     }
 
-    /// Tombstones the slot behind `slot`, returning whether it was full.
-    fn clear(&self, slot: &Atomic<V>, guard: &Guard) -> bool {
-        // ord: AcqRel — Acquire pairs with the publishing swap so the
-        // retired value is fully visible before `defer_destroy`; Release
-        // orders the tombstone for subsequent Acquire readers.
-        let old = slot.swap(Shared::null(), Ordering::AcqRel, guard);
-        if old.is_null() {
-            return false;
-        }
-        // SAFETY: unlinked by the swap; racing readers that loaded it
-        // earlier hold the epoch pin `defer_destroy` waits out.
-        unsafe { guard.defer_destroy(old) };
-        // ord: Relaxed counters — read only by the len/freed diagnostics.
-        self.freed.fetch_add(1, Ordering::Relaxed);
-        self.live.fetch_sub(1, Ordering::Relaxed);
-        true
-    }
-
     /// Removes the state for `x`; `true` if it was present. The state is
-    /// freed once every pin that could have loaded it (e.g. a zombie
+    /// freed once every guard that could have loaded it (e.g. a zombie
     /// transaction's) is released. The slot becomes a permanent tombstone
     /// — dynamic ids are never reused, so a freed id can only ever miss.
     pub fn remove(&self, x: TVarId) -> bool {
         let Some(slot) = self.slot(x, false) else {
             return false;
         };
-        let guard = epoch::pin();
-        self.clear(slot, &guard)
+        // ord: AcqRel — Acquire pairs with the publishing swap so the
+        // retired value is fully visible before `defer_destroy`; Release
+        // orders the tombstone for subsequent Acquire readers.
+        let old = slot.swap(None, Ordering::AcqRel);
+        if old.is_null() {
+            return false;
+        }
+        // SAFETY: unlinked by the swap; racing readers that loaded it
+        // earlier hold a guard of `domain` (`get_ref_in` checks), which
+        // `defer_destroy` waits out.
+        unsafe { self.domain.defer_destroy(old) };
+        // ord: Relaxed counters — read only by the len/freed diagnostics.
+        self.freed.fetch_add(1, Ordering::Relaxed);
+        self.live.fetch_sub(1, Ordering::Relaxed);
+        true
     }
 
-    /// Removes `len` contiguous t-variables starting at `base` under one
-    /// epoch pin. Absent ids are skipped — removal is idempotent.
+    /// Removes `len` contiguous t-variables starting at `base`. Absent
+    /// ids are skipped — removal is idempotent.
     pub fn remove_block(&self, base: TVarId, len: usize) {
-        let guard = epoch::pin();
         for k in 0..len {
-            if let Some(slot) = self.slot(TVarId(base.0 + k as u64), false) {
-                self.clear(slot, &guard);
-            }
+            self.remove(TVarId(base.0 + k as u64));
         }
+    }
+
+    /// Commit hook of a table-backed engine: releases the committing
+    /// transaction's `guard`, retires the blocks it unlinked, and evicts
+    /// every retired block whose grace period has elapsed
+    /// ([`GraceTracker::retire_and_flush`]). Returns how many t-variables
+    /// that evicted.
+    pub fn retire_and_evict(&self, guard: Guard<'_>, retired: Vec<RetiredBlock>) -> u64 {
+        self.evict(self.domain.retire_and_flush(guard, retired))
+    }
+
+    /// Evicts every retired block whose grace period has elapsed, with no
+    /// commit to hang it on; returns how many t-variables that evicted.
+    pub fn evict_ripe(&self) -> u64 {
+        self.evict(self.domain.flush())
+    }
+
+    fn evict(&self, ripe: Vec<RetiredBlock>) -> u64 {
+        for blk in &ripe {
+            self.remove_block(blk.base, blk.len);
+        }
+        ripe.iter().map(|blk| blk.len as u64).sum()
     }
 
     /// Number of live t-variables (exact; the leak-regression metric).
@@ -493,24 +527,25 @@ impl<V> VarTable<V> {
     }
 
     /// Visits every live t-variable (materialized pages only, non-null
-    /// slots only) under one epoch pin. The walk is a racy snapshot:
+    /// slots only) under one guard of its own, which the visitor is handed
+    /// for whatever else it reads in the domain. The walk is a racy snapshot:
     /// concurrent inserts/removals may or may not be observed — callers
     /// needing an exact live set must quiesce writers first (the hybrid
     /// backend's migration barrier does exactly that). Cost is
     /// O(materialized pages × PAGE_SIZE), not O(ids ever allocated):
     /// never-touched pages are skipped at the directory level.
-    pub fn for_each_live(&self, mut f: impl FnMut(TVarId, &V)) {
-        let guard = epoch::pin();
+    pub fn for_each_live(&self, mut f: impl FnMut(TVarId, &V, &Guard<'_>)) {
+        let guard = self.domain.begin();
         let mut visit_page = |page: &Page<V>, first_id: u64| {
             for (k, slot) in page.slots.iter().enumerate() {
                 // ord: Acquire pairs with the Release swap/CAS that
                 // installed the slot's value (same pairing as `get_ref_in`).
                 let sh = slot.load(Ordering::Acquire, &guard);
                 if !sh.is_null() {
-                    // SAFETY: loaded under the pin; eviction retires slot
-                    // contents via `defer_destroy`, so the pointee
+                    // SAFETY: loaded under a guard of `domain`, into which
+                    // eviction retires slot contents, so the pointee
                     // outlives the guard.
-                    f(TVarId(first_id + k as u64), unsafe { sh.deref() });
+                    f(TVarId(first_id + k as u64), unsafe { sh.deref() }, &guard);
                 }
             }
         };
@@ -680,7 +715,7 @@ mod tests {
     #[should_panic(expected = "not registered")]
     fn get_or_panic_diagnostic() {
         let t: VarTable<u64> = VarTable::new();
-        let _ = t.get_ref_or_panic_in(TVarId(77), &epoch::pin());
+        let _ = t.get_ref_or_panic_in(TVarId(77), &t.domain().begin());
     }
 
     #[test]
@@ -689,7 +724,7 @@ mod tests {
         let t: VarTable<u64> = VarTable::new();
         let a = t.alloc_block(&[9], |_, v| v);
         t.remove(a);
-        let _ = t.get_ref_or_panic_in(a, &epoch::pin());
+        let _ = t.get_ref_or_panic_in(a, &t.domain().begin());
     }
 
     #[test]
@@ -723,7 +758,7 @@ mod tests {
         t.remove(TVarId(7));
         t.remove_block(b, 1);
         let mut seen: Vec<(u64, u64)> = Vec::new();
-        t.for_each_live(|id, v| seen.push((id.0, *v)));
+        t.for_each_live(|id, v, _| seen.push((id.0, *v)));
         seen.sort_unstable();
         assert_eq!(
             seen,
@@ -733,20 +768,20 @@ mod tests {
     }
 
     /// The liveness argument every borrowing backend rests on: a value
-    /// evicted while a pin that loaded it is held is freed after that pin
-    /// is released — not at the tombstone, not twice, not never.
+    /// evicted while a guard that loaded it is held is freed when that
+    /// guard is released — not at the tombstone, not twice, not never.
     #[test]
     fn a_pin_keeps_an_evicted_value_allocated() {
-        use super::test_support::{collect_until, Counted};
+        use crate::tests::Counted;
         let drops = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let t: VarTable<Counted> = VarTable::new();
         let a = t.alloc_block(&[9], |_, _| Counted(std::sync::Arc::clone(&drops)));
-        let pin = epoch::pin();
+        let pin = t.domain().begin();
         let held = t.get_ref_or_panic_in(a, &pin);
         assert!(t.remove(a));
         assert!(t.get_ref_in(a, &pin).is_none());
         // A collection run by somebody else must pass the value over too.
-        std::thread::scope(|s| s.spawn(|| drop(epoch::pin())).join().unwrap());
+        std::thread::scope(|s| s.spawn(|| drop(t.domain().begin())).join().unwrap());
         assert_eq!(drops.load(Ordering::SeqCst), 0, "freed under the pin");
         assert_eq!(
             std::sync::Arc::strong_count(&held.0),
@@ -754,9 +789,17 @@ mod tests {
             "zombie-held state stays valid after eviction"
         );
         drop(pin);
-        collect_until(&drops, 1);
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "not freed at the release");
         drop(t);
         assert_eq!(drops.load(Ordering::SeqCst), 1, "freed twice");
+    }
+
+    #[test]
+    #[should_panic(expected = "guard of another domain")]
+    fn a_lookup_refuses_a_guard_that_protects_nothing_here() {
+        let (t, other): (VarTable<u64>, VarTable<u64>) = (VarTable::new(), VarTable::new());
+        t.insert(TVarId(0), 1);
+        let _ = t.get_ref_in(TVarId(0), &other.domain().begin());
     }
 
     #[test]
@@ -796,7 +839,7 @@ mod tests {
 
     /// Readers racing eviction either get the value (kept allocated by
     /// their pin) or a clean miss — never a torn state. This is the
-    /// concurrent alloc/get/remove stress the epoch protection exists for.
+    /// concurrent alloc/get/remove stress the guard protection exists for.
     #[test]
     fn concurrent_get_races_remove_safely() {
         let t: std::sync::Arc<VarTable<u64>> = std::sync::Arc::new(VarTable::new());
@@ -821,7 +864,7 @@ mod tests {
                     while !stop.load(std::sync::atomic::Ordering::Acquire) {
                         let candidates: Vec<TVarId> =
                             published.lock().unwrap().iter().copied().collect();
-                        let pin = epoch::pin();
+                        let pin = t.domain().begin();
                         for b in candidates {
                             if let Some(v) = t.get_ref_in(b, &pin) {
                                 // The paired word must agree if still live.
@@ -840,35 +883,5 @@ mod tests {
             t.dynamic_allocated(),
             "live + freed must equal allocated"
         );
-    }
-}
-
-/// Drop counting for the liveness tests here and in `dstm::tx`.
-#[cfg(test)]
-pub(crate) mod test_support {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    /// A payload that counts its drops.
-    pub(crate) struct Counted(pub(crate) Arc<AtomicUsize>);
-
-    impl Drop for Counted {
-        fn drop(&mut self) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Unpins (collecting each time) until `drops` reaches `want`: sibling
-    /// tests pin the same process-global epoch and may hold garbage back
-    /// for a moment. Fails if it never gets there, or overshoots.
-    pub(crate) fn collect_until(drops: &AtomicUsize, want: usize) {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while drops.load(Ordering::SeqCst) < want {
-            assert!(Instant::now() < deadline, "retired state never freed");
-            drop(crossbeam_epoch::pin());
-            std::thread::yield_now();
-        }
-        assert_eq!(drops.load(Ordering::SeqCst), want, "freed twice");
     }
 }

@@ -80,7 +80,7 @@ proptest! {
 
         // Every model entry resolves; every freed block misses — and via
         // the uniform diagnostic.
-        let pin = crossbeam_epoch::pin();
+        let pin = table.domain().begin();
         for (&k, &v) in &model {
             prop_assert_eq!(*table.get_ref_or_panic_in(TVarId(k), &pin), v);
         }

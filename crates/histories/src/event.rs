@@ -8,12 +8,11 @@
 //! checkers may contain [`Event::Crash`] markers.
 
 use crate::ids::{BaseObjId, ProcId, TVarId, TxId, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A TM operation that a transaction can invoke (Section 2.2, "TM as a
 /// shared object").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TmOp {
     /// Read t-variable `x` within the transaction.
     Read(TVarId),
@@ -36,7 +35,7 @@ impl TmOp {
 }
 
 /// A response from a TM operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TmResp {
     /// Value returned by a successful `read`.
     Value(Value),
@@ -51,7 +50,7 @@ pub enum TmResp {
 /// How a step accesses a base object — used by the conflict relation of
 /// Section 5.1 ("we distinguish base object operations that modify the
 /// state of the object, and those that are read-only").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Access {
     /// A read-only operation on the base object.
     Read,
@@ -68,7 +67,7 @@ impl Access {
 }
 
 /// One event of a (low-level) history.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Event {
     /// Invocation of a TM operation by transaction `tx` (executed by `proc`).
     Invoke { proc: ProcId, tx: TxId, op: TmOp },
@@ -179,7 +178,7 @@ impl fmt::Display for Event {
 /// received. This is the unit of per-transaction comparison that the
 /// paper's history-equivalence (`H ≡ H'` iff `H|T_i = H'|T_i` for every
 /// `T_i`) is defined over.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CompletedOp {
     pub op: TmOp,
     pub resp: TmResp,

@@ -8,13 +8,12 @@
 
 use crate::event::{Access, CompletedOp, Event, TmOp, TmResp};
 use crate::ids::{BaseObjId, ProcId, TVarId, TxId, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// An event with its position in the total order and an optional wall-clock
 /// time (nanoseconds from an arbitrary epoch).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimedEvent {
     /// Index in the total order of the history.
     pub time: u64,
@@ -25,7 +24,7 @@ pub struct TimedEvent {
 
 /// Completion status of a transaction within a history (Section 2.2,
 /// "Transactions").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TxStatus {
     /// Committed in `H` (contains `C_k`).
     Committed,
@@ -46,7 +45,7 @@ impl TxStatus {
 
 /// Aggregated per-transaction view of a history: the subsequence `H|T_k`
 /// plus derived data the checkers need.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TxView {
     pub id: TxId,
     pub status: TxStatus,
@@ -89,7 +88,7 @@ impl TxView {
 }
 
 /// A (possibly low-level) history of a TM implementation.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct History {
     events: Vec<TimedEvent>,
 }

@@ -5,7 +5,6 @@
 //! Each of those four notions gets a small copyable id type so that
 //! histories are cheap to store, hash and compare.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A process (thread) identifier `p_i`.
@@ -13,7 +12,7 @@ use std::fmt;
 /// The paper's system has `n` processes of which `n - 1` may crash
 /// (Section 2.1). Process ids are dense small integers assigned by whoever
 /// constructs the execution (test harness, recorder or simulator).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcId(pub u32);
 
 impl fmt::Debug for ProcId {
@@ -33,7 +32,7 @@ impl fmt::Display for ProcId {
 /// Following footnote 3 of the paper, identifiers are generated locally by
 /// combining the id of the executing process (`proc`) with a process-local
 /// counter (`seq`). Uniqueness therefore holds without coordination.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TxId {
     /// Id of the process that executes this transaction (`p_E(T_k)`).
     pub proc: u32,
@@ -69,7 +68,7 @@ impl fmt::Display for TxId {
 ///
 /// The paper restricts attention to read/write t-variables (transactional
 /// registers, Section 2.2 footnote 2); values are modelled as `u64` words.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TVarId(pub u64);
 
 impl fmt::Debug for TVarId {
@@ -92,7 +91,7 @@ impl fmt::Display for TVarId {
 /// locator pointers, version clocks, lock words, foc cells) to stable
 /// `BaseObjId`s so that the checkers in [`crate::dap`] can reason about
 /// conflicts.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BaseObjId(pub u64);
 
 impl fmt::Debug for BaseObjId {

@@ -94,9 +94,8 @@ use oftm_core::record::Recorder;
 use oftm_core::{Dstm, DstmWord};
 use oftm_histories::{TVarId, TxId, Value};
 use oftm_obs::{AbortCause, Counter, StmStats};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Which embedded engine currently executes transactions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -263,7 +262,8 @@ pub struct HybridStm {
     calm_windows: AtomicU32,
     /// Snapshot at the last window close; deltas against it drive the
     /// policy. Taken only by the single window-closing thread and by
-    /// escalation-profile checks (uncontended in practice).
+    /// escalation-profile checks (uncontended in practice). Replaced
+    /// whole, so poison is recovered (`window_prev`).
     window_prev: Mutex<StatsSnapshotBox>,
 }
 
@@ -380,6 +380,10 @@ impl HybridStm {
         }
     }
 
+    fn window_prev(&self) -> MutexGuard<'_, StatsSnapshotBox> {
+        self.window_prev.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Is the recent abort profile the TL2 pathology (`lock_busy` /
     /// `read_validation` dominated)? Evaluated as a delta since the last
     /// closed window. One process's streak alone is not enough: a thread
@@ -394,7 +398,7 @@ impl HybridStm {
         #[cfg(test)]
         tests::STORM_PROFILES.with(|n| n.set(n.get() + 1));
         let snap = self.stats.snapshot();
-        let delta = snap.since(&self.window_prev.lock().0);
+        let delta = snap.since(&self.window_prev().0);
         delta.aborts() > 0
             && delta.abort_ratio() >= self.cfg.escalate_abort_ratio * 0.5
             && delta.cause_share(AbortCause::LockBusy)
@@ -406,7 +410,7 @@ impl HybridStm {
     fn close_window(&self, op: u64) {
         let snap = self.stats.snapshot();
         let delta = {
-            let mut prev = self.window_prev.lock();
+            let mut prev = self.window_prev();
             let delta = snap.since(&prev.0);
             prev.0 = snap;
             delta

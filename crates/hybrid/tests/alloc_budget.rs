@@ -3,10 +3,9 @@
 //! what it costs on `Tl2Stm` plus the wrapper's `Box`; an allocation costs
 //! exactly what TL2 charges, because no mirror is built while TL2 runs.
 //!
-//! One `#[test]`, so one thread: the counter is per thread, but the epoch
-//! shim's garbage list is per process, and whoever pushes to it when it
-//! has to grow pays for that — two tests side by side would see each
-//! other's retirements in their own counts.
+//! The counter is per thread and a reclamation domain is per instance
+//! (whoever pushes to its bins when they have to grow pays for that), so
+//! nothing a sibling test does shows up in these counts.
 
 use oftm_baselines::Tl2Stm;
 use oftm_core::api::WordStm;

@@ -562,6 +562,15 @@ impl StmStats {
         }
     }
 
+    /// Counts a grace flush that evicted `tvars` t-variables (none: no
+    /// flush worth counting).
+    pub fn grace_flush(&self, tvars: u64) {
+        if tvars > 0 {
+            self.incr(Counter::GraceFlushes);
+            self.add(Counter::TvarsFreed, tvars);
+        }
+    }
+
     /// Tags one aborted attempt with its cause.
     ///
     /// Prefer [`StmStats::abort_at`] at backend tag sites — it carries

@@ -1,7 +1,7 @@
 //! Reclamation gates: dynamic t-variables must not leak, and a freed id
 //! must never resolve to a stale value.
 //!
-//! Three oracles, each across every STM in the workspace:
+//! Four oracles, each across every STM in the workspace:
 //!
 //! * **Leak regression** — insert/remove churn at a steady set size keeps
 //!   the live t-variable count exactly `1 + 2·|set|` (head plus two words
@@ -12,6 +12,8 @@
 //!   registered` diagnostic; it never returns a value. Conversely, a
 //!   *retired* (but grace-protected) id still resolves for transactions
 //!   that predate the retirement.
+//! * **Isolation** — an instance's garbage, ids and memory alike, waits on
+//!   that instance's transactions and on nobody else's.
 //! * **Free × abort interleavings** — proptests drive random tapes of
 //!   committing and deliberately aborted operations against a `BTreeSet`
 //!   model, asserting the exact live count after every op.
@@ -94,6 +96,47 @@ fn concurrent_churn_reclaims_at_quiescence() {
             stm.live_tvars(),
             snap.len()
         );
+    }
+}
+
+/// A transaction held open on one instance delays nothing on another:
+/// `live_tvars()` is exact at the other's own quiescence, and state
+/// evicted from another table is dropped at that table's next release
+/// (under a process-wide epoch it waited for the open transaction).
+#[test]
+fn an_open_transaction_elsewhere_holds_nothing_back() {
+    use oftm_core::table::VarTable;
+    use std::sync::Arc;
+
+    for name in STM_NAMES {
+        let (a, b) = (make_stm(name), make_stm(name));
+        let x = a.alloc_tvar(7);
+        let mut open = a.begin(1);
+        assert_eq!(open.read(x), Ok(7), "{name}");
+
+        let set = TxIntSet::create(&*b);
+        for v in 0..24u64 {
+            set.insert(&*b, 0, v % 5);
+            set.remove(&*b, 0, (v + 2) % 5);
+        }
+        let snap = set.snapshot(&*b, 0);
+        assert_eq!(b.live_tvars(), expected_live(snap.len()), "{name}");
+
+        // The table's values are clones of `token`, which counts them.
+        let token = Arc::new(());
+        let table: VarTable<Arc<()>> = VarTable::new();
+        let blk = table.alloc_block(&[0], |_, _| Arc::clone(&token));
+        table.remove_block(blk, 1);
+        // A walk registers with the table's domain and releases: nothing
+        // of that domain is in flight, so the release collects.
+        table.for_each_live(|_, _, _| {});
+        assert_eq!(
+            Arc::strong_count(&token),
+            1,
+            "{name}: evicted state waited on a transaction of another instance"
+        );
+        assert_eq!(open.read(x), Ok(7), "{name}");
+        assert!(open.try_commit().is_ok(), "{name}");
     }
 }
 

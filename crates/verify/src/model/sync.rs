@@ -119,14 +119,27 @@ impl<T: Send> MutexLike<T> for MMutex<T> {
     fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         let held = Arc::clone(&self.held);
         step_blocked("mutex.lock", Box::new(move || !held.load(Ordering::SeqCst)));
-        // The scheduler granted us the token with `held` false and no
-        // other thread can run until our next decision point, so this
+        self.hold(f)
+    }
+
+    /// A plain decision point; gives up if the lock is taken when granted.
+    fn try_with<R>(&self, f: impl FnOnce(&mut T) -> R) -> Option<R> {
+        step("mutex.try_lock");
+        (!self.held.load(Ordering::SeqCst)).then(|| self.hold(f))
+    }
+}
+
+impl<T> MMutex<T> {
+    /// Runs `f` holding the lock, which the caller found free while it
+    /// held the scheduler's token.
+    fn hold<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        // No other thread can run until our next decision point, so this
         // store cannot race another acquisition.
         self.held.store(true, Ordering::SeqCst);
         let _unlock = Unlock(Arc::clone(&self.held));
         // SAFETY: `held` was false and is now true; every other locker is
-        // blocked in `step_blocked` until `_unlock` drops, so this is the
-        // only live reference to the value.
+        // blocked in `step_blocked` (or backs out of `try_with`) until
+        // `_unlock` drops, so this is the only live reference to the value.
         f(unsafe { &mut *self.value.get() })
     }
 }
@@ -209,30 +222,26 @@ impl WakeRef for MWaker {
 /// (scenarios size it to their thread count), so the chunk-installation
 /// argument the production array adds stays out of the model's scope.
 pub struct FixedSlots {
-    slots: Vec<Arc<MAtomicU64>>,
+    slots: Vec<MAtomicU64>,
 }
 
 impl FixedSlots {
     pub fn new(capacity: usize) -> Self {
         FixedSlots {
-            slots: (0..capacity)
-                .map(|_| Arc::new(MAtomicU64::new(IDLE_SLOT)))
-                .collect(),
+            slots: (0..capacity).map(|_| MAtomicU64::new(IDLE_SLOT)).collect(),
         }
     }
 }
 
 impl SlotSet<MAtomicU64> for FixedSlots {
-    type Handle = Arc<MAtomicU64>;
-
-    fn claim(&self, e: u64) -> Self::Handle {
+    fn claim(&self, e: u64) -> &MAtomicU64 {
         for slot in &self.slots {
             if slot.load(Ordering::SeqCst) == IDLE_SLOT
                 && slot
                     .compare_exchange(IDLE_SLOT, e, Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok()
             {
-                return Arc::clone(slot);
+                return slot;
             }
         }
         panic!("FixedSlots exhausted: size the model slot store to the scenario's thread count");

@@ -104,6 +104,10 @@ fn std_lock_outside_allowlist_fails() {
         RULE_STD_LOCK
     )
     .is_empty());
+    // The allowlist names files, not spellings or directories: a vendored
+    // crate is held to the rule like any other.
+    let shim = lint_source("crates/shims/rand/src/lib.rs", src);
+    assert_eq!(rule_lines(&shim, RULE_STD_LOCK).len(), 2, "{shim:?}");
 }
 
 /// The workspace itself must be clean — this is the same gate CI's

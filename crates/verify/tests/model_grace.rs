@@ -1,134 +1,180 @@
 //! Exhaustive bounded-preemption checks of the grace-period kernel
 //! ([`oftm_core::kernel::GraceCore`]) — the *production* code behind
-//! `oftm_core::reclaim::GraceTracker` — plus negative oracles.
+//! `oftm_core::reclaim::GraceTracker`, for t-variable ids and for memory
+//! alike — plus negative oracles.
 //!
-//! The property is **no premature flush**: a retired batch must never be
-//! handed back for reclamation while a transaction that began before the
-//! retirement (and might therefore still reach the retired blocks) is
-//! still active. The scenario models the classic unlink race: a reader
-//! loads a "pointer" to a block while a retirer unlinks and retires it;
-//! if the reader observed the pre-unlink pointer, the block must not
-//! have been freed by the time the reader dereferences it.
+//! The property is **no premature reclamation**: a retired batch must
+//! never be handed back, and a deferred memory item never dropped, while a
+//! transaction that began before the retirement (and might therefore
+//! still reach what was retired) is still registered. The scenarios model
+//! the classic unlink race: a reader loads a "pointer" while a retirer
+//! unlinks and retires its target; if the reader observed the pre-unlink
+//! pointer, the target must not have been reclaimed by the time the
+//! reader dereferences it. And **exactly once**: whatever was retired is
+//! either reclaimed or still binned, never both, never neither.
 
-use oftm_core::kernel::{AtomicU64Like, GraceCore, MutexLike, RetiredBlock, SlotSet};
+use oftm_core::kernel::{AtomicU64Like, GraceCore, MutexLike, RetiredBlock, SlotSet, IDLE_SLOT};
 use oftm_verify::model::sync::{FixedSlots, MAtomicU64, MMutex, ModelSync};
 use oftm_verify::model::{check, Builder, Config};
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 
-/// Epoch-tagged retire bins of the hand-rolled broken variant.
-type EpochBins = Vec<(u64, Vec<RetiredBlock>)>;
+/// The kernel's memory item under the model: reclaimed by dropping it,
+/// which counts.
+struct Token(Arc<MAtomicU64>);
 
-type Core = GraceCore<ModelSync, FixedSlots>;
+impl Drop for Token {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, SeqCst);
+    }
+}
+
+type Core = GraceCore<ModelSync, FixedSlots, Token>;
 
 const BLOCK: RetiredBlock = RetiredBlock {
     base: oftm_histories::TVarId(7),
     len: 1,
 };
 
-#[test]
-fn grace_no_premature_flush() {
-    let report = check(
-        Config::new("grace-unlink-race").preemptions(2),
-        |b: &mut Builder| {
-            let core: Arc<Core> = Arc::new(GraceCore::new(FixedSlots::new(2)));
-            // link = 1: the block is reachable; the retirer stores 0 to
-            // unlink it before retiring. freed = 1 once the retirer got
-            // the block back from a flush.
-            let link = Arc::new(MAtomicU64::new(1));
-            let freed = Arc::new(MAtomicU64::new(0));
-            {
-                let (core, link, freed) =
-                    (Arc::clone(&core), Arc::clone(&link), Arc::clone(&freed));
-                b.thread("reader", move || {
-                    let g = core.begin();
-                    if link.load(SeqCst) != 0 {
-                        // We hold the pre-unlink pointer: dereferencing it
-                        // is only sound if the block has not been freed.
-                        assert_eq!(
-                            freed.load(SeqCst),
-                            0,
-                            "block freed while a predating reader could still reach it"
-                        );
-                    }
-                    drop(g);
-                });
-            }
-            {
-                let (core, link, freed) =
-                    (Arc::clone(&core), Arc::clone(&link), Arc::clone(&freed));
-                b.thread("retirer", move || {
-                    let g = core.begin();
-                    link.store(0, SeqCst);
-                    let out = core.retire_and_flush(g, vec![BLOCK]);
-                    if !out.is_empty() {
-                        assert_eq!(out, vec![BLOCK]);
-                        freed.store(1, SeqCst);
-                    }
-                });
-            }
-            // Exactly-once accounting: the block is either freed or still
-            // parked in a bin, never both, never neither.
-            b.after(move || {
-                let pending = core.pending_blocks();
-                let freed = freed.load(SeqCst) as usize;
-                assert_eq!(pending + freed, 1, "pending={pending} freed={freed}");
-            });
-        },
-    )
-    .unwrap_or_else(|ce| panic!("{ce}"));
+/// What the scenarios over the real kernel share. `link` = 1: the target
+/// is reachable; a retirer stores 0 to unlink it before retiring. `gone`
+/// counts its reclamations.
+#[derive(Clone)]
+struct World {
+    core: Arc<Core>,
+    link: Arc<MAtomicU64>,
+    gone: Arc<MAtomicU64>,
+}
+
+impl World {
+    fn new() -> Self {
+        World {
+            core: Arc::new(GraceCore::with_slots(FixedSlots::new(2))),
+            link: Arc::new(MAtomicU64::new(1)),
+            gone: Arc::new(MAtomicU64::new(0)),
+        }
+    }
+
+    /// Dereferences `link` as loaded: sound only if the target is there.
+    fn deref(&self, link: u64, broken: &str) {
+        if link != 0 {
+            assert_eq!(self.gone.load(SeqCst), 0, "{broken}");
+        }
+    }
+
+    fn reader(&self) -> impl FnOnce() + Send {
+        let w = self.clone();
+        move || {
+            let g = w.core.begin();
+            w.deref(w.link.load(SeqCst), "reclaimed under a predating guard");
+            drop(g);
+        }
+    }
+
+    /// Unlinks the block and retires it at commit; a flush may hand it
+    /// straight back.
+    fn block_retirer(&self) -> impl FnOnce() + Send {
+        let w = self.clone();
+        move || {
+            let g = w.core.begin();
+            w.link.store(0, SeqCst);
+            w.evict(w.core.retire_and_flush(g, vec![BLOCK]));
+        }
+    }
+
+    /// What the caller of a flush does with the blocks it is handed.
+    fn evict(&self, ripe: Vec<RetiredBlock>) {
+        if !ripe.is_empty() {
+            assert_eq!(ripe, vec![BLOCK]);
+            self.gone.fetch_add(1, SeqCst);
+        }
+    }
+}
+
+fn exhaustive(name: &'static str, at_least: usize, scenario: impl Fn(&mut Builder)) {
+    let report =
+        check(Config::new(name).preemptions(2), scenario).unwrap_or_else(|ce| panic!("{ce}"));
     assert!(
-        report.executions > 20,
+        report.executions > at_least,
         "only {} schedules",
         report.executions
     );
-    eprintln!(
-        "grace-unlink-race: {} schedules, no counterexample",
-        report.executions
-    );
+    eprintln!("{name}: {} schedules, no counterexample", report.executions);
+}
+
+fn refuted(name: &'static str, message: &str, scenario: impl Fn(&mut Builder)) {
+    let err = check(Config::new(name).preemptions(2), scenario)
+        .expect_err("the model must refute the broken variant");
+    assert!(err.message.contains(message), "{err}");
+    assert!(!err.seed.is_empty());
+}
+
+#[test]
+fn grace_no_premature_flush() {
+    exhaustive("grace-unlink-race", 20, |b| {
+        let w = World::new();
+        b.thread("reader", w.reader());
+        b.thread("retirer", w.block_retirer());
+        // Exactly-once accounting: the block is either freed or still
+        // parked in a bin, never both, never neither.
+        b.after(move || {
+            let (pending, freed) = (w.core.pending_blocks(), w.gone.load(SeqCst) as usize);
+            assert_eq!(pending + freed, 1, "pending={pending} freed={freed}");
+        });
+    });
 }
 
 #[test]
 fn grace_flush_after_reader_exit_frees() {
-    // Liveness-ish companion: once every predating reader is gone, a
-    // later flush must hand the block back (no leak).
-    let report = check(
-        Config::new("grace-eventual-free").preemptions(2),
-        |b: &mut Builder| {
-            let core: Arc<Core> = Arc::new(GraceCore::new(FixedSlots::new(2)));
-            {
-                let core = Arc::clone(&core);
-                b.thread("reader", move || {
-                    let g = core.begin();
-                    drop(g);
-                });
-            }
-            {
-                let core = Arc::clone(&core);
-                b.thread("retirer", move || {
-                    let g = core.begin();
-                    let _ = core.retire_and_flush(g, vec![BLOCK]);
-                });
-            }
-            b.after(move || {
-                // All transactions done: a final flush must drain the bin
-                // (freed_total counts in-run frees and this one alike).
-                let _ = core.flush();
-                assert_eq!(
-                    core.freed_total(),
-                    1,
-                    "retired block neither freed during the run nor drainable after it"
-                );
-                assert_eq!(core.pending_blocks(), 0);
-            });
-        },
-    )
-    .unwrap_or_else(|ce| panic!("{ce}"));
-    assert!(
-        report.executions > 20,
-        "only {} schedules",
-        report.executions
-    );
+    // Liveness-ish companion: the reader flushes on its way out, racing
+    // the retirement, so the block may be handed to a thread that did not
+    // retire it — to one of them, once. What neither was handed, a final
+    // flush drains: every predating reader is gone.
+    exhaustive("grace-eventual-free", 20, |b| {
+        let w = World::new();
+        let r = w.clone();
+        b.thread("reader", move || {
+            r.reader()();
+            r.evict(r.core.flush());
+        });
+        b.thread("retirer", w.block_retirer());
+        b.after(move || {
+            w.evict(w.core.flush());
+            assert_eq!(w.gone.load(SeqCst), 1, "leaked, or freed twice");
+            assert_eq!(w.core.pending_blocks(), 0);
+        });
+    });
+}
+
+#[test]
+fn grace_memory_is_dropped_once_and_never_under_a_predating_guard() {
+    // The memory half of the kernel: the retirer unlinks and defers a
+    // token under its own guard; whoever finds it ripe drops it — the
+    // retirer's release, the reader's release, or the third thread's
+    // flush — and nobody may while a reader that saw the link is
+    // registered.
+    exhaustive("grace-memory", 100, |b| {
+        let w = World::new();
+        b.thread("reader", w.reader());
+        let r = w.clone();
+        b.thread("retirer", move || {
+            let g = r.core.begin();
+            r.link.store(0, SeqCst);
+            r.core.defer(Token(r.gone));
+            drop(g);
+        });
+        let core = Arc::clone(&w.core);
+        b.thread("flusher", move || assert!(core.flush().is_empty()));
+        b.after(move || {
+            let in_run = w.gone.load(SeqCst) as usize;
+            assert_eq!(in_run + w.core.pending_memory(), 1, "dropped {in_run}×");
+            // A release that finds something pending (and the lock free)
+            // collects: nobody is registered any more.
+            drop(w.core.begin());
+            assert_eq!(w.gone.load(SeqCst), 1, "a release must collect, once");
+            assert_eq!(w.core.pending_memory(), 0);
+        });
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -136,109 +182,131 @@ fn grace_flush_after_reader_exit_frees() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn broken_inclusive_flush_epoch_is_caught() {
-    // A hand-rolled grace protocol whose flush uses `bin.epoch <=
-    // min_active` instead of `<`: a reader that began in the same epoch
-    // the batch was tagged with no longer protects it. The model must
-    // find the schedule where the reader holds the pre-unlink pointer and
-    // the block is freed under it.
-    let err = check(
-        Config::new("broken-inclusive-flush").preemptions(2),
-        |b: &mut Builder| {
-            let epoch = Arc::new(MAtomicU64::new(1));
-            let slots = Arc::new(FixedSlots::new(2));
-            let bins: Arc<MMutex<EpochBins>> = Arc::new(MMutex::new(Vec::new()));
-            let link = Arc::new(MAtomicU64::new(1));
-            let freed = Arc::new(MAtomicU64::new(0));
-            {
-                let (epoch, slots, link, freed) = (
-                    Arc::clone(&epoch),
-                    Arc::clone(&slots),
-                    Arc::clone(&link),
-                    Arc::clone(&freed),
-                );
-                b.thread("reader", move || {
-                    let e = epoch.load(SeqCst);
-                    let slot = slots.claim(e);
-                    if link.load(SeqCst) != 0 {
-                        assert_eq!(freed.load(SeqCst), 0, "freed under a predating reader");
-                    }
-                    slot.store(oftm_core::kernel::IDLE_SLOT, SeqCst);
-                });
-            }
-            {
-                b.thread("retirer", move || {
-                    link.store(0, SeqCst);
-                    let tag = epoch.fetch_add(1, SeqCst);
-                    bins.with(|bs| bs.push((tag, vec![BLOCK])));
-                    let out = bins.with(|bs| {
-                        let min_active = slots.min_active();
-                        let mut out = Vec::new();
-                        // BUG: inclusive comparison — a reader whose slot
-                        // equals the batch tag no longer protects it.
-                        bs.retain_mut(|(e, blocks)| {
-                            if *e <= min_active {
-                                out.append(blocks);
-                                false
-                            } else {
-                                true
-                            }
-                        });
-                        out
-                    });
-                    if !out.is_empty() {
-                        freed.store(1, SeqCst);
-                    }
-                });
-            }
-        },
-    )
-    .expect_err("inclusive flush epoch must free under a live reader");
-    assert!(
-        err.message.contains("freed under a predating reader"),
-        "{err}"
-    );
-    assert!(!err.seed.is_empty());
-}
-
-#[test]
 fn broken_read_before_register_is_caught() {
     // Client misuse of the REAL kernel: the reader dereferences the link
     // before `begin()`. The kernel's contract ("must be called before the
     // transaction performs its first read") exists precisely because this
     // interleaving frees the block out from under the unregistered read.
-    let err = check(
-        Config::new("broken-read-before-register").preemptions(2),
-        |b: &mut Builder| {
-            let core: Arc<Core> = Arc::new(GraceCore::new(FixedSlots::new(2)));
-            let link = Arc::new(MAtomicU64::new(1));
-            let freed = Arc::new(MAtomicU64::new(0));
-            {
-                let (core, link, freed) =
-                    (Arc::clone(&core), Arc::clone(&link), Arc::clone(&freed));
-                b.thread("reader", move || {
-                    // BUG: the read happens before the registration.
-                    let l = link.load(SeqCst);
-                    let g = core.begin();
-                    if l != 0 {
-                        assert_eq!(freed.load(SeqCst), 0, "freed under an unregistered read");
-                    }
-                    drop(g);
-                });
+    refuted("broken-read-before-register", "unregistered read", |b| {
+        let w = World::new();
+        b.thread("retirer", w.block_retirer());
+        b.thread("reader", move || {
+            // BUG: the read happens before the registration.
+            let l = w.link.load(SeqCst);
+            let g = w.core.begin();
+            w.deref(l, "freed under an unregistered read");
+            drop(g);
+        });
+    });
+}
+
+/// A hand-rolled flush: `GraceCore::ripe`'s, or one of two deviations.
+#[derive(Clone, Copy, PartialEq)]
+enum Flush {
+    /// Lock the bins, scan the slots, free `tag < min_active`.
+    Kernel,
+    /// `tag <= min_active`: a reader that began in the epoch the batch
+    /// was tagged with no longer protects it.
+    Inclusive,
+    /// Slots scanned before the bins lock is taken: a bin entered after
+    /// the scan is judged against it, though a reader that registered in
+    /// between — before the unlink — can reach its blocks.
+    ScanFirst,
+}
+
+/// The grace protocol written out by hand over the model's primitives,
+/// with a correct reader and retirer, so that a flush can be broken.
+#[derive(Clone)]
+struct HandRolled {
+    epoch: Arc<MAtomicU64>,
+    slots: Arc<FixedSlots>,
+    bins: Arc<MMutex<Vec<u64>>>,
+    link: Arc<MAtomicU64>,
+    freed: Arc<MAtomicU64>,
+}
+
+impl HandRolled {
+    fn new() -> Self {
+        HandRolled {
+            epoch: Arc::new(MAtomicU64::new(1)),
+            slots: Arc::new(FixedSlots::new(2)),
+            bins: Arc::new(MMutex::new(Vec::new())),
+            link: Arc::new(MAtomicU64::new(1)),
+            freed: Arc::new(MAtomicU64::new(0)),
+        }
+    }
+
+    fn reader(&self) -> impl FnOnce() + Send {
+        let h = self.clone();
+        move || {
+            // `GraceCore::begin`: claim, then republish until the epoch
+            // stands still.
+            let mut e = h.epoch.load(SeqCst);
+            let slot = h.slots.claim(e);
+            loop {
+                let now = h.epoch.load(SeqCst);
+                if now == e {
+                    break;
+                }
+                slot.store(now, SeqCst);
+                e = now;
             }
-            {
-                let (core, link, freed) = (Arc::clone(&core), link, Arc::clone(&freed));
-                b.thread("retirer", move || {
-                    let g = core.begin();
-                    link.store(0, SeqCst);
-                    let out = core.retire_and_flush(g, vec![BLOCK]);
-                    if !out.is_empty() {
-                        freed.store(1, SeqCst);
-                    }
-                });
+            if h.link.load(SeqCst) != 0 {
+                assert_eq!(h.freed.load(SeqCst), 0, "{PREMATURE}");
             }
-        },
-    )
-    .expect_err("reading before begin() must be refuted by the model");
-    assert!(err.message.contains("unregistered read"), "{err}");
+            slot.store(IDLE_SLOT, SeqCst);
+        }
+    }
+
+    /// Unlinks the block, tags it and bins the tag.
+    fn retire(&self) {
+        self.link.store(0, SeqCst);
+        let tag = self.epoch.fetch_add(1, SeqCst);
+        self.bins.with(|bs| bs.push(tag));
+    }
+
+    fn flush(&self, how: Flush) {
+        let stale = (how == Flush::ScanFirst).then(|| self.slots.min_active());
+        let out = self.bins.with(|bs| {
+            let min_active = stale.unwrap_or_else(|| self.slots.min_active());
+            let before = bs.len();
+            bs.retain(|&tag| tag > min_active || (tag == min_active && how != Flush::Inclusive));
+            before - bs.len()
+        });
+        if out != 0 {
+            self.freed.store(1, SeqCst);
+        }
+    }
+
+    /// Reader, retirer and a third thread's flush.
+    fn three_threads(how: Flush) -> impl Fn(&mut Builder) {
+        move |b| {
+            let h = HandRolled::new();
+            b.thread("reader", h.reader());
+            let r = h.clone();
+            b.thread("retirer", move || r.retire());
+            b.thread("flusher", move || h.flush(how));
+        }
+    }
+}
+
+const PREMATURE: &str = "freed under a predating reader";
+
+#[test]
+fn broken_inclusive_flush_epoch_is_caught() {
+    let scenario = HandRolled::three_threads(Flush::Inclusive);
+    refuted("broken-inclusive-flush", PREMATURE, scenario);
+}
+
+#[test]
+fn broken_slots_scanned_before_the_bins_lock_is_caught() {
+    // The order `GraceCore::ripe`'s comment warns against. The twin with
+    // the kernel's order passes, so the order is all that is refuted.
+    exhaustive(
+        "lock-then-scan",
+        100,
+        HandRolled::three_threads(Flush::Kernel),
+    );
+    let scenario = HandRolled::three_threads(Flush::ScanFirst);
+    refuted("broken-scan-then-lock", PREMATURE, scenario);
 }

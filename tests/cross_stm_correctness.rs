@@ -170,7 +170,7 @@ fn hybrid_history_spanning_forced_migration_is_serializable() {
 
 /// A contract-breaking zombie: its variable is evicted under it with
 /// `free_tvar_block` directly — no grace period, so nothing but the
-/// zombie's own epoch pin stands between its logs (which *borrow* the
+/// zombie's own guard stands between its logs (which *borrow* the
 /// variable) and freed memory. Whatever it does next must end in a clean
 /// commit or abort, or in the uniform `not registered` panic.
 #[test]
