@@ -53,6 +53,10 @@ impl ContentionManager for Karma {
     fn on_open(&self, me: &Descriptor) {
         me.add_karma(1);
     }
+
+    fn counts_opens(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -62,6 +62,13 @@ pub trait ContentionManager: Send + Sync {
     /// managers accumulate priority here.
     fn on_open(&self, _me: &Descriptor) {}
 
+    /// Whether [`ContentionManager::on_open`] does anything. An engine
+    /// asks once, and makes the per-open call only for a manager that
+    /// answers `true`.
+    fn counts_opens(&self) -> bool {
+        false
+    }
+
     /// Hook: `me` committed.
     fn on_commit(&self, _me: &Descriptor) {}
 

@@ -25,7 +25,7 @@ pub enum TxState {
 }
 
 impl TxState {
-    fn from_u8(v: u8) -> TxState {
+    pub(crate) fn from_u8(v: u8) -> TxState {
         match v {
             0 => TxState::Live,
             1 => TxState::Committed,

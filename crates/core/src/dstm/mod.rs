@@ -3,8 +3,10 @@
 //!
 //! Module layout:
 //! * [`descriptor`] — transaction descriptors and the status-word CAS;
-//! * [`locator`] — the `(owner, old, new)` indirection object;
-//! * [`tvar`] — t-variables (epoch-managed locator pointers);
+//! * [`locator`] — the `(owner, old, new)` indirection object and the
+//!   verdict its owner stamps into it;
+//! * [`tvar`] — t-variables (a guard-protected locator pointer, and
+//!   `T_0`'s value until the first acquisition);
 //! * [`tx`] — the transaction engine (acquire/read/validate/commit);
 //! * [`stm`] — the [`Dstm`] instance and `atomically` retry loop;
 //! * [`word`] — the [`crate::api::WordStm`] adapter with event recording.

@@ -38,6 +38,9 @@ pub enum Progress {
 /// explicit [`Dstm::begin`] / [`Tx::commit`] pair.
 pub struct Dstm {
     cm: Arc<dyn ContentionManager>,
+    /// `cm.counts_opens()`, asked once: whether a read or an acquisition
+    /// calls `cm.on_open` at all.
+    counts_opens: bool,
     progress: Progress,
     recorder: Option<Arc<Recorder>>,
     epoch: Instant,
@@ -78,6 +81,7 @@ impl Dstm {
     /// manager.
     pub fn new(cm: Arc<dyn ContentionManager>) -> Self {
         Dstm {
+            counts_opens: cm.counts_opens(),
             cm,
             progress: Progress::ObstructionFree,
             recorder: None,
@@ -135,6 +139,10 @@ impl Dstm {
 
     pub fn cm(&self) -> &dyn ContentionManager {
         &*self.cm
+    }
+
+    pub(crate) fn counts_opens(&self) -> bool {
+        self.counts_opens
     }
 
     pub fn progress(&self) -> Progress {

@@ -1,10 +1,15 @@
 //! Transactional variables: a CAS-able pointer to the current locator.
 //!
 //! A t-variable's entire shared state ([`TVarInner`]) is one atomic
-//! pointer to the currently installed [`Locator`] beside two ids;
-//! acquiring the variable is a CAS on this pointer, exactly the "exclusive
-//! but revocable ownership" scheme of Section 1. A fresh variable costs
-//! two allocations: the state and `T_0`'s locator ([`Locator::initial`]).
+//! pointer to the currently installed [`Locator`] beside two ids and the
+//! value the paper's initialising transaction `T_0` gave it; acquiring the
+//! variable is a CAS on this pointer, exactly the "exclusive but revocable
+//! ownership" scheme of Section 1. The pointer stays null until the first
+//! acquisition, so a fresh variable costs one allocation and a read of a
+//! variable nobody has written stops at the state. The first writer CASes
+//! null to a locator whose `old` is `T_0`'s value; a pointer never returns
+//! to null, so a read-set entry that recorded address `0` validates
+//! exactly.
 //!
 //! Everything is reclaimed through the instance's reclamation domain
 //! ([`crate::reclaim::GraceTracker`]) and nothing is counted on a
@@ -18,11 +23,10 @@
 //! a transaction that read through it frees nothing that transaction can
 //! still reach.
 
-use super::descriptor::Descriptor;
 use super::locator::Locator;
 use crate::reclaim::{Atomic, GraceTracker, Guard, Owned, Shared};
 use oftm_histories::{BaseObjId, TVarId, TxId};
-use std::mem::ManuallyDrop;
+use std::mem::{offset_of, ManuallyDrop};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -53,13 +57,18 @@ impl<T: Clone + Send + Sync + 'static> Drop for Handle<T> {
     }
 }
 
-/// The shared state of one t-variable. `repr(C)`: see [`TVarInner::erased`].
+/// The shared state of one t-variable. `repr(C)` with `initial` last:
+/// see [`TVarInner::erased`].
 #[repr(C)]
 pub(crate) struct TVarInner<T: Clone + Send + Sync + 'static> {
     pub id: TVarId,
-    /// Base-object identity of the locator-pointer cell.
+    /// Base-object identity of the locator-pointer cell (and of
+    /// `initial`, which is never written).
     pub base: BaseObjId,
+    /// Null until the first acquisition, never null again.
     pub ptr: Atomic<Locator<T>>,
+    /// `T_0`'s value: the logical value while `ptr` is null.
+    initial: T,
 }
 
 impl<T: Clone + Send + Sync + 'static> TVar<T> {
@@ -101,30 +110,47 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
 
 impl<T: Clone + Send + Sync + 'static> Drop for TVarInner<T> {
     fn drop(&mut self) {
-        // SAFETY: the cell owns the current locator, and `&mut self` in
-        // drop means no guard can reach the state any more: it can be
-        // reclaimed immediately.
+        // SAFETY: the cell owns the current locator (if any), and `&mut
+        // self` in drop means no guard can reach the state any more: it can
+        // be reclaimed immediately.
         drop(unsafe { self.ptr.take() });
     }
 }
 
 /// Internal helpers for the transaction engine.
 impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
+    /// The fields [`TVarInner::erased`] reads sit where they sit in every
+    /// instantiation (checked when `erased` is instantiated).
+    const PREFIX: () = assert!(
+        offset_of!(Self, id) == offset_of!(TVarInner<()>, id)
+            && offset_of!(Self, base) == offset_of!(TVarInner<()>, base)
+            && offset_of!(Self, ptr) == offset_of!(TVarInner<()>, ptr)
+    );
+
     pub(crate) fn new(id: TVarId, initial: T) -> Self {
-        let base = crate::record::fresh_base_id();
         TVarInner {
             id,
-            base,
-            ptr: Atomic::new(Locator::initial(base, initial)),
+            base: crate::record::fresh_base_id(),
+            ptr: Atomic::null(),
+            initial,
         }
+    }
+
+    /// `T_0`'s value: what a null `ptr` stands for.
+    pub(crate) fn initial(&self) -> &T {
+        &self.initial
     }
 
     /// See [`TVar::read_atomic`]; `guard` is of the instance's domain.
     pub(crate) fn read_atomic(&self, guard: &Guard<'_>) -> T {
-        // SAFETY: loaded under `guard`; locators are only retired via
-        // `defer_destroy` after being unlinked, so the reference is valid
-        // for the guard's lifetime.
-        let loc = unsafe { self.load(guard).deref() };
+        let loc = self.load(guard);
+        if loc.is_null() {
+            return self.initial.clone();
+        }
+        // SAFETY: non-null and loaded under `guard`; locators are only
+        // retired via `defer_destroy` after being unlinked, so the
+        // reference is valid for the guard's lifetime.
+        let loc = unsafe { loc.deref() };
         // A live owner's tentative value is not committed yet.
         loc.resolve().unwrap_or(&loc.old).clone()
     }
@@ -132,31 +158,31 @@ impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
     /// The view of this state that does not depend on `T`: what a
     /// type-erased read-set entry borrows.
     pub(crate) fn erased(&self) -> &TVarInner<()> {
-        debug_assert_eq!(
-            std::alloc::Layout::new::<Self>(),
-            std::alloc::Layout::new::<TVarInner<()>>()
-        );
-        // SAFETY: `repr(C)` over two plain ids and one pointer cell gives
-        // every instantiation the same layout (`T` sits behind the cell's
-        // thin pointer). The view is a borrow — never dropped — through
-        // which the engine reads the ids and compares the cell's pointer
-        // (`current`); the one thing it reads behind that pointer is the
-        // `T`-independent first field (`current_owner`).
+        let () = Self::PREFIX;
+        // SAFETY: `repr(C)` with `initial` last, and `PREFIX` checks that
+        // the ids and the pointer cell have the same offsets in both
+        // instantiations (`T` is behind the cell's thin pointer or in
+        // `initial`). The view is a borrow — never dropped, and its
+        // zero-sized `initial` is never read — through which the engine
+        // reads the ids and compares the cell's pointer (`current`); behind
+        // that pointer it reads only the locator's `T`-independent prefix
+        // (`current_owner`, [`Locator::erased`]).
         unsafe { &*(self as *const Self).cast() }
     }
 
-    /// The transaction that installed the current locator (`None` is
-    /// `T_0`): whom to name when a read of this variable fails validation.
-    /// Abort path only; sound on the [`TVarInner::erased`] view.
+    /// The transaction that installed the current locator (`None` while
+    /// `T_0`'s value is current): whom to name when a read of this
+    /// variable fails validation. Abort path only; sound on the
+    /// [`TVarInner::erased`] view.
     #[cold]
     pub(crate) fn current_owner(&self, guard: &Guard<'_>) -> Option<TxId> {
-        let loc = self.load(guard).as_raw();
-        // SAFETY: never null and loaded under `guard` (locators are only
-        // retired via `defer_destroy` after being unlinked). `Locator` is
-        // `repr(C)` with `owner` first, so the cast holds whatever `T` the
-        // variable really carries, and `owner` is immutable once built.
-        let owner = unsafe { &*loc.cast::<Option<Arc<Descriptor>>>() };
-        owner.as_ref().map(|d| d.id())
+        let loc = self.load(guard);
+        // SAFETY: loaded under `guard` (locators are only retired via
+        // `defer_destroy` after being unlinked). On the erased view the
+        // pointee is a `Locator` of whatever `T` the variable really
+        // carries; `owner` is in the prefix `Locator<()>` shares with it
+        // ([`Locator::erased`]) and immutable once built.
+        (!loc.is_null()).then(|| unsafe { loc.deref() }.owner.id())
     }
 
     /// Loads the current locator under `guard`.
@@ -165,24 +191,26 @@ impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
         self.ptr.load(Ordering::Acquire, guard)
     }
 
-    /// Address of the currently installed locator. Read-set validation
-    /// compares it with the address recorded at read time: a recorded
-    /// locator's owner was already `Committed` or `Aborted` (both
-    /// terminal), so the logical value can only change by the pointer
-    /// changing, and the transaction's guard rules out address reuse.
+    /// Address of the currently installed locator (`0`: none yet).
+    /// Read-set validation compares it with the address recorded at read
+    /// time: a recorded locator's owner was already `Committed` or
+    /// `Aborted` (both terminal), and `T_0`'s value never changes, so the
+    /// logical value can only change by the pointer changing; the
+    /// transaction's guard rules out address reuse, and the pointer never
+    /// returns to null.
     pub(crate) fn current(&self, guard: &Guard<'_>) -> usize {
         self.load(guard).as_raw() as usize
     }
 
-    /// Attempts to swing the locator pointer from `current` to `new`,
-    /// retiring the old locator on success. Returns the address of the new
-    /// locator, or the rejected `new` on failure.
+    /// Attempts to swing the locator pointer from `current` (null: `T_0`)
+    /// to `new`, retiring the old locator on success. Returns the
+    /// installed locator, or the rejected `new` on failure.
     pub(crate) fn cas<'g>(
         &self,
         current: Shared<'g, Locator<T>>,
         new: Owned<Locator<T>>,
         guard: &'g Guard<'_>,
-    ) -> Result<usize, Owned<Locator<T>>> {
+    ) -> Result<Shared<'g, Locator<T>>, Owned<Locator<T>>> {
         let installed = self
             .ptr
             // ord: AcqRel — Release publishes the new locator's fields to
@@ -193,7 +221,7 @@ impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
         // longer be reached from the t-variable; readers that loaded it
         // earlier are protected by their own guards.
         unsafe { guard.core().defer_destroy(current) };
-        Ok(installed.as_raw() as usize)
+        Ok(installed)
     }
 }
 
@@ -214,6 +242,15 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_variable_reads_t0_without_a_locator() {
+        let v = tvar(2, 5u64);
+        let guard = v.domain().begin();
+        assert!(v.state().load(&guard).is_null());
+        assert_eq!(*v.state().initial(), 5);
+        assert_eq!(v.state().read_atomic(&guard), 5);
+    }
+
+    #[test]
     fn clone_shares_state() {
         let v = tvar(1, 7u64);
         let w = v.clone();
@@ -227,11 +264,17 @@ mod tests {
         let me = Arc::new(Descriptor::new(TxId::new(1, 0), 0));
         let guard = v.domain().begin();
         let cur = v.state().load(&guard);
+        // `T_0`'s value is inline: no locator until the first acquisition.
+        assert!(cur.is_null());
+        assert_eq!(v.state().erased().current(&guard), 0);
+        assert_eq!(v.state().erased().current_owner(&guard), None);
         let newloc = Owned::new(Locator::new(Arc::clone(&me), 1u64, 9u64));
-        let addr = v.state().cas(cur, newloc, &guard).expect("uncontended CAS");
+        let installed = v.state().cas(cur, newloc, &guard).expect("uncontended CAS");
+        let addr = installed.as_raw() as usize;
         assert_eq!(v.state().current(&guard), addr);
         assert_eq!(v.state().erased().current(&guard), addr);
         assert_eq!(v.state().erased().id, TVarId(3));
+        assert_eq!(v.state().erased().current_owner(&guard), Some(me.id()));
         // Owner still live: logical value is old = 1.
         assert_eq!(v.read_atomic(), 1);
         me.try_commit();

@@ -8,7 +8,11 @@
 //! * **reads** are invisible: they resolve the current committed value and
 //!   remember the locator's address in a private, append-only read-set —
 //!   and write nothing shared at all: the entry *borrows* the t-variable
-//!   under the transaction's guard instead of counting a reference to it;
+//!   under the transaction's guard instead of counting a reference to it.
+//!   Resolving stops as early as the variable allows: at the t-variable
+//!   while nobody has acquired it (`T_0`'s value is inline, address `0`),
+//!   at the locator once its owner has stamped its verdict there, and at
+//!   the owner's descriptor only while that stamp is unset;
 //! * after every read and acquisition and at commit the transaction must
 //!   still observe a consistent state ("the state of `y` is re-read to
 //!   ensure that `T_i` still observes a consistent state"), which yields
@@ -17,13 +21,22 @@
 //! * encountering a **live owner** invokes the contention manager, which
 //!   may back off but must eventually abort the owner (obstruction-
 //!   freedom);
-//! * **commit** is a single CAS on the own descriptor's status word.
+//! * **commit** is a single CAS on the own descriptor's status word; the
+//!   winner then stamps `Committed` into every locator it installed, and
+//!   an aborted owner stamps `Aborted` (see [`super::locator`]).
+//!
+//! Nothing on a read path does bookkeeping nobody reads: the contention
+//! manager's `on_open` is called only for a manager that counts opens
+//! ([`crate::cm::ContentionManager::counts_opens`]), and a transaction
+//! that has installed nothing skips the check of its own status word — no
+//! peer can reach its descriptor to abort it.
 //!
 //! ## The commit-counter gate
 //!
 //! A read-set entry's locator had a `Committed` or `Aborted` owner when it
-//! was recorded, so its logical value changes only when an update
-//! transaction that swung the pointer away *commits*. The instance counts
+//! was recorded (or there was none yet: `T_0`'s value, address `0`), so
+//! its logical value changes only when an update transaction that swung
+//! the pointer away *commits*. The instance counts
 //! those commit points in one shared word
 //! ([`crate::kernel::CommitGate`]). A transaction keeps the counter value
 //! under which its read-set was last known valid; a check that finds the
@@ -37,8 +50,9 @@
 //! Why no stale combination gets through: an update transaction bumps the
 //! counter after its last acquisition and before its status CAS. A reader
 //! that obtains a value some transaction committed — directly, or copied
-//! into a later locator's `old` — observed that `Committed` status with
-//! Acquire, so the bump (sequenced before the Release CAS) and every
+//! into a later locator's `old` — observed that `Committed` verdict with
+//! Acquire, on the status word or on a stamp the committer stored after
+//! winning it, so the bump (sequenced before the Release CAS) and every
 //! pointer the committer swung are visible to it: the check after that
 //! read finds the counter moved and the scan finds any entry the committer
 //! overwrote. A reader that meets the writer still `Live` goes through the
@@ -81,12 +95,14 @@ impl ReadEntry {
 }
 
 /// Pooled per-transaction buffers: popped at `begin` and handed back —
-/// cleared, the same `Box` — when the transaction drops. `touched` and
-/// `written` are the word-level adapter's footprint logs ([`super::word`]).
+/// cleared, the same `Box` — when the transaction drops. `installed` is
+/// every locator this transaction CASed in (type-erased, borrowed under its
+/// guard like the read-set): what it stamps its verdict into. `written` is
+/// the word-level adapter's write log ([`super::word`]).
 #[derive(Default)]
 pub(crate) struct Scratch {
     read_set: Vec<ReadEntry>,
-    pub(crate) touched: Vec<TVarId>,
+    installed: Vec<Pinned<Locator<()>>>,
     pub(crate) written: Vec<TVarId>,
 }
 
@@ -108,8 +124,6 @@ pub struct Tx<'s> {
     seen: u64,
     /// Read-set scans run so far (what the gate exists to avoid).
     full_scans: Cell<u32>,
-    /// Number of successful acquisitions (for statistics).
-    writes: usize,
     finished: bool,
     /// Whether an abort cause has been recorded for this attempt. Each
     /// aborted attempt contributes exactly one cause to the telemetry; the
@@ -121,7 +135,8 @@ pub struct Tx<'s> {
 enum Opened<'g, T> {
     /// Our own locator.
     Mine(&'g Locator<T>),
-    /// A locator whose owner is settled, and the value it resolves to.
+    /// A locator whose owner is settled, and the value it resolves to;
+    /// null, and `T_0`'s value, while nobody has acquired the variable.
     Settled(Shared<'g, Locator<T>>, &'g T),
 }
 
@@ -137,7 +152,6 @@ impl<'s> Tx<'s> {
             scratch: ManuallyDrop::new(scratch.unwrap_or_default()),
             seen: stm.gate().sample(),
             full_scans: Cell::new(0),
-            writes: 0,
             finished: false,
             cause_tagged: Cell::new(false),
         };
@@ -157,11 +171,17 @@ impl<'s> Tx<'s> {
     }
 
     /// Hands the guard over to the commit hook of a completed transaction.
-    /// The read-set's borrows die with it.
+    /// The logs' borrows die with it.
     pub(crate) fn release(&mut self) -> Guard<'s> {
         debug_assert!(self.finished);
         self.scratch.read_set.clear();
+        self.scratch.installed.clear();
         self.guard.take().expect("released once")
+    }
+
+    /// The t-variables of the read-set, duplicates included.
+    pub(crate) fn read_ids(&self) -> impl Iterator<Item = TVarId> + '_ {
+        self.scratch.read_set.iter().map(|e| e.var.id)
     }
 
     /// Records the abort cause of this attempt, first tag wins. `var`
@@ -223,8 +243,9 @@ impl<'s> Tx<'s> {
     }
 
     /// Who holds `var` now, as a forensic aggressor id: the same meaning
-    /// TL/TL2's commit-lock writer stamp has. [`TX_UNKNOWN`] for `T_0`'s
-    /// locator and for our own. Kept out of line: abort path only.
+    /// TL/TL2's commit-lock writer stamp has. [`TX_UNKNOWN`] while `T_0`'s
+    /// value is current and for our own locator. Kept out of line: abort
+    /// path only.
     #[cold]
     #[inline(never)]
     fn aggressor_over<T: Clone + Send + Sync + 'static>(&self, var: &TVarInner<T>) -> u64 {
@@ -256,6 +277,7 @@ impl<'s> Tx<'s> {
     /// the abort when the status CAS is ours to win; losing it means a
     /// peer got there first, which re-attributes the attempt to
     /// contention-manager arbitration by whoever the killer stamp names.
+    /// Either way the abort is settled, and stamped.
     fn abort_self(&mut self, cause: AbortCause, var: VarAttr, aggressor: u64) {
         let won = self.desc.try_abort();
         if won {
@@ -265,8 +287,27 @@ impl<'s> Tx<'s> {
             let (killer, kvar) = self.desc.killer();
             self.tag_abort(AbortCause::CmArbitrated, VarAttr::opt(kvar), killer);
         }
+        self.stamp_installed(TxState::Aborted);
         self.stm.cm().on_abort(&self.desc);
         self.finished = true;
+    }
+
+    /// Stamps our settled `verdict` into every locator we installed
+    /// ([`Locator::stamp`]), so that readers stop taking it from our
+    /// descriptor. Under our guard: none of them can have been freed.
+    fn stamp_installed(&self, verdict: TxState) {
+        for loc in &self.scratch.installed {
+            loc.stamp(verdict);
+            self.rstep(loc.base, Access::Modify);
+        }
+    }
+
+    /// Tells the contention manager that we opened one more t-variable,
+    /// if it is one that counts them.
+    fn note_open(&self) {
+        if self.stm.counts_opens() {
+            self.stm.cm().on_open(&self.desc);
+        }
     }
 
     /// Resolves a conflict over t-variable `var` with the live foreign
@@ -340,32 +381,30 @@ impl<'s> Tx<'s> {
     /// updating y; if not, then T_i may have to eventually abort T_k").
     fn open<'g, T: Clone + Send + Sync + 'static>(
         &'g self,
-        v: &TVarInner<T>,
+        v: &'g TVarInner<T>,
         attempt: &mut u32,
     ) -> TxResult<Opened<'g, T>> {
         loop {
-            self.check_self()?;
+            // Having installed nothing, we are unreachable: no peer can
+            // have aborted us.
+            if !self.scratch.installed.is_empty() {
+                self.check_self()?;
+            }
             let shared = v.load(self.guard());
             self.rstep(v.base, Access::Read);
-            // SAFETY: loaded under our guard, locators are retired via
-            // defer_destroy only after unlinking.
+            if shared.is_null() {
+                return Ok(Opened::Settled(shared, v.initial()));
+            }
+            // SAFETY: non-null and loaded under our guard, locators are
+            // retired via defer_destroy only after unlinking.
             let loc = unsafe { shared.deref() };
             if loc.owned_by(&self.desc) {
                 return Ok(Opened::Mine(loc));
             }
-            match loc.resolve() {
-                Ok(val) => {
-                    // `T_0` has no status word to have read.
-                    if let Some(owner) = &loc.owner {
-                        self.rstep(owner.base(), Access::Read);
-                    }
-                    self.rstep(loc.base, Access::Read);
-                    return Ok(Opened::Settled(shared, val));
-                }
-                Err(owner) => {
-                    self.rstep(owner.base(), Access::Read);
-                    self.resolve_conflict(owner, v.id, attempt);
-                }
+            self.rstep(loc.base, Access::Read);
+            match loc.resolve_via(|owner| self.rstep(owner.base(), Access::Read)) {
+                Ok(val) => return Ok(Opened::Settled(shared, val)),
+                Err(owner) => self.resolve_conflict(owner, v.id, attempt),
             }
         }
     }
@@ -401,7 +440,7 @@ impl<'s> Tx<'s> {
             let var = unsafe { Pinned::new(var) };
             read_set.push(ReadEntry { var, addr });
         }
-        self.stm.cm().on_open(&self.desc);
+        self.note_open();
         self.validate_or_abort()?;
         Ok(val)
     }
@@ -439,18 +478,25 @@ impl<'s> Tx<'s> {
             let new_loc = Owned::new(Locator::new(Arc::clone(&self.desc), old_val, value.clone()));
             // Failure: someone interposed; re-examine. (The rejected
             // locator is dropped here, unpublished.)
-            if let Ok(new_addr) = v.cas(shared, new_loc, self.guard()) {
-                self.rstep(v.base, Access::Modify);
-                // Upgrade every read entry of this variable: ownership now
-                // protects it.
-                let entries = self.scratch.read_set.iter_mut();
-                for entry in entries.filter(|e| e.is_of(var)) {
-                    entry.addr = new_addr;
-                }
-                self.writes += 1;
-                self.stm.cm().on_open(&self.desc);
-                return self.validate_or_abort();
+            let Ok(installed) = v.cas(shared, new_loc, self.guard()) else {
+                continue;
+            };
+            let new_addr = installed.as_raw() as usize;
+            // SAFETY: installed under our guard, and retired — once a later
+            // acquisition unlinks it — through `defer_destroy` into our
+            // domain, so it stays allocated until the guard goes; the log
+            // is emptied before that (`release`, `Drop`).
+            let installed = unsafe { Pinned::new(installed.deref().erased()) };
+            self.rstep(v.base, Access::Modify);
+            self.scratch.installed.push(installed);
+            // Upgrade every read entry of this variable: ownership now
+            // protects it.
+            let entries = self.scratch.read_set.iter_mut();
+            for entry in entries.filter(|e| e.is_of(var)) {
+                entry.addr = new_addr;
             }
+            self.note_open();
+            return self.validate_or_abort();
         }
     }
 
@@ -466,11 +512,14 @@ impl<'s> Tx<'s> {
         // Settled on every path below: killed already, failed validation
         // (`abort_self`), or through the status CAS.
         self.finished = true;
-        self.check_self()?;
+        if let Err(killed) = self.check_self() {
+            self.stamp_installed(TxState::Aborted);
+            return Err(killed);
+        }
         // DSTM has no commit lock; the "critical section" is the terminal
         // validate + status CAS, after which the new values are visible.
         let cs_started = Instant::now();
-        if self.writes == 0 {
+        if self.scratch.installed.is_empty() {
             // Nothing acquired: no pointer swung, so no bump.
             self.validate_or_abort()?;
         } else {
@@ -485,7 +534,12 @@ impl<'s> Tx<'s> {
             self.desc.base(),
             if won { Access::Modify } else { Access::Read },
         );
-        self.finished = true;
+        // Lost: a peer's abort CAS got there first, so that is settled too.
+        self.stamp_installed(if won {
+            TxState::Committed
+        } else {
+            TxState::Aborted
+        });
         self.stm
             .stats()
             .record_commit_cs_ns(cs_started.elapsed().as_nanos() as u64);
@@ -522,18 +576,16 @@ impl<'s> Tx<'s> {
     /// the word-level adapter routes a transaction that *declared* update
     /// intent but acquired nothing here as [`Counter::CommitsPromoted`].
     pub(crate) fn complete_read_only(&mut self, commit_counter: Counter) -> TxResult<()> {
-        assert_eq!(
-            self.writes, 0,
+        assert!(
+            self.scratch.installed.is_empty(),
             "commit_read_only on a transaction that acquired variables"
         );
-        // Settled on every path below: killed already, failed validation
-        // (`abort_self`), or through the status CAS.
+        // Settled on every path below: failed validation (`abort_self`) or
+        // committed. Having installed nothing, we cannot have been killed.
         self.finished = true;
-        self.check_self()?;
         // No critical section to time: nothing is published, and once
         // gated the whole completion is one load.
         self.validate_or_abort()?;
-        self.finished = true;
         self.stm.stats().incr(commit_counter);
         self.stm.cm().on_commit(&self.desc);
         Ok(())
@@ -547,7 +599,7 @@ impl<'s> Tx<'s> {
 
     /// Number of t-variables this transaction has acquired for writing.
     pub fn write_count(&self) -> usize {
-        self.writes
+        self.scratch.installed.len()
     }
 
     /// Number of read-set entries.
@@ -576,7 +628,7 @@ impl Drop for Tx<'_> {
         // SAFETY: `drop` runs once and nothing reads the field after it.
         let mut scratch = unsafe { ManuallyDrop::take(&mut self.scratch) };
         scratch.read_set.clear();
-        scratch.touched.clear();
+        scratch.installed.clear();
         scratch.written.clear();
         self.stm
             .scratch()
@@ -825,6 +877,75 @@ mod tests {
             t1.commit_read_only().unwrap();
             assert_eq!(counted, scans);
         }
+    }
+
+    #[test]
+    fn first_acquisition_invalidates_a_t0_read() {
+        let s = stm();
+        let x: TVar<u64> = s.new_tvar(0);
+        let y: TVar<u64> = s.new_tvar(0);
+        let other: TVar<u64> = s.new_tvar(0);
+        // A read of a never-written variable records address 0, and an
+        // unrelated commit leaves it valid: null stays null until acquired.
+        let mut t1 = s.begin(1);
+        assert_eq!(t1.read(&x).unwrap(), 0);
+        let mut t2 = s.begin(2);
+        t2.write(&other, 1).unwrap();
+        t2.commit().unwrap();
+        assert_eq!(t1.read(&y).unwrap(), 0);
+        assert_eq!(t1.full_scans(), 1);
+        // The first acquisition swings x away from null for good.
+        let mut t3 = s.begin(3);
+        t3.write(&x, 1).unwrap();
+        t3.commit().unwrap();
+        assert_eq!(t1.read(&y), Err(TxError::Aborted));
+        assert_eq!(x.read_atomic(), 1);
+    }
+
+    /// Resolves `x`'s current locator as a reader would: the value, and
+    /// whether that took a load of the owner's status word.
+    fn resolve_current(s: &Dstm, x: &TVar<u64>) -> (u64, bool) {
+        let guard = s.domain().begin();
+        let loc = x.state().load(&guard);
+        assert!(!loc.is_null(), "x was acquired");
+        // SAFETY: non-null, loaded under `guard` of x's domain.
+        let loc = unsafe { loc.deref() };
+        let mut asked = false;
+        let v = *loc.resolve_via(|_| asked = true).expect("settled owner");
+        (v, asked)
+    }
+
+    #[test]
+    fn a_killed_owners_locators_resolve_through_its_descriptor() {
+        let s = stm();
+        let x: TVar<u64> = s.new_tvar(5);
+        let mut victim = s.begin(1);
+        victim.write(&x, 6).unwrap();
+        // The aggressor's read kills the live owner through the manager.
+        let mut killer = s.begin(2);
+        assert_eq!(killer.read(&x).unwrap(), 5);
+        killer.commit_read_only().unwrap();
+        // Killed, but its verdict is stamped only once the victim settles
+        // it: until then readers still go to its descriptor.
+        assert_eq!(resolve_current(&s, &x), (5, true));
+        assert_eq!(victim.read(&x), Err(TxError::Aborted));
+        assert_eq!(resolve_current(&s, &x), (5, true));
+        assert_eq!(victim.commit(), Err(TxError::Aborted));
+        assert_eq!(resolve_current(&s, &x), (5, false));
+    }
+
+    #[test]
+    fn a_committed_owner_stamps_every_locator_it_installed() {
+        let s = stm();
+        let (x, y): (TVar<u64>, TVar<u64>) = (s.new_tvar(1), s.new_tvar(2));
+        let mut tx = s.begin(1);
+        tx.write(&x, 10).unwrap();
+        tx.write(&y, 20).unwrap();
+        tx.write(&x, 11).unwrap(); // same locator, updated in place
+        assert_eq!(tx.write_count(), 2);
+        tx.commit().unwrap();
+        assert_eq!(resolve_current(&s, &x), (11, false));
+        assert_eq!(resolve_current(&s, &y), (20, false));
     }
 
     #[test]

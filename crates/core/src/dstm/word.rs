@@ -118,16 +118,17 @@ impl DstmWord {
             word: self,
             retired: Vec::new(),
             ro,
+            conflict_hint: None,
         })
     }
 }
 
 /// The typed transaction plus what the word interface adds. Its footprint
-/// logs ride in the typed transaction's pooled scratch: `touched` is every
-/// id this transaction tried to access (recorded at op entry, so an access
-/// that *aborts on* a variable still lands the variable in the footprint
-/// the async runtime parks on), `written` what a successful commit
-/// publishes to the commit notifier.
+/// is what the typed transaction logs anyway — the read-set and, in its
+/// pooled scratch, `written` (recorded at op entry; what a successful
+/// commit publishes to the commit notifier) — plus the variable a read
+/// aborted on before it reached the read-set, so the async runtime parks
+/// on everything the attempt tried to access.
 struct DstmWordTx<'s> {
     /// Holds the transaction's one registration: dropping it (any abort
     /// path) releases it and discards the retire-set with the transaction.
@@ -137,6 +138,9 @@ struct DstmWordTx<'s> {
     /// Declared read-only: writes and retires panic (caller bug), and the
     /// commit takes the CAS-free read-only completion unconditionally.
     ro: bool,
+    /// The variable an operation aborted on: not necessarily in either
+    /// log, but part of the footprint a parked re-run must wake on.
+    conflict_hint: Option<TVarId>,
 }
 
 impl DstmWordTx<'_> {
@@ -178,16 +182,17 @@ impl WordTx for DstmWordTx<'_> {
 
     fn read(&mut self, x: TVarId) -> TxResult<Value> {
         let var = self.var(x);
-        self.tx.scratch.touched.push(x);
         self.record_invoke(TmOp::Read(x));
         let r = self.tx.read_var(&var);
+        if r.is_err() {
+            self.conflict_hint = Some(x);
+        }
         self.respond(r, |v| TmResp::Value(*v))
     }
 
     fn write(&mut self, x: TVarId, v: Value) -> TxResult<()> {
         assert!(!self.ro, "dstm: write on a declared read-only transaction");
         let var = self.var(x);
-        self.tx.scratch.touched.push(x);
         self.tx.scratch.written.push(x);
         self.record_invoke(TmOp::Write(x, v));
         let r = self.tx.write_var(&var, v);
@@ -249,7 +254,9 @@ impl WordTx for DstmWordTx<'_> {
     }
 
     fn footprint(&self, out: &mut Vec<TVarId>) {
-        out.extend_from_slice(&self.tx.scratch.touched);
+        out.extend(self.tx.read_ids());
+        out.extend_from_slice(&self.tx.scratch.written);
+        out.extend(self.conflict_hint);
     }
 }
 
@@ -398,6 +405,27 @@ mod tests {
             violations.is_empty(),
             "read-only DSTM transactions must not write shared memory, got {violations:?}"
         );
+    }
+
+    #[test]
+    fn footprint_names_reads_writes_and_the_variable_an_op_aborted_on() {
+        // Aggressive: the peer's write below kills `tx` outright.
+        let s = DstmWord::new(Dstm::default());
+        for x in 0..4 {
+            s.register_tvar(TVarId(x), 0);
+        }
+        let mut tx = s.begin(1);
+        tx.read(TVarId(0)).unwrap();
+        tx.read(TVarId(0)).unwrap();
+        tx.write(TVarId(1), 1).unwrap();
+        run_transaction(&s, 2, |peer| peer.write(TVarId(1), 2));
+        // Killed: the read of 2 aborts before it reaches the read-set.
+        assert_eq!(tx.read(TVarId(2)), Err(TxError::Aborted));
+        let mut footprint = Vec::new();
+        tx.footprint(&mut footprint);
+        footprint.sort_unstable();
+        footprint.dedup();
+        assert_eq!(footprint, [TVarId(0), TVarId(1), TVarId(2)]);
     }
 
     #[test]

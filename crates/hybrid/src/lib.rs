@@ -863,31 +863,36 @@ mod tests {
     fn calm_handoff_never_profiles_the_storm() {
         // Two clients hand one token back and forth (the benchmark's
         // token ring in miniature): a client that finds its source empty
-        // gives up on its own. Default policy, real threads.
+        // gives up on its own. Default policy, real threads. Each attempt
+        // runs alone, from begin to tryC/tryA, so the engine never aborts
+        // one: the only streak a client could build is of its own
+        // give-ups, which must not count.
         let s = stm(HybridConfig::default());
         run_transaction(&s, 9, |tx| tx.write(X, 1));
+        let turn = Mutex::new(());
         let profiled: u64 = std::thread::scope(|sc| {
             let clients: Vec<_> = [(0u32, X, Y), (1u32, Y, X)]
                 .into_iter()
                 .map(|(p, from, to)| {
-                    let s = &s;
+                    let (s, turn) = (&s, &turn);
                     sc.spawn(move || {
                         let mut moved = 0;
                         while moved < 2_000 {
+                            let alone = turn.lock().unwrap();
                             let mut tx = s.begin(p);
-                            let Ok(have) = tx.read(from) else { continue };
+                            let have = tx.read(from).expect("attempts run alone");
                             if have == 0 {
                                 tx.try_abort();
+                                drop(alone);
                                 std::thread::yield_now();
                                 continue;
                             }
-                            let put = tx
-                                .write(from, have - 1)
+                            tx.write(from, have - 1)
                                 .and_then(|()| tx.read(to))
-                                .and_then(|n| tx.write(to, n + 1));
-                            if put.is_ok() && tx.try_commit().is_ok() {
-                                moved += 1;
-                            }
+                                .and_then(|n| tx.write(to, n + 1))
+                                .and_then(|()| tx.try_commit())
+                                .expect("attempts run alone");
+                            moved += 1;
                         }
                         storm_profiles()
                     })

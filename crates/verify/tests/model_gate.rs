@@ -3,19 +3,24 @@
 //! DSTM's read-set validation — plus negative oracles.
 //!
 //! The gate's callers are modelled as a miniature DSTM over instrumented
-//! atomics: a t-variable is a pointer word (`0` = the initial locator,
-//! value 0; `k` = writer `k`'s locator, old 0 / new 1), a descriptor is a
-//! status word, a read resolves the pointer the way `Tx::read` does
-//! (revoking a live owner, as the `Aggressive` manager would) and records
-//! the address it saw, and the read-set scan compares addresses. Every
-//! validation decision goes through the kernel.
+//! atomics: a t-variable is a pointer word (`0` = no locator yet, so the
+//! value is `T_0`'s 0 — literally the engine's null pointer, whose
+//! t-variable holds `T_0`'s value inline; `k` = writer `k`'s locator, old
+//! 0 / new 1), each writer's locator has a stamp word its owner stores its
+//! settled verdict into, a descriptor is a status word, a read resolves
+//! the pointer the way `Tx::read` does — the stamp first, the owner's
+//! status only while the stamp is unset, revoking a live owner as the
+//! `Aggressive` manager would — and records the address it saw, and the
+//! read-set scan compares addresses. Every validation decision goes
+//! through the kernel.
 //!
 //! Two properties, each with the orderings that break it:
 //!
 //! * **no torn pair** (opacity): a writer moves `x` and `y` together; a
 //!   reader that gets both reads back sees them equal. Refuted when the
-//!   writer bumps *after* publishing, and when the reader adopts the
-//!   counter value loaded *after* its scan.
+//!   writer bumps *after* publishing, when the reader adopts the counter
+//!   value loaded *after* its scan, and when the writer stamps
+//!   `Committed` into its locators *before* its status CAS.
 //! * **no write skew**: two writers each read what the other writes; they
 //!   cannot both commit on the initial values. Refuted when a committer
 //!   validates *before* its bump.
@@ -40,23 +45,31 @@ enum Variant {
     AdoptAfterScan,
     /// BUG: a committer gate-checks first and bumps afterwards.
     ValidateBeforeBump,
+    /// BUG: a committer stamps `Committed` into its locators before its
+    /// status CAS (here: before its commit point).
+    StampBeforeCommit,
 }
 
 struct World {
-    /// Locator pointers of the t-variables.
+    /// Locator pointers of the t-variables (`0`: null, `T_0`'s value).
     ptr: [MAtomicU64; 2],
     /// Status words of writers 1 and 2.
     status: [MAtomicU64; 2],
+    /// `stamp[k - 1][var]`: the stamp word of writer `k`'s locator in
+    /// `var` (`LIVE` = unset).
+    stamp: [[MAtomicU64; 2]; 2],
     gate: CommitGate<MAtomicU64>,
     variant: Variant,
 }
 
-/// A transaction's validation state: `(variable, address)` read-set and
-/// the counter value it was last known valid under.
+/// A transaction's validation state: `(variable, address)` read-set, the
+/// counter value it was last known valid under, and the variables it
+/// installed a locator in.
 struct Txn<'w> {
     w: &'w World,
     reads: Vec<(usize, u64)>,
     seen: u64,
+    installed: Vec<usize>,
 }
 
 impl World {
@@ -64,6 +77,7 @@ impl World {
         Arc::new(World {
             ptr: [MAtomicU64::new(0), MAtomicU64::new(0)],
             status: [MAtomicU64::new(LIVE), MAtomicU64::new(LIVE)],
+            stamp: std::array::from_fn(|_| [MAtomicU64::new(LIVE), MAtomicU64::new(LIVE)]),
             gate: CommitGate::default(),
             variant,
         })
@@ -74,6 +88,7 @@ impl World {
             w: self,
             reads: Vec::new(),
             seen: self.gate.sample(),
+            installed: Vec::new(),
         }
     }
 
@@ -114,7 +129,11 @@ impl Txn<'_> {
                 break (0, 0);
             }
             let owner = &self.w.status[p as usize - 1];
-            match owner.load(SeqCst) {
+            let verdict = match self.w.stamp[p as usize - 1][var].load(SeqCst) {
+                LIVE => owner.load(SeqCst),
+                stamped => stamped,
+            };
+            match verdict {
                 COMMITTED => break (p, 1),
                 ABORTED => break (p, 0),
                 _ => {
@@ -128,25 +147,43 @@ impl Txn<'_> {
     }
 
     /// Acquires `var` for writer `me`. Each variable has one writer in
-    /// these scenarios, so the CAS from the initial locator cannot fail.
+    /// these scenarios, so the CAS from null cannot fail.
     fn acquire(&mut self, me: u64, var: usize) -> Option<()> {
         self.w.ptr[var]
             .compare_exchange(0, me, SeqCst, SeqCst)
             .expect("sole writer of the variable");
+        self.installed.push(var);
         self.validate()
+    }
+
+    /// Writer `me` stores `verdict` into every locator it installed.
+    fn stamp(&self, me: u64, verdict: u64) {
+        for &var in &self.installed {
+            self.w.stamp[me as usize - 1][var].store(verdict, SeqCst);
+        }
+    }
+
+    /// Writer `me` settles its abort — its own CAS, or a peer's that got
+    /// there first — and stamps it.
+    fn abort(&self, me: u64) {
+        let status = &self.w.status[me as usize - 1];
+        let _ = status.compare_exchange(LIVE, ABORTED, SeqCst, SeqCst);
+        self.stamp(me, ABORTED);
     }
 
     /// Update commit of writer `me`; `true` if the status CAS won.
     fn commit(mut self, me: u64) -> bool {
         let status = &self.w.status[me as usize - 1];
-        let publish = || {
-            status
+        let publish = |t: &Self| {
+            let won = status
                 .compare_exchange(LIVE, COMMITTED, SeqCst, SeqCst)
-                .is_ok()
+                .is_ok();
+            t.stamp(me, if won { COMMITTED } else { ABORTED });
+            won
         };
         let valid = match self.w.variant {
             Variant::BumpAfterPublish => {
-                let won = self.validate().is_some() && publish();
+                let won = self.validate().is_some() && publish(&self);
                 self.w.bump();
                 return won;
             }
@@ -155,13 +192,17 @@ impl Txn<'_> {
                 self.w.bump();
                 valid
             }
+            Variant::StampBeforeCommit => {
+                self.stamp(me, COMMITTED);
+                self.w.gate.commit_point(self.seen, || self.scan()).is_ok()
+            }
             _ => self.w.gate.commit_point(self.seen, || self.scan()).is_ok(),
         };
         if !valid {
-            let _ = status.compare_exchange(LIVE, ABORTED, SeqCst, SeqCst);
+            self.abort(me);
             return false;
         }
-        publish()
+        publish(&self)
     }
 }
 
@@ -181,6 +222,8 @@ fn torn_pair(name: &'static str, variant: Variant, foreign_first: bool) -> Outco
                 let mut t = w.begin();
                 if t.acquire(1, 0).and_then(|()| t.acquire(1, 1)).is_some() {
                     t.commit(1);
+                } else {
+                    t.abort(1);
                 }
             });
         }
@@ -205,7 +248,10 @@ fn write_skew(name: &'static str, variant: Variant) -> Outcome {
             b.thread(name, move || {
                 let mut t = w.begin();
                 let Some(v) = t.read(reads) else { return };
-                if t.acquire(me, writes).is_some() && t.commit(me) {
+                if t.acquire(me, writes).is_none() {
+                    return t.abort(me);
+                }
+                if t.commit(me) {
                     outcome[me as usize - 1].store(1 + v, Ordering::Relaxed);
                 }
             });
@@ -276,6 +322,21 @@ fn broken_adopt_after_scan_is_caught() {
     // never saw.
     let err = torn_pair("broken-adopt-after-scan", Variant::AdoptAfterScan, true)
         .expect_err("adopting the post-scan counter must tear a pair");
+    assert!(err.message.contains("torn pair"), "{err}");
+    assert!(!err.seed.is_empty());
+}
+
+#[test]
+fn broken_stamp_before_commit_is_caught() {
+    // The reader reads `x` while it is still null, the writer acquires
+    // both and stamps them `Committed` ahead of its bump: the reader takes
+    // `y` from the stamp while the counter still reads what it sampled.
+    let err = torn_pair(
+        "broken-stamp-before-commit",
+        Variant::StampBeforeCommit,
+        false,
+    )
+    .expect_err("stamping before the status CAS must tear a pair");
     assert!(err.message.contains("torn pair"), "{err}");
     assert!(!err.seed.is_empty());
 }
