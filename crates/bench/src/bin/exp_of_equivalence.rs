@@ -3,11 +3,12 @@
 //! Generates low-level histories from three sources and runs all three
 //! obstruction-freedom checkers on each:
 //!
-//! 1. random schedules of the simulated DSTM (crash-free): Definition 2
+//! 1. seeded step-level interleavings of the Figure 2 transactions on the
+//!    shipping DSTM (crash-free, [`oftm_sim::interleave`]): Definition 2
 //!    and Definition 3 must both hold;
-//! 2. simulated runs where `p1` is suspended forever (modelled as a crash
-//!    after its last step): forceful aborts of *later* transactions remain
-//!    step-contention-justified — OF and ic-OF still agree;
+//! 2. the Figure 2 scan, where `p1` is suspended forever (modelled as a
+//!    crash after its last step): forceful aborts of *later* transactions
+//!    remain step-contention-justified — OF and ic-OF still agree;
 //! 3. the threaded *eventual-ic* DSTM (grace period) with a parked victim:
 //!    Definition 2/3 can be violated by design while Definition 4 accepts
 //!    with a finite `d` — separating the hierarchy exactly as Section 3
@@ -16,7 +17,6 @@
 use oftm_core::cm::Aggressive;
 use oftm_core::{Dstm, TVar};
 use oftm_histories::{check_eventual_ic_of, check_ic_of, check_of};
-use oftm_sim::{fig2_scripts, SimDstm};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,27 +30,17 @@ fn main() {
         "Def.4 (eventual) verdict",
     ]);
 
-    // Source 1: crash-free random interleavings of the simulated DSTM.
+    // Source 1: crash-free step-level interleavings of the shipping DSTM.
     let mut of_v = 0;
     let mut ic_v = 0;
-    let mut seed = 7u64;
     let runs = 100;
-    for _ in 0..runs {
-        let mut m = SimDstm::new(vec![0; 4], fig2_scripts());
-        while !m.all_done() {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let t = (seed >> 33) as usize % 3;
-            if m.enabled(t) {
-                m.step(t);
-            }
-        }
-        of_v += check_of(&m.history).len();
-        ic_v += check_ic_of(&m.history).len();
+    for seed in 0..runs {
+        let h = oftm_sim::interleave(seed);
+        of_v += check_of(&h).len();
+        ic_v += check_ic_of(&h).len();
     }
     oftm_bench::print_row(&[
-        "sim DSTM, crash-free".into(),
+        "DSTM, crash-free".into(),
         runs.to_string(),
         of_v.to_string(),
         ic_v.to_string(),
@@ -70,7 +60,7 @@ fn main() {
         }
     }
     oftm_bench::print_row(&[
-        "sim DSTM, p1 crashed".into(),
+        "DSTM, p1 crashed".into(),
         rows.len().to_string(),
         of_v.to_string(),
         ic_v.to_string(),

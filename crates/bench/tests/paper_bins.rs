@@ -81,7 +81,7 @@ claim!(
 claim!(
     exp_of_equivalence,
     "exp_of_equivalence",
-    ["sim DSTM, crash-free", "| 100 | 0 | 0 | d = 0 |"],
+    ["DSTM, crash-free", "| 100 | 0 | 0 | d = 0 |"],
     ["synthetic: abort 5µs after crash", "holds, d ="],
 );
 // Section 1's motivation: a napping owner is revoked, not waited for.

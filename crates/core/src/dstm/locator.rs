@@ -146,18 +146,23 @@ impl<T> Locator<T> {
         self.resolve_via(|_| ())
     }
 
-    /// [`Locator::resolve`], calling `on_status` when the verdict had to be
-    /// loaded from the owner's status word because the stamp was unset:
-    /// the step a recorder logs on the descriptor.
+    /// [`Locator::resolve`], calling `on_load` after each shared word it
+    /// loads with that word's base object — the stamp, then the owner's
+    /// status word while the stamp was unset: the steps a recorder logs.
+    /// Inlined: it sits on every read through a locator.
+    #[inline]
     pub(crate) fn resolve_via(
         &self,
-        on_status: impl FnOnce(&Descriptor),
+        mut on_load: impl FnMut(BaseObjId),
     ) -> Result<&T, &Arc<Descriptor>> {
         // ord: Acquire pairs with the owner's Release stamp store.
-        let verdict = match TxState::from_u8(self.settled.load(Ordering::Acquire)) {
+        let stamp = TxState::from_u8(self.settled.load(Ordering::Acquire));
+        on_load(self.base);
+        let verdict = match stamp {
             TxState::Live => {
-                on_status(&self.owner);
-                self.owner.status()
+                let status = self.owner.status();
+                on_load(self.owner.base());
+                status
             }
             stamped => stamped,
         };
@@ -210,7 +215,7 @@ mod tests {
     /// owner's status word.
     fn resolve_asking<T>(loc: &Locator<T>) -> (Option<&T>, bool) {
         let mut asked = false;
-        let r = loc.resolve_via(|_| asked = true).ok();
+        let r = loc.resolve_via(|obj| asked |= obj == loc.owner.base()).ok();
         (r, asked)
     }
 

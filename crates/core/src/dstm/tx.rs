@@ -229,15 +229,18 @@ impl<'s> Tx<'s> {
     /// Scans the entire read-set. Returns the first invalidated entry's
     /// t-variable and the transaction whose acquisition replaced the
     /// locator we read (the conflict attribution of a `ReadValidation`
-    /// abort), or `None` when consistent.
-    fn first_invalid(&self) -> Option<(TVarId, u64)> {
+    /// abort), or `None` when consistent. `counter` is the gate's access
+    /// (load or bump) that asked for the scan: its step is recorded first.
+    fn first_invalid(&self, counter: Access) -> Option<(TVarId, u64)> {
+        self.rstep(self.stm.commit_counter_base(), counter);
         self.full_scans.set(self.full_scans.get() + 1);
         self.scratch
             .read_set
             .iter()
             .find(|e| {
+                let moved = e.var.current(self.guard()) != e.addr;
                 self.rstep(e.var.base, Access::Read);
-                e.var.current(self.guard()) != e.addr
+                moved
             })
             .map(|e| (e.var.id, self.aggressor_over(&e.var)))
     }
@@ -258,9 +261,13 @@ impl<'s> Tx<'s> {
     /// The gate check (module docs): free while no update transaction
     /// reached its commit point since the read-set was last known valid.
     fn validate_or_abort(&mut self) -> TxResult<()> {
-        self.rstep(self.stm.commit_counter_base(), Access::Read);
-        match self.stm.gate().check(self.seen, || self.first_invalid()) {
+        let gate = self.stm.gate();
+        match gate.check(self.seen, || self.first_invalid(Access::Read)) {
             Ok(now) => {
+                if now == self.seen {
+                    // No scan recorded the counter load's step.
+                    self.rstep(self.stm.commit_counter_base(), Access::Read);
+                }
                 self.seen = now;
                 Ok(())
             }
@@ -280,8 +287,9 @@ impl<'s> Tx<'s> {
     /// Either way the abort is settled, and stamped.
     fn abort_self(&mut self, cause: AbortCause, var: VarAttr, aggressor: u64) {
         let won = self.desc.try_abort();
+        let access = if won { Access::Modify } else { Access::Read };
+        self.rstep(self.desc.base(), access);
         if won {
-            self.rstep(self.desc.base(), Access::Modify);
             self.tag_abort(cause, var, aggressor);
         } else {
             let (killer, kvar) = self.desc.killer();
@@ -401,8 +409,7 @@ impl<'s> Tx<'s> {
             if loc.owned_by(&self.desc) {
                 return Ok(Opened::Mine(loc));
             }
-            self.rstep(loc.base, Access::Read);
-            match loc.resolve_via(|owner| self.rstep(owner.base(), Access::Read)) {
+            match loc.resolve_via(|obj| self.rstep(obj, Access::Read)) {
                 Ok(val) => return Ok(Opened::Settled(shared, val)),
                 Err(owner) => self.resolve_conflict(owner, v.id, attempt),
             }
@@ -418,9 +425,10 @@ impl<'s> Tx<'s> {
     ) -> TxResult<T> {
         let (addr, val) = match self.open(v, &mut 0)? {
             Opened::Mine(loc) => {
-                self.rstep(loc.base, Access::Read);
                 // SAFETY: we are the owner and live (`open` checked).
-                return Ok(unsafe { loc.tentative_value().clone() });
+                let val = unsafe { loc.tentative_value().clone() };
+                self.rstep(loc.base, Access::Read);
+                return Ok(val);
             }
             Opened::Settled(shared, val) => (shared.as_raw() as usize, val.clone()),
         };
@@ -479,6 +487,7 @@ impl<'s> Tx<'s> {
             // Failure: someone interposed; re-examine. (The rejected
             // locator is dropped here, unpublished.)
             let Ok(installed) = v.cas(shared, new_loc, self.guard()) else {
+                self.rstep(v.base, Access::Read);
                 continue;
             };
             let new_addr = installed.as_raw() as usize;
@@ -523,9 +532,15 @@ impl<'s> Tx<'s> {
             // Nothing acquired: no pointer swung, so no bump.
             self.validate_or_abort()?;
         } else {
-            self.rstep(self.stm.commit_counter_base(), Access::Modify);
-            let gate = self.stm.gate();
-            if let Err(invalid) = gate.commit_point(self.seen, || self.first_invalid()) {
+            let mut scanned = false;
+            let point = self.stm.gate().commit_point(self.seen, || {
+                scanned = true;
+                self.first_invalid(Access::Modify)
+            });
+            if !scanned {
+                self.rstep(self.stm.commit_counter_base(), Access::Modify);
+            }
+            if let Err(invalid) = point {
                 return self.fail_validation(invalid);
             }
         }
@@ -911,7 +926,9 @@ mod tests {
         // SAFETY: non-null, loaded under `guard` of x's domain.
         let loc = unsafe { loc.deref() };
         let mut asked = false;
-        let v = *loc.resolve_via(|_| asked = true).expect("settled owner");
+        let v = *loc
+            .resolve_via(|obj| asked |= obj == loc.owner.base())
+            .expect("settled owner");
         (v, asked)
     }
 
@@ -946,6 +963,60 @@ mod tests {
         tx.commit().unwrap();
         assert_eq!(resolve_current(&s, &x), (11, false));
         assert_eq!(resolve_current(&s, &y), (20, false));
+    }
+
+    /// Figure 2's `T1` replayed under the recorder's step gate, one step at
+    /// a time: parked, it has modified exactly what its recorded steps say
+    /// (counter, pointer cells, status word, stamps) — steps follow access.
+    #[test]
+    fn a_gated_solo_transaction_has_done_exactly_what_it_recorded() {
+        use crate::record::Recorder;
+        use oftm_histories::{BaseObjId, Event};
+        let rec = Arc::new(Recorder::new());
+        let s = Arc::new(Dstm::new(Arc::new(Aggressive)).with_recorder(Arc::clone(&rec)));
+        let vars: Vec<TVar<u64>> = (0..4).map(|_| s.new_tvar(0)).collect();
+        let p = ProcId(1);
+        rec.gate(p);
+        let (s2, rec2, v) = (Arc::clone(&s), Arc::clone(&rec), vars.clone());
+        let thread = std::thread::spawn(move || {
+            let mut tx = s2.begin(p.0);
+            tx.read(&v[0]).unwrap();
+            tx.read(&v[1]).unwrap();
+            tx.write(&v[2], 1).unwrap();
+            tx.write(&v[3], 1).unwrap();
+            tx.commit().unwrap();
+            rec2.finish(p);
+        });
+        let mut steps = 0;
+        while rec.allow(p, 1) {
+            steps += 1;
+            let h = rec.snapshot();
+            let modify = |e: &Event, at| matches!(*e, Event::Step { obj, access: Access::Modify, .. } if obj == at);
+            let modified = |at: BaseObjId| h.iter().any(|e| modify(&e.event, at));
+            let bumped = u64::from(modified(s.commit_counter_base()));
+            assert_eq!(s.gate().sample(), bumped, "counter after step {steps}");
+            let guard = s.domain().begin();
+            for (i, v) in vars.iter().enumerate() {
+                let loc = v.state().load(&guard);
+                let cell = modified(v.state().base);
+                assert_eq!(!loc.is_null(), cell, "cell {i} after step {steps}");
+                // SAFETY: non-null, loaded under `guard` of the domain
+                // the locator retires into.
+                let Some(loc) = (!loc.is_null()).then(|| unsafe { loc.deref() }) else {
+                    continue;
+                };
+                let mut stamped = true;
+                let _ = loc.resolve_via(|obj| stamped &= obj != loc.owner.base());
+                let settled = (loc.owner.status() == TxState::Committed, stamped);
+                let recorded = (modified(loc.owner.base()), modified(loc.base));
+                assert_eq!(settled, recorded, "status, stamp {i} after step {steps}");
+            }
+        }
+        thread.join().unwrap();
+        // The begin's counter sample; a pointer load and a gate check per
+        // read; a load, the install CAS and a check per write; the bump,
+        // the status CAS and two stamps.
+        assert_eq!(steps, 1 + 2 * 2 + 2 * 3 + 4);
     }
 
     #[test]

@@ -12,13 +12,18 @@
 //! Recording is optional: production paths pass no recorder and pay only a
 //! branch on an `Option` (base-object ids come out of per-thread blocks,
 //! so drawing one shares nothing either).
+//!
+//! A recorder is also a **step gate** ([`Recorder::gate`]). Every site
+//! records its step *after* the access it names, so a gated process parked
+//! at its k-th step has performed exactly what its first k steps name:
+//! granting one step at a time replays a step-exact schedule of the real
+//! engine (`oftm_sim::fig2`).
 
-use oftm_histories::{
-    Access, BaseObjId, Event, History, ProcId, TVarId, TmOp, TmResp, TxId, Value,
-};
+use oftm_histories::{Access, BaseObjId, Event, History, ProcId, TmOp, TmResp, TxId};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Global allocator of base-object identifiers. Every descriptor status
@@ -53,10 +58,23 @@ pub fn fresh_base_id() -> BaseObjId {
 }
 
 /// An append-only recorder of low-level events shared by all threads of an
-/// instrumented run.
+/// instrumented run, and their step gate (module docs).
 pub struct Recorder {
     start: Instant,
-    events: Mutex<History>,
+    log: Mutex<Log>,
+    /// Signalled when a gated process parks, finishes, gets steps or crashes.
+    moved: Condvar,
+}
+
+type Guard<'a> = MutexGuard<'a, Log>;
+
+#[derive(Default)]
+struct Log {
+    events: History,
+    /// Steps each gated process may take before it parks.
+    gated: BTreeMap<ProcId, usize>,
+    /// Processes whose events are dropped.
+    crashed: Vec<ProcId>,
 }
 
 impl Default for Recorder {
@@ -69,7 +87,8 @@ impl Recorder {
     pub fn new() -> Self {
         Recorder {
             start: Instant::now(),
-            events: Mutex::new(History::new()),
+            log: Mutex::default(),
+            moved: Condvar::new(),
         }
     }
 
@@ -77,19 +96,73 @@ impl Recorder {
         self.start.elapsed().as_nanos() as u64
     }
 
-    fn push(&self, e: Event) {
-        let nanos = self.nanos();
-        self.events.lock().unwrap().push_at(e, nanos);
+    /// The log, whole even after a panic: every update is one push or edit.
+    fn lock(&self) -> Guard<'_> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Records a step on a base object.
+    fn wait<'a>(&self, log: Guard<'a>, cond: impl FnMut(&mut Log) -> bool) -> Guard<'a> {
+        self.moved
+            .wait_while(log, cond)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends `e` unless its process crashed.
+    fn push_to(&self, log: &mut Log, e: Event) {
+        if !log.crashed.contains(&e.proc()) {
+            log.events.push_at(e, self.nanos());
+        }
+    }
+
+    fn push(&self, e: Event) {
+        self.push_to(&mut self.lock(), e);
+    }
+
+    /// Records a step on a base object. A gated `proc` then parks here
+    /// once its allowance is spent, until it is granted more or crashes.
     pub fn step(&self, proc: ProcId, tx: Option<TxId>, obj: BaseObjId, access: Access) {
-        self.push(Event::Step {
+        let held = |l: &mut Log| l.gated.get(&proc) == Some(&0);
+        // Holds only a thread that reached its first step before its
+        // first grant: every later step finds the allowance it parked for.
+        let mut log = self.wait(self.lock(), held);
+        let e = Event::Step {
             proc,
             tx,
             obj,
             access,
-        });
+        };
+        self.push_to(&mut log, e);
+        if let Some(left) = log.gated.get_mut(&proc) {
+            *left -= 1;
+            if *left == 0 {
+                self.moved.notify_all();
+                drop(self.wait(log, held));
+            }
+        }
+    }
+
+    /// Gates `proc`: from now on it parks in [`Recorder::step`] whenever
+    /// its allowance is spent, and it starts with none. Start its thread
+    /// at its first grant: nothing it does before its first step is held.
+    pub fn gate(&self, proc: ProcId) {
+        self.lock().gated.insert(proc, 0);
+    }
+
+    /// Grants the gated `proc` `steps` more steps and returns once it has
+    /// taken them and parked again (`true`) or its thread has finished.
+    pub fn allow(&self, proc: ProcId, steps: usize) -> bool {
+        let mut log = self.lock();
+        *log.gated.get_mut(&proc).expect("a gated, running process") += steps;
+        self.moved.notify_all();
+        let busy = |l: &mut Log| l.gated.get(&proc).is_some_and(|&n| n > 0);
+        self.wait(log, busy).gated.contains_key(&proc)
+    }
+
+    /// Tells a pending [`Recorder::allow`] that the gated `proc`'s thread
+    /// has run out: call it from that thread, last.
+    pub fn finish(&self, proc: ProcId) {
+        self.lock().gated.remove(&proc);
+        self.moved.notify_all();
     }
 
     /// Records the invocation of a TM operation.
@@ -110,32 +183,28 @@ impl Recorder {
         });
     }
 
-    /// Records that a process crashed (used by preemption experiments to
-    /// mark a thread that will never be scheduled again).
+    /// Records that a process crashed: nothing it records afterwards
+    /// enters the history, and a gated `proc` is released, so its thread
+    /// can run out unscheduled.
     pub fn crash(&self, proc: ProcId) {
-        self.push(Event::Crash { proc });
-    }
-
-    /// Convenience: records a complete read operation.
-    pub fn read_op(&self, tx: TxId, x: TVarId, v: Value) {
-        self.invoke(tx, TmOp::Read(x));
-        self.respond(tx, TmResp::Value(v));
-    }
-
-    /// Convenience: records a complete write operation.
-    pub fn write_op(&self, tx: TxId, x: TVarId, v: Value) {
-        self.invoke(tx, TmOp::Write(x, v));
-        self.respond(tx, TmResp::Ok);
+        let mut log = self.lock();
+        self.push_to(&mut log, Event::Crash { proc });
+        log.crashed.push(proc);
+        log.gated.remove(&proc);
+        self.moved.notify_all();
     }
 
     /// Takes a snapshot of the history recorded so far.
     pub fn snapshot(&self) -> History {
-        self.events.lock().unwrap().clone()
+        self.lock().events.clone()
     }
 
     /// Consumes the recorder, returning the final history.
     pub fn into_history(self) -> History {
-        self.events.into_inner().unwrap()
+        self.log
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .events
     }
 }
 
@@ -183,7 +252,8 @@ mod tests {
     fn records_high_and_low_level() {
         let r = Recorder::new();
         let tx = TxId::new(1, 0);
-        r.read_op(tx, TVarId(0), 0);
+        r.invoke(tx, TmOp::Read(oftm_histories::TVarId(0)));
+        r.respond(tx, TmResp::Value(0));
         r.step(ProcId(1), Some(tx), BaseObjId(500), Access::Modify);
         r.invoke(tx, TmOp::TryCommit);
         r.respond(tx, TmResp::Committed);
@@ -225,5 +295,25 @@ mod tests {
         r.crash(ProcId(2));
         let h = r.into_history();
         assert_eq!(h.crash_times().len(), 1);
+    }
+
+    #[test]
+    fn a_gated_process_takes_exactly_the_steps_it_is_allowed() {
+        let (r, p) = (std::sync::Arc::new(Recorder::new()), ProcId(1));
+        r.gate(p);
+        let gated = std::sync::Arc::clone(&r);
+        let thread = std::thread::spawn(move || {
+            (0..9).for_each(|i| gated.step(p, None, BaseObjId(i), Access::Read));
+            gated.finish(p);
+        });
+        assert!(r.allow(p, 2));
+        assert_eq!(r.snapshot().len(), 2);
+        r.step(ProcId(2), None, BaseObjId(9), Access::Modify); // never held
+        assert!(r.allow(p, 1));
+        assert_eq!(r.snapshot().len(), 4);
+        // Released: its other six steps run unrecorded.
+        r.crash(p);
+        thread.join().unwrap();
+        assert_eq!(r.snapshot().len(), 5, "{}", r.snapshot().render());
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! The theory half of the reproduction: the paper's impossibility results
 //! argue about *steps* — single shared-memory accesses under an adversarial
-//! scheduler — which threads cannot replay deterministically. This crate
-//! re-implements the relevant protocols as explicit step machines and
-//! explores their configuration graphs exhaustively:
+//! scheduler — which free-running threads cannot replay. This crate
+//! replays them two ways. The consensus protocols are explicit step
+//! machines whose configuration graphs it explores exhaustively; the DSTM
+//! constructions run the engine that ships, scheduled one recorded step at
+//! a time through the recorder's step gate (`oftm_core::record`):
 //!
 //! * [`machine`] — the [`machine::Machine`] trait, the exhaustive explorer
 //!   with valency computation (0/1-valence, bivalence), the Claim 10
@@ -16,18 +18,17 @@
 //! * [`tas_model`] — TAS-based 2-process consensus (all schedules decide:
 //!   the consensus-number ≥ 2 half of Corollary 11) and the naive
 //!   3-process extension whose livelock the explorer exhibits;
-//! * [`sim_dstm`] — a step-accurate DSTM model with full history recording;
 //! * [`fig2`] — the `E_{p·2·s·3}` construction of Theorem 13's proof,
-//!   scanned over every suspension point of `T1`.
+//!   scanned over every suspension point of `T1`, and seeded step-level
+//!   interleavings of the same transactions (Theorem 5's histories), on
+//!   `oftm_core`'s DSTM.
 
 pub mod fig2;
 pub mod foc_model;
 pub mod machine;
-pub mod sim_dstm;
 pub mod tas_model;
 
-pub use fig2::{fig2_scan, fig2_scripts, summarize, Fig2Row, Fig2Summary};
+pub use fig2::{fig2_scan, fig2_scripts, interleave, Fig2Row, ScriptOp};
 pub use foc_model::{FocCellModel, FocRetryConsensus, RetryState};
 pub use machine::{explore, Exploration, Machine, Move};
-pub use sim_dstm::{ScriptOp, SimDstm, SimStatus};
 pub use tas_model::{TasCell, TasThreeNaive, TasTwoConsensus};

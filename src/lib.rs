@@ -17,8 +17,9 @@
 //! * [`baselines`] — coarse / TL / TL2 lock-based TMs;
 //! * [`histories`] — the formal model and checkers
 //!   (serializability, opacity, OF/ic-OF/eventual-ic-OF, strict DAP);
-//! * [`sim`] — deterministic step machines, valency exploration,
-//!   the Figure 2 construction;
+//! * [`sim`] — deterministic step machines, valency exploration, and
+//!   the Figure 2 construction on the shipping DSTM, scheduled one
+//!   recorded step at a time;
 //! * [`structs`] — transactional collections (sorted-list IntSet,
 //!   hash map, MPMC queue, striped counter) over the word-level
 //!   interface, running unchanged on every STM via dynamic t-variable
