@@ -73,7 +73,6 @@ use oftm_obs::{pack_tx, AbortCause, Counter, StmStats, VarAttr, TX_UNKNOWN};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Transaction fate values proposed to `State[T_k]`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -297,11 +296,8 @@ impl Algo2Stm {
     }
 
     fn reclaim_after_commit(&self, grace: Guard<'_>, retired: Vec<RetiredBlock>) {
+        // `free_tvar_block` accounts the freed t-variables.
         let freeable = self.initial.domain().retire_and_flush(grace, retired);
-        if !freeable.is_empty() {
-            // `free_tvar_block` below accounts the freed t-variables.
-            self.stats.incr(Counter::GraceFlushes);
-        }
         for blk in &freeable {
             self.free_tvar_block(blk.base, blk.len);
         }
@@ -584,15 +580,11 @@ impl WordTx for Algo2Tx<'_> {
             );
             return Ok(());
         }
-        // The commit critical section of Algorithm 2 is the single fate
-        // proposal to our own State cell.
-        let cs_started = Instant::now();
+        // Algorithm 2's commit is the single fate proposal to our own
+        // State cell.
         let sc = self.stm.state_cell(self.id);
         let s = sc.propose(self.id.proc, Fate::Committed as u8);
         self.rstep(sc.base, Access::Modify);
-        self.stm
-            .stats
-            .record_commit_cs_ns(cs_started.elapsed().as_nanos() as u64);
         match s {
             Some(v) if v == Fate::Committed as u8 => {
                 self.stm.stats.incr(Counter::Commits);

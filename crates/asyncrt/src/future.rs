@@ -93,9 +93,6 @@ struct ParkCore<'s> {
     /// When the current park began (set with `parked_until`); feeds the
     /// park-duration histogram on the unparking poll.
     parked_at: Option<std::time::Instant>,
-    /// Ring-clock start of the current park: emitted as a `"park"` span
-    /// on the meaningful wake (only when tracing is enabled).
-    park_started_ns: Option<u64>,
 }
 
 /// What the poll loop does after an aborted attempt.
@@ -126,15 +123,6 @@ impl ParkCore<'_> {
                     stats.incr(Counter::Wakes);
                     if let Some(at) = self.parked_at.take() {
                         stats.record_park_ns(at.elapsed().as_nanos() as u64);
-                    }
-                    if let Some(t0) = self.park_started_ns.take() {
-                        oftm_obs::ring::emit_span(
-                            "park",
-                            "async_park_core",
-                            u64::from(self.driver.proc),
-                            u64::from(self.parks),
-                            t0,
-                        );
                     }
                     true
                 } else {
@@ -177,7 +165,6 @@ impl ParkCore<'_> {
         let now = std::time::Instant::now();
         self.parked_until = Some(now + timeout);
         self.parked_at = Some(now);
-        self.park_started_ns = oftm_obs::ring::enabled().then(oftm_obs::ring::clock_ns);
         timer::wake_after(timeout, waker.clone());
         AfterAbort::Pend
     }
@@ -201,7 +188,6 @@ impl<'s, R, F> TxFuture<'s, R, F> {
                 snap: WaitSnapshot::new(),
                 parked_until: None,
                 parked_at: None,
-                park_started_ns: None,
             },
             body,
             _r: std::marker::PhantomData,

@@ -32,7 +32,6 @@ use oftm_histories::{Access, TVarId, TmOp, TmResp, TxId, Value};
 use oftm_obs::{pack_tx, AbortCause, Counter, StmStats, VarAttr, TX_UNKNOWN};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// Global-mutex TM.
 pub struct CoarseStm {
@@ -51,8 +50,7 @@ pub struct CoarseStm {
     recorder: Option<Arc<Recorder>>,
     /// Always-on telemetry. Coarse is abort-free (the gate serializes
     /// everything), so the only cause it can ever tag is an explicit
-    /// retry; the commit-critical-section histogram records how long each
-    /// transaction held the gate — the time everyone else was stalled.
+    /// retry.
     stats: StmStats,
 }
 
@@ -112,7 +110,6 @@ impl CoarseStm {
             touched: Vec::new(),
             retired: Vec::new(),
             ro,
-            gate_held_at: Instant::now(),
             pin: Some(self.store.domain().begin()),
         })
     }
@@ -132,9 +129,6 @@ struct CoarseTx<'s> {
     retired: Vec<RetiredBlock>,
     /// Declared read-only: reads skip the footprint log, writes panic.
     ro: bool,
-    /// When the gate was acquired; its hold length is this backend's
-    /// commit critical section.
-    gate_held_at: Instant,
     /// The transaction's one registration with the store's domain: it
     /// keeps the cells the undo log borrows allocated. Dropped (retire-set
     /// discarded) on abort — declared after `undo`, so after the log;
@@ -210,9 +204,6 @@ impl WordTx for CoarseTx<'_> {
         }
         self.rstep(Access::Modify); // lock release is a modifying step
         self.guard = None; // release
-        self.stm
-            .stats
-            .record_commit_cs_ns(self.gate_held_at.elapsed().as_nanos() as u64);
         self.stm.stats.incr(if self.ro {
             Counter::CommitsRo
         } else if self.undo.is_empty() {
@@ -231,7 +222,7 @@ impl WordTx for CoarseTx<'_> {
         let pin = self.pin.take().expect("held until completion");
         let retired = std::mem::take(&mut self.retired);
         let evicted = self.stm.store.retire_and_evict(pin, retired);
-        self.stm.stats.grace_flush(evicted);
+        self.stm.stats.add(Counter::TvarsFreed, evicted);
         Ok(())
     }
 
@@ -246,9 +237,6 @@ impl WordTx for CoarseTx<'_> {
         }
         self.rstep(Access::Modify);
         self.guard = None;
-        self.stm
-            .stats
-            .record_commit_cs_ns(self.gate_held_at.elapsed().as_nanos() as u64);
         // Coarse transactions never fail: aborting one is always a
         // voluntary abandonment — no conflicting variable, no aggressor.
         self.stm.stats.abort_at(
@@ -288,9 +276,6 @@ impl Drop for CoarseTx<'_> {
             for (_, cell, v) in self.undo.drain(..).rev() {
                 cell.store(v, Ordering::Release);
             }
-            self.stm
-                .stats
-                .record_commit_cs_ns(self.gate_held_at.elapsed().as_nanos() as u64);
             self.stm.stats.abort_at(
                 AbortCause::ExplicitRetry,
                 VarAttr::NoVar,

@@ -82,7 +82,6 @@ use oftm_obs::{pack_tx, AbortCause, Counter, StmStats, VarAttr, TX_UNKNOWN};
 use std::mem::ManuallyDrop;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 pub use crate::clock::CLOCK_SHARDS;
 use policy::{PerObject, ReadPolicy, Snapshot};
@@ -344,7 +343,7 @@ impl<P: ReadPolicy> VersionedLockStm<P> {
     /// them (they would sit in the table, counted by `live_tvars`, until
     /// it migrated back).
     pub fn for_each_live_value(&self, mut f: impl FnMut(TVarId, Value)) {
-        self.stats.grace_flush(self.vars.evict_ripe());
+        self.stats.add(Counter::TvarsFreed, self.vars.evict_ripe());
         self.vars.for_each_live(|id, var, _| {
             // ord: Acquire pairs with the committer's Release value store.
             f(id, var.value.load(Ordering::Acquire));
@@ -503,7 +502,7 @@ impl<P: ReadPolicy> Attempt<'_, P> {
         // which consumes the transaction — gets here, once.
         let pin = self.pin.take().expect("held until completion");
         let evicted = self.stm.vars.retire_and_evict(pin, std::mem::take(retired));
-        self.stm.stats.grace_flush(evicted);
+        self.stm.stats.add(Counter::TvarsFreed, evicted);
     }
 }
 
@@ -646,7 +645,6 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
         // final stamped release, concurrent accessors of these variables
         // spin or abort.
         let me = self.at.packed_id();
-        let cs_started = Instant::now();
         self.log.locked.clear();
         for i in 0..self.log.writes.len() {
             let (x, _, var) = self.log.writes[i];
@@ -670,7 +668,6 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
         // replacement for the global hot spot of Section 1, and the one
         // access of a TL writing commit that is not strictly DAP.
         let wv = stm.clocks.tick(self.at.id.proc);
-        stm.stats.incr(Counter::ClockShardTicks);
         let shard = self.at.id.proc as usize & (CLOCK_SHARDS - 1);
         self.at
             .rstep(stm.clocks.shards()[shard].base, Access::Modify);
@@ -690,8 +687,6 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
             var.unlock(wv);
             self.at.rstep(var.lock_base, Access::Modify);
         }
-        stm.stats
-            .record_commit_cs_ns(cs_started.elapsed().as_nanos() as u64);
         stm.stats.incr(Counter::Commits);
         // Writes are visible and stamped: wake parked conflicters.
         stm.notify
@@ -1076,7 +1071,6 @@ mod tests {
     fn locked_read_tags_lock_busy_naming_the_holder<P: ReadPolicy>() {
         let mut s = stm::<P>();
         s.lock_patience = 8;
-        s.stats().forensics().set_sample_period(1);
         s.stats().forensics().reset();
         let before = s.stats().snapshot();
         let pin = s.vars.domain().begin();

@@ -16,7 +16,6 @@ const Y: TVarId = TVarId(1);
 fn prepared<S: WordStm>(s: S) -> S {
     s.register_tvar(X, 0);
     s.register_tvar(Y, 0);
-    s.stats().forensics().set_sample_period(1);
     s.stats().forensics().reset();
     s
 }

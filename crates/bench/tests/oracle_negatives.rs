@@ -105,7 +105,7 @@ fn forensics_gate_catches_contended_cell_with_empty_heatmap() {
     assert!(failures[0].contains("empty heatmap"), "{failures:?}");
 }
 
-/// Heatmap counts are sampled attributions of real aborts: summing past
+/// Heatmap counts are attributions of real aborts: summing past
 /// the exact counter means the tables are inventing data.
 #[test]
 fn forensics_gate_catches_counts_exceeding_aborts() {
@@ -154,6 +154,16 @@ fn conservation_gate_catches_an_unfinished_begin() {
         silent.iter().any(|f| f.contains("attempt_ns")),
         "{silent:?}"
     );
+    // Conserved and counted, but one latency sample short: an attempt
+    // bypassed `Driver::attempt`, which records one sample per attempt.
+    let s = StmStats::new();
+    s.add(Counter::Begins, 3);
+    s.add(Counter::Commits, 3);
+    s.record_attempt_ns(10);
+    s.record_attempt_ns(10);
+    let bypass = conservation_failures(&s.snapshot(), 3);
+    assert_eq!(bypass.len(), 1, "{bypass:?}");
+    assert!(bypass[0].contains("2 attempt_ns samples"), "{bypass:?}");
 }
 
 /// Scenario invariants and the reclamation count, on every kind: a

@@ -1,8 +1,7 @@
 //! The paper-reproduction bins are the repro, so each one that states a
 //! claim is run here and must exit 0 *and* print its claim line (README
-//! §Experiments lists bin → claim → line). The three throughput tables
-//! (`exp_cm_table`, `exp_conflict_density`, `exp_scaling_table`) state no
-//! pass/fail claim and take half a minute unoptimized; CI runs them in its
+//! §Experiments lists bin → claim → line). The one throughput table,
+//! `exp_conflict_density`, states no pass/fail claim; CI runs it in its
 //! release step.
 
 use std::process::Command;

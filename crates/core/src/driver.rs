@@ -20,7 +20,7 @@
 use crate::api::{BudgetExceeded, TxError, TxResult, WordStm, WordTx};
 use crate::contention::spin_backoff;
 use oftm_histories::{TVarId, Value};
-use oftm_obs::{pack_tx, ring, AbortCause, Counter, VarAttr, TX_UNKNOWN};
+use oftm_obs::{pack_tx, AbortCause, Counter, VarAttr, TX_UNKNOWN};
 use std::time::Instant;
 
 /// A live transaction paired with its STM — what a transaction body runs
@@ -134,9 +134,6 @@ impl<'s> Driver<'s> {
         }
         self.attempts += 1;
         let started = Instant::now();
-        // Chrome-trace "X" slice, only when tracing is on; sampled per
-        // attempt so slices nest inside the emitting thread's track.
-        let span_started = ring::enabled().then(ring::clock_ns);
         let mut tx = if self.read_only {
             stm.begin_ro(self.proc)
         } else {
@@ -163,10 +160,6 @@ impl<'s> Driver<'s> {
             }
         };
         stats.record_attempt_ns(started.elapsed().as_nanos() as u64);
-        if let Some(t0) = span_started {
-            let (proc, n) = (u64::from(self.proc), u64::from(self.attempts));
-            ring::emit_span("attempt", stm.name(), proc, n, t0);
-        }
         if committed.is_some() {
             self.allocs.clear(); // published by the commit
         } else {

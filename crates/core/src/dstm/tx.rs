@@ -525,9 +525,6 @@ impl<'s> Tx<'s> {
             self.stamp_installed(TxState::Aborted);
             return Err(killed);
         }
-        // DSTM has no commit lock; the "critical section" is the terminal
-        // validate + status CAS, after which the new values are visible.
-        let cs_started = Instant::now();
         if self.scratch.installed.is_empty() {
             // Nothing acquired: no pointer swung, so no bump.
             self.validate_or_abort()?;
@@ -555,9 +552,6 @@ impl<'s> Tx<'s> {
         } else {
             TxState::Aborted
         });
-        self.stm
-            .stats()
-            .record_commit_cs_ns(cs_started.elapsed().as_nanos() as u64);
         if won {
             self.stm.stats().incr(Counter::Commits);
             self.stm.cm().on_commit(&self.desc);

@@ -81,7 +81,9 @@ impl DstmWord {
     /// quiesced this engine to migrate away from it will run no further
     /// commit here to flush them.
     pub fn for_each_live_value(&self, mut f: impl FnMut(TVarId, Value)) {
-        self.stm.stats().grace_flush(self.vars.evict_ripe());
+        self.stm
+            .stats()
+            .add(Counter::TvarsFreed, self.vars.evict_ripe());
         self.vars
             .for_each_live(|id, v, pin| f(id, v.read_atomic(pin)));
     }
@@ -231,7 +233,7 @@ impl WordTx for DstmWordTx<'_> {
                     ..
                 } = *self;
                 let evicted = word.vars.retire_and_evict(tx.release(), retired);
-                word.stm.stats().grace_flush(evicted);
+                word.stm.stats().add(Counter::TvarsFreed, evicted);
             }
             Err(TxError::Aborted) => self.record_respond(TmResp::Aborted),
         }

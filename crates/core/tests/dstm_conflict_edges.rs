@@ -21,7 +21,6 @@ fn forced_cm_kill_records_one_exact_edge() {
     let stm = Dstm::new(Arc::new(Aggressive));
     let x = stm.new_tvar(0u64);
     let forensics = stm.stats().forensics();
-    forensics.set_sample_period(1);
     forensics.reset();
 
     let mut victim = stm.begin(0);
@@ -63,7 +62,6 @@ fn stale_read_names_the_writer_that_replaced_the_locator() {
     let stm = Dstm::new(Arc::new(Polite::default()));
     let x = stm.new_tvar(0u64);
     let forensics = stm.stats().forensics();
-    forensics.set_sample_period(1);
     forensics.reset();
 
     let mut reader = stm.begin(0);

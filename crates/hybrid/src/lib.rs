@@ -121,11 +121,6 @@ impl Mode {
             Mode::Tl2
         }
     }
-
-    /// Index into [`oftm_obs::MODE_NAMES`] (0 is "none").
-    fn stats_tag(self) -> usize {
-        self as usize + 1
-    }
 }
 
 /// Process slots of the admission gate (`proc & 63` picks one).
@@ -284,7 +279,6 @@ impl HybridStm {
 
     fn build(cfg: HybridConfig, rec: Option<Arc<Recorder>>) -> Self {
         let stats = Arc::new(StmStats::new());
-        stats.set_mode(Mode::Tl2.stats_tag());
         let notify = CommitNotifier::new();
         let mut tl2 = Tl2Stm::new()
             .with_stats(Arc::clone(&stats))
@@ -456,12 +450,8 @@ impl HybridStm {
         if target == Mode::Tl2 && last != u64::MAX && op.saturating_sub(last) < self.cfg.dwell_ops {
             return false;
         }
-        // Timeline span for the whole barrier (drain + copy + flip): the
-        // stop-the-world window every backed-off beginner is waiting out.
-        let span_started = oftm_obs::ring::enabled().then(oftm_obs::ring::clock_ns);
-        let migrated = self.gate.migrate(target as usize, |from| {
+        self.gate.migrate(target as usize, |from| {
             self.copy_values(Mode::from_usize(from));
-            self.stats.set_mode(target.stats_tag());
             self.stats.incr(Counter::ModeMigrations);
             // ord: Relaxed — controller bookkeeping, published to the
             // next window-closer by the gate's SeqCst flag store.
@@ -472,12 +462,7 @@ impl HybridStm {
                 // ord: Relaxed — heuristic counters; resets published lazily.
                 local.streak.store(0, Ordering::Relaxed);
             }
-        });
-        if let (true, Some(t0)) = (migrated, span_started) {
-            let from = target.other();
-            oftm_obs::ring::emit_span("migration", "hybrid", from as u64, target as u64, t0);
-        }
-        migrated
+        })
     }
 
     /// With both engines quiescent, brings the incoming engine up to the
@@ -773,7 +758,6 @@ mod tests {
         });
         assert_eq!(v, 0);
         assert_eq!(s.peek(X), Some(5));
-        assert_eq!(s.stats().snapshot().mode, Mode::Tl2.stats_tag());
     }
 
     #[test]
@@ -799,7 +783,6 @@ mod tests {
         let snap = s.stats().snapshot();
         assert!(snap.get(Counter::ModeMigrations) >= 1);
         assert!(snap.get(Counter::Escalations) >= 1);
-        assert_eq!(snap.mode, Mode::Dstm.stats_tag());
 
         // Values must have survived the migration coherently.
         let (x, _) = run_transaction(&s, 2, |tx| tx.read(X));
@@ -937,7 +920,6 @@ mod tests {
             run_transaction(&s, 3, |tx| tx.write(Y, i));
         }
         assert_eq!(s.mode(), Mode::Dstm, "always-escalate must park in DSTM");
-        assert_eq!(s.stats().snapshot().mode, Mode::Dstm.stats_tag());
     }
 
     #[test]

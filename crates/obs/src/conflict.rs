@@ -112,7 +112,7 @@ fn edge_key(aggressor_proc: u32, victim_proc: u32, cause: AbortCause, var: u64) 
     z.max(1)
 }
 
-/// The sampled who-aborted-whom edge table (see module docs).
+/// The who-aborted-whom edge table (see module docs).
 pub struct ConflictTable {
     slots: Box<[Slot]>,
     /// Edges dropped because the table (or a probe window) was full.

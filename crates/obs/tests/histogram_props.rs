@@ -48,7 +48,7 @@ proptest! {
                 s.spawn(move || {
                     for &v in chunk {
                         stats.record_attempt_ns(v);
-                        stats.record_commit_cs_ns(v / 2);
+                        stats.record_park_ns(v / 2);
                         stats.incr(oftm_obs::Counter::Begins);
                     }
                 });

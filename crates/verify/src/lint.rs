@@ -419,7 +419,6 @@ fn is_std_lock_allowed(rel: &str) -> bool {
         // Trait-object plumbing and diagnostics off the transactional
         // hot path.
         "crates/foc/src/traits.rs",
-        "crates/obs/src/ring.rs",
         "crates/core/src/record.rs",
         // `StdSync`'s `MutexLike`: the reclamation bins and the notifier's
         // waiter lists, behind the facade (model-checked through `MMutex`)
