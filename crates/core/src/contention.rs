@@ -67,6 +67,10 @@ const PARK_SCALE: u64 = 8;
 /// schedule would make the watchdog a busy loop).
 const PARK_FLOOR_MICROS: u64 = 50;
 
+/// The park floor as a duration: also how long a DSTM process whose
+/// retired locators pile up behind a descheduled peer gives the CPU away.
+pub(crate) const PARK_FLOOR: Duration = Duration::from_micros(PARK_FLOOR_MICROS);
+
 /// True if the `n`-th consecutive abort (1-based) should re-run
 /// immediately instead of parking.
 pub fn retry_immediately(consecutive_aborts: u32) -> bool {

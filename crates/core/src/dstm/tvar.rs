@@ -15,16 +15,17 @@
 //! ([`crate::reclaim::GraceTracker`]) and nothing is counted on a
 //! transaction's path: a transaction holds one guard of that domain for
 //! its whole lifetime, so every locator address in its read-set stays
-//! valid (no ABA) and so does the state the entry borrows. The word-level
-//! table owns its `TVarInner`s and evicts them with `defer_destroy`; the
-//! typed [`TVar`] is a handle whose clones are counted among themselves
-//! only and whose last drop retires the state the same way, into the
-//! domain of the instance that created it — dropping it in the middle of
-//! a transaction that read through it frees nothing that transaction can
-//! still reach.
+//! valid (no ABA) and so does the state the entry borrows. A locator an
+//! acquisition unlinks goes into its process's private bag in that domain
+//! ([`super::tx`]). The word-level table owns its `TVarInner`s and evicts
+//! them with `defer_destroy`; the typed [`TVar`] is a handle whose clones
+//! are counted among themselves only and whose last drop retires the
+//! state the same way, into the domain of the instance that created it —
+//! dropping it in the middle of a transaction that read through it frees
+//! nothing that transaction can still reach.
 
 use super::locator::Locator;
-use crate::reclaim::{Atomic, GraceTracker, Guard, Owned, Shared};
+use crate::reclaim::{Atomic, Deferred, GraceTracker, Guard, Owned, Shared};
 use oftm_histories::{BaseObjId, TVarId, TxId};
 use std::mem::{offset_of, ManuallyDrop};
 use std::sync::atomic::Ordering;
@@ -56,6 +57,10 @@ impl<T: Clone + Send + Sync + 'static> Drop for Handle<T> {
         unsafe { self.domain.defer_destroy(state.into_shared()) };
     }
 }
+
+/// What a successful [`TVarInner::cas`] returns: the locator it installed
+/// and the one it unlinked (`None` while `T_0`'s value was current).
+pub(crate) type Swung<'g, T> = (Shared<'g, Locator<T>>, Option<Deferred>);
 
 /// The shared state of one t-variable. `repr(C)` with `initial` last:
 /// see [`TVarInner::erased`].
@@ -148,7 +153,7 @@ impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
             return self.initial.clone();
         }
         // SAFETY: non-null and loaded under `guard`; locators are only
-        // retired via `defer_destroy` after being unlinked, so the
+        // retired into the guard's domain after being unlinked, so the
         // reference is valid for the guard's lifetime.
         let loc = unsafe { loc.deref() };
         // A live owner's tentative value is not committed yet.
@@ -177,8 +182,8 @@ impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
     #[cold]
     pub(crate) fn current_owner(&self, guard: &Guard<'_>) -> Option<TxId> {
         let loc = self.load(guard);
-        // SAFETY: loaded under `guard` (locators are only retired via
-        // `defer_destroy` after being unlinked). On the erased view the
+        // SAFETY: loaded under `guard` (locators are only retired into its
+        // domain after being unlinked). On the erased view the
         // pointee is a `Locator` of whatever `T` the variable really
         // carries; `owner` is in the prefix `Locator<()>` shares with it
         // ([`Locator::erased`]) and immutable once built.
@@ -203,25 +208,27 @@ impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
     }
 
     /// Attempts to swing the locator pointer from `current` (null: `T_0`)
-    /// to `new`, retiring the old locator on success. Returns the
-    /// installed locator, or the rejected `new` on failure.
+    /// to `new`. Returns the installed locator and the one the CAS
+    /// unlinked (`None` for `T_0`), which the caller must retire into the
+    /// domain of the guard `current` was loaded under; or the rejected
+    /// `new` on failure.
     pub(crate) fn cas<'g>(
         &self,
         current: Shared<'g, Locator<T>>,
         new: Owned<Locator<T>>,
-        guard: &'g Guard<'_>,
-    ) -> Result<Shared<'g, Locator<T>>, Owned<Locator<T>>> {
+    ) -> Result<Swung<'g, T>, Owned<Locator<T>>> {
         let installed = self
             .ptr
             // ord: AcqRel — Release publishes the new locator's fields to
             // Acquire loaders; Acquire orders the unlinked `current` before
-            // defer_destroy. Failure Acquire pairs with the winner's install.
+            // its retirement. Failure Acquire pairs with the winner's install.
             .compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire)?;
         // SAFETY: `current` has just been unlinked by this CAS and can no
         // longer be reached from the t-variable; readers that loaded it
-        // earlier are protected by their own guards.
-        unsafe { guard.core().defer_destroy(current) };
-        Ok(installed)
+        // earlier are protected by their own guards of the domain the
+        // caller retires it into. A `Locator<T>` is a `Box` (`Owned`).
+        let unlinked = (!current.is_null()).then(|| unsafe { Deferred::unlinked(current) });
+        Ok((installed, unlinked))
     }
 }
 
@@ -269,7 +276,8 @@ mod tests {
         assert_eq!(v.state().erased().current(&guard), 0);
         assert_eq!(v.state().erased().current_owner(&guard), None);
         let newloc = Owned::new(Locator::new(Arc::clone(&me), 1u64, 9u64));
-        let installed = v.state().cas(cur, newloc, &guard).expect("uncontended CAS");
+        let (installed, unlinked) = v.state().cas(cur, newloc).expect("uncontended CAS");
+        assert!(unlinked.is_none(), "T_0's value is no locator");
         let addr = installed.as_raw() as usize;
         assert_eq!(v.state().current(&guard), addr);
         assert_eq!(v.state().erased().current(&guard), addr);
@@ -279,6 +287,10 @@ mod tests {
         assert_eq!(v.read_atomic(), 1);
         me.try_commit();
         assert_eq!(v.read_atomic(), 9);
+        // The next acquisition unlinks the first locator and hands it back.
+        let next = Owned::new(Locator::new(Arc::clone(&me), 9u64, 10u64));
+        let (_, unlinked) = v.state().cas(installed, next).expect("uncontended CAS");
+        v.domain().defer(unlinked.expect("a locator was unlinked"));
     }
 
     #[test]
@@ -289,10 +301,10 @@ mod tests {
         let cur = v.state().load(&guard);
         // First CAS wins.
         let l1 = Owned::new(Locator::new(Arc::clone(&me), 1u64, 2u64));
-        v.state().cas(cur, l1, &guard).unwrap();
+        v.state().cas(cur, l1).unwrap();
         // Second CAS with the stale `cur` must fail and hand the locator back.
         let l2 = Owned::new(Locator::new(Arc::clone(&me), 1u64, 3u64));
-        assert!(v.state().cas(cur, l2, &guard).is_err());
+        assert!(v.state().cas(cur, l2).is_err());
     }
 
     #[test]

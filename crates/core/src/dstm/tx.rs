@@ -25,6 +25,17 @@
 //!   winner then stamps `Committed` into every locator it installed, and
 //!   an aborted owner stamps `Aborted` (see [`super::locator`]).
 //!
+//! Every acquisition unlinks the locator it replaces, and the unlink is
+//! permanent whatever the verdict. The transaction logs each one in its
+//! pooled [`Scratch`]; when it is done, the batch goes into its process's
+//! private bag in the instance's reclamation domain under one epoch bump,
+//! and the front of the bag that no running transaction predates is
+//! freed — no lock and no shared word beyond the epoch (see
+//! [`crate::reclaim`]). A peer that stays registered while its process is
+//! off the CPU holds the bag up; a process that finds more than
+//! [`BAG_BOUND`] locators waiting pauses before its next transaction
+//! instead of piling on.
+//!
 //! Nothing on a read path does bookkeeping nobody reads: the contention
 //! manager's `on_open` is called only for a manager that counts opens
 //! ([`crate::cm::ContentionManager::counts_opens`]), and a transaction
@@ -71,7 +82,8 @@ use super::stm::{Dstm, Progress};
 use super::tvar::{TVar, TVarInner};
 use crate::api::{TxError, TxResult};
 use crate::cm::Resolution;
-use crate::reclaim::{Guard, Owned, Shared};
+use crate::contention::PARK_FLOOR;
+use crate::reclaim::{Bag, Deferred, GraceTracker, Guard, Owned, Shared};
 use crate::table::Pinned;
 use oftm_histories::{Access, ProcId, TVarId, TxId};
 use oftm_obs::{pack_tx, AbortCause, Counter, VarAttr, TX_UNKNOWN};
@@ -94,16 +106,83 @@ impl ReadEntry {
     }
 }
 
-/// Pooled per-transaction buffers: popped at `begin` and handed back —
+/// Locators a process's bag may hold, unripe, before its next transaction
+/// pauses ([`Scratch::pause_if_piled`]). A solo process never gets there:
+/// its bag is empty after every transaction.
+pub(crate) const BAG_BOUND: usize = 1024;
+
+/// Pooled per-process buffers: popped at `begin` and handed back —
 /// cleared, the same `Box` — when the transaction drops. `installed` is
 /// every locator this transaction CASed in (type-erased, borrowed under its
 /// guard like the read-set): what it stamps its verdict into. `written` is
-/// the word-level adapter's write log ([`super::word`]).
-#[derive(Default)]
+/// the word-level adapter's write log ([`super::word`]). `unlinked` is
+/// every locator its acquisitions unlinked, retired into `bag` — the
+/// process's private pile in `domain` — when it drops.
 pub(crate) struct Scratch {
     read_set: Vec<ReadEntry>,
     installed: Vec<Pinned<Locator<()>>>,
     pub(crate) written: Vec<TVarId>,
+    unlinked: Vec<Deferred>,
+    bag: Bag,
+    domain: Arc<GraceTracker>,
+}
+
+impl Scratch {
+    fn new(domain: &Arc<GraceTracker>) -> Self {
+        Scratch {
+            read_set: Vec::new(),
+            installed: Vec::new(),
+            written: Vec::new(),
+            unlinked: Vec::new(),
+            bag: Bag::default(),
+            domain: Arc::clone(domain),
+        }
+    }
+
+    /// Retires what the finished transaction unlinked and frees the ripe
+    /// front of the bag. The transaction's guard must be gone, or its own
+    /// batch would wait on it.
+    fn retire_unlinked(&mut self) {
+        self.domain.retire(&mut self.bag, &mut self.unlinked);
+        self.reclaim();
+    }
+
+    /// The pile bound: with more than [`BAG_BOUND`] locators unripe — a
+    /// peer registered before they were retired is still running, most
+    /// likely off the CPU — gives the CPU away for the async park floor
+    /// and reclaims again. What is still unripe beyond the bound then goes
+    /// to the domain's shared bins: the bag never holds more than the
+    /// bound plus one transaction's unlinks, and every transaction pauses
+    /// until the peer moves on. Runs before the transaction registers:
+    /// the pause holds nothing up.
+    fn pause_if_piled(&mut self) {
+        if self.bag.len() > BAG_BOUND {
+            std::thread::sleep(PARK_FLOOR);
+            self.reclaim();
+            self.domain.defer_bag(&mut self.bag, BAG_BOUND);
+        }
+    }
+
+    /// Frees the front of the bag that no registered transaction
+    /// predates.
+    pub(crate) fn reclaim(&mut self) {
+        self.domain.reclaim(&mut self.bag);
+    }
+
+    /// Items in the bag (tests).
+    #[cfg(test)]
+    pub(crate) fn piled(&self) -> usize {
+        self.bag.len()
+    }
+}
+
+/// A scratch displaced from the pool, or dropped with it, hands what it
+/// still holds to the domain's shared bins: a later tag is always safe.
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        self.domain.retire(&mut self.bag, &mut self.unlinked);
+        self.domain.defer_bag(&mut self.bag, 0);
+    }
 }
 
 /// A live transaction on a [`Dstm`] instance.
@@ -144,12 +223,16 @@ impl<'s> Tx<'s> {
     pub(crate) fn new(stm: &'s Dstm, desc: Arc<Descriptor>) -> Self {
         // Reuse pooled buffers: steady-state transactions validate tens of
         // entries and must not re-grow a fresh `Vec` every attempt.
-        let scratch = stm.scratch().take(desc.id().proc as usize);
+        let mut scratch = stm
+            .scratch()
+            .take(desc.id().proc as usize)
+            .unwrap_or_else(|| Box::new(Scratch::new(stm.domain())));
+        scratch.pause_if_piled();
         let tx = Tx {
             stm,
             desc,
             guard: Some(stm.domain().begin()),
-            scratch: ManuallyDrop::new(scratch.unwrap_or_default()),
+            scratch: ManuallyDrop::new(scratch),
             seen: stm.gate().sample(),
             full_scans: Cell::new(0),
             finished: false,
@@ -403,8 +486,8 @@ impl<'s> Tx<'s> {
             if shared.is_null() {
                 return Ok(Opened::Settled(shared, v.initial()));
             }
-            // SAFETY: non-null and loaded under our guard, locators are
-            // retired via defer_destroy only after unlinking.
+            // SAFETY: non-null and loaded under our guard; locators are
+            // retired into its domain only after unlinking.
             let loc = unsafe { shared.deref() };
             if loc.owned_by(&self.desc) {
                 return Ok(Opened::Mine(loc));
@@ -486,18 +569,21 @@ impl<'s> Tx<'s> {
             let new_loc = Owned::new(Locator::new(Arc::clone(&self.desc), old_val, value.clone()));
             // Failure: someone interposed; re-examine. (The rejected
             // locator is dropped here, unpublished.)
-            let Ok(installed) = v.cas(shared, new_loc, self.guard()) else {
+            let Ok((installed, unlinked)) = v.cas(shared, new_loc) else {
                 self.rstep(v.base, Access::Read);
                 continue;
             };
             let new_addr = installed.as_raw() as usize;
             // SAFETY: installed under our guard, and retired — once a later
-            // acquisition unlinks it — through `defer_destroy` into our
-            // domain, so it stays allocated until the guard goes; the log
-            // is emptied before that (`release`, `Drop`).
+            // acquisition unlinks it — into our domain, so it stays
+            // allocated until the guard goes; the log is emptied before
+            // that (`release`, `Drop`).
             let installed = unsafe { Pinned::new(installed.deref().erased()) };
             self.rstep(v.base, Access::Modify);
             self.scratch.installed.push(installed);
+            // Retired when we are done, whatever the verdict: the unlink
+            // stands.
+            self.scratch.unlinked.extend(unlinked);
             // Upgrade every read entry of this variable: ownership now
             // protects it.
             let entries = self.scratch.read_set.iter_mut();
@@ -631,14 +717,16 @@ impl Drop for Tx<'_> {
         if !self.finished {
             self.abort_self(AbortCause::ExplicitRetry, VarAttr::NoVar, TX_UNKNOWN);
         }
-        // Hand the buffers back, capacity kept — and emptied while
-        // `self.guard` (a field: it drops after this) still protects what
-        // the read-set borrowed.
+        // Hand the buffers back, capacity kept — emptied while our guard
+        // (unless the commit hook took it) still protects what the logs
+        // borrowed, then retiring what we unlinked once it is gone.
         // SAFETY: `drop` runs once and nothing reads the field after it.
         let mut scratch = unsafe { ManuallyDrop::take(&mut self.scratch) };
         scratch.read_set.clear();
         scratch.installed.clear();
         scratch.written.clear();
+        drop(self.guard.take());
+        scratch.retire_unlinked();
         self.stm
             .scratch()
             .put(self.desc.id().proc as usize, scratch);
@@ -1084,9 +1172,10 @@ mod tests {
         in_body_opacity(Arc::new(crate::cm::Polite::default()));
     }
 
-    // The payload of the two tests below is an `Arc<Token>`: its drop
-    // count moves when the locator holding the last clone is freed.
+    // The payload of the tests below is an `Arc<Token>`: its drop count
+    // moves when the locator holding the last clone is freed.
     use crate::tests::Counted as Token;
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
     #[test]
     fn dropping_the_last_handle_mid_transaction_frees_nothing_the_reader_borrowed() {
@@ -1173,6 +1262,127 @@ mod tests {
         // The last handle may have dropped after the last release.
         drop(s.begin(0));
         assert_eq!(drops.load(Ordering::SeqCst), VARS);
+    }
+
+    /// Process `p` acquires `x` for a fresh token and rolls back: the
+    /// locator it installs holds that token's only clone (the next
+    /// acquisition copies `old`, the aborted owner's), so the token drops
+    /// exactly when that locator, unlinked by the next acquisition, is
+    /// freed.
+    fn acquire_and_roll_back(s: &Dstm, p: u32, x: &TVar<Arc<Token>>, drops: &Arc<AtomicUsize>) {
+        let mut tx = s.begin(p);
+        tx.write(x, Arc::new(Token(Arc::clone(drops)))).unwrap();
+        tx.rollback();
+    }
+
+    /// Unlinked locators waiting in process `p`'s bag.
+    fn piled(s: &Dstm, p: u32) -> usize {
+        let scratch = s.scratch().take(p as usize).expect("parked scratch");
+        let piled = scratch.piled();
+        s.scratch().put(p as usize, scratch);
+        piled
+    }
+
+    fn dropped(drops: &AtomicUsize) -> usize {
+        drops.load(AtomicOrdering::SeqCst)
+    }
+
+    #[test]
+    fn dstm_writes_leave_the_shared_bins_empty() {
+        let s = stm();
+        let x: TVar<u64> = s.new_tvar(0);
+        // Predates every unlink below, so none of them ripens.
+        let peer = s.begin(2);
+        for i in 1..=10 {
+            let mut tx = s.begin(1);
+            tx.write(&x, i).unwrap();
+            tx.commit().unwrap();
+        }
+        assert_eq!(s.domain().pending_memory(), 0, "a write used the bins");
+        assert_eq!(piled(&s, 1), 9, "the first write unlinked T_0 only");
+        peer.commit_read_only().unwrap();
+        drop(s.begin(1));
+        assert_eq!(piled(&s, 1), 0);
+    }
+
+    #[test]
+    fn unlinked_locators_wait_for_a_predating_reader() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let s = stm();
+        let x = s.new_tvar(Arc::new(Token(Arc::clone(&drops))));
+        acquire_and_roll_back(&s, 1, &x, &drops);
+        let mut reader = s.begin(2);
+        drop(reader.read(&x).unwrap()); // resolves the rolled-back locator
+        acquire_and_roll_back(&s, 1, &x, &drops); // unlinks it
+        assert_eq!(dropped(&drops), 0, "freed under the reader");
+        reader.commit_read_only().unwrap();
+        assert_eq!(dropped(&drops), 0, "a bag is reclaimed by its process");
+        drop(s.begin(1));
+        assert_eq!(dropped(&drops), 1);
+        assert_eq!(s.domain().pending_memory(), 0);
+    }
+
+    #[test]
+    fn a_displaced_scratch_hands_its_bag_to_the_domain() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let s = stm();
+        let x = s.new_tvar(Arc::new(Token(Arc::clone(&drops))));
+        let peer = s.domain().begin();
+        for _ in 0..5 {
+            acquire_and_roll_back(&s, 1, &x, &drops);
+        }
+        assert_eq!(piled(&s, 1), 4);
+        // Two transactions of one process: the first takes the pooled
+        // scratch and its bag, the second a fresh one, which displaces
+        // the first from the pool when it is put back last.
+        let (first, second) = (s.begin(1), s.begin(1));
+        drop(first);
+        drop(second);
+        assert_eq!(s.domain().pending_memory(), 4, "the bag went to the bins");
+        assert_eq!(dropped(&drops), 0, "freed under the peer");
+        drop(peer); // a release collects the bins
+        assert_eq!(dropped(&drops), 4);
+        // A bag left unripe at the end goes to the bins with the pool, and
+        // the bins go with the domain, which the last handle keeps: with
+        // `x`'s initial token and its installed locator's, every token
+        // drops, once.
+        let peer = s.domain().begin();
+        acquire_and_roll_back(&s, 1, &x, &drops);
+        assert_eq!(piled(&s, 1), 1);
+        drop(peer);
+        drop(s);
+        drop(x);
+        assert_eq!(dropped(&drops), 7);
+    }
+
+    #[test]
+    fn a_process_pauses_instead_of_piling_past_the_bound() {
+        const OVER: usize = 3;
+        let drops = Arc::new(AtomicUsize::new(0));
+        let s = stm();
+        let x = s.new_tvar(Arc::new(Token(Arc::clone(&drops))));
+        acquire_and_roll_back(&s, 1, &x, &drops);
+        // A peer that stays registered, as a descheduled one would:
+        // nothing unlinked from here on may be freed.
+        let peer = s.domain().begin();
+        let mut pauses = 0;
+        for _ in 0..BAG_BOUND + 1 + OVER {
+            let before = piled(&s, 1);
+            let started = Instant::now();
+            acquire_and_roll_back(&s, 1, &x, &drops);
+            if before > BAG_BOUND {
+                pauses += 1;
+                assert!(started.elapsed() >= PARK_FLOOR, "no pause");
+                assert_eq!(s.domain().pending_memory(), pauses, "the excess moved");
+            }
+            assert!(piled(&s, 1) <= BAG_BOUND + 1, "piled past the bound");
+        }
+        assert_eq!(pauses, OVER, "every transaction over the bound pauses");
+        assert_eq!(dropped(&drops), 0, "freed under the peer");
+        drop(peer); // collects what went to the bins
+        drop(s.begin(1)); // and the process its bag
+        assert_eq!(dropped(&drops), BAG_BOUND + 1 + OVER);
+        assert_eq!(piled(&s, 1), 0);
     }
 
     #[test]

@@ -77,10 +77,12 @@ impl DstmWord {
     /// the hybrid's migration barrier provides that quiescence.
     ///
     /// Retired blocks whose grace period has elapsed are evicted first, as
-    /// `VersionedLockStm::for_each_live_value` does: the caller that
-    /// quiesced this engine to migrate away from it will run no further
-    /// commit here to flush them.
+    /// `VersionedLockStm::for_each_live_value` does, and every process's
+    /// bag of retired locators is reclaimed: the caller that quiesced this
+    /// engine to migrate away from it will run no further transaction here
+    /// to free them.
     pub fn for_each_live_value(&self, mut f: impl FnMut(TVarId, Value)) {
+        self.stm.reclaim_parked();
         self.stm
             .stats()
             .add(Counter::TvarsFreed, self.vars.evict_ripe());
@@ -100,9 +102,11 @@ impl DstmWord {
         inserted
     }
 
-    /// Evicts every t-variable: the embedding backend stops mirroring.
-    /// The caller provides quiescence.
+    /// Evicts every t-variable and reclaims every process's bag of
+    /// retired locators: the embedding backend stops mirroring. The
+    /// caller provides quiescence.
     pub fn evict_all(&self) {
+        self.stm.reclaim_parked();
         let mut evicted = 0;
         self.vars
             .for_each_live(|id, _, _| evicted += u64::from(self.vars.remove(id)));

@@ -35,6 +35,7 @@
 //! remain in the instantiating modules' docs.
 
 use oftm_histories::TVarId;
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -429,9 +430,10 @@ struct Bins<M> {
 /// (instrumented atomics + fixed slots). One rule for both kinds of
 /// garbage — an item tagged `e` is reclaimed once every registered guard
 /// has published an epoch `> e`: retired id blocks go back to the caller
-/// (which owns the table they index), memory items `M` are dropped. See
-/// [`crate::reclaim`] for why this is safe; `model_grace` checks it
-/// exhaustively at preemption bound 2.
+/// (which owns the table they index), memory items `M` are dropped. The
+/// same rule governs a [`GraceBag`], a private pile of the memory its
+/// owner unlinks on every operation, reclaimed without the bins' lock. See [`crate::reclaim`] for why this is safe; `model_grace`
+/// checks it exhaustively at preemption bound 2.
 pub struct GraceCore<F: SyncFacade, S: SlotSet<F::Au64>, M: Send> {
     /// Monotonic epoch; advanced by every retirement.
     epoch: F::Au64,
@@ -621,11 +623,12 @@ impl<F: SyncFacade, S: SlotSet<F::Au64>, M: Send> GraceCore<F, S, M> {
     }
 
     /// A guard's release: drops the memory that became reclaimable, so
-    /// per-operation garbage (a locator per DSTM write) stays bounded on
-    /// paths that never reach a commit hook. Id blocks stay for the next
-    /// [`GraceCore::flush`] — only its caller can evict them. Best
-    /// effort: backs off if the lock is taken (a hard lock would turn a
-    /// preempted holder into a convoy for every releasing thread).
+    /// what is deferred outside any commit hook (the state behind a
+    /// dropped `TVar` handle) is freed on paths that never reach one. Id
+    /// blocks stay for the next [`GraceCore::flush`] — only its caller
+    /// can evict them. Best effort: backs off if the lock is taken (a
+    /// hard lock would turn a preempted holder into a convoy for every
+    /// releasing thread).
     fn collect(&self) {
         if self.anything_pending() {
             // Dropped — destructors run — once the lock is released.
@@ -642,6 +645,72 @@ impl<F: SyncFacade, S: SlotSet<F::Au64>, M: Send> GraceCore<F, S, M> {
     /// Number of memory items still awaiting their grace period.
     pub fn pending_memory(&self) -> usize {
         self.bins.with(|bins| bins.memory.len())
+    }
+
+    /// Tags `batch` — memory its caller has just unlinked — with one
+    /// epoch bump and appends it to the caller's private `bag`, emptying
+    /// `batch`. The bag stays in tag order: tags only grow.
+    pub fn retire(&self, bag: &mut GraceBag<M>, batch: &mut Vec<M>) {
+        if !batch.is_empty() {
+            let tag = self.tag();
+            bag.items.extend(batch.drain(..).map(|item| (tag, item)));
+        }
+    }
+
+    /// Drops the front of `bag` that no registered guard predates: one
+    /// slot scan, no lock. Sound because the `&mut` makes the caller the
+    /// bag's one owner, the only one that fills it (see
+    /// [`crate::reclaim`]).
+    pub fn reclaim(&self, bag: &mut GraceBag<M>) {
+        if bag.items.is_empty() {
+            return;
+        }
+        let min_active = self.slots.min_active();
+        while bag.items.front().is_some_and(|(tag, _)| *tag < min_active) {
+            bag.items.pop_front();
+        }
+    }
+
+    /// Hands all but the oldest `keep` items of `bag` over to the shared
+    /// bins under one fresh tag — later than each item's own, which is
+    /// always safe — for whoever releases or flushes next to drop.
+    pub fn defer_bag(&self, bag: &mut GraceBag<M>, keep: usize) {
+        if bag.items.len() > keep {
+            let tag = self.tag();
+            let n = bag.items.len() - keep;
+            let items = bag.items.drain(keep..).map(|(_, item)| (tag, item));
+            self.enter(n, |bins| bins.memory.extend(items));
+        }
+    }
+}
+
+/// One owner's private pile of retired memory, in tag order: what
+/// [`GraceCore::retire`] tags and [`GraceCore::reclaim`] drops once ripe,
+/// by the rule of the shared bins but without their lock. Generic over the
+/// item only — it holds no atomics — so the model checker instantiates it
+/// with the item it gives [`GraceCore`]. Dropping a bag drops its items at
+/// once: hand a bag that may hold unripe items to
+/// [`GraceCore::defer_bag`] first.
+pub struct GraceBag<M> {
+    items: VecDeque<(u64, M)>,
+}
+
+impl<M> Default for GraceBag<M> {
+    fn default() -> Self {
+        GraceBag {
+            items: VecDeque::new(),
+        }
+    }
+}
+
+impl<M> GraceBag<M> {
+    /// Items awaiting their grace period.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
     }
 }
 

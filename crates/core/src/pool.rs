@@ -68,6 +68,17 @@ impl<T> SlotPool<T> {
             drop(unsafe { Box::from_raw(old) });
         }
     }
+
+    /// Runs `f` on every parked bundle, each taken out and put back (a
+    /// bundle parked into the slot meanwhile is displaced).
+    pub(crate) fn for_each_parked(&self, mut f: impl FnMut(&mut T)) {
+        for key in 0..SLOTS {
+            if let Some(mut t) = self.take(key) {
+                f(&mut t);
+                self.put(key, t);
+            }
+        }
+    }
 }
 
 impl<T> Drop for SlotPool<T> {

@@ -16,33 +16,49 @@
 //! A [`GraceTracker`] is one such domain — a value, one per STM instance,
 //! never process-global: an instance's garbage waits on that instance's
 //! transactions only. It is an epoch counter, per-transaction slots and
-//! epoch-tagged bins:
+//! epoch-tagged garbage, and **one rule**: an item tagged `e` is
+//! reclaimed once every registered slot publishes an epoch `> e`.
 //!
 //! * [`GraceTracker::begin`] registers the transaction by storing the
 //!   current epoch in a slot and returns the one [`Guard`] it holds until
 //!   it completes; pointers loaded from an [`Atomic`] under it stay valid
-//!   while it lives;
-//! * unlinked memory goes to `defer_destroy`, which tags it with the
-//!   current epoch, advances the epoch, and bins it;
-//! * a committing transaction hands its guard and its retire-set to
-//!   [`GraceTracker::retire_and_flush`], which releases the slot, bins the
-//!   batch the same way, drops every binned memory item and returns every
-//!   binned id block that **no registered transaction predates** (`slot
-//!   epoch > tag` for all registered slots) — to the caller, because it
-//!   owns the table they index;
-//! * an aborting transaction simply drops its guard — its retire-set is
-//!   discarded with it, so a node unlinked by an attempt that later aborts
-//!   stays allocated. A release also drops whatever memory has become
-//!   reclaimable, so garbage stays bounded on paths that never commit.
+//!   while it lives.
+//!
+//! Garbage comes in **two ways**, both tagged by bumping the epoch after
+//! the unlink:
+//!
+//! * **The shared bins**, for garbage that is not made on every
+//!   operation — table evictions, the state behind a dropped `TVar`
+//!   handle, retired id blocks. `defer_destroy` tags one item and bins it
+//!   under the bins' lock. A committing transaction hands its guard and
+//!   its retire-set to [`GraceTracker::retire_and_flush`], which releases
+//!   the slot, bins the batch the same way, drops every binned memory item
+//!   and returns every binned id block that **no registered transaction
+//!   predates** — to the caller, because it owns the table they index. An
+//!   aborting transaction simply drops its guard: its retire-set is
+//!   discarded with it, so a node unlinked by an attempt that later
+//!   aborts stays allocated. A release also drops whatever binned memory
+//!   has become reclaimable.
+//! * **A private bag** ([`crate::kernel::GraceBag`]), for the garbage a
+//!   process makes on every operation: the locator each DSTM acquisition
+//!   unlinks. The transaction logs what it unlinks; when it is done, its
+//!   process tags the whole batch with one epoch bump
+//!   (`GraceCore::retire`) and drops the ripe front of its bag with one
+//!   slot scan (`GraceCore::reclaim`) — no lock, and nothing shared
+//!   written but the epoch. A bag
+//!   whose owner goes away, or the part of a bag past its bound, is
+//!   handed to the bins under a fresh tag (`GraceCore::defer_bag`): a
+//!   later tag only waits longer.
 //!
 //! ### Why `slot epoch > tag` is safe
 //!
-//! *Memory.* `defer_destroy` requires the pointer to be unlinked first. A
-//! transaction that can still hold it therefore registered before the
-//! retirement's epoch bump, with a published epoch ≤ the tag; the rule
-//! waits for every such guard to go. One that registers later publishes a
-//! greater epoch and can never load the pointer. The retirer itself needs
-//! no registration.
+//! *Memory.* An item is tagged only after it is unlinked. A transaction
+//! that can still hold it therefore registered before the tag's epoch
+//! bump, with a published epoch ≤ the tag; the rule waits for every such
+//! guard to go. One that registers later publishes a greater epoch and can
+//! never load the pointer. The retirer itself needs no registration. A
+//! batch tagged at the end of the transaction that unlinked it only waits
+//! for more: the tag is later than each unlink.
 //!
 //! *Ids.* Every STM in the workspace is single-version: a read returns the
 //! current committed value (or aborts). A transaction that begins after a
@@ -52,18 +68,34 @@
 //! *before* the unlink; they registered (with an epoch ≤ the batch's tag,
 //! taken after the unlinking commit) before that read.
 //!
-//! Registration and the epoch bump are `SeqCst`, so a flush that misses an
+//! ### Why the bins need a lock and a bag does not
+//!
+//! Reclaiming is a slot scan (`min_active`) followed by a check of each
+//! item's tag against it. The check is only sound for items tagged
+//! *before* the scan began: an item tagged after it may be reachable by a
+//! reader that registered after the scan, under an epoch the scan never
+//! saw. Any thread may enter items into the bins, so between one thread's
+//! scan and its check another can add such an item — hence the lock,
+//! taken before the scan, which every entry also takes. A bag has no such
+//! window: it has one owner at a time (a DSTM bag travels inside a pooled
+//! scratch, which the pool hands to one transaction at a time), its items
+//! are added only by that owner, and only before the owner scans, so
+//! every item a scan judges was tagged before the scan, exactly like a
+//! binned item under the lock.
+//!
+//! Registration and the epoch bump are `SeqCst`, so a scan that misses an
 //! in-flight registration can only involve a transaction that began after
 //! the retirement. That race — slot claim and revalidation vs. concurrent
-//! retire-and-flush — is **mechanized**: the kernel
+//! retirement and reclamation — is **mechanized**: the kernel
 //! ([`crate::kernel::GraceCore`]) also runs under `oftm-verify`'s model
 //! checker (`model_grace`), which checks exhaustively, at preemption bound
-//! 2, that nothing is reclaimed under a predating guard, that every
-//! retired block is handed back and every deferred destructor run exactly
-//! once — and refutes three broken variants (inclusive flush epoch,
-//! read-before-register misuse, slots scanned before the bins are locked).
+//! 2, that nothing is reclaimed under a predating guard, from the bins or
+//! a bag, that every retired block is handed back and every deferred
+//! destructor run exactly once — and refutes four broken variants
+//! (inclusive flush epoch, inclusive bag epoch, read-before-register
+//! misuse, slots scanned before the bins are locked).
 
-use crate::kernel::{GraceCore, GraceGuard, SlotSet, StdSync, IDLE_SLOT};
+use crate::kernel::{GraceBag, GraceCore, GraceGuard, SlotSet, StdSync, IDLE_SLOT};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
@@ -211,17 +243,25 @@ pub struct Deferred {
     drop_fn: unsafe fn(*mut ()),
 }
 
-// SAFETY: the pointee was handed over exclusively via `defer_destroy`
-// and is `Send` (bound there); only whoever drops the item touches it.
+// SAFETY: the pointee was handed over exclusively via
+// `Deferred::unlinked` and is `Send` (bound there); only whoever drops
+// the item touches it.
 unsafe impl Send for Deferred {}
 
 impl Deferred {
-    fn new<T: Send>(ptr: *mut T) -> Self {
+    /// The destruction of `ptr`'s pointee, to be retired into a domain —
+    /// into a [`Bag`] or through [`GraceCore::defer`].
+    ///
+    /// # Safety
+    /// As for [`GraceTracker::defer_destroy`], and `ptr` must be non-null.
+    /// Dropping the result frees the pointee at once, so it must reach a
+    /// domain unless no guard can reach the pointee any more.
+    pub(crate) unsafe fn unlinked<T: Send>(ptr: Shared<'_, T>) -> Self {
         unsafe fn drop_boxed<T>(p: *mut ()) {
             drop(Box::from_raw(p.cast::<T>()));
         }
         Deferred {
-            ptr: ptr.cast(),
+            ptr: ptr.ptr.cast(),
             drop_fn: drop_boxed::<T>,
         }
     }
@@ -229,9 +269,9 @@ impl Deferred {
 
 impl Drop for Deferred {
     fn drop(&mut self) {
-        // SAFETY: owned since `defer_destroy`; dropped once the grace rule
-        // found no guard that could reach `ptr`, or with the domain, which
-        // outlives every guard.
+        // SAFETY: owned since `Deferred::unlinked`; dropped once the grace
+        // rule found no guard that could reach `ptr`, or with the domain,
+        // which outlives every guard.
         unsafe { (self.drop_fn)(self.ptr) };
     }
 }
@@ -241,6 +281,10 @@ impl Drop for Deferred {
 /// type-erased boxes as memory items. Dropping it runs every destructor
 /// still deferred.
 pub type GraceTracker = GraceCore<StdSync, SlotArray, Deferred>;
+
+/// A process's private pile of unlinked memory in a [`GraceTracker`]
+/// domain (see the module docs).
+pub(crate) type Bag = GraceBag<Deferred>;
 
 /// A registration with a [`GraceTracker`]: what a transaction holds from
 /// `begin` to completion (see the module docs). Releasing it — by
@@ -259,7 +303,8 @@ impl GraceTracker {
     /// `Box<T>`) and not be retired twice.
     pub unsafe fn defer_destroy<T: Send>(&self, ptr: Shared<'_, T>) {
         if !ptr.is_null() {
-            self.defer(Deferred::new(ptr.ptr));
+            // SAFETY: this function's contract, and non-null.
+            self.defer(unsafe { Deferred::unlinked(ptr) });
         }
     }
 }
@@ -360,8 +405,8 @@ impl<'g, T> Shared<'g, T> {
 
     /// # Safety
     /// The pointee must be valid for `'g` and non-null: loaded under a
-    /// guard that lives for `'g`, from a structure that only retires via
-    /// `defer_destroy` into that guard's domain.
+    /// guard that lives for `'g`, from a structure that only retires into
+    /// that guard's domain.
     pub unsafe fn deref(&self) -> &'g T {
         &*self.ptr
     }
@@ -399,7 +444,7 @@ impl<T> Atomic<T> {
     }
 
     /// Atomically replaces the pointer (`None` is null) and returns the
-    /// previous one, now unlinked: the caller retires it (`defer_destroy`).
+    /// previous one, now unlinked: the caller retires it into a domain.
     /// Takes no guard — what comes back is for retiring, not for
     /// dereferencing.
     pub fn swap<'a>(&self, new: Option<Owned<T>>, ord: Ordering) -> Shared<'a, T> {

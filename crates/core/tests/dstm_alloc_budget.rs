@@ -2,7 +2,7 @@
 //! machine. A t-variable is one allocation until somebody writes it
 //! (`T_0`'s value is inline, there is no locator to allocate); reads
 //! allocate nothing, however many; a write allocates its locator and
-//! nothing else.
+//! nothing else — also when it unlinks one that must wait for a peer.
 //!
 //! The counter is per thread and a reclamation domain is per instance,
 //! so nothing a sibling test does shows up in these counts.
@@ -100,8 +100,7 @@ fn a_declared_read_only_scan_allocates_what_an_empty_transaction_does() {
 #[test]
 fn a_write_allocates_one_locator_more_than_a_read() {
     // Each transaction works on a variable nobody wrote before, so no
-    // locator is displaced (retiring one is the reclamation domain's
-    // cost, not the write's).
+    // locator is displaced (the next test displaces one).
     let s = dstm();
     let commit_one = |write: bool| {
         let x = s.alloc_tvar_block(&[0]);
@@ -118,6 +117,36 @@ fn a_write_allocates_one_locator_more_than_a_read() {
     for _ in 0..WARM_UP {
         commit_one(false);
         commit_one(true);
+    }
+    for _ in 0..WARM_UP {
+        assert_eq!(commit_one(true), commit_one(false) + 1);
+    }
+}
+
+#[test]
+fn a_displacing_write_allocates_its_locator_and_nothing_else() {
+    // Every write below unlinks the locator the previous one installed,
+    // under a peer that predates the unlink: it waits in the writer's
+    // bag, which keeps its capacity from one transaction to the next.
+    let s = dstm();
+    let x = s.alloc_tvar_block(&[0]);
+    let commit_one = |write: bool| {
+        let peer = s.begin_ro(1);
+        let allocated = allocations(|| {
+            let mut tx = s.begin(0);
+            if write {
+                tx.write(x, 1).expect("uncontended");
+            } else {
+                assert_eq!(tx.read(x), Ok(1));
+            }
+            tx.try_commit().expect("uncontended");
+        });
+        peer.try_commit().expect("read nothing");
+        allocated
+    };
+    for _ in 0..WARM_UP {
+        commit_one(true);
+        commit_one(false);
     }
     for _ in 0..WARM_UP {
         assert_eq!(commit_one(true), commit_one(false) + 1);

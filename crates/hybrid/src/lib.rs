@@ -968,10 +968,49 @@ mod tests {
         assert!(s.try_migrate(target, u64::MAX), "uncontended barrier");
     }
 
+    /// A payload that counts its live copies.
+    struct Live(Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Live {
+        fn new(live: &Arc<std::sync::atomic::AtomicUsize>) -> Self {
+            live.fetch_add(1, Ordering::SeqCst);
+            Live(Arc::clone(live))
+        }
+    }
+
+    impl Clone for Live {
+        fn clone(&self) -> Self {
+            Live::new(&self.0)
+        }
+    }
+
+    impl Drop for Live {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
     #[test]
     fn dstm_holds_nothing_while_tl2_runs() {
         let s = stm(HybridConfig::default());
         assert_eq!(s.dstm.live_tvars(), 0, "registrations went to TL2 only");
+        // Locators the DSTM engine unlinked behind a peer wait in their
+        // process's bag; de-escalating reclaims them, as nothing will run
+        // there to do it.
+        force(&s, Mode::Dstm);
+        let live = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let engine = s.dstm.inner();
+        let v = engine.new_tvar(Live::new(&live));
+        let peer = engine.begin(1);
+        for _ in 0..10 {
+            engine.atomically(0, |tx| tx.write(&v, Live::new(&live)));
+        }
+        peer.commit_read_only().unwrap();
+        // `T_0`'s copy, the installed locator's two, and the unlinked ones.
+        assert!(live.load(Ordering::SeqCst) > 3, "nothing waited");
+        force(&s, Mode::Tl2);
+        assert_eq!(live.load(Ordering::SeqCst), 3, "locators stranded");
+        drop(v);
         let mut node = s.alloc_tvar_block(&[0, 0]);
         for i in 0..1_000u64 {
             // Replace the node X points at, the way a list would.

@@ -11,13 +11,18 @@
 //! unlinks and retires its target; if the reader observed the pre-unlink
 //! pointer, the target must not have been reclaimed by the time the
 //! reader dereferences it. And **exactly once**: whatever was retired is
-//! either reclaimed or still binned, never both, never neither.
+//! either reclaimed or still binned, never both, never neither. Both ways
+//! in are covered: the shared bins, and a retirer's private bag
+//! ([`oftm_core::kernel::GraceBag`]), which it tags in one bump and
+//! reclaims without a lock.
 
-use oftm_core::kernel::{AtomicU64Like, GraceCore, MutexLike, RetiredBlock, SlotSet, IDLE_SLOT};
+use oftm_core::kernel::{
+    AtomicU64Like, GraceBag, GraceCore, MutexLike, RetiredBlock, SlotSet, IDLE_SLOT,
+};
 use oftm_verify::model::sync::{FixedSlots, MAtomicU64, MMutex, ModelSync};
 use oftm_verify::model::{check, Builder, Config};
 use std::sync::atomic::Ordering::SeqCst;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The kernel's memory item under the model: reclaimed by dropping it,
 /// which counts.
@@ -177,6 +182,41 @@ fn grace_memory_is_dropped_once_and_never_under_a_predating_guard() {
     });
 }
 
+#[test]
+fn grace_bag_frees_nothing_under_a_predating_reader() {
+    // The private half: the retirer unlinks the token under its guard,
+    // releases it (as a finished DSTM transaction does), tags the batch
+    // into its own bag and reclaims the ripe front at once — racing a
+    // reader that may have loaded the link before the unlink. Nobody else
+    // touches the bag: its owner is the only thread that fills or scans
+    // it.
+    exhaustive("grace-bag", 100, |b| {
+        let w = World::new();
+        let bag = Arc::new(Mutex::new(GraceBag::default()));
+        b.thread("reader", w.reader());
+        let (r, mine) = (w.clone(), Arc::clone(&bag));
+        b.thread("retirer", move || {
+            let g = r.core.begin();
+            r.link.store(0, SeqCst);
+            drop(g);
+            let mut bag = mine.lock().unwrap();
+            r.core
+                .retire(&mut bag, &mut vec![Token(Arc::clone(&r.gone))]);
+            r.core.reclaim(&mut bag);
+        });
+        b.after(move || {
+            let mut bag = bag.lock().unwrap();
+            let in_run = w.gone.load(SeqCst) as usize;
+            assert_eq!(in_run + bag.len(), 1, "dropped {in_run}×");
+            assert_eq!(w.core.pending_memory(), 0, "the bag bypasses the bins");
+            // With the reader gone, the owner's next reclaim frees it.
+            w.core.reclaim(&mut bag);
+            assert_eq!(w.gone.load(SeqCst), 1, "a reclaim must free, once");
+            assert!(bag.is_empty());
+        });
+    });
+}
+
 // ---------------------------------------------------------------------------
 // Negative oracles.
 // ---------------------------------------------------------------------------
@@ -309,4 +349,36 @@ fn broken_slots_scanned_before_the_bins_lock_is_caught() {
     );
     let scenario = HandRolled::three_threads(Flush::ScanFirst);
     refuted("broken-scan-then-lock", PREMATURE, scenario);
+}
+
+impl HandRolled {
+    /// Unlinks the token, tags it into a private bag and reclaims the bag
+    /// at once: `GraceCore::reclaim`'s `tag < min_active`, or with
+    /// `inclusive` its `<=` deviation.
+    fn bag_retirer(&self, inclusive: bool) -> impl FnOnce() + Send {
+        let h = self.clone();
+        move || {
+            h.link.store(0, SeqCst);
+            let tag = h.epoch.fetch_add(1, SeqCst);
+            let min_active = h.slots.min_active();
+            if tag < min_active || (inclusive && tag == min_active) {
+                h.freed.store(1, SeqCst);
+            }
+        }
+    }
+}
+
+#[test]
+fn broken_inclusive_bag_epoch_is_caught() {
+    // A reader registered in the epoch the batch was tagged with can
+    // still hold the token. The exclusive twin passes.
+    let scenario = |inclusive| {
+        move |b: &mut Builder| {
+            let h = HandRolled::new();
+            b.thread("reader", h.reader());
+            b.thread("retirer", h.bag_retirer(inclusive));
+        }
+    };
+    exhaustive("bag-exclusive", 20, scenario(false));
+    refuted("broken-inclusive-bag", PREMATURE, scenario(true));
 }
