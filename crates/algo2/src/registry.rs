@@ -9,8 +9,9 @@
 //! (each gets a fresh `BaseObjId`); creating a cell is not a step of the
 //! algorithm. OS threads do not crash while holding the (tiny) critical
 //! section, so the implementation-level lock does not affect the progress
-//! properties under study; the step-accurate, lock-free rendition of
-//! Algorithm 2 lives in `oftm-sim`.
+//! properties under study. The workspace has no step-accurate rendition
+//! of Algorithm 2: `oftm-sim` models its fo-consensus base objects step by
+//! step (`foc_model`), not the algorithm.
 
 use std::collections::HashMap;
 use std::hash::Hash;

@@ -1088,7 +1088,7 @@ mod tests {
         let delta = s.stats().snapshot().since(&before);
         assert_eq!(delta.get(AbortCause::LockBusy.counter()), 2);
         assert_eq!(delta.aborts(), 2, "no other cause moved");
-        let edges = s.stats().forensics().edges().top_k(8);
+        let edges = s.stats().forensics().top_k(8);
         assert_eq!(edges.len(), 1, "{edges:?}");
         assert_eq!(edges[0].cause, AbortCause::LockBusy);
         assert_eq!(edges[0].var, X.0);

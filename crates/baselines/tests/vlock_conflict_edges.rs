@@ -1,6 +1,6 @@
 //! Edge-attribution exactness for the versioned-lock engine, on both read
 //! policies: deterministically forced conflicts must land in the forensics
-//! tables with the right cause, the right t-variable, and the committing
+//! table with the right cause, the right t-variable, and the committing
 //! peer's process named via the per-variable writer stamp — sibling of
 //! `vlock_abort_causes.rs` (cause exactness) and
 //! `oftm-core/tests/dstm_conflict_edges.rs` (transaction-exact DSTM edges).
@@ -35,7 +35,7 @@ fn too_new_read_yields_edge_with_right_cause_var_and_aggressor() {
     assert!(stale.read(X).is_err(), "TL2 must reject the too-new stamp");
     assert!(stale.try_commit().is_err());
 
-    let edges = s.stats().forensics().edges().top_k(8);
+    let edges = s.stats().forensics().top_k(8);
     assert_eq!(edges.len(), 1, "exactly one edge: {edges:?}");
     let e = &edges[0];
     assert_eq!(e.cause, AbortCause::ReadValidation);
@@ -48,7 +48,7 @@ fn too_new_read_yields_edge_with_right_cause_var_and_aggressor() {
     assert_eq!(e.victim_proc, 0);
     assert_eq!(tx_proc(e.last_aggressor), 1);
 
-    let hot = s.stats().forensics().heatmap().top_k(4);
+    let hot = s.stats().forensics().top_vars(4);
     assert_eq!(hot.len(), 1);
     assert_eq!(hot[0].var, X.0);
     assert_eq!(hot[0].dominant_cause(), AbortCause::ReadValidation);
@@ -76,7 +76,7 @@ fn stale_read_set_at_commit_yields_edge_on_the_read_variable() {
             "commit validation must catch the invalidated read set"
         );
 
-        let edges = s.stats().forensics().edges().top_k(8);
+        let edges = s.stats().forensics().top_k(8);
         assert_eq!(edges.len(), 1, "{}: exactly one edge: {edges:?}", s.name());
         let e = &edges[0];
         assert_eq!(e.cause, AbortCause::ReadValidation);

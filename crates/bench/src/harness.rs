@@ -31,10 +31,10 @@
 //!    period, on every kind.
 //! 4. **Telemetry conservation** ([`conservation_failures`]) — every begun
 //!    attempt ended as exactly one commit or one tagged abort.
-//! 5. **Forensics consistency** ([`forensics_failures`]) — attributions
-//!    never exceed counted aborts, a variable-attributed conflict abort
-//!    leaves a heatmap row, and `coarse` (which serializes) attributes
-//!    nothing.
+//! 5. **Forensics consistency** ([`forensics_failures`]) — rows in the
+//!    who-aborted-whom table never exceed counted aborts, named rows never
+//!    exceed attributed ones, a variable-attributed conflict abort leaves
+//!    a row, and `coarse` (which serializes) attributes nothing.
 //!
 //! Across STMs, **sequential agreement**: the same tapes replayed
 //! single-threaded must give identical per-op observations *and* final
@@ -609,16 +609,23 @@ pub fn conservation_failures(stats: &StatsSnapshot, attempts: u64) -> Vec<String
     failures
 }
 
-/// Forensics consistency of one run: `heat` and `edges` are the totals of
-/// the backend's heatmap and who-aborted-whom table. Attributions come
-/// from counted aborts, never invented; an abort whose cause
-/// names a variable must have left a row (`CasLost` alone does not —
-/// Algorithm 2's fate race cannot name one and declines with
-/// `VarAttr::NoVar`); and the global lock takes no contention aborts, so
-/// anything in `coarse`'s tables is misattribution.
-pub fn forensics_failures(stm: &str, stats: &StatsSnapshot, heat: u64, edges: u64) -> Vec<String> {
+/// Forensics consistency of one run, from two totals of the backend's
+/// who-aborted-whom table: `attributed`, every variable-attributed abort
+/// (overflow included), and `named`, those on rows with a known
+/// aggressor. Attributions come from counted aborts, never invented;
+/// named ones are a subset of them; an abort whose cause names a variable
+/// must have left a row (`CasLost` alone does not — Algorithm 2's fate
+/// race cannot name one and declines with `VarAttr::NoVar`); and the
+/// global lock takes no contention aborts, so anything in `coarse`'s
+/// table is misattribution.
+pub fn forensics_failures(
+    stm: &str,
+    stats: &StatsSnapshot,
+    attributed: u64,
+    named: u64,
+) -> Vec<String> {
     let mut failures = Vec::new();
-    let attributed: u64 = [
+    let conflicts: u64 = [
         AbortCause::ReadValidation,
         AbortCause::LockBusy,
         AbortCause::CmArbitrated,
@@ -626,20 +633,25 @@ pub fn forensics_failures(stm: &str, stats: &StatsSnapshot, heat: u64, edges: u6
     .iter()
     .map(|c| stats.get(c.counter()))
     .sum();
-    if attributed > 0 && heat == 0 {
+    if conflicts > 0 && attributed == 0 {
         failures.push(format!(
-            "{attributed} variable-attributed conflict aborts but an empty heatmap"
+            "{conflicts} variable-attributed conflict aborts but an empty forensics table"
         ));
     }
-    if heat > stats.aborts() {
+    if attributed > stats.aborts() {
         failures.push(format!(
-            "heatmap attributes {heat} aborts, only {} were counted",
+            "forensics table attributes {attributed} aborts, only {} were counted",
             stats.aborts()
         ));
     }
-    if stm == "coarse" && (heat, edges) != (0, 0) {
+    if named > attributed {
         failures.push(format!(
-            "coarse attributed {heat} heatmap hits / {edges} edges on a workload it serializes"
+            "{named} aborts name an aggressor, only {attributed} were attributed"
+        ));
+    }
+    if stm == "coarse" && (attributed, named) != (0, 0) {
+        failures.push(format!(
+            "coarse attributed {attributed} aborts ({named} named) on a workload it serializes"
         ));
     }
     failures
@@ -734,9 +746,10 @@ pub struct Outcome {
     pub live_tvars: usize,
     /// The STM's telemetry at quiescence.
     pub stats: StatsSnapshot,
-    /// Totals of the heatmap and the who-aborted-whom edge table.
-    pub heat: u64,
-    pub edges: u64,
+    /// Variable-attributed aborts in the who-aborted-whom table
+    /// (overflow included), and those of them with a named aggressor.
+    pub attributed: u64,
+    pub named: u64,
 }
 
 /// Runs `sc` concurrently on the named STM and applies every per-cell
@@ -795,7 +808,7 @@ pub fn run_concurrent(
     let live_tvars = stm.live_tvars();
     let stats = stm.stats().snapshot();
     let forensics = stm.forensics();
-    let (heat, edges) = (forensics.heatmap().total(), forensics.edges().total());
+    let (attributed, named) = (forensics.total() + forensics.overflow(), forensics.named());
 
     if let Err(e) = well_formed(&history) {
         return Err(fail(format!("recorded history is not well-formed: {e:?}")));
@@ -825,7 +838,7 @@ pub fn run_concurrent(
         )));
     }
     let mut telemetry = conservation_failures(&stats, attempts);
-    telemetry.extend(forensics_failures(stm_name, &stats, heat, edges));
+    telemetry.extend(forensics_failures(stm_name, &stats, attributed, named));
     if !telemetry.is_empty() {
         return Err(fail(telemetry.join("; ")));
     }
@@ -839,8 +852,8 @@ pub fn run_concurrent(
         committed_ops: tapes.iter().map(|t| t.len() as u64).sum(),
         live_tvars,
         stats,
-        heat,
-        edges,
+        attributed,
+        named,
     })
 }
 

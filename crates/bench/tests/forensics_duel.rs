@@ -1,13 +1,13 @@
 //! The conflict-forensics duel: the runner's `hotspot` kind — every
 //! update is a read-modify-write of one word — with the preemption point
 //! inside the read–write window on, four threads, every backend. The
-//! per-cell oracles already hold the tables to "attributions ≤ counted
-//! aborts" and `coarse` (the control: a global mutex never takes a
-//! contention abort) to **empty** tables; the duel demands the other
-//! direction. Every other backend must have put the fight on the heatmap
-//! *and* named an aggressor — DSTM through the killer stamp or the owner
-//! of the locator that replaced the one it read, TL/TL2 through the
-//! commit-lock writer stamp, Algorithm 2 through its `Owner`/`V[x]`
+//! per-cell oracles already hold the forensics table to "attributions ≤
+//! counted aborts" and `coarse` (the control: a global mutex never takes a
+//! contention abort) to an **empty** table; the duel demands the other
+//! direction. Every other backend must have attributed the fight to a
+//! t-variable *and* named an aggressor — DSTM through the killer stamp or
+//! the owner of the locator that replaced the one it read, TL/TL2 through
+//! the commit-lock writer stamp, Algorithm 2 through its `Owner`/`V[x]`
 //! registers, the hybrid through whichever engine it is running. A
 //! backend that stops naming aggressors fails here.
 
@@ -25,11 +25,11 @@ fn every_contention_backend_names_its_aggressors() {
             run_concurrent(stm, &sc, &generate_tapes(&sc), true).unwrap_or_else(|f| panic!("{f}"));
         if stm != "coarse" {
             assert!(
-                o.heat > 0 && o.edges > 0,
-                "{stm}: {} aborts, {} attributed, {} edges in a hot-word duel\n  {}",
+                o.attributed > 0 && o.named > 0,
+                "{stm}: {} aborts, {} attributed, {} named in a hot-word duel\n  {}",
                 o.stats.aborts(),
-                o.heat,
-                o.edges,
+                o.attributed,
+                o.named,
                 sc.repro()
             );
         }

@@ -102,11 +102,14 @@ fn stats(begins: u64, ro: u64, commits: u64, rv: u64) -> StatsSnapshot {
 fn forensics_gate_catches_contended_cell_with_empty_heatmap() {
     let failures = forensics_failures("tl2", &stats(50, 0, 38, 12), 0, 0);
     assert_eq!(failures.len(), 1, "{failures:?}");
-    assert!(failures[0].contains("empty heatmap"), "{failures:?}");
+    assert!(
+        failures[0].contains("empty forensics table"),
+        "{failures:?}"
+    );
 }
 
-/// Heatmap counts are attributions of real aborts: summing past
-/// the exact counter means the tables are inventing data.
+/// Forensic rows are attributions of real aborts: summing past
+/// the exact counter means the table is inventing data.
 #[test]
 fn forensics_gate_catches_counts_exceeding_aborts() {
     let failures = forensics_failures("tl", &stats(50, 0, 40, 10), 13, 4);
@@ -114,9 +117,21 @@ fn forensics_gate_catches_counts_exceeding_aborts() {
     assert!(failures[0].contains("only 10 were counted"), "{failures:?}");
 }
 
-/// The healthy shapes: a quiet cell with empty tables, and a contended
+/// Named aggressors are a subset of the attributed aborts: more named
+/// than attributed means the two totals disagree about one table.
+#[test]
+fn forensics_gate_catches_named_exceeding_attributed() {
+    let failures = forensics_failures("dstm", &stats(50, 0, 40, 10), 6, 9);
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert!(
+        failures[0].contains("only 6 were attributed"),
+        "{failures:?}"
+    );
+}
+
+/// The healthy shapes: a quiet cell with an empty table, and a contended
 /// cell whose attributions stay within its abort counter — while anything
-/// at all in `coarse`'s tables is misattribution.
+/// at all in `coarse`'s table is misattribution.
 #[test]
 fn forensics_gate_accepts_healthy_cells_and_keeps_coarse_empty() {
     assert!(forensics_failures("coarse", &stats(50, 0, 50, 0), 0, 0).is_empty());

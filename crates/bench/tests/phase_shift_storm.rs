@@ -136,8 +136,8 @@ fn storm(stm_name: &'static str, threads: usize, seed: u64) -> Vec<PhaseCell> {
     failures.extend(forensics_failures(
         stm_name,
         &stats,
-        forensics.heatmap().total(),
-        forensics.edges().total(),
+        forensics.total() + forensics.overflow(),
+        forensics.named(),
     ));
     assert!(failures.is_empty(), "{stm_name} t={threads}: {failures:?}");
     cells

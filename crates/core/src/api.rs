@@ -186,9 +186,10 @@ pub trait WordStm: Send + Sync {
     /// uncontended relaxed increments per transaction.
     fn stats(&self) -> &StmStats;
 
-    /// The conflict-forensics tables of this STM instance: the per-tvar
-    /// contention heatmap and the who-aborted-whom edge table that every
-    /// var-attributed abort ([`StmStats::abort_at`]) feeds. Bundled inside
+    /// The conflict-forensics table of this STM instance: one
+    /// who-aborted-whom row per `(aggressor, victim, cause, t-variable)`,
+    /// fed by every var-attributed abort ([`StmStats::abort_at`]), with
+    /// the per-variable ranking as a view of it. Bundled inside
     /// [`WordStm::stats`], so instances that share a stats registry (the
     /// hybrid's two engines) automatically share one forensic view.
     fn forensics(&self) -> &Forensics {

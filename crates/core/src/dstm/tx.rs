@@ -270,8 +270,7 @@ impl<'s> Tx<'s> {
     /// Records the abort cause of this attempt, first tag wins. `var`
     /// attributes the t-variable the conflict was over and `aggressor`
     /// names the peer that won it ([`TX_UNKNOWN`] when no peer is
-    /// identifiable), feeding the contention heatmap and the
-    /// who-aborted-whom edge table.
+    /// identifiable), feeding the who-aborted-whom forensics table.
     fn tag_abort(&self, cause: AbortCause, var: VarAttr, aggressor: u64) {
         if !self.cause_tagged.replace(true) {
             self.stm

@@ -32,7 +32,7 @@ fn forced_cm_kill_records_one_exact_edge() {
     killer.commit().expect("killer commits unopposed");
     assert!(victim.commit().is_err(), "killed transaction cannot commit");
 
-    let edges = forensics.edges().top_k(8);
+    let edges = forensics.top_k(8);
     assert_eq!(edges.len(), 1, "exactly one edge: {edges:?}");
     let e = &edges[0];
     assert_eq!(e.count, 1);
@@ -45,7 +45,7 @@ fn forced_cm_kill_records_one_exact_edge() {
     assert_eq!(e.last_aggressor, pack_tx(killer_id.proc, killer_id.seq));
     assert_eq!(e.last_victim, pack_tx(victim_id.proc, victim_id.seq));
 
-    let hot = forensics.heatmap().top_k(4);
+    let hot = forensics.top_vars(4);
     assert_eq!(hot.len(), 1, "one hot variable: {hot:?}");
     assert_eq!(hot[0].var, x.id().0);
     assert_eq!(hot[0].total, 1);
@@ -76,11 +76,11 @@ fn stale_read_names_the_writer_that_replaced_the_locator() {
         "validation catches the stale read"
     );
 
-    let hot = forensics.heatmap().top_k(4);
+    let hot = forensics.top_vars(4);
     assert_eq!(hot.len(), 1, "the stale variable is attributed: {hot:?}");
     assert_eq!(hot[0].var, x.id().0);
     assert_eq!(hot[0].dominant_cause(), AbortCause::ReadValidation);
-    let edges = forensics.edges().top_k(8);
+    let edges = forensics.top_k(8);
     assert_eq!(edges.len(), 1, "exactly one edge: {edges:?}");
     let e = &edges[0];
     assert_eq!((e.count, e.cause), (1, AbortCause::ReadValidation));

@@ -1,32 +1,42 @@
-//! Who-aborted-whom conflict edges: *who* is killing *whom*, over *what*.
+//! The conflict-forensics table: *who* aborted *whom*, over *what*.
 //!
 //! Aggregate cause counts can't distinguish symmetric churn from
 //! asymmetric starvation — one writer serially killing every reader looks
 //! identical to everyone killing everyone. This table keeps the missing
-//! direction: whenever a backend can name the conflicting peer (a DSTM
-//! locator owner, an Algorithm 2 `Owner[x,k]` winner, a TL/TL2
-//! lock-holder stamp), the victim's abort records an **edge**
-//! `aggressor → victim` tagged with the cause and the t-variable fought
-//! over.
+//! direction and the place: every variable-attributed abort
+//! ([`crate::StmStats::abort_at`] with [`crate::VarAttr::Var`]) counts
+//! once on the row `(aggressor proc, victim proc, cause, var)`. The
+//! aggressor is the conflicting peer wherever the backend can name it (a
+//! DSTM locator owner, an Algorithm 2 `Owner[x,k]` winner, a TL/TL2
+//! lock-holder stamp); where it cannot, the row's aggressor is
+//! `tx_proc(TX_UNKNOWN)` — attribution is reported, never invented.
 //!
-//! Edges aggregate by `(aggressor proc, victim proc, cause, var)` in a
-//! fixed-capacity open-addressed table: slots are claimed by one CAS on a
-//! key hash, counted with relaxed increments, and never deallocated, so
-//! recording is lock- and allocation-free. The last full transaction ids
-//! seen on each edge are kept alongside the count — that is what the
-//! forced-conflict exactness tests pin (the *right* aggressor, not just
-//! the right process). A full table overflows into a counter, never
-//! silently.
+//! The per-variable view — which t-variables are hot, and why — is a
+//! group-by over the rows ([`Forensics::top_vars`]).
+//!
+//! Rows live in a fixed-capacity open-addressed table. A slot is claimed
+//! by one CAS on its state word, its identity written once and published;
+//! a probe takes a slot only when the full identity matches; counts are
+//! relaxed increments. Recording takes no lock and allocates nothing (a
+//! probe that meets a slot claimed a few stores earlier yields until its
+//! identity is published). The last full transaction ids seen on each row
+//! are kept beside the count — what the forced-conflict exactness tests
+//! pin (the *right* aggressor, not just the right process). A full table
+//! overflows into a counter, never silently.
 
 use crate::{AbortCause, ABORT_CAUSES};
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Slots in the edge table; a power of two. 1024 distinct
+/// Slots in the table; a power of two. 1024 distinct
 /// (aggressor, victim, cause, var) combinations is far beyond any
 /// workload in the workspace (procs ≤ 64, hot vars ≪ slots).
-const TABLE_SLOTS: usize = 1024;
+pub(crate) const TABLE_SLOTS: usize = 1024;
 /// Linear-probe limit before an insert gives up into `overflow`.
 const MAX_PROBES: usize = 32;
+
+const CAUSES: usize = ABORT_CAUSES.len();
 
 /// Packs a transaction identity `(proc, seq)` into the u64 wire form the
 /// forensics layer carries (`proc` in the high half).
@@ -44,188 +54,223 @@ pub fn tx_seq(bits: u64) -> u32 {
     bits as u32
 }
 
-/// Sentinel for "peer unknown": sites that cannot name the aggressor
-/// pass this and the edge is not recorded (the heatmap still is).
+/// Sentinel for "peer unknown": sites that cannot name the aggressor pass
+/// this. The abort still lands, on a row whose aggressor is
+/// `tx_proc(TX_UNKNOWN)` (so that process id is reserved), and stays out
+/// of [`Forensics::named`].
 pub const TX_UNKNOWN: u64 = u64::MAX;
 
-/// One aggregated conflict edge, as returned by [`ConflictTable::top_k`].
+/// One row of the table, as returned by [`Forensics::top_k`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Edge {
-    /// Process of the transaction that won the conflict.
+    /// Process of the transaction that won the conflict
+    /// (`tx_proc(TX_UNKNOWN)` when the backend could not name it).
     pub aggressor_proc: u32,
     /// Process of the transaction that aborted.
     pub victim_proc: u32,
     pub cause: AbortCause,
     /// The t-variable fought over.
     pub var: u64,
-    /// Aborts attributed to this edge.
+    /// Aborts attributed to this row.
     pub count: u64,
-    /// Packed id ([`pack_tx`]) of the most recent aggressor on this edge.
+    /// Packed id ([`pack_tx`]) of the most recent aggressor on this row.
     pub last_aggressor: u64,
-    /// Packed id of the most recent victim on this edge.
+    /// Packed id of the most recent victim on this row.
     pub last_victim: u64,
 }
 
-/// One table slot. `key` is 0 when free, else the claim hash; the
-/// identity fields are written once by the claiming thread and guarded by
-/// `init` so a racing reader never sees a half-written slot.
+impl Edge {
+    /// Whether the backend named the aggressor.
+    pub fn named(&self) -> bool {
+        self.aggressor_proc != tx_proc(TX_UNKNOWN)
+    }
+}
+
+/// One t-variable's rows summed, as returned by [`Forensics::top_vars`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct VarTotal {
+    /// The t-variable id (raw word, as passed to `abort_at`).
+    pub var: u64,
+    /// Total attributed aborts on this variable.
+    pub total: u64,
+    /// Per-cause breakdown, indexed like [`ABORT_CAUSES`].
+    pub by_cause: [u64; CAUSES],
+}
+
+impl VarTotal {
+    /// The cause with the highest count on this variable.
+    pub fn dominant_cause(&self) -> AbortCause {
+        let i = (0..CAUSES).max_by_key(|&c| self.by_cause[c]);
+        ABORT_CAUSES[i.expect("cause array is non-empty")]
+    }
+}
+
+/// Slot states: free, claimed with its identity being written, published.
+const FREE: u64 = 0;
+const CLAIMING: u64 = 1;
+const READY: u64 = 2;
+
+/// One table slot. The identity fields (`procs`, `cause`, `var`) are
+/// written once by the claiming thread and published by `state`, so a
+/// prober or reader never compares a half-written identity.
+#[derive(Default)]
 struct Slot {
-    key: AtomicU64,
-    init: AtomicU64,
-    count: AtomicU64,
-    aggressor_proc: AtomicU64,
-    victim_proc: AtomicU64,
+    state: AtomicU64,
+    /// `aggressor proc << 32 | victim proc`.
+    procs: AtomicU64,
     cause: AtomicU64,
     var: AtomicU64,
+    count: AtomicU64,
     last_aggressor: AtomicU64,
     last_victim: AtomicU64,
 }
 
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            key: AtomicU64::new(0),
-            init: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-            aggressor_proc: AtomicU64::new(0),
-            victim_proc: AtomicU64::new(0),
-            cause: AtomicU64::new(0),
-            var: AtomicU64::new(0),
-            last_aggressor: AtomicU64::new(0),
-            last_victim: AtomicU64::new(0),
-        }
-    }
-}
-
-/// SplitMix64 finalizer: the slot key for an edge identity. Never 0 for
-/// practical inputs; 0 inputs are nudged so the free-slot sentinel stays
-/// unambiguous.
-fn edge_key(aggressor_proc: u32, victim_proc: u32, cause: AbortCause, var: u64) -> u64 {
-    let mut z = (u64::from(aggressor_proc) << 38)
-        ^ (u64::from(victim_proc) << 12)
-        ^ ((cause.index() as u64) << 58)
-        ^ var
-        ^ 0x9e37_79b9_7f4a_7c15;
+/// SplitMix64 finalizer.
+fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    z.max(1)
+    z ^ (z >> 31)
 }
 
-/// The who-aborted-whom edge table (see module docs).
-pub struct ConflictTable {
+/// Home slot hash of a row. Each identity field goes through the mixer in
+/// turn, so no field's bits can cancel another's before hashing. The hash
+/// only places a row: a probe still matches on the full identity.
+fn edge_key(procs: u64, cause: AbortCause, var: u64) -> u64 {
+    mix(mix(mix(var ^ 0x9e37_79b9_7f4a_7c15) ^ procs) ^ cause.index() as u64)
+}
+
+/// The who-aborted-whom table: every variable-attributed abort of one STM
+/// instance (see module docs). Reached via
+/// [`StmStats::forensics`](crate::StmStats::forensics) (and
+/// `WordStm::forensics()` in `oftm-core`).
+pub struct Forensics {
     slots: Box<[Slot]>,
-    /// Edges dropped because the table (or a probe window) was full.
+    /// Attributed aborts dropped because the table (or a probe window)
+    /// was full.
     overflow: AtomicU64,
 }
 
-impl Default for ConflictTable {
+impl Default for Forensics {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl ConflictTable {
-    pub fn new() -> ConflictTable {
-        ConflictTable {
-            slots: (0..TABLE_SLOTS).map(|_| Slot::new()).collect(),
+impl Forensics {
+    pub fn new() -> Forensics {
+        Forensics {
+            slots: (0..TABLE_SLOTS).map(|_| Slot::default()).collect(),
             overflow: AtomicU64::new(0),
         }
     }
 
     /// Records one conflict `aggressor → victim` over `var`. Both ids are
-    /// packed ([`pack_tx`]); an [`TX_UNKNOWN`] aggressor is skipped (no
-    /// edge without a named peer).
+    /// packed ([`pack_tx`]); a [`TX_UNKNOWN`] aggressor records an
+    /// unnamed row.
     pub fn record(&self, aggressor: u64, victim: u64, cause: AbortCause, var: u64) {
-        if aggressor == TX_UNKNOWN {
-            return;
-        }
-        let (ap, vp) = (tx_proc(aggressor), tx_proc(victim));
-        let key = edge_key(ap, vp, cause, var);
+        let procs = (u64::from(tx_proc(aggressor)) << 32) | u64::from(tx_proc(victim));
+        let key = edge_key(procs, cause, var) as usize;
         for probe in 0..MAX_PROBES {
-            let slot = &self.slots[(key as usize + probe) & (TABLE_SLOTS - 1)];
-            let cur = slot.key.load(Ordering::Acquire);
-            let claimed = cur == 0
-                && match slot
-                    .key
-                    .compare_exchange(0, key, Ordering::AcqRel, Ordering::Acquire)
-                {
-                    Ok(_) => true,
-                    Err(raced) if raced == key => false,
-                    Err(_) => continue, // another edge won this slot
-                };
-            if !claimed && cur != 0 && cur != key {
-                continue;
-            }
-            if claimed {
-                slot.aggressor_proc.store(u64::from(ap), Ordering::Relaxed);
-                slot.victim_proc.store(u64::from(vp), Ordering::Relaxed);
+            let slot = &self.slots[(key + probe) & (TABLE_SLOTS - 1)];
+            if slot.state.load(Ordering::Acquire) == FREE
+                && slot
+                    .state
+                    .compare_exchange(FREE, CLAIMING, Ordering::Acquire, Ordering::Acquire)
+                    .is_ok()
+            {
+                slot.procs.store(procs, Ordering::Relaxed);
                 slot.cause.store(cause.index() as u64, Ordering::Relaxed);
                 slot.var.store(var, Ordering::Relaxed);
-                // Publish the identity fields before the slot becomes
-                // visible to `top_k` readers.
-                slot.init.store(1, Ordering::Release);
+                // Publish the identity before anyone compares it: pairs
+                // with the Acquire loads of `state` below and in `rows`.
+                slot.state.store(READY, Ordering::Release);
             }
-            slot.last_aggressor.store(aggressor, Ordering::Relaxed);
-            slot.last_victim.store(victim, Ordering::Relaxed);
-            slot.count.fetch_add(1, Ordering::Relaxed);
-            return;
+            // A peer claimed this slot a few stores ago; wait until its
+            // identity is published (first touch of a row only).
+            while slot.state.load(Ordering::Acquire) == CLAIMING {
+                std::thread::yield_now();
+            }
+            if slot.procs.load(Ordering::Relaxed) == procs
+                && slot.cause.load(Ordering::Relaxed) == cause.index() as u64
+                && slot.var.load(Ordering::Relaxed) == var
+            {
+                slot.last_aggressor.store(aggressor, Ordering::Relaxed);
+                slot.last_victim.store(victim, Ordering::Relaxed);
+                slot.count.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
         }
         self.overflow.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Edges dropped because the table was full.
+    /// Attributed aborts dropped because the table was full.
     pub fn overflow(&self) -> u64 {
         self.overflow.load(Ordering::Relaxed)
     }
 
-    /// Total recorded conflicts across every edge.
+    /// Attributed aborts across every row, named or not (overflow
+    /// excluded).
     pub fn total(&self) -> u64 {
-        let mut sum = 0;
-        self.for_each(|e| sum += e.count);
-        sum
+        self.rows().map(|e| e.count).sum()
     }
 
-    /// Visits every recorded edge.
-    pub fn for_each(&self, mut f: impl FnMut(Edge)) {
-        for slot in self.slots.iter() {
-            // Pairs with the claiming thread's Release: identity fields
-            // are fully written once `init` reads 1.
-            if slot.init.load(Ordering::Acquire) == 0 {
-                continue;
-            }
+    /// Attributed aborts on rows whose aggressor was named.
+    pub fn named(&self) -> u64 {
+        self.rows().filter(Edge::named).map(|e| e.count).sum()
+    }
+
+    /// Every row with a non-zero count.
+    fn rows(&self) -> impl Iterator<Item = Edge> + '_ {
+        self.slots.iter().filter_map(|slot| {
+            // Pairs with the claimer's Release: the identity is whole
+            // once the state reads READY.
+            let ready = slot.state.load(Ordering::Acquire) == READY;
             let count = slot.count.load(Ordering::Relaxed);
-            if count == 0 {
-                continue;
-            }
-            f(Edge {
-                aggressor_proc: slot.aggressor_proc.load(Ordering::Relaxed) as u32,
-                victim_proc: slot.victim_proc.load(Ordering::Relaxed) as u32,
+            let procs = slot.procs.load(Ordering::Relaxed);
+            (ready && count > 0).then(|| Edge {
+                aggressor_proc: (procs >> 32) as u32,
+                victim_proc: procs as u32,
                 cause: ABORT_CAUSES[slot.cause.load(Ordering::Relaxed) as usize],
                 var: slot.var.load(Ordering::Relaxed),
                 count,
                 last_aggressor: slot.last_aggressor.load(Ordering::Relaxed),
                 last_victim: slot.last_victim.load(Ordering::Relaxed),
-            });
-        }
+            })
+        })
     }
 
-    /// The `k` heaviest edges, descending by count (ties broken by var
+    /// The `k` heaviest rows, descending by count (ties broken by var
     /// then aggressor for determinism).
     pub fn top_k(&self, k: usize) -> Vec<Edge> {
-        let mut all = Vec::new();
-        self.for_each(|e| all.push(e));
-        all.sort_by(|a, b| {
-            b.count
-                .cmp(&a.count)
-                .then(a.var.cmp(&b.var))
-                .then(a.aggressor_proc.cmp(&b.aggressor_proc))
-        });
+        let mut all: Vec<Edge> = self.rows().collect();
+        all.sort_by_key(|e| (Reverse(e.count), e.var, e.aggressor_proc));
         all.truncate(k);
         all
     }
 
-    /// Zeroes every edge count (slots keep their identity claims).
+    /// The `k` hottest t-variables: the rows summed per variable, with
+    /// the per-cause breakdown, descending by total (ties broken by id).
+    pub fn top_vars(&self, k: usize) -> Vec<VarTotal> {
+        let mut by_var = BTreeMap::new();
+        for e in self.rows() {
+            let v = by_var.entry(e.var).or_insert(VarTotal {
+                var: e.var,
+                total: 0,
+                by_cause: [0; CAUSES],
+            });
+            v.total += e.count;
+            v.by_cause[e.cause.index()] += e.count;
+        }
+        let mut all: Vec<VarTotal> = by_var.into_values().collect();
+        // Stable: equal totals stay in id order.
+        all.sort_by_key(|v| Reverse(v.total));
+        all.truncate(k);
+        all
+    }
+
+    /// Zeroes every count and the overflow (slots keep their identity
+    /// claims). Benches call this when a measured cell starts, so a
+    /// cell's table is net of warmup.
     pub fn reset(&self) {
         for slot in self.slots.iter() {
             slot.count.store(0, Ordering::Relaxed);
@@ -248,7 +293,7 @@ mod tests {
 
     #[test]
     fn records_aggregate_per_edge_and_keep_last_ids() {
-        let t = ConflictTable::new();
+        let t = Forensics::new();
         t.record(pack_tx(1, 10), pack_tx(2, 20), AbortCause::CmArbitrated, 7);
         t.record(pack_tx(1, 11), pack_tx(2, 21), AbortCause::CmArbitrated, 7);
         t.record(pack_tx(3, 1), pack_tx(2, 22), AbortCause::LockBusy, 9);
@@ -265,17 +310,50 @@ mod tests {
         assert_eq!(t.total(), 3);
     }
 
+    /// Conflicts that differ in victim or variable are different rows:
+    /// where a plain XOR of shifted fields agrees (`1 << 12 ^ 0 ==
+    /// 0 << 12 ^ 4096`), and where two hashes pick the same home slot.
+    #[test]
+    fn distinct_conflicts_keep_their_own_rows() {
+        let t = Forensics::new();
+        t.record(pack_tx(1, 1), pack_tx(0, 1), AbortCause::CmArbitrated, 4096);
+        t.record(pack_tx(1, 2), pack_tx(1, 2), AbortCause::CmArbitrated, 0);
+        t.record(pack_tx(1, 3), pack_tx(1, 3), AbortCause::CmArbitrated, 0);
+        let top = t.top_k(4);
+        assert_eq!(top.len(), 2, "{top:?}");
+        assert_eq!((top[0].victim_proc, top[0].var, top[0].count), (1, 0, 2));
+        assert_eq!((top[1].victim_proc, top[1].var, top[1].count), (0, 4096, 1));
+
+        let t = Forensics::new();
+        let home = |var| edge_key(1 << 32, AbortCause::LockBusy, var) as usize % TABLE_SLOTS;
+        let twin = (1..)
+            .find(|&v| home(v) == home(0))
+            .expect("ids share home slots");
+        for var in [0, twin, twin] {
+            t.record(pack_tx(1, 4), pack_tx(0, 4), AbortCause::LockBusy, var);
+        }
+        let top = t.top_k(4);
+        assert_eq!(top.len(), 2, "{top:?}");
+        assert_eq!((top[0].var, top[0].count), (twin, 2));
+        assert_eq!((top[1].var, top[1].count), (0, 1));
+    }
+
+    /// An unknown aggressor records no named conflict: the abort still
+    /// lands as a row under its variable, and stays out of `named()`.
     #[test]
     fn unknown_aggressor_records_nothing() {
-        let t = ConflictTable::new();
+        let t = Forensics::new();
         t.record(TX_UNKNOWN, pack_tx(2, 2), AbortCause::ReadValidation, 3);
-        assert_eq!(t.total(), 0);
-        assert!(t.top_k(4).is_empty());
+        assert_eq!((t.total(), t.named()), (1, 0));
+        let e = t.top_k(4)[0];
+        assert_eq!((e.aggressor_proc, e.victim_proc, e.var), (u32::MAX, 2, 3));
+        assert!(!e.named());
+        assert_eq!(t.top_vars(4)[0].var, 3);
     }
 
     #[test]
     fn reset_clears_counts() {
-        let t = ConflictTable::new();
+        let t = Forensics::new();
         t.record(pack_tx(0, 1), pack_tx(1, 1), AbortCause::CasLost, 4);
         t.reset();
         assert_eq!(t.total(), 0);
@@ -285,7 +363,7 @@ mod tests {
 
     #[test]
     fn concurrent_records_all_land() {
-        let t = std::sync::Arc::new(ConflictTable::new());
+        let t = std::sync::Arc::new(Forensics::new());
         std::thread::scope(|s| {
             for p in 0..8u32 {
                 let t = std::sync::Arc::clone(&t);

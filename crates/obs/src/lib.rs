@@ -16,6 +16,10 @@
 //! documented failure mode), contention-manager arbitration (DSTM's), a
 //! lost ownership CAS (Algorithm 2's), or a retry budget running dry.
 //!
+//! Forensics says *where* and *who*: each variable-attributed abort counts
+//! once in one who-aborted-whom table ([`Forensics`]), keyed by aggressor,
+//! victim, cause and t-variable; the per-variable ranking is a view of it.
+//!
 //! Every signal here has a reader: a test oracle, the benchmark's report
 //! or ledger, or the hybrid's mode controller. Timelines are not kept
 //! here; the benchmark's `--trace` run writes its own Chrome trace.
@@ -24,10 +28,8 @@
 //! [`StmStats`] from the `WordStm` trait itself.
 
 pub mod conflict;
-pub mod heatmap;
 
-pub use conflict::{pack_tx, tx_proc, tx_seq, ConflictTable, Edge, TX_UNKNOWN};
-pub use heatmap::{Heatmap, HotVar};
+pub use conflict::{pack_tx, tx_proc, tx_seq, Edge, Forensics, VarTotal, TX_UNKNOWN};
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -83,8 +85,8 @@ impl AbortCause {
         }
     }
 
-    /// This cause's position in [`ABORT_CAUSES`] (heatmap rows and edge
-    /// slots index by it).
+    /// This cause's position in [`ABORT_CAUSES`] (forensic rows and the
+    /// per-variable breakdown index by it).
     pub fn index(self) -> usize {
         self as usize
     }
@@ -169,14 +171,6 @@ pub enum VarAttr {
 }
 
 impl VarAttr {
-    /// The attributed id, if any.
-    pub fn id(self) -> Option<u64> {
-        match self {
-            VarAttr::Var(x) => Some(x),
-            VarAttr::NoVar => None,
-        }
-    }
-
     /// Attribution from an optional id — for sites that relay a stamp a
     /// peer may or may not have left (e.g. the DSTM killer stamp).
     pub fn opt(v: Option<u64>) -> VarAttr {
@@ -184,58 +178,6 @@ impl VarAttr {
             Some(x) => VarAttr::Var(x),
             None => VarAttr::NoVar,
         }
-    }
-}
-
-/// The conflict-forensics bundle every [`StmStats`] carries: the
-/// per-variable [`Heatmap`] and the who-aborted-whom [`ConflictTable`].
-/// Every attributed abort is recorded: the abort path is never the hot
-/// path (it already cost a failed validation or a lost CAS plus backoff),
-/// and recording is a few relaxed increments. Reached via
-/// [`StmStats::forensics`] (and `WordStm::forensics()` in `oftm-core`).
-pub struct Forensics {
-    heatmap: Heatmap,
-    edges: ConflictTable,
-}
-
-impl Default for Forensics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Forensics {
-    pub fn new() -> Forensics {
-        Forensics {
-            heatmap: Heatmap::new(),
-            edges: ConflictTable::new(),
-        }
-    }
-
-    /// The per-variable abort-attribution heatmap.
-    pub fn heatmap(&self) -> &Heatmap {
-        &self.heatmap
-    }
-
-    /// The who-aborted-whom conflict-edge table.
-    pub fn edges(&self) -> &ConflictTable {
-        &self.edges
-    }
-
-    /// Records one attributed abort: heatmap row for the variable (when
-    /// one was named) and, when the aggressor is known, a conflict edge.
-    pub fn record(&self, cause: AbortCause, var: VarAttr, victim: u64, aggressor: u64) {
-        if let Some(x) = var.id() {
-            self.heatmap.record(x, cause);
-            self.edges.record(aggressor, victim, cause, x);
-        }
-    }
-
-    /// Zeroes both tables (benches call this when a measured cell
-    /// starts, so per-cell tables are net of warmup).
-    pub fn reset(&self) {
-        self.heatmap.reset();
-        self.edges.reset();
     }
 }
 
@@ -401,9 +343,12 @@ fn my_shard() -> usize {
 /// every shard into a [`StatsSnapshot`].
 pub struct StmStats {
     shards: Box<[StatShard]>,
-    /// The conflict-forensics bundle (heatmap + edges). Lives inside the
-    /// stats so a hybrid's engines, which share one `Arc<StmStats>`,
-    /// automatically share one forensics view too.
+    /// The who-aborted-whom table. Lives inside the stats so a hybrid's
+    /// engines, which share one `Arc<StmStats>`, automatically share one
+    /// forensics view too. Every attributed abort is recorded: the abort
+    /// path is never the hot path (it already cost a failed validation or
+    /// a lost CAS plus backoff), and recording is a probe and a few
+    /// relaxed stores.
     forensics: Forensics,
 }
 
@@ -421,8 +366,7 @@ impl StmStats {
         }
     }
 
-    /// The conflict-forensics bundle: per-variable heatmap and
-    /// who-aborted-whom edges, fed by [`StmStats::abort_at`].
+    /// The who-aborted-whom table, fed by [`StmStats::abort_at`].
     pub fn forensics(&self) -> &Forensics {
         &self.forensics
     }
@@ -456,12 +400,14 @@ impl StmStats {
     /// explicit [`VarAttr::NoVar`] marker), the aborting transaction
     /// (`victim`, packed via [`pack_tx`]), and — where the backend knows
     /// it — the conflicting peer (`aggressor`; [`TX_UNKNOWN`] otherwise).
-    /// Feeds the cause counter exactly like [`StmStats::abort`], plus the
-    /// heatmap/edge tables.
+    /// Feeds the cause counter exactly like [`StmStats::abort`], plus one
+    /// row of the forensics table when a variable is named.
     #[inline]
     pub fn abort_at(&self, cause: AbortCause, var: VarAttr, victim: u64, aggressor: u64) {
         self.incr(cause.counter());
-        self.forensics.record(cause, var, victim, aggressor);
+        if let VarAttr::Var(x) = var {
+            self.forensics.record(aggressor, victim, cause, x);
+        }
     }
 
     /// Records one attempt's wall-clock latency (begin → commit/abort).
@@ -661,17 +607,17 @@ mod tests {
         );
         let snap = stats.snapshot();
         assert_eq!(snap.aborts(), 2);
-        let hot = stats.forensics().heatmap().top_k(4);
-        assert_eq!(hot.len(), 1, "NoVar must not land in the heatmap");
+        let hot = stats.forensics().top_vars(4);
+        assert_eq!(hot.len(), 1, "NoVar must not land in the table");
         assert_eq!(hot[0].var, 7);
-        let edges = stats.forensics().edges().top_k(4);
+        let edges = stats.forensics().top_k(4);
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].aggressor_proc, 1);
         assert_eq!(edges[0].victim_proc, 2);
         assert_eq!(edges[0].last_aggressor, pack_tx(1, 3));
         assert_eq!(edges[0].cause, AbortCause::CmArbitrated);
         // Exact, not sampled: every `Var`-attributed abort lands in the
-        // heatmap; one with an unknown aggressor adds no edge.
+        // table; one with an unknown aggressor adds no named row.
         for i in 0..99u64 {
             stats.abort_at(
                 AbortCause::ReadValidation,
@@ -680,8 +626,12 @@ mod tests {
                 TX_UNKNOWN,
             );
         }
-        assert_eq!(stats.forensics().heatmap().total(), 100);
-        assert_eq!(stats.forensics().edges().total(), 1);
+        assert_eq!(stats.forensics().total(), 100);
+        assert_eq!(stats.forensics().named(), 1);
+        let hot = stats.forensics().top_vars(4);
+        assert_eq!(hot.iter().map(|v| v.total).sum::<u64>(), 100);
+        assert_eq!((hot[0].var, hot[0].total), (0, 33));
+        assert_eq!(hot[0].dominant_cause(), AbortCause::ReadValidation);
         assert_eq!(stats.snapshot().aborts(), 101);
     }
 
@@ -723,5 +673,118 @@ mod tests {
         let snap = stats.snapshot();
         assert_eq!(snap.get(Counter::Begins), 8000);
         assert_eq!(snap.attempt_ns.count(), 8000);
+    }
+}
+
+/// Tests of the per-variable view of the forensics table
+/// ([`Forensics::top_vars`]): the hot set, its exactness and its reset.
+#[cfg(test)]
+mod heatmap {
+    mod tests {
+        use crate::conflict::TABLE_SLOTS;
+        use crate::{pack_tx, AbortCause, Forensics, TX_UNKNOWN};
+
+        /// The per-variable view sums every row over a variable — across
+        /// aggressors, victims and causes — and ranks the hot set.
+        #[test]
+        fn records_and_ranks_hot_vars() {
+            let t = Forensics::new();
+            for i in 0..5 {
+                t.record(
+                    pack_tx(i % 2, i),
+                    pack_tx(2, i),
+                    AbortCause::ReadValidation,
+                    7,
+                );
+            }
+            for i in 0..3 {
+                t.record(TX_UNKNOWN, pack_tx(3, i), AbortCause::LockBusy, 7);
+            }
+            t.record(pack_tx(0, 9), pack_tx(1, 9), AbortCause::CasLost, 9);
+            let dynamic = (1 << 32) + 17;
+            t.record(
+                pack_tx(4, 1),
+                pack_tx(5, 1),
+                AbortCause::CmArbitrated,
+                dynamic,
+            );
+            t.record(
+                pack_tx(5, 1),
+                pack_tx(4, 1),
+                AbortCause::CmArbitrated,
+                dynamic,
+            );
+
+            let top = t.top_vars(2);
+            assert_eq!(top.len(), 2);
+            assert_eq!((top[0].var, top[0].total), (7, 8));
+            assert_eq!(top[0].by_cause[AbortCause::LockBusy.index()], 3);
+            assert_eq!(top[0].dominant_cause(), AbortCause::ReadValidation);
+            assert_eq!((top[1].var, top[1].total), (dynamic, 2));
+            assert_eq!((t.total(), t.named(), t.overflow()), (11, 8, 0));
+        }
+
+        /// Ids anywhere in `u64` get exact rows; what does not fit in the
+        /// table is counted in `overflow`, never dropped silently, and
+        /// stays out of the view.
+        #[test]
+        fn out_of_region_ids_land_in_overflow_not_silence() {
+            let t = Forensics::new();
+            t.record(
+                pack_tx(0, 1),
+                pack_tx(1, 1),
+                AbortCause::LockBusy,
+                u64::MAX - 3,
+            );
+            assert_eq!(t.top_vars(1)[0].var, u64::MAX - 3);
+            let n = TABLE_SLOTS as u64 + 100;
+            for var in 0..n {
+                t.record(pack_tx(0, 1), pack_tx(1, 1), AbortCause::LockBusy, var);
+            }
+            assert!(t.overflow() >= 100);
+            assert_eq!(t.total() + t.overflow(), n + 1);
+            let view: u64 = t.top_vars(usize::MAX).iter().map(|v| v.total).sum();
+            assert_eq!(view, t.total());
+        }
+
+        #[test]
+        fn reset_zeroes_counts() {
+            let t = Forensics::new();
+            t.record(pack_tx(0, 1), pack_tx(1, 1), AbortCause::ReadValidation, 3);
+            for var in 0..TABLE_SLOTS as u64 + 100 {
+                t.record(TX_UNKNOWN, pack_tx(1, 1), AbortCause::ReadValidation, var);
+            }
+            t.reset();
+            assert_eq!((t.total(), t.overflow()), (0, 0));
+            assert!(t.top_vars(4).is_empty());
+            // Still usable after a reset: a row keeps its slot.
+            t.record(pack_tx(0, 2), pack_tx(1, 2), AbortCause::ReadValidation, 3);
+            assert_eq!(t.top_vars(1)[0].total, 1);
+        }
+
+        #[test]
+        fn concurrent_records_all_land() {
+            let t = std::sync::Arc::new(Forensics::new());
+            std::thread::scope(|s| {
+                for p in 0..8u32 {
+                    let t = std::sync::Arc::clone(&t);
+                    s.spawn(move || {
+                        for i in 0..1000u32 {
+                            let var = u64::from(i % 16 + p * 2048);
+                            t.record(
+                                pack_tx(p, i),
+                                pack_tx(p, i),
+                                AbortCause::ReadValidation,
+                                var,
+                            );
+                        }
+                    });
+                }
+            });
+            assert_eq!((t.total(), t.overflow()), (8000, 0));
+            let hot = t.top_vars(usize::MAX);
+            assert_eq!(hot.len(), 128);
+            assert_eq!(hot.iter().map(|v| v.total).sum::<u64>(), 8000);
+        }
     }
 }

@@ -575,7 +575,7 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
                 // abort-var-attribution: every tagging call must attribute
                 // the conflicting t-variable, or decline explicitly with
                 // `VarAttr::NoVar` — budget/retry causes included (their
-                // declining is what keeps the heatmap honest).
+                // declining is what keeps the forensics table honest).
                 if !window.contains("VarAttr::") {
                     push(
                         idx,
