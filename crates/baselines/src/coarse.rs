@@ -221,7 +221,7 @@ impl WordTx for CoarseTx<'_> {
         }
         let pin = self.pin.take().expect("held until completion");
         let retired = std::mem::take(&mut self.retired);
-        let evicted = self.stm.store.retire_and_evict(pin, retired);
+        let evicted = self.stm.store.retire_and_evict(self.id.proc, pin, retired);
         self.stm.stats.add(Counter::TvarsFreed, evicted);
         Ok(())
     }
@@ -313,6 +313,7 @@ impl WordStm for CoarseStm {
     }
 
     fn live_tvars(&self) -> usize {
+        self.stats.add(Counter::TvarsFreed, self.store.evict_ripe());
         self.store.len()
     }
 

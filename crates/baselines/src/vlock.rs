@@ -501,7 +501,8 @@ impl<P: ReadPolicy> Attempt<'_, P> {
         // Filled at `begin` and emptied only here, and only `try_commit` —
         // which consumes the transaction — gets here, once.
         let pin = self.pin.take().expect("held until completion");
-        let evicted = self.stm.vars.retire_and_evict(pin, std::mem::take(retired));
+        let retired = std::mem::take(retired);
+        let evicted = self.stm.vars.retire_and_evict(self.id.proc, pin, retired);
         self.stm.stats.add(Counter::TvarsFreed, evicted);
     }
 }
@@ -839,6 +840,7 @@ impl<P: ReadPolicy> WordStm for VersionedLockStm<P> {
     }
 
     fn live_tvars(&self) -> usize {
+        self.stats.add(Counter::TvarsFreed, self.vars.evict_ripe());
         self.vars.len()
     }
 
@@ -1120,6 +1122,28 @@ mod tests {
         assert_eq!(s.live_tvars(), 2);
     }
 
+    /// A reader in flight before a retiring commit keeps the block in the
+    /// retirer's bag, off the shared bins; once it is gone, the count
+    /// settles the bag.
+    fn grace_period_protects_in_flight_readers<P: ReadPolicy>() {
+        let s = stm::<P>();
+        let node = s.alloc_tvar(5);
+        let mut reader = s.begin(1);
+        assert_eq!(reader.read(node).unwrap(), 5);
+        let mut retirer = s.begin(2);
+        retirer.retire_tvar_block(node, 1);
+        retirer.try_commit().unwrap();
+        assert_eq!(s.vars.piled(2), 1, "the block waits in the retirer's bag");
+        assert_eq!(s.vars.domain().pending_blocks(), 0);
+        assert_eq!(s.live_tvars(), 3, "block must survive the reader");
+        assert_eq!(s.peek(node), Some(5));
+        reader.try_abort();
+        assert_eq!(s.live_tvars(), 2);
+        assert_eq!(s.vars.piled(2), 0);
+        assert_eq!(s.vars.domain().pending_blocks(), 0);
+        assert_eq!(s.peek(node), None);
+    }
+
     macro_rules! both_policies {
         ($($(#[$attr:meta])* $name:ident),* $(,)?) => {
             mod tl {
@@ -1147,6 +1171,7 @@ mod tests {
         recorded_histories_serializable,
         locked_read_tags_lock_busy_naming_the_holder,
         live_walk_evicts_retired_blocks_past_their_grace,
+        grace_period_protects_in_flight_readers,
     }
 
     // ---- TL pins ----------------------------------------------------

@@ -146,7 +146,11 @@ pub trait WordStm: Send + Sync {
     fn free_tvar_block(&self, base: TVarId, len: usize);
 
     /// Number of t-variables currently registered or allocated and not
-    /// yet freed — the live-count metric leak regressions assert on.
+    /// yet freed — the live-count metric leak regressions assert on. A
+    /// table-backed backend first evicts every retired block whose grace
+    /// period has elapsed (`VarTable::evict_ripe`), so the count is exact
+    /// once the instance is quiescent. For oracles and tests: it walks
+    /// every process's bag.
     fn live_tvars(&self) -> usize;
 
     /// Begins a transaction on behalf of process `proc`.

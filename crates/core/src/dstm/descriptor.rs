@@ -149,8 +149,6 @@ impl Descriptor {
         self.karma.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records the first moment a peer wanted this transaction gone;
-    /// returns that (stable) first moment. Used by the grace-period policy.
     /// Claims the forensic killer stamp of this (victim) descriptor:
     /// `killer` is the aggressor's packed transaction id
     /// ([`oftm_obs::pack_tx`]), `var` the t-variable fought over. First
@@ -196,6 +194,8 @@ impl Descriptor {
         }
     }
 
+    /// Records the first moment a peer wanted this transaction gone;
+    /// returns that (stable) first moment. Used by the grace-period policy.
     pub fn note_conflict(&self, now: u64) -> u64 {
         let now = now.max(1); // 0 is the "unset" sentinel
         match self

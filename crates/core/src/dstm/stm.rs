@@ -130,7 +130,10 @@ impl Dstm {
     /// locators — all of it while no transaction runs, so an engine
     /// quiesced for good strands none.
     pub(crate) fn reclaim_parked(&self) {
-        self.scratch.for_each_parked(Scratch::reclaim);
+        self.scratch.for_each_parked(|key, mut scratch| {
+            scratch.reclaim();
+            self.scratch.put(key, scratch);
+        });
     }
 
     /// Switches the instance to the eventually-ic progress policy with the

@@ -83,7 +83,7 @@ use super::tvar::{TVar, TVarInner};
 use crate::api::{TxError, TxResult};
 use crate::cm::Resolution;
 use crate::contention::PARK_FLOOR;
-use crate::reclaim::{Bag, Deferred, GraceTracker, Guard, Owned, Shared};
+use crate::reclaim::{Bag, Deferred, GraceTracker, Guard, Owned, Retired, Shared, BAG_BOUND};
 use crate::table::Pinned;
 use oftm_histories::{Access, ProcId, TVarId, TxId};
 use oftm_obs::{pack_tx, AbortCause, Counter, VarAttr, TX_UNKNOWN};
@@ -105,11 +105,6 @@ impl ReadEntry {
         std::ptr::eq(&*self.var, var)
     }
 }
-
-/// Locators a process's bag may hold, unripe, before its next transaction
-/// pauses ([`Scratch::pause_if_piled`]). A solo process never gets there:
-/// its bag is empty after every transaction.
-pub(crate) const BAG_BOUND: usize = 1024;
 
 /// Pooled per-process buffers: popped at `begin` and handed back —
 /// cleared, the same `Box` — when the transaction drops. `installed` is
@@ -143,7 +138,8 @@ impl Scratch {
     /// front of the bag. The transaction's guard must be gone, or its own
     /// batch would wait on it.
     fn retire_unlinked(&mut self) {
-        self.domain.retire(&mut self.bag, &mut self.unlinked);
+        let unlinked = self.unlinked.drain(..).map(Retired::Memory);
+        self.domain.retire(&mut self.bag, unlinked);
         self.reclaim();
     }
 
@@ -166,6 +162,7 @@ impl Scratch {
     /// Frees the front of the bag that no registered transaction
     /// predates.
     pub(crate) fn reclaim(&mut self) {
+        // Locators only: no block to hand back.
         self.domain.reclaim(&mut self.bag);
     }
 
@@ -180,7 +177,8 @@ impl Scratch {
 /// still holds to the domain's shared bins: a later tag is always safe.
 impl Drop for Scratch {
     fn drop(&mut self) {
-        self.domain.retire(&mut self.bag, &mut self.unlinked);
+        let unlinked = self.unlinked.drain(..).map(Retired::Memory);
+        self.domain.retire(&mut self.bag, unlinked);
         self.domain.defer_bag(&mut self.bag, 0);
     }
 }

@@ -236,7 +236,8 @@ impl WordTx for DstmWordTx<'_> {
                     retired,
                     ..
                 } = *self;
-                let evicted = word.vars.retire_and_evict(tx.release(), retired);
+                let proc = tx.id().proc;
+                let evicted = word.vars.retire_and_evict(proc, tx.release(), retired);
                 word.stm.stats().add(Counter::TvarsFreed, evicted);
             }
             Err(TxError::Aborted) => self.record_respond(TmResp::Aborted),
@@ -289,6 +290,9 @@ impl WordStm for DstmWord {
     }
 
     fn live_tvars(&self) -> usize {
+        self.stm
+            .stats()
+            .add(Counter::TvarsFreed, self.vars.evict_ripe());
         self.vars.len()
     }
 
@@ -503,17 +507,20 @@ mod tests {
         // A reader in flight before the retiring commit…
         let mut reader = s.begin(1);
         assert_eq!(reader.read(node).unwrap(), 5);
-        // …delays the free past the committing retirer.
+        // …delays the free past the committing retirer, whose bag keeps
+        // the block; the shared bins see none of it.
         let mut retirer = s.begin(2);
         retirer.retire_tvar_block(node, 1);
         retirer.try_commit().unwrap();
+        assert_eq!(s.vars.piled(2), 1, "the block waits in the retirer's bag");
+        assert_eq!(s.stm.domain().pending_blocks(), 0);
         assert_eq!(s.live_tvars(), 2, "block must survive the reader");
-        assert_eq!(s.stm.domain().pending_blocks(), 1);
+        assert_eq!(s.peek(node), Some(5));
         reader.try_abort();
-        // Next completed transaction sweeps the now-safe block.
-        let tx = s.begin(3);
-        tx.try_commit().unwrap();
+        // Quiescent: the count settles the bag — the block is evicted and
+        // its state, retired after the tombstone, freed.
         assert_eq!(s.live_tvars(), 1);
+        assert_eq!(s.vars.piled(2), 0);
         assert_eq!(s.stm.domain().pending_blocks(), 0);
         assert_eq!(s.peek(node), None);
     }

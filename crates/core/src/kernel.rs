@@ -407,6 +407,13 @@ impl<'c, F: SyncFacade, S: SlotSet<F::Au64>, M: Send> GraceGuard<'c, F, S, M> {
         // IDLE after we are finished and can no longer touch any of it.
         self.slot.store(IDLE_SLOT, Ordering::SeqCst);
     }
+
+    /// Releases the registration without collecting: for a commit hook
+    /// that reclaims right after, and must not wait on itself.
+    pub fn release(self) {
+        self.unregister();
+        std::mem::forget(self);
+    }
 }
 
 impl<F: SyncFacade, S: SlotSet<F::Au64>, M: Send> Drop for GraceGuard<'_, F, S, M> {
@@ -431,9 +438,10 @@ struct Bins<M> {
 /// garbage — an item tagged `e` is reclaimed once every registered guard
 /// has published an epoch `> e`: retired id blocks go back to the caller
 /// (which owns the table they index), memory items `M` are dropped. The
-/// same rule governs a [`GraceBag`], a private pile of the memory its
-/// owner unlinks on every operation, reclaimed without the bins' lock. See [`crate::reclaim`] for why this is safe; `model_grace`
-/// checks it exhaustively at preemption bound 2.
+/// same rule governs a [`GraceBag`], a private pile of what its owner
+/// retires on every operation (memory and id blocks alike), reclaimed
+/// without the bins' lock. See [`crate::reclaim`] for why this is safe;
+/// `model_grace` checks it exhaustively at preemption bound 2.
 pub struct GraceCore<F: SyncFacade, S: SlotSet<F::Au64>, M: Send> {
     /// Monotonic epoch; advanced by every retirement.
     epoch: F::Au64,
@@ -541,6 +549,17 @@ impl<F: SyncFacade, S: SlotSet<F::Au64>, M: Send> GraceCore<F, S, M> {
         self.enter(1, |bins| bins.memory.push((tag, item)));
     }
 
+    /// [`GraceCore::defer`] for a whole batch: one tag, one lock.
+    pub fn defer_all(&self, items: impl IntoIterator<Item = M, IntoIter: ExactSizeIterator>) {
+        let items = items.into_iter();
+        if items.len() != 0 {
+            let tag = self.tag();
+            self.enter(items.len(), |bins| {
+                bins.memory.extend(items.map(|item| (tag, item)))
+            });
+        }
+    }
+
     /// Commit hook: releases the committing transaction's guard, enters
     /// its retire-set (if any) as a new batch, drops every memory item
     /// and returns every id block whose grace period has elapsed. The
@@ -555,8 +574,7 @@ impl<F: SyncFacade, S: SlotSet<F::Au64>, M: Send> GraceCore<F, S, M> {
         // Release our slot first: the batch we are about to enter must not
         // wait on the very transaction that retired it. (No collection of
         // its own: the flush below does it.)
-        guard.unregister();
-        std::mem::forget(guard);
+        guard.release();
         if !retired.is_empty() {
             let tag = self.tag();
             self.enter(retired.len(), |bins| bins.blocks.push((tag, retired)));
@@ -647,52 +665,82 @@ impl<F: SyncFacade, S: SlotSet<F::Au64>, M: Send> GraceCore<F, S, M> {
         self.bins.with(|bins| bins.memory.len())
     }
 
-    /// Tags `batch` — memory its caller has just unlinked — with one
-    /// epoch bump and appends it to the caller's private `bag`, emptying
-    /// `batch`. The bag stays in tag order: tags only grow.
-    pub fn retire(&self, bag: &mut GraceBag<M>, batch: &mut Vec<M>) {
-        if !batch.is_empty() {
+    /// Tags `batch` — what its caller has just unlinked, or the blocks its
+    /// commit retired — with one epoch bump and appends it to the caller's
+    /// private `bag`. The bag stays in tag order: tags only grow.
+    pub fn retire(
+        &self,
+        bag: &mut GraceBag<M>,
+        batch: impl IntoIterator<Item = Retired<M>, IntoIter: ExactSizeIterator>,
+    ) {
+        let batch = batch.into_iter();
+        if batch.len() != 0 {
             let tag = self.tag();
-            bag.items.extend(batch.drain(..).map(|item| (tag, item)));
+            bag.items.extend(batch.map(|item| (tag, item)));
         }
     }
 
-    /// Drops the front of `bag` that no registered guard predates: one
-    /// slot scan, no lock. Sound because the `&mut` makes the caller the
+    /// Takes the front of `bag` that no registered guard predates: one
+    /// slot scan, no lock. Drops its memory and returns its id blocks —
+    /// to the caller, as [`GraceCore::flush`] does, because it owns the
+    /// table they index. Sound because the `&mut` makes the caller the
     /// bag's one owner, the only one that fills it (see
     /// [`crate::reclaim`]).
-    pub fn reclaim(&self, bag: &mut GraceBag<M>) {
+    pub fn reclaim(&self, bag: &mut GraceBag<M>) -> Vec<RetiredBlock> {
+        let mut blocks = Vec::new();
         if bag.items.is_empty() {
-            return;
+            return blocks;
         }
         let min_active = self.slots.min_active();
         while bag.items.front().is_some_and(|(tag, _)| *tag < min_active) {
-            bag.items.pop_front();
+            if let Some((_, Retired::Block(block))) = bag.items.pop_front() {
+                blocks.push(block);
+            }
         }
+        blocks
     }
 
     /// Hands all but the oldest `keep` items of `bag` over to the shared
     /// bins under one fresh tag — later than each item's own, which is
-    /// always safe — for whoever releases or flushes next to drop.
+    /// always safe — for whoever releases or flushes next to drop, or to
+    /// evict.
     pub fn defer_bag(&self, bag: &mut GraceBag<M>, keep: usize) {
         if bag.items.len() > keep {
             let tag = self.tag();
             let n = bag.items.len() - keep;
-            let items = bag.items.drain(keep..).map(|(_, item)| (tag, item));
-            self.enter(n, |bins| bins.memory.extend(items));
+            self.enter(n, |bins| {
+                let mut blocks = Vec::new();
+                for (_, item) in bag.items.drain(keep..) {
+                    match item {
+                        Retired::Memory(m) => bins.memory.push((tag, m)),
+                        Retired::Block(b) => blocks.push(b),
+                    }
+                }
+                if !blocks.is_empty() {
+                    bins.blocks.push((tag, blocks));
+                }
+            });
         }
     }
 }
 
-/// One owner's private pile of retired memory, in tag order: what
-/// [`GraceCore::retire`] tags and [`GraceCore::reclaim`] drops once ripe,
+/// What a [`GraceBag`] holds: memory its owner unlinked, dropped once
+/// ripe, or a block of t-variable ids its owner's commit retired, handed
+/// back once ripe for the owner to evict.
+pub enum Retired<M> {
+    Memory(M),
+    Block(RetiredBlock),
+}
+
+/// One owner's private pile of retired items, in tag order: what
+/// [`GraceCore::retire`] tags and [`GraceCore::reclaim`] takes once ripe,
 /// by the rule of the shared bins but without their lock. Generic over the
-/// item only — it holds no atomics — so the model checker instantiates it
-/// with the item it gives [`GraceCore`]. Dropping a bag drops its items at
-/// once: hand a bag that may hold unripe items to
-/// [`GraceCore::defer_bag`] first.
+/// memory item only — it holds no atomics — so the model checker
+/// instantiates it with the item it gives [`GraceCore`]. Dropping a bag
+/// drops its memory at once and forgets its blocks: hand a bag that may
+/// hold unripe items, or any block, to [`GraceCore::defer_bag`] first.
 pub struct GraceBag<M> {
-    items: VecDeque<(u64, M)>,
+    items: VecDeque<(u64, Retired<M>)>,
 }
 
 impl<M> Default for GraceBag<M> {

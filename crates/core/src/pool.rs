@@ -60,22 +60,35 @@ impl<T> SlotPool<T> {
 
     /// Parks `t` under `key`'s slot, dropping any incumbent.
     pub fn put(&self, key: usize, t: Box<T>) {
-        // ord: AcqRel — Release publishes the bundle to `take`'s Acquire;
-        // Acquire pairs with the incumbent's publishing swap before it drops.
-        let old = self.slots[key & (SLOTS - 1)].swap(Box::into_raw(t), Ordering::AcqRel);
-        if !old.is_null() {
-            // SAFETY: as in `take`.
-            drop(unsafe { Box::from_raw(old) });
-        }
+        drop(self.replace(key, t));
     }
 
-    /// Runs `f` on every parked bundle, each taken out and put back (a
-    /// bundle parked into the slot meanwhile is displaced).
-    pub(crate) fn for_each_parked(&self, mut f: impl FnMut(&mut T)) {
+    /// Parks `t` under `key`'s slot and hands back the incumbent, if any.
+    pub fn replace(&self, key: usize, t: Box<T>) -> Option<Box<T>> {
+        // ord: AcqRel — Release publishes the bundle to `take`'s Acquire;
+        // Acquire pairs with the incumbent's publishing swap before it is
+        // handed back.
+        let old = self.slots[key & (SLOTS - 1)].swap(Box::into_raw(t), Ordering::AcqRel);
+        // SAFETY: as in `take`.
+        (!old.is_null()).then(|| unsafe { Box::from_raw(old) })
+    }
+
+    /// Whether a bundle is parked under `key`'s slot right now: a hint
+    /// that writes nothing, for a caller that must not `take` in vain.
+    pub fn is_parked(&self, key: usize) -> bool {
+        // ord: Relaxed — a hint only; the `take` that acts on it is the
+        // AcqRel swap.
+        !self.slots[key & (SLOTS - 1)]
+            .load(Ordering::Relaxed)
+            .is_null()
+    }
+
+    /// Takes every parked bundle out and hands it to `f` with its key,
+    /// which owns it from there (and may park it again).
+    pub(crate) fn for_each_parked(&self, mut f: impl FnMut(usize, Box<T>)) {
         for key in 0..SLOTS {
-            if let Some(mut t) = self.take(key) {
-                f(&mut t);
-                self.put(key, t);
+            if let Some(t) = self.take(key) {
+                f(key, t);
             }
         }
     }

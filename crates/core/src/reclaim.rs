@@ -27,28 +27,35 @@
 //! Garbage comes in **two ways**, both tagged by bumping the epoch after
 //! the unlink:
 //!
-//! * **The shared bins**, for garbage that is not made on every
-//!   operation — table evictions, the state behind a dropped `TVar`
-//!   handle, retired id blocks. `defer_destroy` tags one item and bins it
-//!   under the bins' lock. A committing transaction hands its guard and
-//!   its retire-set to [`GraceTracker::retire_and_flush`], which releases
-//!   the slot, bins the batch the same way, drops every binned memory item
-//!   and returns every binned id block that **no registered transaction
-//!   predates** — to the caller, because it owns the table they index. An
+//! * **A private bag** ([`crate::kernel::GraceBag`]) per process, for the
+//!   garbage made on every commit: the locator each DSTM acquisition
+//!   unlinks, and the id blocks a table-backed commit retires
+//!   ([`crate::table::VarTable::retire_and_evict`]). When a transaction
+//!   is done, its process tags the whole batch with one epoch bump
+//!   (`GraceCore::retire`) and takes the ripe front of its bag with one
+//!   slot scan (`GraceCore::reclaim`) — no lock, and nothing shared
+//!   written but the epoch. Ripe memory is dropped; ripe id blocks come
+//!   back to the caller, which tombstones their slots and puts the states
+//!   it unlinked into the same bag under the next tag. A bag whose owner
+//!   goes away, or the part of a bag past its bound, is handed to the
+//!   bins under a fresh tag (`GraceCore::defer_bag`): a later tag only
+//!   waits longer.
+//! * **The shared bins**, for garbage that is not made on every commit:
+//!   the states an aborted attempt's frees unlink, the state behind a
+//!   dropped `TVar` handle, a value a re-registration replaces, bags past
+//!   [`BAG_BOUND`] or displaced from their pool, and Algorithm 2's
+//!   retire-sets. `defer_destroy` tags one item and bins it under the
+//!   bins' lock (`GraceCore::defer_all` a batch under one tag).
+//!   [`GraceTracker::retire_and_flush`] releases a committing
+//!   transaction's guard, bins its retire-set the same way, drops every
+//!   binned memory item and returns every binned id block that **no
+//!   registered transaction predates** — to the caller, because it owns
+//!   the table they index. Every table-backed commit still probes the
+//!   bins with one load and flushes them when something waits there. An
 //!   aborting transaction simply drops its guard: its retire-set is
 //!   discarded with it, so a node unlinked by an attempt that later
 //!   aborts stays allocated. A release also drops whatever binned memory
 //!   has become reclaimable.
-//! * **A private bag** ([`crate::kernel::GraceBag`]), for the garbage a
-//!   process makes on every operation: the locator each DSTM acquisition
-//!   unlinks. The transaction logs what it unlinks; when it is done, its
-//!   process tags the whole batch with one epoch bump
-//!   (`GraceCore::retire`) and drops the ripe front of its bag with one
-//!   slot scan (`GraceCore::reclaim`) — no lock, and nothing shared
-//!   written but the epoch. A bag
-//!   whose owner goes away, or the part of a bag past its bound, is
-//!   handed to the bins under a fresh tag (`GraceCore::defer_bag`): a
-//!   later tag only waits longer.
 //!
 //! ### Why `slot epoch > tag` is safe
 //!
@@ -68,6 +75,14 @@
 //! *before* the unlink; they registered (with an epoch ≤ the batch's tag,
 //! taken after the unlinking commit) before that read.
 //!
+//! *Ids, then state.* A ripe block's slots are tombstoned, and the states
+//! they held are retired under a tag taken after the tombstones: a reader
+//! that registered after the block's tag cannot obtain the id by the
+//! contract above, but one that breaks it and loaded a slot before its
+//! tombstone registered before the state's tag, so it is waited out as
+//! any predating guard is. Dropping the state in the scan that found the
+//! block ripe would free it under such a reader.
+//!
 //! ### Why the bins need a lock and a bag does not
 //!
 //! Reclaiming is a slot scan (`min_active`) followed by a check of each
@@ -78,7 +93,8 @@
 //! scan and its check another can add such an item — hence the lock,
 //! taken before the scan, which every entry also takes. A bag has no such
 //! window: it has one owner at a time (a DSTM bag travels inside a pooled
-//! scratch, which the pool hands to one transaction at a time), its items
+//! scratch, a table's bag in the table's pool, and a pool hands each to
+//! one transaction at a time), its items
 //! are added only by that owner, and only before the owner scans, so
 //! every item a scan judges was tagged before the scan, exactly like a
 //! binned item under the lock.
@@ -90,16 +106,25 @@
 //! ([`crate::kernel::GraceCore`]) also runs under `oftm-verify`'s model
 //! checker (`model_grace`), which checks exhaustively, at preemption bound
 //! 2, that nothing is reclaimed under a predating guard, from the bins or
-//! a bag, that every retired block is handed back and every deferred
-//! destructor run exactly once — and refutes four broken variants
-//! (inclusive flush epoch, inclusive bag epoch, read-before-register
-//! misuse, slots scanned before the bins are locked).
+//! a bag, that no block in a bag is evicted under a predating reader,
+//! that every retired block is handed back and every deferred destructor
+//! run exactly once — and refutes five broken variants (inclusive flush
+//! epoch, inclusive bag epoch, read-before-register misuse, slots scanned
+//! before the bins are locked, an evicted state dropped in the scan that
+//! found its block ripe).
 
 use crate::kernel::{GraceBag, GraceCore, GraceGuard, SlotSet, StdSync, IDLE_SLOT};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
-pub use crate::kernel::RetiredBlock;
+pub use crate::kernel::{Retired, RetiredBlock};
+
+/// Items a process's bag may hold, unripe, after its transaction is done;
+/// the rest goes to the shared bins. A DSTM process over the bound pauses
+/// before its next transaction instead of piling on
+/// (`dstm::tx::Scratch::pause_if_piled`). A solo process never gets
+/// there: its bag is all but empty after every transaction.
+pub(crate) const BAG_BOUND: usize = 1024;
 
 /// Slots per chunk of the lock-free slot list.
 const SLOT_CHUNK: usize = 64;
@@ -282,8 +307,8 @@ impl Drop for Deferred {
 /// still deferred.
 pub type GraceTracker = GraceCore<StdSync, SlotArray, Deferred>;
 
-/// A process's private pile of unlinked memory in a [`GraceTracker`]
-/// domain (see the module docs).
+/// A process's private pile of unlinked memory and retired id blocks in a
+/// [`GraceTracker`] domain (see the module docs).
 pub(crate) type Bag = GraceBag<Deferred>;
 
 /// A registration with a [`GraceTracker`]: what a transaction holds from

@@ -53,18 +53,31 @@
 //! [`VarTable::in_domain`]), and the one [`Guard`] of it a transaction
 //! holds from `begin` to completion carries both stages of an eviction.
 //! *Ids first:* backends route frees through
-//! [`VarTable::retire_and_evict`], which hands a retired block back only
-//! once **no in-flight transaction predates the retiring commit** — so by
-//! the time [`VarTable::remove_block`] runs, no transaction that could
-//! legitimately reach the block is still running. *Then memory:* the
-//! eviction itself is nonetheless fully race-safe. A slot owns its `V`
-//! (one `Box`) behind a guard-protected pointer, lookups hand out `&V` for
-//! the lifetime of the caller's guard, and `remove` retires the old
-//! pointer into the same domain via `defer_destroy` — a racing reader (a
-//! contract-breaking zombie) either sees the value, which its guard then
-//! keeps allocated until it is released, or sees the tombstone and
-//! panics. Memory safety never depends on the caller honoring the retire
-//! contract; only the panic-vs-value outcome does.
+//! [`VarTable::retire_and_evict`], which tags the committing process's
+//! retired blocks into that process's private bag (kept in the table, in
+//! a [`SlotPool`] keyed by process) and evicts a block only once **no
+//! in-flight transaction predates the retiring commit** — so by the time
+//! its slots are tombstoned, no transaction that could legitimately reach
+//! the block is still running. *Then memory:* the eviction itself is
+//! nonetheless fully race-safe. A slot owns its `V` (one `Box`) behind a
+//! guard-protected pointer, lookups hand out `&V` for the lifetime of the
+//! caller's guard, and every eviction retires the old pointer into the
+//! same domain under a tag taken after the tombstone — into the evicting
+//! process's bag, or, for [`VarTable::remove`] and
+//! [`VarTable::remove_block`] (the abort path), into the shared bins. A
+//! racing reader (a contract-breaking zombie) either sees the value,
+//! which its guard then keeps allocated until it is released, or sees the
+//! tombstone and panics. Memory safety never depends on the caller
+//! honoring the retire contract; only the panic-vs-value outcome does.
+//!
+//! Only the committing process looks at its bag, and a commit that
+//! retired nothing and has no bag parked writes nothing here but its
+//! guard's release. The shared bins still get what is not made on every
+//! commit — a bag past [`crate::reclaim`]'s bound or displaced from its
+//! pool slot, the abort path's frees, a replaced re-registration — and
+//! every commit probes them with one load. [`VarTable::evict_ripe`]
+//! evicts what every parked bag and the bins hold ripe, with no commit to
+//! hang it on: what a leak oracle runs before it counts.
 //!
 //! Nothing is reference-counted: a count would sit in the t-variable's
 //! own allocation, and every read that kept a handle would write the line
@@ -89,8 +102,12 @@
 //! old sharded table: every slot transition empty→full bumps the live
 //! count, every full→empty bumps `freed`, both driven by the atomic swap
 //! that performs the transition, so concurrent churn cannot double-count.
+//! A block allocation or eviction moves each count once for the block.
 
-use crate::reclaim::{Atomic, GraceTracker, Guard, Owned, RetiredBlock, Shared};
+use crate::pool::SlotPool;
+use crate::reclaim::{
+    Atomic, Bag, Deferred, GraceTracker, Guard, Owned, Retired, RetiredBlock, Shared, BAG_BOUND,
+};
 use oftm_histories::{TVarId, Value};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
@@ -255,6 +272,10 @@ pub struct VarTable<V> {
     /// The domain evicted state is retired into — so the one a lookup's
     /// guard must be registered with.
     domain: Arc<GraceTracker>,
+    /// Each committing process's private bag in `domain`, keyed by
+    /// process: the blocks its commits retired, and the states their
+    /// eviction unlinked. Parked only while it holds something.
+    bags: SlotPool<Bag>,
 }
 
 // SAFETY: the auto-impls would be unconditional (`AtomicPtr<T>` is
@@ -286,6 +307,7 @@ impl<V: Send> VarTable<V> {
             live: AtomicU64::new(0),
             freed: AtomicU64::new(0),
             domain,
+            bags: SlotPool::new(),
         }
     }
 
@@ -330,21 +352,29 @@ impl<V: Send> VarTable<V> {
         Some(&page.slots[idx & PAGE_MASK])
     }
 
-    /// Fills `slot` with `v`, adjusting the live count (and retiring a
-    /// replaced value, for re-registration). Like every mutation of the
-    /// table it registers nowhere: it dereferences nothing it unlinks.
-    fn fill(&self, slot: &Atomic<V>, v: V) {
+    /// Swaps `v` into `slot`; `true` if the slot was empty. A replaced
+    /// value (re-registration) goes to the shared bins. Like every
+    /// mutation of the table it registers nowhere: it dereferences nothing
+    /// it unlinks.
+    fn swap_in(&self, slot: &Atomic<V>, v: V) -> bool {
         // ord: AcqRel — Release publishes `v`'s construction to
         // `get_ref_in`'s Acquire load; Acquire pairs with the previous
         // occupant's publishing swap before we retire it.
         let old = slot.swap(Some(Owned::new(v)), Ordering::AcqRel);
         if old.is_null() {
+            return true;
+        }
+        // SAFETY: `old` was unlinked by the swap; whoever loaded it did so
+        // under a guard of `domain` (`get_ref_in` checks).
+        unsafe { self.domain.defer_destroy(old) };
+        false
+    }
+
+    /// Fills `slot` with `v`, adjusting the live count.
+    fn fill(&self, slot: &Atomic<V>, v: V) {
+        if self.swap_in(slot, v) {
             // ord: Relaxed counter — read only by the `len` diagnostic.
             self.live.fetch_add(1, Ordering::Relaxed);
-        } else {
-            // SAFETY: `old` was unlinked by the swap; whoever loaded it
-            // did so under a guard of `domain` (`get_ref_in` checks).
-            unsafe { self.domain.defer_destroy(old) };
         }
     }
 
@@ -424,7 +454,8 @@ impl<V: Send> VarTable<V> {
     /// ids, creating each one's state with `make`, and returns the first
     /// id. Safe to call concurrently and from inside running transactions:
     /// the id range is claimed with one `fetch_add`, and each slot store
-    /// is independently visible — no lock is ever taken.
+    /// is independently visible — no lock is ever taken. The live count
+    /// moves once for the block.
     pub fn alloc_block(
         &self,
         initials: &[Value],
@@ -437,14 +468,40 @@ impl<V: Send> VarTable<V> {
         let base = self
             .next_dynamic
             .fetch_add(initials.len() as u64, Ordering::Relaxed);
+        let mut filled = 0;
         for (k, &init) in initials.iter().enumerate() {
             let id = TVarId(base + k as u64);
             let slot = self.slot(id, true).expect("slot created");
-            // Fresh ids are never concurrently targeted, but `fill` keeps
-            // the accounting uniform.
-            self.fill(slot, make(id, init));
+            // Fresh ids are never concurrently targeted, but `swap_in`
+            // keeps the accounting uniform.
+            filled += u64::from(self.swap_in(slot, make(id, init)));
         }
+        // ord: Relaxed counter — read only by the `len` diagnostic.
+        self.live.fetch_add(filled, Ordering::Relaxed);
         TVarId(base)
+    }
+
+    /// Tombstones `x`'s slot and hands back the state it held, unlinked:
+    /// the caller retires it into `domain`.
+    fn unlink(&self, x: TVarId) -> Option<Deferred> {
+        let slot = self.slot(x, false)?;
+        // ord: AcqRel — Acquire pairs with the publishing swap so the
+        // retired value is fully visible before it is dropped; Release
+        // orders the tombstone for subsequent Acquire readers.
+        let old = slot.swap(None, Ordering::AcqRel);
+        // SAFETY: unlinked by the swap; racing readers that loaded it
+        // earlier hold a guard of `domain` (`get_ref_in` checks), which
+        // the caller's retirement into `domain` waits out.
+        (!old.is_null()).then(|| unsafe { Deferred::unlinked(old) })
+    }
+
+    /// Counts `n` slots tombstoned.
+    fn count_freed(&self, n: u64) {
+        if n != 0 {
+            // ord: Relaxed counters — read only by the len/freed diagnostics.
+            self.freed.fetch_add(n, Ordering::Relaxed);
+            self.live.fetch_sub(n, Ordering::Relaxed);
+        }
     }
 
     /// Removes the state for `x`; `true` if it was present. The state is
@@ -452,47 +509,105 @@ impl<V: Send> VarTable<V> {
     /// transaction's) is released. The slot becomes a permanent tombstone
     /// — dynamic ids are never reused, so a freed id can only ever miss.
     pub fn remove(&self, x: TVarId) -> bool {
-        let Some(slot) = self.slot(x, false) else {
+        let Some(state) = self.unlink(x) else {
             return false;
         };
-        // ord: AcqRel — Acquire pairs with the publishing swap so the
-        // retired value is fully visible before `defer_destroy`; Release
-        // orders the tombstone for subsequent Acquire readers.
-        let old = slot.swap(None, Ordering::AcqRel);
-        if old.is_null() {
-            return false;
-        }
-        // SAFETY: unlinked by the swap; racing readers that loaded it
-        // earlier hold a guard of `domain` (`get_ref_in` checks), which
-        // `defer_destroy` waits out.
-        unsafe { self.domain.defer_destroy(old) };
-        // ord: Relaxed counters — read only by the len/freed diagnostics.
-        self.freed.fetch_add(1, Ordering::Relaxed);
-        self.live.fetch_sub(1, Ordering::Relaxed);
+        self.domain.defer(state);
+        self.count_freed(1);
         true
     }
 
-    /// Removes `len` contiguous t-variables starting at `base`. Absent
-    /// ids are skipped — removal is idempotent.
+    /// Tombstones the `len` slots from `base`, pushing the states they held
+    /// onto `states`; absent ids are skipped. One count update for the
+    /// block.
+    fn tombstone(&self, base: TVarId, len: usize, states: &mut Vec<Deferred>) {
+        let before = states.len();
+        states.extend((0..len).filter_map(|k| self.unlink(TVarId(base.0 + k as u64))));
+        self.count_freed((states.len() - before) as u64);
+    }
+
+    /// Removes `len` contiguous t-variables starting at `base`, their
+    /// states deferred into the shared bins under one tag. Absent ids are
+    /// skipped — removal is idempotent.
     pub fn remove_block(&self, base: TVarId, len: usize) {
-        for k in 0..len {
-            self.remove(TVarId(base.0 + k as u64));
+        let mut states = Vec::new();
+        self.tombstone(base, len, &mut states);
+        self.domain.defer_all(states);
+    }
+
+    /// Commit hook of a table-backed engine, run by the committing process
+    /// `proc`: releases the transaction's `guard`, tags the blocks it
+    /// retired into `proc`'s private bag with one epoch bump, evicts what
+    /// has ripened there (one slot scan, no lock) and whatever ripe block
+    /// waits in the shared bins (one load when nothing does). Returns how
+    /// many t-variables that evicted.
+    ///
+    /// A commit that retired nothing and finds no bag of its process
+    /// parked writes nothing here but its slot release.
+    pub fn retire_and_evict(&self, proc: u32, guard: Guard<'_>, retired: Vec<RetiredBlock>) -> u64 {
+        debug_assert!(self.domain.owns(&guard), "guard of another domain");
+        guard.release();
+        let key = proc as usize;
+        let mut evicted = 0;
+        if !retired.is_empty() || self.bags.is_parked(key) {
+            let mut bag = self.bags.take(key).unwrap_or_default();
+            self.domain
+                .retire(&mut bag, retired.into_iter().map(Retired::Block));
+            evicted += self.settle(&mut bag);
+            self.domain.defer_bag(&mut bag, BAG_BOUND);
+            self.park(key, bag);
+        }
+        evicted + self.evict(self.domain.flush())
+    }
+
+    /// Takes the ripe front of `bag`: drops its memory, tombstones the
+    /// slots of its blocks and retires the states that unlinked into the
+    /// same bag under the next tag — their second grace period (module
+    /// docs). Returns how many t-variables the ripe blocks span.
+    fn settle(&self, bag: &mut Bag) -> u64 {
+        let ripe = self.domain.reclaim(bag);
+        if ripe.is_empty() {
+            return 0;
+        }
+        let mut states = Vec::new();
+        for blk in &ripe {
+            self.tombstone(blk.base, blk.len, &mut states);
+        }
+        self.domain
+            .retire(bag, states.into_iter().map(Retired::Memory));
+        ripe.iter().map(|blk| blk.len as u64).sum()
+    }
+
+    /// Parks `bag` under `key` unless it is empty; a bag it displaces goes
+    /// to the shared bins.
+    fn park(&self, key: usize, bag: Box<Bag>) {
+        if !bag.is_empty() {
+            if let Some(mut displaced) = self.bags.replace(key, bag) {
+                self.domain.defer_bag(&mut displaced, 0);
+            }
         }
     }
 
-    /// Commit hook of a table-backed engine: releases the committing
-    /// transaction's `guard`, retires the blocks it unlinked, and evicts
-    /// every retired block whose grace period has elapsed
-    /// ([`GraceTracker::retire_and_flush`]). Returns how many t-variables
-    /// that evicted.
-    pub fn retire_and_evict(&self, guard: Guard<'_>, retired: Vec<RetiredBlock>) -> u64 {
-        self.evict(self.domain.retire_and_flush(guard, retired))
-    }
-
     /// Evicts every retired block whose grace period has elapsed, with no
-    /// commit to hang it on; returns how many t-variables that evicted.
+    /// commit to hang it on — in every parked bag, and in the shared bins
+    /// — and drops what memory has ripened with it; returns how many
+    /// t-variables that evicted. After quiescence nothing retired is left
+    /// in the table: what [`VarTable::len`] counts is live.
     pub fn evict_ripe(&self) -> u64 {
-        self.evict(self.domain.flush())
+        let mut evicted = 0;
+        self.bags.for_each_parked(|key, mut bag| {
+            // Until a pass finds no block ripe: the pass after an eviction
+            // judges the states it retired.
+            loop {
+                let n = self.settle(&mut bag);
+                evicted += n;
+                if n == 0 {
+                    break;
+                }
+            }
+            self.park(key, bag);
+        });
+        evicted + self.evict(self.domain.flush())
     }
 
     fn evict(&self, ripe: Vec<RetiredBlock>) -> u64 {
@@ -500,6 +615,16 @@ impl<V: Send> VarTable<V> {
             self.remove_block(blk.base, blk.len);
         }
         ripe.iter().map(|blk| blk.len as u64).sum()
+    }
+
+    /// Items waiting in process `proc`'s bag (tests/diagnostics).
+    pub fn piled(&self, proc: u32) -> usize {
+        let key = proc as usize;
+        self.bags.take(key).map_or(0, |bag| {
+            let piled = bag.len();
+            self.park(key, bag);
+            piled
+        })
     }
 
     /// Number of live t-variables (exact; the leak-regression metric).
@@ -606,6 +731,8 @@ impl<V> Drop for VarTable<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::Counted;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn insert_then_get() {
@@ -772,7 +899,6 @@ mod tests {
     /// guard is released — not at the tombstone, not twice, not never.
     #[test]
     fn a_pin_keeps_an_evicted_value_allocated() {
-        use crate::tests::Counted;
         let drops = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let t: VarTable<Counted> = VarTable::new();
         let a = t.alloc_block(&[9], |_, _| Counted(std::sync::Arc::clone(&drops)));
@@ -792,6 +918,98 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 1, "not freed at the release");
         drop(t);
         assert_eq!(drops.load(Ordering::SeqCst), 1, "freed twice");
+    }
+
+    fn counted_block(t: &VarTable<Counted>, drops: &Arc<AtomicUsize>, len: usize) -> RetiredBlock {
+        let base = t.alloc_block(&vec![0; len], |_, _| Counted(Arc::clone(drops)));
+        RetiredBlock { base, len }
+    }
+
+    /// A retiring commit under a predating peer tags its blocks into its
+    /// process's bag, and the states their eviction unlinks go there too:
+    /// nothing a commit retires meets another process in the bins.
+    #[test]
+    fn table_retirements_leave_the_shared_bins_empty() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let t: VarTable<Counted> = VarTable::new();
+        let blk = counted_block(&t, &drops, 2);
+        let peer = t.domain().begin();
+        assert_eq!(t.retire_and_evict(1, t.domain().begin(), vec![blk]), 0);
+        assert_eq!(t.domain().pending_blocks(), 0);
+        assert_eq!(t.domain().pending_memory(), 0);
+        assert_eq!((t.piled(1), t.len()), (1, 2), "held for the peer");
+        drop(peer);
+        // The process's next commit, retiring nothing, evicts the block
+        // and bags its states under a tag of their own; the one after
+        // frees them.
+        assert_eq!(t.retire_and_evict(1, t.domain().begin(), Vec::new()), 2);
+        assert_eq!((t.piled(1), t.len(), t.freed()), (2, 0, 2));
+        assert_eq!(t.domain().pending_memory(), 0);
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "freed with the block");
+        assert_eq!(t.retire_and_evict(1, t.domain().begin(), Vec::new()), 0);
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
+        assert_eq!(t.piled(1), 0, "an empty bag is not parked");
+    }
+
+    /// Processes 1 and 17 share a pool slot. Process 17 commits while
+    /// process 1's commit holds the bag it took, so when process 1 parks
+    /// its bag it displaces 17's into the shared bins. Every block is
+    /// evicted once, and every state freed once.
+    #[test]
+    fn a_displaced_bag_goes_to_the_bins_and_nothing_is_evicted_twice() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let t: VarTable<Counted> = VarTable::new();
+        let (a, b) = (counted_block(&t, &drops, 2), counted_block(&t, &drops, 3));
+        let peer = t.domain().begin();
+        t.retire_and_evict(1, t.domain().begin(), vec![a]);
+        let held = t.bags.take(1).expect("process 1's bag");
+        t.retire_and_evict(17, t.domain().begin(), vec![b]);
+        assert_eq!(t.piled(17), 1, "17 parked a bag of its own");
+        t.park(1, held);
+        assert_eq!(t.domain().pending_blocks(), 1, "17's bag was displaced");
+        assert_eq!(t.piled(1), 1, "1's bag is parked");
+        assert_eq!(t.len(), 5, "nothing evicted under the peer");
+        drop(peer);
+        // Any commit flushes the bins; the quiescent count settles the
+        // parked bag.
+        assert_eq!(t.retire_and_evict(2, t.domain().begin(), Vec::new()), 3);
+        assert_eq!(t.evict_ripe(), 2);
+        assert_eq!((t.len(), t.freed()), (0, 5));
+        assert_eq!(t.evict_ripe(), 0, "evicted twice");
+        drop(t.domain().begin()); // a release collects the bins
+        assert_eq!(drops.load(Ordering::SeqCst), 5);
+        drop(t);
+        assert_eq!(drops.load(Ordering::SeqCst), 5, "freed twice");
+    }
+
+    /// Four threads commit as processes 1, 17, 33 and 49, which share one
+    /// pool slot: they take each other's bags and displace them into the
+    /// bins as they race. Once they are done, every block is evicted and
+    /// every state freed, once.
+    #[test]
+    fn racing_processes_on_one_slot_evict_and_free_each_block_once() {
+        const ROUNDS: usize = 2000;
+        let drops = Arc::new(AtomicUsize::new(0));
+        let t: VarTable<Counted> = VarTable::new();
+        std::thread::scope(|s| {
+            for proc in [1, 17, 33, 49] {
+                let (t, drops) = (&t, &drops);
+                s.spawn(move || {
+                    for _ in 0..ROUNDS {
+                        let g = t.domain().begin();
+                        let blk = counted_block(t, drops, 2);
+                        t.retire_and_evict(proc, g, vec![blk]);
+                    }
+                });
+            }
+        });
+        t.evict_ripe();
+        drop(t.domain().begin()); // a release collects the bins
+        let total = 4 * ROUNDS * 2;
+        assert_eq!((t.len(), t.freed()), (0, total as u64));
+        assert_eq!(drops.load(Ordering::SeqCst), total);
+        drop(t);
+        assert_eq!(drops.load(Ordering::SeqCst), total, "freed twice");
     }
 
     #[test]

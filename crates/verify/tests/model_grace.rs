@@ -14,10 +14,11 @@
 //! either reclaimed or still binned, never both, never neither. Both ways
 //! in are covered: the shared bins, and a retirer's private bag
 //! ([`oftm_core::kernel::GraceBag`]), which it tags in one bump and
-//! reclaims without a lock.
+//! reclaims without a lock — memory, and a table eviction's two stages
+//! (the id block, then under the next tag the state its slot held).
 
 use oftm_core::kernel::{
-    AtomicU64Like, GraceBag, GraceCore, MutexLike, RetiredBlock, SlotSet, IDLE_SLOT,
+    AtomicU64Like, GraceBag, GraceCore, MutexLike, Retired, RetiredBlock, SlotSet, IDLE_SLOT,
 };
 use oftm_verify::model::sync::{FixedSlots, MAtomicU64, MMutex, ModelSync};
 use oftm_verify::model::{check, Builder, Config};
@@ -200,9 +201,9 @@ fn grace_bag_frees_nothing_under_a_predating_reader() {
             r.link.store(0, SeqCst);
             drop(g);
             let mut bag = mine.lock().unwrap();
-            r.core
-                .retire(&mut bag, &mut vec![Token(Arc::clone(&r.gone))]);
-            r.core.reclaim(&mut bag);
+            let token = Token(Arc::clone(&r.gone));
+            r.core.retire(&mut bag, [Retired::Memory(token)]);
+            assert!(r.core.reclaim(&mut bag).is_empty(), "no block retired");
         });
         b.after(move || {
             let mut bag = bag.lock().unwrap();
@@ -210,8 +211,128 @@ fn grace_bag_frees_nothing_under_a_predating_reader() {
             assert_eq!(in_run + bag.len(), 1, "dropped {in_run}×");
             assert_eq!(w.core.pending_memory(), 0, "the bag bypasses the bins");
             // With the reader gone, the owner's next reclaim frees it.
-            w.core.reclaim(&mut bag);
+            assert!(w.core.reclaim(&mut bag).is_empty());
             assert_eq!(w.gone.load(SeqCst), 1, "a reclaim must free, once");
+            assert!(bag.is_empty());
+        });
+    });
+}
+
+/// A table of one retired t-variable, evicted from its retirer's bag the
+/// way `VarTable::retire_and_evict` does it. `link` = 1 while the block is
+/// reachable from the structure; `slot` = 1 while its id resolves to its
+/// state; `freed` counts drops of the state.
+#[derive(Clone)]
+struct Table {
+    core: Arc<Core>,
+    link: Arc<MAtomicU64>,
+    slot: Arc<MAtomicU64>,
+    freed: Arc<MAtomicU64>,
+    bag: Arc<Mutex<GraceBag<Token>>>,
+}
+
+const EVICTED_UNDER_READER: &str = "evicted under a predating reader";
+const STATE_FREED: &str = "state freed under a reader that loaded its slot";
+
+impl Table {
+    fn new() -> Self {
+        Table {
+            core: Arc::new(GraceCore::with_slots(FixedSlots::new(3))),
+            link: Arc::new(MAtomicU64::new(1)),
+            slot: Arc::new(MAtomicU64::new(1)),
+            freed: Arc::new(MAtomicU64::new(0)),
+            bag: Arc::new(Mutex::new(GraceBag::default())),
+        }
+    }
+
+    /// Dereferences the state if the slot still resolves.
+    fn load_slot(&self) {
+        if self.slot.load(SeqCst) != 0 {
+            assert_eq!(self.freed.load(SeqCst), 0, "{STATE_FREED}");
+        }
+    }
+
+    /// Honours the contract: finds the id through the link, under a
+    /// guard taken first.
+    fn reader(&self) -> impl FnOnce() + Send {
+        let t = self.clone();
+        move || {
+            let g = t.core.begin();
+            if t.link.load(SeqCst) != 0 {
+                assert_ne!(t.slot.load(SeqCst), 0, "{EVICTED_UNDER_READER}");
+                t.load_slot();
+            }
+            drop(g);
+        }
+    }
+
+    /// Breaks the contract: knows the id without the link, so it may
+    /// register after the block's tag and still load the slot.
+    fn zombie(&self) -> impl FnOnce() + Send {
+        let t = self.clone();
+        move || {
+            let g = t.core.begin();
+            t.load_slot();
+            drop(g);
+        }
+    }
+
+    /// Tombstones the slot of every ripe block and retires its state
+    /// under the next tag — or, `broken`, drops the state in the scan that
+    /// found the block ripe.
+    fn settle(&self, bag: &mut GraceBag<Token>, broken: bool) {
+        for block in self.core.reclaim(bag) {
+            assert_eq!(block, BLOCK);
+            self.slot.store(0, SeqCst);
+            let state = Token(Arc::clone(&self.freed));
+            if broken {
+                drop(state);
+            } else {
+                self.core.retire(bag, [Retired::Memory(state)]);
+            }
+        }
+    }
+
+    /// Unlinks the block, commits (releasing its guard), tags the block
+    /// into its bag, evicts what is ripe and, as its next commit would,
+    /// reclaims again.
+    fn retirer(&self, broken: bool) -> impl FnOnce() + Send {
+        let t = self.clone();
+        move || {
+            let g = t.core.begin();
+            t.link.store(0, SeqCst);
+            g.release();
+            let mut bag = t.bag.lock().unwrap();
+            t.core.retire(&mut bag, [Retired::Block(BLOCK)]);
+            t.settle(&mut bag, broken);
+            t.settle(&mut bag, broken);
+        }
+    }
+}
+
+#[test]
+fn grace_bag_evicts_no_block_under_a_predating_reader() {
+    // Both stages of a table eviction through one private bag: the id
+    // block waits for the reader that may have found it through the link,
+    // and the state its slot held waits, under a tag taken after the
+    // tombstone, for the zombie that may have loaded the slot before it.
+    exhaustive("grace-bag-eviction", 1000, |b| {
+        let t = Table::new();
+        b.thread("reader", t.reader());
+        b.thread("zombie", t.zombie());
+        b.thread("retirer", t.retirer(false));
+        b.after(move || {
+            // Exactly once: the state is still in its slot, waiting in the
+            // bag, or dropped. With every reader gone the owner's next
+            // reclaims evict and free it.
+            let mut bag = t.bag.lock().unwrap();
+            let (slot, freed) = (t.slot.load(SeqCst), t.freed.load(SeqCst));
+            assert_eq!(bag.len() as u64 + freed, 1, "slot={slot} freed={freed}");
+            assert_eq!(t.core.pending_memory() + t.core.pending_blocks(), 0);
+            t.settle(&mut bag, false);
+            t.settle(&mut bag, false);
+            assert_eq!(t.slot.load(SeqCst), 0, "never evicted");
+            assert_eq!(t.freed.load(SeqCst), 1, "freed twice, or never");
             assert!(bag.is_empty());
         });
     });
@@ -381,4 +502,23 @@ fn broken_inclusive_bag_epoch_is_caught() {
     };
     exhaustive("bag-exclusive", 20, scenario(false));
     refuted("broken-inclusive-bag", PREMATURE, scenario(true));
+}
+
+#[test]
+fn broken_state_dropped_with_its_block_is_caught() {
+    // The state is dropped in the same reclaim that tombstoned its slot,
+    // judged by a scan taken before the tombstone. A zombie that registered
+    // after the block's tag — so the block is rightly ripe — but loaded
+    // the slot before the tombstone reads a freed state. The twin that
+    // retires the state under the next tag passes, so dropping it early
+    // is all that is refuted.
+    let scenario = |broken| {
+        move |b: &mut Builder| {
+            let t = Table::new();
+            b.thread("zombie", t.zombie());
+            b.thread("retirer", t.retirer(broken));
+        }
+    };
+    exhaustive("state-after-block", 20, scenario(false));
+    refuted("broken-state-with-block", STATE_FREED, scenario(true));
 }
