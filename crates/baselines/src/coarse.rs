@@ -24,6 +24,7 @@
 //! publish work.
 
 use oftm_core::api::{TxResult, WordStm, WordTx};
+use oftm_core::line::Line;
 use oftm_core::notify::CommitNotifier;
 use oftm_core::reclaim::{Guard, RetiredBlock};
 use oftm_core::record::{fresh_base_id, Recorder};
@@ -46,7 +47,8 @@ pub struct CoarseStm {
     notify: CommitNotifier,
     /// Base-object identity of the lock word.
     lock_base: oftm_histories::BaseObjId,
-    tx_seq: AtomicU32,
+    /// Written by every begin, so boxed on a [`Line`] of its own.
+    tx_seq: Box<Line<AtomicU32>>,
     recorder: Option<Arc<Recorder>>,
     /// Always-on telemetry. Coarse is abort-free (the gate serializes
     /// everything), so the only cause it can ever tag is an explicit
@@ -67,7 +69,7 @@ impl CoarseStm {
             gate: Mutex::new(()),
             notify: CommitNotifier::new(),
             lock_base: fresh_base_id(),
-            tx_seq: AtomicU32::new(0),
+            tx_seq: Box::default(),
             recorder: None,
             stats: StmStats::new(),
         }
@@ -352,6 +354,12 @@ mod tests {
         s.register_tvar(X, 1);
         s.register_tvar(Y, 2);
         s
+    }
+
+    #[test]
+    fn the_begin_counter_has_a_line_pair_of_its_own() {
+        let s = CoarseStm::new();
+        assert!(oftm_core::line::isolated_from(&**s.tx_seq, &s));
     }
 
     #[test]

@@ -72,6 +72,7 @@
 
 use crate::clock::{readable, ShardedClock, LOCK_BIT};
 use oftm_core::api::{TxError, TxResult, WordStm, WordTx};
+use oftm_core::line::Line;
 use oftm_core::notify::CommitNotifier;
 use oftm_core::pool::SlotPool;
 use oftm_core::reclaim::{Guard, RetiredBlock};
@@ -271,7 +272,8 @@ pub struct VersionedLockStm<P: ReadPolicy> {
     /// every declared-RO transaction samples the whole vector; whether a
     /// writable transaction reads it at `begin` is the policy's call.
     clocks: ShardedClock,
-    tx_seq: AtomicU32,
+    /// Written by every begin, so boxed on a [`Line`] of its own.
+    tx_seq: Box<Line<AtomicU32>>,
     recorder: Option<Arc<Recorder>>,
     scratch: SlotPool<Scratch<P::Seen>>,
     /// Always-on telemetry (begins/commits/aborts-by-cause, latency
@@ -295,7 +297,7 @@ impl<P: ReadPolicy> VersionedLockStm<P> {
             vars: VarTable::new(),
             notify: CommitNotifier::new(),
             clocks: ShardedClock::new(),
-            tx_seq: AtomicU32::new(0),
+            tx_seq: Box::default(),
             recorder: None,
             scratch: SlotPool::new(),
             stats: Arc::new(StmStats::new()),
@@ -903,6 +905,12 @@ mod tests {
         let rec = Arc::new(Recorder::new());
         let s = registered(VersionedLockStm::new().with_recorder(Arc::clone(&rec)));
         (rec, s)
+    }
+
+    #[test]
+    fn the_begin_counter_has_a_line_pair_of_its_own() {
+        let s = Tl2Stm::new();
+        assert!(oftm_core::line::isolated_from(&**s.tx_seq, &s));
     }
 
     // ---- One body, both policies ------------------------------------

@@ -7,6 +7,7 @@ use super::tx::{Scratch, Tx};
 use crate::api::{TxError, TxResult};
 use crate::cm::{Aggressive, ContentionManager};
 use crate::kernel::CommitGate;
+use crate::line::Line;
 use crate::pool::SlotPool;
 use crate::reclaim::GraceTracker;
 use crate::record::{fresh_base_id, Recorder};
@@ -46,13 +47,14 @@ pub struct Dstm {
     epoch: Instant,
     /// Begin sequence numbers: the low half is the `TxId` counter, the
     /// whole word a transaction's birth order (64 bits, so it never wraps
-    /// and a [`Dstm::with_tx_base`] offset cannot invert it).
-    tx_seq: AtomicU64,
+    /// and a [`Dstm::with_tx_base`] offset cannot invert it). Every begin
+    /// writes it, so it is boxed on a [`Line`] of its own.
+    tx_seq: Box<Line<AtomicU64>>,
     tvar_seq: AtomicU32,
     /// Commit counter gating read-set validation (see [`super::tx`]): the
-    /// one word every transaction of this instance shares. Boxed so the
-    /// counter's cache-line alignment is the heap block's, not `Dstm`'s:
-    /// over-aligning `Dstm` reshuffles every struct that embeds one.
+    /// one word every transaction of this instance shares. Boxed for the
+    /// reason a [`Line`] is: the counter's cache-line alignment is the
+    /// heap block's, not `Dstm`'s, which other structs embed.
     gate: Box<CommitGate<AtomicU64>>,
     gate_base: BaseObjId,
     /// Every transaction registers here, once, and everything the
@@ -88,7 +90,7 @@ impl Dstm {
             progress: Progress::ObstructionFree,
             recorder: None,
             epoch: Instant::now(),
-            tx_seq: AtomicU64::new(0),
+            tx_seq: Box::default(),
             tvar_seq: AtomicU32::new(0),
             gate: Box::default(),
             gate_base: fresh_base_id(),
@@ -265,6 +267,12 @@ mod tests {
             });
             assert_eq!(x.read_atomic(), i + 1);
         }
+    }
+
+    #[test]
+    fn the_begin_counter_has_a_line_pair_of_its_own() {
+        let stm = Dstm::default();
+        assert!(crate::line::isolated_from(&**stm.tx_seq, &stm));
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub mod contention;
 pub mod driver;
 pub mod dstm;
 pub mod kernel;
+pub mod line;
 pub mod notify;
 pub mod pool;
 pub mod reclaim;

@@ -7,14 +7,16 @@
 //! other thread's begin. [`SlotPool`] is a fixed array of atomic slots
 //! indexed by a caller key (the process id): `take` and `put` are single
 //! `swap`s, so they never block, and keying by process means a thread
-//! overwhelmingly reuses the buffers it just warmed — better locality
-//! than any shared free-list.
+//! overwhelmingly reuses the buffers it just warmed. Each slot sits on a
+//! [`Line`] of its own (2 KB per pool), so one process's swap never
+//! pulls away the line another process's slot is on.
 //!
 //! A `take` from an empty slot simply reports `None` (the caller
 //! allocates fresh); a `put` into an occupied slot drops the incumbent.
 //! Both are rare once the pool is warm: the steady state is one bundle
 //! per active process ping-ponging through its own slot.
 
+use crate::line::Line;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// Number of slots; a power of two so keying is a mask.
@@ -22,7 +24,7 @@ const SLOTS: usize = 16;
 
 /// Lock-free keyed pool of boxed `T` (see module docs).
 pub struct SlotPool<T> {
-    slots: Box<[AtomicPtr<T>]>,
+    slots: Box<[Line<AtomicPtr<T>>]>,
 }
 
 // SAFETY: the auto-impls would be unconditional (`AtomicPtr<T>` is
@@ -40,7 +42,7 @@ impl<T> Default for SlotPool<T> {
 impl<T> SlotPool<T> {
     pub fn new() -> Self {
         SlotPool {
-            slots: (0..SLOTS).map(|_| AtomicPtr::default()).collect(),
+            slots: (0..SLOTS).map(|_| Line::default()).collect(),
         }
     }
 
@@ -135,20 +137,63 @@ mod tests {
 
     #[test]
     fn concurrent_take_put_never_duplicates() {
-        let p: std::sync::Arc<SlotPool<u64>> = std::sync::Arc::new(SlotPool::new());
+        use std::sync::atomic::{AtomicBool, AtomicU32};
+        const PER_THREAD: usize = 1000;
+        struct Bundle<'a> {
+            id: usize,
+            drops: &'a [AtomicU32],
+        }
+        impl Drop for Bundle<'_> {
+            fn drop(&mut self) {
+                self.drops[self.id].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let created: Vec<AtomicBool> = (0..4 * PER_THREAD)
+            .map(|_| AtomicBool::new(false))
+            .collect();
+        let drops: Vec<AtomicU32> = (0..4 * PER_THREAD).map(|_| AtomicU32::new(0)).collect();
+        let p = SlotPool::new();
         std::thread::scope(|s| {
             for t in 0..4usize {
-                let p = std::sync::Arc::clone(&p);
+                let (p, created, drops) = (&p, &created, &drops);
                 s.spawn(move || {
-                    for i in 0..1000u64 {
-                        if let Some(b) = p.take(t) {
-                            p.put(t, b);
+                    for i in 0..PER_THREAD {
+                        // Neighbours share keys, so takes race with puts
+                        // and puts displace incumbents.
+                        let key = t + i % 2;
+                        if let Some(b) = p.take(key) {
+                            p.put(key, b);
                         } else {
-                            p.put(t, Box::new(i));
+                            let id = t * PER_THREAD + i;
+                            created[id].store(true, Ordering::Relaxed);
+                            p.put(key, Box::new(Bundle { id, drops }));
                         }
                     }
                 });
             }
         });
+        drop(p);
+        for (id, (c, d)) in created.iter().zip(&drops).enumerate() {
+            let expected = u32::from(c.load(Ordering::Relaxed));
+            assert_eq!(d.load(Ordering::Relaxed), expected, "bundle {id}");
+        }
+        assert!(created.iter().any(|c| c.load(Ordering::Relaxed)));
+    }
+
+    #[test]
+    fn every_slot_has_a_line_pair_of_its_own() {
+        let p: SlotPool<u64> = SlotPool::new();
+        for slot in p.slots.iter() {
+            assert_eq!(&**slot as *const AtomicPtr<u64> as usize % 128, 0);
+        }
+        let (k0, k1) = (
+            &*p.slots[0] as *const _ as usize,
+            &*p.slots[1] as *const _ as usize,
+        );
+        assert!(
+            k1.abs_diff(k0) >= 128,
+            "keys 0 and 1 are {} bytes apart",
+            k1.abs_diff(k0)
+        );
     }
 }

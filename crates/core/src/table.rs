@@ -104,6 +104,7 @@
 //! that performs the transition, so concurrent churn cannot double-count.
 //! A block allocation or eviction moves each count once for the block.
 
+use crate::line::Line;
 use crate::pool::SlotPool;
 use crate::reclaim::{
     Atomic, Bag, Deferred, GraceTracker, Guard, Owned, Retired, RetiredBlock, Shared, BAG_BOUND,
@@ -264,11 +265,11 @@ pub struct VarTable<V> {
     static_pages: Box<[AtomicPtr<Page<V>>]>,
     /// Two-level page directory of the dynamic id range.
     dynamic_l1s: Box<[AtomicPtr<L1<V>>]>,
-    next_dynamic: AtomicU64,
-    /// Slots currently full (exact: maintained by the swaps that fill and
-    /// clear slots).
-    live: AtomicU64,
-    freed: AtomicU64,
+    /// The allocation counters, written by every alloc and free, on a
+    /// line of their own: the directories and `domain` beside them are
+    /// loaded by every lookup. Boxed, so the table (embedded in every
+    /// table-backed engine) is not over-aligned.
+    counts: Box<Line<Counts>>,
     /// The domain evicted state is retired into — so the one a lookup's
     /// guard must be registered with.
     domain: Arc<GraceTracker>,
@@ -276,6 +277,18 @@ pub struct VarTable<V> {
     /// process: the blocks its commits retired, and the states their
     /// eviction unlinked. Parked only while it holds something.
     bags: SlotPool<Bag>,
+}
+
+/// [`VarTable`]'s allocation counters.
+#[derive(Default)]
+struct Counts {
+    /// The next dynamic id to hand out.
+    next_dynamic: AtomicU64,
+    /// Slots currently full (exact: maintained by the swaps that fill and
+    /// clear slots).
+    live: AtomicU64,
+    /// Slots tombstoned so far.
+    freed: AtomicU64,
 }
 
 // SAFETY: the auto-impls would be unconditional (`AtomicPtr<T>` is
@@ -303,9 +316,10 @@ impl<V: Send> VarTable<V> {
         VarTable {
             static_pages: (0..STATIC_PAGES).map(|_| AtomicPtr::default()).collect(),
             dynamic_l1s: (0..DYN_L1S).map(|_| AtomicPtr::default()).collect(),
-            next_dynamic: AtomicU64::new(DYNAMIC_TVAR_BASE),
-            live: AtomicU64::new(0),
-            freed: AtomicU64::new(0),
+            counts: Box::new(Line(Counts {
+                next_dynamic: AtomicU64::new(DYNAMIC_TVAR_BASE),
+                ..Counts::default()
+            })),
             domain,
             bags: SlotPool::new(),
         }
@@ -374,7 +388,7 @@ impl<V: Send> VarTable<V> {
     fn fill(&self, slot: &Atomic<V>, v: V) {
         if self.swap_in(slot, v) {
             // ord: Relaxed counter — read only by the `len` diagnostic.
-            self.live.fetch_add(1, Ordering::Relaxed);
+            self.counts.live.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -401,7 +415,7 @@ impl<V: Send> VarTable<V> {
         ) {
             Ok(_) => {
                 // ord: Relaxed counter — read only by the `len` diagnostic.
-                self.live.fetch_add(1, Ordering::Relaxed);
+                self.counts.live.fetch_add(1, Ordering::Relaxed);
                 true
             }
             Err(_rejected) => false, // the incumbent wins; `v` is dropped
@@ -466,6 +480,7 @@ impl<V: Send> VarTable<V> {
         // disjoint id blocks; slot contents are published by `fill`'s
         // Release swap, not by this counter.
         let base = self
+            .counts
             .next_dynamic
             .fetch_add(initials.len() as u64, Ordering::Relaxed);
         let mut filled = 0;
@@ -477,7 +492,7 @@ impl<V: Send> VarTable<V> {
             filled += u64::from(self.swap_in(slot, make(id, init)));
         }
         // ord: Relaxed counter — read only by the `len` diagnostic.
-        self.live.fetch_add(filled, Ordering::Relaxed);
+        self.counts.live.fetch_add(filled, Ordering::Relaxed);
         TVarId(base)
     }
 
@@ -499,8 +514,8 @@ impl<V: Send> VarTable<V> {
     fn count_freed(&self, n: u64) {
         if n != 0 {
             // ord: Relaxed counters — read only by the len/freed diagnostics.
-            self.freed.fetch_add(n, Ordering::Relaxed);
-            self.live.fetch_sub(n, Ordering::Relaxed);
+            self.counts.freed.fetch_add(n, Ordering::Relaxed);
+            self.counts.live.fetch_sub(n, Ordering::Relaxed);
         }
     }
 
@@ -630,7 +645,7 @@ impl<V: Send> VarTable<V> {
     /// Number of live t-variables (exact; the leak-regression metric).
     pub fn len(&self) -> usize {
         // ord: Relaxed — monotonic diagnostic counter, no payload to order.
-        self.live.load(Ordering::Relaxed) as usize
+        self.counts.live.load(Ordering::Relaxed) as usize
     }
 
     pub fn is_empty(&self) -> bool {
@@ -640,7 +655,7 @@ impl<V: Send> VarTable<V> {
     /// Number of dynamic ids handed out so far (diagnostics).
     pub fn dynamic_allocated(&self) -> u64 {
         // ord: Relaxed — monotonic diagnostic counter, no payload to order.
-        self.next_dynamic.load(Ordering::Relaxed) - DYNAMIC_TVAR_BASE
+        self.counts.next_dynamic.load(Ordering::Relaxed) - DYNAMIC_TVAR_BASE
     }
 
     /// Number of t-variables removed so far (diagnostics; counts every
@@ -648,7 +663,7 @@ impl<V: Send> VarTable<V> {
     /// [`VarTable::remove_block`]).
     pub fn freed(&self) -> u64 {
         // ord: Relaxed — monotonic diagnostic counter, no payload to order.
-        self.freed.load(Ordering::Relaxed)
+        self.counts.freed.load(Ordering::Relaxed)
     }
 
     /// Visits every live t-variable (materialized pages only, non-null
@@ -741,6 +756,12 @@ mod tests {
         assert_eq!(t.get(TVarId(3)), Some(30));
         assert!(t.get(TVarId(4)).is_none());
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn the_counters_have_a_line_pair_of_their_own() {
+        let t: VarTable<u64> = VarTable::new();
+        assert!(crate::line::isolated_from(&**t.counts, &t));
     }
 
     #[test]
