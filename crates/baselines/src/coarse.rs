@@ -26,7 +26,7 @@
 use oftm_core::api::{TxResult, WordStm, WordTx};
 use oftm_core::line::Line;
 use oftm_core::notify::CommitNotifier;
-use oftm_core::reclaim::{Guard, RetiredBlock};
+use oftm_core::reclaim::{Bag, Guard, Retired, RetiredBlock, BAG_BOUND};
 use oftm_core::record::{fresh_base_id, Recorder};
 use oftm_core::table::{Pinned, VarTable};
 use oftm_histories::{Access, TVarId, TmOp, TmResp, TxId, Value};
@@ -41,9 +41,10 @@ pub struct CoarseStm {
     /// very next commit; routing them through it anyway keeps the
     /// reclamation semantics identical across backends.
     store: VarTable<AtomicU64>,
-    /// The serialization gate; holding it *is* the transaction. It
-    /// protects no data, so poison is recovered (`enter`).
-    gate: Mutex<()>,
+    /// The serialization gate; holding it *is* the transaction. It guards
+    /// the one bag every commit retires into (one transaction runs at a
+    /// time), consistent between operations, so poison is recovered.
+    gate: Mutex<Bag>,
     notify: CommitNotifier,
     /// Base-object identity of the lock word.
     lock_base: oftm_histories::BaseObjId,
@@ -66,7 +67,7 @@ impl CoarseStm {
     pub fn new() -> Self {
         CoarseStm {
             store: VarTable::new(),
-            gate: Mutex::new(()),
+            gate: Mutex::default(),
             notify: CommitNotifier::new(),
             lock_base: fresh_base_id(),
             tx_seq: Box::default(),
@@ -91,7 +92,7 @@ impl CoarseStm {
     }
 
     /// Takes the gate.
-    fn enter(&self) -> MutexGuard<'_, ()> {
+    fn enter(&self) -> MutexGuard<'_, Bag> {
         self.gate.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -122,7 +123,7 @@ struct CoarseTx<'s> {
     id: TxId,
     /// The guard is held for the whole transaction: coarse two-phase
     /// locking degenerated to a single lock.
-    guard: Option<MutexGuard<'s, ()>>,
+    guard: Option<MutexGuard<'s, Bag>>,
     /// Undo log for tryA: `(id, cell, previous value)`, the cells borrowed
     /// under `pin`. The ids double as the commit-notification publish set.
     undo: Vec<(TVarId, Pinned<AtomicU64>, Value)>,
@@ -205,7 +206,15 @@ impl WordTx for CoarseTx<'_> {
             r.invoke(self.id, TmOp::TryCommit);
         }
         self.rstep(Access::Modify); // lock release is a modifying step
-        self.guard = None; // release
+
+        // Under the gate, which holds the bag: retire, evict, spill.
+        let pin = self.pin.take().expect("held until completion");
+        let mut gate = self.guard.take().expect("held until completion");
+        let store = &self.stm.store;
+        let retired = self.retired.drain(..).map(Retired::Block);
+        let evicted = store.retire_and_evict(pin, &mut gate, retired);
+        store.domain().defer_bag(&mut gate, BAG_BOUND);
+        drop(gate); // release
         self.stm.stats.incr(if self.ro {
             Counter::CommitsRo
         } else if self.undo.is_empty() {
@@ -221,9 +230,6 @@ impl WordTx for CoarseTx<'_> {
         if let Some(r) = self.rec() {
             r.respond(self.id, TmResp::Committed);
         }
-        let pin = self.pin.take().expect("held until completion");
-        let retired = std::mem::take(&mut self.retired);
-        let evicted = self.stm.store.retire_and_evict(self.id.proc, pin, retired);
         self.stm.stats.add(Counter::TvarsFreed, evicted);
         Ok(())
     }
@@ -315,7 +321,8 @@ impl WordStm for CoarseStm {
     }
 
     fn live_tvars(&self) -> usize {
-        self.stats.add(Counter::TvarsFreed, self.store.evict_ripe());
+        let evicted = self.store.settle_parked(&mut self.enter()) + self.store.evict_ripe();
+        self.stats.add(Counter::TvarsFreed, evicted);
         self.store.len()
     }
 
@@ -435,6 +442,33 @@ mod tests {
         let s = stm();
         let mut ro = s.begin_ro(0);
         let _ = ro.write(X, 1);
+    }
+
+    /// Every process's commits retire into the one bag under the gate: a
+    /// block retired under a registered reader waits there, off the shared
+    /// bins, and so do the states its eviction unlinks.
+    #[test]
+    fn coarse_retirements_leave_the_shared_bins_empty() {
+        let s = stm();
+        let node = s.alloc_tvar_block(&[5, 0]);
+        let domain = s.store.domain();
+        let reader = domain.begin();
+        let mut tx = s.begin(3);
+        tx.write(X, 0).unwrap();
+        tx.retire_tvar_block(node, 2);
+        tx.try_commit().unwrap();
+        assert_eq!(s.enter().len(), 1, "the block waits in the bag");
+        assert_eq!((domain.pending_blocks(), domain.pending_memory()), (0, 0));
+        assert_eq!(s.store.len(), 4, "held for the reader");
+        drop(reader);
+        // Another process's commit evicts the block and bags its states
+        // under a tag of their own; the one after frees them.
+        run_transaction(&s, 4, |tx| tx.write(Y, 3));
+        assert_eq!((s.enter().len(), s.store.len(), s.store.freed()), (2, 2, 2));
+        run_transaction(&s, 5, |tx| tx.read(Y));
+        assert_eq!(s.enter().len(), 0);
+        assert_eq!((domain.pending_blocks(), domain.pending_memory()), (0, 0));
+        assert_eq!(s.live_tvars(), 2);
     }
 
     #[test]

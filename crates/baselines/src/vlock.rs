@@ -75,7 +75,7 @@ use oftm_core::api::{TxError, TxResult, WordStm, WordTx};
 use oftm_core::line::Line;
 use oftm_core::notify::CommitNotifier;
 use oftm_core::pool::SlotPool;
-use oftm_core::reclaim::{Guard, RetiredBlock};
+use oftm_core::reclaim::{Bag, GraceTracker, Guard, Retired, RetiredBlock, BAG_BOUND};
 use oftm_core::record::{fresh_base_id, Recorder};
 use oftm_core::table::{Pinned, VarTable};
 use oftm_histories::{Access, BaseObjId, TVarId, TmOp, TmResp, TxId, Value};
@@ -251,7 +251,6 @@ type WriteEntry = (TVarId, Value, Pinned<VLockVar>);
 /// Pooled per-transaction buffers: popped at `begin`, cleared and pushed
 /// back (the same `Box`) when the transaction completes, so steady-state
 /// transactions reuse the same allocations.
-#[derive(Default)]
 struct Scratch<S> {
     reads: Vec<ReadEntry<S>>,
     /// Redo log in program order, carrying resolved variables; sorted and
@@ -261,6 +260,31 @@ struct Scratch<S> {
     /// the (deduplicated, sorted) prefix of `writes`.
     locked: Vec<u64>,
     retired: Vec<RetiredBlock>,
+    /// The process's one private bag in the table's domain: the blocks
+    /// its commits retired and the states their eviction unlinked.
+    bag: Bag,
+    domain: Arc<GraceTracker>,
+}
+
+impl<S> Scratch<S> {
+    fn new(domain: &Arc<GraceTracker>) -> Self {
+        Scratch {
+            reads: Vec::new(),
+            writes: Vec::new(),
+            locked: Vec::new(),
+            retired: Vec::new(),
+            bag: Bag::default(),
+            domain: Arc::clone(domain),
+        }
+    }
+}
+
+/// A scratch displaced from the pool, or dropped with it, hands its bag to
+/// the domain's shared bins: a later tag is always safe.
+impl<S> Drop for Scratch<S> {
+    fn drop(&mut self) {
+        self.domain.defer_bag(&mut self.bag, 0);
+    }
 }
 
 /// Commit-time-locking STM over versioned lock words; see the module docs
@@ -345,7 +369,7 @@ impl<P: ReadPolicy> VersionedLockStm<P> {
     /// them (they would sit in the table, counted by `live_tvars`, until
     /// it migrated back).
     pub fn for_each_live_value(&self, mut f: impl FnMut(TVarId, Value)) {
-        self.stats.add(Counter::TvarsFreed, self.vars.evict_ripe());
+        self.live_tvars(); // settles every parked bag and the bins
         self.vars.for_each_live(|id, var, _| {
             // ord: Acquire pairs with the committer's Release value store.
             f(id, var.value.load(Ordering::Acquire));
@@ -495,16 +519,18 @@ impl<P: ReadPolicy> Attempt<'_, P> {
         }
     }
 
-    /// Answers `C_k`, releases the registration, hands over the
-    /// retire-set and frees whatever became reclaimable. Nothing the logs
-    /// borrow is looked at again.
-    fn finish(&mut self, retired: &mut Vec<RetiredBlock>) {
+    /// Answers `C_k`, releases the registration, tags the retire-set into
+    /// the process's `bag` and frees whatever became reclaimable; what the
+    /// bag still holds past [`BAG_BOUND`] goes to the shared bins (TL and
+    /// TL2 never pause). Nothing the logs borrow is looked at again.
+    fn finish(&mut self, bag: &mut Bag, retired: &mut Vec<RetiredBlock>) {
         self.rrespond(TmResp::Committed);
         // Filled at `begin` and emptied only here, and only `try_commit` —
         // which consumes the transaction — gets here, once.
         let pin = self.pin.take().expect("held until completion");
-        let retired = std::mem::take(retired);
-        let evicted = self.stm.vars.retire_and_evict(self.id.proc, pin, retired);
+        let vars = &self.stm.vars;
+        let evicted = vars.retire_and_evict(pin, bag, retired.drain(..).map(Retired::Block));
+        vars.domain().defer_bag(bag, BAG_BOUND);
         self.stm.stats.add(Counter::TvarsFreed, evicted);
     }
 }
@@ -626,7 +652,8 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
                 }
             }
             stm.stats.incr(Counter::CommitsPromoted);
-            self.at.finish(&mut self.log.retired);
+            let log = &mut **self.log;
+            self.at.finish(&mut log.bag, &mut log.retired);
             return Ok(());
         }
 
@@ -694,7 +721,8 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
         // Writes are visible and stamped: wake parked conflicters.
         stm.notify
             .publish(self.log.writes.iter().map(|(x, _, _)| *x));
-        self.at.finish(&mut self.log.retired);
+        let log = &mut **self.log;
+        self.at.finish(&mut log.bag, &mut log.retired);
         Ok(())
     }
 
@@ -793,9 +821,10 @@ impl<P: ReadPolicy> WordTx for RoTx<'_, P> {
         self.at.finished = true;
         self.at.invoke(TmOp::TryCommit)?;
         // Every read was serializable at begin time: nothing to validate,
-        // nothing to lock, no clock bump. Commit is the guard's release.
+        // nothing to lock, no clock bump. Commit is the guard's release;
+        // the process's bag waits for its next writable commit.
         self.at.stm.stats.incr(Counter::CommitsRo);
-        self.at.finish(&mut Vec::new());
+        self.at.finish(&mut Bag::default(), &mut Vec::new());
         Ok(())
     }
 
@@ -842,14 +871,18 @@ impl<P: ReadPolicy> WordStm for VersionedLockStm<P> {
     }
 
     fn live_tvars(&self) -> usize {
-        self.stats.add(Counter::TvarsFreed, self.vars.evict_ripe());
+        let evicted = self
+            .vars
+            .evict_ripe_parked(&self.scratch, |log| &mut log.bag);
+        self.stats.add(Counter::TvarsFreed, evicted);
         self.vars.len()
     }
 
     fn begin(&self, proc: u32) -> Box<dyn WordTx + '_> {
         let at = self.attempt(proc);
         let snap = P::begin(|| self.sample_rv(at.id));
-        let log = self.scratch.take(proc as usize).unwrap_or_default();
+        let log = self.scratch.take(proc as usize);
+        let log = log.unwrap_or_else(|| Box::new(Scratch::new(self.vars.domain())));
         Box::new(RwTx {
             at,
             snap,
@@ -1141,15 +1174,97 @@ mod tests {
         let mut retirer = s.begin(2);
         retirer.retire_tvar_block(node, 1);
         retirer.try_commit().unwrap();
-        assert_eq!(s.vars.piled(2), 1, "the block waits in the retirer's bag");
+        assert_eq!(piled(&s, 2), 1, "the block waits in the retirer's bag");
         assert_eq!(s.vars.domain().pending_blocks(), 0);
         assert_eq!(s.live_tvars(), 3, "block must survive the reader");
         assert_eq!(s.peek(node), Some(5));
         reader.try_abort();
         assert_eq!(s.live_tvars(), 2);
-        assert_eq!(s.vars.piled(2), 0);
+        assert_eq!(piled(&s, 2), 0);
         assert_eq!(s.vars.domain().pending_blocks(), 0);
         assert_eq!(s.peek(node), None);
+    }
+
+    /// Items waiting in the bag of process `p`'s parked scratch.
+    fn piled<P: ReadPolicy>(s: &VersionedLockStm<P>, p: u32) -> usize {
+        s.scratch.take(p as usize).map_or(0, |log| {
+            let piled = log.bag.len();
+            s.scratch.put(p as usize, log);
+            piled
+        })
+    }
+
+    /// A writable transaction of process `p` that retires `blk` and
+    /// commits.
+    fn retire<P: ReadPolicy>(s: &VersionedLockStm<P>, p: u32, blk: TVarId, len: usize) {
+        let mut tx = s.begin(p);
+        tx.retire_tvar_block(blk, len);
+        tx.try_commit().expect("nothing to conflict with");
+    }
+
+    /// Processes 1 and 17 share a scratch slot. Process 17 commits while
+    /// process 1's transaction holds the scratch it took, so when process
+    /// 1 puts its scratch back it displaces 17's, whose bag goes to the
+    /// shared bins. Every block is evicted once, and every state freed
+    /// once: each is tombstoned once, and nothing is left pending in a bag
+    /// or the bins (a second free would be a double free, which the
+    /// sanitizer job catches).
+    #[test]
+    fn a_displaced_bag_goes_to_the_bins_and_nothing_is_evicted_twice() {
+        let s = Tl2Stm::new();
+        let (a, b) = (s.alloc_tvar_block(&[0; 2]), s.alloc_tvar_block(&[0; 3]));
+        let domain = s.vars.domain();
+        let peer = domain.begin();
+        let mut t1 = s.begin(1);
+        t1.retire_tvar_block(a, 2);
+        retire(&s, 17, b, 3);
+        assert_eq!(piled(&s, 17), 1, "17 parked a bag of its own");
+        t1.try_commit().unwrap();
+        assert_eq!(domain.pending_blocks(), 1, "17's bag was displaced");
+        assert_eq!(piled(&s, 1), 1, "1's bag is parked");
+        assert_eq!(s.vars.len(), 5, "nothing evicted under the peer");
+        drop(peer);
+        // Any commit flushes the bins; the quiescent count settles the
+        // parked bag.
+        run_transaction(&s, 2, |tx| tx.read(TVarId(a.0 + 1)).map(drop));
+        assert_eq!((s.vars.len(), s.vars.freed()), (2, 3));
+        assert_eq!(s.live_tvars(), 0);
+        assert_eq!(s.vars.freed(), 5);
+        assert_eq!(s.live_tvars(), 0);
+        assert_eq!(s.vars.freed(), 5, "evicted twice");
+        drop(domain.begin()); // a release collects the bins
+        assert_eq!((domain.pending_blocks(), domain.pending_memory()), (0, 0));
+        assert_eq!(piled(&s, 1), 0);
+    }
+
+    /// Four threads commit as processes 1, 17, 33 and 49, which share one
+    /// scratch slot: they take each other's scratches and displace them,
+    /// bags and all, into the bins as they race. Once they are done, every
+    /// block is evicted once and every state freed once.
+    #[test]
+    fn racing_processes_on_one_slot_evict_and_free_each_block_once() {
+        const ROUNDS: usize = 2000;
+        let s = Tl2Stm::new();
+        std::thread::scope(|sc| {
+            for proc in [1, 17, 33, 49] {
+                let s = &s;
+                sc.spawn(move || {
+                    for _ in 0..ROUNDS {
+                        let mut tx = s.begin(proc);
+                        let blk = s.alloc_tvar_block(&[0; 2]);
+                        tx.retire_tvar_block(blk, 2);
+                        tx.try_commit().expect("nothing to conflict with");
+                    }
+                });
+            }
+        });
+        assert_eq!(s.live_tvars(), 0);
+        let domain = s.vars.domain();
+        drop(domain.begin()); // a release collects the bins
+        let total = 4 * ROUNDS * 2;
+        assert_eq!(s.vars.freed(), total as u64);
+        assert_eq!((domain.pending_blocks(), domain.pending_memory()), (0, 0));
+        assert_eq!(piled(&s, 1), 0);
     }
 
     macro_rules! both_policies {

@@ -14,12 +14,20 @@
 //!   (Theorem 13's inevitability, visible statistically) and, counted
 //!   apart, on the commit counter its validation gate adds;
 //! * `coarse`: everything conflicts (the lock).
+//!
+//! The bin exits non-zero unless `tl`, `coarse` and DSTM's commit counter
+//! read as stated.
 
+use oftm_baselines::CLOCK_SHARDS;
 use oftm_bench::{dap_pairs_by_object, make_dstm, make_stm, print_header, print_row};
 use oftm_core::api::{run_transaction, WordStm};
 use oftm_core::record::Recorder;
 use oftm_histories::{check_strict_dap, conflict_density, TVarId};
 use std::sync::Arc;
+
+const THREADS: u32 = 6;
+// TL's zero: a writing commit bumps its process's clock shard, one each.
+const _: () = assert!(THREADS as usize <= CLOCK_SHARDS);
 
 fn main() {
     println!("== E11: base-object conflict density between transactions ==\n");
@@ -34,9 +42,8 @@ fn main() {
         "conflicting pairs (related)",
         "conflicting pairs (unrelated = strict-DAP violations)",
     ]);
-    const THREADS: u32 = 6;
     const ROUNDS: u64 = 200;
-    let mut dstm_split = (0, 0);
+    let (mut dstm_split, mut unrelated) = ((0, 0), Vec::new());
     for name in ["tl", "tl2", "dstm", "coarse"] {
         let rec = Arc::new(Recorder::new());
         let dstm = (name == "dstm").then(|| make_dstm(Some(Arc::clone(&rec))));
@@ -74,15 +81,19 @@ fn main() {
             d.related_pairs.to_string(),
             d.unrelated_pairs.to_string(),
         ]);
+        unrelated.push(d.unrelated_pairs);
     }
 
-    println!(
-        "\ndstm's unrelated pairs: {} pairs on descriptors, {} on the commit counter.",
-        dstm_split.0, dstm_split.1
+    let [tl, .., coarse] = <[usize; 4]>::try_from(unrelated).expect("one row per backend");
+    let (descriptors, counter) = dstm_split;
+    assert!(
+        tl == 0 && coarse > 0 && counter > 0,
+        "claim refuted: tl {tl}, coarse {coarse}, dstm on the counter {counter}"
     );
-    println!("\nReading: TL shows 0 unrelated conflicts (strictly DAP). TL2's clock and");
-    println!("DSTM's descriptors make t-variable-disjoint transactions collide — the");
-    println!("\"useless cache invalidations\" of Section 5, and for the OFTM the");
-    println!("unavoidable cost proven by Theorem 13. DSTM's commit counter is a chosen");
-    println!("cost on top: every pair of update transactions meets there, as on TL2's clock.");
+    println!("\nClaim holds: tl 0 unrelated pairs, coarse {coarse} > 0, dstm {counter} > 0 on the commit counter ({descriptors} on descriptors).");
+    println!("\nReading: TL2's clock and DSTM's descriptors make t-variable-disjoint");
+    println!("transactions collide — the \"useless cache invalidations\" of Section 5, and");
+    println!("for the OFTM the unavoidable cost proven by Theorem 13. DSTM's commit counter");
+    println!("is a chosen cost on top: every pair of update transactions meets there, as on");
+    println!("TL2's clock.");
 }

@@ -148,9 +148,9 @@ pub trait WordStm: Send + Sync {
     /// Number of t-variables currently registered or allocated and not
     /// yet freed — the live-count metric leak regressions assert on. A
     /// table-backed backend first evicts every retired block whose grace
-    /// period has elapsed (`VarTable::evict_ripe`), so the count is exact
-    /// once the instance is quiescent. For oracles and tests: it walks
-    /// every process's bag.
+    /// period has elapsed, in every bag it parks and in the shared bins
+    /// (`VarTable::evict_ripe_parked`), so the count is exact once the
+    /// instance is quiescent. For oracles and tests: it walks every bag.
     fn live_tvars(&self) -> usize;
 
     /// Begins a transaction on behalf of process `proc`.

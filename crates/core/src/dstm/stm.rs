@@ -58,13 +58,14 @@ pub struct Dstm {
     gate: Box<CommitGate<AtomicU64>>,
     gate_base: BaseObjId,
     /// Every transaction registers here, once, and everything the
-    /// instance unlinks retires here: locators into their process's bag
-    /// (in `scratch`), the state behind a dropped [`TVar`] and the
-    /// word-level table's evictions into the shared bins.
+    /// instance unlinks retires here: locators, and the word-level table's
+    /// retired blocks and evicted states, into their process's bag (in
+    /// `scratch`); the state behind a dropped [`TVar`] and the abort
+    /// path's frees into the shared bins.
     domain: Arc<GraceTracker>,
-    /// Pooled per-transaction buffers and bags (keyed by process),
-    /// recycled across transactions so the steady state allocates nothing
-    /// per attempt.
+    /// Pooled per-transaction buffers and each process's one bag (keyed
+    /// by process), recycled across transactions so the steady state
+    /// allocates nothing per attempt.
     scratch: SlotPool<Scratch>,
     /// Always-on telemetry: begins/commits/aborts-by-cause and latency
     /// histograms. Shared with the word-level adapter ([`super::word`]),
@@ -126,16 +127,6 @@ impl Dstm {
 
     pub(crate) fn scratch(&self) -> &SlotPool<Scratch> {
         &self.scratch
-    }
-
-    /// Frees the ripe part of every parked process's bag of retired
-    /// locators — all of it while no transaction runs, so an engine
-    /// quiesced for good strands none.
-    pub(crate) fn reclaim_parked(&self) {
-        self.scratch.for_each_parked(|key, mut scratch| {
-            scratch.reclaim();
-            self.scratch.put(key, scratch);
-        });
     }
 
     /// Switches the instance to the eventually-ic progress policy with the

@@ -28,13 +28,15 @@
 //! Every acquisition unlinks the locator it replaces, and the unlink is
 //! permanent whatever the verdict. The transaction logs each one in its
 //! pooled [`Scratch`]; when it is done, the batch goes into its process's
-//! private bag in the instance's reclamation domain under one epoch bump,
-//! and the front of the bag that no running transaction predates is
+//! one private bag in the instance's reclamation domain under one epoch
+//! bump, and the front of the bag that no running transaction predates is
 //! freed — no lock and no shared word beyond the epoch (see
-//! [`crate::reclaim`]). A peer that stays registered while its process is
+//! [`crate::reclaim`]). A word-level commit hands the batch to its table's
+//! commit hook instead, together with the id blocks it retired: still one
+//! tag and one scan. A peer that stays registered while its process is
 //! off the CPU holds the bag up; a process that finds more than
-//! [`BAG_BOUND`] locators waiting pauses before its next transaction
-//! instead of piling on.
+//! [`BAG_BOUND`] items waiting pauses before its next transaction instead
+//! of piling on.
 //!
 //! Nothing on a read path does bookkeeping nobody reads: the contention
 //! manager's `on_open` is called only for a manager that counts opens
@@ -83,8 +85,10 @@ use super::tvar::{TVar, TVarInner};
 use crate::api::{TxError, TxResult};
 use crate::cm::Resolution;
 use crate::contention::PARK_FLOOR;
-use crate::reclaim::{Bag, Deferred, GraceTracker, Guard, Owned, Retired, Shared, BAG_BOUND};
-use crate::table::Pinned;
+use crate::reclaim::{
+    Bag, Deferred, GraceTracker, Guard, Owned, Retired, RetiredBlock, Shared, BAG_BOUND,
+};
+use crate::table::{Pinned, VarTable};
 use oftm_histories::{Access, ProcId, TVarId, TxId};
 use oftm_obs::{pack_tx, AbortCause, Counter, VarAttr, TX_UNKNOWN};
 use std::cell::Cell;
@@ -111,14 +115,15 @@ impl ReadEntry {
 /// every locator this transaction CASed in (type-erased, borrowed under its
 /// guard like the read-set): what it stamps its verdict into. `written` is
 /// the word-level adapter's write log ([`super::word`]). `unlinked` is
-/// every locator its acquisitions unlinked, retired into `bag` — the
-/// process's private pile in `domain` — when it drops.
+/// every locator its acquisitions unlinked, retired when it is done into
+/// `bag`, the process's one private pile in `domain` (on the word level,
+/// also of the id blocks its commits retire and their states).
 pub(crate) struct Scratch {
     read_set: Vec<ReadEntry>,
     installed: Vec<Pinned<Locator<()>>>,
     pub(crate) written: Vec<TVarId>,
-    unlinked: Vec<Deferred>,
-    bag: Bag,
+    unlinked: Vec<Retired<Deferred>>,
+    pub(crate) bag: Bag,
     domain: Arc<GraceTracker>,
 }
 
@@ -134,42 +139,31 @@ impl Scratch {
         }
     }
 
-    /// Retires what the finished transaction unlinked and frees the ripe
-    /// front of the bag. The transaction's guard must be gone, or its own
-    /// batch would wait on it.
-    fn retire_unlinked(&mut self) {
-        let unlinked = self.unlinked.drain(..).map(Retired::Memory);
-        self.domain.retire(&mut self.bag, unlinked);
-        self.reclaim();
-    }
-
-    /// The pile bound: with more than [`BAG_BOUND`] locators unripe — a
+    /// The pile bound: with more than [`BAG_BOUND`] items unripe — a
     /// peer registered before they were retired is still running, most
     /// likely off the CPU — gives the CPU away for the async park floor
     /// and reclaims again. What is still unripe beyond the bound then goes
     /// to the domain's shared bins: the bag never holds more than the
-    /// bound plus one transaction's unlinks, and every transaction pauses
-    /// until the peer moves on. Runs before the transaction registers:
-    /// the pause holds nothing up.
+    /// bound plus one transaction's retirements, and every transaction
+    /// pauses until the peer moves on. Runs before the transaction
+    /// registers: the pause holds nothing up.
     fn pause_if_piled(&mut self) {
         if self.bag.len() > BAG_BOUND {
             std::thread::sleep(PARK_FLOOR);
-            self.reclaim();
+            self.retire_and_reclaim();
             self.domain.defer_bag(&mut self.bag, BAG_BOUND);
         }
     }
 
-    /// Frees the front of the bag that no registered transaction
-    /// predates.
-    pub(crate) fn reclaim(&mut self) {
-        // Locators only: no block to hand back.
-        self.domain.reclaim(&mut self.bag);
-    }
-
-    /// Items in the bag (tests).
-    #[cfg(test)]
-    pub(crate) fn piled(&self) -> usize {
-        self.bag.len()
+    /// Retires what the finished transaction unlinked, once its guard is
+    /// gone, and frees the front of the bag that no registered transaction
+    /// predates. A ripe id block, a word-level commit's, is the table's to
+    /// evict: it goes back in under a later tag, for the next word commit.
+    fn retire_and_reclaim(&mut self) {
+        self.domain.retire(&mut self.bag, self.unlinked.drain(..));
+        let ripe = self.domain.reclaim(&mut self.bag);
+        let ripe = ripe.into_iter().map(Retired::Block);
+        self.domain.retire(&mut self.bag, ripe);
     }
 }
 
@@ -177,8 +171,7 @@ impl Scratch {
 /// still holds to the domain's shared bins: a later tag is always safe.
 impl Drop for Scratch {
     fn drop(&mut self) {
-        let unlinked = self.unlinked.drain(..).map(Retired::Memory);
-        self.domain.retire(&mut self.bag, unlinked);
+        self.domain.retire(&mut self.bag, self.unlinked.drain(..));
         self.domain.defer_bag(&mut self.bag, 0);
     }
 }
@@ -192,7 +185,7 @@ impl Drop for Scratch {
 pub struct Tx<'s> {
     stm: &'s Dstm,
     desc: Arc<Descriptor>,
-    /// Emptied only by [`Tx::release`], after which nothing is read.
+    /// Emptied only by [`Tx::retire_into`], after which nothing is read.
     guard: Option<Guard<'s>>,
     /// Taken out (and given back to the pool) by `Drop` only.
     pub(crate) scratch: ManuallyDrop<Box<Scratch>>,
@@ -251,13 +244,23 @@ impl<'s> Tx<'s> {
         self.guard.as_ref().expect("guard held until release")
     }
 
-    /// Hands the guard over to the commit hook of a completed transaction.
-    /// The logs' borrows die with it.
-    pub(crate) fn release(&mut self) -> Guard<'s> {
+    /// Hands a completed transaction's guard to `vars`' commit hook, with
+    /// what it unlinked and the `blocks` it retired as one batch: one tag,
+    /// one slot scan. The logs' borrows die first; `Drop` has nothing left
+    /// to retire. Returns how many t-variables the hook evicted.
+    pub(crate) fn retire_into<V: Send>(
+        &mut self,
+        vars: &VarTable<V>,
+        blocks: Vec<RetiredBlock>,
+    ) -> u64 {
         debug_assert!(self.finished);
-        self.scratch.read_set.clear();
-        self.scratch.installed.clear();
-        self.guard.take().expect("released once")
+        let guard = self.guard.take().expect("released once");
+        let scratch = &mut **self.scratch;
+        scratch.read_set.clear();
+        scratch.installed.clear();
+        let unlinked = &mut scratch.unlinked;
+        unlinked.extend(blocks.into_iter().map(Retired::Block));
+        vars.retire_and_evict(guard, &mut scratch.bag, unlinked.drain(..))
     }
 
     /// The t-variables of the read-set, duplicates included.
@@ -524,7 +527,7 @@ impl<'s> Tx<'s> {
             // retirement is `defer_destroy` into our domain, so
             // `self.guard`, registered at `begin`, keeps it allocated until
             // it is released; the read-set is emptied before that
-            // (`release`, `Drop`).
+            // (`retire_into`, `Drop`).
             let var = unsafe { Pinned::new(var) };
             read_set.push(ReadEntry { var, addr });
         }
@@ -574,13 +577,13 @@ impl<'s> Tx<'s> {
             // SAFETY: installed under our guard, and retired — once a later
             // acquisition unlinks it — into our domain, so it stays
             // allocated until the guard goes; the log is emptied before
-            // that (`release`, `Drop`).
+            // that (`retire_into`, `Drop`).
             let installed = unsafe { Pinned::new(installed.deref().erased()) };
             self.rstep(v.base, Access::Modify);
             self.scratch.installed.push(installed);
             // Retired when we are done, whatever the verdict: the unlink
             // stands.
-            self.scratch.unlinked.extend(unlinked);
+            self.scratch.unlinked.extend(unlinked.map(Retired::Memory));
             // Upgrade every read entry of this variable: ownership now
             // protects it.
             let entries = self.scratch.read_set.iter_mut();
@@ -715,15 +718,18 @@ impl Drop for Tx<'_> {
             self.abort_self(AbortCause::ExplicitRetry, VarAttr::NoVar, TX_UNKNOWN);
         }
         // Hand the buffers back, capacity kept — emptied while our guard
-        // (unless the commit hook took it) still protects what the logs
-        // borrowed, then retiring what we unlinked once it is gone.
+        // still protects what the logs borrowed, then retiring what we
+        // unlinked once it is gone (unless the commit hook took the guard,
+        // and the retirement with it).
         // SAFETY: `drop` runs once and nothing reads the field after it.
         let mut scratch = unsafe { ManuallyDrop::take(&mut self.scratch) };
         scratch.read_set.clear();
         scratch.installed.clear();
         scratch.written.clear();
-        drop(self.guard.take());
-        scratch.retire_unlinked();
+        if let Some(guard) = self.guard.take() {
+            drop(guard);
+            scratch.retire_and_reclaim();
+        }
         self.stm
             .scratch()
             .put(self.desc.id().proc as usize, scratch);
@@ -1275,7 +1281,7 @@ mod tests {
     /// Unlinked locators waiting in process `p`'s bag.
     fn piled(s: &Dstm, p: u32) -> usize {
         let scratch = s.scratch().take(p as usize).expect("parked scratch");
-        let piled = scratch.piled();
+        let piled = scratch.bag.len();
         s.scratch().put(p as usize, scratch);
         piled
     }

@@ -78,14 +78,10 @@ impl DstmWord {
     ///
     /// Retired blocks whose grace period has elapsed are evicted first, as
     /// `VersionedLockStm::for_each_live_value` does, and every process's
-    /// bag of retired locators is reclaimed: the caller that quiesced this
-    /// engine to migrate away from it will run no further transaction here
-    /// to free them.
+    /// bag is settled: the caller that quiesced this engine to migrate
+    /// away from it will run no further transaction here to do it.
     pub fn for_each_live_value(&self, mut f: impl FnMut(TVarId, Value)) {
-        self.stm.reclaim_parked();
-        self.stm
-            .stats()
-            .add(Counter::TvarsFreed, self.vars.evict_ripe());
+        self.live_tvars(); // settles every parked bag and the bins
         self.vars
             .for_each_live(|id, v, pin| f(id, v.read_atomic(pin)));
     }
@@ -102,11 +98,10 @@ impl DstmWord {
         inserted
     }
 
-    /// Evicts every t-variable and reclaims every process's bag of
-    /// retired locators: the embedding backend stops mirroring. The
-    /// caller provides quiescence.
+    /// Evicts every t-variable and settles every process's bag: the
+    /// embedding backend stops mirroring. The caller provides quiescence.
     pub fn evict_all(&self) {
-        self.stm.reclaim_parked();
+        self.live_tvars();
         let mut evicted = 0;
         self.vars
             .for_each_live(|id, _, _| evicted += u64::from(self.vars.remove(id)));
@@ -228,16 +223,16 @@ impl WordTx for DstmWordTx<'_> {
                 if !written.is_empty() {
                     self.word.notify.publish(written.iter().copied());
                 }
-                // Release the registration, hand over the retire-set and
-                // evict every block whose grace period has elapsed.
+                // Release the registration, hand over the locators and
+                // the retire-set as one batch and evict every block whose
+                // grace period has elapsed.
                 let DstmWordTx {
                     mut tx,
                     word,
                     retired,
                     ..
                 } = *self;
-                let proc = tx.id().proc;
-                let evicted = word.vars.retire_and_evict(proc, tx.release(), retired);
+                let evicted = tx.retire_into(&word.vars, retired);
                 word.stm.stats().add(Counter::TvarsFreed, evicted);
             }
             Err(TxError::Aborted) => self.record_respond(TmResp::Aborted),
@@ -290,9 +285,10 @@ impl WordStm for DstmWord {
     }
 
     fn live_tvars(&self) -> usize {
-        self.stm
-            .stats()
-            .add(Counter::TvarsFreed, self.vars.evict_ripe());
+        let evicted = self
+            .vars
+            .evict_ripe_parked(self.stm.scratch(), |s| &mut s.bag);
+        self.stm.stats().add(Counter::TvarsFreed, evicted);
         self.vars.len()
     }
 
@@ -512,7 +508,7 @@ mod tests {
         let mut retirer = s.begin(2);
         retirer.retire_tvar_block(node, 1);
         retirer.try_commit().unwrap();
-        assert_eq!(s.vars.piled(2), 1, "the block waits in the retirer's bag");
+        assert_eq!(piled(&s, 2), 1, "the block waits in the retirer's bag");
         assert_eq!(s.stm.domain().pending_blocks(), 0);
         assert_eq!(s.live_tvars(), 2, "block must survive the reader");
         assert_eq!(s.peek(node), Some(5));
@@ -520,8 +516,72 @@ mod tests {
         // Quiescent: the count settles the bag — the block is evicted and
         // its state, retired after the tombstone, freed.
         assert_eq!(s.live_tvars(), 1);
-        assert_eq!(s.vars.piled(2), 0);
+        assert_eq!(piled(&s, 2), 0);
         assert_eq!(s.stm.domain().pending_blocks(), 0);
+        assert_eq!(s.peek(node), None);
+    }
+
+    /// Items waiting in process `p`'s bag.
+    fn piled(s: &DstmWord, p: u32) -> usize {
+        let scratch = s.stm.scratch().take(p as usize).expect("parked scratch");
+        let piled = scratch.bag.len();
+        s.stm.scratch().put(p as usize, scratch);
+        piled
+    }
+
+    /// A process has one bag: a commit that unlinks `k` locators and
+    /// retires a block under a registered peer piles `k + 1` items there
+    /// under one tag, and the shared bins see none of them.
+    #[test]
+    fn a_word_commit_piles_its_locators_and_its_block_in_one_bag() {
+        const K: u64 = 3;
+        let s = word_stm();
+        for x in 0..K {
+            s.register_tvar(TVarId(x), 0);
+        }
+        let node = s.alloc_tvar_block(&[1, 2]);
+        let write_all = |v| {
+            run_transaction(&s, 1, |tx| (0..K).try_for_each(|x| tx.write(TVarId(x), v)));
+        };
+        // The first writes unlink nothing: `T_0`'s value is inline.
+        write_all(1);
+        assert_eq!(piled(&s, 1), 0);
+        let peer = s.begin(2);
+        run_transaction(&s, 1, |tx| {
+            (0..K).try_for_each(|x| tx.write(TVarId(x), 2))?;
+            tx.retire_tvar_block(node, 2);
+            Ok(())
+        });
+        assert_eq!(piled(&s, 1), K as usize + 1, "one bag, every item");
+        assert_eq!(s.stm.domain().pending_memory(), 0);
+        assert_eq!(s.stm.domain().pending_blocks(), 0);
+        drop(peer);
+        // Quiescent: the block is evicted, its states and the locators
+        // freed, from the one bag.
+        assert_eq!(s.live_tvars(), K as usize);
+        assert_eq!(piled(&s, 1), 0);
+        assert_eq!(s.peek(node), None);
+    }
+
+    /// The typed layer has no table to evict with: an aborted attempt whose
+    /// reclaim finds the process's retired block ripe puts it back in the
+    /// bag under a later tag, and the count evicts it — never dropped.
+    #[test]
+    fn an_abort_that_finds_a_ripe_block_leaves_it_for_the_table() {
+        let s = word_stm();
+        s.register_tvar(TVarId(0), 0);
+        let node = s.alloc_tvar(5);
+        let peer = s.begin(2);
+        run_transaction(&s, 1, |tx| {
+            tx.retire_tvar_block(node, 1);
+            Ok(())
+        });
+        drop(peer);
+        let mut tx = s.begin(1);
+        tx.write(TVarId(0), 1).unwrap();
+        tx.try_abort();
+        assert_eq!(piled(&s, 1), 1, "the block is back in the bag");
+        assert_eq!(s.live_tvars(), 1);
         assert_eq!(s.peek(node), None);
     }
 

@@ -12,7 +12,9 @@
 //! pulls away the line another process's slot is on.
 //!
 //! A `take` from an empty slot simply reports `None` (the caller
-//! allocates fresh); a `put` into an occupied slot drops the incumbent.
+//! allocates fresh); a `put` into an occupied slot drops the incumbent —
+//! for an engine's scratch, one that may carry its process's grace bag,
+//! whose `Drop` hands what the bag holds to the domain's shared bins.
 //! Both are rare once the pool is warm: the steady state is one bundle
 //! per active process ping-ponging through its own slot.
 
@@ -20,7 +22,7 @@ use crate::line::Line;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// Number of slots; a power of two so keying is a mask.
-const SLOTS: usize = 16;
+pub(crate) const SLOTS: usize = 16;
 
 /// Lock-free keyed pool of boxed `T` (see module docs).
 pub struct SlotPool<T> {
@@ -51,47 +53,20 @@ impl<T> SlotPool<T> {
         // ord: AcqRel — Acquire pairs with `put`'s Release so the parked
         // bundle's contents are visible to the new owner.
         let p = self.slots[key & (SLOTS - 1)].swap(std::ptr::null_mut(), Ordering::AcqRel);
-        if p.is_null() {
-            None
-        } else {
-            // SAFETY: every non-null slot value came from `Box::into_raw`
-            // in `put`, and the swap took sole ownership.
-            Some(unsafe { Box::from_raw(p) })
-        }
+        // SAFETY: every non-null slot value came from `Box::into_raw` in
+        // `put`, and the swap took sole ownership.
+        (!p.is_null()).then(|| unsafe { Box::from_raw(p) })
     }
 
     /// Parks `t` under `key`'s slot, dropping any incumbent.
     pub fn put(&self, key: usize, t: Box<T>) {
-        drop(self.replace(key, t));
-    }
-
-    /// Parks `t` under `key`'s slot and hands back the incumbent, if any.
-    pub fn replace(&self, key: usize, t: Box<T>) -> Option<Box<T>> {
         // ord: AcqRel — Release publishes the bundle to `take`'s Acquire;
         // Acquire pairs with the incumbent's publishing swap before it is
-        // handed back.
+        // dropped.
         let old = self.slots[key & (SLOTS - 1)].swap(Box::into_raw(t), Ordering::AcqRel);
-        // SAFETY: as in `take`.
-        (!old.is_null()).then(|| unsafe { Box::from_raw(old) })
-    }
-
-    /// Whether a bundle is parked under `key`'s slot right now: a hint
-    /// that writes nothing, for a caller that must not `take` in vain.
-    pub fn is_parked(&self, key: usize) -> bool {
-        // ord: Relaxed — a hint only; the `take` that acts on it is the
-        // AcqRel swap.
-        !self.slots[key & (SLOTS - 1)]
-            .load(Ordering::Relaxed)
-            .is_null()
-    }
-
-    /// Takes every parked bundle out and hands it to `f` with its key,
-    /// which owns it from there (and may park it again).
-    pub(crate) fn for_each_parked(&self, mut f: impl FnMut(usize, Box<T>)) {
-        for key in 0..SLOTS {
-            if let Some(t) = self.take(key) {
-                f(key, t);
-            }
+        if !old.is_null() {
+            // SAFETY: as in `take`.
+            drop(unsafe { Box::from_raw(old) });
         }
     }
 }

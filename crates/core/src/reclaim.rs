@@ -27,9 +27,10 @@
 //! Garbage comes in **two ways**, both tagged by bumping the epoch after
 //! the unlink:
 //!
-//! * **A private bag** ([`crate::kernel::GraceBag`]) per process, for the
-//!   garbage made on every commit: the locator each DSTM acquisition
-//!   unlinks, and the id blocks a table-backed commit retires
+//! * **One private bag** ([`Bag`]) per process, kept with its other
+//!   per-transaction state (an engine's pooled scratch; coarse's gate),
+//!   for the garbage made on every commit: the locators DSTM's
+//!   acquisitions unlink and the id blocks a table-backed commit retires
 //!   ([`crate::table::VarTable::retire_and_evict`]). When a transaction
 //!   is done, its process tags the whole batch with one epoch bump
 //!   (`GraceCore::retire`) and takes the ripe front of its bag with one
@@ -92,12 +93,11 @@
 //! saw. Any thread may enter items into the bins, so between one thread's
 //! scan and its check another can add such an item — hence the lock,
 //! taken before the scan, which every entry also takes. A bag has no such
-//! window: it has one owner at a time (a DSTM bag travels inside a pooled
-//! scratch, a table's bag in the table's pool, and a pool hands each to
-//! one transaction at a time), its items
-//! are added only by that owner, and only before the owner scans, so
-//! every item a scan judges was tagged before the scan, exactly like a
-//! binned item under the lock.
+//! window: it has one owner at a time (it travels inside a pooled scratch,
+//! which a pool hands to one transaction at a time, or sits under coarse's
+//! gate), its items are added only by that owner, and only before the
+//! owner scans, so every item a scan judges was tagged before the scan,
+//! exactly like a binned item under the lock.
 //!
 //! Registration and the epoch bump are `SeqCst`, so a scan that misses an
 //! in-flight registration can only involve a transaction that began after
@@ -122,9 +122,9 @@ pub use crate::kernel::{Retired, RetiredBlock};
 /// Items a process's bag may hold, unripe, after its transaction is done;
 /// the rest goes to the shared bins. A DSTM process over the bound pauses
 /// before its next transaction instead of piling on
-/// (`dstm::tx::Scratch::pause_if_piled`). A solo process never gets
-/// there: its bag is all but empty after every transaction.
-pub(crate) const BAG_BOUND: usize = 1024;
+/// (`dstm::tx::Scratch::pause_if_piled`); TL, TL2 and coarse spill at
+/// commit. A solo process never gets there.
+pub const BAG_BOUND: usize = 1024;
 
 /// Slots per chunk of the lock-free slot list.
 const SLOT_CHUNK: usize = 64;
@@ -307,9 +307,9 @@ impl Drop for Deferred {
 /// still deferred.
 pub type GraceTracker = GraceCore<StdSync, SlotArray, Deferred>;
 
-/// A process's private pile of unlinked memory and retired id blocks in a
-/// [`GraceTracker`] domain (see the module docs).
-pub(crate) type Bag = GraceBag<Deferred>;
+/// A process's one private pile of unlinked memory and retired id blocks
+/// in a [`GraceTracker`] domain (see the module docs).
+pub type Bag = GraceBag<Deferred>;
 
 /// A registration with a [`GraceTracker`]: what a transaction holds from
 /// `begin` to completion (see the module docs). Releasing it — by

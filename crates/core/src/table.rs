@@ -54,11 +54,12 @@
 //! holds from `begin` to completion carries both stages of an eviction.
 //! *Ids first:* backends route frees through
 //! [`VarTable::retire_and_evict`], which tags the committing process's
-//! retired blocks into that process's private bag (kept in the table, in
-//! a [`SlotPool`] keyed by process) and evicts a block only once **no
-//! in-flight transaction predates the retiring commit** — so by the time
-//! its slots are tombstoned, no transaction that could legitimately reach
-//! the block is still running. *Then memory:* the eviction itself is
+//! retired blocks into that process's private bag (the caller's: an
+//! engine keeps it with its other per-transaction state) and evicts a
+//! block only once **no in-flight transaction predates the retiring
+//! commit** — so by the time its slots are tombstoned, no transaction
+//! that could legitimately reach the block is still running. *Then
+//! memory:* the eviction itself is
 //! nonetheless fully race-safe. A slot owns its `V` (one `Box`) behind a
 //! guard-protected pointer, lookups hand out `&V` for the lifetime of the
 //! caller's guard, and every eviction retires the old pointer into the
@@ -70,14 +71,13 @@
 //! tombstone and panics. Memory safety never depends on the caller
 //! honoring the retire contract; only the panic-vs-value outcome does.
 //!
-//! Only the committing process looks at its bag, and a commit that
-//! retired nothing and has no bag parked writes nothing here but its
-//! guard's release. The shared bins still get what is not made on every
-//! commit — a bag past [`crate::reclaim`]'s bound or displaced from its
-//! pool slot, the abort path's frees, a replaced re-registration — and
-//! every commit probes them with one load. [`VarTable::evict_ripe`]
-//! evicts what every parked bag and the bins hold ripe, with no commit to
-//! hang it on: what a leak oracle runs before it counts.
+//! Only the committing process looks at its bag. The shared bins get
+//! what is not made on every commit — a bag past [`crate::reclaim`]'s
+//! bound or displaced from its pool slot, the abort path's frees, a
+//! replaced re-registration — and every commit probes them with one load.
+//! [`VarTable::evict_ripe_parked`] evicts what every parked bag and the
+//! bins hold ripe, with no commit to hang it on: what a leak oracle runs
+//! before it counts.
 //!
 //! Nothing is reference-counted: a count would sit in the t-variable's
 //! own allocation, and every read that kept a handle would write the line
@@ -106,9 +106,7 @@
 
 use crate::line::Line;
 use crate::pool::SlotPool;
-use crate::reclaim::{
-    Atomic, Bag, Deferred, GraceTracker, Guard, Owned, Retired, RetiredBlock, Shared, BAG_BOUND,
-};
+use crate::reclaim::{Atomic, Bag, Deferred, GraceTracker, Guard, Owned, Retired, Shared};
 use oftm_histories::{TVarId, Value};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
@@ -273,10 +271,6 @@ pub struct VarTable<V> {
     /// The domain evicted state is retired into — so the one a lookup's
     /// guard must be registered with.
     domain: Arc<GraceTracker>,
-    /// Each committing process's private bag in `domain`, keyed by
-    /// process: the blocks its commits retired, and the states their
-    /// eviction unlinked. Parked only while it holds something.
-    bags: SlotPool<Bag>,
 }
 
 /// [`VarTable`]'s allocation counters.
@@ -321,12 +315,12 @@ impl<V: Send> VarTable<V> {
                 ..Counts::default()
             })),
             domain,
-            bags: SlotPool::new(),
         }
     }
 
-    /// The table's reclamation domain: where its transactions register.
-    pub fn domain(&self) -> &GraceTracker {
+    /// The table's reclamation domain: where its transactions register,
+    /// and what a bag of theirs hands itself to when it goes.
+    pub fn domain(&self) -> &Arc<GraceTracker> {
         &self.domain
     }
 
@@ -550,29 +544,29 @@ impl<V: Send> VarTable<V> {
         self.domain.defer_all(states);
     }
 
-    /// Commit hook of a table-backed engine, run by the committing process
-    /// `proc`: releases the transaction's `guard`, tags the blocks it
-    /// retired into `proc`'s private bag with one epoch bump, evicts what
-    /// has ripened there (one slot scan, no lock) and whatever ripe block
-    /// waits in the shared bins (one load when nothing does). Returns how
-    /// many t-variables that evicted.
-    ///
-    /// A commit that retired nothing and finds no bag of its process
-    /// parked writes nothing here but its slot release.
-    pub fn retire_and_evict(&self, proc: u32, guard: Guard<'_>, retired: Vec<RetiredBlock>) -> u64 {
+    /// Commit hook of a table-backed engine: releases the transaction's
+    /// `guard`, tags what it `retired` (id blocks; from DSTM, with its
+    /// unlinked locators) into its process's private `bag` with one epoch
+    /// bump, evicts what has ripened there (one slot scan, no lock) and
+    /// whatever ripe block waits in the shared bins (one load when nothing
+    /// does). Returns how many t-variables that evicted. The bag's owner
+    /// bounds its pile ([`crate::reclaim::BAG_BOUND`]); the hook spills
+    /// nothing. A commit that retired nothing into an empty bag writes
+    /// nothing here but its slot release.
+    pub fn retire_and_evict(
+        &self,
+        guard: Guard<'_>,
+        bag: &mut Bag,
+        retired: impl IntoIterator<Item = Retired<Deferred>, IntoIter: ExactSizeIterator>,
+    ) -> u64 {
         debug_assert!(self.domain.owns(&guard), "guard of another domain");
         guard.release();
-        let key = proc as usize;
-        let mut evicted = 0;
-        if !retired.is_empty() || self.bags.is_parked(key) {
-            let mut bag = self.bags.take(key).unwrap_or_default();
-            self.domain
-                .retire(&mut bag, retired.into_iter().map(Retired::Block));
-            evicted += self.settle(&mut bag);
-            self.domain.defer_bag(&mut bag, BAG_BOUND);
-            self.park(key, bag);
+        let retired = retired.into_iter();
+        if retired.len() == 0 && bag.is_empty() {
+            return self.evict_ripe();
         }
-        evicted + self.evict(self.domain.flush())
+        self.domain.retire(bag, retired);
+        self.settle(bag) + self.evict_ripe()
     }
 
     /// Takes the ripe front of `bag`: drops its memory, tombstones the
@@ -593,53 +587,40 @@ impl<V: Send> VarTable<V> {
         ripe.iter().map(|blk| blk.len as u64).sum()
     }
 
-    /// Parks `bag` under `key` unless it is empty; a bag it displaces goes
-    /// to the shared bins.
-    fn park(&self, key: usize, bag: Box<Bag>) {
-        if !bag.is_empty() {
-            if let Some(mut displaced) = self.bags.replace(key, bag) {
-                self.domain.defer_bag(&mut displaced, 0);
+    /// Settles a parked `bag` with no commit to hang it on, until a pass
+    /// finds no block ripe (the pass after an eviction judges the states
+    /// it retired); returns how many t-variables that evicted.
+    pub fn settle_parked(&self, bag: &mut Bag) -> u64 {
+        (0..).map(|_| self.settle(bag)).take_while(|&n| n > 0).sum()
+    }
+
+    /// [`VarTable::settle_parked`] on every bag `pool` parks (`bag_of`
+    /// finds it in what is pooled), then [`VarTable::evict_ripe`].
+    pub fn evict_ripe_parked<S>(
+        &self,
+        pool: &SlotPool<S>,
+        bag_of: impl Fn(&mut S) -> &mut Bag,
+    ) -> u64 {
+        let mut evicted = 0;
+        for key in 0..crate::pool::SLOTS {
+            if let Some(mut pooled) = pool.take(key) {
+                evicted += self.settle_parked(bag_of(&mut pooled));
+                pool.put(key, pooled);
             }
         }
+        evicted + self.evict_ripe()
     }
 
-    /// Evicts every retired block whose grace period has elapsed, with no
-    /// commit to hang it on — in every parked bag, and in the shared bins
-    /// — and drops what memory has ripened with it; returns how many
-    /// t-variables that evicted. After quiescence nothing retired is left
-    /// in the table: what [`VarTable::len`] counts is live.
+    /// Evicts every block in the shared bins whose grace period has
+    /// elapsed and drops what memory has ripened with it; returns how many
+    /// t-variables that evicted. Once quiescent, with every parked bag
+    /// settled, what [`VarTable::len`] counts is live.
     pub fn evict_ripe(&self) -> u64 {
-        let mut evicted = 0;
-        self.bags.for_each_parked(|key, mut bag| {
-            // Until a pass finds no block ripe: the pass after an eviction
-            // judges the states it retired.
-            loop {
-                let n = self.settle(&mut bag);
-                evicted += n;
-                if n == 0 {
-                    break;
-                }
-            }
-            self.park(key, bag);
-        });
-        evicted + self.evict(self.domain.flush())
-    }
-
-    fn evict(&self, ripe: Vec<RetiredBlock>) -> u64 {
+        let ripe = self.domain.flush();
         for blk in &ripe {
             self.remove_block(blk.base, blk.len);
         }
         ripe.iter().map(|blk| blk.len as u64).sum()
-    }
-
-    /// Items waiting in process `proc`'s bag (tests/diagnostics).
-    pub fn piled(&self, proc: u32) -> usize {
-        let key = proc as usize;
-        self.bags.take(key).map_or(0, |bag| {
-            let piled = bag.len();
-            self.park(key, bag);
-            piled
-        })
     }
 
     /// Number of live t-variables (exact; the leak-regression metric).
@@ -746,6 +727,7 @@ impl<V> Drop for VarTable<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reclaim::RetiredBlock;
     use crate::tests::Counted;
     use std::sync::atomic::AtomicUsize;
 
@@ -953,84 +935,28 @@ mod tests {
     fn table_retirements_leave_the_shared_bins_empty() {
         let drops = Arc::new(AtomicUsize::new(0));
         let t: VarTable<Counted> = VarTable::new();
+        let mut bag = Bag::default();
+        let commit = |bag: &mut Bag, retired: Vec<RetiredBlock>| {
+            let retired = retired.into_iter().map(Retired::Block);
+            t.retire_and_evict(t.domain().begin(), bag, retired)
+        };
         let blk = counted_block(&t, &drops, 2);
         let peer = t.domain().begin();
-        assert_eq!(t.retire_and_evict(1, t.domain().begin(), vec![blk]), 0);
+        assert_eq!(commit(&mut bag, vec![blk]), 0);
         assert_eq!(t.domain().pending_blocks(), 0);
         assert_eq!(t.domain().pending_memory(), 0);
-        assert_eq!((t.piled(1), t.len()), (1, 2), "held for the peer");
+        assert_eq!((bag.len(), t.len()), (1, 2), "held for the peer");
         drop(peer);
         // The process's next commit, retiring nothing, evicts the block
         // and bags its states under a tag of their own; the one after
         // frees them.
-        assert_eq!(t.retire_and_evict(1, t.domain().begin(), Vec::new()), 2);
-        assert_eq!((t.piled(1), t.len(), t.freed()), (2, 0, 2));
+        assert_eq!(commit(&mut bag, Vec::new()), 2);
+        assert_eq!((bag.len(), t.len(), t.freed()), (2, 0, 2));
         assert_eq!(t.domain().pending_memory(), 0);
         assert_eq!(drops.load(Ordering::SeqCst), 0, "freed with the block");
-        assert_eq!(t.retire_and_evict(1, t.domain().begin(), Vec::new()), 0);
+        assert_eq!(commit(&mut bag, Vec::new()), 0);
         assert_eq!(drops.load(Ordering::SeqCst), 2);
-        assert_eq!(t.piled(1), 0, "an empty bag is not parked");
-    }
-
-    /// Processes 1 and 17 share a pool slot. Process 17 commits while
-    /// process 1's commit holds the bag it took, so when process 1 parks
-    /// its bag it displaces 17's into the shared bins. Every block is
-    /// evicted once, and every state freed once.
-    #[test]
-    fn a_displaced_bag_goes_to_the_bins_and_nothing_is_evicted_twice() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let t: VarTable<Counted> = VarTable::new();
-        let (a, b) = (counted_block(&t, &drops, 2), counted_block(&t, &drops, 3));
-        let peer = t.domain().begin();
-        t.retire_and_evict(1, t.domain().begin(), vec![a]);
-        let held = t.bags.take(1).expect("process 1's bag");
-        t.retire_and_evict(17, t.domain().begin(), vec![b]);
-        assert_eq!(t.piled(17), 1, "17 parked a bag of its own");
-        t.park(1, held);
-        assert_eq!(t.domain().pending_blocks(), 1, "17's bag was displaced");
-        assert_eq!(t.piled(1), 1, "1's bag is parked");
-        assert_eq!(t.len(), 5, "nothing evicted under the peer");
-        drop(peer);
-        // Any commit flushes the bins; the quiescent count settles the
-        // parked bag.
-        assert_eq!(t.retire_and_evict(2, t.domain().begin(), Vec::new()), 3);
-        assert_eq!(t.evict_ripe(), 2);
-        assert_eq!((t.len(), t.freed()), (0, 5));
-        assert_eq!(t.evict_ripe(), 0, "evicted twice");
-        drop(t.domain().begin()); // a release collects the bins
-        assert_eq!(drops.load(Ordering::SeqCst), 5);
-        drop(t);
-        assert_eq!(drops.load(Ordering::SeqCst), 5, "freed twice");
-    }
-
-    /// Four threads commit as processes 1, 17, 33 and 49, which share one
-    /// pool slot: they take each other's bags and displace them into the
-    /// bins as they race. Once they are done, every block is evicted and
-    /// every state freed, once.
-    #[test]
-    fn racing_processes_on_one_slot_evict_and_free_each_block_once() {
-        const ROUNDS: usize = 2000;
-        let drops = Arc::new(AtomicUsize::new(0));
-        let t: VarTable<Counted> = VarTable::new();
-        std::thread::scope(|s| {
-            for proc in [1, 17, 33, 49] {
-                let (t, drops) = (&t, &drops);
-                s.spawn(move || {
-                    for _ in 0..ROUNDS {
-                        let g = t.domain().begin();
-                        let blk = counted_block(t, drops, 2);
-                        t.retire_and_evict(proc, g, vec![blk]);
-                    }
-                });
-            }
-        });
-        t.evict_ripe();
-        drop(t.domain().begin()); // a release collects the bins
-        let total = 4 * ROUNDS * 2;
-        assert_eq!((t.len(), t.freed()), (0, total as u64));
-        assert_eq!(drops.load(Ordering::SeqCst), total);
-        drop(t);
-        assert_eq!(drops.load(Ordering::SeqCst), total, "freed twice");
+        assert!(bag.is_empty());
     }
 
     #[test]
