@@ -7,9 +7,10 @@
 //!   retried to decision — all must converge on one proposed value;
 //! * fo-obstruction-freedom: step-contention-free proposes never abort;
 //! * under contention, aborts do occur (that's permitted) — we report the
-//!   abort rate per contention manager to show the CM's effect.
+//!   abort rate under the two shipping contention managers (Aggressive,
+//!   Courteous) to show the CM's effect.
 
-use oftm_core::cm::{Aggressive, ContentionManager, Karma, Polite};
+use oftm_core::cm::{Aggressive, ContentionManager, Courteous};
 use oftm_core::Dstm;
 use oftm_foc::{propose_until_decided, FoConsensus, OftmFoc};
 use std::collections::BTreeSet;
@@ -69,8 +70,7 @@ fn main() {
     ]);
     let managers: Vec<(&str, Arc<dyn ContentionManager>)> = vec![
         ("aggressive", Arc::new(Aggressive)),
-        ("polite", Arc::new(Polite::default())),
-        ("karma", Arc::new(Karma::default())),
+        ("courteous", Arc::new(Courteous)),
     ];
     for (name, cm) in managers {
         for n in [2u32, 4, 8] {

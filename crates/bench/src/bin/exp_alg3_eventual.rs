@@ -12,7 +12,7 @@
 //! * concurrent proposes agree and are valid;
 //! * a parked (crash-model) proposer delays but does not block others.
 
-use oftm_core::cm::Polite;
+use oftm_core::cm::Courteous;
 use oftm_core::Dstm;
 use oftm_foc::{propose_until_decided, EventualFoc, FoConsensus};
 use std::collections::BTreeSet;
@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn eventual_stm(grace: Duration) -> Dstm {
-    Dstm::new(Arc::new(Polite::default())).with_grace(grace)
+    Dstm::new(Arc::new(Courteous)).with_grace(grace)
 }
 
 fn main() {

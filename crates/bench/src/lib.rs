@@ -12,7 +12,6 @@ pub mod harness;
 
 use oftm_baselines::{CoarseStm, Tl2Stm, TlStm};
 use oftm_core::api::WordStm;
-use oftm_core::cm::Polite;
 use oftm_core::dstm::{Dstm, DstmWord};
 use oftm_core::record::Recorder;
 use oftm_histories::{BaseObjId, DapViolation};
@@ -33,7 +32,7 @@ pub const STM_NAMES: &[&str] = &[
 /// The `"dstm"` backend of [`make_stm`], concretely typed: the DAP
 /// experiments need its commit counter's base-object id.
 pub fn make_dstm(recorder: Option<Arc<Recorder>>) -> DstmWord {
-    let mut d = Dstm::new(Arc::new(Polite::default()));
+    let mut d = Dstm::default();
     if let Some(r) = recorder {
         d = d.with_recorder(r);
     }

@@ -5,7 +5,8 @@
 //! progress for the caller at the cost of potential livelock between two
 //! transactions repeatedly stealing an object from each other (the retry
 //! loop in `run_transaction` combined with schedulers' natural jitter makes
-//! this rare in practice; the Polite/Karma managers exist to make it rarer).
+//! this rare in practice; [`super::Courteous`] trades a bounded wait for
+//! fewer such steals).
 
 use super::{ContentionManager, Resolution};
 use crate::dstm::descriptor::Descriptor;
@@ -15,10 +16,6 @@ use crate::dstm::descriptor::Descriptor;
 pub struct Aggressive;
 
 impl ContentionManager for Aggressive {
-    fn name(&self) -> &'static str {
-        "aggressive"
-    }
-
     fn resolve(&self, _me: &Descriptor, _other: &Descriptor, _attempt: u32) -> Resolution {
         Resolution::AbortOther
     }
@@ -31,8 +28,8 @@ mod tests {
 
     #[test]
     fn always_aborts() {
-        let me = Descriptor::new(TxId::new(1, 0), 0);
-        let other = Descriptor::new(TxId::new(2, 0), 0);
+        let me = Descriptor::new(TxId::new(1, 0));
+        let other = Descriptor::new(TxId::new(2, 0));
         for attempt in 0..4 {
             assert_eq!(
                 Aggressive.resolve(&me, &other, attempt),

@@ -43,11 +43,6 @@ pub struct Descriptor {
     status: AtomicU8,
     /// Base-object identity of the status word, for the low-level recorder.
     base: BaseObjId,
-    /// Birth order within the STM instance (its begin sequence number;
-    /// smaller is older) — Greedy manager.
-    birth: u64,
-    /// Work-based priority — Karma manager.
-    karma: AtomicU64,
     /// First time (nanos since STM epoch) some other transaction wanted to
     /// abort this one; 0 = never. Used by the eventual-ic variant's grace
     /// period (Definition 4).
@@ -64,13 +59,11 @@ pub struct Descriptor {
 
 impl Descriptor {
     /// Creates a live descriptor.
-    pub fn new(id: TxId, birth: u64) -> Self {
+    pub fn new(id: TxId) -> Self {
         Descriptor {
             id,
             status: AtomicU8::new(TxState::Live as u8),
             base: crate::record::fresh_base_id(),
-            birth,
-            karma: AtomicU64::new(0),
             first_conflict: AtomicU64::new(0),
             killer_tx: AtomicU64::new(TX_UNKNOWN),
             // u64::MAX = unset (t-variable id 0 is legal, MAX is not).
@@ -84,10 +77,6 @@ impl Descriptor {
 
     pub fn base(&self) -> BaseObjId {
         self.base
-    }
-
-    pub fn birth(&self) -> u64 {
-        self.birth
     }
 
     /// Current status.
@@ -136,17 +125,6 @@ impl Descriptor {
                 Ordering::Acquire, // ord: pairs with the settling CAS
             )
             .is_ok()
-    }
-
-    pub fn karma(&self) -> u64 {
-        // ord: Relaxed — monotonic priority counter; contention-manager
-        // heuristics tolerate stale reads.
-        self.karma.load(Ordering::Relaxed)
-    }
-
-    pub fn add_karma(&self, n: u64) {
-        // ord: Relaxed — heuristic counter, no payload to order.
-        self.karma.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Claims the forensic killer stamp of this (victim) descriptor:
@@ -216,7 +194,6 @@ impl std::fmt::Debug for Descriptor {
         f.debug_struct("Descriptor")
             .field("id", &self.id)
             .field("status", &self.status())
-            .field("karma", &self.karma())
             .finish()
     }
 }
@@ -227,7 +204,7 @@ mod tests {
 
     #[test]
     fn lifecycle_commit() {
-        let d = Descriptor::new(TxId::new(1, 0), 5);
+        let d = Descriptor::new(TxId::new(1, 0));
         assert_eq!(d.status(), TxState::Live);
         assert!(d.try_commit());
         assert_eq!(d.status(), TxState::Committed);
@@ -239,7 +216,7 @@ mod tests {
 
     #[test]
     fn lifecycle_abort() {
-        let d = Descriptor::new(TxId::new(1, 1), 5);
+        let d = Descriptor::new(TxId::new(1, 1));
         assert!(d.try_abort());
         assert_eq!(d.status(), TxState::Aborted);
         assert!(!d.try_commit());
@@ -249,7 +226,7 @@ mod tests {
     fn commit_abort_race_has_single_winner() {
         use std::sync::Arc;
         for _ in 0..64 {
-            let d = Arc::new(Descriptor::new(TxId::new(1, 2), 0));
+            let d = Arc::new(Descriptor::new(TxId::new(1, 2)));
             let d2 = Arc::clone(&d);
             let committer = std::thread::spawn(move || d2.try_commit());
             let aborted = d.try_abort();
@@ -262,29 +239,21 @@ mod tests {
     }
 
     #[test]
-    fn karma_accumulates() {
-        let d = Descriptor::new(TxId::new(1, 3), 0);
-        d.add_karma(2);
-        d.add_karma(3);
-        assert_eq!(d.karma(), 5);
-    }
-
-    #[test]
     fn first_conflict_is_sticky() {
-        let d = Descriptor::new(TxId::new(1, 4), 0);
+        let d = Descriptor::new(TxId::new(1, 4));
         assert_eq!(d.note_conflict(100), 100);
         assert_eq!(d.note_conflict(200), 100);
     }
 
     #[test]
     fn note_conflict_zero_is_clamped() {
-        let d = Descriptor::new(TxId::new(1, 5), 0);
+        let d = Descriptor::new(TxId::new(1, 5));
         assert_eq!(d.note_conflict(0), 1);
     }
 
     #[test]
     fn killer_stamp_is_write_once() {
-        let d = Descriptor::new(TxId::new(2, 0), 0);
+        let d = Descriptor::new(TxId::new(2, 0));
         assert_eq!(d.killer(), (TX_UNKNOWN, None));
         d.stamp_killer(oftm_obs::pack_tx(1, 7), 42);
         d.stamp_killer(oftm_obs::pack_tx(3, 9), 99); // loses the claim
@@ -293,15 +262,27 @@ mod tests {
 
     #[test]
     fn killer_stamp_admits_tvar_zero() {
-        let d = Descriptor::new(TxId::new(2, 1), 0);
+        let d = Descriptor::new(TxId::new(2, 1));
         d.stamp_killer(oftm_obs::pack_tx(1, 1), 0);
         assert_eq!(d.killer(), (oftm_obs::pack_tx(1, 1), Some(0)));
     }
 
+    /// An `Arc<Descriptor>` block (two counts, then the descriptor) fills
+    /// exactly one cache line: one per begin, and what a preempted owner
+    /// keeps alive behind every locator it installed.
+    #[test]
+    fn descriptor_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Descriptor>(), 48);
+        assert_eq!(
+            2 * std::mem::size_of::<usize>() + std::mem::size_of::<Descriptor>(),
+            64
+        );
+    }
+
     #[test]
     fn unique_base_ids() {
-        let a = Descriptor::new(TxId::new(1, 6), 0);
-        let b = Descriptor::new(TxId::new(1, 7), 0);
+        let a = Descriptor::new(TxId::new(1, 6));
+        let b = Descriptor::new(TxId::new(1, 7));
         assert_ne!(a.base(), b.base());
     }
 }

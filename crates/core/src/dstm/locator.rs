@@ -12,7 +12,7 @@
 //! | `Committed`  | `Committed`, or unset for a moment | `new` |
 //! | `Aborted`    | `Aborted`, or unset for a moment   | `old` |
 //! | `Live`       | unset      | `old` is the last committed value; `new` is tentative and owner-private |
-//! | `T_0`        | no locator | the value inline in the t-variable ([`super::tvar::TVarInner`]) |
+//! | `T_0`        | no locator | the value inline in the t-variable (`TVarInner`) |
 //!
 //! A t-variable nobody has acquired has no locator at all: its pointer is
 //! null and the paper's initialising transaction `T_0`'s value sits in the
@@ -58,7 +58,7 @@ use std::sync::Arc;
 
 /// A DSTM locator for values of type `T`. `repr(C)` with the
 /// `T`-independent fields first: a `Locator<T>` is readable as a
-/// [`Locator<()>`] prefix ([`Locator::erased`]), which is how the owner's
+/// [`Locator<()>`] prefix (`Locator::erased`), which is how the owner's
 /// log of installed locators and a type-erased read-set entry reach
 /// `owner`, `settled` and `base` whatever `T` the variable carries.
 #[repr(C)]
@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn committed_value_visible() {
-        let owner = Arc::new(Descriptor::new(TxId::new(1, 0), 0));
+        let owner = Arc::new(Descriptor::new(TxId::new(1, 0)));
         let loc = Locator::new(Arc::clone(&owner), 10u64, 11u64);
         assert_eq!(loc.old, 10);
         assert_eq!(loc.resolve().unwrap_err().id(), owner.id());
@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn aborted_owner_resolves_to_old() {
-        let owner = Arc::new(Descriptor::new(TxId::new(1, 2), 0));
+        let owner = Arc::new(Descriptor::new(TxId::new(1, 2)));
         let loc = Locator::new(Arc::clone(&owner), 10u64, 11u64);
         assert!(owner.try_abort());
         assert_eq!(loc.resolve().ok(), Some(&10));
@@ -247,7 +247,7 @@ mod tests {
             ),
             (Descriptor::try_abort, TxState::Aborted, 10),
         ] {
-            let owner = Arc::new(Descriptor::new(TxId::new(1, 3), 0));
+            let owner = Arc::new(Descriptor::new(TxId::new(1, 3)));
             let loc = Locator::new(Arc::clone(&owner), 10u64, 11u64);
             assert!(settle(&owner));
             assert_eq!(resolve_asking(&loc), (Some(&value), true), "unset stamp");
@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn erased_view_reads_the_prefix() {
-        let owner = Arc::new(Descriptor::new(TxId::new(1, 5), 0));
+        let owner = Arc::new(Descriptor::new(TxId::new(1, 5)));
         let loc = Locator::new(Arc::clone(&owner), String::from("a"), String::from("b"));
         let erased = loc.erased();
         assert!(erased.owned_by(&owner));
@@ -270,7 +270,7 @@ mod tests {
 
     #[test]
     fn owner_mutates_tentative() {
-        let owner = Arc::new(Descriptor::new(TxId::new(1, 1), 0));
+        let owner = Arc::new(Descriptor::new(TxId::new(1, 1)));
         let loc = Locator::new(Arc::clone(&owner), 0u64, 0u64);
         // SAFETY: single-threaded test, we are the owner, owner is Live.
         unsafe {
@@ -286,7 +286,7 @@ mod tests {
         // Owner thread writes tentative then commits; reader observes
         // Committed and must see the written value (release/acquire edge).
         for _ in 0..100 {
-            let owner = Arc::new(Descriptor::new(TxId::new(1, 4), 0));
+            let owner = Arc::new(Descriptor::new(TxId::new(1, 4)));
             let loc = Arc::new(Locator::new(Arc::clone(&owner), 0u64, 0u64));
             let (loc2, owner2) = (Arc::clone(&loc), Arc::clone(&owner));
             let writer = std::thread::spawn(move || {
@@ -311,7 +311,7 @@ mod tests {
         // resolution that never looked at the descriptor: the stamp's
         // release/acquire edge alone must carry the tentative value.
         for _ in 0..100 {
-            let owner = Arc::new(Descriptor::new(TxId::new(1, 6), 0));
+            let owner = Arc::new(Descriptor::new(TxId::new(1, 6)));
             let loc = Arc::new(Locator::new(Arc::clone(&owner), 0u64, 0u64));
             let (loc2, owner2) = (Arc::clone(&loc), Arc::clone(&owner));
             let writer = std::thread::spawn(move || {

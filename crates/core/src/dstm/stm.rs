@@ -39,17 +39,12 @@ pub enum Progress {
 /// explicit [`Dstm::begin`] / [`Tx::commit`] pair.
 pub struct Dstm {
     cm: Arc<dyn ContentionManager>,
-    /// `cm.counts_opens()`, asked once: whether a read or an acquisition
-    /// calls `cm.on_open` at all.
-    counts_opens: bool,
     progress: Progress,
     recorder: Option<Arc<Recorder>>,
     epoch: Instant,
-    /// Begin sequence numbers: the low half is the `TxId` counter, the
-    /// whole word a transaction's birth order (64 bits, so it never wraps
-    /// and a [`Dstm::with_tx_base`] offset cannot invert it). Every begin
-    /// writes it, so it is boxed on a [`Line`] of its own.
-    tx_seq: Box<Line<AtomicU64>>,
+    /// Begin sequence numbers, the `TxId` counter. Every begin writes
+    /// it, so it is boxed on a [`Line`] of its own.
+    tx_seq: Box<Line<AtomicU32>>,
     tvar_seq: AtomicU32,
     /// Commit counter gating read-set validation (see [`super::tx`]): the
     /// one word every transaction of this instance shares. Boxed for the
@@ -86,7 +81,6 @@ impl Dstm {
     /// manager.
     pub fn new(cm: Arc<dyn ContentionManager>) -> Self {
         Dstm {
-            counts_opens: cm.counts_opens(),
             cm,
             progress: Progress::ObstructionFree,
             recorder: None,
@@ -114,7 +108,7 @@ impl Dstm {
     pub fn with_tx_base(self, base: u32) -> Self {
         // ord: Relaxed — single-threaded builder; atomicity alone keeps
         // later ids unique.
-        self.tx_seq.store(u64::from(base), Ordering::Relaxed);
+        self.tx_seq.store(base, Ordering::Relaxed);
         self
     }
 
@@ -144,10 +138,6 @@ impl Dstm {
 
     pub fn cm(&self) -> &dyn ContentionManager {
         &*self.cm
-    }
-
-    pub(crate) fn counts_opens(&self) -> bool {
-        self.counts_opens
     }
 
     pub fn progress(&self) -> Progress {
@@ -193,7 +183,7 @@ impl Dstm {
     pub fn begin(&self, proc: u32) -> Tx<'_> {
         // ord: Relaxed — atomicity alone keeps transaction ids unique.
         let seq = self.tx_seq.fetch_add(1, Ordering::Relaxed);
-        let desc = Arc::new(Descriptor::new(TxId::new(proc, seq as u32), seq));
+        let desc = Arc::new(Descriptor::new(TxId::new(proc, seq)));
         self.stats.incr(Counter::Begins);
         Tx::new(self, desc)
     }
@@ -245,7 +235,7 @@ impl Dstm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cm::Polite;
+    use crate::cm::Courteous;
 
     #[test]
     fn atomically_counter_increment() {
@@ -276,7 +266,7 @@ mod tests {
 
     #[test]
     fn concurrent_counter_is_linear() {
-        let stm = Arc::new(Dstm::new(Arc::new(Polite::default())));
+        let stm = Arc::new(Dstm::new(Arc::new(Courteous)));
         let x = stm.new_tvar(0u64);
         const THREADS: u32 = 4;
         const PER: u64 = 250;
@@ -324,7 +314,7 @@ mod tests {
     fn multi_var_invariant_preserved() {
         // Transfer between two accounts; total must be conserved at every
         // commit point.
-        let stm = Arc::new(Dstm::new(Arc::new(Polite::default())));
+        let stm = Arc::new(Dstm::new(Arc::new(Courteous)));
         let a = stm.new_tvar(500i64 as u64);
         let b = stm.new_tvar(500u64);
         std::thread::scope(|s| {

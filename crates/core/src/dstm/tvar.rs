@@ -1,6 +1,6 @@
 //! Transactional variables: a CAS-able pointer to the current locator.
 //!
-//! A t-variable's entire shared state ([`TVarInner`]) is one atomic
+//! A t-variable's entire shared state (`TVarInner`) is one atomic
 //! pointer to the currently installed [`Locator`] beside two ids and the
 //! value the paper's initialising transaction `T_0` gave it; acquiring the
 //! variable is a CAS on this pointer, exactly the "exclusive but revocable
@@ -268,7 +268,7 @@ mod tests {
     #[test]
     fn cas_swings_and_retires() {
         let v = tvar(3, 1u64);
-        let me = Arc::new(Descriptor::new(TxId::new(1, 0), 0));
+        let me = Arc::new(Descriptor::new(TxId::new(1, 0)));
         let guard = v.domain().begin();
         let cur = v.state().load(&guard);
         // `T_0`'s value is inline: no locator until the first acquisition.
@@ -296,7 +296,7 @@ mod tests {
     #[test]
     fn cas_failure_returns_locator() {
         let v = tvar(4, 1u64);
-        let me = Arc::new(Descriptor::new(TxId::new(1, 0), 0));
+        let me = Arc::new(Descriptor::new(TxId::new(1, 0)));
         let guard = v.domain().begin();
         let cur = v.state().load(&guard);
         // First CAS wins.

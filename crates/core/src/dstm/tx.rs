@@ -27,7 +27,7 @@
 //!
 //! Every acquisition unlinks the locator it replaces, and the unlink is
 //! permanent whatever the verdict. The transaction logs each one in its
-//! pooled [`Scratch`]; when it is done, the batch goes into its process's
+//! pooled `Scratch`; when it is done, the batch goes into its process's
 //! one private bag in the instance's reclamation domain under one epoch
 //! bump, and the front of the bag that no running transaction predates is
 //! freed — no lock and no shared word beyond the epoch (see
@@ -39,10 +39,9 @@
 //! of piling on.
 //!
 //! Nothing on a read path does bookkeeping nobody reads: the contention
-//! manager's `on_open` is called only for a manager that counts opens
-//! ([`crate::cm::ContentionManager::counts_opens`]), and a transaction
-//! that has installed nothing skips the check of its own status word — no
-//! peer can reach its descriptor to abort it.
+//! manager is consulted only on a conflict with a live owner, and a
+//! transaction that has installed nothing skips the check of its own
+//! status word — no peer can reach its descriptor to abort it.
 //!
 //! ## The commit-counter gate
 //!
@@ -393,14 +392,6 @@ impl<'s> Tx<'s> {
         }
     }
 
-    /// Tells the contention manager that we opened one more t-variable,
-    /// if it is one that counts them.
-    fn note_open(&self) {
-        if self.stm.counts_opens() {
-            self.stm.cm().on_open(&self.desc);
-        }
-    }
-
     /// Resolves a conflict over t-variable `var` with the live foreign
     /// `owner` per the contention manager and the progress policy. Returns
     /// when the owner is no longer live (aborted by us or completed by
@@ -430,10 +421,7 @@ impl<'s> Tx<'s> {
                     if killed { Access::Modify } else { Access::Read },
                 );
             }
-            Resolution::Backoff(d) => {
-                backoff(d);
-                *attempt = attempt.saturating_add(1);
-            }
+            Resolution::Wait => *attempt = attempt.saturating_add(1),
         }
     }
 
@@ -531,7 +519,6 @@ impl<'s> Tx<'s> {
             let var = unsafe { Pinned::new(var) };
             read_set.push(ReadEntry { var, addr });
         }
-        self.note_open();
         self.validate_or_abort()?;
         Ok(val)
     }
@@ -590,7 +577,6 @@ impl<'s> Tx<'s> {
             for entry in entries.filter(|e| e.is_of(var)) {
                 entry.addr = new_addr;
             }
-            self.note_open();
             return self.validate_or_abort();
         }
     }
@@ -736,16 +722,13 @@ impl Drop for Tx<'_> {
     }
 }
 
-/// Sleeps/spins for roughly `d`. Sub-100µs waits spin (sleep granularity is
-/// far coarser); longer waits sleep.
+/// Spins for roughly `d`: the one wait the engine makes itself, the
+/// eventual-ic variant's few microseconds (sleep granularity is far
+/// coarser).
 fn backoff(d: Duration) {
-    if d < Duration::from_micros(100) {
-        let end = Instant::now() + d;
-        while Instant::now() < end {
-            std::hint::spin_loop();
-        }
-    } else {
-        std::thread::sleep(d);
+    let end = Instant::now() + d;
+    while Instant::now() < end {
+        std::hint::spin_loop();
     }
 }
 
@@ -1171,8 +1154,8 @@ mod tests {
     }
 
     #[test]
-    fn in_body_opacity_polite() {
-        in_body_opacity(Arc::new(crate::cm::Polite::default()));
+    fn in_body_opacity_courteous() {
+        in_body_opacity(Arc::new(crate::cm::Courteous));
     }
 
     // The payload of the tests below is an `Arc<Token>`: its drop count

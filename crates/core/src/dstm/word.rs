@@ -317,11 +317,11 @@ impl WordStm for DstmWord {
 mod tests {
     use super::*;
     use crate::api::run_transaction;
-    use crate::cm::Polite;
+    use crate::cm::Courteous;
     use crate::record::Recorder;
 
     fn word_stm() -> DstmWord {
-        DstmWord::new(Dstm::new(Arc::new(Polite::default())))
+        DstmWord::new(Dstm::new(Arc::new(Courteous)))
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! * [`dstm`] — the STM itself: typed [`dstm::TVar`]s, transactions,
 //!   commit/abort via a single status-word CAS, revocable ownership.
-//! * [`cm`] — contention managers (Aggressive, Polite, Karma, Greedy,
-//!   Randomized), each honouring the obstruction-freedom contract.
+//! * [`cm`] — the two contention managers the engines run (Aggressive,
+//!   Courteous), each honouring the obstruction-freedom contract.
 //! * [`api`] — the uniform word-level [`api::WordStm`] interface shared
 //!   with the baselines and Algorithm 2, enabling apples-to-apples
 //!   experiments.

@@ -6,7 +6,7 @@
 //! validation. Sibling of the cause-exactness tests in
 //! `cm_forced_conflict.rs`.
 
-use oftm_core::cm::{Aggressive, Polite};
+use oftm_core::cm::{Aggressive, Courteous};
 use oftm_core::dstm::Dstm;
 use oftm_obs::{pack_tx, AbortCause};
 use std::sync::Arc;
@@ -52,14 +52,14 @@ fn forced_cm_kill_records_one_exact_edge() {
     assert_eq!(hot[0].dominant_cause(), AbortCause::CmArbitrated);
 }
 
-/// Forced stale read under Polite: commit-time validation catches the
+/// Forced stale read under Courteous: commit-time validation catches the
 /// invalidated read, and the locator now installed in the variable names
 /// the transaction whose acquisition replaced the one we read — the same
 /// meaning TL/TL2's writer stamp has. Exactly one edge: that writer,
 /// `ReadValidation`, over `x`.
 #[test]
 fn stale_read_names_the_writer_that_replaced_the_locator() {
-    let stm = Dstm::new(Arc::new(Polite::default()));
+    let stm = Dstm::new(Arc::new(Courteous));
     let x = stm.new_tvar(0u64);
     let forensics = stm.stats().forensics();
     forensics.reset();

@@ -123,12 +123,12 @@ impl<T: Clone + Send + Sync + 'static> FoConsensus<T> for EventualFoc<T> {
 mod tests {
     use super::*;
     use crate::traits::{propose_until_decided, stress_agreement};
-    use oftm_core::cm::Polite;
+    use oftm_core::cm::Courteous;
     use std::sync::Arc;
     use std::time::Duration;
 
     fn eventual_stm() -> Dstm {
-        Dstm::new(Arc::new(Polite::default())).with_grace(Duration::from_micros(200))
+        Dstm::new(Arc::new(Courteous)).with_grace(Duration::from_micros(200))
     }
 
     #[test]

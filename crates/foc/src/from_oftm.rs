@@ -69,11 +69,11 @@ impl<T: Clone + Send + Sync + 'static> FoConsensus<T> for OftmFoc<T> {
 mod tests {
     use super::*;
     use crate::traits::{propose_until_decided, stress_agreement};
-    use oftm_core::cm::{Aggressive, Polite};
+    use oftm_core::cm::{Aggressive, Courteous};
     use std::sync::Arc;
 
     fn foc() -> OftmFoc<u64> {
-        OftmFoc::new(Dstm::new(Arc::new(Polite::default())))
+        OftmFoc::new(Dstm::new(Arc::new(Courteous)))
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod tests {
     use crate::cas_foc::CasFoc;
     use crate::from_oftm::OftmFoc;
     use crate::splitter_foc::SplitterFoc;
-    use oftm_core::cm::Polite;
+    use oftm_core::cm::Courteous;
     use oftm_core::dstm::Dstm;
     use std::collections::BTreeSet;
     use std::sync::{Arc, Mutex};
@@ -95,7 +95,7 @@ mod tests {
     #[test]
     fn two_process_consensus_over_algorithm1_foc() {
         for _ in 0..10 {
-            let foc = OftmFoc::new(Dstm::new(Arc::new(Polite::default())));
+            let foc = OftmFoc::new(Dstm::new(Arc::new(Courteous)));
             let d = run_consensus(&foc, 2);
             assert_eq!(d.len(), 1);
         }

@@ -136,6 +136,9 @@ const BEGIN_BATCH: u64 = 16;
 /// distinguishable in traces.
 const MIGRATION_PROC: u32 = 63;
 
+/// Writes per migration-copy transaction.
+const COPY_CHUNK: usize = 128;
+
 /// Transaction-sequence base of the embedded DSTM engine: keeps its
 /// `TxId`s disjoint from the TL2 engine's when both feed one recorder.
 const DSTM_TX_BASE: u32 = 1 << 31;
@@ -166,11 +169,6 @@ pub struct HybridConfig {
     /// Escalation is never dwell-blocked — a storm response must not
     /// wait out a throttle while TL2 livelocks.
     pub dwell_ops: u64,
-    /// Writes per migration-copy transaction.
-    pub copy_chunk: usize,
-    /// Patience (scheduler yields) of the embedded DSTM engine's
-    /// [`Courteous`] contention manager.
-    pub patience: u32,
 }
 
 impl Default for HybridConfig {
@@ -183,8 +181,6 @@ impl Default for HybridConfig {
             deescalate_abort_ratio: 0.1,
             deescalate_windows: 4,
             dwell_ops: 4096,
-            copy_chunk: 128,
-            patience: 64,
         }
     }
 }
@@ -202,8 +198,6 @@ impl HybridConfig {
             deescalate_abort_ratio: 0.2,
             deescalate_windows: 2,
             dwell_ops: 16,
-            copy_chunk: 128,
-            patience: 64,
         }
     }
 
@@ -220,8 +214,6 @@ impl HybridConfig {
             deescalate_abort_ratio: -1.0, // no window is ever calm
             deescalate_windows: u32::MAX,
             dwell_ops: 0,
-            copy_chunk: 128,
-            patience: 64,
         }
     }
 }
@@ -283,11 +275,9 @@ impl HybridStm {
         let mut tl2 = Tl2Stm::new()
             .with_stats(Arc::clone(&stats))
             .with_notifier(notify.clone());
-        let mut dstm_inner = Dstm::new(Arc::new(Courteous {
-            patience: cfg.patience,
-        }))
-        .with_stats(Arc::clone(&stats))
-        .with_tx_base(DSTM_TX_BASE);
+        let mut dstm_inner = Dstm::new(Arc::new(Courteous))
+            .with_stats(Arc::clone(&stats))
+            .with_tx_base(DSTM_TX_BASE);
         if let Some(rec) = rec {
             tl2 = tl2.with_recorder(Arc::clone(&rec));
             dstm_inner = dstm_inner.with_recorder(rec);
@@ -491,7 +481,7 @@ impl HybridStm {
             Mode::Tl2 => &self.tl2,
             Mode::Dstm => &self.dstm,
         };
-        for chunk in pending.chunks(self.cfg.copy_chunk.max(1)) {
+        for chunk in pending.chunks(COPY_CHUNK) {
             // Quiescent engine: the first attempt commits; loop anyway so
             // a contract violation surfaces as livelock in tests rather
             // than silent value loss.

@@ -76,10 +76,6 @@ impl NamingAggressive {
 }
 
 impl ContentionManager for NamingAggressive {
-    fn name(&self) -> &'static str {
-        Aggressive.name()
-    }
-
     fn resolve(&self, me: &Descriptor, other: &Descriptor, attempt: u32) -> Resolution {
         self.note(other);
         Aggressive.resolve(me, other, attempt)

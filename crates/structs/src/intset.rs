@@ -154,12 +154,12 @@ impl TxIntSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oftm_core::cm::Polite;
+    use oftm_core::cm::Courteous;
     use oftm_core::dstm::{Dstm, DstmWord};
     use std::sync::Arc;
 
     fn stm() -> DstmWord {
-        DstmWord::new(Dstm::new(Arc::new(Polite::default())))
+        DstmWord::new(Dstm::new(Arc::new(Courteous)))
     }
 
     #[test]

@@ -106,13 +106,13 @@ impl TxQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oftm_core::cm::Polite;
+    use oftm_core::cm::Courteous;
     use oftm_core::dstm::{Dstm, DstmWord};
     use std::collections::HashSet;
     use std::sync::Arc;
 
     fn stm() -> DstmWord {
-        DstmWord::new(Dstm::new(Arc::new(Polite::default())))
+        DstmWord::new(Dstm::new(Arc::new(Courteous)))
     }
 
     #[test]

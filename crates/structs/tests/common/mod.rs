@@ -3,9 +3,7 @@
 //! and must not depend on it).
 
 use oftm_core::api::WordStm;
-use oftm_core::cm::Polite;
 use oftm_core::dstm::{Dstm, DstmWord};
-use std::sync::Arc;
 
 /// Every STM implementation in the workspace, by name.
 #[allow(dead_code)] // not every test target iterates all STMs
@@ -13,7 +11,7 @@ pub const STM_NAMES: &[&str] = &["dstm", "tl", "tl2", "coarse", "algo2-cas", "al
 
 pub fn make_stm(name: &str) -> Box<dyn WordStm> {
     match name {
-        "dstm" => Box::new(DstmWord::new(Dstm::new(Arc::new(Polite::default())))),
+        "dstm" => Box::new(DstmWord::new(Dstm::default())),
         "tl" => Box::new(oftm_baselines::TlStm::new()),
         "tl2" => Box::new(oftm_baselines::Tl2Stm::new()),
         "coarse" => Box::new(oftm_baselines::CoarseStm::new()),

@@ -19,7 +19,7 @@ const WRITERS: u32 = 4;
 const AUDITORS: u32 = 2;
 
 fn main() {
-    let stm = Arc::new(Dstm::new(Arc::new(oftm::core::cm::Karma::default())));
+    let stm = Arc::new(Dstm::new(Arc::new(oftm::core::cm::Courteous)));
     let accounts: Vec<TVar<u64>> = (0..ACCOUNTS).map(|_| stm.new_tvar(INITIAL)).collect();
     let expected_total = ACCOUNTS as u64 * INITIAL;
     let audits = AtomicU64::new(0);

@@ -9,14 +9,14 @@
 //! Run with: `cargo run --example collections`
 
 use oftm::core::api::WordStm;
-use oftm::core::cm::Polite;
+use oftm::core::cm::Courteous;
 use oftm::structs::atomically;
 use oftm::{Dstm, DstmWord, TxHashMap, TxIntSet, TxQueue};
 use std::sync::Arc;
 
 fn make_stm(name: &str) -> Box<dyn WordStm> {
     match name {
-        "dstm" => Box::new(DstmWord::new(Dstm::new(Arc::new(Polite::default())))),
+        "dstm" => Box::new(DstmWord::new(Dstm::new(Arc::new(Courteous)))),
         "tl" => Box::new(oftm::baselines::TlStm::new()),
         "tl2" => Box::new(oftm::baselines::Tl2Stm::new()),
         "coarse" => Box::new(oftm::baselines::CoarseStm::new()),

@@ -109,7 +109,7 @@ impl IntSet {
 }
 
 fn main() {
-    let stm = Arc::new(Dstm::new(Arc::new(oftm::core::cm::Polite::default())));
+    let stm = Arc::new(Dstm::new(Arc::new(oftm::core::cm::Courteous)));
     let set = Arc::new(IntSet::new(Arc::clone(&stm)));
 
     // Sequential sanity.

@@ -99,7 +99,7 @@ fn theorem5_of_and_ic_of_agree_on_oftm_histories() {
 fn theorem6_algorithm3_gives_foconsensus() {
     use oftm::foc::{propose_until_decided, EventualFoc, FoConsensus};
     use std::time::Duration;
-    let stm = oftm::Dstm::new(std::sync::Arc::new(oftm::core::cm::Polite::default()))
+    let stm = oftm::Dstm::new(std::sync::Arc::new(oftm::core::cm::Courteous))
         .with_grace(Duration::from_micros(100));
     let foc: EventualFoc<u64> = EventualFoc::new(stm, 4);
     // Sequential proposes never abort (fo-obstruction-freedom).

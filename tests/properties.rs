@@ -96,7 +96,7 @@ proptest! {
         use oftm::core::api::WordStm;
         let rec = std::sync::Arc::new(oftm::Recorder::new());
         let stm = oftm::DstmWord::new(
-            oftm::Dstm::new(std::sync::Arc::new(oftm::core::cm::Polite::default()))
+            oftm::Dstm::new(std::sync::Arc::new(oftm::core::cm::Courteous))
                 .with_recorder(std::sync::Arc::clone(&rec)),
         );
         const N: u64 = 4;
