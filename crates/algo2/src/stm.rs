@@ -220,8 +220,8 @@ pub struct Algo2Stm {
     notify: CommitNotifier,
     tx_seq: AtomicU32,
     recorder: Option<Arc<Recorder>>,
-    /// Always-on telemetry (begins/commits/aborts-by-cause, latency
-    /// histograms). Algorithm 2 has no contention manager: peers race
+    /// Always-on telemetry (begins/commits/aborts-by-cause, attempts,
+    /// parks). Algorithm 2 has no contention manager: peers race
     /// fo-consensus proposals instead, so its aborts land in the
     /// `cas_lost` (a propose lost to a peer) and `read_validation`
     /// (decided-chain/`V[x]`/`Aborted[Tk]` checks) buckets.

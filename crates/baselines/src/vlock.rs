@@ -214,8 +214,8 @@ impl VLockVar {
     }
 
     /// Tries to take the commit lock for transaction `me`, returning the
-    /// unlocked word it replaced.
-    fn try_lock(&self, me: u64) -> Option<u64> {
+    /// unlocked word it replaced and the writer stamp it overwrote.
+    fn try_lock(&self, me: u64) -> Option<(u64, u64)> {
         // ord: Acquire pairs with the previous holder's Release unlock.
         let cur = self.lock.load(Ordering::Acquire);
         if cur & LOCK_BIT != 0 {
@@ -229,10 +229,21 @@ impl VLockVar {
             .compare_exchange(cur, cur | LOCK_BIT, Ordering::AcqRel, Ordering::Acquire)
             .ok()?;
         // Holder stamp: any peer that aborts on this word while we hold it
-        // (or validates against our commit stamp later) names us.
-        // ord: Relaxed — forensic stamp, carries no payload.
+        // (or validates against our commit stamp later) names us. The
+        // stamp we replace names whoever made the word we locked over.
+        // ord: Relaxed — only the lock holder writes the stamp, and the
+        // CAS's Acquire ordered the previous holder's store before this
+        // load; the stamp carries no payload.
+        let prev = self.writer.load(Ordering::Relaxed);
         self.writer.store(me, Ordering::Relaxed);
-        Some(cur)
+        Some((cur, prev))
+    }
+
+    /// The forensic writer stamp: the current lock holder, or the last
+    /// transaction to have held the lock.
+    fn writer(&self) -> u64 {
+        // ord: Relaxed — forensic stamp, carries no payload.
+        self.writer.load(Ordering::Relaxed)
     }
 
     /// Releases the lock, restoring (abort) or installing (commit) the
@@ -256,9 +267,10 @@ struct Scratch<S> {
     /// Redo log in program order, carrying resolved variables; sorted and
     /// deduplicated by `try_commit`.
     writes: Vec<WriteEntry>,
-    /// Lock log of the commit attempt: the words locked over, parallel to
-    /// the (deduplicated, sorted) prefix of `writes`.
-    locked: Vec<u64>,
+    /// Lock log of the commit attempt, parallel to the (deduplicated,
+    /// sorted) prefix of `writes`: each word locked over, beside the
+    /// writer stamp the lock replaced — what a stale held entry names.
+    locked: Vec<(u64, u64)>,
     retired: Vec<RetiredBlock>,
     /// The process's one private bag in the table's domain: the blocks
     /// its commits retired and the states their eviction unlinked.
@@ -300,8 +312,8 @@ pub struct VersionedLockStm<P: ReadPolicy> {
     tx_seq: Box<Line<AtomicU32>>,
     recorder: Option<Arc<Recorder>>,
     scratch: SlotPool<Scratch<P::Seen>>,
-    /// Always-on telemetry (begins/commits/aborts-by-cause, latency
-    /// histograms). Behind an `Arc` so an embedding backend (the hybrid)
+    /// Always-on telemetry (begins/commits/aborts-by-cause, attempts,
+    /// parks). Behind an `Arc` so an embedding backend (the hybrid)
     /// can share one registry across engines.
     stats: Arc<StmStats>,
     /// Bounded spin on a locked variable before giving up and aborting
@@ -480,14 +492,12 @@ impl<P: ReadPolicy> Attempt<'_, P> {
         pack_tx(self.id.proc, self.id.seq)
     }
 
-    /// Kills the attempt over `x`. The variable's writer stamp names the
-    /// aggressor: the current lock holder, or the committer whose stamp
-    /// invalidated the read.
-    fn doom<T>(&mut self, cause: AbortCause, x: TVarId, var: &VLockVar) -> TxResult<T> {
+    /// Kills the attempt over `x`, naming `aggressor`: a variable's
+    /// writer stamp — the current lock holder, or the committer whose
+    /// stamp invalidated the read.
+    fn doom<T>(&mut self, cause: AbortCause, x: TVarId, aggressor: u64) -> TxResult<T> {
         self.dead = true;
         self.conflict_hint = Some(x);
-        // ord: Relaxed — forensic stamp, carries no payload.
-        let aggressor = var.writer.load(Ordering::Relaxed);
         self.stm
             .stats
             .abort_at(cause, VarAttr::Var(x.0), self.packed_id(), aggressor);
@@ -567,9 +577,9 @@ impl<P: ReadPolicy> RwTx<'_, P> {
     /// somebody else is about to change.
     fn first_stale_read(&self) -> Option<usize> {
         self.log.reads.iter().position(|(var, x, seen)| {
-            let word = match self.log.writes.binary_search_by_key(x, |(w, _, _)| *w) {
-                Ok(i) => self.log.locked[i],
-                Err(_) => {
+            let word = match self.held(*x) {
+                Some(h) => self.log.locked[h].0,
+                None => {
                     self.at.rstep(var.lock_base, Access::Read);
                     // ord: Acquire pairs with `unlock`'s Release
                     // (validation read).
@@ -584,15 +594,30 @@ impl<P: ReadPolicy> RwTx<'_, P> {
         })
     }
 
-    /// Fails the commit on the stale read-set entry `i`.
+    /// Position of `x` in the lock log, if this commit holds it: once
+    /// the write-set is sorted, deduplicated and locked.
+    fn held(&self, x: TVarId) -> Option<usize> {
+        self.log
+            .writes
+            .binary_search_by_key(&x, |(w, _, _)| *w)
+            .ok()
+    }
+
+    /// Fails the commit on the stale read-set entry `i`. A variable this
+    /// commit holds carries our own stamp, so it names the stamp our lock
+    /// replaced: the writer of the word we locked over.
     fn doom_on_read(&mut self, i: usize) -> TxResult<()> {
         let (var, x, _) = self.log.reads[i];
-        self.at.doom(AbortCause::ReadValidation, x, &var)
+        let aggressor = match self.held(x) {
+            Some(h) => self.log.locked[h].1,
+            None => var.writer(),
+        };
+        self.at.doom(AbortCause::ReadValidation, x, aggressor)
     }
 
     /// Restores every word this commit attempt locked over.
     fn unlock_held(&self) {
-        for ((_, _, var), prev) in self.log.writes.iter().zip(&self.log.locked).rev() {
+        for ((_, _, var), (prev, _)) in self.log.writes.iter().zip(&self.log.locked).rev() {
             var.unlock(*prev);
         }
     }
@@ -616,7 +641,7 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
             if let Some((word, val)) = var.read_consistent() {
                 self.at.rstep(var.value_base, Access::Read);
                 let Some(seen) = P::admit(word, &self.snap) else {
-                    return self.at.doom(AbortCause::ReadValidation, x, &var);
+                    return self.at.doom(AbortCause::ReadValidation, x, var.writer());
                 };
                 self.log.reads.push((var, x, seen));
                 self.at.rrespond(TmResp::Value(val));
@@ -625,7 +650,7 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
             // Locked by a committing writer, or torn by one.
             patience = patience.saturating_sub(1);
             if patience == 0 {
-                return self.at.doom(AbortCause::LockBusy, x, &var);
+                return self.at.doom(AbortCause::LockBusy, x, var.writer());
             }
             std::hint::spin_loop();
         }
@@ -688,7 +713,7 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
                 patience = patience.saturating_sub(1);
                 if patience == 0 {
                     self.unlock_held();
-                    return self.at.doom(AbortCause::LockBusy, x, &var);
+                    return self.at.doom(AbortCause::LockBusy, x, var.writer());
                 }
                 std::hint::spin_loop();
             }
@@ -787,7 +812,7 @@ impl<P: ReadPolicy> WordTx for RoTx<'_, P> {
                 loop {
                     patience = patience.saturating_sub(1);
                     if patience == 0 {
-                        return self.at.doom(AbortCause::LockBusy, x, &var);
+                        return self.at.doom(AbortCause::LockBusy, x, var.writer());
                     }
                     std::hint::spin_loop();
                     self.at.rstep(var.lock_base, Access::Read);
@@ -801,7 +826,7 @@ impl<P: ReadPolicy> WordTx for RoTx<'_, P> {
         if !readable(ver, &self.rv) {
             if self.read_any {
                 // Snapshot frozen; this value postdates it.
-                return self.at.doom(AbortCause::ReadValidation, x, &var);
+                return self.at.doom(AbortCause::ReadValidation, x, var.writer());
             }
             // First read: refresh the snapshot instead of aborting.
             self.rv = stm.sample_rv(self.at.id);
@@ -993,7 +1018,7 @@ mod tests {
         s.lock_patience = 1;
         let pin = s.vars.domain().begin();
         let x = s.vars.get_ref_or_panic_in(X, &pin);
-        let prev = x.try_lock(pack_tx(7, 3)).expect("uncontended");
+        let (prev, _) = x.try_lock(pack_tx(7, 3)).expect("uncontended");
         for mut tx in [s.begin(0), s.begin_ro(0)] {
             assert_eq!(tx.read(Y), Ok(0));
             assert!(!tx.doomed(), "live: the body's to commit or give up on");
@@ -1119,7 +1144,7 @@ mod tests {
         let pin = s.vars.domain().begin();
         let x = s.vars.get_ref_or_panic_in(X, &pin);
         // What a committer does to X on its way in, frozen there.
-        let prev = x.try_lock(pack_tx(7, 3)).expect("uncontended");
+        let (prev, _) = x.try_lock(pack_tx(7, 3)).expect("uncontended");
 
         let mut rw = s.begin(0);
         assert!(rw.read(X).is_err());

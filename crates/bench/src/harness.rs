@@ -575,8 +575,8 @@ pub fn expected_live(sc: &Scenario, snapshot: &[u64]) -> usize {
 /// ends as exactly one of three disjoint commit counters or one tagged
 /// abort cause; `attempts` is what the driver counted for the tapes' ops,
 /// which the backend's own count can only exceed (population, snapshot).
-/// `Driver::attempt` records one `attempt_ns` sample per attempt, so fewer
-/// samples than driver attempts means some attempt bypassed the driver.
+/// `Driver::attempt` adds one to `Attempts` per attempt, so a count below
+/// the driver's attempts means some attempt bypassed the driver.
 pub fn conservation_failures(stats: &StatsSnapshot, attempts: u64) -> Vec<String> {
     let begins = stats.get(Counter::Begins);
     let ended = stats.get(Counter::Commits)
@@ -600,10 +600,10 @@ pub fn conservation_failures(stats: &StatsSnapshot, attempts: u64) -> Vec<String
             "{begins} begins counted for {attempts} driver attempts"
         ));
     }
-    let samples = stats.attempt_ns.count();
-    if samples < attempts {
+    let counted = stats.get(Counter::Attempts);
+    if counted < attempts {
         failures.push(format!(
-            "{samples} attempt_ns samples for {attempts} driver attempts"
+            "{counted} Attempts counted for {attempts} driver attempts"
         ));
     }
     failures

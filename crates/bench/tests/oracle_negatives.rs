@@ -87,12 +87,9 @@ fn stats(begins: u64, ro: u64, commits: u64, rv: u64) -> StatsSnapshot {
     s.add(Counter::BeginsRo, ro);
     s.add(Counter::CommitsRo, ro);
     s.add(Counter::Commits, commits);
+    s.add(Counter::Attempts, rv + ro + commits);
     for _ in 0..rv {
         s.abort(AbortCause::ReadValidation);
-        s.record_attempt_ns(10);
-    }
-    for _ in 0..ro + commits {
-        s.record_attempt_ns(10);
     }
     s.snapshot()
 }
@@ -153,7 +150,8 @@ fn conservation_gate_catches_an_unfinished_begin() {
     assert_eq!(failures.len(), 1, "{failures:?}");
     assert!(failures[0].contains("not conserved"), "{failures:?}");
     // Fewer begins than the driver ran attempts, more RO begins than
-    // begins, attempts without latency samples: each its own failure.
+    // begins, driver attempts the `Attempts` counter never saw: each its
+    // own failure.
     let short = conservation_failures(&stats(50, 20, 25, 5), 60);
     assert!(
         short.iter().any(|f| f.contains("driver attempts")),
@@ -166,19 +164,18 @@ fn conservation_gate_catches_an_unfinished_begin() {
     );
     let silent = conservation_failures(&StatsSnapshot::default(), 3);
     assert!(
-        silent.iter().any(|f| f.contains("attempt_ns")),
+        silent.iter().any(|f| f.contains("Attempts counted")),
         "{silent:?}"
     );
-    // Conserved and counted, but one latency sample short: an attempt
-    // bypassed `Driver::attempt`, which records one sample per attempt.
+    // Conserved and counted, but one `Attempts` short: an attempt bypassed
+    // `Driver::attempt`, which counts every attempt it runs.
     let s = StmStats::new();
     s.add(Counter::Begins, 3);
     s.add(Counter::Commits, 3);
-    s.record_attempt_ns(10);
-    s.record_attempt_ns(10);
+    s.add(Counter::Attempts, 2);
     let bypass = conservation_failures(&s.snapshot(), 3);
     assert_eq!(bypass.len(), 1, "{bypass:?}");
-    assert!(bypass[0].contains("2 attempt_ns samples"), "{bypass:?}");
+    assert!(bypass[0].contains("2 Attempts counted"), "{bypass:?}");
 }
 
 /// Scenario invariants and the reclamation count, on every kind: a

@@ -185,9 +185,10 @@ pub trait WordStm: Send + Sync {
     /// The telemetry registry of this STM instance. Backends tag every
     /// aborted attempt with exactly one [`oftm_obs::AbortCause`] and count
     /// begins/commits/reclamation at their own sites; the driver
-    /// ([`crate::driver`]) records attempt latencies and budget exhaustion
-    /// into the same registry (see [`oftm_obs`]). Always on — the cost is a handful of
-    /// uncontended relaxed increments per transaction.
+    /// ([`crate::driver`]) counts attempts and budget exhaustion into the
+    /// same registry (see [`oftm_obs`]). Always on — the cost is a handful
+    /// of uncontended relaxed increments per transaction, and no clock
+    /// read.
     fn stats(&self) -> &StmStats;
 
     /// The conflict-forensics table of this STM instance: one

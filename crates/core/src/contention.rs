@@ -24,7 +24,7 @@
 //! spin-driven ones — which is what lets the harnesses claim "strictly
 //! fewer wasted re-runs" as an apples-to-apples number.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Exponent cap of the randomized backoff: delays are drawn from
 /// `[0, 2^min(attempt, 8))` µs.
@@ -43,8 +43,15 @@ pub fn backoff_micros(proc: u32, attempt: u32) -> u64 {
 
 /// Spins for [`backoff_micros`]`(proc, attempt)` — the sync loop's wait.
 pub fn spin_backoff(proc: u32, attempt: u32) {
-    let end = std::time::Instant::now() + Duration::from_micros(backoff_micros(proc, attempt));
-    while std::time::Instant::now() < end {
+    spin_for(Duration::from_micros(backoff_micros(proc, attempt)));
+}
+
+/// Spins for roughly `d` (sleep granularity is far coarser): the sync
+/// loop's backoff, and the one wait the DSTM engine makes itself — the
+/// eventual-ic variant's few microseconds before it may kill an owner.
+pub fn spin_for(d: Duration) {
+    let end = Instant::now() + d;
+    while Instant::now() < end {
         std::hint::spin_loop();
     }
 }

@@ -4,9 +4,12 @@
 //! The paper's model of a retry is one sentence (Section 2.2: an aborted
 //! transaction is restarted under a fresh identifier; Section 1: back
 //! off so that it eventually runs alone). [`Driver::attempt`] is that
-//! sentence minus the waiting: begin, run the body, `tryC` or drop,
-//! account, release what the attempt allocated. *How to wait* between
-//! attempts is the only thing its two callers differ in:
+//! sentence minus the waiting: count the attempt, begin, run the body,
+//! `tryC` or drop, release what the attempt allocated. An attempt reads
+//! no clock: its accounting is one relaxed add to `Counter::Attempts`,
+//! and the clock reads that remain are the waits between attempts.
+//! *How to wait* between attempts is the only thing its two callers
+//! differ in:
 //!
 //! * [`drive`] — the sync loop behind every `run_transaction*` and
 //!   `atomically*` name: spin for [`crate::contention::spin_backoff`],
@@ -21,7 +24,6 @@ use crate::api::{BudgetExceeded, TxError, TxResult, WordStm, WordTx};
 use crate::contention::spin_backoff;
 use oftm_histories::{TVarId, Value};
 use oftm_obs::{pack_tx, AbortCause, Counter, VarAttr, TX_UNKNOWN};
-use std::time::Instant;
 
 /// A live transaction paired with its STM — what a transaction body runs
 /// against.
@@ -128,12 +130,9 @@ impl<'s> Driver<'s> {
         body: &mut impl FnMut(&mut TxCtx<'_, '_>) -> TxResult<R>,
         footprint: Option<&mut Vec<TVarId>>,
     ) -> Option<R> {
-        let (stm, stats) = (self.stm, self.stm.stats());
-        if self.attempts > 0 {
-            stats.incr(Counter::Retries);
-        }
+        let stm = self.stm;
+        stm.stats().incr(Counter::Attempts);
         self.attempts += 1;
-        let started = Instant::now();
         let mut tx = if self.read_only {
             stm.begin_ro(self.proc)
         } else {
@@ -159,7 +158,6 @@ impl<'s> Driver<'s> {
                 None
             }
         };
-        stats.record_attempt_ns(started.elapsed().as_nanos() as u64);
         if committed.is_some() {
             self.allocs.clear(); // published by the commit
         } else {

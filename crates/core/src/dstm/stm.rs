@@ -62,8 +62,8 @@ pub struct Dstm {
     /// by process), recycled across transactions so the steady state
     /// allocates nothing per attempt.
     scratch: SlotPool<Scratch>,
-    /// Always-on telemetry: begins/commits/aborts-by-cause and latency
-    /// histograms. Shared with the word-level adapter ([`super::word`]),
+    /// Always-on telemetry: begins/commits/aborts-by-cause, attempts and
+    /// parks. Shared with the word-level adapter ([`super::word`]),
     /// so one registry covers both API layers of this instance. Behind an
     /// `Arc` so an embedding backend (the hybrid) can share one registry
     /// across engines.
@@ -204,11 +204,8 @@ impl Dstm {
     ) -> (R, u32) {
         let mut attempts = 0;
         loop {
-            if attempts > 0 {
-                self.stats.incr(Counter::Retries);
-            }
+            self.stats.incr(Counter::Attempts);
             attempts += 1;
-            let started = Instant::now();
             let mut tx = self.begin(proc);
             let committed = match body(&mut tx) {
                 Ok(r) => {
@@ -223,8 +220,6 @@ impl Dstm {
                     None
                 }
             };
-            self.stats
-                .record_attempt_ns(started.elapsed().as_nanos() as u64);
             if let Some(r) = committed {
                 return (r, attempts);
             }

@@ -83,7 +83,7 @@ use super::stm::{Dstm, Progress};
 use super::tvar::{TVar, TVarInner};
 use crate::api::{TxError, TxResult};
 use crate::cm::Resolution;
-use crate::contention::PARK_FLOOR;
+use crate::contention::{spin_for, PARK_FLOOR};
 use crate::reclaim::{
     Bag, Deferred, GraceTracker, Guard, Owned, Retired, RetiredBlock, Shared, BAG_BOUND,
 };
@@ -93,7 +93,7 @@ use oftm_obs::{pack_tx, AbortCause, Counter, VarAttr, TX_UNKNOWN};
 use std::cell::Cell;
 use std::mem::ManuallyDrop;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One entry of the invisible read-set: the t-variable (borrowed, type
 /// erased; its address is its identity) and the address of the locator the
@@ -406,7 +406,7 @@ impl<'s> Tx<'s> {
                     let now = self.stm.now_nanos();
                     let first = owner.note_conflict(now);
                     if now.saturating_sub(first) < grace.as_nanos() as u64 {
-                        backoff(Duration::from_micros(5));
+                        spin_for(Duration::from_micros(5));
                         *attempt = attempt.saturating_add(1);
                         return;
                     }
@@ -722,20 +722,11 @@ impl Drop for Tx<'_> {
     }
 }
 
-/// Spins for roughly `d`: the one wait the engine makes itself, the
-/// eventual-ic variant's few microseconds (sleep granularity is far
-/// coarser).
-fn backoff(d: Duration) {
-    let end = Instant::now() + d;
-    while Instant::now() < end {
-        std::hint::spin_loop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cm::Aggressive;
+    use std::time::Instant;
 
     fn stm() -> Dstm {
         Dstm::new(Arc::new(Aggressive))

@@ -216,8 +216,9 @@ impl Seen {
 }
 
 /// The accounting every run owes, whatever its outcome: one `begin` of
-/// the row's kind, one latency sample and (past the first) one `Retries`
-/// per attempt; parks only where the runner parks, and never read-only.
+/// the row's kind and one `Attempts` per attempt (the retries are the
+/// attempts past the first); parks only where the runner parks, and
+/// never read-only.
 fn assert_accounting(row: Row, m: &Seen, attempts: u32, parks: u64, exhausted: u64) {
     let (of_kind, other) = if row.ro {
         (m.begins_ro, m.begins)
@@ -225,9 +226,8 @@ fn assert_accounting(row: Row, m: &Seen, attempts: u32, parks: u64, exhausted: u
         (m.begins, m.begins_ro)
     };
     assert_eq!((of_kind, other), (attempts, 0), "{row:?}: begins");
-    let retries = u64::from(attempts.saturating_sub(1));
-    assert_eq!(m.stats.get(Counter::Retries), retries, "{row:?}: retries");
-    assert_eq!(m.stats.attempt_ns.count(), u64::from(attempts), "{row:?}");
+    let counted = m.stats.get(Counter::Attempts);
+    assert_eq!(counted, u64::from(attempts), "{row:?}: attempts");
     assert_eq!(m.stats.get(Counter::Parks), parks, "{row:?}: parks");
     let tagged = m.stats.get(Counter::AbortBudgetExhausted);
     assert_eq!(tagged, exhausted, "{row:?}: budget tags");

@@ -2,12 +2,12 @@
 //!
 //! Every STM instance in the workspace owns one [`StmStats`]: a sharded
 //! registry of relaxed-atomic counters (begins, commits, aborts **by
-//! cause**, retries, parks, reclamation tallies) and two allocation-free
-//! log2-bucket latency histograms (attempt latency, park duration). The
-//! always-on cost of a transaction is a handful of uncontended relaxed
-//! increments plus the driver's two monotonic clock reads — cheap enough
-//! that the numbers are *never* compiled out, so every test oracle and
-//! every postmortem has them.
+//! cause**, attempts, parks, reclamation tallies) and two allocation-free
+//! log2-bucket latency histograms (park duration, and an attempt-latency
+//! one no transaction path writes). The always-on cost of a transaction
+//! is a handful of uncontended relaxed increments and no clock read —
+//! cheap enough that the numbers are *never* compiled out, so every test
+//! oracle and every postmortem has them.
 //!
 //! Why causes and not just counts: the paper's argument is about *where*
 //! progress is lost — helping, aborts, version-chain walks. A single
@@ -128,9 +128,11 @@ pub enum Counter {
     AbortCmArbitrated,
     AbortExplicitRetry,
     AbortBudgetExhausted,
-    /// Re-runs after an aborted attempt (attempt 2 and later of a retry
-    /// loop). `Begins - Retries` approximates distinct logical ops.
-    Retries,
+    /// Attempts run by a retry loop: `Driver::attempt` and DSTM's typed
+    /// loop each add one per attempt, so an op's attempts past its first
+    /// are its retries. Counted, not timed: a count is one relaxed add, a
+    /// timing two clock reads.
+    Attempts,
     /// Aborted async attempts that parked on the commit notifier.
     Parks,
     /// Parked attempts woken by a relevant commit.
@@ -411,6 +413,10 @@ impl StmStats {
     }
 
     /// Records one attempt's wall-clock latency (begin → commit/abort).
+    /// No transaction path calls it: an attempt reads no clock, and
+    /// [`Counter::Attempts`] counts attempts. It and the `attempt_ns`
+    /// histogram are kept only for the benchmark ledger's
+    /// `obs.record_attempt_ns` row, which times a histogram record.
     #[inline]
     pub fn record_attempt_ns(&self, ns: u64) {
         self.shards[my_shard()].attempt_ns.record(ns);
@@ -449,6 +455,8 @@ impl StmStats {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     counters: [u64; COUNTER_KINDS],
+    /// Written only by [`StmStats::record_attempt_ns`], which no
+    /// transaction path calls.
     pub attempt_ns: HistogramSnapshot,
     pub park_ns: HistogramSnapshot,
 }

@@ -6,7 +6,7 @@
 //! *code* and *comment* halves by a small state machine that understands
 //! line/block comments, string/raw-string literals, and char literals
 //! vs. lifetimes; `#[cfg(test)]` regions are skipped; function bodies
-//! are tracked by brace depth. On top of that, five rules encode hygiene
+//! are tracked by brace depth. On top of that, seven rules encode hygiene
 //! invariants the compiler cannot check:
 //!
 //! * **unsafe-safety** — every `unsafe` keyword must be justified by a
@@ -29,9 +29,15 @@
 //!   can never tag two causes.
 //!   `BudgetExhausted` is exempt: it is tagged by the driver, after
 //!   the attempt has fully finished.
+//! * **abort-var-attribution** — every such tagging call names the
+//!   t-variable fought over, or declines with `VarAttr::NoVar`.
 //! * **std-sync-lock** — `std::sync::Mutex` / `RwLock` are forbidden
 //!   outside an explicit allowlist: the STM hot paths must stay
 //!   lock-free, and the blessed blocking sites are enumerated.
+//! * **clock-read** — `Instant::now` / `SystemTime::now` are forbidden
+//!   outside an explicit allowlist of waits and diagnostics: a clock
+//!   read costs more than a transaction's own bookkeeping, so the
+//!   attempt path (driver, engines, table, kernels) reads none.
 //!
 //! The library half ([`lint_source`]) is pure (path + source text in,
 //! violations out) so the negative-oracle fixtures in
@@ -69,6 +75,7 @@ pub const RULE_AWAIT: &str = "await-in-attempt";
 pub const RULE_ABORT: &str = "abort-tag-once";
 pub const RULE_ABORT_VAR: &str = "abort-var-attribution";
 pub const RULE_STD_LOCK: &str = "std-sync-lock";
+pub const RULE_CLOCK: &str = "clock-read";
 
 // ---------------------------------------------------------------------------
 // Lexical pass: split lines into code / comment, skip cfg(test), find fns.
@@ -437,6 +444,26 @@ fn is_std_lock_allowed(rel: &str) -> bool {
     EXACT.contains(&rel) || PREFIX.iter().any(|p| rel.starts_with(p))
 }
 
+/// Blessed clock-read sites: waits between attempts and diagnostics,
+/// never the attempt itself. By prefix: experiment-driver bins (they time
+/// whole runs).
+fn is_clock_read_allowed(rel: &str) -> bool {
+    const PREFIX: &[&str] = &["crates/bench/src/bin/"];
+    const EXACT: &[&str] = &[
+        // The sync loop's backoff spin and the eventual-ic spin.
+        "crates/core/src/contention.rs",
+        // The step recorder's timeline (instrumented runs only).
+        "crates/core/src/record.rs",
+        // DSTM's eventual-ic grace clock: its epoch, read only when a
+        // conflict is resolved under that variant.
+        "crates/core/src/dstm/stm.rs",
+        // The park watchdog's deadline and the timer wheel.
+        "crates/asyncrt/src/future.rs",
+        "crates/asyncrt/src/timer.rs",
+    ];
+    EXACT.contains(&rel) || PREFIX.iter().any(|p| rel.starts_with(p))
+}
+
 /// Crates whose abort-tagging mentions are not backend tag sites (the
 /// stats sink defining `abort`/`abort_at`, and this crate's own scanner).
 fn is_abort_rule_exempt(rel: &str) -> bool {
@@ -630,6 +657,19 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
                         .to_string(),
                 );
             }
+        }
+
+        // clock-read --------------------------------------------------------
+        if !is_clock_read_allowed(rel)
+            && (has_token(code, "Instant::now") || has_token(code, "SystemTime::now"))
+        {
+            push(
+                idx,
+                RULE_CLOCK,
+                "clock read outside the wait/diagnostic allowlist — count instead of timing, \
+                 or add the file to the allowlist with a rationale"
+                    .to_string(),
+            );
         }
     }
     out

@@ -4,8 +4,8 @@
 //! the lint is itself linted.
 
 use oftm_verify::lint::{
-    lint_source, lint_workspace, Violation, RULE_ABORT, RULE_ABORT_VAR, RULE_AWAIT, RULE_ORD,
-    RULE_SAFETY, RULE_STD_LOCK,
+    lint_source, lint_workspace, Violation, RULE_ABORT, RULE_ABORT_VAR, RULE_AWAIT, RULE_CLOCK,
+    RULE_ORD, RULE_SAFETY, RULE_STD_LOCK,
 };
 
 fn rule_lines(violations: &[Violation], rule: &str) -> Vec<usize> {
@@ -108,6 +108,50 @@ fn std_lock_outside_allowlist_fails() {
     // crate is held to the rule like any other.
     let shim = lint_source("crates/shims/rand/src/lib.rs", src);
     assert_eq!(rule_lines(&shim, RULE_STD_LOCK).len(), 2, "{shim:?}");
+}
+
+#[test]
+fn clock_read_outside_allowlist_fails() {
+    let src = include_str!("fixtures/clock_read.rs");
+    // The attempt path: the driver, every engine, the table, the kernels.
+    for rel in [
+        "crates/core/src/driver.rs",
+        "crates/core/src/dstm/tx.rs",
+        "crates/baselines/src/vlock.rs",
+        "crates/baselines/src/coarse.rs",
+        "crates/core/src/table.rs",
+        "crates/core/src/kernel.rs",
+    ] {
+        let v = lint_source(rel, src);
+        let lines = rule_lines(&v, RULE_CLOCK);
+        // The two reads in `attempt`; not the comment, the string, a
+        // look-alike type or the test module.
+        assert_eq!(lines.len(), 2, "{rel}: {v:?}");
+        assert!(src
+            .lines()
+            .nth(lines[0] - 1)
+            .unwrap()
+            .contains("Instant::now()"));
+        assert!(src
+            .lines()
+            .nth(lines[1] - 1)
+            .unwrap()
+            .contains("SystemTime::now()"));
+    }
+    // The waits and diagnostics may read the clock.
+    for rel in [
+        "crates/core/src/contention.rs",
+        "crates/core/src/record.rs",
+        "crates/core/src/dstm/stm.rs",
+        "crates/asyncrt/src/future.rs",
+        "crates/asyncrt/src/timer.rs",
+        "crates/bench/src/bin/exp_preemption.rs",
+    ] {
+        assert!(
+            rule_lines(&lint_source(rel, src), RULE_CLOCK).is_empty(),
+            "{rel}"
+        );
+    }
 }
 
 /// The workspace itself must be clean — this is the same gate CI's
