@@ -65,10 +65,10 @@ use crate::registry::{locked, Registry};
 use oftm_core::api::{TxError, TxResult, WordStm, WordTx};
 use oftm_core::notify::CommitNotifier;
 use oftm_core::reclaim::{Guard, RetiredBlock};
-use oftm_core::record::{fresh_base_id, Recorder};
+use oftm_core::record::{self, fresh_base_id, Recorder};
 use oftm_core::table::{VarTable, DYNAMIC_TVAR_BASE};
 use oftm_foc::{CasFoc, FoConsensus, SplitterFoc};
-use oftm_histories::{Access, BaseObjId, TVarId, TmOp, TmResp, TxId, Value};
+use oftm_histories::{Access, BaseObjId, TVarId, TxId, Value};
 use oftm_obs::{pack_tx, AbortCause, Counter, StmStats, VarAttr, TX_UNKNOWN};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -254,6 +254,11 @@ impl Algo2Stm {
         }
     }
 
+    /// The recorder steps go to, if one is attached.
+    fn recorder(&self) -> Option<&Recorder> {
+        self.recorder.as_deref()
+    }
+
     /// The telemetry registry of this instance.
     pub fn stats(&self) -> &StmStats {
         &self.stats
@@ -344,24 +349,6 @@ impl<'s> Algo2Tx<'s> {
         }
     }
 
-    fn rstep(&self, obj: BaseObjId, access: Access) {
-        if let Some(rec) = &self.stm.recorder {
-            rec.step(self.id.process(), Some(self.id), obj, access);
-        }
-    }
-
-    fn rinvoke(&self, op: TmOp) {
-        if let Some(rec) = &self.stm.recorder {
-            rec.invoke(self.id, op);
-        }
-    }
-
-    fn rrespond(&self, resp: TmResp) {
-        if let Some(rec) = &self.stm.recorder {
-            rec.respond(self.id, resp);
-        }
-    }
-
     /// `procedure acquire(Tk, x)` — returns the current state of `x` or
     /// `A_k`.
     fn acquire(&mut self, x: TVarId) -> TxResult<Value> {
@@ -380,13 +367,18 @@ impl<'s> Algo2Tx<'s> {
             // ord: Acquire pairs with owners' Release V[x] stores — the
             // wait-freedom guard re-reads this below.
             let v_snapshot = v_cell.val.load(Ordering::Acquire);
-            self.rstep(v_cell.base, Access::Read);
+            record::step(self.stm.recorder(), self.id, v_cell.base, Access::Read);
 
             // repeat … until owner = Tk
             loop {
                 let owner_cell = self.stm.owner_cell(x, version);
                 let owner = owner_cell.propose(self.id.proc, encode_tx(self.id));
-                self.rstep(owner_cell.base, Access::Modify);
+                record::step(
+                    self.stm.recorder(),
+                    self.id,
+                    owner_cell.base,
+                    Access::Modify,
+                );
                 let owner = match owner {
                     None => {
                         // owner = ⊥: our Owner proposal lost outright. The
@@ -400,7 +392,7 @@ impl<'s> Algo2Tx<'s> {
                     // s ← State[owner].propose(aborted)
                     let sc = self.stm.state_cell(owner);
                     let s = sc.propose(self.id.proc, Fate::Aborted as u8);
-                    self.rstep(sc.base, Access::Modify);
+                    record::step(self.stm.recorder(), self.id, sc.base, Access::Modify);
                     match s {
                         None => {
                             // s = ⊥: the State proposal itself failed. The
@@ -420,7 +412,7 @@ impl<'s> Algo2Tx<'s> {
                             // TVar store: Committed implies its tentative
                             // value is visible.
                             state = cell.val.load(Ordering::Acquire);
-                            self.rstep(cell.base, Access::Read);
+                            record::step(self.stm.recorder(), self.id, cell.base, Access::Read);
                         }
                         Some(_) => {
                             // Aborted[owner] ← true
@@ -432,7 +424,7 @@ impl<'s> Algo2Tx<'s> {
                             // ord: Release pairs with the owner's Acquire
                             // Aborted[Tk] re-check on its own paths.
                             flag.val.store(true, Ordering::Release);
-                            self.rstep(flag.base, Access::Modify);
+                            record::step(self.stm.recorder(), self.id, flag.base, Access::Modify);
                         }
                     }
                     // `owner`'s fate and hence version `version` are now
@@ -446,7 +438,7 @@ impl<'s> Algo2Tx<'s> {
                 // if V[x] ≠ v then return Ak  (wait-freedom guard)
                 // ord: Acquire pairs with owners' Release V[x] stores.
                 let now = v_cell.val.load(Ordering::Acquire);
-                self.rstep(v_cell.base, Access::Read);
+                record::step(self.stm.recorder(), self.id, v_cell.base, Access::Read);
                 if now != v_snapshot {
                     // The V[x] change check: our snapshot of the variable
                     // is stale (the paper's wait-freedom guard). The new
@@ -470,9 +462,9 @@ impl<'s> Algo2Tx<'s> {
             // ord: Release TVar store before Release V[x] store — a peer
             // that Acquires V[x] = Tk sees our tentative state.
             own_cell.val.store(state, Ordering::Release);
-            self.rstep(own_cell.base, Access::Modify);
+            record::step(self.stm.recorder(), self.id, own_cell.base, Access::Modify);
             v_cell.val.store(encode_tx(self.id), Ordering::Release);
-            self.rstep(v_cell.base, Access::Modify);
+            record::step(self.stm.recorder(), self.id, v_cell.base, Access::Modify);
             state
         } else {
             // state ← TVar[x, Tk]
@@ -483,7 +475,7 @@ impl<'s> Algo2Tx<'s> {
             // ord: Acquire — own cell; Acquire keeps the read ordered
             // after the ownership steps that created it.
             let s = cell.val.load(Ordering::Acquire);
-            self.rstep(cell.base, Access::Read);
+            record::step(self.stm.recorder(), self.id, cell.base, Access::Read);
             s
         };
 
@@ -492,7 +484,7 @@ impl<'s> Algo2Tx<'s> {
             let flag = self.stm.aborted.get_or_create(&self.id, FlagCell::new);
             // ord: Acquire pairs with peers' Release Aborted[Tk] stores.
             let dead = flag.val.load(Ordering::Acquire);
-            self.rstep(flag.base, Access::Read);
+            record::step(self.stm.recorder(), self.id, flag.base, Access::Read);
             if dead {
                 // Aborted[Tk]: a peer revoked one of our ownerships and
                 // the final re-check stops us — a stale-state abort. The
@@ -524,14 +516,9 @@ impl WordTx for Algo2Tx<'_> {
     /// `upon read of t-variable x by Tk do return acquire(Tk, x)`.
     fn read(&mut self, x: TVarId) -> TxResult<Value> {
         self.touched.push(x);
-        self.rinvoke(TmOp::Read(x));
         let r = self.acquire(x);
-        match &r {
-            Ok(v) => self.rrespond(TmResp::Value(*v)),
-            Err(_) => {
-                self.completed = true;
-                self.rrespond(TmResp::Aborted);
-            }
+        if r.is_err() {
+            self.completed = true;
         }
         r
     }
@@ -539,11 +526,9 @@ impl WordTx for Algo2Tx<'_> {
     /// `upon write of value v to t-variable x by Tk`.
     fn write(&mut self, x: TVarId, v: Value) -> TxResult<()> {
         self.touched.push(x);
-        self.rinvoke(TmOp::Write(x, v));
         match self.acquire(x) {
             Err(e) => {
                 self.completed = true;
-                self.rrespond(TmResp::Aborted);
                 Err(e)
             }
             Ok(_s) => {
@@ -555,8 +540,7 @@ impl WordTx for Algo2Tx<'_> {
                 // ord: Release publishes the tentative value to peers'
                 // Acquire TVar reads after our fate is decided.
                 cell.val.store(v, Ordering::Release);
-                self.rstep(cell.base, Access::Modify);
-                self.rrespond(TmResp::Ok);
+                record::step(self.stm.recorder(), self.id, cell.base, Access::Modify);
                 Ok(())
             }
         }
@@ -564,7 +548,6 @@ impl WordTx for Algo2Tx<'_> {
 
     /// `upon tryCk: s ← State[Tk].propose(committed)`.
     fn try_commit(mut self: Box<Self>) -> TxResult<()> {
-        self.rinvoke(TmOp::TryCommit);
         self.completed = true;
         // Trivial promotion: a transaction that attempted no operation
         // acquired nothing, so no `Owner` cell names it and no peer can
@@ -573,7 +556,6 @@ impl WordTx for Algo2Tx<'_> {
         // its fate below for the scanners that will find it.)
         if self.wset.is_empty() && self.touched.is_empty() {
             self.stm.stats.incr(Counter::CommitsPromoted);
-            self.rrespond(TmResp::Committed);
             self.stm.reclaim_after_commit(
                 self.grace.take().expect("grace slot held until completion"),
                 std::mem::take(&mut self.retired),
@@ -584,11 +566,10 @@ impl WordTx for Algo2Tx<'_> {
         // State cell.
         let sc = self.stm.state_cell(self.id);
         let s = sc.propose(self.id.proc, Fate::Committed as u8);
-        self.rstep(sc.base, Access::Modify);
+        record::step(self.stm.recorder(), self.id, sc.base, Access::Modify);
         match s {
             Some(v) if v == Fate::Committed as u8 => {
                 self.stm.stats.incr(Counter::Commits);
-                self.rrespond(TmResp::Committed);
                 // Every acquired variable gained a decided version owned
                 // by us (reads acquire too in Algorithm 2): publish the
                 // whole wset — any parked peer conflicting on it can now
@@ -616,7 +597,6 @@ impl WordTx for Algo2Tx<'_> {
                     .by
                     .load(Ordering::Relaxed);
                 self.tag_abort(AbortCause::CasLost, VarAttr::NoVar, by);
-                self.rrespond(TmResp::Aborted);
                 Err(TxError::Aborted)
             }
         }
@@ -625,15 +605,13 @@ impl WordTx for Algo2Tx<'_> {
     /// `upon tryAk: return Ak` — and make the abort durable so peers stop
     /// scanning our versions (propose `aborted` to our own State).
     fn try_abort(mut self: Box<Self>) {
-        self.rinvoke(TmOp::TryAbort);
         self.completed = true;
         let sc = self.stm.state_cell(self.id);
         let _ = sc.propose(self.id.proc, Fate::Aborted as u8);
-        self.rstep(sc.base, Access::Modify);
+        record::step(self.stm.recorder(), self.id, sc.base, Access::Modify);
         // tryA on a still-viable attempt is an explicit retry; if a cause
         // was already tagged, the attempt was dead anyway.
         self.tag_abort(AbortCause::ExplicitRetry, VarAttr::NoVar, TX_UNKNOWN);
-        self.rrespond(TmResp::Aborted);
         // Dropping `grace` releases the reclamation slot; the retire-set
         // is discarded with the transaction.
     }
@@ -687,24 +665,6 @@ impl<'s> Algo2RoTx<'s> {
             .expect("grace slot held until completion")
     }
 
-    fn rstep(&self, obj: BaseObjId, access: Access) {
-        if let Some(rec) = &self.stm.recorder {
-            rec.step(self.id.process(), Some(self.id), obj, access);
-        }
-    }
-
-    fn rinvoke(&self, op: TmOp) {
-        if let Some(rec) = &self.stm.recorder {
-            rec.invoke(self.id, op);
-        }
-    }
-
-    fn rrespond(&self, resp: TmResp) {
-        if let Some(rec) = &self.stm.recorder {
-            rec.respond(self.id, resp);
-        }
-    }
-
     /// Walks the decided prefix of `Owner[x, ·]` without proposing and
     /// returns `(stop_version, state)`: the first version with no decided
     /// committed-or-aborted owner, and the value after the last
@@ -719,20 +679,20 @@ impl<'s> Algo2RoTx<'s> {
             let Some(cell) = self.stm.owner.get(&(x, version)) else {
                 break;
             };
-            self.rstep(cell.base, Access::Read);
+            record::step(self.stm.recorder(), self.id, cell.base, Access::Read);
             let Some(owner) = cell.decided() else {
                 break;
             };
             let owner = decode_tx(owner);
             let sc = self.stm.state_cell(owner);
-            self.rstep(sc.base, Access::Read);
+            record::step(self.stm.recorder(), self.id, sc.base, Access::Read);
             match sc.decided() {
                 Some(s) if s == Fate::Committed as u8 => {
                     let tv = self.stm.tvar.get_or_create(&(x, owner), || RegCell::new(0));
                     // ord: Acquire pairs with the committed owner's Release
                     // TVar store.
                     state = tv.val.load(Ordering::Acquire);
-                    self.rstep(tv.base, Access::Read);
+                    record::step(self.stm.recorder(), self.id, tv.base, Access::Read);
                 }
                 // Aborted owner: this version changes nothing.
                 Some(_) => {}
@@ -764,13 +724,13 @@ impl<'s> Algo2RoTx<'s> {
                 let Some(cell) = self.stm.owner.get(&(x, version)) else {
                     break;
                 };
-                self.rstep(cell.base, Access::Read);
+                record::step(self.stm.recorder(), self.id, cell.base, Access::Read);
                 let Some(owner) = cell.decided() else {
                     break;
                 };
                 let owner = decode_tx(owner);
                 let sc = self.stm.state_cell(owner);
-                self.rstep(sc.base, Access::Read);
+                record::step(self.stm.recorder(), self.id, sc.base, Access::Read);
                 match sc.decided() {
                     Some(s) if s == Fate::Committed as u8 => return Some((x, owner)),
                     Some(_) => version += 1,
@@ -789,13 +749,11 @@ impl WordTx for Algo2RoTx<'_> {
 
     fn read(&mut self, x: TVarId) -> TxResult<Value> {
         self.touched.push(x);
-        self.rinvoke(TmOp::Read(x));
         self.stm.check_registered(x, self.grace());
         // A re-read must return the snapshot value already recorded (the
         // entry is covered by validation), not rescan a possibly-advanced
         // chain.
         if let Some(&(_, _, v)) = self.reads.iter().find(|&&(rx, _, _)| rx == x) {
-            self.rrespond(TmResp::Value(v));
             return Ok(v);
         }
         let (stop, state) = self.scan_committed(x);
@@ -814,10 +772,8 @@ impl WordTx for Algo2RoTx<'_> {
                     pack_tx(owner.proc, owner.seq),
                 );
             }
-            self.rrespond(TmResp::Aborted);
             return Err(TxError::Aborted);
         }
-        self.rrespond(TmResp::Value(state));
         Ok(state)
     }
 
@@ -826,7 +782,6 @@ impl WordTx for Algo2RoTx<'_> {
     }
 
     fn try_commit(mut self: Box<Self>) -> TxResult<()> {
-        self.rinvoke(TmOp::TryCommit);
         self.completed = true;
         // No peer ever learned of this transaction (it proposed nothing),
         // so there is no `State` cell to decide: the final validation is
@@ -841,11 +796,9 @@ impl WordTx for Algo2RoTx<'_> {
                     pack_tx(owner.proc, owner.seq),
                 );
             }
-            self.rrespond(TmResp::Aborted);
             Err(TxError::Aborted)
         } else {
             self.stm.stats.incr(Counter::CommitsRo);
-            self.rrespond(TmResp::Committed);
             self.stm.reclaim_after_commit(
                 self.grace.take().expect("grace slot held until completion"),
                 Vec::new(),
@@ -855,7 +808,6 @@ impl WordTx for Algo2RoTx<'_> {
     }
 
     fn try_abort(mut self: Box<Self>) {
-        self.rinvoke(TmOp::TryAbort);
         self.completed = true;
         if !self.cause_tagged {
             self.cause_tagged = true;
@@ -866,7 +818,6 @@ impl WordTx for Algo2RoTx<'_> {
                 TX_UNKNOWN,
             );
         }
-        self.rrespond(TmResp::Aborted);
         self.grace.take();
     }
 
@@ -947,7 +898,7 @@ impl WordStm for Algo2Stm {
         self.stats.incr(Counter::Begins);
         // ord: Relaxed — atomicity alone keeps transaction ids unique.
         let seq = self.tx_seq.fetch_add(1, Ordering::Relaxed);
-        Box::new(Algo2Tx {
+        let tx = Box::new(Algo2Tx {
             stm: self,
             id: TxId::new(proc, seq),
             wset: HashSet::new(),
@@ -956,7 +907,8 @@ impl WordStm for Algo2Stm {
             retired: Vec::new(),
             completed: false,
             cause_tagged: false,
-        })
+        });
+        record::observe(self.recorder(), tx)
     }
 
     fn begin_ro(&self, proc: u32) -> Box<dyn WordTx + '_> {
@@ -964,7 +916,7 @@ impl WordStm for Algo2Stm {
         self.stats.incr(Counter::BeginsRo);
         // ord: Relaxed — atomicity alone keeps transaction ids unique.
         let seq = self.tx_seq.fetch_add(1, Ordering::Relaxed);
-        Box::new(Algo2RoTx {
+        let tx = Box::new(Algo2RoTx {
             stm: self,
             id: TxId::new(proc, seq),
             reads: Vec::new(),
@@ -972,7 +924,8 @@ impl WordStm for Algo2Stm {
             grace: Some(self.initial.domain().begin()),
             completed: false,
             cause_tagged: false,
-        })
+        });
+        record::observe(self.recorder(), tx)
     }
 
     fn notifier(&self) -> &CommitNotifier {

@@ -27,9 +27,9 @@ use oftm_core::api::{TxResult, WordStm, WordTx};
 use oftm_core::line::Line;
 use oftm_core::notify::CommitNotifier;
 use oftm_core::reclaim::{Bag, Guard, Retired, RetiredBlock, BAG_BOUND};
-use oftm_core::record::{fresh_base_id, Recorder};
+use oftm_core::record::{self, fresh_base_id, Recorder};
 use oftm_core::table::{Pinned, VarTable};
-use oftm_histories::{Access, TVarId, TmOp, TmResp, TxId, Value};
+use oftm_histories::{Access, TVarId, TxId, Value};
 use oftm_obs::{pack_tx, AbortCause, Counter, StmStats, VarAttr, TX_UNKNOWN};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -102,10 +102,9 @@ impl CoarseStm {
         let id = TxId::new(proc, seq);
         // Acquiring the global lock is a modifying step on the lock word.
         let guard = self.enter();
-        if let Some(r) = self.recorder.as_deref() {
-            r.step(id.process(), Some(id), self.lock_base, Access::Modify);
-        }
-        Box::new(CoarseTx {
+        let rec = self.recorder.as_deref();
+        record::step(rec, id, self.lock_base, Access::Modify);
+        let tx = Box::new(CoarseTx {
             stm: self,
             id,
             guard: Some(guard),
@@ -114,7 +113,8 @@ impl CoarseStm {
             retired: Vec::new(),
             ro,
             pin: Some(self.store.domain().begin()),
-        })
+        });
+        record::observe(rec, tx)
     }
 }
 
@@ -143,16 +143,6 @@ impl<'s> CoarseTx<'s> {
     fn pin(&self) -> &Guard<'s> {
         self.pin.as_ref().expect("held until completion")
     }
-
-    fn rec(&self) -> Option<&Recorder> {
-        self.stm.recorder.as_deref()
-    }
-
-    fn rstep(&self, access: Access) {
-        if let Some(r) = self.rec() {
-            r.step(self.id.process(), Some(self.id), self.stm.lock_base, access);
-        }
-    }
 }
 
 impl WordTx for CoarseTx<'_> {
@@ -161,22 +151,12 @@ impl WordTx for CoarseTx<'_> {
     }
 
     fn read(&mut self, x: TVarId) -> TxResult<Value> {
-        if let Some(r) = self.rec() {
-            r.invoke(self.id, TmOp::Read(x));
-        }
         debug_assert!(self.guard.is_some(), "transaction completed");
         if !self.ro {
             self.touched.push(x);
         }
-        let v = self
-            .stm
-            .store
-            .get_ref_or_panic_in(x, self.pin())
-            .load(Ordering::Acquire);
-        if let Some(r) = self.rec() {
-            r.respond(self.id, TmResp::Value(v));
-        }
-        Ok(v)
+        let cell = self.stm.store.get_ref_or_panic_in(x, self.pin());
+        Ok(cell.load(Ordering::Acquire))
     }
 
     fn write(&mut self, x: TVarId, v: Value) -> TxResult<()> {
@@ -184,9 +164,6 @@ impl WordTx for CoarseTx<'_> {
             !self.ro,
             "coarse: write on a declared read-only transaction"
         );
-        if let Some(r) = self.rec() {
-            r.invoke(self.id, TmOp::Write(x, v));
-        }
         debug_assert!(self.guard.is_some(), "transaction completed");
         self.touched.push(x);
         // SAFETY: loaded under `self.pin`, which is held for as long as
@@ -195,17 +172,13 @@ impl WordTx for CoarseTx<'_> {
         let cell = unsafe { Pinned::new(self.stm.store.get_ref_or_panic_in(x, self.pin())) };
         self.undo.push((x, cell, cell.load(Ordering::Acquire)));
         cell.store(v, Ordering::Release);
-        if let Some(r) = self.rec() {
-            r.respond(self.id, TmResp::Ok);
-        }
         Ok(())
     }
 
     fn try_commit(mut self: Box<Self>) -> TxResult<()> {
-        if let Some(r) = self.rec() {
-            r.invoke(self.id, TmOp::TryCommit);
-        }
-        self.rstep(Access::Modify); // lock release is a modifying step
+        // Releasing the global lock is a modifying step on the lock word.
+        let (rec, lock) = (self.stm.recorder.as_deref(), self.stm.lock_base);
+        record::step(rec, self.id, lock, Access::Modify);
 
         // Under the gate, which holds the bag: retire, evict, spill.
         let pin = self.pin.take().expect("held until completion");
@@ -227,23 +200,18 @@ impl WordTx for CoarseTx<'_> {
         self.stm
             .notify
             .publish(self.undo.iter().map(|(x, _, _)| *x));
-        if let Some(r) = self.rec() {
-            r.respond(self.id, TmResp::Committed);
-        }
         self.stm.stats.add(Counter::TvarsFreed, evicted);
         Ok(())
     }
 
     fn try_abort(mut self: Box<Self>) {
-        if let Some(r) = self.rec() {
-            r.invoke(self.id, TmOp::TryAbort);
-        }
         if self.guard.is_some() {
             for (_, cell, v) in self.undo.drain(..).rev() {
                 cell.store(v, Ordering::Release);
             }
         }
-        self.rstep(Access::Modify);
+        let (rec, lock) = (self.stm.recorder.as_deref(), self.stm.lock_base);
+        record::step(rec, self.id, lock, Access::Modify);
         self.guard = None;
         // Coarse transactions never fail: aborting one is always a
         // voluntary abandonment — no conflicting variable, no aggressor.
@@ -253,9 +221,6 @@ impl WordTx for CoarseTx<'_> {
             pack_tx(self.id.proc, self.id.seq),
             TX_UNKNOWN,
         );
-        if let Some(r) = self.rec() {
-            r.respond(self.id, TmResp::Aborted);
-        }
         // Dropping `pin` releases the registration; the retire-set is
         // discarded with the transaction.
     }

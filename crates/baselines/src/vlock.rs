@@ -76,9 +76,9 @@ use oftm_core::line::Line;
 use oftm_core::notify::CommitNotifier;
 use oftm_core::pool::SlotPool;
 use oftm_core::reclaim::{Bag, GraceTracker, Guard, Retired, RetiredBlock, BAG_BOUND};
-use oftm_core::record::{fresh_base_id, Recorder};
+use oftm_core::record::{self, fresh_base_id, Recorder};
 use oftm_core::table::{Pinned, VarTable};
-use oftm_histories::{Access, BaseObjId, TVarId, TmOp, TmResp, TxId, Value};
+use oftm_histories::{Access, BaseObjId, TVarId, TxId, Value};
 use oftm_obs::{pack_tx, AbortCause, Counter, StmStats, VarAttr, TX_UNKNOWN};
 use std::mem::ManuallyDrop;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -411,9 +411,7 @@ impl<P: ReadPolicy> VersionedLockStm<P> {
             // ord: Acquire pairs with `tick`'s AcqRel bump so commits
             // stamped at or below the sampled vector are fully visible.
             rv[s] = shard.count.load(Ordering::Acquire);
-            if let Some(r) = self.recorder.as_deref() {
-                r.step(id.process(), Some(id), shard.base, Access::Read);
-            }
+            record::step(self.recorder.as_deref(), id, shard.base, Access::Read);
         }
         rv
     }
@@ -462,29 +460,17 @@ impl<P: ReadPolicy> Attempt<'_, P> {
         unsafe { Pinned::new(self.stm.vars.get_ref_or_panic_in(x, pin)) }
     }
 
-    fn rstep(&self, obj: BaseObjId, access: Access) {
-        if let Some(r) = self.stm.recorder.as_deref() {
-            r.step(self.id.process(), Some(self.id), obj, access);
-        }
-    }
-
-    fn rrespond(&self, resp: TmResp) {
-        if let Some(r) = self.stm.recorder.as_deref() {
-            r.respond(self.id, resp);
-        }
-    }
-
-    /// Records the invocation of `op`; an attempt that already died
-    /// answers it with `A_k` on the spot.
-    fn invoke(&self, op: TmOp) -> TxResult<()> {
-        if let Some(r) = self.stm.recorder.as_deref() {
-            r.invoke(self.id, op);
-        }
+    /// An attempt that already died answers every operation with `A_k`.
+    fn live(&self) -> TxResult<()> {
         if self.dead {
-            self.rrespond(TmResp::Aborted);
             return Err(TxError::Aborted);
         }
         Ok(())
+    }
+
+    /// The recorder its steps go to, if one is attached.
+    fn rec(&self) -> Option<&Recorder> {
+        self.stm.recorder.as_deref()
     }
 
     /// This transaction's packed forensic identity ([`pack_tx`]).
@@ -501,7 +487,6 @@ impl<P: ReadPolicy> Attempt<'_, P> {
         self.stm
             .stats
             .abort_at(cause, VarAttr::Var(x.0), self.packed_id(), aggressor);
-        self.rrespond(TmResp::Aborted);
         Err(TxError::Aborted)
     }
 
@@ -523,18 +508,14 @@ impl<P: ReadPolicy> Attempt<'_, P> {
     /// attempt releases its registration.
     fn abandon(&mut self) {
         self.finished = true;
-        if self.invoke(TmOp::TryAbort).is_ok() {
-            self.tag_explicit_retry();
-            self.rrespond(TmResp::Aborted);
-        }
+        self.tag_explicit_retry();
     }
 
-    /// Answers `C_k`, releases the registration, tags the retire-set into
-    /// the process's `bag` and frees whatever became reclaimable; what the
-    /// bag still holds past [`BAG_BOUND`] goes to the shared bins (TL and
-    /// TL2 never pause). Nothing the logs borrow is looked at again.
+    /// Releases the registration, tags the retire-set into the process's
+    /// `bag` and frees whatever became reclaimable; what the bag still
+    /// holds past [`BAG_BOUND`] goes to the shared bins (TL and TL2 never
+    /// pause). Nothing the logs borrow is looked at again.
     fn finish(&mut self, bag: &mut Bag, retired: &mut Vec<RetiredBlock>) {
-        self.rrespond(TmResp::Committed);
         // Filled at `begin` and emptied only here, and only `try_commit` —
         // which consumes the transaction — gets here, once.
         let pin = self.pin.take().expect("held until completion");
@@ -580,7 +561,7 @@ impl<P: ReadPolicy> RwTx<'_, P> {
             let word = match self.held(*x) {
                 Some(h) => self.log.locked[h].0,
                 None => {
-                    self.at.rstep(var.lock_base, Access::Read);
+                    record::step(self.at.rec(), self.at.id, var.lock_base, Access::Read);
                     // ord: Acquire pairs with `unlock`'s Release
                     // (validation read).
                     let cur = var.lock.load(Ordering::Acquire);
@@ -629,22 +610,20 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
     }
 
     fn read(&mut self, x: TVarId) -> TxResult<Value> {
-        self.at.invoke(TmOp::Read(x))?;
+        self.at.live()?;
         if let Some(v) = self.buffered(x) {
-            self.at.rrespond(TmResp::Value(v));
             return Ok(v);
         }
         let var = self.at.var(x);
         let mut patience = P::read_patience(self.at.stm.lock_patience);
         loop {
-            self.at.rstep(var.lock_base, Access::Read);
+            record::step(self.at.rec(), self.at.id, var.lock_base, Access::Read);
             if let Some((word, val)) = var.read_consistent() {
-                self.at.rstep(var.value_base, Access::Read);
+                record::step(self.at.rec(), self.at.id, var.value_base, Access::Read);
                 let Some(seen) = P::admit(word, &self.snap) else {
                     return self.at.doom(AbortCause::ReadValidation, x, var.writer());
                 };
                 self.log.reads.push((var, x, seen));
-                self.at.rrespond(TmResp::Value(val));
                 return Ok(val);
             }
             // Locked by a committing writer, or torn by one.
@@ -657,16 +636,15 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
     }
 
     fn write(&mut self, x: TVarId, v: Value) -> TxResult<()> {
-        self.at.invoke(TmOp::Write(x, v))?;
+        self.at.live()?;
         let var = self.at.var(x); // existence check, kept for commit
         self.log.writes.push((x, v, var));
-        self.at.rrespond(TmResp::Ok);
         Ok(())
     }
 
     fn try_commit(mut self: Box<Self>) -> TxResult<()> {
         self.at.finished = true;
-        self.at.invoke(TmOp::TryCommit)?;
+        self.at.live()?;
         let stm = self.at.stm;
 
         if self.log.writes.is_empty() {
@@ -705,7 +683,7 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
             let (x, _, var) = self.log.writes[i];
             let mut patience = stm.lock_patience;
             loop {
-                self.at.rstep(var.lock_base, Access::Modify);
+                record::step(self.at.rec(), self.at.id, var.lock_base, Access::Modify);
                 if let Some(prev) = var.try_lock(me) {
                     self.log.locked.push(prev);
                     break;
@@ -724,8 +702,12 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
         // access of a TL writing commit that is not strictly DAP.
         let wv = stm.clocks.tick(self.at.id.proc);
         let shard = self.at.id.proc as usize & (CLOCK_SHARDS - 1);
-        self.at
-            .rstep(stm.clocks.shards()[shard].base, Access::Modify);
+        record::step(
+            self.at.rec(),
+            self.at.id,
+            stm.clocks.shards()[shard].base,
+            Access::Modify,
+        );
 
         if let Some(i) = self.first_stale_read() {
             self.unlock_held();
@@ -738,9 +720,9 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
             // store, pairs with readers' Acquire value/version loads: a
             // clean sandwich implies they saw this value.
             var.value.store(*v, Ordering::Release);
-            self.at.rstep(var.value_base, Access::Modify);
+            record::step(self.at.rec(), self.at.id, var.value_base, Access::Modify);
             var.unlock(wv);
-            self.at.rstep(var.lock_base, Access::Modify);
+            record::step(self.at.rec(), self.at.id, var.lock_base, Access::Modify);
         }
         stm.stats.incr(Counter::Commits);
         // Writes are visible and stamped: wake parked conflicters.
@@ -799,10 +781,10 @@ impl<P: ReadPolicy> WordTx for RoTx<'_, P> {
     }
 
     fn read(&mut self, x: TVarId) -> TxResult<Value> {
-        self.at.invoke(TmOp::Read(x))?;
+        self.at.live()?;
         let stm = self.at.stm;
         let var = self.at.var(x);
-        self.at.rstep(var.lock_base, Access::Read);
+        record::step(self.at.rec(), self.at.id, var.lock_base, Access::Read);
         let (ver, val) = match var.read_consistent() {
             Some(pair) => pair,
             None => {
@@ -815,14 +797,14 @@ impl<P: ReadPolicy> WordTx for RoTx<'_, P> {
                         return self.at.doom(AbortCause::LockBusy, x, var.writer());
                     }
                     std::hint::spin_loop();
-                    self.at.rstep(var.lock_base, Access::Read);
+                    record::step(self.at.rec(), self.at.id, var.lock_base, Access::Read);
                     if let Some(pair) = var.read_consistent() {
                         break pair;
                     }
                 }
             }
         };
-        self.at.rstep(var.value_base, Access::Read);
+        record::step(self.at.rec(), self.at.id, var.value_base, Access::Read);
         if !readable(ver, &self.rv) {
             if self.read_any {
                 // Snapshot frozen; this value postdates it.
@@ -833,7 +815,6 @@ impl<P: ReadPolicy> WordTx for RoTx<'_, P> {
             debug_assert!(readable(ver, &self.rv));
         }
         self.read_any = true;
-        self.at.rrespond(TmResp::Value(val));
         Ok(val)
     }
 
@@ -844,7 +825,7 @@ impl<P: ReadPolicy> WordTx for RoTx<'_, P> {
 
     fn try_commit(mut self: Box<Self>) -> TxResult<()> {
         self.at.finished = true;
-        self.at.invoke(TmOp::TryCommit)?;
+        self.at.live()?;
         // Every read was serializable at begin time: nothing to validate,
         // nothing to lock, no clock bump. Commit is the guard's release;
         // the process's bag waits for its next writable commit.
@@ -908,22 +889,24 @@ impl<P: ReadPolicy> WordStm for VersionedLockStm<P> {
         let snap = P::begin(|| self.sample_rv(at.id));
         let log = self.scratch.take(proc as usize);
         let log = log.unwrap_or_else(|| Box::new(Scratch::new(self.vars.domain())));
-        Box::new(RwTx {
+        let tx = Box::new(RwTx {
             at,
             snap,
             log: ManuallyDrop::new(log),
-        })
+        });
+        record::observe(self.recorder.as_deref(), tx)
     }
 
     fn begin_ro(&self, proc: u32) -> Box<dyn WordTx + '_> {
         self.stats.incr(Counter::BeginsRo);
         let at = self.attempt(proc);
         let rv = self.sample_rv(at.id);
-        Box::new(RoTx {
+        let tx = Box::new(RoTx {
             at,
             rv,
             read_any: false,
-        })
+        });
+        record::observe(self.recorder.as_deref(), tx)
     }
 
     fn notifier(&self) -> &CommitNotifier {

@@ -10,6 +10,7 @@
 
 pub mod harness;
 
+use oftm_algo2::{Algo2Stm, FocKind};
 use oftm_baselines::{CoarseStm, Tl2Stm, TlStm};
 use oftm_core::api::WordStm;
 use oftm_core::dstm::{Dstm, DstmWord};
@@ -32,11 +33,15 @@ pub const STM_NAMES: &[&str] = &[
 /// The `"dstm"` backend of [`make_stm`], concretely typed: the DAP
 /// experiments need its commit counter's base-object id.
 pub fn make_dstm(recorder: Option<Arc<Recorder>>) -> DstmWord {
-    let mut d = Dstm::default();
-    if let Some(r) = recorder {
-        d = d.with_recorder(r);
+    DstmWord::new(recorded(Dstm::default(), recorder, Dstm::with_recorder))
+}
+
+/// `stm`, with `recorder` attached by `attach` when there is one.
+fn recorded<S>(stm: S, recorder: Option<Arc<Recorder>>, attach: fn(S, Arc<Recorder>) -> S) -> S {
+    match recorder {
+        Some(r) => attach(stm, r),
+        None => stm,
     }
-    DstmWord::new(d)
 }
 
 /// Splits the strict-DAP violations of a DSTM history into the distinct
@@ -59,41 +64,23 @@ pub fn dap_pairs_by_object(violations: &[DapViolation], counter: BaseObjId) -> (
 pub fn make_stm(name: &str, recorder: Option<Arc<Recorder>>) -> Box<dyn WordStm> {
     match name {
         "dstm" => Box::new(make_dstm(recorder)),
-        "tl" => {
-            let mut s = TlStm::new();
-            if let Some(r) = recorder {
-                s = s.with_recorder(r);
-            }
-            Box::new(s)
-        }
-        "tl2" => {
-            let mut s = Tl2Stm::new();
-            if let Some(r) = recorder {
-                s = s.with_recorder(r);
-            }
-            Box::new(s)
-        }
-        "coarse" => {
-            let mut s = CoarseStm::new();
-            if let Some(r) = recorder {
-                s = s.with_recorder(r);
-            }
-            Box::new(s)
-        }
-        "algo2-cas" => {
-            let mut s = oftm_algo2::Algo2Stm::new(oftm_algo2::FocKind::Cas);
-            if let Some(r) = recorder {
-                s = s.with_recorder(r);
-            }
-            Box::new(s)
-        }
-        "algo2-splitter" => {
-            let mut s = oftm_algo2::Algo2Stm::new(oftm_algo2::FocKind::SplitterTas);
-            if let Some(r) = recorder {
-                s = s.with_recorder(r);
-            }
-            Box::new(s)
-        }
+        "tl" => Box::new(recorded(TlStm::new(), recorder, TlStm::with_recorder)),
+        "tl2" => Box::new(recorded(Tl2Stm::new(), recorder, Tl2Stm::with_recorder)),
+        "coarse" => Box::new(recorded(
+            CoarseStm::new(),
+            recorder,
+            CoarseStm::with_recorder,
+        )),
+        "algo2-cas" => Box::new(recorded(
+            Algo2Stm::new(FocKind::Cas),
+            recorder,
+            Algo2Stm::with_recorder,
+        )),
+        "algo2-splitter" => Box::new(recorded(
+            Algo2Stm::new(FocKind::SplitterTas),
+            recorder,
+            Algo2Stm::with_recorder,
+        )),
         "hybrid" => match recorder {
             Some(r) => Box::new(HybridStm::with_recorder(HybridConfig::default(), r)),
             None => Box::new(HybridStm::new(HybridConfig::default())),

@@ -9,7 +9,10 @@
 //!   replaced, when T1 holds the stale word), Algorithm 2 through its
 //!   `Owner`/`V[x]` registers, the hybrid through whichever engine it is
 //!   running. The interleaving is forced, so the check does not wait for
-//!   the scheduler to produce an overlap.
+//!   the scheduler to produce an overlap. It runs once more under a
+//!   recorder, whose history must be well formed and end T1 with the
+//!   `A_k` its failing operation answered: the doomed path of every
+//!   backend, recorded.
 //! * **The `hotspot` run.** The runner's `hotspot` kind — every update a
 //!   read-modify-write of one word — with the preemption point inside the
 //!   read–write window on, four threads, every backend, under the
@@ -19,17 +22,23 @@
 
 use oftm_bench::harness::{derive_seed, generate_tapes, run_concurrent, Scenario, ScenarioKind};
 use oftm_bench::{make_stm, STM_NAMES};
+use oftm_core::record::Recorder;
+use oftm_histories::{well_formed, Event, TmResp, TxStatus};
 use oftm_obs::{pack_tx, AbortCause};
+use std::sync::Arc;
 
 #[test]
 fn every_contention_backend_names_its_aggressors() {
     // `coarse` is left out: its second `begin` would wait for the first
     // transaction on this same thread forever.
-    for &stm in STM_NAMES.iter().filter(|&&s| s != "coarse") {
-        let s = make_stm(stm, None);
+    let contention_backends = STM_NAMES.iter().filter(|&&s| s != "coarse");
+    for (&stm, recorded) in contention_backends.flat_map(|s| [(s, false), (s, true)]) {
+        let rec = recorded.then(|| Arc::new(Recorder::new()));
+        let s = make_stm(stm, rec.clone());
         let x = s.alloc_tvar(0);
         let mut t1 = s.begin(1);
-        let victim = pack_tx(t1.id().proc, t1.id().seq);
+        let t1_id = t1.id();
+        let victim = pack_tx(t1_id.proc, t1_id.seq);
         assert_eq!(t1.read(x), Ok(0), "{stm}: T1 reads x");
         let mut t2 = s.begin(2);
         let aggressor = pack_tx(t2.id().proc, t2.id().seq);
@@ -46,6 +55,24 @@ fn every_contention_backend_names_its_aggressors() {
             "{stm}: {e:?}"
         );
         assert_eq!(s.forensics().named(), 1, "{stm}");
+        if let Some(rec) = rec {
+            let h = rec.snapshot();
+            well_formed(&h).unwrap_or_else(|e| panic!("{stm}: {e}\n{}", h.render()));
+            let t1_events = h.iter().filter(|te| te.event.tx() == Some(t1_id));
+            let last = t1_events.filter(|te| te.event.is_high_level()).last();
+            assert!(
+                matches!(
+                    last.map(|te| te.event),
+                    Some(Event::Respond {
+                        resp: TmResp::Aborted,
+                        ..
+                    })
+                ),
+                "{stm}: T1's failing operation answers A_k\n{}",
+                h.render()
+            );
+            assert_eq!(h.tx_views()[&t1_id].status, TxStatus::Aborted, "{stm}");
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 //!   `T_0`'s value until the first acquisition);
 //! * [`tx`] — the transaction engine (acquire/read/validate/commit);
 //! * [`stm`] — the [`Dstm`] instance and `atomically` retry loop;
-//! * [`word`] — the [`crate::api::WordStm`] adapter with event recording.
+//! * [`word`] — the [`crate::api::WordStm`] adapter.
 
 pub mod descriptor;
 pub mod locator;

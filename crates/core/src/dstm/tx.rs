@@ -87,8 +87,9 @@ use crate::contention::{spin_for, PARK_FLOOR};
 use crate::reclaim::{
     Bag, Deferred, GraceTracker, Guard, Owned, Retired, RetiredBlock, Shared, BAG_BOUND,
 };
+use crate::record;
 use crate::table::{Pinned, VarTable};
-use oftm_histories::{Access, ProcId, TVarId, TxId};
+use oftm_histories::{Access, TVarId, TxId};
 use oftm_obs::{pack_tx, AbortCause, Counter, VarAttr, TX_UNKNOWN};
 use std::cell::Cell;
 use std::mem::ManuallyDrop;
@@ -228,7 +229,12 @@ impl<'s> Tx<'s> {
             finished: false,
             cause_tagged: Cell::new(false),
         };
-        tx.rstep(stm.commit_counter_base(), Access::Read);
+        record::step(
+            stm.recorder(),
+            tx.id(),
+            stm.commit_counter_base(),
+            Access::Read,
+        );
         tx
     }
 
@@ -284,17 +290,6 @@ impl<'s> Tx<'s> {
         self.desc.id()
     }
 
-    fn proc(&self) -> ProcId {
-        self.desc.id().process()
-    }
-
-    /// Records a low-level step if a recorder is attached.
-    fn rstep(&self, obj: oftm_histories::BaseObjId, access: Access) {
-        if let Some(rec) = self.stm.recorder() {
-            rec.step(self.proc(), Some(self.desc.id()), obj, access);
-        }
-    }
-
     /// Checks our own fate: a forcefully aborted transaction must stop.
     /// Discovering the abort here means a peer killed us through the
     /// contention manager — the only writer of a foreign status word.
@@ -314,14 +309,19 @@ impl<'s> Tx<'s> {
     /// abort), or `None` when consistent. `counter` is the gate's access
     /// (load or bump) that asked for the scan: its step is recorded first.
     fn first_invalid(&self, counter: Access) -> Option<(TVarId, u64)> {
-        self.rstep(self.stm.commit_counter_base(), counter);
+        record::step(
+            self.stm.recorder(),
+            self.id(),
+            self.stm.commit_counter_base(),
+            counter,
+        );
         self.full_scans.set(self.full_scans.get() + 1);
         self.scratch
             .read_set
             .iter()
             .find(|e| {
                 let moved = e.var.current(self.guard()) != e.addr;
-                self.rstep(e.var.base, Access::Read);
+                record::step(self.stm.recorder(), self.id(), e.var.base, Access::Read);
                 moved
             })
             .map(|e| (e.var.id, self.aggressor_over(&e.var)))
@@ -348,7 +348,12 @@ impl<'s> Tx<'s> {
             Ok(now) => {
                 if now == self.seen {
                     // No scan recorded the counter load's step.
-                    self.rstep(self.stm.commit_counter_base(), Access::Read);
+                    record::step(
+                        self.stm.recorder(),
+                        self.id(),
+                        self.stm.commit_counter_base(),
+                        Access::Read,
+                    );
                 }
                 self.seen = now;
                 Ok(())
@@ -370,7 +375,7 @@ impl<'s> Tx<'s> {
     fn abort_self(&mut self, cause: AbortCause, var: VarAttr, aggressor: u64) {
         let won = self.desc.try_abort();
         let access = if won { Access::Modify } else { Access::Read };
-        self.rstep(self.desc.base(), access);
+        record::step(self.stm.recorder(), self.id(), self.desc.base(), access);
         if won {
             self.tag_abort(cause, var, aggressor);
         } else {
@@ -388,7 +393,7 @@ impl<'s> Tx<'s> {
     fn stamp_installed(&self, verdict: TxState) {
         for loc in &self.scratch.installed {
             loc.stamp(verdict);
-            self.rstep(loc.base, Access::Modify);
+            record::step(self.stm.recorder(), self.id(), loc.base, Access::Modify);
         }
     }
 
@@ -416,7 +421,9 @@ impl<'s> Tx<'s> {
                 // name us and the variable we fought over exactly.
                 owner.stamp_killer(self.packed_id(), var.0);
                 let killed = owner.try_abort();
-                self.rstep(
+                record::step(
+                    self.stm.recorder(),
+                    self.id(),
                     owner.base(),
                     if killed { Access::Modify } else { Access::Read },
                 );
@@ -470,7 +477,7 @@ impl<'s> Tx<'s> {
                 self.check_self()?;
             }
             let shared = v.load(self.guard());
-            self.rstep(v.base, Access::Read);
+            record::step(self.stm.recorder(), self.id(), v.base, Access::Read);
             if shared.is_null() {
                 return Ok(Opened::Settled(shared, v.initial()));
             }
@@ -480,7 +487,9 @@ impl<'s> Tx<'s> {
             if loc.owned_by(&self.desc) {
                 return Ok(Opened::Mine(loc));
             }
-            match loc.resolve_via(|obj| self.rstep(obj, Access::Read)) {
+            match loc
+                .resolve_via(|obj| record::step(self.stm.recorder(), self.id(), obj, Access::Read))
+            {
                 Ok(val) => return Ok(Opened::Settled(shared, val)),
                 Err(owner) => self.resolve_conflict(owner, v.id, attempt),
             }
@@ -498,7 +507,7 @@ impl<'s> Tx<'s> {
             Opened::Mine(loc) => {
                 // SAFETY: we are the owner and live (`open` checked).
                 let val = unsafe { loc.tentative_value().clone() };
-                self.rstep(loc.base, Access::Read);
+                record::step(self.stm.recorder(), self.id(), loc.base, Access::Read);
                 return Ok(val);
             }
             Opened::Settled(shared, val) => (shared.as_raw() as usize, val.clone()),
@@ -538,7 +547,7 @@ impl<'s> Tx<'s> {
                     // SAFETY: we are the live owner; no outstanding references
                     // to the tentative value exist (reads clone it out).
                     unsafe { loc.set_tentative(value) };
-                    self.rstep(loc.base, Access::Modify);
+                    record::step(self.stm.recorder(), self.id(), loc.base, Access::Modify);
                     return Ok(());
                 }
                 Opened::Settled(shared, val) => (shared, val.clone()),
@@ -557,7 +566,7 @@ impl<'s> Tx<'s> {
             // Failure: someone interposed; re-examine. (The rejected
             // locator is dropped here, unpublished.)
             let Ok((installed, unlinked)) = v.cas(shared, new_loc) else {
-                self.rstep(v.base, Access::Read);
+                record::step(self.stm.recorder(), self.id(), v.base, Access::Read);
                 continue;
             };
             let new_addr = installed.as_raw() as usize;
@@ -566,7 +575,7 @@ impl<'s> Tx<'s> {
             // allocated until the guard goes; the log is emptied before
             // that (`retire_into`, `Drop`).
             let installed = unsafe { Pinned::new(installed.deref().erased()) };
-            self.rstep(v.base, Access::Modify);
+            record::step(self.stm.recorder(), self.id(), v.base, Access::Modify);
             self.scratch.installed.push(installed);
             // Retired when we are done, whatever the verdict: the unlink
             // stands.
@@ -607,14 +616,21 @@ impl<'s> Tx<'s> {
                 self.first_invalid(Access::Modify)
             });
             if !scanned {
-                self.rstep(self.stm.commit_counter_base(), Access::Modify);
+                record::step(
+                    self.stm.recorder(),
+                    self.id(),
+                    self.stm.commit_counter_base(),
+                    Access::Modify,
+                );
             }
             if let Err(invalid) = point {
                 return self.fail_validation(invalid);
             }
         }
         let won = self.desc.try_commit();
-        self.rstep(
+        record::step(
+            self.stm.recorder(),
+            self.id(),
             self.desc.base(),
             if won { Access::Modify } else { Access::Read },
         );
@@ -1030,7 +1046,7 @@ mod tests {
     #[test]
     fn a_gated_solo_transaction_has_done_exactly_what_it_recorded() {
         use crate::record::Recorder;
-        use oftm_histories::{BaseObjId, Event};
+        use oftm_histories::{BaseObjId, Event, ProcId};
         let rec = Arc::new(Recorder::new());
         let s = Arc::new(Dstm::new(Arc::new(Aggressive)).with_recorder(Arc::clone(&rec)));
         let vars: Vec<TVar<u64>> = (0..4).map(|_| s.new_tvar(0)).collect();

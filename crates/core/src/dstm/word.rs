@@ -1,6 +1,5 @@
 //! Word-level adapter: exposes a [`Dstm`] through the uniform [`WordStm`]
-//! interface and records the high-level TM events (Section 2.2's
-//! invocations and responses) when a recorder is attached.
+//! interface.
 //!
 //! ## Read-only transactions
 //!
@@ -20,11 +19,12 @@
 use super::stm::Dstm;
 use super::tvar::TVarInner;
 use super::tx::Tx;
-use crate::api::{TxError, TxResult, WordStm, WordTx};
+use crate::api::{TxResult, WordStm, WordTx};
 use crate::notify::CommitNotifier;
 use crate::reclaim::RetiredBlock;
+use crate::record;
 use crate::table::{Pinned, VarTable};
-use oftm_histories::{TVarId, TmOp, TmResp, TxId, Value};
+use oftm_histories::{TVarId, TxId, Value};
 use oftm_obs::{Counter, StmStats};
 use std::sync::Arc;
 
@@ -114,13 +114,14 @@ impl DstmWord {
             // `BeginsRo` counts the declared read-only subset.
             self.stm.stats().incr(Counter::BeginsRo);
         }
-        Box::new(DstmWordTx {
+        let tx = Box::new(DstmWordTx {
             tx: self.stm.begin(proc),
             word: self,
             retired: Vec::new(),
             ro,
             conflict_hint: None,
-        })
+        });
+        record::observe(self.stm.recorder(), tx)
     }
 }
 
@@ -153,27 +154,6 @@ impl DstmWordTx<'_> {
         // only — which cannot borrow it from `self.tx` and mutate that.
         unsafe { Pinned::new(var) }
     }
-
-    fn record_invoke(&self, op: TmOp) {
-        if let Some(rec) = self.word.stm.recorder() {
-            rec.invoke(self.tx.id(), op);
-        }
-    }
-
-    fn record_respond(&self, resp: TmResp) {
-        if let Some(rec) = self.word.stm.recorder() {
-            rec.respond(self.tx.id(), resp);
-        }
-    }
-
-    /// Records the response event of a read or write.
-    fn respond<T>(&self, r: TxResult<T>, ok: impl FnOnce(&T) -> TmResp) -> TxResult<T> {
-        match &r {
-            Ok(v) => self.record_respond(ok(v)),
-            Err(TxError::Aborted) => self.record_respond(TmResp::Aborted),
-        }
-        r
-    }
 }
 
 impl WordTx for DstmWordTx<'_> {
@@ -183,25 +163,21 @@ impl WordTx for DstmWordTx<'_> {
 
     fn read(&mut self, x: TVarId) -> TxResult<Value> {
         let var = self.var(x);
-        self.record_invoke(TmOp::Read(x));
         let r = self.tx.read_var(&var);
         if r.is_err() {
             self.conflict_hint = Some(x);
         }
-        self.respond(r, |v| TmResp::Value(*v))
+        r
     }
 
     fn write(&mut self, x: TVarId, v: Value) -> TxResult<()> {
         assert!(!self.ro, "dstm: write on a declared read-only transaction");
         let var = self.var(x);
         self.tx.scratch.written.push(x);
-        self.record_invoke(TmOp::Write(x, v));
-        let r = self.tx.write_var(&var, v);
-        self.respond(r, |()| TmResp::Ok)
+        self.tx.write_var(&var, v)
     }
 
     fn try_commit(mut self: Box<Self>) -> TxResult<()> {
-        self.record_invoke(TmOp::TryCommit);
         // Detect-on-commit promotion: a transaction that wrote nothing
         // installed no locators, so its descriptor is unreachable from
         // every t-variable and the status CAS publishes nothing — take
@@ -214,40 +190,30 @@ impl WordTx for DstmWordTx<'_> {
         } else {
             self.tx.complete()
         };
-        match &r {
-            Ok(()) => {
-                self.record_respond(TmResp::Committed);
-                // The commit's status CAS made the new values current:
-                // wake transactions parked on what we wrote.
-                let written = &self.tx.scratch.written;
-                if !written.is_empty() {
-                    self.word.notify.publish(written.iter().copied());
-                }
-                // Release the registration, hand over the locators and
-                // the retire-set as one batch and evict every block whose
-                // grace period has elapsed.
-                let DstmWordTx {
-                    mut tx,
-                    word,
-                    retired,
-                    ..
-                } = *self;
-                let evicted = tx.retire_into(&word.vars, retired);
-                word.stm.stats().add(Counter::TvarsFreed, evicted);
+        if r.is_ok() {
+            // The commit's status CAS made the new values current: wake
+            // transactions parked on what we wrote.
+            let written = &self.tx.scratch.written;
+            if !written.is_empty() {
+                self.word.notify.publish(written.iter().copied());
             }
-            Err(TxError::Aborted) => self.record_respond(TmResp::Aborted),
+            // Release the registration, hand over the locators and the
+            // retire-set as one batch and evict every block whose grace
+            // period has elapsed.
+            let DstmWordTx {
+                mut tx,
+                word,
+                retired,
+                ..
+            } = *self;
+            let evicted = tx.retire_into(&word.vars, retired);
+            word.stm.stats().add(Counter::TvarsFreed, evicted);
         }
         r
     }
 
     fn try_abort(self: Box<Self>) {
-        self.record_invoke(TmOp::TryAbort);
-        let this = *self;
-        let id = this.tx.id();
-        this.tx.rollback();
-        if let Some(rec) = this.word.stm.recorder() {
-            rec.respond(id, TmResp::Aborted);
-        }
+        self.tx.rollback();
     }
 
     fn retire_tvar_block(&mut self, base: TVarId, len: usize) {
@@ -316,7 +282,7 @@ impl WordStm for DstmWord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::run_transaction;
+    use crate::api::{run_transaction, TxError};
     use crate::cm::Courteous;
     use crate::record::Recorder;
 

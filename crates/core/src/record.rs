@@ -2,24 +2,38 @@
 //!
 //! The checkers in `oftm-histories` consume [`History`] values. This module
 //! turns a live multi-threaded execution into such a history: every
-//! instrumented base-object access appends an [`Event::Step`], and the
-//! word-level STM front-ends append the high-level invocation/response
-//! events. The recorder's internal mutex linearizes concurrent appends; the
-//! resulting order is one legal interleaving consistent with each thread's
-//! program order, which is exactly what the set-based checkers
-//! (strict-DAP, Definition 12) and the per-transaction views need.
+//! instrumented base-object access appends an [`Event::Step`], and every
+//! TM operation an invocation and a response. The recorder's internal
+//! mutex linearizes concurrent appends; the resulting order is one legal
+//! interleaving consistent with each thread's program order, which is
+//! exactly what the set-based checkers (strict-DAP, Definition 12) and the
+//! per-transaction views need.
 //!
 //! Recording is optional: production paths pass no recorder and pay only a
-//! branch on an `Option` (base-object ids come out of per-thread blocks,
-//! so drawing one shares nothing either).
+//! branch on an `Option` per step (base-object ids come out of per-thread
+//! blocks, so drawing one shares nothing either).
+//!
+//! **TM events.** Every backend's `begin`/`begin_ro` hands its transaction
+//! to [`observe`], and that is the only place a TM event is recorded:
+//! with a recorder attached the transaction comes back wrapped, and the
+//! wrapper records each `read`, `write`, `tryC` and `tryA` invocation
+//! before it calls the backend and the response once the call returns —
+//! Section 2.2's response, named by what the call returned (the value,
+//! `ok`, `C_k`, or `A_k` for any `Err` and every `tryA`). So every
+//! invocation is paired with exactly one response, and the steps an
+//! operation takes fall between the two. Without a recorder the backend's
+//! own handle is returned and no operation branches on recording.
 //!
 //! A recorder is also a **step gate** ([`Recorder::gate`]). Every site
-//! records its step *after* the access it names, so a gated process parked
-//! at its k-th step has performed exactly what its first k steps name:
-//! granting one step at a time replays a step-exact schedule of the real
-//! engine (`oftm_sim::fig2`).
+//! records its step with [`step`] *after* the access it names, so a gated
+//! process parked at its k-th step has performed exactly what its first k
+//! steps name: granting one step at a time replays a step-exact schedule
+//! of the real engine (`oftm_sim::fig2`).
 
-use oftm_histories::{Access, BaseObjId, Event, History, ProcId, TmOp, TmResp, TxId};
+use crate::api::{TxResult, WordTx};
+use oftm_histories::{
+    Access, BaseObjId, Event, History, ProcId, TVarId, TmOp, TmResp, TxId, Value,
+};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -205,6 +219,86 @@ impl Recorder {
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
             .events
+    }
+}
+
+/// Records `tx`'s step on `obj` if a recorder is attached: the one call
+/// an engine makes, right after the access it names.
+#[inline]
+pub fn step(rec: Option<&Recorder>, tx: TxId, obj: BaseObjId, access: Access) {
+    if let Some(r) = rec {
+        r.step(tx.process(), Some(tx), obj, access);
+    }
+}
+
+/// Returns a backend's freshly begun `tx` as it is when no recorder is
+/// attached, and otherwise wrapped so that its TM events are recorded
+/// (module docs).
+#[inline]
+pub fn observe<'a>(rec: Option<&'a Recorder>, tx: Box<dyn WordTx + 'a>) -> Box<dyn WordTx + 'a> {
+    match rec {
+        Some(rec) => Box::new(Observed { rec, tx }),
+        None => tx,
+    }
+}
+
+/// A transaction whose operations are recorded as invocation/response
+/// pairs around the backend's own handle.
+struct Observed<'a> {
+    rec: &'a Recorder,
+    tx: Box<dyn WordTx + 'a>,
+}
+
+impl WordTx for Observed<'_> {
+    fn id(&self) -> TxId {
+        self.tx.id()
+    }
+
+    fn read(&mut self, x: TVarId) -> TxResult<Value> {
+        let id = self.tx.id();
+        self.rec.invoke(id, TmOp::Read(x));
+        let r = self.tx.read(x);
+        self.rec
+            .respond(id, r.map_or(TmResp::Aborted, TmResp::Value));
+        r
+    }
+
+    fn write(&mut self, x: TVarId, v: Value) -> TxResult<()> {
+        let id = self.tx.id();
+        self.rec.invoke(id, TmOp::Write(x, v));
+        let r = self.tx.write(x, v);
+        self.rec
+            .respond(id, r.map_or(TmResp::Aborted, |()| TmResp::Ok));
+        r
+    }
+
+    fn try_commit(self: Box<Self>) -> TxResult<()> {
+        let Observed { rec, tx } = *self;
+        let id = tx.id();
+        rec.invoke(id, TmOp::TryCommit);
+        let r = tx.try_commit();
+        rec.respond(id, r.map_or(TmResp::Aborted, |()| TmResp::Committed));
+        r
+    }
+
+    fn try_abort(self: Box<Self>) {
+        let Observed { rec, tx } = *self;
+        let id = tx.id();
+        rec.invoke(id, TmOp::TryAbort);
+        tx.try_abort();
+        rec.respond(id, TmResp::Aborted);
+    }
+
+    fn retire_tvar_block(&mut self, base: TVarId, len: usize) {
+        self.tx.retire_tvar_block(base, len);
+    }
+
+    fn footprint(&self, out: &mut Vec<TVarId>) {
+        self.tx.footprint(out);
+    }
+
+    fn doomed(&self) -> bool {
+        self.tx.doomed()
     }
 }
 

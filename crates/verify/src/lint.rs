@@ -6,7 +6,7 @@
 //! *code* and *comment* halves by a small state machine that understands
 //! line/block comments, string/raw-string literals, and char literals
 //! vs. lifetimes; `#[cfg(test)]` regions are skipped; function bodies
-//! are tracked by brace depth. On top of that, seven rules encode hygiene
+//! are tracked by brace depth. On top of that, eight rules encode hygiene
 //! invariants the compiler cannot check:
 //!
 //! * **unsafe-safety** — every `unsafe` keyword must be justified by a
@@ -38,6 +38,11 @@
 //!   outside an explicit allowlist of waits and diagnostics: a clock
 //!   read costs more than a transaction's own bookkeeping, so the
 //!   attempt path (driver, engines, table, kernels) reads none.
+//! * **tm-event** — no engine names `TmOp` / `TmResp`: the TM events of
+//!   every backend are recorded in one place, the wrapper
+//!   `oftm_core::record::observe` puts around the transaction a `begin`
+//!   returns, so each invocation is paired with one response by
+//!   construction. Engines record base-object steps only.
 //!
 //! The library half ([`lint_source`]) is pure (path + source text in,
 //! violations out) so the negative-oracle fixtures in
@@ -76,6 +81,7 @@ pub const RULE_ABORT: &str = "abort-tag-once";
 pub const RULE_ABORT_VAR: &str = "abort-var-attribution";
 pub const RULE_STD_LOCK: &str = "std-sync-lock";
 pub const RULE_CLOCK: &str = "clock-read";
+pub const RULE_TM_EVENT: &str = "tm-event";
 
 // ---------------------------------------------------------------------------
 // Lexical pass: split lines into code / comment, skip cfg(test), find fns.
@@ -464,6 +470,18 @@ fn is_clock_read_allowed(rel: &str) -> bool {
     EXACT.contains(&rel) || PREFIX.iter().any(|p| rel.starts_with(p))
 }
 
+/// Engine sources, where TM events must not be recorded by hand: DSTM's,
+/// the baselines', Algorithm 2's and the hybrid's.
+fn is_engine(rel: &str) -> bool {
+    const PREFIX: &[&str] = &[
+        "crates/core/src/dstm/",
+        "crates/baselines/src/",
+        "crates/algo2/src/",
+        "crates/hybrid/src/",
+    ];
+    PREFIX.iter().any(|p| rel.starts_with(p))
+}
+
 /// Crates whose abort-tagging mentions are not backend tag sites (the
 /// stats sink defining `abort`/`abort_at`, and this crate's own scanner).
 fn is_abort_rule_exempt(rel: &str) -> bool {
@@ -668,6 +686,17 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
                 RULE_CLOCK,
                 "clock read outside the wait/diagnostic allowlist — count instead of timing, \
                  or add the file to the allowlist with a rationale"
+                    .to_string(),
+            );
+        }
+
+        // tm-event ----------------------------------------------------------
+        if is_engine(rel) && (has_token(code, "TmOp") || has_token(code, "TmResp")) {
+            push(
+                idx,
+                RULE_TM_EVENT,
+                "TM event named in an engine — return the transaction through \
+                 `record::observe`, which records every invocation and response"
                     .to_string(),
             );
         }

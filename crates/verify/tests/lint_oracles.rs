@@ -5,7 +5,7 @@
 
 use oftm_verify::lint::{
     lint_source, lint_workspace, Violation, RULE_ABORT, RULE_ABORT_VAR, RULE_AWAIT, RULE_CLOCK,
-    RULE_ORD, RULE_SAFETY, RULE_STD_LOCK,
+    RULE_ORD, RULE_SAFETY, RULE_STD_LOCK, RULE_TM_EVENT,
 };
 
 fn rule_lines(violations: &[Violation], rule: &str) -> Vec<usize> {
@@ -106,7 +106,7 @@ fn std_lock_outside_allowlist_fails() {
     .is_empty());
     // The allowlist names files, not spellings or directories: a vendored
     // crate is held to the rule like any other.
-    let shim = lint_source("crates/shims/rand/src/lib.rs", src);
+    let shim = lint_source("crates/shims/proptest/src/lib.rs", src);
     assert_eq!(rule_lines(&shim, RULE_STD_LOCK).len(), 2, "{shim:?}");
 }
 
@@ -149,6 +149,29 @@ fn clock_read_outside_allowlist_fails() {
     ] {
         assert!(
             rule_lines(&lint_source(rel, src), RULE_CLOCK).is_empty(),
+            "{rel}"
+        );
+    }
+}
+
+#[test]
+fn tm_event_in_an_engine_fails() {
+    let src = include_str!("fixtures/tm_event.rs");
+    for rel in [
+        "crates/core/src/dstm/word.rs",
+        "crates/baselines/src/vlock.rs",
+        "crates/algo2/src/stm.rs",
+        "crates/hybrid/src/lib.rs",
+    ] {
+        let v = lint_source(rel, src);
+        // The import, the invocation and the response; not the comment,
+        // the string, a look-alike type, the step or the test module.
+        assert_eq!(rule_lines(&v, RULE_TM_EVENT), [4, 7, 9], "{rel}: {v:?}");
+    }
+    // The one place TM events are recorded, and a monitor of its own.
+    for rel in ["crates/core/src/record.rs", "crates/foc/src/monitored.rs"] {
+        assert!(
+            rule_lines(&lint_source(rel, src), RULE_TM_EVENT).is_empty(),
             "{rel}"
         );
     }
