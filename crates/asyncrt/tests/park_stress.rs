@@ -10,8 +10,10 @@ use oftm_asyncrt::{run_transaction_async_budgeted, run_transaction_async_ro_budg
 use oftm_bench::STM_NAMES;
 use oftm_core::api::{run_transaction_with_budget, WordStm};
 use oftm_histories::TVarId;
+use oftm_obs::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The bench factory's backend, shareable with executor tasks.
 fn make_stm(name: &str) -> Arc<dyn WordStm> {
@@ -23,6 +25,20 @@ fn make_stm(name: &str) -> Arc<dyn WordStm> {
 const BUDGET: u32 = 50_000;
 
 const COUNTER: TVarId = TVarId(0);
+
+/// Waits until `stm` has counted a park: the parked waiter's registration
+/// stands by then, so every commit from here on is one it watches. A
+/// watchdog, not a timing: only a waiter that never parks trips it.
+fn wait_for_a_park(stm: &dyn WordStm) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while stm.stats().snapshot().get(Counter::Parks) == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "waiter with an unmet condition never parked — the wake-on-commit path is dead"
+        );
+        std::thread::yield_now();
+    }
+}
 
 /// Drives `clients` async increment clients of one shared counter over
 /// `workers` executor threads; returns (attempts, parks) totals.
@@ -94,8 +110,8 @@ fn async_counter_exact_with_4x_clients_per_worker() {
 
 /// The park path must actually engage (otherwise the runtime silently
 /// degraded to a spin loop inside poll). A waiter whose condition is not
-/// yet true parks; a writer satisfies it 20 commits later; the waiter
-/// must complete with at least one park on the books.
+/// yet true parks; once it has, a writer satisfies it 20 commits later;
+/// the waiter must complete with at least one park on the books.
 #[test]
 fn condition_waiter_parks_and_is_woken() {
     let stm = make_stm("tl2");
@@ -116,8 +132,8 @@ fn condition_waiter_parks_and_is_woken() {
             .expect("waiter livelocked")
         })
     };
+    wait_for_a_park(&*stm);
     for _ in 0..target {
-        std::thread::sleep(std::time::Duration::from_micros(500));
         run_transaction_with_budget(&*stm, 0, BUDGET, |tx| {
             let v = tx.read(COUNTER)?;
             tx.write(COUNTER, v + 1)
@@ -145,7 +161,7 @@ fn condition_waiter_parks_and_is_woken() {
 fn parked_retries_waste_less_than_spin_backoff() {
     const WAITERS: u32 = 4;
     const TARGET: u64 = 40;
-    const WRITER_PERIOD: std::time::Duration = std::time::Duration::from_micros(1500);
+    const WRITER_PERIOD: Duration = Duration::from_micros(1500);
 
     fn run_writer(stm: &dyn WordStm) {
         for _ in 0..TARGET {
@@ -222,27 +238,16 @@ fn parked_retries_waste_less_than_spin_backoff() {
 }
 
 /// Parking must survive a hybrid mode migration: a waiter parks on the
-/// hybrid's notifier while the instance is in TL2 mode, a contention
-/// storm migrates it to DSTM, and the satisfying commit is executed by
-/// the *other* embedded engine — which must still wake the parked waiter
-/// (the facade owns the notification endpoint, not the engines).
+/// hybrid's notifier while the instance is in TL2 mode, the instance
+/// migrates to DSTM, and the satisfying commit is executed by the *other*
+/// embedded engine — which must still wake the parked waiter (the facade
+/// owns the notification endpoint, not the engines).
 #[test]
 fn hybrid_parked_waiter_survives_migration() {
-    const STORM: TVarId = TVarId(1);
-    // Budget-only escalation (windowed controller effectively off): the
-    // storm below holds a stale transaction open across a foreign commit,
-    // and a window-triggered migration at that moment would wait out the
-    // holder — the documented way to force a deterministic escalation
-    // without that interaction.
-    let cfg = oftm_hybrid::HybridConfig {
-        window_ops: 1 << 40,
-        ..oftm_hybrid::HybridConfig::eager()
-    };
-    let hy = Arc::new(oftm_hybrid::HybridStm::new(cfg));
+    use oftm_hybrid::{HybridConfig, HybridStm, Mode};
+    let hy = Arc::new(HybridStm::new(HybridConfig::default()));
     let stm: Arc<dyn WordStm> = Arc::clone(&hy) as Arc<dyn WordStm>;
     stm.register_tvar(COUNTER, 0);
-    stm.register_tvar(STORM, 0);
-    assert_eq!(hy.mode(), oftm_hybrid::Mode::Tl2);
 
     let ex = Executor::new(2);
     let waiter = {
@@ -258,23 +263,11 @@ fn hybrid_parked_waiter_survives_migration() {
             .expect("waiter livelocked")
         })
     };
-    // Let the waiter reach its parked state while still in TL2 mode.
-    std::thread::sleep(std::time::Duration::from_millis(5));
-
-    // Read-validation storm on a disjoint variable until the instance
-    // escalates: a stale transaction begun before a foreign commit.
-    for round in 0..200u64 {
-        let mut stale = stm.begin(0);
-        run_transaction_with_budget(&*stm, 1, BUDGET, |tx| tx.write(STORM, round + 1))
-            .expect("storm writer commits");
-        let _ = stale.read(STORM);
-        drop(stale);
-        if hy.migrations() > 0 {
-            break;
-        }
-    }
-    assert!(hy.migrations() > 0, "storm never forced a migration");
-    assert_eq!(hy.mode(), oftm_hybrid::Mode::Dstm);
+    // The waiter parks in TL2 mode.
+    wait_for_a_park(&*stm);
+    assert_eq!(hy.mode(), Mode::Tl2);
+    assert!(hy.migrate(Mode::Dstm), "uncontended barrier");
+    assert_eq!(hy.migrations(), 1);
 
     // The satisfying commit now runs on the DSTM engine; the waiter —
     // parked under TL2 — must wake and complete.

@@ -746,10 +746,6 @@ impl<P: ReadPolicy> WordTx for RwTx<'_, P> {
         out.extend(self.log.writes.iter().map(|(x, _, _)| *x));
         out.extend(self.at.conflict_hint);
     }
-
-    fn doomed(&self) -> bool {
-        self.at.dead
-    }
 }
 
 impl<P: ReadPolicy> Drop for RwTx<'_, P> {
@@ -848,10 +844,6 @@ impl<P: ReadPolicy> WordTx for RoTx<'_, P> {
         // known. Read-only futures never park, so this is purely
         // diagnostic.
         out.extend(self.at.conflict_hint);
-    }
-
-    fn doomed(&self) -> bool {
-        self.at.dead
     }
 }
 
@@ -994,21 +986,6 @@ mod tests {
         run_transaction(&s, 1, |tx| tx.write(X, 9));
         t1.write(Y, 1).unwrap();
         assert!(t1.try_commit().is_err());
-    }
-
-    fn doomed_tells_an_abort_from_a_live_attempt<P: ReadPolicy>() {
-        let mut s = stm::<P>();
-        s.lock_patience = 1;
-        let pin = s.vars.domain().begin();
-        let x = s.vars.get_ref_or_panic_in(X, &pin);
-        let (prev, _) = x.try_lock(pack_tx(7, 3)).expect("uncontended");
-        for mut tx in [s.begin(0), s.begin_ro(0)] {
-            assert_eq!(tx.read(Y), Ok(0));
-            assert!(!tx.doomed(), "live: the body's to commit or give up on");
-            assert!(tx.read(X).is_err());
-            assert!(tx.doomed());
-        }
-        x.unlock(prev);
     }
 
     fn ro_first_read_refreshes_snapshot<P: ReadPolicy>() {
@@ -1291,7 +1268,6 @@ mod tests {
         buffered_writes_read_back,
         duplicate_writes_last_value_wins,
         stale_read_aborts_at_commit,
-        doomed_tells_an_abort_from_a_live_attempt,
         ro_first_read_refreshes_snapshot,
         ro_snapshot_frozen_after_first_read,
         #[should_panic(expected = "read-only")]

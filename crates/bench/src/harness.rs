@@ -54,6 +54,7 @@ use oftm_histories::{
     conflict_serializable, final_state_opaque, serializable, well_formed, OpacityCheck, SerCheck,
     TVarId, Value,
 };
+use oftm_hybrid::HybridStm;
 use oftm_obs::{AbortCause, Counter, StatsSnapshot};
 use oftm_structs::{
     atomically_budgeted, atomically_ro, atomically_ro_budgeted, TxCounter, TxCtx, TxHashMap,
@@ -760,15 +761,30 @@ pub fn run_concurrent(
     tapes: &[Vec<Op>],
     preempt: bool,
 ) -> Result<Outcome, HarnessFailure> {
+    let recorder = Arc::new(Recorder::new());
+    let stm = make_stm(stm_name, Some(Arc::clone(&recorder)));
+    run_cell(stm_name, &*stm, &recorder, sc, tapes, preempt, &|_, _| {})
+}
+
+/// [`run_concurrent`] on a built `stm` recording into `recorder`;
+/// `after_op(thread, done)` runs on each thread after its `done`th op,
+/// outside any transaction.
+fn run_cell(
+    stm_name: &'static str,
+    stm: &dyn WordStm,
+    recorder: &Recorder,
+    sc: &Scenario,
+    tapes: &[Vec<Op>],
+    preempt: bool,
+    after_op: &(dyn Fn(usize, usize) + Sync),
+) -> Result<Outcome, HarnessFailure> {
     let fail = |detail: String| HarnessFailure {
         stm: stm_name,
         scenario: *sc,
         detail,
     };
 
-    let recorder = Arc::new(Recorder::new());
-    let stm = make_stm(stm_name, Some(Arc::clone(&recorder)));
-    let inst = Instance::create(sc, &*stm);
+    let inst = Instance::create(sc, stm);
 
     // Per thread: what its ops observed and its attempts, or `None` once
     // an op exhausted the budget.
@@ -777,13 +793,14 @@ pub fn run_concurrent(
             .iter()
             .enumerate()
             .map(|(t, tape)| {
-                let (stm, inst) = (&*stm, &inst);
+                let inst = &inst;
                 s.spawn(move || {
                     let (mut seen, mut attempts, mut enq_seq) = (Vec::new(), 0u64, 0u64);
-                    for op in tape {
+                    for (i, op) in tape.iter().enumerate() {
                         let (obs, tries) = inst.run_op(stm, t as u32, op, &mut enq_seq, preempt)?;
                         attempts += u64::from(tries);
                         seen.push(obs);
+                        after_op(t, i + 1);
                     }
                     Some((seen, attempts))
                 })
@@ -804,7 +821,7 @@ pub fn run_concurrent(
     // flight, flushing every pending retirement: the instance is
     // quiescent when the counts below are taken.
     let history = recorder.snapshot();
-    let snapshot = inst.snapshot(sc, &*stm);
+    let snapshot = inst.snapshot(sc, stm);
     let live_tvars = stm.live_tvars();
     let stats = stm.stats().snapshot();
     let forensics = stm.forensics();
@@ -1171,31 +1188,38 @@ pub fn run_differential(sc: &Scenario) -> Result<DifferentialReport, Vec<Harness
     }
 }
 
-/// Migration-forcing differential cell: runs `sc` on the hair-trigger
-/// `hybrid-eager` policy (not in [`STM_NAMES`] — it deliberately thrashes
-/// on healthy workloads) with the preemption point on, under the full
-/// oracle set, cross-checks its sequential replay against `tl2`, and
-/// additionally **requires the run to have migrated modes at least once**
-/// — so the differential suite provably exercises the migration barrier
-/// mid-scenario, not just the TL2 fast path.
-pub fn run_migration_forcing(sc: &Scenario) -> Result<Outcome, Vec<HarnessFailure>> {
+/// Ops of thread 0 between two migrations it forces in
+/// [`run_migration_forcing`].
+pub const FORCE_EVERY: usize = 32;
+
+/// Migration-forcing cell: runs `sc` on the hybrid with the preemption
+/// point on, under the full oracle set, while thread 0 forces a migration
+/// ([`HybridStm::migrate`]) after every [`FORCE_EVERY`]th of its ops, so
+/// barriers fall among the other threads' in-flight transactions. The
+/// run must count exactly those migrations, which it does on a scenario
+/// whose transactions never conflict and begin fewer times than the
+/// hybrid's dwell ([`oftm_hybrid::DWELL`]): nothing aborts, so the policy
+/// never escalates, and it never de-escalates inside the dwell.
+pub fn run_migration_forcing(sc: &Scenario) -> Result<Outcome, HarnessFailure> {
     let tapes = generate_tapes(sc);
-    let outcome = run_concurrent("hybrid-eager", sc, &tapes, true).map_err(|f| vec![f])?;
-    let mut failures = Vec::new();
-    if outcome.stats.get(Counter::ModeMigrations) == 0 {
-        failures.push(HarnessFailure {
-            stm: "hybrid-eager",
+    let recorder = Arc::new(Recorder::new());
+    let hybrid = HybridStm::with_recorder(Arc::clone(&recorder));
+    let force = |t: usize, done: usize| {
+        if t == 0 && done % FORCE_EVERY == 0 {
+            hybrid.migrate(hybrid.mode().other());
+        }
+    };
+    let outcome = run_cell("hybrid", &hybrid, &recorder, sc, &tapes, true, &force)?;
+    let forced = (tapes[0].len() / FORCE_EVERY) as u64;
+    let counted = outcome.stats.get(Counter::ModeMigrations);
+    if counted != forced {
+        return Err(HarnessFailure {
+            stm: "hybrid",
             scenario: *sc,
-            detail: "migration-forcing cell completed without a single mode migration".into(),
+            detail: format!("{counted} mode migrations, {forced} forced"),
         });
     }
-    let reference = sequential_replay("tl2", sc, &tapes);
-    failures.extend(disagreement("hybrid-eager", "tl2", &reference, sc, &tapes));
-    if failures.is_empty() {
-        Ok(outcome)
-    } else {
-        Err(failures)
-    }
+    Ok(outcome)
 }
 
 /// Default base seed when `HARNESS_SEED` is not set: CI is reproducible

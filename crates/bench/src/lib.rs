@@ -82,14 +82,8 @@ pub fn make_stm(name: &str, recorder: Option<Arc<Recorder>>) -> Box<dyn WordStm>
             Algo2Stm::with_recorder,
         )),
         "hybrid" => match recorder {
-            Some(r) => Box::new(HybridStm::with_recorder(HybridConfig::default(), r)),
+            Some(r) => Box::new(HybridStm::with_recorder(r)),
             None => Box::new(HybridStm::new(HybridConfig::default())),
-        },
-        // Hair-trigger policy variant for migration-forcing runs; not in
-        // STM_NAMES (it deliberately thrashes on healthy workloads).
-        "hybrid-eager" => match recorder {
-            Some(r) => Box::new(HybridStm::with_recorder(HybridConfig::eager(), r)),
-            None => Box::new(HybridStm::new(HybridConfig::eager())),
         },
         other => panic!("unknown STM {other}"),
     }

@@ -5,7 +5,7 @@
 
 use oftm_bench::harness::{
     derive_seed, report, run_differential, run_matrix, run_migration_forcing, Scenario,
-    ScenarioKind, ALL_SCENARIOS,
+    ScenarioKind, ALL_SCENARIOS, FORCE_EVERY,
 };
 
 /// All eleven scenarios × {1, 2, 4} threads, every STM, one seed per cell.
@@ -56,26 +56,22 @@ fn queue_multi_seed() {
     }
 }
 
-/// Migration-forcing cells: the hair-trigger hybrid policy on the two
-/// conflict-heaviest scenarios, seeded, long enough that escalation
-/// must fire mid-scenario. The cell fails unless the run migrated at
-/// least once *and* agreed with tl2's sequential replay — covering the
-/// migration barrier itself, not just the TL2 fast path.
+/// Migration-forcing cells: the hybrid on the two scenarios whose
+/// transactions never conflict (each thread its own word, its own
+/// counter stripe), with thread 0 forcing a migration after every
+/// `FORCE_EVERY`th of its ops. Each cell must pass every oracle and count
+/// exactly the forced migrations — covering the barrier among in-flight
+/// transactions, words and allocated collections alike.
 #[test]
 fn hybrid_migration_forced_mid_scenario() {
     for (salt, kind) in [
-        (0x316A_0001u64, ScenarioKind::Hotspot),
-        (0x316A_0002u64, ScenarioKind::WriteHeavy),
+        (0x316A_0001u64, ScenarioKind::Disjoint),
+        (0x316A_0002u64, ScenarioKind::CounterStripes),
     ] {
         let mut sc = Scenario::new(kind, 8, derive_seed(salt));
-        sc.ops_per_thread = 256; // long enough that a storm must escalate
-        match run_migration_forcing(&sc) {
-            Ok(outcome) => assert!(
-                outcome.stats.get(oftm_obs::Counter::ModeMigrations) > 0,
-                "forcing cell reported success without migrations"
-            ),
-            Err(failures) => panic!("migration-forcing failures:\n{}", report(&failures)),
-        }
+        sc.ops_per_thread = 8 * FORCE_EVERY as u64;
+        let outcome = run_migration_forcing(&sc).unwrap_or_else(|f| panic!("{f}"));
+        assert_eq!(outcome.stats.get(oftm_obs::Counter::ModeMigrations), 8);
     }
 }
 

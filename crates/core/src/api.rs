@@ -95,15 +95,6 @@ pub trait WordTx {
     /// [`CommitNotifier`]. An abort cannot shrink what was accessed, so
     /// the footprint stays valid on every abort path.
     fn footprint(&self, out: &mut Vec<TVarId>);
-
-    /// True once the STM itself has aborted this attempt — a conflict, a
-    /// failed validation — so that every further operation and `tryC`
-    /// answer `A_k`; false while the attempt is the body's to commit or to
-    /// give up on. What tells an abort apart from an explicit retry after
-    /// the fact. Backends that cannot tell answer `false`.
-    fn doomed(&self) -> bool {
-        false
-    }
 }
 
 /// A word-level software transactional memory.
@@ -154,6 +145,11 @@ pub trait WordStm: Send + Sync {
     fn live_tvars(&self) -> usize;
 
     /// Begins a transaction on behalf of process `proc`.
+    ///
+    /// A thread must not begin a transaction while it holds another of
+    /// the same instance on a blocking backend: coarse's global gate and
+    /// the hybrid's migration barrier (which a begin can start) both wait
+    /// for the held transaction to end, which it never does.
     fn begin(&self, proc: u32) -> Box<dyn WordTx + '_>;
 
     /// Begins a **declared read-only** transaction on behalf of `proc`.

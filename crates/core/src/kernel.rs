@@ -889,11 +889,6 @@ impl<F: SyncFacade, L> ModeGate<F, L> {
         self.mode.load(Ordering::SeqCst) as usize
     }
 
-    /// The caller state of every slot, in slot order.
-    pub fn locals(&self) -> impl Iterator<Item = &L> {
-        self.slots.iter().map(|s| &s.local)
-    }
-
     /// The caller state of `slot`.
     pub fn local(&self, slot: usize) -> &L {
         &self.slots[slot].local

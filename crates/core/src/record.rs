@@ -296,10 +296,6 @@ impl WordTx for Observed<'_> {
     fn footprint(&self, out: &mut Vec<TVarId>) {
         self.tx.footprint(out);
     }
-
-    fn doomed(&self) -> bool {
-        self.tx.doomed()
-    }
 }
 
 #[cfg(test)]

@@ -68,18 +68,21 @@
 //! line, three loads of the two shared read-mostly gate words, one
 //! `Box`, and a second dynamic dispatch per operation.
 //!
-//! ## The policy (knobs in [`HybridConfig`])
+//! ## The policy
 //!
-//! *Escalate fast*: a process whose last `escalation_budget` attempts
-//! were all aborted **by the engine** while the window's abort profile is
-//! `lock_busy`/`read_validation`-dominated requests escalation at its
-//! next begin; an attempt its body gave up on (an explicit retry) neither
-//! extends nor breaks the streak. *De-escalate slowly*: only after `deescalate_windows`
-//! consecutive calm windows (abort ratio ≤ `deescalate_abort_ratio`),
-//! and never closer than `dwell_ops` begins after the last migration —
-//! the de-escalation side is the throttled one, so the controller
-//! cannot thrash back into a still-raging storm, while escalation is
-//! always immediate.
+//! One windowed controller, on constants. Every [`WINDOW`] begins
+//! (counted in batches of 16 per process) the window closes on a
+//! `stats().snapshot()` delta. *Escalate fast*: in TL2 mode, a window
+//! whose aborts/begins ratio is at least [`ESCALATE_RATIO`] and whose
+//! aborts are at least [`ESCALATE_SHARE`] `lock_busy` + `read_validation`
+//! migrates at once; aborts a body gives up on (explicit retries) are not
+//! TL2's pathology and do not count. *De-escalate slowly*: in DSTM mode,
+//! only after [`CALM_WINDOWS`] consecutive calm windows (abort ratio at
+//! most [`CALM_RATIO`]) and never closer than [`DWELL`] begins after the
+//! last migration — the de-escalation side is the throttled one, so the
+//! controller cannot thrash back into a still-raging storm, while
+//! escalation is always immediate. [`HybridStm::migrate`] runs the same
+//! barrier with no policy at all.
 //!
 //! The hybrid is **not** obstruction-free: its default mode is a
 //! lock-based TM, which is exactly the trade the motivating papers argue
@@ -93,7 +96,7 @@ use oftm_core::notify::CommitNotifier;
 use oftm_core::record::Recorder;
 use oftm_core::{Dstm, DstmWord};
 use oftm_histories::{TVarId, TxId, Value};
-use oftm_obs::{AbortCause, Counter, StmStats};
+use oftm_obs::{AbortCause, Counter, StatsSnapshot, StmStats};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -107,7 +110,8 @@ pub enum Mode {
 }
 
 impl Mode {
-    fn other(self) -> Mode {
+    /// The mode a migration from `self` goes to.
+    pub fn other(self) -> Mode {
         match self {
             Mode::Tl2 => Mode::Dstm,
             Mode::Dstm => Mode::Tl2,
@@ -127,9 +131,30 @@ impl Mode {
 const PROC_SLOTS: usize = 64;
 
 /// Begins a process slot counts privately before it adds them to the
-/// shared `ops` clock and looks at the window boundary: below
-/// [`HybridConfig::eager`]'s window, so no policy loses a window to it.
+/// shared `ops` clock and looks at the window boundary.
 const BEGIN_BATCH: u64 = 16;
+
+/// Begins per controller window.
+pub const WINDOW: u64 = 512;
+
+/// A TL2-mode window escalates at this aborts/begins ratio or above…
+pub const ESCALATE_RATIO: f64 = 0.5;
+
+/// …when `lock_busy` + `read_validation` hold at least this share of its
+/// aborts (CM-arbitrated or explicit-retry storms are not TL2's
+/// pathology and must not trigger the switch).
+pub const ESCALATE_SHARE: f64 = 0.5;
+
+/// A window is *calm* at this abort ratio or below.
+pub const CALM_RATIO: f64 = 0.1;
+
+/// Consecutive calm windows before a DSTM-mode instance migrates back.
+pub const CALM_WINDOWS: u32 = 4;
+
+/// Minimum begins between a migration and a de-escalation: the
+/// anti-oscillation dwell. Escalation never waits on it — a storm
+/// response must not wait out a throttle while TL2 livelocks.
+pub const DWELL: u64 = 4096;
 
 /// Process id the migration copy transactions run under; outside the
 /// harness range so per-proc telemetry and clock-shard choice stay
@@ -143,87 +168,40 @@ const COPY_CHUNK: usize = 128;
 /// `TxId`s disjoint from the TL2 engine's when both feed one recorder.
 const DSTM_TX_BASE: u32 = 1 << 31;
 
-/// Migration-policy knobs (see crate docs for the policy shape).
-#[derive(Clone, Copy, Debug)]
-pub struct HybridConfig {
-    /// Consecutive attempts of one process aborted by the engine (not
-    /// given up by the body) before that process requests escalation at
-    /// its next begin.
-    pub escalation_budget: u32,
-    /// Begins per controller window (counted in batches of 16 per
-    /// process); each window closes with a `stats().snapshot()` delta
-    /// the policy decides on.
-    pub window_ops: u64,
-    /// Escalate when a window's aborts/begins ratio reaches this…
-    pub escalate_abort_ratio: f64,
-    /// …and `lock_busy + read_validation` hold at least this share of
-    /// the window's aborts (CM-arbitrated or explicit-retry storms are
-    /// not TL2's pathology and must not trigger the switch).
-    pub escalate_cause_share: f64,
-    /// A window is *calm* when its abort ratio is at or below this.
-    pub deescalate_abort_ratio: f64,
-    /// Consecutive calm windows before migrating back to TL2.
-    pub deescalate_windows: u32,
-    /// Minimum begins between a migration and a subsequent
-    /// *de-escalation* (DSTM → TL2): the anti-oscillation dwell.
-    /// Escalation is never dwell-blocked — a storm response must not
-    /// wait out a throttle while TL2 livelocks.
-    pub dwell_ops: u64,
-}
+/// The policy has no settings: this fieldless value only keeps
+/// `HybridStm::new(HybridConfig::default())`, the constructor the
+/// benchmark package builds against, compiling. The thresholds are the
+/// crate's constants ([`WINDOW`] and the rest). `#[non_exhaustive]`, so
+/// other crates spell it `HybridConfig::default()`, as that call does.
+#[derive(Clone, Copy, Debug, Default)]
+#[non_exhaustive]
+pub struct HybridConfig;
 
-impl Default for HybridConfig {
-    fn default() -> Self {
-        HybridConfig {
-            escalation_budget: 8,
-            window_ops: 512,
-            escalate_abort_ratio: 0.5,
-            escalate_cause_share: 0.5,
-            deescalate_abort_ratio: 0.1,
-            deescalate_windows: 4,
-            dwell_ops: 4096,
+/// Closes one window: `delta` is what the window counted, `calm` the calm
+/// windows that closed in a row before it, and `since_migration` the
+/// begins since the last migration. Returns the calm count after this
+/// window and the mode to migrate to, if any.
+fn window_verdict(
+    mode: Mode,
+    delta: &StatsSnapshot,
+    calm: u32,
+    since_migration: u64,
+) -> (u32, Option<Mode>) {
+    let ratio = delta.abort_ratio();
+    match mode {
+        Mode::Tl2 => {
+            let storm = delta.cause_share(AbortCause::LockBusy)
+                + delta.cause_share(AbortCause::ReadValidation);
+            let escalate = ratio >= ESCALATE_RATIO && storm >= ESCALATE_SHARE;
+            (calm, escalate.then_some(Mode::Dstm))
         }
-    }
-}
-
-impl HybridConfig {
-    /// A hair-trigger policy for migration-forcing tests and seeds: tiny
-    /// budget, window and dwell, so a short synthetic storm flips the
-    /// mode within a few operations.
-    pub fn eager() -> Self {
-        HybridConfig {
-            escalation_budget: 2,
-            window_ops: 32,
-            escalate_abort_ratio: 0.3,
-            escalate_cause_share: 0.3,
-            deescalate_abort_ratio: 0.2,
-            deescalate_windows: 2,
-            dwell_ops: 16,
+        Mode::Dstm if ratio <= CALM_RATIO => {
+            let calm = calm + 1;
+            let back = calm >= CALM_WINDOWS && since_migration >= DWELL;
+            (calm, back.then_some(Mode::Tl2))
         }
+        Mode::Dstm => (0, None),
     }
-
-    /// A deliberately miswired policy that escalates on *any* abort and
-    /// never de-escalates — the negative oracle the throughput gate must
-    /// catch (it parks the backend in DSTM mode on low-contention phases
-    /// where TL2 is ~2× faster).
-    pub fn always_escalate() -> Self {
-        HybridConfig {
-            escalation_budget: 1,
-            window_ops: 16,
-            escalate_abort_ratio: 0.0,
-            escalate_cause_share: 0.0,
-            deescalate_abort_ratio: -1.0, // no window is ever calm
-            deescalate_windows: u32::MAX,
-            dwell_ops: 0,
-        }
-    }
-}
-
-/// What a process slot keeps on its private line beside the gate's counts.
-struct ProcLocal {
-    /// Begins through this slot; every [`BEGIN_BATCH`]th feeds `ops`.
-    begins: AtomicU64,
-    /// Consecutive attempts an engine aborted; a commit clears it.
-    streak: AtomicU32,
 }
 
 /// The contention-adaptive hybrid backend (see crate docs).
@@ -235,41 +213,37 @@ pub struct HybridStm {
     /// The one notification endpoint; both engines publish into clones of
     /// it, so parked futures survive migrations.
     notify: CommitNotifier,
-    cfg: HybridConfig,
-    /// Mode, migration flag and the per-process admission slots.
-    gate: ModeGate<StdSync, ProcLocal>,
+    /// Mode, migration flag and the per-process admission slots; each
+    /// slot's private line also counts the begins admitted through it.
+    gate: ModeGate<StdSync, AtomicU64>,
     /// Begins observed, in batches — the controller's logical clock.
     ops: AtomicU64,
     /// Next window boundary (in begins), claimed by CAS.
     next_window: AtomicU64,
-    /// `ops` value at the last migration (dwell reference);
-    /// `u64::MAX` until the first migration, which dwell never blocks.
+    /// `ops` value at the last migration (the dwell's reference).
     last_migration_op: AtomicU64,
     /// Consecutive calm windows while in DSTM mode.
     calm_windows: AtomicU32,
     /// Snapshot at the last window close; deltas against it drive the
-    /// policy. Taken only by the single window-closing thread and by
-    /// escalation-profile checks (uncontended in practice). Replaced
-    /// whole, so poison is recovered (`window_prev`).
-    window_prev: Mutex<StatsSnapshotBox>,
+    /// policy. Taken only by the window-closing thread (claims are
+    /// unique, so uncontended in practice). Replaced whole, so poison is
+    /// recovered (`window_prev`).
+    window_prev: Mutex<StatsSnapshot>,
 }
 
-/// Newtype so the `Mutex` field above names a sized default.
-struct StatsSnapshotBox(oftm_obs::StatsSnapshot);
-
 impl HybridStm {
-    /// A hybrid with the given policy and no recorder.
-    pub fn new(cfg: HybridConfig) -> Self {
-        Self::build(cfg, None)
+    /// A hybrid with no recorder ([`HybridConfig`] carries nothing).
+    pub fn new(_: HybridConfig) -> Self {
+        Self::build(None)
     }
 
-    /// A hybrid with the given policy whose embedded engines share one
-    /// low-level history recorder (instrumented runs).
-    pub fn with_recorder(cfg: HybridConfig, rec: Arc<Recorder>) -> Self {
-        Self::build(cfg, Some(rec))
+    /// A hybrid whose embedded engines share one low-level history
+    /// recorder (instrumented runs).
+    pub fn with_recorder(rec: Arc<Recorder>) -> Self {
+        Self::build(Some(rec))
     }
 
-    fn build(cfg: HybridConfig, rec: Option<Arc<Recorder>>) -> Self {
+    fn build(rec: Option<Arc<Recorder>>) -> Self {
         let stats = Arc::new(StmStats::new());
         let notify = CommitNotifier::new();
         let mut tl2 = Tl2Stm::new()
@@ -288,16 +262,12 @@ impl HybridStm {
             dstm: DstmWord::new(dstm_inner).with_notifier(notify.clone()),
             stats,
             notify,
-            cfg,
-            gate: ModeGate::new(PROC_SLOTS, || ProcLocal {
-                begins: AtomicU64::new(0),
-                streak: AtomicU32::new(0),
-            }),
+            gate: ModeGate::new(PROC_SLOTS, || AtomicU64::new(0)),
             ops: AtomicU64::new(0),
-            next_window: AtomicU64::new(cfg.window_ops.max(1)),
-            last_migration_op: AtomicU64::new(u64::MAX),
+            next_window: AtomicU64::new(WINDOW),
+            last_migration_op: AtomicU64::new(0),
             calm_windows: AtomicU32::new(0),
-            window_prev: Mutex::new(StatsSnapshotBox(prev)),
+            window_prev: Mutex::new(prev),
         }
     }
 
@@ -320,25 +290,14 @@ impl HybridStm {
         }
     }
 
-    /// The per-begin policy hook: this process's escalation request, then
-    /// — once per [`BEGIN_BATCH`] begins — the windowed controller.
-    fn note_begin(&self, local: &ProcLocal) {
-        // ord: Relaxed — a heuristic trigger on the slot's private line;
-        // worst case the request fires one begin late.
-        if local.streak.load(Ordering::Relaxed) >= self.cfg.escalation_budget
-            && self.mode() == Mode::Tl2
-            && self.storm_profile()
-        {
-            local.streak.store(0, Ordering::Relaxed);
-            self.stats.incr(Counter::Escalations);
-            // ord: Relaxed — escalation ignores the dwell `op` feeds.
-            self.try_migrate(Mode::Dstm, self.ops.load(Ordering::Relaxed));
-        }
+    /// The per-begin policy hook: once per [`BEGIN_BATCH`] begins of a
+    /// slot, the windowed controller.
+    fn note_begin(&self, slot_begins: &AtomicU64) {
         // ord: Relaxed load and store, not an RMW — the line is private
         // unless two threads share a slot, and a begin lost between them
         // only delays a window.
-        let begins = local.begins.load(Ordering::Relaxed) + 1;
-        local.begins.store(begins, Ordering::Relaxed);
+        let begins = slot_begins.load(Ordering::Relaxed) + 1;
+        slot_begins.store(begins, Ordering::Relaxed);
         if begins % BEGIN_BATCH != 0 {
             return;
         }
@@ -351,95 +310,51 @@ impl HybridStm {
         if op >= boundary
             && self
                 .next_window
-                .compare_exchange(
-                    boundary,
-                    op + self.cfg.window_ops.max(1),
-                    // ord: Relaxed on success and failure — see above.
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                )
+                // ord: Relaxed on success and failure — see above.
+                .compare_exchange(boundary, op + WINDOW, Ordering::Relaxed, Ordering::Relaxed)
                 .is_ok()
         {
             self.close_window(op);
         }
     }
 
-    fn window_prev(&self) -> MutexGuard<'_, StatsSnapshotBox> {
+    fn window_prev(&self) -> MutexGuard<'_, StatsSnapshot> {
         self.window_prev.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Is the recent abort profile the TL2 pathology (`lock_busy` /
-    /// `read_validation` dominated)? Evaluated as a delta since the last
-    /// closed window. One process's streak alone is not enough: a thread
-    /// repeatedly preempted mid-transaction can string together aborts
-    /// in a globally calm run (sub-percent abort ratio), and escalating
-    /// then trades a fast TL2 phase for a DSTM round trip — so the
-    /// window delta must also show at least half the controller's
-    /// escalation abort-ratio. An abort-free delta (window closed
-    /// between the streak and this begin) defers to the next request,
-    /// by which point the delta has the evidence.
-    fn storm_profile(&self) -> bool {
-        #[cfg(test)]
-        tests::STORM_PROFILES.with(|n| n.set(n.get() + 1));
-        let snap = self.stats.snapshot();
-        let delta = snap.since(&self.window_prev().0);
-        delta.aborts() > 0
-            && delta.abort_ratio() >= self.cfg.escalate_abort_ratio * 0.5
-            && delta.cause_share(AbortCause::LockBusy)
-                + delta.cause_share(AbortCause::ReadValidation)
-                >= self.cfg.escalate_cause_share
-    }
-
-    /// Closes a controller window: escalate fast, de-escalate slowly.
+    /// Closes a controller window at clock value `op` and acts on its
+    /// verdict ([`window_verdict`]).
     fn close_window(&self, op: u64) {
         let snap = self.stats.snapshot();
         let delta = {
             let mut prev = self.window_prev();
-            let delta = snap.since(&prev.0);
-            prev.0 = snap;
+            let delta = snap.since(&prev);
+            *prev = snap;
             delta
         };
-        let ratio = delta.abort_ratio();
-        match self.mode() {
-            Mode::Tl2 => {
-                let storm = delta.cause_share(AbortCause::LockBusy)
-                    + delta.cause_share(AbortCause::ReadValidation);
-                if ratio >= self.cfg.escalate_abort_ratio && storm >= self.cfg.escalate_cause_share
-                {
-                    self.try_migrate(Mode::Dstm, op);
-                }
-            }
-            Mode::Dstm => {
-                if ratio <= self.cfg.deescalate_abort_ratio {
-                    // ord: Relaxed — monotonic calm streak, single
-                    // window-closer at a time by CAS construction.
-                    let calm = self.calm_windows.fetch_add(1, Ordering::Relaxed) + 1;
-                    if calm >= self.cfg.deescalate_windows {
-                        self.try_migrate(Mode::Tl2, op);
-                    }
-                } else {
-                    // ord: Relaxed — same single-closer streak counter.
-                    self.calm_windows.store(0, Ordering::Relaxed);
-                }
-            }
+        // ord: Relaxed — controller bookkeeping, single window-closer at a
+        // time by CAS construction; staleness only delays or repeats a
+        // dwell check, never corrupts the barrier.
+        let since = op.saturating_sub(self.last_migration_op.load(Ordering::Relaxed));
+        let calm = self.calm_windows.load(Ordering::Relaxed);
+        let (calm, target) = window_verdict(self.mode(), &delta, calm, since);
+        self.calm_windows.store(calm, Ordering::Relaxed);
+        if let Some(target) = target {
+            self.migrate(target);
         }
     }
 
-    /// Attempts a migration to `target`; returns whether it happened.
-    /// Synchronous: runs the full barrier (drain + copy + flip) on the
-    /// calling thread, which holds no transaction at this point.
-    fn try_migrate(&self, target: Mode, op: u64) -> bool {
-        // Dwell: a de-escalation may not follow the previous migration
-        // closer than the configured distance — the anti-oscillation
-        // throttle. Escalation is exempt: holding a storm in TL2 costs
-        // far more than an extra round trip, and a de-escalation that
-        // proves premature must be reversible immediately.
-        // ord: Relaxed — heuristic throttle; staleness only delays or
-        // duplicates a dwell check, never corrupts the barrier.
-        let last = self.last_migration_op.load(Ordering::Relaxed);
-        if target == Mode::Tl2 && last != u64::MAX && op.saturating_sub(last) < self.cfg.dwell_ops {
-            return false;
-        }
+    /// Migrates the instance to `target` now, whatever the policy would
+    /// say: runs the whole barrier (drain + copy + flip) on the calling
+    /// thread and returns whether it migrated — `false` when the instance
+    /// already runs `target` or another migration holds the barrier. The
+    /// dwell starts again from here.
+    ///
+    /// The caller must hold no transaction of this instance: the drain
+    /// waits until every admitted transaction has ended, the caller's own
+    /// included, so a held one blocks it forever (the rule of
+    /// [`WordStm::begin`] for blocking backends).
+    pub fn migrate(&self, target: Mode) -> bool {
         self.gate.migrate(target as usize, |from| {
             self.copy_values(Mode::from_usize(from));
             self.stats.incr(Counter::ModeMigrations);
@@ -448,10 +363,6 @@ impl HybridStm {
             self.last_migration_op
                 .store(self.ops.load(Ordering::Relaxed), Ordering::Relaxed);
             self.calm_windows.store(0, Ordering::Relaxed);
-            for local in self.gate.locals() {
-                // ord: Relaxed — heuristic counters; resets published lazily.
-                local.streak.store(0, Ordering::Relaxed);
-            }
         })
     }
 
@@ -525,9 +436,8 @@ impl HybridStm {
 
 /// A hybrid transaction: delegates to the engine it was admitted to and
 /// keeps the facade-level bookkeeping (TL2-side frees in `Dstm` mode, the
-/// escalation streak, the admission slot). Reads and writes are forwarded
-/// untouched — a tail call; whether the engine aborted an attempt is asked
-/// of it once, when the attempt ends ([`WordTx::doomed`]).
+/// admission slot). Reads and writes are forwarded untouched — a tail
+/// call.
 struct HybridTx<'s> {
     stm: &'s HybridStm,
     inner: Option<Box<dyn WordTx + 's>>,
@@ -548,16 +458,8 @@ impl HybridTx<'_> {
             .as_mut()
     }
 
-    fn streak(&self) -> &AtomicU32 {
-        &self.stm.gate.local(self.slot).streak
-    }
-
-    /// The engine aborted this attempt: only such an attempt extends the
-    /// escalation streak. One its body gives up on by itself (an explicit
-    /// retry) is not TL2's pathology.
-    fn count_engine_abort(&self) {
-        // ord: Relaxed — escalation streak bookkeeping.
-        self.streak().fetch_add(1, Ordering::Relaxed);
+    fn take_inner(&mut self) -> Box<dyn WordTx + '_> {
+        self.inner.take().expect("transaction still running")
     }
 }
 
@@ -575,33 +477,17 @@ impl WordTx for HybridTx<'_> {
     }
 
     fn try_commit(mut self: Box<Self>) -> TxResult<()> {
-        let inner = self.inner.take().expect("transaction still running");
-        let r = inner.try_commit();
-        match r {
-            Ok(()) => {
-                // TL2-side frees (the migration drain cannot start until
-                // our slot count drops in Drop, so TL2 is still
-                // transaction-free here).
-                for &(base, len) in &self.retired {
-                    self.stm.tl2.free_tvar_block(base, len);
-                }
-                // ord: Relaxed — escalation streak bookkeeping; the store
-                // is skipped while the private line already reads zero.
-                if self.streak().load(Ordering::Relaxed) != 0 {
-                    self.streak().store(0, Ordering::Relaxed);
-                }
-            }
-            Err(_) => self.count_engine_abort(),
+        self.take_inner().try_commit()?;
+        // TL2-side frees (the migration drain cannot start until our slot
+        // count drops in Drop, so TL2 is still transaction-free here).
+        for &(base, len) in &self.retired {
+            self.stm.tl2.free_tvar_block(base, len);
         }
-        r
+        Ok(())
     }
 
     fn try_abort(mut self: Box<Self>) {
-        let inner = self.inner.take().expect("transaction still running");
-        if inner.doomed() {
-            self.count_engine_abort();
-        }
-        inner.try_abort();
+        self.take_inner().try_abort();
     }
 
     fn retire_tvar_block(&mut self, base: TVarId, len: usize) {
@@ -616,19 +502,10 @@ impl WordTx for HybridTx<'_> {
             inner.footprint(out);
         }
     }
-
-    fn doomed(&self) -> bool {
-        self.inner.as_ref().is_some_and(|tx| tx.doomed())
-    }
 }
 
 impl Drop for HybridTx<'_> {
     fn drop(&mut self) {
-        // Still holding the inner transaction: dropped live by a retry
-        // loop, after the engine aborted it or after the body gave up.
-        if self.doomed() {
-            self.count_engine_abort();
-        }
         // Drop the inner transaction (releasing engine-side state)
         // *before* retiring our admission: the migration drain treats a
         // zero count as "the outgoing engine is quiescent".
@@ -703,43 +580,31 @@ impl WordStm for HybridStm {
 mod tests {
     use super::*;
     use oftm_core::api::run_transaction;
+    use std::sync::atomic::AtomicBool;
 
     const X: TVarId = TVarId(0);
     const Y: TVarId = TVarId(1);
 
-    thread_local! {
-        /// `storm_profile()` calls made by this thread.
-        pub(super) static STORM_PROFILES: std::cell::Cell<u64> =
-            const { std::cell::Cell::new(0) };
-    }
-
-    fn storm_profiles() -> u64 {
-        STORM_PROFILES.with(std::cell::Cell::get)
-    }
-
-    fn stm(cfg: HybridConfig) -> HybridStm {
-        let s = HybridStm::new(cfg);
+    fn stm() -> HybridStm {
+        let s = HybridStm::new(HybridConfig);
         s.register_tvar(X, 0);
         s.register_tvar(Y, 0);
         s
     }
 
-    /// Drives one `read_validation` storm round on the facade: a
-    /// transaction begun before a foreign commit reads stale. In TL2
-    /// mode the read deterministically aborts; once escalation flips
-    /// the mode (possibly inside this very begin) a fresh DSTM read
-    /// succeeds — callers watch `s.mode()` rather than the abort.
-    fn one_stale_abort(s: &HybridStm, round: u64) {
-        let mut stale = s.begin(0);
-        run_transaction(s, 1, |tx| tx.write(X, round));
-        let _ = stale.read(X);
-        // Dropped unsettled: the engine tags the cause in its Drop.
-        drop(stale);
+    /// A closed window's delta: `begins` begun, `aborts` of each cause.
+    fn window(begins: u64, aborts: &[(AbortCause, u64)]) -> StatsSnapshot {
+        let stats = StmStats::new();
+        stats.add(Counter::Begins, begins);
+        for &(cause, n) in aborts {
+            stats.add(cause.counter(), n);
+        }
+        stats.snapshot()
     }
 
     #[test]
     fn starts_in_tl2_mode_and_commits() {
-        let s = stm(HybridConfig::default());
+        let s = stm();
         assert_eq!(s.mode(), Mode::Tl2);
         let (v, _) = run_transaction(&s, 0, |tx| {
             let v = tx.read(X)?;
@@ -751,179 +616,156 @@ mod tests {
     }
 
     #[test]
-    fn escalates_under_read_validation_storm_and_deescalates_after() {
-        let cfg = HybridConfig::eager();
-        let s = stm(cfg);
-        // Storm: every iteration is one read_validation abort on proc 0
-        // plus one commit on proc 1.
-        let mut ops_to_escalate = None;
-        for round in 0..200u64 {
-            one_stale_abort(&s, round);
-            if s.mode() == Mode::Dstm {
-                ops_to_escalate = Some(round);
-                break;
-            }
-        }
-        let escalated_at = ops_to_escalate.expect("storm must escalate to DSTM");
-        // Escalate fast: a handful of rounds, not the whole storm.
-        assert!(
-            escalated_at <= 64,
-            "escalated only after {escalated_at} rounds"
+    fn a_storm_window_escalates() {
+        let half = WINDOW / 2;
+        // Half the window aborted, all of it TL2's pathology: escalate at
+        // once, however recent the last migration.
+        let storm = window(
+            WINDOW,
+            &[
+                (AbortCause::ReadValidation, half - 8),
+                (AbortCause::LockBusy, 8),
+            ],
         );
-        let snap = s.stats().snapshot();
-        assert!(snap.get(Counter::ModeMigrations) >= 1);
-        assert!(snap.get(Counter::Escalations) >= 1);
-
-        // Values must have survived the migration coherently.
-        let (x, _) = run_transaction(&s, 2, |tx| tx.read(X));
-        assert_eq!(x, escalated_at, "migrated value space lost a commit");
-
-        // Calm traffic: commits only. Must de-escalate, but only after
-        // deescalate_windows × window_ops begins at the earliest (dwell
-        // and calm-streak respected).
-        let migrations_before = s.migrations();
-        let mut begins = 0u64;
-        let mut back_at = None;
-        for i in 0..(cfg.window_ops * (u64::from(cfg.deescalate_windows) + 4) * 4) {
-            run_transaction(&s, 3, |tx| tx.write(Y, i));
-            begins += 1;
-            if s.mode() == Mode::Tl2 {
-                back_at = Some(begins);
-                break;
-            }
-        }
-        let back_at = back_at.expect("calm traffic must de-escalate to TL2");
-        assert_eq!(s.migrations(), migrations_before + 1);
-        // De-escalate slowly: no earlier than the calm-streak length
-        // minus the storm residue already in the open window.
-        assert!(
-            back_at + cfg.window_ops >= cfg.window_ops * u64::from(cfg.deescalate_windows),
-            "de-escalated after only {back_at} calm begins"
+        assert_eq!(
+            window_verdict(Mode::Tl2, &storm, 0, 0),
+            (0, Some(Mode::Dstm))
         );
-        // And the world is still coherent on the TL2 side.
-        let (x, _) = run_transaction(&s, 2, |tx| tx.read(X));
-        assert_eq!(x, escalated_at);
+        // One abort short of the ratio: stay.
+        let short = window(WINDOW, &[(AbortCause::ReadValidation, half - 1)]);
+        assert_eq!(window_verdict(Mode::Tl2, &short, 0, 0), (0, None));
+        // In DSTM mode a storm only ends the calm streak.
+        assert_eq!(window_verdict(Mode::Dstm, &storm, 2, DWELL), (0, None));
     }
 
     #[test]
-    fn a_body_that_gives_up_builds_no_streak() {
-        // What a token-ring client does on an empty queue, a thousand
-        // times: the attempt is abandoned by its body (`tryA`, or dropped
-        // live by the retry loop), never aborted by the engine. Eager
-        // policy: two counted aborts would already request escalation.
-        let s = stm(HybridConfig::eager());
-        for i in 0..1_000u64 {
-            let mut tx = s.begin(0);
-            assert_eq!(tx.read(X).unwrap(), i / 10);
-            if i % 2 == 0 {
-                tx.try_abort();
-            } else {
-                drop(tx);
-            }
-            if i % 10 == 9 {
-                run_transaction(&s, 1, |tx| tx.write(X, i / 10 + 1));
-            }
+    fn an_explicit_retry_window_does_not_escalate() {
+        // A token-ring client that finds its source empty gives up, again
+        // and again: most of the window is its explicit retries, with a
+        // few real conflicts among them.
+        let give_ups = window(
+            WINDOW,
+            &[
+                (AbortCause::ExplicitRetry, 400),
+                (AbortCause::ReadValidation, 40),
+            ],
+        );
+        assert!(give_ups.abort_ratio() >= ESCALATE_RATIO);
+        assert_eq!(window_verdict(Mode::Tl2, &give_ups, 0, DWELL), (0, None));
+    }
+
+    #[test]
+    fn four_calm_windows_deescalate() {
+        // Calm: at most a tenth of the window aborted.
+        let calm = window(WINDOW, &[(AbortCause::CmArbitrated, WINDOW / 10)]);
+        let mut n = 0;
+        for _ in 1..CALM_WINDOWS {
+            assert_eq!(window_verdict(Mode::Dstm, &calm, n, DWELL), (n + 1, None));
+            n += 1;
         }
-        let snap = s.stats().snapshot();
-        assert_eq!(snap.get(Counter::Escalations), 0);
-        assert_eq!(s.migrations(), 0);
-        // ord: Relaxed — single-threaded test read of the streak word.
-        assert_eq!(s.gate.local(0).streak.load(Ordering::Relaxed), 0);
-        assert_eq!(storm_profiles(), 0, "a calm process profiled the storm");
+        assert_eq!(
+            window_verdict(Mode::Dstm, &calm, n, DWELL),
+            (CALM_WINDOWS, Some(Mode::Tl2))
+        );
+        // One abort more and the window is not calm: the streak restarts.
+        let busy = window(WINDOW, &[(AbortCause::CmArbitrated, WINDOW / 10 + 1)]);
+        assert_eq!(window_verdict(Mode::Dstm, &busy, n, DWELL), (0, None));
+        // In TL2 mode calm windows are nothing to count.
+        assert_eq!(window_verdict(Mode::Tl2, &calm, 0, DWELL), (0, None));
+    }
+
+    #[test]
+    fn dwell_blocks_immediate_oscillation() {
+        let calm = window(WINDOW, &[]);
+        // The fourth calm window closes one begin short of the dwell: the
+        // mode holds and the streak runs on…
+        assert_eq!(
+            window_verdict(Mode::Dstm, &calm, CALM_WINDOWS - 1, DWELL - 1),
+            (CALM_WINDOWS, None)
+        );
+        // …so the first calm window past the dwell migrates.
+        assert_eq!(
+            window_verdict(Mode::Dstm, &calm, CALM_WINDOWS, DWELL),
+            (CALM_WINDOWS + 1, Some(Mode::Tl2))
+        );
+    }
+
+    #[test]
+    fn escalates_under_read_validation_storm_and_deescalates_after() {
+        // The controller's wiring. One thread on one slot, so the window
+        // clock counts every begin: the storm added here lands in the
+        // first window, whose close at its `WINDOW`th begin escalates;
+        // calm traffic then de-escalates at the first window close a
+        // `DWELL` past that.
+        let s = stm();
+        s.stats().add(Counter::Begins, 3 * WINDOW);
+        s.stats().add(Counter::AbortReadValidation, 3 * WINDOW);
+        for i in 1..WINDOW {
+            run_transaction(&s, 0, |tx| tx.write(X, i));
+        }
+        assert_eq!((s.mode(), s.migrations()), (Mode::Tl2, 0), "window open");
+        run_transaction(&s, 0, |tx| tx.write(X, WINDOW));
+        assert_eq!((s.mode(), s.migrations()), (Mode::Dstm, 1));
+        let mut begins = WINDOW;
+        while s.mode() == Mode::Dstm {
+            assert!(begins < WINDOW + DWELL, "no de-escalation by {begins}");
+            begins += 1;
+            run_transaction(&s, 0, |tx| tx.write(Y, begins));
+        }
+        assert_eq!(begins, WINDOW + DWELL);
+        assert_eq!(s.migrations(), 2);
+        // Both barriers carried the values across.
+        assert_eq!(s.peek(X), Some(WINDOW));
+        assert_eq!(s.peek(Y), Some(WINDOW + DWELL));
     }
 
     #[test]
     fn calm_handoff_never_profiles_the_storm() {
         // Two clients hand one token back and forth (the benchmark's
         // token ring in miniature): a client that finds its source empty
-        // gives up on its own. Default policy, real threads. Each attempt
-        // runs alone, from begin to tryC/tryA, so the engine never aborts
-        // one: the only streak a client could build is of its own
-        // give-ups, which must not count.
-        let s = stm(HybridConfig::default());
+        // gives up on its own. Real threads, but each attempt runs alone,
+        // from begin to tryC/tryA, so the engine never aborts one: every
+        // abort of every window is a give-up, and no number of them looks
+        // like a storm.
+        let s = stm();
         run_transaction(&s, 9, |tx| tx.write(X, 1));
         let turn = Mutex::new(());
-        let profiled: u64 = std::thread::scope(|sc| {
-            let clients: Vec<_> = [(0u32, X, Y), (1u32, Y, X)]
-                .into_iter()
-                .map(|(p, from, to)| {
-                    let (s, turn) = (&s, &turn);
-                    sc.spawn(move || {
-                        let mut moved = 0;
-                        while moved < 2_000 {
-                            let alone = turn.lock().unwrap();
-                            let mut tx = s.begin(p);
-                            let have = tx.read(from).expect("attempts run alone");
-                            if have == 0 {
-                                tx.try_abort();
-                                drop(alone);
-                                std::thread::yield_now();
-                                continue;
-                            }
-                            tx.write(from, have - 1)
-                                .and_then(|()| tx.read(to))
-                                .and_then(|n| tx.write(to, n + 1))
-                                .and_then(|()| tx.try_commit())
-                                .expect("attempts run alone");
-                            moved += 1;
+        std::thread::scope(|sc| {
+            for (p, from, to) in [(0u32, X, Y), (1u32, Y, X)] {
+                let (s, turn) = (&s, &turn);
+                sc.spawn(move || {
+                    let mut moved = 0;
+                    while moved < 2_000 {
+                        let alone = turn.lock().unwrap();
+                        let mut tx = s.begin(p);
+                        let have = tx.read(from).expect("attempts run alone");
+                        if have == 0 {
+                            tx.try_abort();
+                            drop(alone);
+                            std::thread::yield_now();
+                            continue;
                         }
-                        storm_profiles()
-                    })
-                })
-                .collect();
-            clients.into_iter().map(|c| c.join().unwrap()).sum()
+                        tx.write(from, have - 1)
+                            .and_then(|()| tx.read(to))
+                            .and_then(|n| tx.write(to, n + 1))
+                            .and_then(|()| tx.try_commit())
+                            .expect("attempts run alone");
+                        moved += 1;
+                    }
+                });
+            }
         });
-        assert_eq!(profiled, 0, "storm_profile() calls in a calm run");
+        assert!(s.stats().snapshot().get(Counter::AbortExplicitRetry) > 0);
         assert_eq!(s.migrations(), 0);
         assert_eq!(s.peek(X).unwrap() + s.peek(Y).unwrap(), 1);
     }
 
     #[test]
-    fn dwell_blocks_immediate_oscillation() {
-        let mut cfg = HybridConfig::eager();
-        cfg.dwell_ops = 10_000; // enormous dwell: second migration impossible
-        let s = stm(cfg);
-        for round in 0..200u64 {
-            one_stale_abort(&s, round);
-            if s.mode() == Mode::Dstm {
-                break;
-            }
-        }
-        assert_eq!(s.mode(), Mode::Dstm);
-        // Calm traffic well past the calm-streak threshold, but far
-        // below the dwell: the mode must hold.
-        for i in 0..500u64 {
-            run_transaction(&s, 3, |tx| tx.write(Y, i));
-        }
-        assert_eq!(s.mode(), Mode::Dstm, "dwell violated");
-        assert_eq!(s.migrations(), 1);
-    }
-
-    #[test]
-    fn always_escalate_policy_parks_in_dstm() {
-        // The miswired policy: a single abort escalates, nothing ever
-        // de-escalates. The bench-side throughput gate is what catches
-        // this; here we pin the behavioral signature it keys on.
-        let s = stm(HybridConfig::always_escalate());
-        one_stale_abort(&s, 1);
-        for i in 0..100u64 {
-            run_transaction(&s, 3, |tx| tx.write(Y, i));
-        }
-        assert_eq!(s.mode(), Mode::Dstm, "always-escalate must park in DSTM");
-    }
-
-    #[test]
     fn allocation_is_coherent_across_migration() {
-        let s = stm(HybridConfig::eager());
+        let s = stm();
         let blk = s.alloc_tvar_block(&[7, 8, 9]);
         run_transaction(&s, 1, |tx| tx.write(TVarId(blk.0 + 1), 80));
-        for round in 0..200u64 {
-            one_stale_abort(&s, round);
-            if s.mode() == Mode::Dstm {
-                break;
-            }
-        }
-        assert_eq!(s.mode(), Mode::Dstm);
+        assert!(s.migrate(Mode::Dstm));
         assert_eq!(s.dstm.live_tvars(), s.live_tvars(), "the mirror is whole");
         // The block reads back through the DSTM engine with the TL2-era
         // values (one written, two initial).
@@ -938,24 +780,14 @@ mod tests {
         // Allocate while in DSTM mode, migrate back, read through TL2.
         let blk2 = s.alloc_tvar_block(&[42]);
         run_transaction(&s, 2, |tx| tx.write(blk2, 43));
-        for i in 0..10_000u64 {
-            run_transaction(&s, 3, |tx| tx.write(Y, i));
-            if s.mode() == Mode::Tl2 {
-                break;
-            }
-        }
-        assert_eq!(s.mode(), Mode::Tl2, "calm traffic must return to TL2");
+        assert!(s.migrate(Mode::Tl2));
+        assert_eq!(s.migrations(), 2);
         assert_eq!(s.peek(blk2), Some(43));
         assert_eq!(s.peek(TVarId(blk.0 + 1)), Some(80));
         // A full round trip at quiescence: X, Y and the two blocks are
         // live, and the mirror is gone again.
         assert_eq!(s.live_tvars(), 2 + 3 + 1);
         assert_eq!(s.dstm.live_tvars(), 0);
-    }
-
-    /// Forces the barrier, policy aside (no dwell applies at `u64::MAX`).
-    fn force(s: &HybridStm, target: Mode) {
-        assert!(s.try_migrate(target, u64::MAX), "uncontended barrier");
     }
 
     /// A payload that counts its live copies.
@@ -982,12 +814,12 @@ mod tests {
 
     #[test]
     fn dstm_holds_nothing_while_tl2_runs() {
-        let s = stm(HybridConfig::default());
+        let s = stm();
         assert_eq!(s.dstm.live_tvars(), 0, "registrations went to TL2 only");
         // Locators the DSTM engine unlinked behind a peer wait in their
         // process's bag; de-escalating reclaims them, as nothing will run
         // there to do it.
-        force(&s, Mode::Dstm);
+        assert!(s.migrate(Mode::Dstm));
         let live = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let engine = s.dstm.inner();
         let v = engine.new_tvar(Live::new(&live));
@@ -998,7 +830,7 @@ mod tests {
         peer.commit_read_only().unwrap();
         // `T_0`'s copy, the installed locator's two, and the unlinked ones.
         assert!(live.load(Ordering::SeqCst) > 3, "nothing waited");
-        force(&s, Mode::Tl2);
+        assert!(s.migrate(Mode::Tl2));
         assert_eq!(live.load(Ordering::SeqCst), 3, "locators stranded");
         drop(v);
         let mut node = s.alloc_tvar_block(&[0, 0]);
@@ -1019,10 +851,10 @@ mod tests {
 
     #[test]
     fn retire_frees_both_engines_after_commit() {
-        let s = stm(HybridConfig::default());
+        let s = stm();
         for mode in [Mode::Tl2, Mode::Dstm] {
             if s.mode() != mode {
-                force(&s, mode);
+                assert!(s.migrate(mode));
             }
             let blk = s.alloc_tvar_block(&[1, 2]);
             let live = s.live_tvars();
@@ -1039,54 +871,56 @@ mod tests {
         assert_eq!(s.dstm.live_tvars(), s.live_tvars());
     }
 
+    /// Migrations one thread forces between its own transactions: fewer
+    /// begins in all than [`DWELL`] and no conflict among the
+    /// transactions keep the policy out, so the count is exact.
+    const FORCED: u64 = 10;
+
     #[test]
     fn allocator_outside_transactions_survives_migrations() {
         // One thread allocates, writes and frees with no transaction of
         // its own open across the three, so every step can fall on either
-        // side of a barrier; eager traffic keeps the barriers coming.
-        let s = stm(HybridConfig::eager());
-        let stop = std::sync::atomic::AtomicBool::new(false);
+        // side of a barrier the other thread forces.
+        let s = stm();
+        let done = AtomicBool::new(false);
         let kept: Vec<(TVarId, u64)> = std::thread::scope(|sc| {
-            for p in 0..2u32 {
-                let (s, stop) = (&s, &stop);
-                sc.spawn(move || {
-                    // ord: Relaxed — a stop flag; the scope's join orders
-                    // everything else.
-                    while !stop.load(Ordering::Relaxed) {
-                        run_transaction(s, p, |tx| {
-                            let v = tx.read(X)?;
-                            std::thread::yield_now();
-                            tx.write(X, v + 1)
-                        });
-                    }
-                });
-            }
+            let (s, done) = (&s, &done);
+            sc.spawn(move || {
+                for i in 0..FORCED {
+                    run_transaction(s, 0, |tx| tx.write(Y, i));
+                    assert!(s.migrate(s.mode().other()), "uncontended barrier");
+                }
+                // ord: Relaxed — a stop flag; the scope's join orders
+                // everything else.
+                done.store(true, Ordering::Relaxed);
+            });
             let mut kept = Vec::new();
-            let mut i = 0u64;
-            while s.migrations() < 10 {
-                assert!(i < 200_000, "eager traffic stopped migrating");
+            for i in 0..2_048u64 {
                 let blk = s.alloc_tvar_block(&[i, i]);
                 let last = TVarId(blk.0 + 1);
-                run_transaction(&s, 5, |tx| tx.write(last, i + 1));
+                run_transaction(s, 5, |tx| tx.write(last, i + 1));
                 if i % 64 == 0 {
                     kept.push((last, i + 1));
                     s.free_tvar_block(blk, 1);
                 } else {
                     s.free_tvar_block(blk, 2);
                 }
-                i += 1;
+                // ord: Relaxed — see the store.
+                if done.load(Ordering::Relaxed) {
+                    break;
+                }
             }
-            stop.store(true, Ordering::Relaxed);
             kept
         });
-        assert!(!kept.is_empty());
+        assert_eq!(s.migrations(), FORCED);
         for round in 0..2 {
             for &(id, want) in &kept {
                 let (got, _) = run_transaction(&s, 6, |tx| tx.read(id));
                 assert_eq!(got, want, "{id} in {:?} (pass {round})", s.mode());
             }
-            force(&s, s.mode().other());
+            assert!(s.migrate(s.mode().other()));
         }
+        assert_eq!(s.migrations(), FORCED + 2);
         assert_eq!(s.live_tvars(), 2 + kept.len());
     }
 
@@ -1095,63 +929,66 @@ mod tests {
         // A waiter parks on the hybrid notifier before a migration; a
         // commit executed by the *other* engine afterwards must still
         // bump the watched shard version.
-        let s = stm(HybridConfig::eager());
+        let s = stm();
         let watched = [X];
         let mut snap = oftm_core::notify::WaitSnapshot::default();
         s.notifier().snapshot(watched.iter().copied(), &mut snap);
-        for round in 0..200u64 {
-            one_stale_abort(&s, round);
-            if s.mode() == Mode::Dstm {
-                break;
-            }
-        }
-        assert_eq!(s.mode(), Mode::Dstm);
+        assert!(s.migrate(Mode::Dstm));
         run_transaction(&s, 2, |tx| tx.write(X, 999));
         assert!(
             s.notifier().changed_since(&snap),
             "post-migration commit must be visible to pre-migration parkers"
         );
+        assert_eq!(s.migrations(), 1);
     }
 
     #[test]
     fn concurrent_counter_survives_forced_migrations() {
-        // Mixed traffic on an eager policy: the counter total must be
-        // exact no matter how many migrations interleave.
-        let s = Arc::new(stm(HybridConfig::eager()));
+        // Four clients each increment a counter of their own, client 0
+        // forcing a migration after every twentieth of its increments, so
+        // the others' transactions are in flight at every barrier. A
+        // commit the drain let through on the outgoing engine after the
+        // copy would be lost from the incoming one: every counter must
+        // read exactly its increments.
+        const ROUNDS: u64 = 20 * FORCED;
+        let s = stm();
+        let counters: Vec<TVarId> = (0..4).map(|p| TVarId(10 + p)).collect();
+        for &c in &counters {
+            s.register_tvar(c, 0);
+        }
         std::thread::scope(|sc| {
-            for p in 0..4u32 {
-                let s = Arc::clone(&s);
+            for (p, &c) in counters.iter().enumerate() {
+                let s = &s;
                 sc.spawn(move || {
-                    for i in 0..200u64 {
-                        run_transaction(&*s, p, |tx| {
-                            let v = tx.read(X)?;
-                            if i % 8 == 0 {
-                                std::thread::yield_now();
-                            }
-                            tx.write(X, v + 1)
+                    for i in 1..=ROUNDS {
+                        run_transaction(s, p as u32, |tx| {
+                            let v = tx.read(c)?;
+                            tx.write(c, v + 1)
                         });
+                        if p == 0 && i % 20 == 0 {
+                            assert!(s.migrate(s.mode().other()), "uncontended barrier");
+                        }
                     }
                 });
             }
         });
-        let (v, _) = run_transaction(&*s, 9, |tx| tx.read(X));
-        assert_eq!(v, 800);
+        assert_eq!(s.migrations(), FORCED);
+        for &c in &counters {
+            let (v, _) = run_transaction(&s, 9, |tx| tx.read(c));
+            assert_eq!(v, ROUNDS, "{c} in {:?}", s.mode());
+        }
     }
 
     #[test]
     fn ro_transactions_admit_and_commit_in_both_modes() {
-        let s = stm(HybridConfig::eager());
+        let s = stm();
         run_transaction(&s, 0, |tx| tx.write(X, 3));
         let (v, _) = oftm_core::api::run_transaction_ro(&s, 1, |tx| tx.read(X));
         assert_eq!(v, 3);
-        for round in 0..200u64 {
-            one_stale_abort(&s, 100 + round);
-            if s.mode() == Mode::Dstm {
-                break;
-            }
-        }
-        assert_eq!(s.mode(), Mode::Dstm);
+        assert!(s.migrate(Mode::Dstm));
+        run_transaction(&s, 0, |tx| tx.write(X, 4));
         let (v, _) = oftm_core::api::run_transaction_ro(&s, 1, |tx| tx.read(X));
-        assert!(v >= 100, "RO read must see a storm-era commit, got {v}");
+        assert_eq!(v, 4, "RO read must see the DSTM-era commit");
+        assert_eq!(s.migrations(), 1);
     }
 }

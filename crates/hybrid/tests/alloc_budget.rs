@@ -10,7 +10,7 @@
 use oftm_baselines::Tl2Stm;
 use oftm_core::api::WordStm;
 use oftm_histories::TVarId;
-use oftm_hybrid::{HybridConfig, HybridStm};
+use oftm_hybrid::{HybridConfig, HybridStm, WINDOW};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -96,7 +96,7 @@ fn a_transaction_costs_one_box_more_than_on_tl2() {
             on_hybrid > on_tl2 + 1
         })
         .count() as u64;
-    let windows_closed = MEASURED / HybridConfig::default().window_ops + 1;
+    let windows_closed = MEASURED / WINDOW + 1;
     assert!(
         over_budget <= windows_closed,
         "{over_budget} of {MEASURED} transactions allocated more than tl2's blocks plus one"

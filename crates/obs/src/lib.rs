@@ -148,14 +148,10 @@ pub enum Counter {
     /// Process-wide default-mode switches of a hybrid backend (each
     /// direction counts once; a full escalate+de-escalate cycle is 2).
     ModeMigrations,
-    /// Per-transaction escalation requests of a hybrid backend: a retry
-    /// loop exhausted its escalation budget with a contention-dominated
-    /// cause profile and asked for the arbitrated mode.
-    Escalations,
 }
 
 /// Number of counters (length of each shard's array).
-pub const COUNTER_KINDS: usize = Counter::Escalations as usize + 1;
+pub const COUNTER_KINDS: usize = Counter::ModeMigrations as usize + 1;
 
 /// The t-variable attribution every abort-tagging site must pass
 /// ([`StmStats::abort_at`]): either the variable the conflict was over,

@@ -108,7 +108,7 @@ impl World {
         self.gate.leave(slot, m);
     }
 
-    /// `HybridStm::try_migrate` without the policy.
+    /// `HybridStm::migrate`.
     fn migrate(&self, target: usize) {
         let early = (self.variant == Variant::WalkBeforeFlag && target == 1)
             .then(|| self.tables[0].load(SeqCst));

@@ -131,41 +131,43 @@ fn alloc_tvar_uniform_across_stms() {
     }
 }
 
-/// The seventh STM under forced migrations: a hair-trigger hybrid policy
-/// plus a preemption point inside every increment guarantees the run
-/// crosses the TL2→DSTM barrier mid-history. The recorded history —
-/// spanning transactions executed by *both* embedded engines — must still
-/// be conflict-serializable, and no increment may be lost.
+/// The seventh STM across forced migrations: four threads increment one
+/// word with a preemption point inside each increment, and thread 0
+/// migrates the hybrid after every fourth of its own, so both embedded
+/// engines run conflicting transactions of one recorded history. It must
+/// be conflict-serializable and lose no increment. The run begins far
+/// fewer transactions than one window of the hybrid's policy, so the
+/// three forced migrations are all there are.
 #[test]
 fn hybrid_history_spanning_forced_migration_is_serializable() {
-    let (stm, rec) = instrumented("hybrid-eager");
+    let rec = Arc::new(Recorder::new());
+    let stm = oftm::HybridStm::with_recorder(Arc::clone(&rec));
     stm.register_tvar(TVarId(0), 0);
     std::thread::scope(|s| {
         for p in 0..4u32 {
             let stm = &stm;
             s.spawn(move || {
-                for _ in 0..64u64 {
-                    run_transaction(&**stm, p, |tx| {
+                for i in 1..=16u64 {
+                    run_transaction(stm, p, |tx| {
                         let v = tx.read(TVarId(0))?;
                         std::thread::yield_now(); // preemption point
                         tx.write(TVarId(0), v + 1)
                     });
+                    if p == 0 && i % 4 == 0 && i < 16 {
+                        assert!(stm.migrate(stm.mode().other()), "uncontended barrier");
+                    }
                 }
             });
         }
     });
-    let migrations = stm
-        .stats()
-        .snapshot()
-        .get(oftm::obs::Counter::ModeMigrations);
-    assert!(migrations > 0, "forcing workload never migrated");
+    assert_eq!(stm.migrations(), 3);
     let h = rec.snapshot();
     assert!(
         conflict_serializable(&h),
         "history spanning a migration is not conflict-serializable"
     );
-    let (v, _) = run_transaction(&*stm, 9, |tx| tx.read(TVarId(0)));
-    assert_eq!(v, 256, "lost update across migration");
+    let (v, _) = run_transaction(&stm, 9, |tx| tx.read(TVarId(0)));
+    assert_eq!(v, 64, "lost update across migration");
 }
 
 /// A contract-breaking zombie: its variable is evicted under it with
