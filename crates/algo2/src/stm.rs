@@ -856,8 +856,9 @@ impl WordStm for Algo2Stm {
         // Atomic keep-first semantics (re-registration must not reset
         // state the version scans already adopted), like the
         // `Registry::get_or_create` this replaced.
-        self.stats.incr(Counter::TvarsAllocated);
-        self.initial.insert_if_absent(x, initial);
+        if self.initial.insert_if_absent(x, initial) {
+            self.stats.incr(Counter::TvarsAllocated);
+        }
     }
 
     fn alloc_tvar_block(&self, initials: &[Value]) -> TVarId {

@@ -265,8 +265,9 @@ impl WordStm for CoarseStm {
     }
 
     fn register_tvar(&self, x: TVarId, initial: Value) {
-        self.stats.incr(Counter::TvarsAllocated);
-        self.store.insert(x, AtomicU64::new(initial));
+        if self.store.insert(x, AtomicU64::new(initial)) {
+            self.stats.incr(Counter::TvarsAllocated);
+        }
     }
 
     fn alloc_tvar_block(&self, initials: &[Value]) -> TVarId {

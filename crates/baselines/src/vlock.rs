@@ -853,8 +853,9 @@ impl<P: ReadPolicy> WordStm for VersionedLockStm<P> {
     }
 
     fn register_tvar(&self, x: TVarId, initial: Value) {
-        self.stats.incr(Counter::TvarsAllocated);
-        self.vars.insert(x, VLockVar::new(initial));
+        if self.vars.insert(x, VLockVar::new(initial)) {
+            self.stats.incr(Counter::TvarsAllocated);
+        }
     }
 
     fn alloc_tvar_block(&self, initials: &[Value]) -> TVarId {

@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 fn run_trial(cm: Arc<dyn ContentionManager>, n: u32) -> (bool, bool, u64) {
-    let foc: OftmFoc<u64> = OftmFoc::new(Dstm::new(cm));
+    let foc = OftmFoc::new(Dstm::new(cm));
     let decisions = Mutex::new(BTreeSet::new());
     let aborts = std::sync::atomic::AtomicU64::new(0);
     std::thread::scope(|s| {
@@ -46,7 +46,7 @@ fn main() {
     println!("== E4: Algorithm 1 — fo-consensus from the DSTM OFTM ==\n");
 
     // fo-obstruction-freedom: sequential (step-contention-free) proposes.
-    let foc: OftmFoc<u64> = OftmFoc::new(Dstm::default());
+    let foc = OftmFoc::new(Dstm::default());
     let mut solo_aborts = 0;
     let first = foc.propose(0, 7).expect("solo propose must decide");
     for p in 1..100u32 {

@@ -27,7 +27,7 @@ fn main() {
     println!("== E7: Algorithm 3 — fo-consensus from an eventual ic-OFTM ==\n");
 
     // fo-obstruction-freedom through the transformation.
-    let foc: EventualFoc<u64> = EventualFoc::new(eventual_stm(Duration::from_micros(500)), 16);
+    let foc = EventualFoc::new(eventual_stm(Duration::from_micros(500)), 16);
     let first = foc.propose(0, 42).expect("solo propose decides");
     let mut aborts = 0;
     for p in 1..16u32 {
@@ -56,7 +56,7 @@ fn main() {
             let mut valid = true;
             let mut retries = 0u64;
             for _ in 0..trials {
-                let foc: EventualFoc<u64> =
+                let foc =
                     EventualFoc::new(eventual_stm(Duration::from_micros(grace_us)), n as usize);
                 let decisions = Mutex::new(BTreeSet::new());
                 let ab = std::sync::atomic::AtomicU64::new(0);
@@ -91,7 +91,7 @@ fn main() {
     // Crash-model run: a proposer parks forever mid-propose… the others
     // must still decide (within ~grace).
     println!("\nParked-proposer run: p0 acquires the consensus t-variable and stalls;");
-    let foc: EventualFoc<u64> = EventualFoc::new(eventual_stm(Duration::from_millis(2)), 4);
+    let foc = EventualFoc::new(eventual_stm(Duration::from_millis(2)), 4);
     let stm_handle = foc.stm();
     // Simulate the stalled proposer at the TM level: a transaction that
     // wrote V and never completes.

@@ -15,7 +15,7 @@
 //!    describes.
 
 use oftm_core::cm::Aggressive;
-use oftm_core::{Dstm, TVar};
+use oftm_core::{run_transaction, Dstm, DstmWord, WordStm};
 use oftm_histories::{check_eventual_ic_of, check_ic_of, check_of};
 use std::sync::Arc;
 use std::time::Duration;
@@ -119,15 +119,15 @@ fn main() {
     // Measured companion: the eventual-ic (grace period) DSTM makes a
     // contender stall for ~grace before it may revoke a silent owner.
     let grace = Duration::from_millis(5);
-    let stm = Arc::new(Dstm::new(Arc::new(Aggressive)).with_grace(grace));
-    let x: TVar<u64> = stm.new_tvar(0);
+    let stm = DstmWord::new(Dstm::new(Arc::new(Aggressive)).with_grace(grace));
+    let x = stm.alloc_tvar(0);
     let t1 = {
         let mut t1 = stm.begin(1);
-        t1.write(&x, 1).unwrap();
+        t1.write(x, 1).unwrap();
         t1 // parked owner: takes no further steps
     };
     let start = std::time::Instant::now();
-    let v = stm.atomically(2, |tx| tx.read(&x));
+    let (v, _) = run_transaction(&stm, 2, |tx| tx.read(x));
     let stall = start.elapsed();
     drop(t1);
     println!(

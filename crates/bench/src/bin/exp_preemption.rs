@@ -19,7 +19,7 @@
 //!   `lock_patience` converts that into livelocked aborts instead.
 
 use oftm_core::cm::Aggressive;
-use oftm_core::{Dstm, TVar};
+use oftm_core::{run_transaction, Dstm, DstmWord, WordStm};
 use oftm_histories::TVarId;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,25 +32,24 @@ fn main() {
 
     // DSTM, obstruction-free.
     {
-        let stm = Arc::new(Dstm::new(Arc::new(Aggressive)));
-        let x: TVar<u64> = stm.new_tvar(0);
+        let stm = DstmWord::new(Dstm::new(Arc::new(Aggressive)));
+        let x = stm.alloc_tvar(0);
         let (lat, victim_committed) = std::thread::scope(|s| {
-            let stm2 = Arc::clone(&stm);
-            let x2 = x.clone();
+            let stm = &stm;
             let barrier = Arc::new(std::sync::Barrier::new(2));
             let b2 = Arc::clone(&barrier);
             let victim = s.spawn(move || {
-                let mut tx = stm2.begin(1);
-                tx.write(&x2, 99).unwrap();
+                let mut tx = stm.begin(1);
+                tx.write(x, 99).unwrap();
                 b2.wait(); // acquired, now nap mid-transaction
                 std::thread::sleep(NAP);
-                tx.commit().is_ok()
+                tx.try_commit().is_ok()
             });
             barrier.wait();
             let start = Instant::now();
-            let v = stm.atomically(2, |tx| {
-                let v = tx.read(&x)?;
-                tx.write(&x, v + 1)?;
+            let (v, _) = run_transaction(stm, 2, |tx| {
+                let v = tx.read(x)?;
+                tx.write(x, v + 1)?;
                 Ok(v)
             });
             let lat = start.elapsed();
@@ -72,26 +71,24 @@ fn main() {
     // Eventual-ic DSTM (grace period).
     {
         let grace = Duration::from_millis(10);
-        let stm = Arc::new(Dstm::new(Arc::new(Aggressive)).with_grace(grace));
-        let x: TVar<u64> = stm.new_tvar(0);
+        let stm = DstmWord::new(Dstm::new(Arc::new(Aggressive)).with_grace(grace));
+        let x = stm.alloc_tvar(0);
         let (lat, victim_committed) = std::thread::scope(|s| {
-            let stm2 = Arc::clone(&stm);
-            let x2 = x.clone();
+            let stm = &stm;
             let barrier = Arc::new(std::sync::Barrier::new(2));
             let b2 = Arc::clone(&barrier);
             let victim = s.spawn(move || {
-                let mut tx = stm2.begin(1);
-                tx.write(&x2, 99).unwrap();
+                let mut tx = stm.begin(1);
+                tx.write(x, 99).unwrap();
                 b2.wait();
                 std::thread::sleep(NAP);
-                tx.commit().is_ok()
+                tx.try_commit().is_ok()
             });
             barrier.wait();
             let start = Instant::now();
-            let _ = stm.atomically(2, |tx| {
-                let v = tx.read(&x)?;
-                tx.write(&x, v + 1)?;
-                Ok(v)
+            run_transaction(stm, 2, |tx| {
+                let v = tx.read(x)?;
+                tx.write(x, v + 1)
             });
             (start.elapsed(), victim.join().unwrap())
         });
@@ -124,7 +121,7 @@ fn main() {
             });
             barrier.wait();
             let start = Instant::now();
-            let (_, _) = oftm_core::run_transaction(&**stm, 2, |tx| {
+            let (_, _) = run_transaction(&**stm, 2, |tx| {
                 let v = tx.read(TVarId(0))?;
                 tx.write(TVarId(0), v + 1)
             });
@@ -154,7 +151,7 @@ fn main() {
             });
             barrier.wait();
             let start = Instant::now();
-            let (_, _) = oftm_core::run_transaction(&**stm, 2, |tx| {
+            let (_, _) = run_transaction(&**stm, 2, |tx| {
                 let v = tx.read(TVarId(0))?;
                 tx.write(TVarId(0), v + 1)
             });

@@ -28,7 +28,8 @@
 //! 3. **Reclamation** ([`expected_live`]) — the live t-variable count
 //!    equals exactly what the final structure predicts: aborted attempts'
 //!    allocations released, unlinked nodes reclaimed past their grace
-//!    period, on every kind.
+//!    period, on every kind; and it equals the backend's allocated minus
+//!    freed t-variables ([`tvar_count_failure`]).
 //! 4. **Telemetry conservation** ([`conservation_failures`]) — every begun
 //!    attempt ended as exactly one commit or one tagged abort.
 //! 5. **Forensics consistency** ([`forensics_failures`]) — rows in the
@@ -571,6 +572,18 @@ pub fn expected_live(sc: &Scenario, snapshot: &[u64]) -> usize {
     }
 }
 
+/// The t-variable count identity at quiescence, the reclamation oracle's
+/// telemetry side: every backend counts each allocation in
+/// `TvarsAllocated` and each free or eviction in `TvarsFreed`, once — an
+/// engine that mirrors another's allocator (the hybrid's DSTM) counts
+/// nothing — so what was allocated and not freed is what is `live`.
+pub fn tvar_count_failure(stats: &StatsSnapshot, live: usize) -> Option<String> {
+    let allocated = stats.get(Counter::TvarsAllocated);
+    let freed = stats.get(Counter::TvarsFreed);
+    (allocated.checked_sub(freed) != Some(live as u64))
+        .then(|| format!("t-variable counts: {allocated} allocated − {freed} freed, {live} live"))
+}
+
 /// Telemetry conservation at quiescence. Every backend counts every begin
 /// in `Begins` (`BeginsRo` is the declared-RO subset) and every attempt
 /// ends as exactly one of three disjoint commit counters or one tagged
@@ -853,6 +866,9 @@ fn run_cell(
             "t-variable leak: {live_tvars} live at quiescence, the final structure predicts \
              {expected}"
         )));
+    }
+    if let Some(miscount) = tvar_count_failure(&stats, live_tvars) {
+        return Err(fail(miscount));
     }
     let mut telemetry = conservation_failures(&stats, attempts);
     telemetry.extend(forensics_failures(stm_name, &stats, attributed, named));

@@ -6,7 +6,8 @@
 
 use oftm_bench::harness::{
     check_invariants, conservation_failures, expected_live, forensics_failures, generate_tapes,
-    phase_loss_failures, sequential_replay, Obs, PhaseCell, Scenario, ScenarioKind, ALL_SCENARIOS,
+    phase_loss_failures, sequential_replay, tvar_count_failure, Obs, PhaseCell, Scenario,
+    ScenarioKind, ALL_SCENARIOS,
 };
 use oftm_obs::{AbortCause, Counter, StatsSnapshot, StmStats};
 
@@ -218,4 +219,30 @@ fn invariants_and_reclamation_fire_on_a_tampered_snapshot() {
             );
         }
     }
+}
+
+/// The count identity: allocated − freed must be what is live. A backend
+/// that counts a mirrored or replaced t-variable twice trips it, and so
+/// does one that frees more than it allocated.
+#[test]
+fn tvar_count_identity_fires_on_double_counting() {
+    let counts = |allocated: u64, freed: u64| {
+        let stats = StmStats::new();
+        stats.add(Counter::TvarsAllocated, allocated);
+        stats.add(Counter::TvarsFreed, freed);
+        stats.snapshot()
+    };
+    assert_eq!(tvar_count_failure(&counts(5, 4), 1), None);
+    assert_eq!(tvar_count_failure(&counts(0, 0), 0), None);
+    // A hybrid in DSTM mode with 5 live t-variables, its mirror counting
+    // every one a second time.
+    assert!(tvar_count_failure(&counts(10, 0), 5).is_some());
+    assert!(
+        tvar_count_failure(&counts(5, 9), 1).is_some(),
+        "freed past allocated"
+    );
+    assert!(
+        tvar_count_failure(&counts(5, 4), 2).is_some(),
+        "a leak the counts miss"
+    );
 }

@@ -5,8 +5,8 @@
 //! TMs, Algorithm 2). To run identical workloads and the same
 //! history-checkers over all of them, each implementation exposes this
 //! minimal interface over word-sized t-variables, mirroring the TM
-//! operations of Section 2.2: `read`, `write`, `tryC`, `tryA`. The richer
-//! typed API (`TVar<T>`) of the DSTM implementation is layered separately.
+//! operations of Section 2.2: `read`, `write`, `tryC`, `tryA`. It is the
+//! only front end: the DSTM engine runs behind it too ([`crate::DstmWord`]).
 //!
 //! The `run_transaction*` functions are the word-level names of the one
 //! transaction driver in [`crate::driver`]: each forwards to

@@ -50,19 +50,13 @@
 //! cite which row of the table they rely on.
 
 use super::descriptor::{Descriptor, TxState};
-use oftm_histories::BaseObjId;
+use oftm_histories::{BaseObjId, Value};
 use std::cell::UnsafeCell;
-use std::mem::offset_of;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-/// A DSTM locator for values of type `T`. `repr(C)` with the
-/// `T`-independent fields first: a `Locator<T>` is readable as a
-/// [`Locator<()>`] prefix (`Locator::erased`), which is how the owner's
-/// log of installed locators and a type-erased read-set entry reach
-/// `owner`, `settled` and `base` whatever `T` the variable carries.
-#[repr(C)]
-pub struct Locator<T> {
+/// A DSTM locator of a word t-variable.
+pub struct Locator {
     /// The transaction that installed this locator.
     pub owner: Arc<Descriptor>,
     /// The owner's verdict once it is settled ([`Locator::stamp`]);
@@ -72,10 +66,10 @@ pub struct Locator<T> {
     /// and both values).
     pub base: BaseObjId,
     /// Value of the t-variable before `owner`'s (tentative) update.
-    pub old: T,
+    pub old: Value,
     /// `owner`'s tentative value; becomes the committed value if `owner`
     /// commits. See the module docs for the aliasing discipline.
-    new: UnsafeCell<T>,
+    new: UnsafeCell<Value>,
 }
 
 /// SAFETY: `Locator` is shared between threads behind guard-protected
@@ -83,24 +77,12 @@ pub struct Locator<T> {
 /// atomic (a descriptor is itself `Sync`). Access to `new` follows the
 /// single-writer / post-publication-readers protocol documented on the
 /// module; the status word or the stamp provides the release/acquire edge.
-/// `T: Send` is required because ownership of the contained values
-/// effectively moves between threads via commit; `T: Sync` because
-/// committed values are read by reference from many threads.
-unsafe impl<T: Send + Sync> Sync for Locator<T> {}
-unsafe impl<T: Send> Send for Locator<T> {}
+unsafe impl Sync for Locator {}
 
-impl<T> Locator<T> {
-    /// The fields [`Locator::erased`] reads sit where they sit in every
-    /// instantiation (checked when `erased` is instantiated).
-    const PREFIX: () = assert!(
-        offset_of!(Self, owner) == offset_of!(Locator<()>, owner)
-            && offset_of!(Self, settled) == offset_of!(Locator<()>, settled)
-            && offset_of!(Self, base) == offset_of!(Locator<()>, base)
-    );
-
+impl Locator {
     /// Creates a locator owned by `owner` with the given last-committed and
     /// tentative values.
-    pub fn new(owner: Arc<Descriptor>, old: T, tentative: T) -> Self {
+    pub fn new(owner: Arc<Descriptor>, old: Value, tentative: Value) -> Self {
         Locator {
             owner,
             settled: AtomicU8::new(TxState::Live as u8),
@@ -108,16 +90,6 @@ impl<T> Locator<T> {
             old,
             new: UnsafeCell::new(tentative),
         }
-    }
-
-    /// The view of this locator that does not depend on `T`.
-    pub(crate) fn erased(&self) -> &Locator<()> {
-        let () = Self::PREFIX;
-        // SAFETY: `repr(C)`, and `PREFIX` checks that `owner`, `settled`
-        // and `base` have the same offsets in both instantiations. The
-        // view is a borrow — never dropped, never asked for `old`/`new` —
-        // so only that prefix is ever read through it.
-        unsafe { &*(self as *const Self).cast() }
     }
 
     /// Whether `tx` installed this locator.
@@ -142,7 +114,7 @@ impl<T> Locator<T> {
 
     /// The logical value as a transaction other than the owner resolves it
     /// (the module table), or the live owner standing in the way.
-    pub fn resolve(&self) -> Result<&T, &Arc<Descriptor>> {
+    pub fn resolve(&self) -> Result<&Value, &Arc<Descriptor>> {
         self.resolve_via(|_| ())
     }
 
@@ -154,7 +126,7 @@ impl<T> Locator<T> {
     pub(crate) fn resolve_via(
         &self,
         mut on_load: impl FnMut(BaseObjId),
-    ) -> Result<&T, &Arc<Descriptor>> {
+    ) -> Result<&Value, &Arc<Descriptor>> {
         // ord: Acquire pairs with the owner's Release stamp store.
         let stamp = TxState::from_u8(self.settled.load(Ordering::Acquire));
         on_load(self.base);
@@ -183,7 +155,7 @@ impl<T> Locator<T> {
     /// `Transaction` that installed this locator) and the owner must still
     /// be `Live` from its own perspective. Single-writer protocol: only the
     /// owner thread accesses `new` while `Live`.
-    pub unsafe fn tentative_value(&self) -> &T {
+    pub unsafe fn tentative_value(&self) -> &Value {
         &*self.new.get()
     }
 
@@ -192,12 +164,12 @@ impl<T> Locator<T> {
     /// # Safety
     /// Same contract as [`Locator::tentative_value`]; additionally the
     /// caller must not hold any outstanding reference obtained from it.
-    pub unsafe fn set_tentative(&self, v: T) {
+    pub unsafe fn set_tentative(&self, v: Value) {
         *self.new.get() = v;
     }
 }
 
-impl<T: std::fmt::Debug> std::fmt::Debug for Locator<T> {
+impl std::fmt::Debug for Locator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Locator")
             .field("owner", &(self.owner.id(), self.owner.status()))
@@ -213,7 +185,7 @@ mod tests {
 
     /// Resolves `loc` as a reader and reports whether that loaded the
     /// owner's status word.
-    fn resolve_asking<T>(loc: &Locator<T>) -> (Option<&T>, bool) {
+    fn resolve_asking(loc: &Locator) -> (Option<&Value>, bool) {
         let mut asked = false;
         let r = loc.resolve_via(|obj| asked |= obj == loc.owner.base()).ok();
         (r, asked)
@@ -222,7 +194,7 @@ mod tests {
     #[test]
     fn committed_value_visible() {
         let owner = Arc::new(Descriptor::new(TxId::new(1, 0)));
-        let loc = Locator::new(Arc::clone(&owner), 10u64, 11u64);
+        let loc = Locator::new(Arc::clone(&owner), 10, 11);
         assert_eq!(loc.old, 10);
         assert_eq!(loc.resolve().unwrap_err().id(), owner.id());
         assert!(owner.try_commit());
@@ -232,7 +204,7 @@ mod tests {
     #[test]
     fn aborted_owner_resolves_to_old() {
         let owner = Arc::new(Descriptor::new(TxId::new(1, 2)));
-        let loc = Locator::new(Arc::clone(&owner), 10u64, 11u64);
+        let loc = Locator::new(Arc::clone(&owner), 10, 11);
         assert!(owner.try_abort());
         assert_eq!(loc.resolve().ok(), Some(&10));
     }
@@ -248,7 +220,7 @@ mod tests {
             (Descriptor::try_abort, TxState::Aborted, 10),
         ] {
             let owner = Arc::new(Descriptor::new(TxId::new(1, 3)));
-            let loc = Locator::new(Arc::clone(&owner), 10u64, 11u64);
+            let loc = Locator::new(Arc::clone(&owner), 10, 11);
             assert!(settle(&owner));
             assert_eq!(resolve_asking(&loc), (Some(&value), true), "unset stamp");
             loc.stamp(verdict);
@@ -257,21 +229,9 @@ mod tests {
     }
 
     #[test]
-    fn erased_view_reads_the_prefix() {
-        let owner = Arc::new(Descriptor::new(TxId::new(1, 5)));
-        let loc = Locator::new(Arc::clone(&owner), String::from("a"), String::from("b"));
-        let erased = loc.erased();
-        assert!(erased.owned_by(&owner));
-        assert_eq!(erased.base, loc.base);
-        assert!(owner.try_commit());
-        erased.stamp(TxState::Committed);
-        assert_eq!(resolve_asking(&loc), (Some(&String::from("b")), false));
-    }
-
-    #[test]
     fn owner_mutates_tentative() {
         let owner = Arc::new(Descriptor::new(TxId::new(1, 1)));
-        let loc = Locator::new(Arc::clone(&owner), 0u64, 0u64);
+        let loc = Locator::new(Arc::clone(&owner), 0, 0);
         // SAFETY: single-threaded test, we are the owner, owner is Live.
         unsafe {
             loc.set_tentative(42);
@@ -287,7 +247,7 @@ mod tests {
         // Committed and must see the written value (release/acquire edge).
         for _ in 0..100 {
             let owner = Arc::new(Descriptor::new(TxId::new(1, 4)));
-            let loc = Arc::new(Locator::new(Arc::clone(&owner), 0u64, 0u64));
+            let loc = Arc::new(Locator::new(Arc::clone(&owner), 0, 0));
             let (loc2, owner2) = (Arc::clone(&loc), Arc::clone(&owner));
             let writer = std::thread::spawn(move || {
                 // SAFETY: we are the owner thread; owner is Live.
@@ -312,7 +272,7 @@ mod tests {
         // release/acquire edge alone must carry the tentative value.
         for _ in 0..100 {
             let owner = Arc::new(Descriptor::new(TxId::new(1, 6)));
-            let loc = Arc::new(Locator::new(Arc::clone(&owner), 0u64, 0u64));
+            let loc = Arc::new(Locator::new(Arc::clone(&owner), 0, 0));
             let (loc2, owner2) = (Arc::clone(&loc), Arc::clone(&owner));
             let writer = std::thread::spawn(move || {
                 // SAFETY: we are the owner thread; owner is Live.

@@ -1,17 +1,14 @@
-//! The `Dstm` STM instance: configuration, transaction factory, and the
-//! `atomically` retry loop.
+//! The `Dstm` STM instance: configuration and transaction factory.
 
 use super::descriptor::Descriptor;
-use super::tvar::TVar;
 use super::tx::{Scratch, Tx};
-use crate::api::{TxError, TxResult};
 use crate::cm::{Aggressive, ContentionManager};
 use crate::kernel::CommitGate;
 use crate::line::Line;
 use crate::pool::SlotPool;
 use crate::reclaim::GraceTracker;
 use crate::record::{fresh_base_id, Recorder};
-use oftm_histories::{BaseObjId, TVarId, TxId};
+use oftm_histories::{BaseObjId, TxId};
 use oftm_obs::{Counter, StmStats};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,11 +29,13 @@ pub enum Progress {
     EventualGrace(Duration),
 }
 
-/// A DSTM-style obstruction-free software transactional memory.
+/// A DSTM-style obstruction-free software transactional memory: the
+/// engine's configuration (contention manager, progress policy, recorder,
+/// telemetry) and its shared words.
 ///
-/// Create one instance per logical memory; create t-variables with
-/// [`Dstm::new_tvar`] and run transactions with [`Dstm::atomically`] or the
-/// explicit [`Dstm::begin`] / [`Tx::commit`] pair.
+/// Build one, configure it with the `with_*` builders and hand it to
+/// [`super::DstmWord::new`], which owns its t-variables and runs its
+/// transactions through the uniform [`crate::api::WordStm`] interface.
 pub struct Dstm {
     cm: Arc<dyn ContentionManager>,
     progress: Progress,
@@ -45,7 +44,6 @@ pub struct Dstm {
     /// Begin sequence numbers, the `TxId` counter. Every begin writes
     /// it, so it is boxed on a [`Line`] of its own.
     tx_seq: Box<Line<AtomicU32>>,
-    tvar_seq: AtomicU32,
     /// Commit counter gating read-set validation (see [`super::tx`]): the
     /// one word every transaction of this instance shares. Boxed for the
     /// reason a [`Line`] is: the counter's cache-line alignment is the
@@ -55,18 +53,16 @@ pub struct Dstm {
     /// Every transaction registers here, once, and everything the
     /// instance unlinks retires here: locators, and the word-level table's
     /// retired blocks and evicted states, into their process's bag (in
-    /// `scratch`); the state behind a dropped [`TVar`] and the abort
-    /// path's frees into the shared bins.
+    /// `scratch`); the abort path's frees into the shared bins.
     domain: Arc<GraceTracker>,
     /// Pooled per-transaction buffers and each process's one bag (keyed
     /// by process), recycled across transactions so the steady state
     /// allocates nothing per attempt.
     scratch: SlotPool<Scratch>,
     /// Always-on telemetry: begins/commits/aborts-by-cause, attempts and
-    /// parks. Shared with the word-level adapter ([`super::word`]),
-    /// so one registry covers both API layers of this instance. Behind an
-    /// `Arc` so an embedding backend (the hybrid) can share one registry
-    /// across engines.
+    /// parks, and the word-level adapter's ([`super::word`]) t-variable
+    /// counts. Behind an `Arc` so an embedding backend (the hybrid) can
+    /// share one registry across engines.
     stats: Arc<StmStats>,
 }
 
@@ -86,7 +82,6 @@ impl Dstm {
             recorder: None,
             epoch: Instant::now(),
             tx_seq: Box::default(),
-            tvar_seq: AtomicU32::new(0),
             gate: Box::default(),
             gate_base: fresh_base_id(),
             domain: Arc::default(),
@@ -112,8 +107,7 @@ impl Dstm {
         self
     }
 
-    /// The telemetry registry of this instance (shared with the word-level
-    /// adapter). Counters use relaxed sharded atomics; reading them is
+    /// The telemetry registry of this instance. Counters use relaxed sharded atomics; reading them is
     /// always safe and never perturbs transactions.
     pub fn stats(&self) -> &StmStats {
         &self.stats
@@ -167,81 +161,43 @@ impl Dstm {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Creates a fresh t-variable managed by this instance.
-    pub fn new_tvar<T: Clone + Send + Sync + 'static>(&self, initial: T) -> TVar<T> {
-        // ord: Relaxed — atomicity alone keeps ids unique; the t-variable
-        // itself is published by the registry's Release install.
-        let id = TVarId(u64::from(self.tvar_seq.fetch_add(1, Ordering::Relaxed)));
-        TVar::new(id, initial, Arc::clone(&self.domain))
-    }
-
     /// Begins a transaction on behalf of process `proc`.
     ///
     /// Per footnote 3 of the paper, the transaction id combines the process
     /// id with a counter; we use a global counter, which also yields unique
     /// ids.
-    pub fn begin(&self, proc: u32) -> Tx<'_> {
+    pub(crate) fn begin(&self, proc: u32) -> Tx<'_> {
         // ord: Relaxed — atomicity alone keeps transaction ids unique.
         let seq = self.tx_seq.fetch_add(1, Ordering::Relaxed);
         let desc = Arc::new(Descriptor::new(TxId::new(proc, seq)));
         self.stats.incr(Counter::Begins);
         Tx::new(self, desc)
     }
-
-    /// Runs `body` in a transaction, retrying on abort until it commits
-    /// (each retry is a fresh transaction, as the paper prescribes).
-    /// Returns the result of the committed attempt.
-    pub fn atomically<R>(&self, proc: u32, mut body: impl FnMut(&mut Tx<'_>) -> TxResult<R>) -> R {
-        self.atomically_counted(proc, &mut body).0
-    }
-
-    /// Like [`Dstm::atomically`] but also reports the number of attempts
-    /// (1 = committed first try).
-    pub fn atomically_counted<R>(
-        &self,
-        proc: u32,
-        body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<R>,
-    ) -> (R, u32) {
-        let mut attempts = 0;
-        loop {
-            self.stats.incr(Counter::Attempts);
-            attempts += 1;
-            let mut tx = self.begin(proc);
-            let committed = match body(&mut tx) {
-                Ok(r) => {
-                    if tx.commit().is_ok() {
-                        Some(r)
-                    } else {
-                        None
-                    }
-                }
-                Err(TxError::Aborted) => {
-                    // body observed the abort; loop for a fresh attempt
-                    None
-                }
-            };
-            if let Some(r) = committed {
-                return (r, attempts);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{run_transaction, WordStm};
     use crate::cm::Courteous;
+    use crate::dstm::DstmWord;
+    use oftm_histories::TVarId;
+
+    /// One read-increment-write transaction on `x`.
+    fn increment(s: &DstmWord, p: u32, x: TVarId) {
+        run_transaction(s, p, |tx| {
+            let v = tx.read(x)?;
+            tx.write(x, v + 1)
+        });
+    }
 
     #[test]
     fn atomically_counter_increment() {
-        let stm = Dstm::default();
-        let x = stm.new_tvar(0u64);
+        let stm = DstmWord::new(Dstm::default());
+        let x = stm.alloc_tvar(0);
         for i in 0..10 {
-            stm.atomically(0, |tx| {
-                let v = tx.read(&x)?;
-                tx.write(&x, v + 1)
-            });
-            assert_eq!(x.read_atomic(), i + 1);
+            increment(&stm, 0, x);
+            assert_eq!(stm.peek(x), Some(i + 1));
         }
     }
 
@@ -253,55 +209,47 @@ mod tests {
 
     #[test]
     fn unique_tvar_ids() {
-        let stm = Dstm::default();
-        let a = stm.new_tvar(0u64);
-        let b = stm.new_tvar(0u64);
-        assert_ne!(a.id(), b.id());
+        let stm = DstmWord::new(Dstm::default());
+        let a = stm.alloc_tvar(0);
+        let b = stm.alloc_tvar(0);
+        assert_ne!(a, b);
     }
 
     #[test]
     fn concurrent_counter_is_linear() {
-        let stm = Arc::new(Dstm::new(Arc::new(Courteous)));
-        let x = stm.new_tvar(0u64);
+        let stm = DstmWord::new(Dstm::new(Arc::new(Courteous)));
+        let x = stm.alloc_tvar(0);
         const THREADS: u32 = 4;
         const PER: u64 = 250;
         std::thread::scope(|s| {
             for p in 0..THREADS {
-                let stm = Arc::clone(&stm);
-                let x = x.clone();
+                let stm = &stm;
                 s.spawn(move || {
                     for _ in 0..PER {
-                        stm.atomically(p, |tx| {
-                            let v = tx.read(&x)?;
-                            tx.write(&x, v + 1)
-                        });
+                        increment(stm, p, x);
                     }
                 });
             }
         });
-        assert_eq!(x.read_atomic(), u64::from(THREADS) * PER);
+        assert_eq!(stm.peek(x), Some(u64::from(THREADS) * PER));
     }
 
     #[test]
     fn concurrent_disjoint_vars_no_interference() {
-        let stm = Arc::new(Dstm::default());
-        let vars: Vec<_> = (0..4).map(|_| stm.new_tvar(0u64)).collect();
+        let stm = DstmWord::new(Dstm::default());
+        let vars: Vec<_> = (0..4).map(|_| stm.alloc_tvar(0)).collect();
         std::thread::scope(|s| {
-            for (p, v) in vars.iter().enumerate() {
-                let stm = Arc::clone(&stm);
-                let v = v.clone();
+            for (p, &v) in vars.iter().enumerate() {
+                let stm = &stm;
                 s.spawn(move || {
                     for _ in 0..500 {
-                        stm.atomically(p as u32, |tx| {
-                            let cur = tx.read(&v)?;
-                            tx.write(&v, cur + 1)
-                        });
+                        increment(stm, p as u32, v);
                     }
                 });
             }
         });
-        for v in &vars {
-            assert_eq!(v.read_atomic(), 500);
+        for &v in &vars {
+            assert_eq!(stm.peek(v), Some(500));
         }
     }
 
@@ -309,22 +257,20 @@ mod tests {
     fn multi_var_invariant_preserved() {
         // Transfer between two accounts; total must be conserved at every
         // commit point.
-        let stm = Arc::new(Dstm::new(Arc::new(Courteous)));
-        let a = stm.new_tvar(500i64 as u64);
-        let b = stm.new_tvar(500u64);
+        let stm = DstmWord::new(Dstm::new(Arc::new(Courteous)));
+        let (a, b) = (stm.alloc_tvar(500), stm.alloc_tvar(500));
         std::thread::scope(|s| {
             for p in 0..4u32 {
-                let stm = Arc::clone(&stm);
-                let (a, b) = (a.clone(), b.clone());
+                let stm = &stm;
                 s.spawn(move || {
                     for i in 0..200u64 {
                         let amount = i % 7;
-                        stm.atomically(p, |tx| {
-                            let va = tx.read(&a)?;
-                            let vb = tx.read(&b)?;
+                        run_transaction(stm, p, |tx| {
+                            let va = tx.read(a)?;
+                            let vb = tx.read(b)?;
                             if va >= amount {
-                                tx.write(&a, va - amount)?;
-                                tx.write(&b, vb + amount)?;
+                                tx.write(a, va - amount)?;
+                                tx.write(b, vb + amount)?;
                             }
                             Ok(())
                         });
@@ -333,13 +279,12 @@ mod tests {
             }
             // Concurrent observers check the invariant transactionally.
             for p in 4..6u32 {
-                let stm = Arc::clone(&stm);
-                let (a, b) = (a.clone(), b.clone());
+                let stm = &stm;
                 s.spawn(move || {
                     for _ in 0..200 {
-                        let total = stm.atomically(p, |tx| {
-                            let va = tx.read(&a)?;
-                            let vb = tx.read(&b)?;
+                        let (total, _) = run_transaction(stm, p, |tx| {
+                            let va = tx.read(a)?;
+                            let vb = tx.read(b)?;
                             Ok(va + vb)
                         });
                         assert_eq!(total, 1000);
@@ -347,14 +292,14 @@ mod tests {
                 });
             }
         });
-        assert_eq!(a.read_atomic() + b.read_atomic(), 1000);
+        assert_eq!(stm.peek(a).unwrap() + stm.peek(b).unwrap(), 1000);
     }
 
     #[test]
     fn attempts_reported() {
-        let stm = Dstm::default();
-        let x = stm.new_tvar(0u64);
-        let (v, attempts) = stm.atomically_counted(0, &mut |tx| tx.read(&x));
+        let stm = DstmWord::new(Dstm::default());
+        let x = stm.alloc_tvar(0);
+        let (v, attempts) = run_transaction(&stm, 0, |tx| tx.read(x));
         assert_eq!(v, 0);
         assert_eq!(attempts, 1);
     }

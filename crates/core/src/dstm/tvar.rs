@@ -17,103 +17,33 @@
 //! its whole lifetime, so every locator address in its read-set stays
 //! valid (no ABA) and so does the state the entry borrows. A locator an
 //! acquisition unlinks goes into its process's private bag in that domain
-//! ([`super::tx`]). The word-level table owns its `TVarInner`s and evicts
-//! them with `defer_destroy`; the typed [`TVar`] is a handle whose clones
-//! are counted among themselves only and whose last drop retires the
-//! state the same way, into the domain of the instance that created it —
-//! dropping it in the middle of a transaction that read through it frees
+//! ([`super::tx`]). The word-level table ([`super::word`]) owns every
+//! `TVarInner` and evicts it with `defer_destroy` into the same domain, so
+//! evicting a variable in the middle of a transaction that read it frees
 //! nothing that transaction can still reach.
 
 use super::locator::Locator;
-use crate::reclaim::{Atomic, Deferred, GraceTracker, Guard, Owned, Shared};
-use oftm_histories::{BaseObjId, TVarId, TxId};
-use std::mem::{offset_of, ManuallyDrop};
+use crate::reclaim::{Atomic, Deferred, Guard, Owned, Shared};
+use oftm_histories::{BaseObjId, TVarId, TxId, Value};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
-
-/// A shared transactional variable holding values of type `T`.
-///
-/// Cloning a `TVar` clones a handle to the same variable (like `Arc`).
-#[derive(Clone)]
-pub struct TVar<T: Clone + Send + Sync + 'static> {
-    inner: Arc<Handle<T>>,
-}
-
-/// What the clones of a [`TVar`] share: the state, owned until the last
-/// clone drops, and the domain of the instance it belongs to.
-struct Handle<T: Clone + Send + Sync + 'static> {
-    state: ManuallyDrop<Owned<TVarInner<T>>>,
-    domain: Arc<GraceTracker>,
-}
-
-impl<T: Clone + Send + Sync + 'static> Drop for Handle<T> {
-    fn drop(&mut self) {
-        // SAFETY: the field is not touched again.
-        let state = unsafe { ManuallyDrop::take(&mut self.state) };
-        // SAFETY: unlinked — this was the last handle, so no new operation
-        // can reach the state; a transaction that read through a handle
-        // earlier holds a guard of `domain` (`Tx::read` checks) that
-        // predates this call.
-        unsafe { self.domain.defer_destroy(state.into_shared()) };
-    }
-}
 
 /// What a successful [`TVarInner::cas`] returns: the locator it installed
 /// and the one it unlinked (`None` while `T_0`'s value was current).
-pub(crate) type Swung<'g, T> = (Shared<'g, Locator<T>>, Option<Deferred>);
+pub(crate) type Swung<'g> = (Shared<'g, Locator>, Option<Deferred>);
 
-/// The shared state of one t-variable. `repr(C)` with `initial` last:
-/// see [`TVarInner::erased`].
-#[repr(C)]
-pub(crate) struct TVarInner<T: Clone + Send + Sync + 'static> {
+/// The shared state of one t-variable.
+pub(crate) struct TVarInner {
     pub id: TVarId,
     /// Base-object identity of the locator-pointer cell (and of
     /// `initial`, which is never written).
     pub base: BaseObjId,
     /// Null until the first acquisition, never null again.
-    pub ptr: Atomic<Locator<T>>,
+    pub ptr: Atomic<Locator>,
     /// `T_0`'s value: the logical value while `ptr` is null.
-    initial: T,
+    initial: Value,
 }
 
-impl<T: Clone + Send + Sync + 'static> TVar<T> {
-    /// Creates a t-variable of the instance that owns `domain`, with an
-    /// initial value written by the conceptual initializing transaction
-    /// `T_0` ([`super::Dstm::new_tvar`]).
-    pub(crate) fn new(id: TVarId, initial: T, domain: Arc<GraceTracker>) -> Self {
-        let state = ManuallyDrop::new(Owned::new(TVarInner::new(id, initial)));
-        TVar {
-            inner: Arc::new(Handle { state, domain }),
-        }
-    }
-
-    pub(crate) fn state(&self) -> &TVarInner<T> {
-        &self.inner.state
-    }
-
-    /// The domain the state retires into: the only one whose guards may
-    /// read through this handle.
-    pub(crate) fn domain(&self) -> &GraceTracker {
-        &self.inner.domain
-    }
-
-    /// The t-variable's identifier.
-    pub fn id(&self) -> TVarId {
-        self.state().id
-    }
-
-    /// Reads the current committed value outside any transaction.
-    ///
-    /// This is *not* a TM operation (the paper's model has no
-    /// non-transactional accesses, footnote 4); it exists for test oracles
-    /// and post-run inspection. Linearizes at the locator load + status
-    /// read.
-    pub fn read_atomic(&self) -> T {
-        self.state().read_atomic(&self.domain().begin())
-    }
-}
-
-impl<T: Clone + Send + Sync + 'static> Drop for TVarInner<T> {
+impl Drop for TVarInner {
     fn drop(&mut self) {
         // SAFETY: the cell owns the current locator (if any), and `&mut
         // self` in drop means no guard can reach the state any more: it can
@@ -123,16 +53,8 @@ impl<T: Clone + Send + Sync + 'static> Drop for TVarInner<T> {
 }
 
 /// Internal helpers for the transaction engine.
-impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
-    /// The fields [`TVarInner::erased`] reads sit where they sit in every
-    /// instantiation (checked when `erased` is instantiated).
-    const PREFIX: () = assert!(
-        offset_of!(Self, id) == offset_of!(TVarInner<()>, id)
-            && offset_of!(Self, base) == offset_of!(TVarInner<()>, base)
-            && offset_of!(Self, ptr) == offset_of!(TVarInner<()>, ptr)
-    );
-
-    pub(crate) fn new(id: TVarId, initial: T) -> Self {
+impl TVarInner {
+    pub(crate) fn new(id: TVarId, initial: Value) -> Self {
         TVarInner {
             id,
             base: crate::record::fresh_base_id(),
@@ -142,56 +64,40 @@ impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
     }
 
     /// `T_0`'s value: what a null `ptr` stands for.
-    pub(crate) fn initial(&self) -> &T {
+    pub(crate) fn initial(&self) -> &Value {
         &self.initial
     }
 
-    /// See [`TVar::read_atomic`]; `guard` is of the instance's domain.
-    pub(crate) fn read_atomic(&self, guard: &Guard<'_>) -> T {
+    /// Reads the current committed value outside any transaction (test
+    /// oracles and the hybrid's migration walk; the paper's model has no
+    /// non-transactional accesses, footnote 4). `guard` is of the
+    /// instance's domain. Linearizes at the locator load + status read.
+    pub(crate) fn read_atomic(&self, guard: &Guard<'_>) -> Value {
         let loc = self.load(guard);
         if loc.is_null() {
-            return self.initial.clone();
+            return self.initial;
         }
         // SAFETY: non-null and loaded under `guard`; locators are only
         // retired into the guard's domain after being unlinked, so the
         // reference is valid for the guard's lifetime.
         let loc = unsafe { loc.deref() };
         // A live owner's tentative value is not committed yet.
-        loc.resolve().unwrap_or(&loc.old).clone()
-    }
-
-    /// The view of this state that does not depend on `T`: what a
-    /// type-erased read-set entry borrows.
-    pub(crate) fn erased(&self) -> &TVarInner<()> {
-        let () = Self::PREFIX;
-        // SAFETY: `repr(C)` with `initial` last, and `PREFIX` checks that
-        // the ids and the pointer cell have the same offsets in both
-        // instantiations (`T` is behind the cell's thin pointer or in
-        // `initial`). The view is a borrow — never dropped, and its
-        // zero-sized `initial` is never read — through which the engine
-        // reads the ids and compares the cell's pointer (`current`); behind
-        // that pointer it reads only the locator's `T`-independent prefix
-        // (`current_owner`, [`Locator::erased`]).
-        unsafe { &*(self as *const Self).cast() }
+        *loc.resolve().unwrap_or(&loc.old)
     }
 
     /// The transaction that installed the current locator (`None` while
     /// `T_0`'s value is current): whom to name when a read of this
-    /// variable fails validation. Abort path only; sound on the
-    /// [`TVarInner::erased`] view.
+    /// variable fails validation. Abort path only.
     #[cold]
     pub(crate) fn current_owner(&self, guard: &Guard<'_>) -> Option<TxId> {
         let loc = self.load(guard);
         // SAFETY: loaded under `guard` (locators are only retired into its
-        // domain after being unlinked). On the erased view the
-        // pointee is a `Locator` of whatever `T` the variable really
-        // carries; `owner` is in the prefix `Locator<()>` shares with it
-        // ([`Locator::erased`]) and immutable once built.
+        // domain after being unlinked); `owner` is immutable once built.
         (!loc.is_null()).then(|| unsafe { loc.deref() }.owner.id())
     }
 
     /// Loads the current locator under `guard`.
-    pub(crate) fn load<'g>(&self, guard: &'g Guard<'_>) -> Shared<'g, Locator<T>> {
+    pub(crate) fn load<'g>(&self, guard: &'g Guard<'_>) -> Shared<'g, Locator> {
         // ord: Acquire pairs with the locator-install CAS's Release half.
         self.ptr.load(Ordering::Acquire, guard)
     }
@@ -214,9 +120,9 @@ impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
     /// `new` on failure.
     pub(crate) fn cas<'g>(
         &self,
-        current: Shared<'g, Locator<T>>,
-        new: Owned<Locator<T>>,
-    ) -> Result<Swung<'g, T>, Owned<Locator<T>>> {
+        current: Shared<'g, Locator>,
+        new: Owned<Locator>,
+    ) -> Result<Swung<'g>, Owned<Locator>> {
         let installed = self
             .ptr
             // ord: AcqRel — Release publishes the new locator's fields to
@@ -226,7 +132,7 @@ impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
         // SAFETY: `current` has just been unlinked by this CAS and can no
         // longer be reached from the t-variable; readers that loaded it
         // earlier are protected by their own guards of the domain the
-        // caller retires it into. A `Locator<T>` is a `Box` (`Owned`).
+        // caller retires it into. A `Locator` is a `Box` (`Owned`).
         let unlinked = (!current.is_null()).then(|| unsafe { Deferred::unlinked(current) });
         Ok((installed, unlinked))
     }
@@ -236,80 +142,103 @@ impl<T: Clone + Send + Sync + 'static> TVarInner<T> {
 mod tests {
     use super::*;
     use crate::dstm::descriptor::Descriptor;
+    use crate::reclaim::GraceTracker;
+    use crate::table::Pinned;
     use oftm_histories::TxId;
+    use std::sync::Arc;
 
-    fn tvar<T: Clone + Send + Sync + 'static>(id: u64, initial: T) -> TVar<T> {
-        TVar::new(TVarId(id), initial, Arc::default())
+    fn tvar(id: u64, initial: Value) -> TVarInner {
+        TVarInner::new(TVarId(id), initial)
     }
 
     #[test]
     fn initial_value_readable() {
-        let v = tvar(0, 42u64);
-        assert_eq!(v.read_atomic(), 42);
+        let (v, domain) = (tvar(0, 42), GraceTracker::new());
+        assert_eq!(v.read_atomic(&domain.begin()), 42);
     }
 
     #[test]
     fn a_fresh_variable_reads_t0_without_a_locator() {
-        let v = tvar(2, 5u64);
-        let guard = v.domain().begin();
-        assert!(v.state().load(&guard).is_null());
-        assert_eq!(*v.state().initial(), 5);
-        assert_eq!(v.state().read_atomic(&guard), 5);
+        let (v, domain) = (tvar(2, 5), GraceTracker::new());
+        let guard = domain.begin();
+        assert!(v.load(&guard).is_null());
+        assert_eq!(*v.initial(), 5);
+        assert_eq!(v.read_atomic(&guard), 5);
     }
 
+    /// A read-set entry is a copy of a pin, not of the state: both see an
+    /// acquisition made through the state itself.
     #[test]
     fn clone_shares_state() {
-        let v = tvar(1, 7u64);
-        let w = v.clone();
-        assert_eq!(w.read_atomic(), 7);
-        assert!(std::ptr::eq(v.state(), w.state()));
+        let (v, domain) = (tvar(1, 7), GraceTracker::new());
+        // SAFETY: `v` outlives both pins and is never retired.
+        let pin = unsafe { Pinned::new(&v) };
+        let copy = pin;
+        assert!(std::ptr::eq(&*pin, &*copy));
+        let me = Arc::new(Descriptor::new(TxId::new(1, 0)));
+        let guard = domain.begin();
+        let (installed, _) = v
+            .cas(v.load(&guard), Owned::new(Locator::new(me, 7, 8)))
+            .expect("uncontended CAS");
+        let addr = installed.as_raw() as usize;
+        assert_eq!((pin.current(&guard), copy.current(&guard)), (addr, addr));
     }
 
     #[test]
     fn cas_swings_and_retires() {
-        let v = tvar(3, 1u64);
+        let (v, domain) = (tvar(3, 1), GraceTracker::new());
         let me = Arc::new(Descriptor::new(TxId::new(1, 0)));
-        let guard = v.domain().begin();
-        let cur = v.state().load(&guard);
+        let guard = domain.begin();
+        let cur = v.load(&guard);
         // `T_0`'s value is inline: no locator until the first acquisition.
         assert!(cur.is_null());
-        assert_eq!(v.state().erased().current(&guard), 0);
-        assert_eq!(v.state().erased().current_owner(&guard), None);
-        let newloc = Owned::new(Locator::new(Arc::clone(&me), 1u64, 9u64));
-        let (installed, unlinked) = v.state().cas(cur, newloc).expect("uncontended CAS");
+        assert_eq!(v.current(&guard), 0);
+        assert_eq!(v.current_owner(&guard), None);
+        let newloc = Owned::new(Locator::new(Arc::clone(&me), 1, 9));
+        let (installed, unlinked) = v.cas(cur, newloc).expect("uncontended CAS");
         assert!(unlinked.is_none(), "T_0's value is no locator");
         let addr = installed.as_raw() as usize;
-        assert_eq!(v.state().current(&guard), addr);
-        assert_eq!(v.state().erased().current(&guard), addr);
-        assert_eq!(v.state().erased().id, TVarId(3));
-        assert_eq!(v.state().erased().current_owner(&guard), Some(me.id()));
+        assert_eq!(v.current(&guard), addr);
+        assert_eq!(v.id, TVarId(3));
+        assert_eq!(v.current_owner(&guard), Some(me.id()));
         // Owner still live: logical value is old = 1.
-        assert_eq!(v.read_atomic(), 1);
+        assert_eq!(v.read_atomic(&guard), 1);
         me.try_commit();
-        assert_eq!(v.read_atomic(), 9);
+        assert_eq!(v.read_atomic(&guard), 9);
         // The next acquisition unlinks the first locator and hands it back.
-        let next = Owned::new(Locator::new(Arc::clone(&me), 9u64, 10u64));
-        let (_, unlinked) = v.state().cas(installed, next).expect("uncontended CAS");
-        v.domain().defer(unlinked.expect("a locator was unlinked"));
+        let next = Owned::new(Locator::new(Arc::clone(&me), 9, 10));
+        let (_, unlinked) = v.cas(installed, next).expect("uncontended CAS");
+        domain.defer(unlinked.expect("a locator was unlinked"));
     }
 
     #[test]
     fn cas_failure_returns_locator() {
-        let v = tvar(4, 1u64);
+        let (v, domain) = (tvar(4, 1), GraceTracker::new());
         let me = Arc::new(Descriptor::new(TxId::new(1, 0)));
-        let guard = v.domain().begin();
-        let cur = v.state().load(&guard);
+        let guard = domain.begin();
+        let cur = v.load(&guard);
         // First CAS wins.
-        let l1 = Owned::new(Locator::new(Arc::clone(&me), 1u64, 2u64));
-        v.state().cas(cur, l1).unwrap();
+        let l1 = Owned::new(Locator::new(Arc::clone(&me), 1, 2));
+        v.cas(cur, l1).unwrap();
         // Second CAS with the stale `cur` must fail and hand the locator back.
-        let l2 = Owned::new(Locator::new(Arc::clone(&me), 1u64, 3u64));
-        assert!(v.state().cas(cur, l2).is_err());
+        let l2 = Owned::new(Locator::new(Arc::clone(&me), 1, 3));
+        assert!(v.cas(cur, l2).is_err());
     }
 
+    /// The engine reserves no word: both ends of the range are ordinary
+    /// values, inline (`T_0`) and through a committed locator.
     #[test]
-    fn non_u64_payloads_work() {
-        let v = tvar(5, String::from("hello"));
-        assert_eq!(v.read_atomic(), "hello");
+    fn every_word_is_a_payload() {
+        let domain = GraceTracker::new();
+        let guard = domain.begin();
+        for (initial, written) in [(Value::MAX, 0), (0, Value::MAX)] {
+            let v = tvar(5, initial);
+            assert_eq!(v.read_atomic(&guard), initial);
+            let me = Arc::new(Descriptor::new(TxId::new(1, 0)));
+            let loc = Owned::new(Locator::new(Arc::clone(&me), initial, written));
+            v.cas(v.load(&guard), loc).expect("uncontended CAS");
+            assert!(me.try_commit());
+            assert_eq!(v.read_atomic(&guard), written);
+        }
     }
 }

@@ -80,7 +80,7 @@
 use super::descriptor::{Descriptor, TxState};
 use super::locator::Locator;
 use super::stm::{Dstm, Progress};
-use super::tvar::{TVar, TVarInner};
+use super::tvar::TVarInner;
 use crate::api::{TxError, TxResult};
 use crate::cm::Resolution;
 use crate::contention::{spin_for, PARK_FLOOR};
@@ -89,38 +89,38 @@ use crate::reclaim::{
 };
 use crate::record;
 use crate::table::{Pinned, VarTable};
-use oftm_histories::{Access, TVarId, TxId};
+use oftm_histories::{Access, TVarId, TxId, Value};
 use oftm_obs::{pack_tx, AbortCause, Counter, VarAttr, TX_UNKNOWN};
 use std::cell::Cell;
 use std::mem::ManuallyDrop;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One entry of the invisible read-set: the t-variable (borrowed, type
-/// erased; its address is its identity) and the address of the locator the
-/// read resolved. Validating it is one load of the variable's pointer cell.
+/// One entry of the invisible read-set: the t-variable (borrowed; its
+/// address is its identity) and the address of the locator the read
+/// resolved. Validating it is one load of the variable's pointer cell.
 pub(crate) struct ReadEntry {
-    var: Pinned<TVarInner<()>>,
+    var: Pinned<TVarInner>,
     addr: usize,
 }
 
 impl ReadEntry {
-    fn is_of(&self, var: &TVarInner<()>) -> bool {
+    fn is_of(&self, var: &TVarInner) -> bool {
         std::ptr::eq(&*self.var, var)
     }
 }
 
 /// Pooled per-process buffers: popped at `begin` and handed back —
 /// cleared, the same `Box` — when the transaction drops. `installed` is
-/// every locator this transaction CASed in (type-erased, borrowed under its
-/// guard like the read-set): what it stamps its verdict into. `written` is
+/// every locator this transaction CASed in (borrowed under its guard like
+/// the read-set): what it stamps its verdict into. `written` is
 /// the word-level adapter's write log ([`super::word`]). `unlinked` is
 /// every locator its acquisitions unlinked, retired when it is done into
 /// `bag`, the process's one private pile in `domain` (on the word level,
 /// also of the id blocks its commits retire and their states).
 pub(crate) struct Scratch {
     read_set: Vec<ReadEntry>,
-    installed: Vec<Pinned<Locator<()>>>,
+    installed: Vec<Pinned<Locator>>,
     pub(crate) written: Vec<TVarId>,
     unlinked: Vec<Retired<Deferred>>,
     pub(crate) bag: Bag,
@@ -176,13 +176,14 @@ impl Drop for Scratch {
     }
 }
 
-/// A live transaction on a [`Dstm`] instance.
+/// A live transaction on a [`Dstm`] instance: the engine behind
+/// [`super::word`]'s transaction handle.
 ///
 /// A transaction is executed by a single process, as in the paper's
 /// model. Holds one guard of the instance's domain for its whole lifetime
 /// so that read-set locator addresses cannot be reclaimed-and-reused (no
 /// ABA) and the t-variables the read-set borrows stay allocated.
-pub struct Tx<'s> {
+pub(crate) struct Tx<'s> {
     stm: &'s Dstm,
     desc: Arc<Descriptor>,
     /// Emptied only by [`Tx::retire_into`], after which nothing is read.
@@ -202,12 +203,12 @@ pub struct Tx<'s> {
 }
 
 /// What [`Tx::open`] found in a t-variable.
-enum Opened<'g, T> {
+enum Opened<'g> {
     /// Our own locator.
-    Mine(&'g Locator<T>),
+    Mine(&'g Locator),
     /// A locator whose owner is settled, and the value it resolves to;
     /// null, and `T_0`'s value, while nobody has acquired the variable.
-    Settled(Shared<'g, Locator<T>>, &'g T),
+    Settled(Shared<'g, Locator>, &'g Value),
 }
 
 impl<'s> Tx<'s> {
@@ -286,7 +287,7 @@ impl<'s> Tx<'s> {
     }
 
     /// This transaction's identifier.
-    pub fn id(&self) -> TxId {
+    pub(crate) fn id(&self) -> TxId {
         self.desc.id()
     }
 
@@ -333,7 +334,7 @@ impl<'s> Tx<'s> {
     /// path only.
     #[cold]
     #[inline(never)]
-    fn aggressor_over<T: Clone + Send + Sync + 'static>(&self, var: &TVarInner<T>) -> u64 {
+    fn aggressor_over(&self, var: &TVarInner) -> u64 {
         match var.current_owner(self.guard()) {
             Some(id) if id != self.desc.id() => pack_tx(id.proc, id.seq),
             _ => TX_UNKNOWN,
@@ -432,44 +433,11 @@ impl<'s> Tx<'s> {
         }
     }
 
-    /// Reads t-variable `v` within the transaction.
-    ///
-    /// # Panics
-    /// If `v` belongs to another instance ([`Tx::write`] likewise): this
-    /// transaction's guard would not protect what `v` retires.
-    pub fn read<T: Clone + Send + Sync + 'static>(&mut self, v: &TVar<T>) -> TxResult<T> {
-        self.check_ours(v);
-        self.read_var(v.state())
-    }
-
-    fn check_ours<T: Clone + Send + Sync + 'static>(&self, v: &TVar<T>) {
-        assert!(
-            std::ptr::eq(v.domain(), &**self.stm.domain()),
-            "t-variable {} belongs to another Dstm instance",
-            v.id()
-        );
-    }
-
-    /// Writes `value` to t-variable `v` within the transaction, acquiring
-    /// ownership if not already held.
-    pub fn write<T: Clone + Send + Sync + 'static>(
-        &mut self,
-        v: &TVar<T>,
-        value: T,
-    ) -> TxResult<()> {
-        self.check_ours(v);
-        self.write_var(v.state(), value)
-    }
-
     /// Opens `v`: loads its locator, settling any conflict with a live
     /// foreign owner through the contention manager first (paper: "T_i
     /// just needs to make sure that no other transaction T_k is currently
     /// updating y; if not, then T_i may have to eventually abort T_k").
-    fn open<'g, T: Clone + Send + Sync + 'static>(
-        &'g self,
-        v: &'g TVarInner<T>,
-        attempt: &mut u32,
-    ) -> TxResult<Opened<'g, T>> {
+    fn open<'g>(&'g self, v: &'g TVarInner, attempt: &mut u32) -> TxResult<Opened<'g>> {
         loop {
             // Having installed nothing, we are unreachable: no peer can
             // have aborted us.
@@ -496,49 +464,43 @@ impl<'s> Tx<'s> {
         }
     }
 
-    /// [`Tx::read`] on the state itself. `v` must not be retired yet: the
-    /// caller reaches it through a live typed handle, or loaded it from
-    /// the word-level table after this transaction began.
-    pub(crate) fn read_var<T: Clone + Send + Sync + 'static>(
-        &mut self,
-        v: &TVarInner<T>,
-    ) -> TxResult<T> {
+    /// Reads t-variable `v` within the transaction. `v` must not be
+    /// retired yet: the caller loaded it from the word-level table after
+    /// this transaction began.
+    pub(crate) fn read_var(&mut self, v: &TVarInner) -> TxResult<Value> {
         let (addr, val) = match self.open(v, &mut 0)? {
             Opened::Mine(loc) => {
                 // SAFETY: we are the owner and live (`open` checked).
-                let val = unsafe { loc.tentative_value().clone() };
+                let val = unsafe { *loc.tentative_value() };
                 record::step(self.stm.recorder(), self.id(), loc.base, Access::Read);
                 return Ok(val);
             }
-            Opened::Settled(shared, val) => (shared.as_raw() as usize, val.clone()),
+            Opened::Settled(shared, val) => (shared.as_raw() as usize, *val),
         };
         // Append-only: duplicates are harmless (`write` upgrades every
         // entry of the variable). Only a loop re-reading one variable is
         // kept from growing the set.
-        let (var, read_set) = (v.erased(), &mut self.scratch.read_set);
+        let read_set = &mut self.scratch.read_set;
         if !read_set
             .last()
-            .is_some_and(|e| e.is_of(var) && e.addr == addr)
+            .is_some_and(|e| e.is_of(v) && e.addr == addr)
         {
             // SAFETY: `v` is not retired yet (this function's contract) and
             // retirement is `defer_destroy` into our domain, so
             // `self.guard`, registered at `begin`, keeps it allocated until
             // it is released; the read-set is emptied before that
             // (`retire_into`, `Drop`).
-            let var = unsafe { Pinned::new(var) };
+            let var = unsafe { Pinned::new(v) };
             read_set.push(ReadEntry { var, addr });
         }
         self.validate_or_abort()?;
         Ok(val)
     }
 
-    /// [`Tx::write`] on the state itself; same contract as
-    /// [`Tx::read_var`] (no entry is kept, so only for the call).
-    pub(crate) fn write_var<T: Clone + Send + Sync + 'static>(
-        &mut self,
-        v: &TVarInner<T>,
-        value: T,
-    ) -> TxResult<()> {
+    /// Writes `value` to t-variable `v` within the transaction, acquiring
+    /// ownership if not already held; same contract as [`Tx::read_var`]
+    /// (no entry is kept, so only for the call).
+    pub(crate) fn write_var(&mut self, v: &TVarInner, value: Value) -> TxResult<()> {
         let mut attempt = 0u32;
         loop {
             let (shared, old_val) = match self.open(v, &mut attempt)? {
@@ -550,19 +512,19 @@ impl<'s> Tx<'s> {
                     record::step(self.stm.recorder(), self.id(), loc.base, Access::Modify);
                     return Ok(());
                 }
-                Opened::Settled(shared, val) => (shared, val.clone()),
+                Opened::Settled(shared, val) => (shared, *val),
             };
 
             // If we read this variable earlier, the value we saw must still
             // be the one we are about to supersede — otherwise our snapshot
             // is stale. Every entry for the variable must agree.
-            let (var, addr) = (v.erased(), shared.as_raw() as usize);
+            let addr = shared.as_raw() as usize;
             let mut entries = self.scratch.read_set.iter();
-            if entries.any(|e| e.is_of(var) && e.addr != addr) {
+            if entries.any(|e| e.is_of(v) && e.addr != addr) {
                 return self.fail_validation((v.id, self.aggressor_over(v)));
             }
 
-            let new_loc = Owned::new(Locator::new(Arc::clone(&self.desc), old_val, value.clone()));
+            let new_loc = Owned::new(Locator::new(Arc::clone(&self.desc), old_val, value));
             // Failure: someone interposed; re-examine. (The rejected
             // locator is dropped here, unpublished.)
             let Ok((installed, unlinked)) = v.cas(shared, new_loc) else {
@@ -574,7 +536,7 @@ impl<'s> Tx<'s> {
             // acquisition unlinks it — into our domain, so it stays
             // allocated until the guard goes; the log is emptied before
             // that (`retire_into`, `Drop`).
-            let installed = unsafe { Pinned::new(installed.deref().erased()) };
+            let installed = unsafe { Pinned::new(installed.deref()) };
             record::step(self.stm.recorder(), self.id(), v.base, Access::Modify);
             self.scratch.installed.push(installed);
             // Retired when we are done, whatever the verdict: the unlink
@@ -583,21 +545,16 @@ impl<'s> Tx<'s> {
             // Upgrade every read entry of this variable: ownership now
             // protects it.
             let entries = self.scratch.read_set.iter_mut();
-            for entry in entries.filter(|e| e.is_of(var)) {
+            for entry in entries.filter(|e| e.is_of(v)) {
                 entry.addr = new_addr;
             }
             return self.validate_or_abort();
         }
     }
 
-    /// `tryC`: validates and attempts the commit CAS. Consumes the
-    /// transaction.
-    pub fn commit(mut self) -> TxResult<()> {
-        self.complete()
-    }
-
-    /// [`Tx::commit`] in place: the word-level adapter still needs the
-    /// footprint logs in `scratch` once the verdict is in.
+    /// `tryC`: validates and attempts the commit CAS, in place: the
+    /// word-level adapter still needs the footprint logs in `scratch` once
+    /// the verdict is in.
     pub(crate) fn complete(&mut self) -> TxResult<()> {
         // Settled on every path below: killed already, failed validation
         // (`abort_self`), or through the status CAS.
@@ -656,7 +613,9 @@ impl<'s> Tx<'s> {
     }
 
     /// Read-only `tryC`: validates the read-set and completes without the
-    /// commit CAS.
+    /// commit CAS, counted under `commit_counter` — the word-level adapter
+    /// routes a transaction that *declared* update intent but acquired
+    /// nothing here as [`Counter::CommitsPromoted`].
     ///
     /// Sound only for a transaction that acquired nothing: reads are
     /// invisible and install no locators, so no peer ever holds a
@@ -665,13 +624,6 @@ impl<'s> Tx<'s> {
     /// nothing and can be elided. The final validation is still the
     /// linearization point (everything read was simultaneously current at
     /// that instant).
-    pub fn commit_read_only(mut self) -> TxResult<()> {
-        self.complete_read_only(Counter::CommitsRo)
-    }
-
-    /// [`Tx::commit_read_only`] in place, counted under `commit_counter`:
-    /// the word-level adapter routes a transaction that *declared* update
-    /// intent but acquired nothing here as [`Counter::CommitsPromoted`].
     pub(crate) fn complete_read_only(&mut self, commit_counter: Counter) -> TxResult<()> {
         assert!(
             self.scratch.installed.is_empty(),
@@ -690,18 +642,8 @@ impl<'s> Tx<'s> {
 
     /// `tryA`: voluntarily aborts. Consumes the transaction. Abandoning a
     /// still-viable attempt is an explicit retry in the abort taxonomy.
-    pub fn rollback(mut self) {
+    pub(crate) fn rollback(mut self) {
         self.abort_self(AbortCause::ExplicitRetry, VarAttr::NoVar, TX_UNKNOWN);
-    }
-
-    /// Number of t-variables this transaction has acquired for writing.
-    pub fn write_count(&self) -> usize {
-        self.scratch.installed.len()
-    }
-
-    /// Number of read-set entries.
-    pub fn read_count(&self) -> usize {
-        self.scratch.read_set.len()
     }
 
     /// Number of read-set scans this transaction has run.
@@ -740,102 +682,122 @@ impl Drop for Tx<'_> {
 
 #[cfg(test)]
 mod tests {
+    //! The engine's behaviours, driven through the word-level transaction
+    //! ([`super::super::word`]) before the recorder's wrapper, so a test
+    //! can look at the engine's logs.
     use super::*;
+    use crate::api::{run_transaction, WordStm, WordTx};
     use crate::cm::Aggressive;
+    use crate::dstm::word::{DstmWord, DstmWordTx};
+    use std::sync::Weak;
     use std::time::Instant;
 
-    fn stm() -> Dstm {
-        Dstm::new(Arc::new(Aggressive))
+    fn stm() -> DstmWord {
+        DstmWord::new(Dstm::new(Arc::new(Aggressive)))
+    }
+
+    /// A transaction of process `p`.
+    fn begin(s: &DstmWord, p: u32) -> Box<DstmWordTx<'_>> {
+        s.begin_tx(p, false)
+    }
+
+    /// Read-set entries of `t`.
+    fn reads(t: &DstmWordTx<'_>) -> usize {
+        t.tx.scratch.read_set.len()
+    }
+
+    /// Locators `t` installed.
+    fn writes(t: &DstmWordTx<'_>) -> usize {
+        t.tx.scratch.installed.len()
     }
 
     #[test]
     fn read_initial_value() {
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(5);
-        let mut tx = s.begin(1);
-        assert_eq!(tx.read(&x).unwrap(), 5);
-        tx.commit().unwrap();
+        let x = s.alloc_tvar(5);
+        let mut tx = begin(&s, 1);
+        assert_eq!(tx.read(x).unwrap(), 5);
+        tx.try_commit().unwrap();
     }
 
     #[test]
     fn write_then_read_own() {
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(5);
-        let mut tx = s.begin(1);
-        tx.write(&x, 9).unwrap();
-        assert_eq!(tx.read(&x).unwrap(), 9);
-        tx.commit().unwrap();
-        assert_eq!(x.read_atomic(), 9);
+        let x = s.alloc_tvar(5);
+        let mut tx = begin(&s, 1);
+        tx.write(x, 9).unwrap();
+        assert_eq!(tx.read(x).unwrap(), 9);
+        tx.try_commit().unwrap();
+        assert_eq!(s.peek(x), Some(9));
     }
 
     #[test]
     fn rollback_discards_writes() {
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(5);
+        let x = s.alloc_tvar(5);
         let tx = {
-            let mut tx = s.begin(1);
-            tx.write(&x, 9).unwrap();
+            let mut tx = begin(&s, 1);
+            tx.write(x, 9).unwrap();
             tx
         };
-        tx.rollback();
-        assert_eq!(x.read_atomic(), 5);
+        tx.try_abort();
+        assert_eq!(s.peek(x), Some(5));
     }
 
     #[test]
     fn drop_without_commit_aborts() {
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(5);
+        let x = s.alloc_tvar(5);
         {
-            let mut tx = s.begin(1);
-            tx.write(&x, 9).unwrap();
+            let mut tx = begin(&s, 1);
+            tx.write(x, 9).unwrap();
             // dropped here
         }
-        assert_eq!(x.read_atomic(), 5);
+        assert_eq!(s.peek(x), Some(5));
     }
 
     #[test]
     fn forceful_abort_stops_victim() {
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(5);
-        let mut t1 = s.begin(1);
-        t1.write(&x, 6).unwrap();
+        let x = s.alloc_tvar(5);
+        let mut t1 = begin(&s, 1);
+        t1.write(x, 6).unwrap();
         // T2 (aggressive CM) steals the variable, aborting T1.
-        let mut t2 = s.begin(2);
-        t2.write(&x, 7).unwrap();
-        t2.commit().unwrap();
+        let mut t2 = begin(&s, 2);
+        t2.write(x, 7).unwrap();
+        t2.try_commit().unwrap();
         // T1 is dead: all further operations observe the abort.
-        assert_eq!(t1.read(&x), Err(TxError::Aborted));
-        assert_eq!(t1.commit(), Err(TxError::Aborted));
-        assert_eq!(x.read_atomic(), 7);
+        assert_eq!(t1.read(x), Err(TxError::Aborted));
+        assert_eq!(t1.try_commit(), Err(TxError::Aborted));
+        assert_eq!(s.peek(x), Some(7));
     }
 
     #[test]
     fn stale_read_detected_at_commit() {
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(0);
-        let mut t1 = s.begin(1);
-        assert_eq!(t1.read(&x).unwrap(), 0);
+        let x = s.alloc_tvar(0);
+        let mut t1 = begin(&s, 1);
+        assert_eq!(t1.read(x).unwrap(), 0);
         // T2 commits a change to x behind T1's back.
-        let mut t2 = s.begin(2);
-        t2.write(&x, 1).unwrap();
-        t2.commit().unwrap();
+        let mut t2 = begin(&s, 2);
+        t2.write(x, 1).unwrap();
+        t2.try_commit().unwrap();
         // T1's commit must fail validation.
-        assert_eq!(t1.commit(), Err(TxError::Aborted));
+        assert_eq!(t1.try_commit(), Err(TxError::Aborted));
     }
 
     #[test]
     fn stale_read_detected_on_next_access() {
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(0);
-        let y: TVar<u64> = s.new_tvar(0);
-        let mut t1 = s.begin(1);
-        assert_eq!(t1.read(&x).unwrap(), 0);
-        let mut t2 = s.begin(2);
-        t2.write(&x, 1).unwrap();
-        t2.commit().unwrap();
+        let (x, y) = (s.alloc_tvar(0), s.alloc_tvar(0));
+        let mut t1 = begin(&s, 1);
+        assert_eq!(t1.read(x).unwrap(), 0);
+        let mut t2 = begin(&s, 2);
+        t2.write(x, 1).unwrap();
+        t2.try_commit().unwrap();
         // Opacity: the very next operation of T1 must abort, it may not see
         // y in a state inconsistent with its earlier read of x.
-        assert_eq!(t1.read(&y), Err(TxError::Aborted));
+        assert_eq!(t1.read(y), Err(TxError::Aborted));
     }
 
     #[test]
@@ -845,72 +807,72 @@ mod tests {
         // and the stale duplicate failed every later validation — an
         // unconditional self-abort loop even single-threaded.
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(3);
-        let mut tx = s.begin(1);
-        assert_eq!(tx.read(&x).unwrap(), 3);
-        assert_eq!(tx.read(&x).unwrap(), 3);
-        tx.write(&x, 4).unwrap();
-        assert_eq!(tx.read(&x).unwrap(), 4);
-        tx.commit().unwrap();
-        assert_eq!(x.read_atomic(), 4);
+        let x = s.alloc_tvar(3);
+        let mut tx = begin(&s, 1);
+        assert_eq!(tx.read(x).unwrap(), 3);
+        assert_eq!(tx.read(x).unwrap(), 3);
+        tx.write(x, 4).unwrap();
+        assert_eq!(tx.read(x).unwrap(), 4);
+        tx.try_commit().unwrap();
+        assert_eq!(s.peek(x), Some(4));
     }
 
     #[test]
     fn read_write_upgrade_same_tx() {
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(3);
-        let mut tx = s.begin(1);
-        let v = tx.read(&x).unwrap();
-        tx.write(&x, v + 1).unwrap();
-        assert_eq!(tx.read(&x).unwrap(), 4);
-        tx.commit().unwrap();
-        assert_eq!(x.read_atomic(), 4);
+        let x = s.alloc_tvar(3);
+        let mut tx = begin(&s, 1);
+        let v = tx.read(x).unwrap();
+        tx.write(x, v + 1).unwrap();
+        assert_eq!(tx.read(x).unwrap(), 4);
+        tx.try_commit().unwrap();
+        assert_eq!(s.peek(x), Some(4));
     }
 
     #[test]
     fn upgrade_fails_if_var_changed_since_read() {
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(0);
-        let mut t1 = s.begin(1);
-        let _ = t1.read(&x).unwrap();
-        let mut t2 = s.begin(2);
-        t2.write(&x, 5).unwrap();
-        t2.commit().unwrap();
+        let x = s.alloc_tvar(0);
+        let mut t1 = begin(&s, 1);
+        let _ = t1.read(x).unwrap();
+        let mut t2 = begin(&s, 2);
+        t2.write(x, 5).unwrap();
+        t2.try_commit().unwrap();
         // T1 now upgrades its read to a write: must abort (snapshot stale).
-        assert_eq!(t1.write(&x, 1), Err(TxError::Aborted));
+        assert_eq!(t1.write(x, 1), Err(TxError::Aborted));
     }
 
     #[test]
     fn aborted_owner_value_resolves_to_old() {
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(5);
-        let mut t1 = s.begin(1);
-        t1.write(&x, 100).unwrap();
-        t1.rollback();
-        let mut t2 = s.begin(2);
-        assert_eq!(t2.read(&x).unwrap(), 5);
-        t2.commit().unwrap();
+        let x = s.alloc_tvar(5);
+        let mut t1 = begin(&s, 1);
+        t1.write(x, 100).unwrap();
+        t1.try_abort();
+        let mut t2 = begin(&s, 2);
+        assert_eq!(t2.read(x).unwrap(), 5);
+        t2.try_commit().unwrap();
     }
 
     #[test]
     fn read_only_commit_detects_stale_read() {
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(0);
-        let mut t1 = s.begin(1);
-        assert_eq!(t1.read(&x).unwrap(), 0);
-        let mut t2 = s.begin(2);
-        t2.write(&x, 1).unwrap();
-        t2.commit().unwrap();
-        assert_eq!(t1.commit_read_only(), Err(TxError::Aborted));
+        let x = s.alloc_tvar(0);
+        let mut t1 = s.begin_tx(1, true);
+        assert_eq!(t1.read(x).unwrap(), 0);
+        let mut t2 = begin(&s, 2);
+        t2.write(x, 1).unwrap();
+        t2.try_commit().unwrap();
+        assert_eq!(t1.try_commit(), Err(TxError::Aborted));
     }
 
     #[test]
     fn read_only_commit_succeeds_without_interference() {
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(7);
-        let mut t1 = s.begin(1);
-        assert_eq!(t1.read(&x).unwrap(), 7);
-        t1.commit_read_only().unwrap();
+        let x = s.alloc_tvar(7);
+        let mut t1 = s.begin_tx(1, true);
+        assert_eq!(t1.read(x).unwrap(), 7);
+        t1.try_commit().unwrap();
     }
 
     #[test]
@@ -918,15 +880,14 @@ mod tests {
         // Only a commit changes a logical value: a peer that acquires what
         // we read and rolls back moved the pointer, not the counter.
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(0);
-        let y: TVar<u64> = s.new_tvar(0);
-        let mut t1 = s.begin(1);
-        assert_eq!(t1.read(&x).unwrap(), 0);
-        let mut t2 = s.begin(2);
-        t2.write(&x, 1).unwrap();
-        t2.rollback();
-        assert_eq!(t1.read(&y).unwrap(), 0);
-        t1.commit().unwrap();
+        let (x, y) = (s.alloc_tvar(0), s.alloc_tvar(0));
+        let mut t1 = begin(&s, 1);
+        assert_eq!(t1.read(x).unwrap(), 0);
+        let mut t2 = begin(&s, 2);
+        t2.write(x, 1).unwrap();
+        t2.try_abort();
+        assert_eq!(t1.read(y).unwrap(), 0);
+        t1.try_commit().unwrap();
     }
 
     #[test]
@@ -942,29 +903,30 @@ mod tests {
             (Foreign::ReadOnlyCommit, 0),
         ] {
             let s = stm();
-            let vars: Vec<TVar<u64>> = (0..64).map(|i| s.new_tvar(i)).collect();
-            let other: TVar<u64> = s.new_tvar(0);
-            let mut t1 = s.begin(1);
-            for (i, v) in vars.iter().enumerate() {
+            let vars: Vec<TVarId> = (0..64).map(|i| s.alloc_tvar(i)).collect();
+            let other = s.alloc_tvar(0);
+            let mut t1 = s.begin_tx(1, true);
+            for (i, &v) in vars.iter().enumerate() {
                 if i == 32 {
-                    let mut t2 = s.begin(2);
                     match foreign {
-                        Foreign::Nothing => t2.rollback(),
+                        Foreign::Nothing => begin(&s, 2).try_abort(),
                         Foreign::UpdateCommit => {
-                            t2.write(&other, 1).unwrap();
-                            t2.commit().unwrap();
+                            let mut t2 = begin(&s, 2);
+                            t2.write(other, 1).unwrap();
+                            t2.try_commit().unwrap();
                         }
                         Foreign::ReadOnlyCommit => {
-                            t2.read(&other).unwrap();
-                            t2.commit_read_only().unwrap();
+                            let mut t2 = s.begin_tx(2, true);
+                            t2.read(other).unwrap();
+                            t2.try_commit().unwrap();
                         }
                     }
                 }
                 assert_eq!(t1.read(v).unwrap(), i as u64);
             }
-            assert_eq!(t1.read_count(), 64);
-            let counted = t1.full_scans();
-            t1.commit_read_only().unwrap();
+            assert_eq!(reads(&t1), 64);
+            let counted = t1.tx.full_scans();
+            t1.try_commit().unwrap();
             assert_eq!(counted, scans);
         }
     }
@@ -972,31 +934,30 @@ mod tests {
     #[test]
     fn first_acquisition_invalidates_a_t0_read() {
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(0);
-        let y: TVar<u64> = s.new_tvar(0);
-        let other: TVar<u64> = s.new_tvar(0);
+        let (x, y, other) = (s.alloc_tvar(0), s.alloc_tvar(0), s.alloc_tvar(0));
         // A read of a never-written variable records address 0, and an
         // unrelated commit leaves it valid: null stays null until acquired.
-        let mut t1 = s.begin(1);
-        assert_eq!(t1.read(&x).unwrap(), 0);
-        let mut t2 = s.begin(2);
-        t2.write(&other, 1).unwrap();
-        t2.commit().unwrap();
-        assert_eq!(t1.read(&y).unwrap(), 0);
-        assert_eq!(t1.full_scans(), 1);
+        let mut t1 = begin(&s, 1);
+        assert_eq!(t1.read(x).unwrap(), 0);
+        let mut t2 = begin(&s, 2);
+        t2.write(other, 1).unwrap();
+        t2.try_commit().unwrap();
+        assert_eq!(t1.read(y).unwrap(), 0);
+        assert_eq!(t1.tx.full_scans(), 1);
         // The first acquisition swings x away from null for good.
-        let mut t3 = s.begin(3);
-        t3.write(&x, 1).unwrap();
-        t3.commit().unwrap();
-        assert_eq!(t1.read(&y), Err(TxError::Aborted));
-        assert_eq!(x.read_atomic(), 1);
+        let mut t3 = begin(&s, 3);
+        t3.write(x, 1).unwrap();
+        t3.try_commit().unwrap();
+        assert_eq!(t1.read(y), Err(TxError::Aborted));
+        assert_eq!(s.peek(x), Some(1));
     }
 
     /// Resolves `x`'s current locator as a reader would: the value, and
     /// whether that took a load of the owner's status word.
-    fn resolve_current(s: &Dstm, x: &TVar<u64>) -> (u64, bool) {
-        let guard = s.domain().begin();
-        let loc = x.state().load(&guard);
+    fn resolve_current(s: &DstmWord, x: TVarId) -> (Value, bool) {
+        let guard = s.inner().domain().begin();
+        let var = s.vars.get_ref_in(x, &guard).expect("registered");
+        let loc = var.load(&guard);
         assert!(!loc.is_null(), "x was acquired");
         // SAFETY: non-null, loaded under `guard` of x's domain.
         let loc = unsafe { loc.deref() };
@@ -1010,34 +971,34 @@ mod tests {
     #[test]
     fn a_killed_owners_locators_resolve_through_its_descriptor() {
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(5);
-        let mut victim = s.begin(1);
-        victim.write(&x, 6).unwrap();
+        let x = s.alloc_tvar(5);
+        let mut victim = begin(&s, 1);
+        victim.write(x, 6).unwrap();
         // The aggressor's read kills the live owner through the manager.
-        let mut killer = s.begin(2);
-        assert_eq!(killer.read(&x).unwrap(), 5);
-        killer.commit_read_only().unwrap();
+        let mut killer = begin(&s, 2);
+        assert_eq!(killer.read(x).unwrap(), 5);
+        killer.try_commit().unwrap();
         // Killed, but its verdict is stamped only once the victim settles
         // it: until then readers still go to its descriptor.
-        assert_eq!(resolve_current(&s, &x), (5, true));
-        assert_eq!(victim.read(&x), Err(TxError::Aborted));
-        assert_eq!(resolve_current(&s, &x), (5, true));
-        assert_eq!(victim.commit(), Err(TxError::Aborted));
-        assert_eq!(resolve_current(&s, &x), (5, false));
+        assert_eq!(resolve_current(&s, x), (5, true));
+        assert_eq!(victim.read(x), Err(TxError::Aborted));
+        assert_eq!(resolve_current(&s, x), (5, true));
+        assert_eq!(victim.try_commit(), Err(TxError::Aborted));
+        assert_eq!(resolve_current(&s, x), (5, false));
     }
 
     #[test]
     fn a_committed_owner_stamps_every_locator_it_installed() {
         let s = stm();
-        let (x, y): (TVar<u64>, TVar<u64>) = (s.new_tvar(1), s.new_tvar(2));
-        let mut tx = s.begin(1);
-        tx.write(&x, 10).unwrap();
-        tx.write(&y, 20).unwrap();
-        tx.write(&x, 11).unwrap(); // same locator, updated in place
-        assert_eq!(tx.write_count(), 2);
-        tx.commit().unwrap();
-        assert_eq!(resolve_current(&s, &x), (11, false));
-        assert_eq!(resolve_current(&s, &y), (20, false));
+        let (x, y) = (s.alloc_tvar(1), s.alloc_tvar(2));
+        let mut tx = begin(&s, 1);
+        tx.write(x, 10).unwrap();
+        tx.write(y, 20).unwrap();
+        tx.write(x, 11).unwrap(); // same locator, updated in place
+        assert_eq!(writes(&tx), 2);
+        tx.try_commit().unwrap();
+        assert_eq!(resolve_current(&s, x), (11, false));
+        assert_eq!(resolve_current(&s, y), (20, false));
     }
 
     /// Figure 2's `T1` replayed under the recorder's step gate, one step at
@@ -1048,18 +1009,20 @@ mod tests {
         use crate::record::Recorder;
         use oftm_histories::{BaseObjId, Event, ProcId};
         let rec = Arc::new(Recorder::new());
-        let s = Arc::new(Dstm::new(Arc::new(Aggressive)).with_recorder(Arc::clone(&rec)));
-        let vars: Vec<TVar<u64>> = (0..4).map(|_| s.new_tvar(0)).collect();
+        let s = Arc::new(DstmWord::new(
+            Dstm::new(Arc::new(Aggressive)).with_recorder(Arc::clone(&rec)),
+        ));
+        let vars: Vec<TVarId> = (0..4).map(|_| s.alloc_tvar(0)).collect();
         let p = ProcId(1);
         rec.gate(p);
         let (s2, rec2, v) = (Arc::clone(&s), Arc::clone(&rec), vars.clone());
         let thread = std::thread::spawn(move || {
-            let mut tx = s2.begin(p.0);
-            tx.read(&v[0]).unwrap();
-            tx.read(&v[1]).unwrap();
-            tx.write(&v[2], 1).unwrap();
-            tx.write(&v[3], 1).unwrap();
-            tx.commit().unwrap();
+            let mut tx = begin(&s2, p.0);
+            tx.read(v[0]).unwrap();
+            tx.read(v[1]).unwrap();
+            tx.write(v[2], 1).unwrap();
+            tx.write(v[3], 1).unwrap();
+            tx.try_commit().unwrap();
             rec2.finish(p);
         });
         let mut steps = 0;
@@ -1068,12 +1031,14 @@ mod tests {
             let h = rec.snapshot();
             let modify = |e: &Event, at| matches!(*e, Event::Step { obj, access: Access::Modify, .. } if obj == at);
             let modified = |at: BaseObjId| h.iter().any(|e| modify(&e.event, at));
-            let bumped = u64::from(modified(s.commit_counter_base()));
-            assert_eq!(s.gate().sample(), bumped, "counter after step {steps}");
-            let guard = s.domain().begin();
-            for (i, v) in vars.iter().enumerate() {
-                let loc = v.state().load(&guard);
-                let cell = modified(v.state().base);
+            let stm = s.inner();
+            let bumped = u64::from(modified(stm.commit_counter_base()));
+            assert_eq!(stm.gate().sample(), bumped, "counter after step {steps}");
+            let guard = stm.domain().begin();
+            for (i, &x) in vars.iter().enumerate() {
+                let var = s.vars.get_ref_in(x, &guard).expect("registered");
+                let loc = var.load(&guard);
+                let cell = modified(var.base);
                 assert_eq!(!loc.is_null(), cell, "cell {i} after step {steps}");
                 // SAFETY: non-null, loaded under `guard` of the domain
                 // the locator retires into.
@@ -1097,23 +1062,23 @@ mod tests {
     #[test]
     fn rereading_one_variable_does_not_grow_the_read_set() {
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(3);
-        let mut tx = s.begin(1);
+        let x = s.alloc_tvar(3);
+        let mut tx = begin(&s, 1);
         for _ in 0..100 {
-            assert_eq!(tx.read(&x).unwrap(), 3);
+            assert_eq!(tx.read(x).unwrap(), 3);
         }
-        assert_eq!(tx.read_count(), 1);
-        tx.commit().unwrap();
+        assert_eq!(reads(&tx), 1);
+        tx.try_commit().unwrap();
     }
 
-    /// Two writers keep `x + y == 0`; a reader checks it *inside* the
-    /// transaction body after every read, so a torn pair fails even in an
-    /// attempt that would later abort (opacity, not just serializability).
+    /// Two writers keep `x + y == 0` (wrapping); a reader checks it
+    /// *inside* the transaction body after every read, so a torn pair
+    /// fails even in an attempt that would later abort (opacity, not just
+    /// serializability).
     fn in_body_opacity(cm: Arc<dyn crate::cm::ContentionManager>) {
         use std::sync::atomic::{AtomicBool, Ordering};
-        let s = Dstm::new(cm);
-        let x = s.new_tvar(0i64);
-        let y = s.new_tvar(0i64);
+        let s = DstmWord::new(Dstm::new(cm));
+        let (x, y) = (s.alloc_tvar(0), s.alloc_tvar(0));
         // Raised on drop, so a failed assertion below stops the writers
         // (the scope joins them) and the test fails instead of hanging.
         struct Stop<'a>(&'a AtomicBool);
@@ -1126,33 +1091,34 @@ mod tests {
         std::thread::scope(|sc| {
             let _stop = Stop(&done);
             for p in 1..=2u32 {
-                let (s, x, y, done) = (&s, &x, &y, &done);
+                let (s, done) = (&s, &done);
                 sc.spawn(move || {
                     while !done.load(Ordering::Relaxed) {
-                        s.atomically(p, |tx| {
+                        run_transaction(s, p, |tx| {
                             let vx = tx.read(x)?;
-                            tx.write(x, vx + i64::from(p))?;
+                            tx.write(x, vx.wrapping_add(u64::from(p)))?;
                             let vy = tx.read(y)?;
-                            tx.write(y, vy - i64::from(p))
+                            tx.write(y, vy.wrapping_sub(u64::from(p)))
                         });
                     }
                 });
             }
             for _ in 0..100_000 {
-                let mut tx = s.begin(0);
-                let body = |tx: &mut Tx<'_>| -> TxResult<()> {
-                    let vx = tx.read(&x)?;
-                    let vy = tx.read(&y)?;
-                    assert_eq!(vx + vy, 0, "torn pair inside the body");
-                    assert_eq!(tx.read(&x)?, vx, "x moved under a live reader");
+                let mut tx = begin(&s, 0);
+                let body = |tx: &mut DstmWordTx<'_>| -> TxResult<()> {
+                    let vx = tx.read(x)?;
+                    let vy = tx.read(y)?;
+                    assert_eq!(vx.wrapping_add(vy), 0, "torn pair inside the body");
+                    assert_eq!(tx.read(x)?, vx, "x moved under a live reader");
                     Ok(())
                 };
                 if body(&mut tx).is_ok() {
-                    let _ = tx.commit_read_only();
+                    let _ = tx.try_commit();
                 }
             }
         });
-        assert_eq!(x.read_atomic() + y.read_atomic(), 0);
+        let sum = s.peek(x).unwrap().wrapping_add(s.peek(y).unwrap());
+        assert_eq!(sum, 0);
     }
 
     #[test]
@@ -1165,231 +1131,175 @@ mod tests {
         in_body_opacity(Arc::new(crate::cm::Courteous));
     }
 
-    // The payload of the tests below is an `Arc<Token>`: its drop count
-    // moves when the locator holding the last clone is freed.
-    use crate::tests::Counted as Token;
-    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-
+    /// Each instance resolves ids in its own table: an id another instance
+    /// minted is not registered here, so the read panics before it could
+    /// touch a state this transaction's guard does not protect.
     #[test]
-    fn dropping_the_last_handle_mid_transaction_frees_nothing_the_reader_borrowed() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let drops = Arc::new(AtomicUsize::new(0));
-        let s = stm();
-        let v = s.new_tvar(Arc::new(Token(Arc::clone(&drops))));
-        let other: TVar<u64> = s.new_tvar(0);
-        let mut t1 = s.begin(1);
-        drop(t1.read(&v).unwrap());
-        drop(v); // the read-set entry now borrows a retired t-variable
-        let mut t2 = s.begin(2);
-        t2.write(&other, 1).unwrap();
-        t2.commit().unwrap();
-        // The foreign commit moved the gate: this read scans v's entry.
-        assert_eq!(t1.read(&other).unwrap(), 1);
-        assert_eq!(t1.full_scans(), 1);
-        assert_eq!(drops.load(Ordering::SeqCst), 0, "freed under the reader");
-        t1.commit_read_only().unwrap();
-        assert_eq!(drops.load(Ordering::SeqCst), 1, "t1's release collects");
-    }
-
-    #[test]
-    #[should_panic(expected = "belongs to another Dstm instance")]
+    #[should_panic(expected = "not registered")]
     fn reading_another_instances_variable_is_refused() {
         let (s, other) = (stm(), stm());
-        let v = other.new_tvar(0u64);
-        let _ = s.begin(1).read(&v);
+        let v = other.alloc_tvar(0);
+        let _ = begin(&s, 1).read(v);
     }
 
-    #[test]
-    fn handles_dropped_by_another_thread_while_readers_validate() {
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        const VARS: usize = 2_000;
-        let drops = Arc::new(AtomicUsize::new(0));
-        let s = stm();
-        let vars: Mutex<Vec<TVar<Arc<Token>>>> = Mutex::new(
-            (0..VARS)
-                .map(|_| s.new_tvar(Arc::new(Token(Arc::clone(&drops)))))
-                .collect(),
-        );
-        let gate_mover: TVar<u64> = s.new_tvar(0);
-        let done = AtomicBool::new(false);
-        std::thread::scope(|sc| {
-            // Drops the registry's handles one by one.
-            sc.spawn(|| {
-                while let Some(v) = { vars.lock().unwrap().pop() } {
-                    drop(v);
-                    std::thread::yield_now();
-                }
-                done.store(true, Ordering::Release);
-            });
-            // Keeps every reader's gate moving, so reads run full scans.
-            sc.spawn(|| {
-                while !done.load(Ordering::Acquire) {
-                    s.atomically(9, |tx| {
-                        let n = tx.read(&gate_mover)?;
-                        tx.write(&gate_mover, n + 1)
-                    });
-                }
-            });
-            for p in 0..2u32 {
-                let (s, vars, done) = (&s, &vars, &done);
-                sc.spawn(move || {
-                    while !done.load(Ordering::Acquire) {
-                        let mut tx = s.begin(p);
-                        for _ in 0..32 {
-                            // Read through a clone and let go of it: the
-                            // dropper may have popped the original, making
-                            // this the last handle.
-                            let Some(v) = vars.lock().unwrap().last().cloned() else {
-                                break;
-                            };
-                            if tx.read(&v).is_err() {
-                                break;
-                            }
-                        }
-                        let _ = tx.commit_read_only();
-                    }
-                });
-            }
-        });
-        // The last handle may have dropped after the last release.
-        drop(s.begin(0));
-        assert_eq!(drops.load(Ordering::SeqCst), VARS);
+    // The tests below watch locators being freed through their owners:
+    // once its transaction is gone, a descriptor's last strong reference
+    // is the locator it installed.
+
+    /// Process `p` acquires `x` and rolls back; returns the descriptor
+    /// that only the locator it installed keeps alive from here on — it
+    /// dies exactly when that locator, unlinked by the next acquisition,
+    /// is freed.
+    fn acquire_and_roll_back(s: &DstmWord, p: u32, x: TVarId) -> Weak<Descriptor> {
+        let mut tx = begin(s, p);
+        tx.write(x, u64::from(p)).unwrap();
+        let owner = Arc::downgrade(&tx.tx.desc);
+        tx.try_abort();
+        owner
     }
 
-    /// Process `p` acquires `x` for a fresh token and rolls back: the
-    /// locator it installs holds that token's only clone (the next
-    /// acquisition copies `old`, the aborted owner's), so the token drops
-    /// exactly when that locator, unlinked by the next acquisition, is
-    /// freed.
-    fn acquire_and_roll_back(s: &Dstm, p: u32, x: &TVar<Arc<Token>>, drops: &Arc<AtomicUsize>) {
-        let mut tx = s.begin(p);
-        tx.write(x, Arc::new(Token(Arc::clone(drops)))).unwrap();
-        tx.rollback();
-    }
-
-    /// Unlinked locators waiting in process `p`'s bag.
-    fn piled(s: &Dstm, p: u32) -> usize {
-        let scratch = s.scratch().take(p as usize).expect("parked scratch");
+    /// Items waiting in process `p`'s bag.
+    fn piled(s: &DstmWord, p: u32) -> usize {
+        let pool = s.inner().scratch();
+        let scratch = pool.take(p as usize).expect("parked scratch");
         let piled = scratch.bag.len();
-        s.scratch().put(p as usize, scratch);
+        pool.put(p as usize, scratch);
         piled
     }
 
-    fn dropped(drops: &AtomicUsize) -> usize {
-        drops.load(AtomicOrdering::SeqCst)
+    /// How many of `owners`' locators were freed.
+    fn dropped(owners: &[Weak<Descriptor>]) -> usize {
+        owners.iter().filter(|o| o.strong_count() == 0).count()
     }
 
     #[test]
     fn dstm_writes_leave_the_shared_bins_empty() {
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(0);
+        let x = s.alloc_tvar(0);
         // Predates every unlink below, so none of them ripens.
-        let peer = s.begin(2);
+        let peer = begin(&s, 2);
         for i in 1..=10 {
-            let mut tx = s.begin(1);
-            tx.write(&x, i).unwrap();
-            tx.commit().unwrap();
+            let mut tx = begin(&s, 1);
+            tx.write(x, i).unwrap();
+            tx.try_commit().unwrap();
         }
-        assert_eq!(s.domain().pending_memory(), 0, "a write used the bins");
+        assert_eq!(
+            s.inner().domain().pending_memory(),
+            0,
+            "a write used the bins"
+        );
         assert_eq!(piled(&s, 1), 9, "the first write unlinked T_0 only");
-        peer.commit_read_only().unwrap();
-        drop(s.begin(1));
+        peer.try_commit().unwrap();
+        drop(begin(&s, 1));
         assert_eq!(piled(&s, 1), 0);
     }
 
     #[test]
     fn unlinked_locators_wait_for_a_predating_reader() {
-        let drops = Arc::new(AtomicUsize::new(0));
         let s = stm();
-        let x = s.new_tvar(Arc::new(Token(Arc::clone(&drops))));
-        acquire_and_roll_back(&s, 1, &x, &drops);
-        let mut reader = s.begin(2);
-        drop(reader.read(&x).unwrap()); // resolves the rolled-back locator
-        acquire_and_roll_back(&s, 1, &x, &drops); // unlinks it
-        assert_eq!(dropped(&drops), 0, "freed under the reader");
-        reader.commit_read_only().unwrap();
-        assert_eq!(dropped(&drops), 0, "a bag is reclaimed by its process");
-        drop(s.begin(1));
-        assert_eq!(dropped(&drops), 1);
-        assert_eq!(s.domain().pending_memory(), 0);
+        let x = s.alloc_tvar(0);
+        let mut owners = vec![acquire_and_roll_back(&s, 1, x)];
+        let mut reader = begin(&s, 2);
+        reader.read(x).unwrap(); // resolves the rolled-back locator
+        owners.push(acquire_and_roll_back(&s, 1, x)); // unlinks it
+        assert_eq!(dropped(&owners), 0, "freed under the reader");
+        reader.try_commit().unwrap();
+        assert_eq!(dropped(&owners), 0, "a bag is reclaimed by its process");
+        drop(begin(&s, 1));
+        assert_eq!(dropped(&owners), 1);
+        assert_eq!(s.inner().domain().pending_memory(), 0);
     }
 
     #[test]
     fn a_displaced_scratch_hands_its_bag_to_the_domain() {
-        let drops = Arc::new(AtomicUsize::new(0));
         let s = stm();
-        let x = s.new_tvar(Arc::new(Token(Arc::clone(&drops))));
-        let peer = s.domain().begin();
-        for _ in 0..5 {
-            acquire_and_roll_back(&s, 1, &x, &drops);
-        }
+        let x = s.alloc_tvar(0);
+        let peer = s.inner().domain().begin();
+        let mut owners: Vec<_> = (0..5).map(|_| acquire_and_roll_back(&s, 1, x)).collect();
         assert_eq!(piled(&s, 1), 4);
         // Two transactions of one process: the first takes the pooled
         // scratch and its bag, the second a fresh one, which displaces
         // the first from the pool when it is put back last.
-        let (first, second) = (s.begin(1), s.begin(1));
+        let (first, second) = (begin(&s, 1), begin(&s, 1));
         drop(first);
         drop(second);
-        assert_eq!(s.domain().pending_memory(), 4, "the bag went to the bins");
-        assert_eq!(dropped(&drops), 0, "freed under the peer");
+        assert_eq!(
+            s.inner().domain().pending_memory(),
+            4,
+            "the bag went to the bins"
+        );
+        assert_eq!(dropped(&owners), 0, "freed under the peer");
         drop(peer); // a release collects the bins
-        assert_eq!(dropped(&drops), 4);
+        assert_eq!(dropped(&owners), 4);
         // A bag left unripe at the end goes to the bins with the pool, and
-        // the bins go with the domain, which the last handle keeps: with
-        // `x`'s initial token and its installed locator's, every token
-        // drops, once.
-        let peer = s.domain().begin();
-        acquire_and_roll_back(&s, 1, &x, &drops);
+        // the bins go with the domain, which the table keeps: with the
+        // installed locator the table frees, every locator is freed, once.
+        let peer = s.inner().domain().begin();
+        owners.push(acquire_and_roll_back(&s, 1, x));
         assert_eq!(piled(&s, 1), 1);
         drop(peer);
         drop(s);
-        drop(x);
-        assert_eq!(dropped(&drops), 7);
+        assert_eq!(dropped(&owners), 6);
     }
 
     #[test]
     fn a_process_pauses_instead_of_piling_past_the_bound() {
         const OVER: usize = 3;
-        let drops = Arc::new(AtomicUsize::new(0));
         let s = stm();
-        let x = s.new_tvar(Arc::new(Token(Arc::clone(&drops))));
-        acquire_and_roll_back(&s, 1, &x, &drops);
+        let x = s.alloc_tvar(0);
+        let mut owners = vec![acquire_and_roll_back(&s, 1, x)];
         // A peer that stays registered, as a descheduled one would:
         // nothing unlinked from here on may be freed.
-        let peer = s.domain().begin();
+        let peer = s.inner().domain().begin();
         let mut pauses = 0;
         for _ in 0..BAG_BOUND + 1 + OVER {
             let before = piled(&s, 1);
             let started = Instant::now();
-            acquire_and_roll_back(&s, 1, &x, &drops);
+            owners.push(acquire_and_roll_back(&s, 1, x));
             if before > BAG_BOUND {
                 pauses += 1;
                 assert!(started.elapsed() >= PARK_FLOOR, "no pause");
-                assert_eq!(s.domain().pending_memory(), pauses, "the excess moved");
+                let pending = s.inner().domain().pending_memory();
+                assert_eq!(pending, pauses, "the excess moved");
             }
             assert!(piled(&s, 1) <= BAG_BOUND + 1, "piled past the bound");
         }
         assert_eq!(pauses, OVER, "every transaction over the bound pauses");
-        assert_eq!(dropped(&drops), 0, "freed under the peer");
+        assert_eq!(dropped(&owners), 0, "freed under the peer");
         drop(peer); // collects what went to the bins
-        drop(s.begin(1)); // and the process its bag
-        assert_eq!(dropped(&drops), BAG_BOUND + 1 + OVER);
+        drop(begin(&s, 1)); // and the process its bag
+        assert_eq!(dropped(&owners), BAG_BOUND + 1 + OVER);
+        assert_eq!(piled(&s, 1), 0);
+    }
+
+    /// Locators unlinked behind a peer wait in their process's bag; a live
+    /// walk frees them — what the hybrid does to the engine it migrates
+    /// away from, which runs no further transaction to do it.
+    #[test]
+    fn a_live_walk_frees_the_locators_parked_behind_a_peer() {
+        let s = stm();
+        let x = s.alloc_tvar(0);
+        let peer = begin(&s, 2);
+        let owners: Vec<_> = (0..10).map(|_| acquire_and_roll_back(&s, 1, x)).collect();
+        peer.try_commit().unwrap();
+        assert_eq!(piled(&s, 1), 9, "nothing waited");
+        assert_eq!(dropped(&owners), 0);
+        s.for_each_live_value(|_, _| ());
+        assert_eq!(dropped(&owners), 9, "locators stranded");
         assert_eq!(piled(&s, 1), 0);
     }
 
     #[test]
     fn write_counts_tracked() {
         let s = stm();
-        let x: TVar<u64> = s.new_tvar(0);
-        let y: TVar<u64> = s.new_tvar(0);
-        let mut tx = s.begin(1);
-        tx.write(&x, 1).unwrap();
-        tx.write(&y, 1).unwrap();
-        tx.write(&x, 2).unwrap(); // same var: still one acquisition
-        let _ = tx.read(&y).unwrap(); // own var: not a read-set entry
-        assert_eq!(tx.write_count(), 2);
-        assert_eq!(tx.read_count(), 0);
-        tx.commit().unwrap();
+        let (x, y) = (s.alloc_tvar(0), s.alloc_tvar(0));
+        let mut tx = begin(&s, 1);
+        tx.write(x, 1).unwrap();
+        tx.write(y, 1).unwrap();
+        tx.write(x, 2).unwrap(); // same var: still one acquisition
+        let _ = tx.read(y).unwrap(); // own var: not a read-set entry
+        assert_eq!(writes(&tx), 2);
+        assert_eq!(reads(&tx), 0);
+        tx.try_commit().unwrap();
     }
 }

@@ -4,15 +4,15 @@
 //! ## Read-only transactions
 //!
 //! [`WordStm::begin_ro`] returns a handle whose `write`/`retire` panic and
-//! whose commit takes the validate-only completion of
-//! [`Tx::commit_read_only`]: no locator allocation, no acquisition, no
-//! commit-status CAS, no commit notification. A plain transaction that
+//! whose commit takes the engine's validate-only completion: no locator
+//! allocation, no acquisition, no commit-status CAS, no commit
+//! notification. A plain transaction that
 //! happens to write nothing is *promoted* to the same completion at
 //! `try_commit` (detect-on-commit). Progress is the backend's usual
 //! obstruction-freedom — reads may still have to abort a live writer via
 //! the contention manager — and consistency still comes from revalidating
 //! invisible reads, gated by the instance's commit counter (see
-//! [`super::tx`]): a read costs one load of that counter while no update
+//! `dstm::tx`): a read costs one load of that counter while no update
 //! transaction commits and O(|read-set|) once per foreign update commit;
 //! cheaper than the write path, but not wait-free.
 
@@ -28,7 +28,8 @@ use oftm_histories::{TVarId, TxId, Value};
 use oftm_obs::{Counter, StmStats};
 use std::sync::Arc;
 
-/// A [`Dstm`] with a word-sized t-variable table, implementing [`WordStm`].
+/// A [`Dstm`] with a word-sized t-variable table, implementing [`WordStm`]:
+/// the one front end of the DSTM engine.
 ///
 /// The table is a shared [`VarTable`], so t-variables allocated with
 /// [`WordStm::alloc_tvar`] — including mid-transaction — are immediately
@@ -41,8 +42,11 @@ pub struct DstmWord {
     stm: Dstm,
     /// Built in `stm`'s domain: a transaction's one guard covers its
     /// table lookups and its locators alike.
-    vars: VarTable<TVarInner<Value>>,
+    pub(super) vars: VarTable<TVarInner>,
     notify: CommitNotifier,
+    /// This table mirrors another engine's allocator of record
+    /// ([`DstmWord::as_mirror`]): its t-variables are not counted.
+    mirror: bool,
 }
 
 impl DstmWord {
@@ -51,6 +55,24 @@ impl DstmWord {
             vars: VarTable::in_domain(Arc::clone(stm.domain())),
             stm,
             notify: CommitNotifier::new(),
+            mirror: false,
+        }
+    }
+
+    /// Makes this table a mirror of an embedding backend's allocator of
+    /// record, which counts every t-variable already: registrations,
+    /// evictions and frees here copy that allocator's, and are not counted
+    /// in `TvarsAllocated` / `TvarsFreed` a second time.
+    pub fn as_mirror(mut self) -> Self {
+        self.mirror = true;
+        self
+    }
+
+    /// Adds `n` to a t-variable count (`TvarsAllocated`, `TvarsFreed`),
+    /// unless this table is a mirror.
+    fn count_tvars(&self, counter: Counter, n: u64) {
+        if !self.mirror {
+            self.stm.stats().add(counter, n);
         }
     }
 
@@ -61,7 +83,7 @@ impl DstmWord {
         self
     }
 
-    /// The underlying typed STM.
+    /// The engine's configuration and shared words.
     pub fn inner(&self) -> &Dstm {
         &self.stm
     }
@@ -93,7 +115,7 @@ impl DstmWord {
     pub fn register_tvar_if_absent(&self, x: TVarId, initial: Value) -> bool {
         let inserted = self.vars.insert_if_absent(x, TVarInner::new(x, initial));
         if inserted {
-            self.stm.stats().incr(Counter::TvarsAllocated);
+            self.count_tvars(Counter::TvarsAllocated, 1);
         }
         inserted
     }
@@ -105,36 +127,42 @@ impl DstmWord {
         let mut evicted = 0;
         self.vars
             .for_each_live(|id, _, _| evicted += u64::from(self.vars.remove(id)));
-        self.stm.stats().add(Counter::TvarsFreed, evicted);
+        self.count_tvars(Counter::TvarsFreed, evicted);
     }
 
-    fn begin_inner(&self, proc: u32, ro: bool) -> Box<dyn WordTx + '_> {
+    /// The transaction [`WordStm::begin`] (`ro`: [`WordStm::begin_ro`])
+    /// hands out, before the recorder's wrapper.
+    #[inline]
+    pub(super) fn begin_tx(&self, proc: u32, ro: bool) -> Box<DstmWordTx<'_>> {
         if ro {
-            // `Begins` counts every begin (the typed layer increments it);
+            // `Begins` counts every begin (`Dstm::begin` increments it);
             // `BeginsRo` counts the declared read-only subset.
             self.stm.stats().incr(Counter::BeginsRo);
         }
-        let tx = Box::new(DstmWordTx {
+        Box::new(DstmWordTx {
             tx: self.stm.begin(proc),
             word: self,
             retired: Vec::new(),
             ro,
             conflict_hint: None,
-        });
-        record::observe(self.stm.recorder(), tx)
+        })
+    }
+
+    fn begin_inner(&self, proc: u32, ro: bool) -> Box<dyn WordTx + '_> {
+        record::observe(self.stm.recorder(), self.begin_tx(proc, ro))
     }
 }
 
-/// The typed transaction plus what the word interface adds. Its footprint
-/// is what the typed transaction logs anyway — the read-set and, in its
+/// The engine's transaction plus what the word interface adds. Its
+/// footprint is what the engine logs anyway — the read-set and, in its
 /// pooled scratch, `written` (recorded at op entry; what a successful
 /// commit publishes to the commit notifier) — plus the variable a read
 /// aborted on before it reached the read-set, so the async runtime parks
 /// on everything the attempt tried to access.
-struct DstmWordTx<'s> {
+pub(super) struct DstmWordTx<'s> {
     /// Holds the transaction's one registration: dropping it (any abort
     /// path) releases it and discards the retire-set with the transaction.
-    tx: Tx<'s>,
+    pub(super) tx: Tx<'s>,
     word: &'s DstmWord,
     retired: Vec<RetiredBlock>,
     /// Declared read-only: writes and retires panic (caller bug), and the
@@ -147,7 +175,7 @@ struct DstmWordTx<'s> {
 
 impl DstmWordTx<'_> {
     /// Looks `x` up for the operation at hand.
-    fn var(&self, x: TVarId) -> Pinned<TVarInner<Value>> {
+    fn var(&self, x: TVarId) -> Pinned<TVarInner> {
         let var = self.word.vars.get_ref_or_panic_in(x, self.tx.guard());
         // SAFETY: loaded under the transaction's guard, of the domain the
         // table retires into, and dereferenced by the calling operation
@@ -207,7 +235,7 @@ impl WordTx for DstmWordTx<'_> {
                 ..
             } = *self;
             let evicted = tx.retire_into(&word.vars, retired);
-            word.stm.stats().add(Counter::TvarsFreed, evicted);
+            word.count_tvars(Counter::TvarsFreed, evicted);
         }
         r
     }
@@ -234,19 +262,18 @@ impl WordStm for DstmWord {
     }
 
     fn register_tvar(&self, x: TVarId, initial: Value) {
-        self.stm.stats().incr(Counter::TvarsAllocated);
-        self.vars.insert(x, TVarInner::new(x, initial));
+        if self.vars.insert(x, TVarInner::new(x, initial)) {
+            self.count_tvars(Counter::TvarsAllocated, 1);
+        }
     }
 
     fn alloc_tvar_block(&self, initials: &[Value]) -> TVarId {
-        self.stm
-            .stats()
-            .add(Counter::TvarsAllocated, initials.len() as u64);
+        self.count_tvars(Counter::TvarsAllocated, initials.len() as u64);
         self.vars.alloc_block(initials, TVarInner::new)
     }
 
     fn free_tvar_block(&self, base: TVarId, len: usize) {
-        self.stm.stats().add(Counter::TvarsFreed, len as u64);
+        self.count_tvars(Counter::TvarsFreed, len as u64);
         self.vars.remove_block(base, len);
     }
 
@@ -254,7 +281,7 @@ impl WordStm for DstmWord {
         let evicted = self
             .vars
             .evict_ripe_parked(self.stm.scratch(), |s| &mut s.bag);
-        self.stm.stats().add(Counter::TvarsFreed, evicted);
+        self.count_tvars(Counter::TvarsFreed, evicted);
         self.vars.len()
     }
 
@@ -529,9 +556,9 @@ mod tests {
         assert_eq!(s.peek(node), None);
     }
 
-    /// The typed layer has no table to evict with: an aborted attempt whose
-    /// reclaim finds the process's retired block ripe puts it back in the
-    /// bag under a later tag, and the count evicts it — never dropped.
+    /// An aborted attempt has no table to evict with: one whose reclaim
+    /// finds the process's retired block ripe puts it back in the bag
+    /// under a later tag, and the count evicts it — never dropped.
     #[test]
     fn an_abort_that_finds_a_ripe_block_leaves_it_for_the_table() {
         let s = word_stm();

@@ -641,8 +641,9 @@ impl<F: SyncFacade, S: SlotSet<F::Au64>, M: Send> GraceCore<F, S, M> {
     }
 
     /// A guard's release: drops the memory that became reclaimable, so
-    /// what is deferred outside any commit hook (the state behind a
-    /// dropped `TVar` handle) is freed on paths that never reach one. Id
+    /// what is deferred outside any commit hook (an aborted attempt's
+    /// frees, a replaced registration, a bag past its bound or displaced
+    /// from its pool) is freed on paths that never reach one. Id
     /// blocks stay for the next [`GraceCore::flush`] — only its caller
     /// can evict them. Best effort: backs off if the lock is taken (a
     /// hard lock would turn a preempted holder into a convoy for every
@@ -772,7 +773,7 @@ impl<M> GraceBag<M> {
 /// model checker (`model_gate`). A transaction keeps the counter value
 /// under which its whole read-set was last known valid (`seen`) and pays
 /// for a read-set scan only when the counter has moved past it. See
-/// [`crate::dstm::tx`] for why that is enough. On its own cache line: every
+/// `dstm::tx` for why that is enough. On its own cache line: every
 /// read loads it, only update commits write it.
 #[repr(align(64))]
 pub struct CommitGate<A: AtomicU64Like> {

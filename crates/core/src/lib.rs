@@ -7,8 +7,9 @@
 //! and the crate's own reclamation domains ([`reclaim`]) for locators,
 //! table slots and t-variable ids alike.
 //!
-//! * [`dstm`] — the STM itself: typed [`dstm::TVar`]s, transactions,
-//!   commit/abort via a single status-word CAS, revocable ownership.
+//! * [`dstm`] — the STM itself: word t-variables, transactions,
+//!   commit/abort via a single status-word CAS, revocable ownership,
+//!   behind [`dstm::DstmWord`].
 //! * [`cm`] — the two contention managers the engines run (Aggressive,
 //!   Courteous), each honouring the obstruction-freedom contract.
 //! * [`api`] — the uniform word-level [`api::WordStm`] interface shared
@@ -33,16 +34,17 @@
 //! ## Quick start
 //!
 //! ```
-//! use oftm_core::dstm::Dstm;
+//! use oftm_core::dstm::{Dstm, DstmWord};
+//! use oftm_core::{run_transaction, WordStm};
 //!
-//! let stm = Dstm::default();
-//! let x = stm.new_tvar(0u64);
-//! let y = stm.new_tvar(0u64);
-//! stm.atomically(0, |tx| {
-//!     let v = tx.read(&x)?;
-//!     tx.write(&y, v + 1)
+//! let stm = DstmWord::new(Dstm::default());
+//! let x = stm.alloc_tvar(0);
+//! let y = stm.alloc_tvar(0);
+//! run_transaction(&stm, 0, |tx| {
+//!     let v = tx.read(x)?;
+//!     tx.write(y, v + 1)
 //! });
-//! assert_eq!(y.read_atomic(), 1);
+//! assert_eq!(stm.peek(y), Some(1));
 //! ```
 
 pub mod api;
@@ -65,7 +67,7 @@ pub use api::{
     run_transaction, run_transaction_with_budget, BudgetExceeded, TxError, TxResult, WordStm,
     WordTx,
 };
-pub use dstm::{Dstm, DstmWord, Progress, TVar, Tx};
+pub use dstm::{Dstm, DstmWord, Progress};
 pub use notify::{CommitNotifier, WaitSnapshot, NOTIFY_SHARDS};
 pub use reclaim::{GraceTracker, Guard, RetiredBlock};
 pub use record::{fresh_base_id, Recorder};

@@ -42,8 +42,8 @@
 //!   bins under a fresh tag (`GraceCore::defer_bag`): a later tag only
 //!   waits longer.
 //! * **The shared bins**, for garbage that is not made on every commit:
-//!   the states an aborted attempt's frees unlink, the state behind a
-//!   dropped `TVar` handle, a value a re-registration replaces, bags past
+//!   the states an aborted attempt's frees unlink, a value a
+//!   re-registration replaces, bags past
 //!   [`BAG_BOUND`] or displaced from their pool, and Algorithm 2's
 //!   retire-sets. `defer_destroy` tags one item and bins it under the
 //!   bins' lock (`GraceCore::defer_all` a batch under one tag).

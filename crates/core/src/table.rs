@@ -378,18 +378,22 @@ impl<V: Send> VarTable<V> {
         false
     }
 
-    /// Fills `slot` with `v`, adjusting the live count.
-    fn fill(&self, slot: &Atomic<V>, v: V) {
-        if self.swap_in(slot, v) {
+    /// Fills `slot` with `v`, adjusting the live count; `true` if the
+    /// slot was empty.
+    fn fill(&self, slot: &Atomic<V>, v: V) -> bool {
+        let fresh = self.swap_in(slot, v);
+        if fresh {
             // ord: Relaxed counter — read only by the `len` diagnostic.
             self.counts.live.fetch_add(1, Ordering::Relaxed);
         }
+        fresh
     }
 
-    /// Inserts (or replaces) the state for `x`.
-    pub fn insert(&self, x: TVarId, v: V) {
+    /// Inserts (or replaces) the state for `x`; `true` if `x` had none —
+    /// a replacement is not an allocation.
+    pub fn insert(&self, x: TVarId, v: V) -> bool {
         let slot = self.slot(x, true).expect("slot created");
-        self.fill(slot, v);
+        self.fill(slot, v)
     }
 
     /// Inserts the state for `x` only if the slot is empty (atomic

@@ -2,8 +2,7 @@
 //! look-alikes of external crates: the guard-protected pointers of
 //! [`crate::reclaim`], each on a domain of the test's own (so drop counts
 //! are exact), and the poison-recovering lock of [`crate::kernel::StdSync`].
-//! [`Counted`] is also the payload of `table`'s and `dstm::tx`'s liveness
-//! tests.
+//! [`Counted`] is also the payload of `table`'s liveness tests.
 
 use crate::kernel::{MutexLike, StdSync, SyncFacade};
 use crate::reclaim::{Atomic, GraceTracker, Owned, Shared};

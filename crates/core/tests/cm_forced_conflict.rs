@@ -13,7 +13,8 @@
 
 use oftm_core::cm::{Aggressive, ContentionManager, Courteous, Resolution};
 use oftm_core::dstm::descriptor::Descriptor;
-use oftm_core::dstm::Dstm;
+use oftm_core::dstm::{Dstm, DstmWord};
+use oftm_core::{run_transaction, WordStm};
 use oftm_histories::TxId;
 use oftm_obs::{AbortCause, Counter, StatsSnapshot};
 use std::sync::mpsc;
@@ -79,20 +80,23 @@ fn assert_only_cause(delta: &StatsSnapshot, expected: AbortCause, n: u64) {
 /// no other bucket.
 #[test]
 fn forced_peer_kill_tags_cm_arbitrated_exactly_once() {
-    let stm = Dstm::new(Arc::new(Aggressive));
-    let x = stm.new_tvar(0u64);
+    let stm = DstmWord::new(Dstm::new(Arc::new(Aggressive)));
+    let x = stm.alloc_tvar(0);
     let before = stm.stats().snapshot();
 
     let mut victim = stm.begin(0);
-    victim.write(&x, 1).expect("first ownership is uncontended");
+    victim.write(x, 1).expect("first ownership is uncontended");
     // The killer: Aggressive resolves the ownership conflict by aborting
     // the live owner immediately.
     let mut killer = stm.begin(1);
-    killer.write(&x, 2).expect("aggressive kills the owner");
-    killer.commit().expect("killer commits unopposed");
+    killer.write(x, 2).expect("aggressive kills the owner");
+    killer.try_commit().expect("killer commits unopposed");
     // The victim discovers its death at its next operation; the engine
     // tags the abort at that first discovery site.
-    assert!(victim.commit().is_err(), "killed transaction cannot commit");
+    assert!(
+        victim.try_commit().is_err(),
+        "killed transaction cannot commit"
+    );
 
     let delta = stm.stats().snapshot().since(&before);
     assert_only_cause(&delta, AbortCause::CmArbitrated, 1);
@@ -105,17 +109,17 @@ fn forced_peer_kill_tags_cm_arbitrated_exactly_once() {
 /// `read_validation`, once, and in no other bucket.
 #[test]
 fn forced_stale_read_tags_read_validation_exactly_once() {
-    let stm = Dstm::new(Arc::new(Courteous));
-    let x = stm.new_tvar(0u64);
+    let stm = DstmWord::new(Dstm::new(Arc::new(Courteous)));
+    let x = stm.alloc_tvar(0);
     let before = stm.stats().snapshot();
 
     let mut reader = stm.begin(0);
-    assert_eq!(reader.read(&x).expect("clean first read"), 0);
+    assert_eq!(reader.read(x).expect("clean first read"), 0);
     let mut writer = stm.begin(1);
-    writer.write(&x, 7).expect("writer is unopposed");
-    writer.commit().expect("writer commits");
+    writer.write(x, 7).expect("writer is unopposed");
+    writer.try_commit().expect("writer commits");
     assert!(
-        reader.commit().is_err(),
+        reader.try_commit().is_err(),
         "validation must catch the stale read"
     );
 
@@ -128,13 +132,13 @@ fn forced_stale_read_tags_read_validation_exactly_once() {
 /// exactly one, with every conflict bucket untouched.
 #[test]
 fn voluntary_rollback_tags_explicit_retry_exactly_once() {
-    let stm = Dstm::default();
-    let x = stm.new_tvar(0u64);
+    let stm = DstmWord::new(Dstm::default());
+    let x = stm.alloc_tvar(0);
     let before = stm.stats().snapshot();
 
     let mut tx = stm.begin(0);
-    let _ = tx.read(&x).expect("clean read");
-    tx.rollback();
+    let _ = tx.read(x).expect("clean read");
+    tx.try_abort();
 
     let delta = stm.stats().snapshot().since(&before);
     assert_only_cause(&delta, AbortCause::ExplicitRetry, 1);
@@ -150,18 +154,17 @@ fn voluntary_rollback_tags_explicit_retry_exactly_once() {
 fn two_thread_collision_completes_under_every_manager() {
     const OPS: u64 = 200;
     for (name, cm) in managers() {
-        let stm = Arc::new(Dstm::new(cm));
-        let x = stm.new_tvar(0u64);
+        let stm = Arc::new(DstmWord::new(Dstm::new(cm)));
+        let x = stm.alloc_tvar(0);
         let (done_tx, done_rx) = mpsc::channel();
         for p in 0..2u32 {
             let stm = Arc::clone(&stm);
-            let x = x.clone();
             let done = done_tx.clone();
             std::thread::spawn(move || {
                 for _ in 0..OPS {
-                    stm.atomically(p, |tx| {
-                        let v = tx.read(&x)?;
-                        tx.write(&x, v + 1)
+                    run_transaction(&*stm, p, |tx| {
+                        let v = tx.read(x)?;
+                        tx.write(x, v + 1)
                     });
                 }
                 let _ = done.send(p);
@@ -173,6 +176,6 @@ fn two_thread_collision_completes_under_every_manager() {
                 .recv_timeout(Duration::from_secs(30))
                 .unwrap_or_else(|_| panic!("{name}: collision livelocked (watchdog expired)"));
         }
-        assert_eq!(x.read_atomic(), 2 * OPS, "{name}: lost updates");
+        assert_eq!(stm.peek(x), Some(2 * OPS), "{name}: lost updates");
     }
 }

@@ -23,20 +23,23 @@
 //! during this `propose` — so fo-obstruction-freedom holds even though the
 //! underlying TM is only eventually ic-obstruction-free (Lemma 14).
 
+use crate::from_oftm::{decide_once, with_bottom};
 use crate::traits::FoConsensus;
-use oftm_core::dstm::{Dstm, Progress, TVar};
-use oftm_core::TxError;
+use oftm_core::dstm::{Dstm, DstmWord, Progress};
+use oftm_histories::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// fo-consensus over an eventually-ic OFTM (Definition 4 substrate).
-pub struct EventualFoc<T: Clone + Send + Sync + 'static> {
-    stm: Dstm,
-    v: TVar<Option<T>>,
+/// fo-consensus over an eventually-ic OFTM (Definition 4 substrate). `V`
+/// and its ⊥ word are [`OftmFoc`]'s.
+///
+/// [`OftmFoc`]: crate::from_oftm::OftmFoc
+pub struct EventualFoc {
+    stm: DstmWord,
     /// The register array `R[1..n]`.
     r: Box<[AtomicU64]>,
 }
 
-impl<T: Clone + Send + Sync + 'static> EventualFoc<T> {
+impl EventualFoc {
     /// Builds the object for `n` processes on the given TM instance.
     ///
     /// Panics if the TM is strictly obstruction-free — that would be a
@@ -51,21 +54,20 @@ impl<T: Clone + Send + Sync + 'static> EventualFoc<T> {
             matches!(stm.progress(), Progress::EventualGrace(_)),
             "EventualFoc expects an eventually-ic TM (use Dstm::with_grace)"
         );
-        let v = stm.new_tvar(None);
         EventualFoc {
-            stm,
-            v,
+            stm: with_bottom(stm),
             r: (0..n).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    pub fn stm(&self) -> &Dstm {
+    /// The underlying STM (its statistics, its t-variable `V`).
+    pub fn stm(&self) -> &DstmWord {
         &self.stm
     }
 }
 
-impl<T: Clone + Send + Sync + 'static> FoConsensus<T> for EventualFoc<T> {
-    fn propose(&self, proc: u32, vi: T) -> Option<T> {
+impl FoConsensus<Value> for EventualFoc {
+    fn propose(&self, proc: u32, vi: Value) -> Option<Value> {
         let i = proc as usize;
         assert!(i < self.r.len(), "process id out of range");
 
@@ -76,28 +78,9 @@ impl<T: Clone + Send + Sync + 'static> FoConsensus<T> for EventualFoc<T> {
             // R[i] ← R[i] + 1: announce that we are (still) trying.
             self.r[i].fetch_add(1, Ordering::AcqRel);
 
-            // within transaction T_{i,k} …
-            let mut tx = self.stm.begin(proc);
-            let attempt: Result<T, TxError> = (|| {
-                let d = match tx.read(&self.v)? {
-                    None => {
-                        tx.write(&self.v, Some(vi.clone()))?;
-                        vi.clone()
-                    }
-                    Some(w) => w,
-                };
-                Ok(d)
-            })();
-
-            match attempt {
-                Ok(d) => {
-                    if tx.commit().is_ok() {
-                        return Some(d); // on event C_k
-                    }
-                }
-                Err(TxError::Aborted) => {
-                    tx.rollback();
-                }
+            // within transaction T_{i,k} … on event C_k return d
+            if let Some(d) = decide_once(&self.stm, proc, vi) {
+                return Some(d);
             }
 
             // Aborted: give up only with evidence of a concurrent proposer.
@@ -134,14 +117,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "eventually-ic")]
     fn rejects_strict_oftm_substrate() {
-        let _ = EventualFoc::<u64>::new(Dstm::default(), 2);
+        let _ = EventualFoc::new(Dstm::default(), 2);
     }
 
     #[test]
     fn solo_propose_decides() {
         let f = EventualFoc::new(eventual_stm(), 4);
-        assert_eq!(f.propose(0, 5u64), Some(5));
-        assert_eq!(f.propose(1, 9u64), Some(5));
+        assert_eq!(f.propose(0, 5), Some(5));
+        assert_eq!(f.propose(1, 9), Some(5));
     }
 
     #[test]
@@ -186,6 +169,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_process() {
         let f = EventualFoc::new(eventual_stm(), 2);
-        let _ = f.propose(5, 1u64);
+        let _ = f.propose(5, 1);
     }
 }

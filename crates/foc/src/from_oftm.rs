@@ -14,50 +14,74 @@
 //! `V = ⊥` (agreement, fo-validity), and the transaction can be aborted
 //! only under step contention (the OFTM's Definition 2), so an aborting
 //! `propose` is not step-contention-free (fo-obstruction-freedom).
+//!
+//! `V` is one word t-variable of the DSTM engine ([`DstmWord`]), so the
+//! paper's `⊥` is one reserved word, [`BOTTOM`]: `V` starts there, and a
+//! `propose` of it panics — it could not be told from "undecided".
 
 use crate::traits::FoConsensus;
-use oftm_core::dstm::{Dstm, TVar};
-use oftm_core::TxError;
+use oftm_core::dstm::{Dstm, DstmWord};
+use oftm_core::{TxResult, WordStm, WordTx};
+use oftm_histories::{TVarId, Value};
+
+/// The word standing for the paper's `⊥` in `V`: nothing decided yet.
+/// Reserved: proposing it panics.
+pub const BOTTOM: Value = Value::MAX;
+
+/// The t-variable `V`.
+const V: TVarId = TVarId(0);
 
 /// fo-consensus built from one t-variable of an obstruction-free STM.
-pub struct OftmFoc<T: Clone + Send + Sync + 'static> {
-    stm: Dstm,
-    /// The t-variable `V`; `None` is the paper's `⊥`.
-    v: TVar<Option<T>>,
+pub struct OftmFoc {
+    stm: DstmWord,
 }
 
-impl<T: Clone + Send + Sync + 'static> OftmFoc<T> {
+impl OftmFoc {
     /// Builds the object on a fresh OFTM instance.
     pub fn new(stm: Dstm) -> Self {
-        let v = stm.new_tvar(None);
-        OftmFoc { stm, v }
+        OftmFoc {
+            stm: with_bottom(stm),
+        }
     }
 
-    /// The underlying STM (for attaching recorders in experiments).
-    pub fn stm(&self) -> &Dstm {
+    /// The underlying STM (its statistics, its t-variable `V`).
+    pub fn stm(&self) -> &DstmWord {
         &self.stm
     }
 }
 
-impl<T: Clone + Send + Sync + 'static> FoConsensus<T> for OftmFoc<T> {
-    fn propose(&self, proc: u32, vi: T) -> Option<T> {
-        // One transaction T_{i,k}; a fresh k is implicit in `begin`.
-        let mut tx = self.stm.begin(proc);
-        let decision = match tx.read(&self.v) {
-            Ok(None) => {
-                // V = ⊥: claim it with our proposal.
-                match tx.write(&self.v, Some(vi.clone())) {
-                    Ok(()) => vi,
-                    Err(TxError::Aborted) => return None, // A_{i,k}
-                }
-            }
-            Ok(Some(w)) => w,                     // adopt the registered value
-            Err(TxError::Aborted) => return None, // A_{i,k}
-        };
-        match tx.commit() {
-            Ok(()) => Some(decision), // C_{i,k}
-            Err(TxError::Aborted) => None,
+/// `stm` behind its word front end, with `V = ⊥` registered.
+pub(crate) fn with_bottom(stm: Dstm) -> DstmWord {
+    let stm = DstmWord::new(stm);
+    stm.register_tvar(V, BOTTOM);
+    stm
+}
+
+/// One transaction `T_{i,k}` — if `V = ⊥` then `V ← vi` else `vi ← V` —
+/// as Algorithms 1 and 3 both run it: the decision on `C_{i,k}`, `None`
+/// on `A_{i,k}`.
+///
+/// # Panics
+/// If `vi` is [`BOTTOM`].
+pub(crate) fn decide_once(stm: &DstmWord, proc: u32, vi: Value) -> Option<Value> {
+    assert_ne!(vi, BOTTOM, "propose of the word reserved for ⊥");
+    let mut tx = stm.begin(proc);
+    let body = |tx: &mut dyn WordTx| -> TxResult<Value> {
+        match tx.read(V)? {
+            BOTTOM => tx.write(V, vi).map(|()| vi), // V = ⊥: claim it
+            w => Ok(w),                             // adopt the registered value
         }
+    };
+    // An aborted operation has answered `A_{i,k}` already: the handle is
+    // dropped, never handed a `tryA`.
+    let decision = body(&mut *tx).ok()?;
+    tx.try_commit().ok().map(|()| decision)
+}
+
+impl FoConsensus<Value> for OftmFoc {
+    fn propose(&self, proc: u32, vi: Value) -> Option<Value> {
+        // One transaction T_{i,k}; a fresh k is implicit in `begin`.
+        decide_once(&self.stm, proc, vi)
     }
 
     fn name(&self) -> &'static str {
@@ -72,7 +96,7 @@ mod tests {
     use oftm_core::cm::{Aggressive, Courteous};
     use std::sync::Arc;
 
-    fn foc() -> OftmFoc<u64> {
+    fn foc() -> OftmFoc {
         OftmFoc::new(Dstm::new(Arc::new(Courteous)))
     }
 
@@ -126,11 +150,43 @@ mod tests {
         assert_eq!(d.len(), 1, "all retries must converge to one decision");
     }
 
+    /// Every word but ⊥ is a payload, both ends of the range included.
     #[test]
     fn generic_payload() {
-        let stm = Dstm::default();
-        let f: OftmFoc<(u32, u32)> = OftmFoc::new(stm);
-        assert_eq!(f.propose(0, (1, 2)), Some((1, 2)));
-        assert_eq!(f.propose(1, (3, 4)), Some((1, 2)));
+        let f = OftmFoc::new(Dstm::default());
+        assert_eq!(f.propose(0, 0), Some(0));
+        assert_eq!(f.propose(1, BOTTOM - 1), Some(0));
+        let f = OftmFoc::new(Dstm::default());
+        assert_eq!(f.propose(0, BOTTOM - 1), Some(BOTTOM - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved for ⊥")]
+    fn proposing_bottom_panics() {
+        let _ = foc().propose(0, BOTTOM);
+    }
+
+    /// Lemma 7's premise on the history Algorithm 1 itself produced:
+    /// concurrent proposes on a recorded instance give a well-formed
+    /// history in which every forcefully aborted transaction met step
+    /// contention (Definition 2).
+    #[test]
+    fn recorded_proposes_are_well_formed_and_obstruction_free() {
+        use oftm_core::cm::ContentionManager;
+        use oftm_core::Recorder;
+        use oftm_histories::{check_of, well_formed};
+        let managers: [Arc<dyn ContentionManager>; 2] = [Arc::new(Aggressive), Arc::new(Courteous)];
+        for cm in managers {
+            let rec = Arc::new(Recorder::new());
+            let f = OftmFoc::new(Dstm::new(cm).with_recorder(Arc::clone(&rec)));
+            let (decision, aborts) = stress_agreement(&f, 4);
+            let h = rec.snapshot();
+            well_formed(&h).expect("well-formed history");
+            assert_eq!(check_of(&h), [], "forceful abort without step contention");
+            // Every propose ran a recorded transaction, and every retry.
+            let views = h.tx_views();
+            assert_eq!(views.len() as u64, 4 + aborts);
+            assert_eq!(f.stm().peek(V), Some(decision));
+        }
     }
 }

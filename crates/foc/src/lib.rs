@@ -28,7 +28,7 @@ pub mod two_consensus;
 
 pub use cas_foc::CasFoc;
 pub use from_eventual::EventualFoc;
-pub use from_oftm::OftmFoc;
+pub use from_oftm::{OftmFoc, BOTTOM};
 pub use monitored::{check_fo_obstruction_freedom, MonitoredFoc};
 pub use splitter_foc::SplitterFoc;
 pub use tas::{TasConsensus, TestAndSet};

@@ -108,8 +108,9 @@ impl fmt::Display for BaseObjId {
 
 /// The value domain of t-variables and registers.
 ///
-/// A single machine word; rich payloads in the threaded library are layered
-/// on top (see `oftm-core`'s typed `TVar<T>`).
+/// A single machine word, as in the paper's model; every STM in the
+/// workspace, DSTM included, holds words, and the collections of
+/// `oftm-structs` link them into richer structures by storing ids.
 pub type Value = u64;
 
 #[cfg(test)]

@@ -259,7 +259,9 @@ impl HybridStm {
         let prev = stats.snapshot();
         HybridStm {
             tl2,
-            dstm: DstmWord::new(dstm_inner).with_notifier(notify.clone()),
+            dstm: DstmWord::new(dstm_inner)
+                .with_notifier(notify.clone())
+                .as_mirror(),
             stats,
             notify,
             gate: ModeGate::new(PROC_SLOTS, || AtomicU64::new(0)),
@@ -790,49 +792,24 @@ mod tests {
         assert_eq!(s.dstm.live_tvars(), 0);
     }
 
-    /// A payload that counts its live copies.
-    struct Live(Arc<std::sync::atomic::AtomicUsize>);
-
-    impl Live {
-        fn new(live: &Arc<std::sync::atomic::AtomicUsize>) -> Self {
-            live.fetch_add(1, Ordering::SeqCst);
-            Live(Arc::clone(live))
-        }
-    }
-
-    impl Clone for Live {
-        fn clone(&self) -> Self {
-            Live::new(&self.0)
-        }
-    }
-
-    impl Drop for Live {
-        fn drop(&mut self) {
-            self.0.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
     #[test]
     fn dstm_holds_nothing_while_tl2_runs() {
         let s = stm();
         assert_eq!(s.dstm.live_tvars(), 0, "registrations went to TL2 only");
         // Locators the DSTM engine unlinked behind a peer wait in their
         // process's bag; de-escalating reclaims them, as nothing will run
-        // there to do it.
+        // there to do it (`oftm-core`'s
+        // `a_live_walk_frees_the_locators_parked_behind_a_peer` counts
+        // them).
         assert!(s.migrate(Mode::Dstm));
-        let live = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let engine = s.dstm.inner();
-        let v = engine.new_tvar(Live::new(&live));
-        let peer = engine.begin(1);
-        for _ in 0..10 {
-            engine.atomically(0, |tx| tx.write(&v, Live::new(&live)));
+        let peer = s.dstm.begin(1);
+        for i in 0..10 {
+            run_transaction(&s.dstm, 0, |tx| tx.write(X, i));
         }
-        peer.commit_read_only().unwrap();
-        // `T_0`'s copy, the installed locator's two, and the unlinked ones.
-        assert!(live.load(Ordering::SeqCst) > 3, "nothing waited");
+        peer.try_commit().unwrap();
         assert!(s.migrate(Mode::Tl2));
-        assert_eq!(live.load(Ordering::SeqCst), 3, "locators stranded");
-        drop(v);
+        assert_eq!(s.dstm.live_tvars(), 0, "the mirror is gone");
+        assert_eq!(s.peek(X), Some(9));
         let mut node = s.alloc_tvar_block(&[0, 0]);
         for i in 0..1_000u64 {
             // Replace the node X points at, the way a list would.
@@ -869,6 +846,32 @@ mod tests {
             assert_eq!(s.dstm.peek(blk), None, "{mode:?}");
         }
         assert_eq!(s.dstm.live_tvars(), s.live_tvars());
+    }
+
+    /// The TL2 table is the allocator of record: the mirror's
+    /// registrations, evictions and frees count nothing, nor does a
+    /// re-registration, so allocated − freed is what is live.
+    #[test]
+    fn a_round_trip_counts_each_tvar_once() {
+        let s = HybridStm::new(HybridConfig);
+        let counts = |s: &HybridStm| {
+            let snap = s.stats().snapshot();
+            (
+                snap.get(Counter::TvarsAllocated),
+                snap.get(Counter::TvarsFreed),
+            )
+        };
+        s.register_tvar(X, 0);
+        assert!(s.migrate(Mode::Dstm)); // mirrors X
+        let blk = s.alloc_tvar_block(&[0; 4]); // on TL2 and the mirror
+        assert_eq!(counts(&s), (5, 0));
+        assert_eq!(s.live_tvars(), 5);
+        s.free_tvar_block(blk, 4); // on both engines
+        assert!(s.migrate(Mode::Tl2)); // evicts the mirror
+        assert_eq!(counts(&s), (5, 4));
+        assert_eq!(s.live_tvars(), 1);
+        s.register_tvar(X, 1); // replaces: not an allocation
+        assert_eq!(counts(&s), (5, 4));
     }
 
     /// Migrations one thread forces between its own transactions: fewer

@@ -128,9 +128,8 @@ pub enum Counter {
     AbortCmArbitrated,
     AbortExplicitRetry,
     AbortBudgetExhausted,
-    /// Attempts run by a retry loop: `Driver::attempt` and DSTM's typed
-    /// loop each add one per attempt, so an op's attempts past its first
-    /// are its retries. Counted, not timed: a count is one relaxed add, a
+    /// Attempts run by the retry loop: `Driver::attempt` adds one per
+    /// attempt, so an op's attempts past its first are its retries. Counted, not timed: a count is one relaxed add, a
     /// timing two clock reads.
     Attempts,
     /// Aborted async attempts that parked on the commit notifier.

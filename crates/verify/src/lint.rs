@@ -411,19 +411,19 @@ fn is_ordering_critical(rel: &str) -> bool {
         "crates/baselines/src/clock.rs",
         "crates/baselines/src/vlock.rs",
     ];
-    const PREFIX: &[&str] = &[
+    const DIRS: &[&str] = &[
         "crates/core/src/dstm/",
         "crates/algo2/src/",
         "crates/hybrid/src/",
     ];
-    EXACT.contains(&rel) || PREFIX.iter().any(|p| rel.starts_with(p))
+    EXACT.contains(&rel) || DIRS.iter().any(|p| rel.starts_with(p))
 }
 
 /// Blessed `std::sync` lock sites, each with the reason it may block.
 /// By prefix: experiment-driver bins (result aggregation, not measured
 /// code) and this crate's own model scheduler.
 fn is_std_lock_allowed(rel: &str) -> bool {
-    const PREFIX: &[&str] = &["crates/verify/src/", "crates/bench/src/bin/"];
+    const DIRS: &[&str] = &["crates/verify/src/", "crates/bench/src/bin/"];
     const EXACT: &[&str] = &[
         // The executor's run queue and its Condvar-parked workers.
         "crates/shims/async-executor/src/lib.rs",
@@ -447,14 +447,14 @@ fn is_std_lock_allowed(rel: &str) -> bool {
         // closes a window and by escalation requests, never per operation.
         "crates/hybrid/src/lib.rs",
     ];
-    EXACT.contains(&rel) || PREFIX.iter().any(|p| rel.starts_with(p))
+    EXACT.contains(&rel) || DIRS.iter().any(|p| rel.starts_with(p))
 }
 
 /// Blessed clock-read sites: waits between attempts and diagnostics,
 /// never the attempt itself. By prefix: experiment-driver bins (they time
 /// whole runs).
 fn is_clock_read_allowed(rel: &str) -> bool {
-    const PREFIX: &[&str] = &["crates/bench/src/bin/"];
+    const DIRS: &[&str] = &["crates/bench/src/bin/"];
     const EXACT: &[&str] = &[
         // The sync loop's backoff spin and the eventual-ic spin.
         "crates/core/src/contention.rs",
@@ -467,19 +467,19 @@ fn is_clock_read_allowed(rel: &str) -> bool {
         "crates/asyncrt/src/future.rs",
         "crates/asyncrt/src/timer.rs",
     ];
-    EXACT.contains(&rel) || PREFIX.iter().any(|p| rel.starts_with(p))
+    EXACT.contains(&rel) || DIRS.iter().any(|p| rel.starts_with(p))
 }
 
 /// Engine sources, where TM events must not be recorded by hand: DSTM's,
 /// the baselines', Algorithm 2's and the hybrid's.
 fn is_engine(rel: &str) -> bool {
-    const PREFIX: &[&str] = &[
+    const DIRS: &[&str] = &[
         "crates/core/src/dstm/",
         "crates/baselines/src/",
         "crates/algo2/src/",
         "crates/hybrid/src/",
     ];
-    PREFIX.iter().any(|p| rel.starts_with(p))
+    DIRS.iter().any(|p| rel.starts_with(p))
 }
 
 /// Crates whose abort-tagging mentions are not backend tag sites (the

@@ -8,7 +8,8 @@
 //!
 //! Run with: `cargo run --example bank`
 
-use oftm::{Dstm, TVar, TxResult};
+use oftm::core::WordStm;
+use oftm::{run_transaction, Dstm, DstmWord, TVarId, TxResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -19,16 +20,15 @@ const WRITERS: u32 = 4;
 const AUDITORS: u32 = 2;
 
 fn main() {
-    let stm = Arc::new(Dstm::new(Arc::new(oftm::core::cm::Courteous)));
-    let accounts: Vec<TVar<u64>> = (0..ACCOUNTS).map(|_| stm.new_tvar(INITIAL)).collect();
+    let stm = DstmWord::new(Dstm::new(Arc::new(oftm::core::cm::Courteous)));
+    let accounts: Vec<TVarId> = (0..ACCOUNTS).map(|_| stm.alloc_tvar(INITIAL)).collect();
     let expected_total = ACCOUNTS as u64 * INITIAL;
     let audits = AtomicU64::new(0);
 
     std::thread::scope(|s| {
         // Writers: move random amounts between random account pairs.
         for p in 0..WRITERS {
-            let stm = Arc::clone(&stm);
-            let accounts = accounts.clone();
+            let (stm, accounts) = (&stm, &accounts);
             s.spawn(move || {
                 let mut seed = 0x9E37u64.wrapping_mul(u64::from(p) + 1);
                 let mut rand = move || {
@@ -44,12 +44,12 @@ fn main() {
                     if from == to {
                         continue;
                     }
-                    stm.atomically(p, |tx| -> TxResult<()> {
-                        let f = tx.read(&accounts[from])?;
+                    run_transaction(stm, p, |tx| -> TxResult<()> {
+                        let f = tx.read(accounts[from])?;
                         if f >= amount {
-                            let t = tx.read(&accounts[to])?;
-                            tx.write(&accounts[from], f - amount)?;
-                            tx.write(&accounts[to], t + amount)?;
+                            let t = tx.read(accounts[to])?;
+                            tx.write(accounts[from], f - amount)?;
+                            tx.write(accounts[to], t + amount)?;
                         }
                         Ok(())
                     });
@@ -58,14 +58,12 @@ fn main() {
         }
         // Auditors: snapshot the whole bank transactionally.
         for p in WRITERS..WRITERS + AUDITORS {
-            let stm = Arc::clone(&stm);
-            let accounts = accounts.clone();
-            let audits = &audits;
+            let (stm, accounts, audits) = (&stm, &accounts, &audits);
             s.spawn(move || {
                 for _ in 0..200 {
-                    let total = stm.atomically(p, |tx| {
+                    let (total, _) = run_transaction(stm, p, |tx| {
                         let mut sum = 0u64;
-                        for a in &accounts {
+                        for &a in accounts {
                             sum += tx.read(a)?;
                         }
                         Ok(sum)
@@ -80,7 +78,7 @@ fn main() {
         }
     });
 
-    let final_total: u64 = accounts.iter().map(|a| a.read_atomic()).sum();
+    let final_total: u64 = accounts.iter().filter_map(|&a| stm.peek(a)).sum();
     println!(
         "{} transfers across {} threads; {} consistent audits; final total = {} (expected {})",
         WRITERS as usize * TRANSFERS_PER_THREAD,

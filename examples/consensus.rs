@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 
 fn main() {
     // --- Algorithm 1: fo-consensus from the OFTM -------------------------
-    let foc: OftmFoc<u64> = OftmFoc::new(Dstm::new(Arc::new(oftm::core::cm::Courteous)));
+    let foc = OftmFoc::new(Dstm::new(Arc::new(oftm::core::cm::Courteous)));
     let outcomes: Mutex<BTreeMap<u32, (u64, u64)>> = Mutex::new(BTreeMap::new());
 
     std::thread::scope(|s| {

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example preemption`
 
 use oftm::core::api::WordStm;
-use oftm::{Dstm, TVar};
+use oftm::{run_transaction, Dstm, DstmWord};
 use oftm_histories::TVarId;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -19,25 +19,24 @@ const NAP: Duration = Duration::from_millis(100);
 
 fn main() {
     // --- OFTM: the victim is revoked ------------------------------------
-    let stm = Arc::new(Dstm::default());
-    let x: TVar<u64> = stm.new_tvar(0);
+    let stm = DstmWord::new(Dstm::default());
+    let x = stm.alloc_tvar(0);
     let barrier = Arc::new(Barrier::new(2));
     let (latency, victim_fate) = std::thread::scope(|s| {
-        let stm2 = Arc::clone(&stm);
-        let x2 = x.clone();
+        let stm = &stm;
         let b2 = Arc::clone(&barrier);
         let victim = s.spawn(move || {
-            let mut tx = stm2.begin(1);
-            tx.write(&x2, 42).unwrap(); // acquire ownership of x
+            let mut tx = stm.begin(1);
+            tx.write(x, 42).unwrap(); // acquire ownership of x
             b2.wait();
             std::thread::sleep(NAP); // preempted mid-transaction
-            tx.commit()
+            tx.try_commit()
         });
         barrier.wait();
         let start = Instant::now();
-        let seen = stm.atomically(2, |tx| {
-            let v = tx.read(&x)?;
-            tx.write(&x, v + 1)?;
+        let (seen, _) = run_transaction(stm, 2, |tx| {
+            let v = tx.read(x)?;
+            tx.write(x, v + 1)?;
             Ok(v)
         });
         let latency = start.elapsed();
@@ -67,7 +66,7 @@ fn main() {
         });
         barrier.wait();
         let start = Instant::now();
-        oftm::run_transaction(stm, 2, |tx| {
+        run_transaction(stm, 2, |tx| {
             let v = tx.read(TVarId(0))?;
             tx.write(TVarId(0), v + 1)
         });

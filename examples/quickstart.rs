@@ -1,60 +1,60 @@
-//! Quickstart: the typed transactional API in five minutes.
+//! Quickstart: the transactional API in five minutes.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use oftm::{Dstm, TxResult};
-use std::sync::Arc;
+use oftm::core::WordStm;
+use oftm::{run_transaction, Dstm, DstmWord, TxResult};
 
 fn main() {
-    // An STM instance with the default (Aggressive) contention manager.
-    let stm = Arc::new(Dstm::default());
+    // An STM instance with the default (Aggressive) contention manager,
+    // behind its word-level front end.
+    let stm = DstmWord::new(Dstm::default());
 
-    // T-variables: shared, transactional, typed.
-    let counter = stm.new_tvar(0u64);
-    let log_len = stm.new_tvar(0u64);
+    // T-variables: shared, transactional words, named by their ids.
+    let counter = stm.alloc_tvar(0);
+    let log_len = stm.alloc_tvar(0);
 
     // A transaction: read/write any number of t-variables; the closure
     // reruns automatically if the transaction is forcefully aborted.
-    stm.atomically(0, |tx| -> TxResult<()> {
-        let c = tx.read(&counter)?;
-        tx.write(&counter, c + 1)?;
-        let l = tx.read(&log_len)?;
-        tx.write(&log_len, l + 1)
+    run_transaction(&stm, 0, |tx| -> TxResult<()> {
+        let c = tx.read(counter)?;
+        tx.write(counter, c + 1)?;
+        let l = tx.read(log_len)?;
+        tx.write(log_len, l + 1)
     });
-    println!("after one transaction: counter = {}", counter.read_atomic());
+    let peek = |x| stm.peek(x).expect("allocated");
+    println!("after one transaction: counter = {}", peek(counter));
 
     // Concurrency: transactions from many threads compose safely.
     std::thread::scope(|s| {
         for p in 0..4u32 {
-            let stm = Arc::clone(&stm);
-            let counter = counter.clone();
-            let log_len = log_len.clone();
+            let stm = &stm;
             s.spawn(move || {
                 for _ in 0..1000 {
-                    stm.atomically(p, |tx| {
-                        let c = tx.read(&counter)?;
-                        tx.write(&counter, c + 1)?;
-                        let l = tx.read(&log_len)?;
-                        tx.write(&log_len, l + 1)
+                    run_transaction(stm, p, |tx| {
+                        let c = tx.read(counter)?;
+                        tx.write(counter, c + 1)?;
+                        let l = tx.read(log_len)?;
+                        tx.write(log_len, l + 1)
                     });
                 }
             });
         }
     });
-    assert_eq!(counter.read_atomic(), 4001);
-    assert_eq!(log_len.read_atomic(), 4001);
+    assert_eq!(peek(counter), 4001);
+    assert_eq!(peek(log_len), 4001);
     println!(
         "after 4 threads × 1000 transactions: counter = {}, log_len = {} (always equal: atomicity)",
-        counter.read_atomic(),
-        log_len.read_atomic()
+        peek(counter),
+        peek(log_len)
     );
 
-    // Values are not limited to words.
-    let name = stm.new_tvar(String::from("obstruction"));
-    stm.atomically(0, |tx| {
-        let mut s = tx.read(&name)?;
-        s.push_str("-free");
-        tx.write(&name, s)
-    });
-    println!("typed payloads too: {}", name.read_atomic());
+    // The paper's operations by hand: `read`, `write`, then `tryC` — or
+    // `tryA`, which discards every write of the transaction.
+    let mut tx = stm.begin(0);
+    let c = tx.read(counter).expect("no peer to abort us");
+    tx.write(counter, c + 1).expect("no peer to abort us");
+    tx.try_abort();
+    assert_eq!(peek(counter), 4001);
+    println!("tryA discarded the write: counter = {}", peek(counter));
 }

@@ -10,8 +10,8 @@
 //!
 //! This façade crate re-exports the workspace:
 //!
-//! * [`core`] — the DSTM OFTM (`TVar`, `atomically`,
-//!   contention managers, event recording);
+//! * [`core`] — the DSTM OFTM ([`DstmWord`] over word t-variables,
+//!   the transaction driver, contention managers, event recording);
 //! * [`foc`] — fo-consensus objects and Algorithms 1 & 3;
 //! * [`algo2`] — Algorithm 2 (OFTM from foc + registers);
 //! * [`baselines`] — coarse / TL / TL2 lock-based TMs;
@@ -41,21 +41,22 @@
 //! ## Quick start
 //!
 //! ```
-//! use oftm::{Dstm, TxResult};
+//! use oftm::core::WordStm;
+//! use oftm::{run_transaction, Dstm, DstmWord, TxResult};
 //!
-//! let stm = Dstm::default();
-//! let account_a = stm.new_tvar(100u64);
-//! let account_b = stm.new_tvar(0u64);
+//! let stm = DstmWord::new(Dstm::default());
+//! let account_a = stm.alloc_tvar(100);
+//! let account_b = stm.alloc_tvar(0);
 //!
-//! stm.atomically(0, |tx| -> TxResult<()> {
-//!     let a = tx.read(&account_a)?;
-//!     let b = tx.read(&account_b)?;
-//!     tx.write(&account_a, a - 30)?;
-//!     tx.write(&account_b, b + 30)
+//! run_transaction(&stm, 0, |tx| -> TxResult<()> {
+//!     let a = tx.read(account_a)?;
+//!     let b = tx.read(account_b)?;
+//!     tx.write(account_a, a - 30)?;
+//!     tx.write(account_b, b + 30)
 //! });
 //!
-//! assert_eq!(account_a.read_atomic(), 70);
-//! assert_eq!(account_b.read_atomic(), 30);
+//! assert_eq!(stm.peek(account_a), Some(70));
+//! assert_eq!(stm.peek(account_b), Some(30));
 //! ```
 //!
 //! See `examples/` for runnable scenarios and the README's "Experiments"
@@ -76,8 +77,7 @@ pub use oftm_verify as verify;
 
 pub use oftm_asyncrt::{atomically_async, run_transaction_async};
 pub use oftm_core::{
-    run_transaction, run_transaction_with_budget, Dstm, DstmWord, Recorder, TVar, Tx, TxError,
-    TxResult,
+    run_transaction, run_transaction_with_budget, Dstm, DstmWord, Recorder, TxError, TxResult,
 };
 pub use oftm_foc::{CasFoc, EventualFoc, FoConsensus, OftmFoc, SplitterFoc};
 pub use oftm_histories::{History, TVarId, TxId};

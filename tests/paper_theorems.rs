@@ -101,7 +101,7 @@ fn theorem6_algorithm3_gives_foconsensus() {
     use std::time::Duration;
     let stm = oftm::Dstm::new(std::sync::Arc::new(oftm::core::cm::Courteous))
         .with_grace(Duration::from_micros(100));
-    let foc: EventualFoc<u64> = EventualFoc::new(stm, 4);
+    let foc = EventualFoc::new(stm, 4);
     // Sequential proposes never abort (fo-obstruction-freedom).
     let d = foc.propose(0, 5).expect("solo propose decides");
     assert_eq!(d, 5);
