@@ -41,25 +41,9 @@
 //!
 //! ## Read-only transactions
 //!
-//! In Algorithm 2 even a read *acquires* (ownership is how a read learns
-//! the current state), so a read-only transaction on the plain path still
-//! proposes to `Owner` cells, publishes `V[x]`, and gets revoked by the
-//! next writer. [`WordStm::begin_ro`] instead returns an **invisible**
-//! reader: each read walks the decided prefix of `Owner[x, ·]` with
-//! non-proposing observers, adopts the value of the last decided-committed
-//! owner, and records the version it stopped at; prior reads are
-//! re-validated on every access (as in DSTM) and once more at commit — a
-//! new decided-committed version past a recorded stop point aborts.
-//! The reader proposes nothing, owns nothing, and aborts no peer, so no
-//! `Owner` cell ever names it and its commit needs no `State` proposal at
-//! all. Progress: a scan or validation step only repeats when some writer
-//! decided another version in the interim, so read-only transactions are
-//! lock-free (obstruction-free in particular, and abort-free while no
-//! writer commits into their footprint) — but not wait-free: a
-//! continuously growing owner chain can be chased unboundedly.
-//! *Promotion* of plain transactions at commit is necessarily trivial —
-//! only a transaction that performed no operations at all acquired
-//! nothing — and that case skips the `State` proposal the same way.
+//! A declared read-only transaction ([`WordStm::begin_ro`]) is an ordinary
+//! [`Algo2Tx`] whose reads acquire, as in the listing: the declaration
+//! only forbids writes and retires, and its commit counts `CommitsRo`.
 
 use crate::registry::{locked, Registry};
 use oftm_core::api::{TxError, TxResult, WordStm, WordTx};
@@ -224,15 +208,15 @@ pub struct Algo2Stm {
     /// parks). Algorithm 2 has no contention manager: peers race
     /// fo-consensus proposals instead, so its aborts land in the
     /// `cas_lost` (a propose lost to a peer) and `read_validation`
-    /// (decided-chain/`V[x]`/`Aborted[Tk]` checks) buckets.
+    /// (`V[x]`/`Aborted[Tk]` checks) buckets.
     stats: StmStats,
     /// Ablation switch: disables the paper's "essential implementation
     /// detail" #1 — the `Aborted[Tk]` re-check at the end of `acquire`.
-    /// Exists only so tests can demonstrate *why* the paper calls it
+    /// Test builds only, so tests can demonstrate *why* the paper calls it
     /// essential (a revoked transaction keeps observing state and can see
-    /// inconsistent snapshots). Never enable outside tests.
-    #[doc(hidden)]
-    pub ablate_aborted_check: bool,
+    /// inconsistent snapshots).
+    #[cfg(test)]
+    ablate_aborted_check: bool,
 }
 
 impl Algo2Stm {
@@ -250,6 +234,7 @@ impl Algo2Stm {
             tx_seq: AtomicU32::new(0),
             recorder: None,
             stats: StmStats::new(),
+            #[cfg(test)]
             ablate_aborted_check: false,
         }
     }
@@ -307,12 +292,38 @@ impl Algo2Stm {
             self.free_tvar_block(blk.base, blk.len);
         }
     }
+
+    /// The transaction [`WordStm::begin`] (`ro`: [`WordStm::begin_ro`])
+    /// hands out, before the recorder's wrapper.
+    fn begin_tx(&self, proc: u32, ro: bool) -> Box<dyn WordTx + '_> {
+        self.stats.incr(Counter::Begins);
+        if ro {
+            self.stats.incr(Counter::BeginsRo);
+        }
+        // ord: Relaxed — atomicity alone keeps transaction ids unique.
+        let seq = self.tx_seq.fetch_add(1, Ordering::Relaxed);
+        let tx = Box::new(Algo2Tx {
+            stm: self,
+            id: TxId::new(proc, seq),
+            ro,
+            wset: HashSet::new(),
+            touched: Vec::new(),
+            grace: Some(self.initial.domain().begin()),
+            retired: Vec::new(),
+            completed: false,
+            cause_tagged: false,
+        });
+        record::observe(self.recorder(), tx)
+    }
 }
 
 /// A live Algorithm 2 transaction `T_k`.
 pub struct Algo2Tx<'s> {
     stm: &'s Algo2Stm,
     id: TxId,
+    /// Declared read-only ([`WordStm::begin_ro`]): writes and retires
+    /// panic (caller bug), and the commit counts `CommitsRo`.
+    ro: bool,
     /// The write set `wset` (t-variables this transaction owns).
     wset: HashSet<TVarId>,
     /// Footprint log: every t-variable an access *attempted* to acquire,
@@ -480,7 +491,11 @@ impl<'s> Algo2Tx<'s> {
         };
 
         // if Aborted[Tk] then return Ak  ("essential detail" #1)
-        if !self.stm.ablate_aborted_check {
+        #[cfg(test)]
+        let ablated = self.stm.ablate_aborted_check;
+        #[cfg(not(test))]
+        let ablated = false;
+        if !ablated {
             let flag = self.stm.aborted.get_or_create(&self.id, FlagCell::new);
             // ord: Acquire pairs with peers' Release Aborted[Tk] stores.
             let dead = flag.val.load(Ordering::Acquire);
@@ -525,6 +540,7 @@ impl WordTx for Algo2Tx<'_> {
 
     /// `upon write of value v to t-variable x by Tk`.
     fn write(&mut self, x: TVarId, v: Value) -> TxResult<()> {
+        assert!(!self.ro, "algo2: write on a declared read-only transaction");
         self.touched.push(x);
         match self.acquire(x) {
             Err(e) => {
@@ -555,7 +571,11 @@ impl WordTx for Algo2Tx<'_> {
         // overhead. (Anything that *read* acquired, and must still settle
         // its fate below for the scanners that will find it.)
         if self.wset.is_empty() && self.touched.is_empty() {
-            self.stm.stats.incr(Counter::CommitsPromoted);
+            self.stm.stats.incr(if self.ro {
+                Counter::CommitsRo
+            } else {
+                Counter::CommitsPromoted
+            });
             self.stm.reclaim_after_commit(
                 self.grace.take().expect("grace slot held until completion"),
                 std::mem::take(&mut self.retired),
@@ -569,7 +589,11 @@ impl WordTx for Algo2Tx<'_> {
         record::step(self.stm.recorder(), self.id, sc.base, Access::Modify);
         match s {
             Some(v) if v == Fate::Committed as u8 => {
-                self.stm.stats.incr(Counter::Commits);
+                self.stm.stats.incr(if self.ro {
+                    Counter::CommitsRo
+                } else {
+                    Counter::Commits
+                });
                 // Every acquired variable gained a decided version owned
                 // by us (reads acquire too in Algorithm 2): publish the
                 // whole wset — any parked peer conflicting on it can now
@@ -617,6 +641,10 @@ impl WordTx for Algo2Tx<'_> {
     }
 
     fn retire_tvar_block(&mut self, base: TVarId, len: usize) {
+        assert!(
+            !self.ro,
+            "algo2: retire on a declared read-only transaction"
+        );
         self.retired.push(RetiredBlock { base, len });
     }
 
@@ -634,212 +662,6 @@ impl Drop for Algo2Tx<'_> {
             let sc = self.stm.state_cell(self.id);
             let _ = sc.propose(self.id.proc, Fate::Aborted as u8);
             self.tag_abort(AbortCause::ExplicitRetry, VarAttr::NoVar, TX_UNKNOWN);
-        }
-    }
-}
-
-/// An invisible read-only transaction (see the module docs): walks decided
-/// owner chains with non-proposing observers, never acquires, never aborts
-/// a peer, and commits without touching any `State` cell.
-pub struct Algo2RoTx<'s> {
-    stm: &'s Algo2Stm,
-    id: TxId,
-    /// Invisible read-set: `(x, stop_version, value)` — versions below
-    /// `stop_version` were decided when the read returned and `value` is
-    /// the state after the last decided-committed owner among them.
-    reads: Vec<(TVarId, u64, Value)>,
-    /// Conflict hint for the async runtime's parking.
-    touched: Vec<TVarId>,
-    /// Grace-period registration: an invisible reader traverses values it
-    /// adopted from committed owners, so retire-sets published while it
-    /// runs must not be freed under it.
-    grace: Option<Guard<'s>>,
-    completed: bool,
-    cause_tagged: bool,
-}
-
-impl<'s> Algo2RoTx<'s> {
-    fn grace(&self) -> &Guard<'s> {
-        self.grace
-            .as_ref()
-            .expect("grace slot held until completion")
-    }
-
-    /// Walks the decided prefix of `Owner[x, ·]` without proposing and
-    /// returns `(stop_version, state)`: the first version with no decided
-    /// committed-or-aborted owner, and the value after the last
-    /// decided-committed owner below it.
-    fn scan_committed(&self, x: TVarId) -> (u64, Value) {
-        let hint = self
-            .stm
-            .scan_hint
-            .get_or_create(&x, || Mutex::new((1, self.stm.initial_of(x, self.grace()))));
-        let (mut version, mut state) = *locked(&hint);
-        loop {
-            let Some(cell) = self.stm.owner.get(&(x, version)) else {
-                break;
-            };
-            record::step(self.stm.recorder(), self.id, cell.base, Access::Read);
-            let Some(owner) = cell.decided() else {
-                break;
-            };
-            let owner = decode_tx(owner);
-            let sc = self.stm.state_cell(owner);
-            record::step(self.stm.recorder(), self.id, sc.base, Access::Read);
-            match sc.decided() {
-                Some(s) if s == Fate::Committed as u8 => {
-                    let tv = self.stm.tvar.get_or_create(&(x, owner), || RegCell::new(0));
-                    // ord: Acquire pairs with the committed owner's Release
-                    // TVar store.
-                    state = tv.val.load(Ordering::Acquire);
-                    record::step(self.stm.recorder(), self.id, tv.base, Access::Read);
-                }
-                // Aborted owner: this version changes nothing.
-                Some(_) => {}
-                // Live owner: its tentative value is not committed — the
-                // decided prefix ends here.
-                None => break,
-            }
-            // Version `version` is now decided forever: advance the shared
-            // hint under the same monotonic rule `acquire` uses.
-            let mut h = locked(&hint);
-            if version + 1 > h.0 {
-                *h = (version + 1, state);
-            }
-            drop(h);
-            version += 1;
-        }
-        (version, state)
-    }
-
-    /// A recorded read `(x, stop, _)` is still current iff no decided-
-    /// committed version at or past `stop` has appeared since. Returns the
-    /// first invalidated read as `(x, committed_owner)`: the owner is the
-    /// peer whose commit broke the snapshot — exactly the aggressor of the
-    /// who-aborted-whom edge this abort will record.
-    fn first_invalid(&self) -> Option<(TVarId, TxId)> {
-        for &(x, stop, _) in &self.reads {
-            let mut version = stop;
-            loop {
-                let Some(cell) = self.stm.owner.get(&(x, version)) else {
-                    break;
-                };
-                record::step(self.stm.recorder(), self.id, cell.base, Access::Read);
-                let Some(owner) = cell.decided() else {
-                    break;
-                };
-                let owner = decode_tx(owner);
-                let sc = self.stm.state_cell(owner);
-                record::step(self.stm.recorder(), self.id, sc.base, Access::Read);
-                match sc.decided() {
-                    Some(s) if s == Fate::Committed as u8 => return Some((x, owner)),
-                    Some(_) => version += 1,
-                    None => break,
-                }
-            }
-        }
-        None
-    }
-}
-
-impl WordTx for Algo2RoTx<'_> {
-    fn id(&self) -> TxId {
-        self.id
-    }
-
-    fn read(&mut self, x: TVarId) -> TxResult<Value> {
-        self.touched.push(x);
-        self.stm.check_registered(x, self.grace());
-        // A re-read must return the snapshot value already recorded (the
-        // entry is covered by validation), not rescan a possibly-advanced
-        // chain.
-        if let Some(&(_, _, v)) = self.reads.iter().find(|&&(rx, _, _)| rx == x) {
-            return Ok(v);
-        }
-        let (stop, state) = self.scan_committed(x);
-        self.stm.check_registered(x, self.grace());
-        self.reads.push((x, stop, state));
-        // Incremental validation, as in DSTM: every access re-checks the
-        // whole read-set so a live read-only transaction never observes a
-        // torn snapshot (opacity, not just commit-time serializability).
-        if let Some((vx, owner)) = self.first_invalid() {
-            if !self.cause_tagged {
-                self.cause_tagged = true;
-                self.stm.stats.abort_at(
-                    AbortCause::ReadValidation,
-                    VarAttr::Var(vx.0),
-                    pack_tx(self.id.proc, self.id.seq),
-                    pack_tx(owner.proc, owner.seq),
-                );
-            }
-            return Err(TxError::Aborted);
-        }
-        Ok(state)
-    }
-
-    fn write(&mut self, _x: TVarId, _v: Value) -> TxResult<()> {
-        panic!("algo2: write on a declared read-only transaction");
-    }
-
-    fn try_commit(mut self: Box<Self>) -> TxResult<()> {
-        self.completed = true;
-        // No peer ever learned of this transaction (it proposed nothing),
-        // so there is no `State` cell to decide: the final validation is
-        // the commit.
-        if let Some((vx, owner)) = self.first_invalid() {
-            if !self.cause_tagged {
-                self.cause_tagged = true;
-                self.stm.stats.abort_at(
-                    AbortCause::ReadValidation,
-                    VarAttr::Var(vx.0),
-                    pack_tx(self.id.proc, self.id.seq),
-                    pack_tx(owner.proc, owner.seq),
-                );
-            }
-            Err(TxError::Aborted)
-        } else {
-            self.stm.stats.incr(Counter::CommitsRo);
-            self.stm.reclaim_after_commit(
-                self.grace.take().expect("grace slot held until completion"),
-                Vec::new(),
-            );
-            Ok(())
-        }
-    }
-
-    fn try_abort(mut self: Box<Self>) {
-        self.completed = true;
-        if !self.cause_tagged {
-            self.cause_tagged = true;
-            self.stm.stats.abort_at(
-                AbortCause::ExplicitRetry,
-                VarAttr::NoVar,
-                pack_tx(self.id.proc, self.id.seq),
-                TX_UNKNOWN,
-            );
-        }
-        self.grace.take();
-    }
-
-    fn retire_tvar_block(&mut self, _base: TVarId, _len: usize) {
-        panic!("algo2: retire on a declared read-only transaction");
-    }
-
-    fn footprint(&self, out: &mut Vec<TVarId>) {
-        out.extend_from_slice(&self.touched);
-    }
-}
-
-impl Drop for Algo2RoTx<'_> {
-    fn drop(&mut self) {
-        if !self.completed && !self.cause_tagged {
-            self.cause_tagged = true;
-            self.stm.stats.abort_at(
-                AbortCause::ExplicitRetry,
-                VarAttr::NoVar,
-                pack_tx(self.id.proc, self.id.seq),
-                TX_UNKNOWN,
-            );
         }
     }
 }
@@ -896,37 +718,11 @@ impl WordStm for Algo2Stm {
     }
 
     fn begin(&self, proc: u32) -> Box<dyn WordTx + '_> {
-        self.stats.incr(Counter::Begins);
-        // ord: Relaxed — atomicity alone keeps transaction ids unique.
-        let seq = self.tx_seq.fetch_add(1, Ordering::Relaxed);
-        let tx = Box::new(Algo2Tx {
-            stm: self,
-            id: TxId::new(proc, seq),
-            wset: HashSet::new(),
-            touched: Vec::new(),
-            grace: Some(self.initial.domain().begin()),
-            retired: Vec::new(),
-            completed: false,
-            cause_tagged: false,
-        });
-        record::observe(self.recorder(), tx)
+        self.begin_tx(proc, false)
     }
 
     fn begin_ro(&self, proc: u32) -> Box<dyn WordTx + '_> {
-        self.stats.incr(Counter::Begins);
-        self.stats.incr(Counter::BeginsRo);
-        // ord: Relaxed — atomicity alone keeps transaction ids unique.
-        let seq = self.tx_seq.fetch_add(1, Ordering::Relaxed);
-        let tx = Box::new(Algo2RoTx {
-            stm: self,
-            id: TxId::new(proc, seq),
-            reads: Vec::new(),
-            touched: Vec::new(),
-            grace: Some(self.initial.domain().begin()),
-            completed: false,
-            cause_tagged: false,
-        });
-        record::observe(self.recorder(), tx)
+        self.begin_tx(proc, true)
     }
 
     fn notifier(&self) -> &CommitNotifier {
@@ -1176,21 +972,21 @@ mod tests {
     }
 
     #[test]
-    fn ro_reader_is_invisible_to_writers() {
-        // A plain reader acquires and would be revoked by the next writer;
-        // the invisible reader must neither abort a live writer nor be
-        // aborted by committing around it — it sees the committed prefix.
+    fn ro_read_is_visible_to_writers() {
+        // A declared read-only read is the listing's read: it acquires,
+        // and its acquire proposes `aborted` to the live writer's State.
         let s = stm(FocKind::Cas);
         let mut w = s.begin(0);
         w.write(X, 99).unwrap(); // live owner of X's next version
         let mut r = s.begin_ro(1);
-        assert_eq!(r.read(X).unwrap(), 10, "tentative value must be invisible");
+        assert_eq!(r.read(X).unwrap(), 10, "tentative value must not be read");
         r.try_commit().unwrap();
-        // The writer was not aborted by the read-only scan.
-        w.try_commit().unwrap();
-        let mut t = s.begin_ro(2);
-        assert_eq!(t.read(X).unwrap(), 99);
-        t.try_commit().unwrap();
+        assert_eq!(w.try_commit(), Err(TxError::Aborted));
+        let stats = s.stats().snapshot();
+        assert_eq!(
+            (stats.get(Counter::BeginsRo), stats.get(Counter::CommitsRo)),
+            (1, 1)
+        );
     }
 
     #[test]
@@ -1214,14 +1010,6 @@ mod tests {
         assert_eq!(r.read(X).unwrap(), 10);
         let (_, _) = run_transaction(&s, 1, |tx| tx.write(X, 11));
         assert_eq!(r.try_commit(), Err(TxError::Aborted));
-    }
-
-    #[test]
-    #[should_panic(expected = "read-only")]
-    fn ro_write_panics() {
-        let s = stm(FocKind::Cas);
-        let mut tx = s.begin_ro(0);
-        let _ = tx.write(X, 1);
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!    equals exactly what the final structure predicts: aborted attempts'
 //!    allocations released, unlinked nodes reclaimed past their grace
 //!    period, on every kind; and it equals the backend's allocated minus
-//!    freed t-variables ([`tvar_count_failure`]).
+//!    freed t-variables, whose allocated count equals the t-variables the
+//!    cell asked for ([`tvar_count_failure`]).
 //! 4. **Telemetry conservation** ([`conservation_failures`]) — every begun
 //!    attempt ended as exactly one commit or one tagged abort.
 //! 5. **Forensics consistency** ([`forensics_failures`]) — rows in the
@@ -49,20 +50,22 @@
 //! first thing to reach for when a run wedges.
 
 use crate::{make_stm, SplitMix, STM_NAMES};
-use oftm_core::api::{TxResult, WordStm};
+use oftm_core::api::{TxResult, WordStm, WordTx};
+use oftm_core::notify::CommitNotifier;
 use oftm_core::record::Recorder;
 use oftm_histories::{
     conflict_serializable, final_state_opaque, serializable, well_formed, OpacityCheck, SerCheck,
     TVarId, Value,
 };
 use oftm_hybrid::HybridStm;
-use oftm_obs::{AbortCause, Counter, StatsSnapshot};
+use oftm_obs::{AbortCause, Counter, StatsSnapshot, StmStats};
 use oftm_structs::{
     atomically_budgeted, atomically_ro, atomically_ro_budgeted, TxCounter, TxCtx, TxHashMap,
     TxIntSet, TxQueue,
 };
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Transaction-count ceiling for the exact (exponential) checkers; larger
@@ -572,16 +575,94 @@ pub fn expected_live(sc: &Scenario, snapshot: &[u64]) -> usize {
     }
 }
 
-/// The t-variable count identity at quiescence, the reclamation oracle's
+/// The t-variable counts at quiescence, the reclamation oracle's
 /// telemetry side: every backend counts each allocation in
 /// `TvarsAllocated` and each free or eviction in `TvarsFreed`, once — an
 /// engine that mirrors another's allocator (the hybrid's DSTM) counts
-/// nothing — so what was allocated and not freed is what is `live`.
-pub fn tvar_count_failure(stats: &StatsSnapshot, live: usize) -> Option<String> {
+/// nothing — so what was allocated is what the cell `requested`
+/// (`Requests`), and what was allocated and not freed is what is
+/// `live`. The first check catches double counts that balance out.
+pub fn tvar_count_failure(stats: &StatsSnapshot, live: usize, requested: u64) -> Option<String> {
     let allocated = stats.get(Counter::TvarsAllocated);
     let freed = stats.get(Counter::TvarsFreed);
-    (allocated.checked_sub(freed) != Some(live as u64))
-        .then(|| format!("t-variable counts: {allocated} allocated − {freed} freed, {live} live"))
+    (allocated != requested || allocated.checked_sub(freed) != Some(live as u64)).then(|| {
+        format!(
+            "t-variable counts: {allocated} allocated ({requested} requested) − {freed} freed, \
+             {live} live"
+        )
+    })
+}
+
+/// The cell's own count of the t-variables it asked for: forwards every
+/// call to `stm` and adds `initials.len()` per `alloc_tvar_block` and 1
+/// per `register_tvar` (the runner registers each word once).
+struct Requests<'a> {
+    stm: &'a dyn WordStm,
+    requested: AtomicU64,
+}
+
+impl<'a> Requests<'a> {
+    fn new(stm: &'a dyn WordStm) -> Self {
+        Requests {
+            stm,
+            requested: AtomicU64::new(0),
+        }
+    }
+
+    /// T-variables requested so far.
+    fn requested(&self) -> u64 {
+        // ord: Relaxed — read at quiescence, after the workers joined.
+        self.requested.load(Ordering::Relaxed)
+    }
+
+    fn add(&self, n: usize) {
+        // ord: Relaxed — a count, read after the workers joined.
+        self.requested.fetch_add(n as u64, Ordering::Relaxed);
+    }
+}
+
+impl WordStm for Requests<'_> {
+    fn name(&self) -> &'static str {
+        self.stm.name()
+    }
+
+    fn register_tvar(&self, x: TVarId, initial: Value) {
+        self.add(1);
+        self.stm.register_tvar(x, initial);
+    }
+
+    fn alloc_tvar_block(&self, initials: &[Value]) -> TVarId {
+        self.add(initials.len());
+        self.stm.alloc_tvar_block(initials)
+    }
+
+    fn free_tvar_block(&self, base: TVarId, len: usize) {
+        self.stm.free_tvar_block(base, len);
+    }
+
+    fn live_tvars(&self) -> usize {
+        self.stm.live_tvars()
+    }
+
+    fn begin(&self, proc: u32) -> Box<dyn WordTx + '_> {
+        self.stm.begin(proc)
+    }
+
+    fn begin_ro(&self, proc: u32) -> Box<dyn WordTx + '_> {
+        self.stm.begin_ro(proc)
+    }
+
+    fn notifier(&self) -> &CommitNotifier {
+        self.stm.notifier()
+    }
+
+    fn stats(&self) -> &StmStats {
+        self.stm.stats()
+    }
+
+    fn is_obstruction_free(&self) -> bool {
+        self.stm.is_obstruction_free()
+    }
 }
 
 /// Telemetry conservation at quiescence. Every backend counts every begin
@@ -796,6 +877,8 @@ fn run_cell(
         scenario: *sc,
         detail,
     };
+    let requests = Requests::new(stm);
+    let stm: &dyn WordStm = &requests;
 
     let inst = Instance::create(sc, stm);
 
@@ -867,7 +950,7 @@ fn run_cell(
              {expected}"
         )));
     }
-    if let Some(miscount) = tvar_count_failure(&stats, live_tvars) {
+    if let Some(miscount) = tvar_count_failure(&stats, live_tvars, requests.requested()) {
         return Err(fail(miscount));
     }
     let mut telemetry = conservation_failures(&stats, attempts);

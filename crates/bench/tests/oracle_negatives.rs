@@ -221,9 +221,10 @@ fn invariants_and_reclamation_fire_on_a_tampered_snapshot() {
     }
 }
 
-/// The count identity: allocated − freed must be what is live. A backend
-/// that counts a mirrored or replaced t-variable twice trips it, and so
-/// does one that frees more than it allocated.
+/// The counts: allocated must be what the cell requested, and allocated −
+/// freed what is live. A backend that counts a mirrored or replaced
+/// t-variable twice trips it, so does one that frees more than it
+/// allocated, and so does one whose double counts balance out.
 #[test]
 fn tvar_count_identity_fires_on_double_counting() {
     let counts = |allocated: u64, freed: u64| {
@@ -232,17 +233,21 @@ fn tvar_count_identity_fires_on_double_counting() {
         stats.add(Counter::TvarsFreed, freed);
         stats.snapshot()
     };
-    assert_eq!(tvar_count_failure(&counts(5, 4), 1), None);
-    assert_eq!(tvar_count_failure(&counts(0, 0), 0), None);
+    assert_eq!(tvar_count_failure(&counts(5, 4), 1, 5), None);
+    assert_eq!(tvar_count_failure(&counts(0, 0), 0, 0), None);
     // A hybrid in DSTM mode with 5 live t-variables, its mirror counting
     // every one a second time.
-    assert!(tvar_count_failure(&counts(10, 0), 5).is_some());
+    assert!(tvar_count_failure(&counts(10, 0), 5, 5).is_some());
     assert!(
-        tvar_count_failure(&counts(5, 9), 1).is_some(),
+        tvar_count_failure(&counts(5, 9), 1, 5).is_some(),
         "freed past allocated"
     );
     assert!(
-        tvar_count_failure(&counts(5, 4), 2).is_some(),
+        tvar_count_failure(&counts(5, 4), 2, 5).is_some(),
         "a leak the counts miss"
+    );
+    assert!(
+        tvar_count_failure(&counts(10, 9), 1, 5).is_some(),
+        "a double count the identity alone misses: 10 − 9 = 1 live"
     );
 }

@@ -11,6 +11,8 @@
 //!    multi-variable conserved quantity (transfer accounts) never
 //!    observes a torn total, no matter how the scan interleaves with
 //!    committing transfers.
+//! 3. **The declaration's contract** — on *every* backend, `write` and
+//!    `retire_tvar_block` on a `begin_ro` handle panic with "read-only".
 
 use oftm_baselines::{Tl2Stm, TlStm};
 use oftm_bench::{make_stm, STM_NAMES};
@@ -18,6 +20,7 @@ use oftm_core::api::{
     run_transaction_ro, run_transaction_ro_with_budget, run_transaction_with_budget, WordStm,
 };
 use oftm_histories::TVarId;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 const BUDGET: u32 = 50_000;
@@ -93,7 +96,8 @@ fn ro_scan_never_observes_torn_invariant_all_stms() {
     const ACCOUNTS: u64 = 4;
     const INIT: u64 = 1_000;
     for name in STM_NAMES {
-        // Algorithm 2 takes revocable ownership even for plain reads and
+        // Algorithm 2's reads acquire, as in the paper's listing, so a scan
+        // revokes the transfers it overlaps and they revoke it: it
         // livelocks at high op counts; scale like the harness does.
         let (transfers, scans) = if name.starts_with("algo2") {
             (60u64, 60u64)
@@ -145,5 +149,40 @@ fn ro_scan_never_observes_torn_invariant_all_stms() {
                 }
             });
         });
+    }
+}
+
+/// A declared read-only handle refuses writes and retires on every
+/// backend, the hybrid's forwarding handle included: the contract of
+/// [`WordStm::begin_ro`] is the same everywhere, so the backend is just
+/// one more input.
+#[test]
+fn declared_ro_handles_refuse_writes_and_retires_on_every_stm() {
+    let x = TVarId(0);
+    for name in STM_NAMES {
+        for op in ["write", "retire_tvar_block"] {
+            // A fresh instance per call: the unwind drops the handle
+            // mid-transaction, which may poison a blocking backend's gate.
+            let stm = make_stm(name, None);
+            stm.register_tvar(x, 0);
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                let mut tx = stm.begin_ro(0);
+                if op == "write" {
+                    let _ = tx.write(x, 1);
+                } else {
+                    tx.retire_tvar_block(x, 1);
+                }
+            }))
+            .expect_err(&format!("{name}: {op} on a begin_ro handle must panic"));
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.contains("read-only"),
+                "{name}: {op} on a begin_ro handle panicked with {message:?}"
+            );
+        }
     }
 }

@@ -42,7 +42,7 @@ pub enum AbortCause {
     /// A read (or commit-time read-set validation) observed a version
     /// outside the attempt's snapshot: TL/TL2 version-sandwich and
     /// commit validation, DSTM validation and stale upgrade probes,
-    /// Algorithm 2 decided-chain validation.
+    /// Algorithm 2's `V[x]` change check and `Aborted[Tk]` re-check.
     ReadValidation,
     /// A per-variable commit lock stayed busy past the lock patience
     /// (TL/TL2 read spins and commit-time lock acquisition).

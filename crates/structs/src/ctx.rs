@@ -48,8 +48,8 @@ pub fn atomically_budgeted<R>(
 
 /// Read-only variant of [`atomically`]: attempts run on
 /// [`WordStm::begin_ro`], so backends take their cheapest consistent read
-/// path (wait-free per-read validation on TL/TL2, invisible scans on
-/// Algorithm 2 — see each backend's module docs). The body must not
+/// path (wait-free per-read validation on TL/TL2, Algorithm 2's acquiring
+/// reads unchanged — see each backend's module docs). The body must not
 /// write or retire (backends panic if it does); allocation is likewise
 /// out of place in a read-only body.
 pub fn atomically_ro<R>(
