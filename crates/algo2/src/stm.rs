@@ -1013,6 +1013,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "read-only")]
+    fn ro_write_panics() {
+        let s = stm(FocKind::Cas);
+        let mut tx = s.begin_ro(0);
+        let _ = tx.write(X, 1);
+    }
+
+    #[test]
     fn two_var_invariant() {
         let s = Arc::new(stm(FocKind::Cas));
         // X starts 10, Y starts 20; preserve X+Y = 30.

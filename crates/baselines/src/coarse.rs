@@ -402,6 +402,14 @@ mod tests {
         assert!(ro.try_commit().is_ok());
     }
 
+    #[test]
+    #[should_panic(expected = "read-only")]
+    fn ro_write_panics() {
+        let s = stm();
+        let mut ro = s.begin_ro(0);
+        let _ = ro.write(X, 1);
+    }
+
     /// Every process's commits retire into the one bag under the gate: a
     /// block retired under a registered reader waits there, off the shared
     /// bins, and so do the states its eviction unlinks.

@@ -1009,6 +1009,12 @@ mod tests {
         );
     }
 
+    fn ro_write_panics<P: ReadPolicy>() {
+        let s = stm::<P>();
+        let mut ro = s.begin_ro(0);
+        let _ = ro.write(X, 1);
+    }
+
     fn ro_commit_does_not_advance_clock<P: ReadPolicy>() {
         let s = stm::<P>();
         run_transaction(&s, 0, |tx| tx.write(X, 3));
@@ -1248,12 +1254,12 @@ mod tests {
     }
 
     macro_rules! both_policies {
-        ($($name:ident),* $(,)?) => {
+        ($($(#[$attr:meta])* $name:ident),* $(,)?) => {
             mod tl {
-                $(#[test] fn $name() { super::$name::<super::PerObject>() })*
+                $(#[test] $(#[$attr])* fn $name() { super::$name::<super::PerObject>() })*
             }
             mod tl2 {
-                $(#[test] fn $name() { super::$name::<super::Snapshot>() })*
+                $(#[test] $(#[$attr])* fn $name() { super::$name::<super::Snapshot>() })*
             }
         };
     }
@@ -1265,6 +1271,8 @@ mod tests {
         stale_read_aborts_at_commit,
         ro_first_read_refreshes_snapshot,
         ro_snapshot_frozen_after_first_read,
+        #[should_panic(expected = "read-only")]
+        ro_write_panics,
         ro_commit_does_not_advance_clock,
         concurrent_counter,
         invariant_across_two_vars,

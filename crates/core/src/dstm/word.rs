@@ -646,6 +646,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "read-only")]
+    fn ro_write_panics() {
+        let s = word_stm();
+        s.register_tvar(TVarId(0), 0);
+        let mut tx = s.begin_ro(1);
+        let _ = tx.write(TVarId(0), 1);
+    }
+
+    #[test]
     fn concurrent_word_counter() {
         let s = Arc::new(word_stm());
         s.register_tvar(TVarId(0), 0);
