@@ -690,8 +690,8 @@ impl WordStm for Algo2Stm {
     }
 
     fn free_tvar_block(&self, base: TVarId, len: usize) {
-        self.stats.add(Counter::TvarsFreed, len as u64);
-        self.initial.remove_block(base, len);
+        let freed = self.initial.remove_block(base, len);
+        self.stats.add(Counter::TvarsFreed, freed);
         for k in 0..len {
             let x = TVarId(base.0 + k as u64);
             self.v.remove(&x);

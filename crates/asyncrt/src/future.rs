@@ -272,7 +272,7 @@ where
     atomically_async_ro_budgeted(stm, proc, max_attempts, move |ctx| body(ctx.tx()))
 }
 
-/// Asynchronous [`oftm_structs::atomically_budgeted`]: runs `body` with a
+/// Asynchronous `oftm_structs::atomically_budgeted`: runs `body` with a
 /// [`TxCtx`] until an attempt commits, parking on commit notifications
 /// between contended attempts and releasing attempt-local allocations on
 /// abort.
@@ -288,7 +288,7 @@ where
     TxFuture::new(stm, proc, max_attempts, false, body)
 }
 
-/// Asynchronous [`oftm_structs::atomically`]: retries until commit
+/// Asynchronous `oftm_structs::atomically`: retries until commit
 /// (`u32::MAX` budget; exhausting it fails loudly, matching the sync
 /// API).
 pub async fn atomically_async<R, F>(stm: &dyn WordStm, proc: u32, body: F) -> Committed<R>
@@ -299,7 +299,7 @@ where
         .unwrap_or_else(|e| panic!("atomically_async: {e}"))
 }
 
-/// Asynchronous [`oftm_structs::atomically_ro_budgeted`]: attempts run on
+/// Asynchronous `oftm_structs::atomically_ro_budgeted`: attempts run on
 /// [`WordStm::begin_ro`] and aborted attempts never park (they retry
 /// inline or yield) — `Committed::parks` is always zero. The body must
 /// not write, retire, or allocate.
@@ -315,7 +315,7 @@ where
     TxFuture::new(stm, proc, max_attempts, true, body)
 }
 
-/// Asynchronous [`oftm_structs::atomically_ro`].
+/// Asynchronous `oftm_structs::atomically_ro`.
 pub async fn atomically_async_ro<R, F>(stm: &dyn WordStm, proc: u32, body: F) -> Committed<R>
 where
     F: FnMut(&mut TxCtx<'_, '_>) -> TxResult<R> + Unpin,

@@ -34,6 +34,11 @@
 //!   the same [`oftm_core::contention`] schedule the sync loop spins on —
 //!   the safety net that preserves the paper's "eventually runs alone"
 //!   progress argument.
+//! * **No per-collection wrappers**: an `oftm-structs` collection runs
+//!   async by calling its `*_in` primitives inside one
+//!   [`atomically_async`] body — one operation, or several composed into
+//!   one transaction (a dequeue from one queue and an enqueue onto
+//!   another).
 //!
 //! ## Fairness caveats
 //!
@@ -67,11 +72,9 @@
 //! assert_eq!(stm.peek(TVarId(0)), Some(1));
 //! ```
 
-mod collections;
 mod future;
 pub mod timer;
 
-pub use collections::{AsyncHashMap, AsyncIntSet, AsyncQueue};
 pub use future::{
     atomically_async, atomically_async_budgeted, atomically_async_ro, atomically_async_ro_budgeted,
     run_transaction_async, run_transaction_async_budgeted, run_transaction_async_ro_budgeted,

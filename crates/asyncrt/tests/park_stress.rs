@@ -285,14 +285,15 @@ fn hybrid_parked_waiter_survives_migration() {
 /// transaction); the element multiset is invariant.
 #[test]
 fn async_two_queue_transfer_conserves_elements() {
-    use oftm_asyncrt::AsyncQueue;
+    use oftm_asyncrt::atomically_async;
+    use oftm_structs::TxQueue;
     for &name in STM_NAMES {
         let stm = make_stm(name);
-        let a = AsyncQueue::create(&*stm);
-        let b = AsyncQueue::create(&*stm);
+        let a = TxQueue::create(&*stm);
+        let b = TxQueue::create(&*stm);
         let population: Vec<u64> = (100..116).collect();
         for &v in &population {
-            a.0.enqueue(&*stm, 0, v);
+            a.enqueue(&*stm, 0, v);
         }
 
         let ex = Executor::new(4);
@@ -304,7 +305,13 @@ fn async_two_queue_transfer_conserves_elements() {
                     for i in 0..rounds {
                         // Alternate directions so both queues stay busy.
                         let (src, dst) = if (c + i) % 2 == 0 { (a, b) } else { (b, a) };
-                        src.transfer_to(&*stm, c, dst).await;
+                        atomically_async(&*stm, c, move |ctx| {
+                            if let Some(v) = src.dequeue_in(ctx)? {
+                                dst.enqueue_in(ctx, v)?;
+                            }
+                            Ok(())
+                        })
+                        .await;
                     }
                 })
             })
@@ -314,8 +321,8 @@ fn async_two_queue_transfer_conserves_elements() {
         }
         drop(ex);
 
-        let mut rest = a.0.snapshot(&*stm, 99);
-        rest.extend(b.0.snapshot(&*stm, 99));
+        let mut rest = a.snapshot(&*stm, 99);
+        rest.extend(b.snapshot(&*stm, 99));
         rest.sort_unstable();
         assert_eq!(
             rest, population,

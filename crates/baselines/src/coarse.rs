@@ -282,8 +282,8 @@ impl WordStm for CoarseStm {
         // Like allocation, eviction does not take the gate: the committing
         // transaction may still notionally hold it, and a cell an undo log
         // borrows stays allocated under that transaction's pin.
-        self.stats.add(Counter::TvarsFreed, len as u64);
-        self.store.remove_block(base, len);
+        let freed = self.store.remove_block(base, len);
+        self.stats.add(Counter::TvarsFreed, freed);
     }
 
     fn live_tvars(&self) -> usize {

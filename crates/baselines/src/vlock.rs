@@ -865,8 +865,8 @@ impl<P: ReadPolicy> WordStm for VersionedLockStm<P> {
     }
 
     fn free_tvar_block(&self, base: TVarId, len: usize) {
-        self.stats.add(Counter::TvarsFreed, len as u64);
-        self.vars.remove_block(base, len);
+        let freed = self.vars.remove_block(base, len);
+        self.stats.add(Counter::TvarsFreed, freed);
     }
 
     fn live_tvars(&self) -> usize {

@@ -47,7 +47,7 @@ fn main() {
     for name in ["tl", "tl2", "dstm", "coarse"] {
         let rec = Arc::new(Recorder::new());
         let dstm = (name == "dstm").then(|| make_dstm(Some(Arc::clone(&rec))));
-        let dstm_counter = dstm.as_ref().map(|d| d.inner().commit_counter_base());
+        let dstm_counter = dstm.as_ref().map(|d| d.commit_counter_base());
         let stm: Box<dyn WordStm> = match dstm {
             Some(d) => Box::new(d),
             None => make_stm(name, Some(Arc::clone(&rec))),

@@ -125,12 +125,36 @@ pub fn print_header(cols: &[&str]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oftm_histories::TVarId;
 
     #[test]
     fn all_stms_constructible() {
         for name in STM_NAMES {
             let stm = make_stm(name, None);
             assert_eq!(&stm.name(), name);
+        }
+    }
+
+    /// A block freed twice, and one freed and then retired by a commit,
+    /// are each counted freed once: on every backend `TvarsAllocated −
+    /// TvarsFreed` stays what `live_tvars` reports.
+    #[test]
+    fn a_repeated_free_keeps_the_tvar_counts_exact_on_every_stm() {
+        for name in STM_NAMES {
+            let stm = make_stm(name, None);
+            stm.register_tvar(TVarId(0), 0);
+            let (a, b) = (stm.alloc_tvar_block(&[1, 2]), stm.alloc_tvar_block(&[3, 4]));
+            stm.free_tvar_block(a, 2);
+            stm.free_tvar_block(a, 2);
+            stm.free_tvar_block(b, 2);
+            oftm_core::run_transaction(&*stm, 1, |tx| {
+                tx.write(TVarId(0), 1)?;
+                tx.retire_tvar_block(b, 2);
+                Ok(())
+            });
+            let live = stm.live_tvars();
+            let failure = harness::tvar_count_failure(&stm.stats().snapshot(), live, 5);
+            assert_eq!(failure, None, "{name}");
         }
     }
 

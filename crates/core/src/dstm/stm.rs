@@ -1,20 +1,13 @@
-//! The `Dstm` STM instance: configuration and transaction factory.
+//! The `Dstm` configuration: what [`super::DstmWord::new`] builds an
+//! instance from.
 
-use super::descriptor::Descriptor;
-use super::tx::{Scratch, Tx};
 use crate::cm::{Aggressive, ContentionManager};
-use crate::kernel::CommitGate;
-use crate::line::Line;
-use crate::pool::SlotPool;
-use crate::reclaim::GraceTracker;
-use crate::record::{fresh_base_id, Recorder};
-use oftm_histories::{BaseObjId, TxId};
-use oftm_obs::{Counter, StmStats};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use crate::record::Recorder;
+use oftm_obs::StmStats;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Progress policy of a [`Dstm`] instance.
+/// Progress policy of a DSTM instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Progress {
     /// Obstruction-free per Definition 2: a live owner can be aborted
@@ -29,41 +22,26 @@ pub enum Progress {
     EventualGrace(Duration),
 }
 
-/// A DSTM-style obstruction-free software transactional memory: the
-/// engine's configuration (contention manager, progress policy, recorder,
-/// telemetry) and its shared words.
+/// The configuration of a DSTM-style obstruction-free software
+/// transactional memory: contention manager, progress policy, recorder,
+/// telemetry and the first transaction sequence number.
 ///
 /// Build one, configure it with the `with_*` builders and hand it to
-/// [`super::DstmWord::new`], which owns its t-variables and runs its
-/// transactions through the uniform [`crate::api::WordStm`] interface.
+/// [`super::DstmWord::new`], which owns the instance's shared words and
+/// t-variables and runs its transactions through the uniform
+/// [`crate::api::WordStm`] interface.
 pub struct Dstm {
-    cm: Arc<dyn ContentionManager>,
-    progress: Progress,
-    recorder: Option<Arc<Recorder>>,
+    pub(super) cm: Arc<dyn ContentionManager>,
+    pub(super) progress: Progress,
+    pub(super) recorder: Option<Arc<Recorder>>,
+    /// What [`Progress::EventualGrace`] measures a grace period from.
     epoch: Instant,
-    /// Begin sequence numbers, the `TxId` counter. Every begin writes
-    /// it, so it is boxed on a [`Line`] of its own.
-    tx_seq: Box<Line<AtomicU32>>,
-    /// Commit counter gating read-set validation (see [`super::tx`]): the
-    /// one word every transaction of this instance shares. Boxed for the
-    /// reason a [`Line`] is: the counter's cache-line alignment is the
-    /// heap block's, not `Dstm`'s, which other structs embed.
-    gate: Box<CommitGate<AtomicU64>>,
-    gate_base: BaseObjId,
-    /// Every transaction registers here, once, and everything the
-    /// instance unlinks retires here: locators, and the word-level table's
-    /// retired blocks and evicted states, into their process's bag (in
-    /// `scratch`); the abort path's frees into the shared bins.
-    domain: Arc<GraceTracker>,
-    /// Pooled per-transaction buffers and each process's one bag (keyed
-    /// by process), recycled across transactions so the steady state
-    /// allocates nothing per attempt.
-    scratch: SlotPool<Scratch>,
+    /// The first begin's sequence number.
+    pub(super) tx_base: u32,
     /// Always-on telemetry: begins/commits/aborts-by-cause, attempts and
-    /// parks, and the word-level adapter's ([`super::word`]) t-variable
-    /// counts. Behind an `Arc` so an embedding backend (the hybrid) can
-    /// share one registry across engines.
-    stats: Arc<StmStats>,
+    /// parks, and the t-variable counts. Behind an `Arc` so an embedding
+    /// backend (the hybrid) can share one registry across engines.
+    pub(super) stats: Arc<StmStats>,
 }
 
 impl Default for Dstm {
@@ -73,7 +51,7 @@ impl Default for Dstm {
 }
 
 impl Dstm {
-    /// Creates an obstruction-free instance with the given contention
+    /// An obstruction-free configuration with the given contention
     /// manager.
     pub fn new(cm: Arc<dyn ContentionManager>) -> Self {
         Dstm {
@@ -81,11 +59,7 @@ impl Dstm {
             progress: Progress::ObstructionFree,
             recorder: None,
             epoch: Instant::now(),
-            tx_seq: Box::default(),
-            gate: Box::default(),
-            gate_base: fresh_base_id(),
-            domain: Arc::default(),
-            scratch: SlotPool::new(),
+            tx_base: 0,
             stats: Arc::new(StmStats::new()),
         }
     }
@@ -100,25 +74,13 @@ impl Dstm {
     /// Starts transaction sequence numbers at `base`, so two engines
     /// embedded behind one facade (and one recorder) never mint colliding
     /// `TxId`s for the same process.
-    pub fn with_tx_base(self, base: u32) -> Self {
-        // ord: Relaxed — single-threaded builder; atomicity alone keeps
-        // later ids unique.
-        self.tx_seq.store(base, Ordering::Relaxed);
+    pub fn with_tx_base(mut self, base: u32) -> Self {
+        self.tx_base = base;
         self
     }
 
-    /// The telemetry registry of this instance. Counters use relaxed sharded atomics; reading them is
-    /// always safe and never perturbs transactions.
-    pub fn stats(&self) -> &StmStats {
-        &self.stats
-    }
-
-    pub(crate) fn scratch(&self) -> &SlotPool<Scratch> {
-        &self.scratch
-    }
-
-    /// Switches the instance to the eventually-ic progress policy with the
-    /// given grace period (see [`Progress::EventualGrace`]).
+    /// Switches to the eventually-ic progress policy with the given grace
+    /// period (see [`Progress::EventualGrace`]).
     pub fn with_grace(mut self, grace: Duration) -> Self {
         self.progress = Progress::EventualGrace(grace);
         self
@@ -130,48 +92,13 @@ impl Dstm {
         self
     }
 
-    pub fn cm(&self) -> &dyn ContentionManager {
-        &*self.cm
-    }
-
     pub fn progress(&self) -> Progress {
         self.progress
     }
 
-    pub(crate) fn recorder(&self) -> Option<&Recorder> {
-        self.recorder.as_deref()
-    }
-
-    pub(crate) fn gate(&self) -> &CommitGate<AtomicU64> {
-        &self.gate
-    }
-
-    pub(crate) fn domain(&self) -> &Arc<GraceTracker> {
-        &self.domain
-    }
-
-    /// Base-object identity of the commit counter: what the strict-DAP
-    /// checkers name when t-variable-disjoint transactions meet on it.
-    pub fn commit_counter_base(&self) -> BaseObjId {
-        self.gate_base
-    }
-
-    /// Nanoseconds since this instance was created.
-    pub fn now_nanos(&self) -> u64 {
+    /// Nanoseconds since this configuration was created.
+    pub(super) fn now_nanos(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Begins a transaction on behalf of process `proc`.
-    ///
-    /// Per footnote 3 of the paper, the transaction id combines the process
-    /// id with a counter; we use a global counter, which also yields unique
-    /// ids.
-    pub(crate) fn begin(&self, proc: u32) -> Tx<'_> {
-        // ord: Relaxed — atomicity alone keeps transaction ids unique.
-        let seq = self.tx_seq.fetch_add(1, Ordering::Relaxed);
-        let desc = Arc::new(Descriptor::new(TxId::new(proc, seq)));
-        self.stats.incr(Counter::Begins);
-        Tx::new(self, desc)
     }
 }
 
@@ -203,7 +130,7 @@ mod tests {
 
     #[test]
     fn the_begin_counter_has_a_line_pair_of_its_own() {
-        let stm = Dstm::default();
+        let stm = DstmWord::new(Dstm::default());
         assert!(crate::line::isolated_from(&**stm.tx_seq, &stm));
     }
 

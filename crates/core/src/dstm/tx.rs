@@ -31,9 +31,9 @@
 //! one private bag in the instance's reclamation domain under one epoch
 //! bump, and the front of the bag that no running transaction predates is
 //! freed — no lock and no shared word beyond the epoch (see
-//! [`crate::reclaim`]). A word-level commit hands the batch to its table's
-//! commit hook instead, together with the id blocks it retired: still one
-//! tag and one scan. A peer that stays registered while its process is
+//! [`crate::reclaim`]). A commit hands the batch to its table's commit
+//! hook instead, together with the id blocks it retired: still one tag
+//! and one scan. A peer that stays registered while its process is
 //! off the CPU holds the bag up; a process that finds more than
 //! [`BAG_BOUND`] items waiting pauses before its next transaction instead
 //! of piling on.
@@ -79,17 +79,18 @@
 
 use super::descriptor::{Descriptor, TxState};
 use super::locator::Locator;
-use super::stm::{Dstm, Progress};
+use super::stm::Progress;
 use super::tvar::TVarInner;
-use crate::api::{TxError, TxResult};
+use super::word::DstmWord;
+use crate::api::{TxError, TxResult, WordTx};
 use crate::cm::Resolution;
 use crate::contention::{spin_for, PARK_FLOOR};
 use crate::reclaim::{
     Bag, Deferred, GraceTracker, Guard, Owned, Retired, RetiredBlock, Shared, BAG_BOUND,
 };
 use crate::record;
-use crate::table::{Pinned, VarTable};
-use oftm_histories::{Access, TVarId, TxId, Value};
+use crate::table::Pinned;
+use oftm_histories::{Access, BaseObjId, TVarId, TxId, Value};
 use oftm_obs::{pack_tx, AbortCause, Counter, VarAttr, TX_UNKNOWN};
 use std::cell::Cell;
 use std::mem::ManuallyDrop;
@@ -99,7 +100,7 @@ use std::time::Duration;
 /// One entry of the invisible read-set: the t-variable (borrowed; its
 /// address is its identity) and the address of the locator the read
 /// resolved. Validating it is one load of the variable's pointer cell.
-pub(crate) struct ReadEntry {
+struct ReadEntry {
     var: Pinned<TVarInner>,
     addr: usize,
 }
@@ -113,17 +114,18 @@ impl ReadEntry {
 /// Pooled per-process buffers: popped at `begin` and handed back —
 /// cleared, the same `Box` — when the transaction drops. `installed` is
 /// every locator this transaction CASed in (borrowed under its guard like
-/// the read-set): what it stamps its verdict into. `written` is
-/// the word-level adapter's write log ([`super::word`]). `unlinked` is
-/// every locator its acquisitions unlinked, retired when it is done into
-/// `bag`, the process's one private pile in `domain` (on the word level,
-/// also of the id blocks its commits retire and their states).
-pub(crate) struct Scratch {
+/// the read-set): what it stamps its verdict into. `written` is every
+/// t-variable a write named: what a successful commit publishes to the
+/// commit notifier. `unlinked` is every locator its acquisitions
+/// unlinked, retired when it is done into `bag`, the process's one
+/// private pile in the instance's domain (also of the id blocks its
+/// commits retire and their states).
+pub(super) struct Scratch {
     read_set: Vec<ReadEntry>,
     installed: Vec<Pinned<Locator>>,
-    pub(crate) written: Vec<TVarId>,
+    written: Vec<TVarId>,
     unlinked: Vec<Retired<Deferred>>,
-    pub(crate) bag: Bag,
+    pub(super) bag: Bag,
     domain: Arc<GraceTracker>,
 }
 
@@ -157,8 +159,8 @@ impl Scratch {
 
     /// Retires what the finished transaction unlinked, once its guard is
     /// gone, and frees the front of the bag that no registered transaction
-    /// predates. A ripe id block, a word-level commit's, is the table's to
-    /// evict: it goes back in under a later tag, for the next word commit.
+    /// predates. A ripe id block, a commit's, is the table's to evict: it
+    /// goes back in under a later tag, for the next commit.
     fn retire_and_reclaim(&mut self) {
         self.domain.retire(&mut self.bag, self.unlinked.drain(..));
         let ripe = self.domain.reclaim(&mut self.bag);
@@ -176,20 +178,24 @@ impl Drop for Scratch {
     }
 }
 
-/// A live transaction on a [`Dstm`] instance: the engine behind
-/// [`super::word`]'s transaction handle.
+/// A live transaction of a [`DstmWord`]: the engine's one transaction,
+/// and the handle [`crate::api::WordStm::begin`] returns.
 ///
 /// A transaction is executed by a single process, as in the paper's
 /// model. Holds one guard of the instance's domain for its whole lifetime
 /// so that read-set locator addresses cannot be reclaimed-and-reused (no
-/// ABA) and the t-variables the read-set borrows stay allocated.
-pub(crate) struct Tx<'s> {
-    stm: &'s Dstm,
+/// ABA) and the t-variables the read-set borrows stay allocated. Its
+/// footprint is what it logs anyway — the read-set and `written` — plus
+/// the variable a read aborted on before it reached the read-set, so the
+/// async runtime parks on everything the attempt tried to access.
+pub(super) struct Tx<'s> {
+    word: &'s DstmWord,
     desc: Arc<Descriptor>,
-    /// Emptied only by [`Tx::retire_into`], after which nothing is read.
+    /// Emptied only by a successful commit, which hands it to the table's
+    /// commit hook; nothing is read after that.
     guard: Option<Guard<'s>>,
     /// Taken out (and given back to the pool) by `Drop` only.
-    pub(crate) scratch: ManuallyDrop<Box<Scratch>>,
+    scratch: ManuallyDrop<Box<Scratch>>,
     /// Commit-counter value under which the whole read-set was last known
     /// valid (module docs).
     seen: u64,
@@ -200,6 +206,14 @@ pub(crate) struct Tx<'s> {
     /// aborted attempt contributes exactly one cause to the telemetry; the
     /// first site that discovers the attempt dead tags it.
     cause_tagged: Cell<bool>,
+    /// Declared read-only: writes and retires panic (caller bug), and the
+    /// commit takes the CAS-free read-only completion unconditionally.
+    ro: bool,
+    /// Id blocks to retire if the commit succeeds; dropped on abort.
+    retired: Vec<RetiredBlock>,
+    /// The variable an operation aborted on: not necessarily in either
+    /// log, but part of the footprint a parked re-run must wake on.
+    conflict_hint: Option<TVarId>,
 }
 
 /// What [`Tx::open`] found in a t-variable.
@@ -212,31 +226,36 @@ enum Opened<'g> {
 }
 
 impl<'s> Tx<'s> {
-    pub(crate) fn new(stm: &'s Dstm, desc: Arc<Descriptor>) -> Self {
+    pub(super) fn new(word: &'s DstmWord, id: TxId, ro: bool) -> Self {
+        let desc = Arc::new(Descriptor::new(id));
         // Reuse pooled buffers: steady-state transactions validate tens of
         // entries and must not re-grow a fresh `Vec` every attempt.
-        let mut scratch = stm
-            .scratch()
-            .take(desc.id().proc as usize)
-            .unwrap_or_else(|| Box::new(Scratch::new(stm.domain())));
+        let domain = word.vars.domain();
+        let mut scratch = word
+            .scratch
+            .take(id.proc as usize)
+            .unwrap_or_else(|| Box::new(Scratch::new(domain)));
         scratch.pause_if_piled();
         let tx = Tx {
-            stm,
+            word,
             desc,
-            guard: Some(stm.domain().begin()),
+            guard: Some(domain.begin()),
             scratch: ManuallyDrop::new(scratch),
-            seen: stm.gate().sample(),
+            seen: word.gate.sample(),
             full_scans: Cell::new(0),
             finished: false,
             cause_tagged: Cell::new(false),
+            ro,
+            retired: Vec::new(),
+            conflict_hint: None,
         };
-        record::step(
-            stm.recorder(),
-            tx.id(),
-            stm.commit_counter_base(),
-            Access::Read,
-        );
+        tx.step(word.commit_counter_base(), Access::Read);
         tx
+    }
+
+    /// Records a step of this transaction on `obj` (instrumented runs).
+    fn step(&self, obj: BaseObjId, access: Access) {
+        record::step(self.word.cfg.recorder.as_deref(), self.id(), obj, access);
     }
 
     /// This transaction's packed forensic identity ([`pack_tx`]).
@@ -245,33 +264,18 @@ impl<'s> Tx<'s> {
         pack_tx(id.proc, id.seq)
     }
 
-    /// What the word-level adapter looks its table up under.
-    pub(crate) fn guard(&self) -> &Guard<'s> {
+    /// The guard its table lookups and locator loads are made under.
+    fn guard(&self) -> &Guard<'s> {
         self.guard.as_ref().expect("guard held until release")
     }
 
-    /// Hands a completed transaction's guard to `vars`' commit hook, with
-    /// what it unlinked and the `blocks` it retired as one batch: one tag,
-    /// one slot scan. The logs' borrows die first; `Drop` has nothing left
-    /// to retire. Returns how many t-variables the hook evicted.
-    pub(crate) fn retire_into<V: Send>(
-        &mut self,
-        vars: &VarTable<V>,
-        blocks: Vec<RetiredBlock>,
-    ) -> u64 {
-        debug_assert!(self.finished);
-        let guard = self.guard.take().expect("released once");
-        let scratch = &mut **self.scratch;
-        scratch.read_set.clear();
-        scratch.installed.clear();
-        let unlinked = &mut scratch.unlinked;
-        unlinked.extend(blocks.into_iter().map(Retired::Block));
-        vars.retire_and_evict(guard, &mut scratch.bag, unlinked.drain(..))
-    }
-
-    /// The t-variables of the read-set, duplicates included.
-    pub(crate) fn read_ids(&self) -> impl Iterator<Item = TVarId> + '_ {
-        self.scratch.read_set.iter().map(|e| e.var.id)
+    /// Looks `x` up for the operation at hand.
+    fn var(&self, x: TVarId) -> Pinned<TVarInner> {
+        let var = self.word.vars.get_ref_or_panic_in(x, self.guard());
+        // SAFETY: loaded under the transaction's guard, of the domain the
+        // table retires into, and dereferenced by the calling operation
+        // only — which cannot borrow it from `self` and mutate that.
+        unsafe { Pinned::new(var) }
     }
 
     /// Records the abort cause of this attempt, first tag wins. `var`
@@ -280,15 +284,11 @@ impl<'s> Tx<'s> {
     /// identifiable), feeding the who-aborted-whom forensics table.
     fn tag_abort(&self, cause: AbortCause, var: VarAttr, aggressor: u64) {
         if !self.cause_tagged.replace(true) {
-            self.stm
-                .stats()
+            self.word
+                .cfg
+                .stats
                 .abort_at(cause, var, self.packed_id(), aggressor);
         }
-    }
-
-    /// This transaction's identifier.
-    pub(crate) fn id(&self) -> TxId {
-        self.desc.id()
     }
 
     /// Checks our own fate: a forcefully aborted transaction must stop.
@@ -310,19 +310,14 @@ impl<'s> Tx<'s> {
     /// abort), or `None` when consistent. `counter` is the gate's access
     /// (load or bump) that asked for the scan: its step is recorded first.
     fn first_invalid(&self, counter: Access) -> Option<(TVarId, u64)> {
-        record::step(
-            self.stm.recorder(),
-            self.id(),
-            self.stm.commit_counter_base(),
-            counter,
-        );
+        self.step(self.word.commit_counter_base(), counter);
         self.full_scans.set(self.full_scans.get() + 1);
         self.scratch
             .read_set
             .iter()
             .find(|e| {
                 let moved = e.var.current(self.guard()) != e.addr;
-                record::step(self.stm.recorder(), self.id(), e.var.base, Access::Read);
+                self.step(e.var.base, Access::Read);
                 moved
             })
             .map(|e| (e.var.id, self.aggressor_over(&e.var)))
@@ -344,17 +339,12 @@ impl<'s> Tx<'s> {
     /// The gate check (module docs): free while no update transaction
     /// reached its commit point since the read-set was last known valid.
     fn validate_or_abort(&mut self) -> TxResult<()> {
-        let gate = self.stm.gate();
+        let gate = &self.word.gate;
         match gate.check(self.seen, || self.first_invalid(Access::Read)) {
             Ok(now) => {
                 if now == self.seen {
                     // No scan recorded the counter load's step.
-                    record::step(
-                        self.stm.recorder(),
-                        self.id(),
-                        self.stm.commit_counter_base(),
-                        Access::Read,
-                    );
+                    self.step(self.word.commit_counter_base(), Access::Read);
                 }
                 self.seen = now;
                 Ok(())
@@ -376,7 +366,7 @@ impl<'s> Tx<'s> {
     fn abort_self(&mut self, cause: AbortCause, var: VarAttr, aggressor: u64) {
         let won = self.desc.try_abort();
         let access = if won { Access::Modify } else { Access::Read };
-        record::step(self.stm.recorder(), self.id(), self.desc.base(), access);
+        self.step(self.desc.base(), access);
         if won {
             self.tag_abort(cause, var, aggressor);
         } else {
@@ -384,7 +374,7 @@ impl<'s> Tx<'s> {
             self.tag_abort(AbortCause::CmArbitrated, VarAttr::opt(kvar), killer);
         }
         self.stamp_installed(TxState::Aborted);
-        self.stm.cm().on_abort(&self.desc);
+        self.word.cfg.cm.on_abort(&self.desc);
         self.finished = true;
     }
 
@@ -394,7 +384,7 @@ impl<'s> Tx<'s> {
     fn stamp_installed(&self, verdict: TxState) {
         for loc in &self.scratch.installed {
             loc.stamp(verdict);
-            record::step(self.stm.recorder(), self.id(), loc.base, Access::Modify);
+            self.step(loc.base, Access::Modify);
         }
     }
 
@@ -403,13 +393,13 @@ impl<'s> Tx<'s> {
     /// when the owner is no longer live (aborted by us or completed by
     /// itself) or asks the caller to re-examine the variable.
     fn resolve_conflict(&self, owner: &Arc<Descriptor>, var: TVarId, attempt: &mut u32) {
-        match self.stm.cm().resolve(&self.desc, owner, *attempt) {
+        match self.word.cfg.cm.resolve(&self.desc, owner, *attempt) {
             Resolution::AbortOther => {
                 // The eventual-ic variant (Definition 4) refuses to kill an
                 // owner before its grace period elapsed, obstructing the
                 // caller for a bounded time instead.
-                if let Progress::EventualGrace(grace) = self.stm.progress() {
-                    let now = self.stm.now_nanos();
+                if let Progress::EventualGrace(grace) = self.word.cfg.progress {
+                    let now = self.word.cfg.now_nanos();
                     let first = owner.note_conflict(now);
                     if now.saturating_sub(first) < grace.as_nanos() as u64 {
                         spin_for(Duration::from_micros(5));
@@ -422,9 +412,7 @@ impl<'s> Tx<'s> {
                 // name us and the variable we fought over exactly.
                 owner.stamp_killer(self.packed_id(), var.0);
                 let killed = owner.try_abort();
-                record::step(
-                    self.stm.recorder(),
-                    self.id(),
+                self.step(
                     owner.base(),
                     if killed { Access::Modify } else { Access::Read },
                 );
@@ -445,7 +433,7 @@ impl<'s> Tx<'s> {
                 self.check_self()?;
             }
             let shared = v.load(self.guard());
-            record::step(self.stm.recorder(), self.id(), v.base, Access::Read);
+            self.step(v.base, Access::Read);
             if shared.is_null() {
                 return Ok(Opened::Settled(shared, v.initial()));
             }
@@ -455,9 +443,7 @@ impl<'s> Tx<'s> {
             if loc.owned_by(&self.desc) {
                 return Ok(Opened::Mine(loc));
             }
-            match loc
-                .resolve_via(|obj| record::step(self.stm.recorder(), self.id(), obj, Access::Read))
-            {
+            match loc.resolve_via(|obj| self.step(obj, Access::Read)) {
                 Ok(val) => return Ok(Opened::Settled(shared, val)),
                 Err(owner) => self.resolve_conflict(owner, v.id, attempt),
             }
@@ -465,14 +451,14 @@ impl<'s> Tx<'s> {
     }
 
     /// Reads t-variable `v` within the transaction. `v` must not be
-    /// retired yet: the caller loaded it from the word-level table after
-    /// this transaction began.
-    pub(crate) fn read_var(&mut self, v: &TVarInner) -> TxResult<Value> {
+    /// retired yet: the caller loaded it from the table after this
+    /// transaction began.
+    fn read_var(&mut self, v: &TVarInner) -> TxResult<Value> {
         let (addr, val) = match self.open(v, &mut 0)? {
             Opened::Mine(loc) => {
                 // SAFETY: we are the owner and live (`open` checked).
                 let val = unsafe { *loc.tentative_value() };
-                record::step(self.stm.recorder(), self.id(), loc.base, Access::Read);
+                self.step(loc.base, Access::Read);
                 return Ok(val);
             }
             Opened::Settled(shared, val) => (shared.as_raw() as usize, *val),
@@ -489,7 +475,7 @@ impl<'s> Tx<'s> {
             // retirement is `defer_destroy` into our domain, so
             // `self.guard`, registered at `begin`, keeps it allocated until
             // it is released; the read-set is emptied before that
-            // (`retire_into`, `Drop`).
+            // (`try_commit`, `Drop`).
             let var = unsafe { Pinned::new(v) };
             read_set.push(ReadEntry { var, addr });
         }
@@ -500,7 +486,7 @@ impl<'s> Tx<'s> {
     /// Writes `value` to t-variable `v` within the transaction, acquiring
     /// ownership if not already held; same contract as [`Tx::read_var`]
     /// (no entry is kept, so only for the call).
-    pub(crate) fn write_var(&mut self, v: &TVarInner, value: Value) -> TxResult<()> {
+    fn write_var(&mut self, v: &TVarInner, value: Value) -> TxResult<()> {
         let mut attempt = 0u32;
         loop {
             let (shared, old_val) = match self.open(v, &mut attempt)? {
@@ -509,7 +495,7 @@ impl<'s> Tx<'s> {
                     // SAFETY: we are the live owner; no outstanding references
                     // to the tentative value exist (reads clone it out).
                     unsafe { loc.set_tentative(value) };
-                    record::step(self.stm.recorder(), self.id(), loc.base, Access::Modify);
+                    self.step(loc.base, Access::Modify);
                     return Ok(());
                 }
                 Opened::Settled(shared, val) => (shared, *val),
@@ -528,16 +514,16 @@ impl<'s> Tx<'s> {
             // Failure: someone interposed; re-examine. (The rejected
             // locator is dropped here, unpublished.)
             let Ok((installed, unlinked)) = v.cas(shared, new_loc) else {
-                record::step(self.stm.recorder(), self.id(), v.base, Access::Read);
+                self.step(v.base, Access::Read);
                 continue;
             };
             let new_addr = installed.as_raw() as usize;
             // SAFETY: installed under our guard, and retired — once a later
             // acquisition unlinks it — into our domain, so it stays
             // allocated until the guard goes; the log is emptied before
-            // that (`retire_into`, `Drop`).
+            // that (`try_commit`, `Drop`).
             let installed = unsafe { Pinned::new(installed.deref()) };
-            record::step(self.stm.recorder(), self.id(), v.base, Access::Modify);
+            self.step(v.base, Access::Modify);
             self.scratch.installed.push(installed);
             // Retired when we are done, whatever the verdict: the unlink
             // stands.
@@ -553,9 +539,9 @@ impl<'s> Tx<'s> {
     }
 
     /// `tryC`: validates and attempts the commit CAS, in place: the
-    /// word-level adapter still needs the footprint logs in `scratch` once
-    /// the verdict is in.
-    pub(crate) fn complete(&mut self) -> TxResult<()> {
+    /// commit still needs the write log in `scratch` once the verdict is
+    /// in.
+    fn complete(&mut self) -> TxResult<()> {
         // Settled on every path below: killed already, failed validation
         // (`abort_self`), or through the status CAS.
         self.finished = true;
@@ -568,26 +554,19 @@ impl<'s> Tx<'s> {
             self.validate_or_abort()?;
         } else {
             let mut scanned = false;
-            let point = self.stm.gate().commit_point(self.seen, || {
+            let point = self.word.gate.commit_point(self.seen, || {
                 scanned = true;
                 self.first_invalid(Access::Modify)
             });
             if !scanned {
-                record::step(
-                    self.stm.recorder(),
-                    self.id(),
-                    self.stm.commit_counter_base(),
-                    Access::Modify,
-                );
+                self.step(self.word.commit_counter_base(), Access::Modify);
             }
             if let Err(invalid) = point {
                 return self.fail_validation(invalid);
             }
         }
         let won = self.desc.try_commit();
-        record::step(
-            self.stm.recorder(),
-            self.id(),
+        self.step(
             self.desc.base(),
             if won { Access::Modify } else { Access::Read },
         );
@@ -598,8 +577,8 @@ impl<'s> Tx<'s> {
             TxState::Aborted
         });
         if won {
-            self.stm.stats().incr(Counter::Commits);
-            self.stm.cm().on_commit(&self.desc);
+            self.word.cfg.stats.incr(Counter::Commits);
+            self.word.cfg.cm.on_commit(&self.desc);
             Ok(())
         } else {
             // Lost the commit-point CAS on our own status word: a peer's
@@ -607,15 +586,15 @@ impl<'s> Tx<'s> {
             // killer stamp names it and the fought-over variable.
             let (killer, kvar) = self.desc.killer();
             self.tag_abort(AbortCause::CasLost, VarAttr::opt(kvar), killer);
-            self.stm.cm().on_abort(&self.desc);
+            self.word.cfg.cm.on_abort(&self.desc);
             Err(TxError::Aborted)
         }
     }
 
     /// Read-only `tryC`: validates the read-set and completes without the
-    /// commit CAS, counted under `commit_counter` — the word-level adapter
-    /// routes a transaction that *declared* update intent but acquired
-    /// nothing here as [`Counter::CommitsPromoted`].
+    /// commit CAS, counted under `commit_counter` — a transaction that
+    /// *declared* update intent but wrote nothing lands here as
+    /// [`Counter::CommitsPromoted`].
     ///
     /// Sound only for a transaction that acquired nothing: reads are
     /// invisible and install no locators, so no peer ever holds a
@@ -624,7 +603,7 @@ impl<'s> Tx<'s> {
     /// nothing and can be elided. The final validation is still the
     /// linearization point (everything read was simultaneously current at
     /// that instant).
-    pub(crate) fn complete_read_only(&mut self, commit_counter: Counter) -> TxResult<()> {
+    fn complete_read_only(&mut self, commit_counter: Counter) -> TxResult<()> {
         assert!(
             self.scratch.installed.is_empty(),
             "commit_read_only on a transaction that acquired variables"
@@ -635,21 +614,95 @@ impl<'s> Tx<'s> {
         // No critical section to time: nothing is published, and once
         // gated the whole completion is one load.
         self.validate_or_abort()?;
-        self.stm.stats().incr(commit_counter);
-        self.stm.cm().on_commit(&self.desc);
+        self.word.cfg.stats.incr(commit_counter);
+        self.word.cfg.cm.on_commit(&self.desc);
         Ok(())
-    }
-
-    /// `tryA`: voluntarily aborts. Consumes the transaction. Abandoning a
-    /// still-viable attempt is an explicit retry in the abort taxonomy.
-    pub(crate) fn rollback(mut self) {
-        self.abort_self(AbortCause::ExplicitRetry, VarAttr::NoVar, TX_UNKNOWN);
     }
 
     /// Number of read-set scans this transaction has run.
     #[cfg(test)]
-    pub(crate) fn full_scans(&self) -> u32 {
+    fn full_scans(&self) -> u32 {
         self.full_scans.get()
+    }
+}
+
+impl WordTx for Tx<'_> {
+    fn id(&self) -> TxId {
+        self.desc.id()
+    }
+
+    fn read(&mut self, x: TVarId) -> TxResult<Value> {
+        let var = self.var(x);
+        let r = self.read_var(&var);
+        if r.is_err() {
+            self.conflict_hint = Some(x);
+        }
+        r
+    }
+
+    fn write(&mut self, x: TVarId, v: Value) -> TxResult<()> {
+        assert!(!self.ro, "dstm: write on a declared read-only transaction");
+        let var = self.var(x);
+        self.scratch.written.push(x);
+        self.write_var(&var, v)
+    }
+
+    fn try_commit(mut self: Box<Self>) -> TxResult<()> {
+        // Detect-on-commit promotion: a transaction that wrote nothing
+        // installed no locators, so its descriptor is unreachable from
+        // every t-variable and the status CAS publishes nothing — take
+        // the validate-only read-only completion. Declared read-only
+        // transactions (`begin_ro`) land here by construction.
+        let r = if self.ro {
+            self.complete_read_only(Counter::CommitsRo)
+        } else if self.scratch.written.is_empty() {
+            self.complete_read_only(Counter::CommitsPromoted)
+        } else {
+            self.complete()
+        };
+        if r.is_ok() {
+            let word = self.word;
+            // The commit's status CAS made the new values current: wake
+            // transactions parked on what we wrote.
+            let written = &self.scratch.written;
+            if !written.is_empty() {
+                word.notify.publish(written.iter().copied());
+            }
+            // Hand the guard to the table's commit hook with what we
+            // unlinked and the blocks we retired as one batch — one tag,
+            // one slot scan — and evict every block whose grace period has
+            // elapsed. The logs' borrows die first; `Drop` has nothing
+            // left to retire.
+            let guard = self.guard.take().expect("released once");
+            let retired = std::mem::take(&mut self.retired);
+            let scratch = &mut **self.scratch;
+            scratch.read_set.clear();
+            scratch.installed.clear();
+            let unlinked = &mut scratch.unlinked;
+            unlinked.extend(retired.into_iter().map(Retired::Block));
+            let evicted = word
+                .vars
+                .retire_and_evict(guard, &mut scratch.bag, unlinked.drain(..));
+            word.count_tvars(Counter::TvarsFreed, evicted);
+        }
+        r
+    }
+
+    /// `tryA`: abandoning a still-viable attempt is an explicit retry in
+    /// the abort taxonomy.
+    fn try_abort(mut self: Box<Self>) {
+        self.abort_self(AbortCause::ExplicitRetry, VarAttr::NoVar, TX_UNKNOWN);
+    }
+
+    fn retire_tvar_block(&mut self, base: TVarId, len: usize) {
+        assert!(!self.ro, "dstm: retire on a declared read-only transaction");
+        self.retired.push(RetiredBlock { base, len });
+    }
+
+    fn footprint(&self, out: &mut Vec<TVarId>) {
+        out.extend(self.scratch.read_set.iter().map(|e| e.var.id));
+        out.extend_from_slice(&self.scratch.written);
+        out.extend(self.conflict_hint);
     }
 }
 
@@ -674,21 +727,19 @@ impl Drop for Tx<'_> {
             drop(guard);
             scratch.retire_and_reclaim();
         }
-        self.stm
-            .scratch()
-            .put(self.desc.id().proc as usize, scratch);
+        let proc = self.desc.id().proc;
+        self.word.scratch.put(proc as usize, scratch);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    //! The engine's behaviours, driven through the word-level transaction
-    //! ([`super::super::word`]) before the recorder's wrapper, so a test
-    //! can look at the engine's logs.
+    //! The engine's behaviours, driven through the transaction before the
+    //! recorder's wrapper, so a test can look at the engine's logs.
     use super::*;
-    use crate::api::{run_transaction, WordStm, WordTx};
+    use crate::api::{run_transaction, WordStm};
     use crate::cm::Aggressive;
-    use crate::dstm::word::{DstmWord, DstmWordTx};
+    use crate::dstm::Dstm;
     use std::sync::Weak;
     use std::time::Instant;
 
@@ -697,18 +748,18 @@ mod tests {
     }
 
     /// A transaction of process `p`.
-    fn begin(s: &DstmWord, p: u32) -> Box<DstmWordTx<'_>> {
+    fn begin(s: &DstmWord, p: u32) -> Box<Tx<'_>> {
         s.begin_tx(p, false)
     }
 
     /// Read-set entries of `t`.
-    fn reads(t: &DstmWordTx<'_>) -> usize {
-        t.tx.scratch.read_set.len()
+    fn reads(t: &Tx<'_>) -> usize {
+        t.scratch.read_set.len()
     }
 
     /// Locators `t` installed.
-    fn writes(t: &DstmWordTx<'_>) -> usize {
-        t.tx.scratch.installed.len()
+    fn writes(t: &Tx<'_>) -> usize {
+        t.scratch.installed.len()
     }
 
     #[test]
@@ -925,7 +976,7 @@ mod tests {
                 assert_eq!(t1.read(v).unwrap(), i as u64);
             }
             assert_eq!(reads(&t1), 64);
-            let counted = t1.tx.full_scans();
+            let counted = t1.full_scans();
             t1.try_commit().unwrap();
             assert_eq!(counted, scans);
         }
@@ -943,7 +994,7 @@ mod tests {
         t2.write(other, 1).unwrap();
         t2.try_commit().unwrap();
         assert_eq!(t1.read(y).unwrap(), 0);
-        assert_eq!(t1.tx.full_scans(), 1);
+        assert_eq!(t1.full_scans(), 1);
         // The first acquisition swings x away from null for good.
         let mut t3 = begin(&s, 3);
         t3.write(x, 1).unwrap();
@@ -955,7 +1006,7 @@ mod tests {
     /// Resolves `x`'s current locator as a reader would: the value, and
     /// whether that took a load of the owner's status word.
     fn resolve_current(s: &DstmWord, x: TVarId) -> (Value, bool) {
-        let guard = s.inner().domain().begin();
+        let guard = s.vars.domain().begin();
         let var = s.vars.get_ref_in(x, &guard).expect("registered");
         let loc = var.load(&guard);
         assert!(!loc.is_null(), "x was acquired");
@@ -1031,10 +1082,9 @@ mod tests {
             let h = rec.snapshot();
             let modify = |e: &Event, at| matches!(*e, Event::Step { obj, access: Access::Modify, .. } if obj == at);
             let modified = |at: BaseObjId| h.iter().any(|e| modify(&e.event, at));
-            let stm = s.inner();
-            let bumped = u64::from(modified(stm.commit_counter_base()));
-            assert_eq!(stm.gate().sample(), bumped, "counter after step {steps}");
-            let guard = stm.domain().begin();
+            let bumped = u64::from(modified(s.commit_counter_base()));
+            assert_eq!(s.gate.sample(), bumped, "counter after step {steps}");
+            let guard = s.vars.domain().begin();
             for (i, &x) in vars.iter().enumerate() {
                 let var = s.vars.get_ref_in(x, &guard).expect("registered");
                 let loc = var.load(&guard);
@@ -1105,7 +1155,7 @@ mod tests {
             }
             for _ in 0..100_000 {
                 let mut tx = begin(&s, 0);
-                let body = |tx: &mut DstmWordTx<'_>| -> TxResult<()> {
+                let body = |tx: &mut Tx<'_>| -> TxResult<()> {
                     let vx = tx.read(x)?;
                     let vy = tx.read(y)?;
                     assert_eq!(vx.wrapping_add(vy), 0, "torn pair inside the body");
@@ -1153,14 +1203,14 @@ mod tests {
     fn acquire_and_roll_back(s: &DstmWord, p: u32, x: TVarId) -> Weak<Descriptor> {
         let mut tx = begin(s, p);
         tx.write(x, u64::from(p)).unwrap();
-        let owner = Arc::downgrade(&tx.tx.desc);
+        let owner = Arc::downgrade(&tx.desc);
         tx.try_abort();
         owner
     }
 
     /// Items waiting in process `p`'s bag.
     fn piled(s: &DstmWord, p: u32) -> usize {
-        let pool = s.inner().scratch();
+        let pool = &s.scratch;
         let scratch = pool.take(p as usize).expect("parked scratch");
         let piled = scratch.bag.len();
         pool.put(p as usize, scratch);
@@ -1183,11 +1233,7 @@ mod tests {
             tx.write(x, i).unwrap();
             tx.try_commit().unwrap();
         }
-        assert_eq!(
-            s.inner().domain().pending_memory(),
-            0,
-            "a write used the bins"
-        );
+        assert_eq!(s.vars.domain().pending_memory(), 0, "a write used the bins");
         assert_eq!(piled(&s, 1), 9, "the first write unlinked T_0 only");
         peer.try_commit().unwrap();
         drop(begin(&s, 1));
@@ -1207,14 +1253,14 @@ mod tests {
         assert_eq!(dropped(&owners), 0, "a bag is reclaimed by its process");
         drop(begin(&s, 1));
         assert_eq!(dropped(&owners), 1);
-        assert_eq!(s.inner().domain().pending_memory(), 0);
+        assert_eq!(s.vars.domain().pending_memory(), 0);
     }
 
     #[test]
     fn a_displaced_scratch_hands_its_bag_to_the_domain() {
         let s = stm();
         let x = s.alloc_tvar(0);
-        let peer = s.inner().domain().begin();
+        let peer = s.vars.domain().begin();
         let mut owners: Vec<_> = (0..5).map(|_| acquire_and_roll_back(&s, 1, x)).collect();
         assert_eq!(piled(&s, 1), 4);
         // Two transactions of one process: the first takes the pooled
@@ -1224,7 +1270,7 @@ mod tests {
         drop(first);
         drop(second);
         assert_eq!(
-            s.inner().domain().pending_memory(),
+            s.vars.domain().pending_memory(),
             4,
             "the bag went to the bins"
         );
@@ -1234,7 +1280,7 @@ mod tests {
         // A bag left unripe at the end goes to the bins with the pool, and
         // the bins go with the domain, which the table keeps: with the
         // installed locator the table frees, every locator is freed, once.
-        let peer = s.inner().domain().begin();
+        let peer = s.vars.domain().begin();
         owners.push(acquire_and_roll_back(&s, 1, x));
         assert_eq!(piled(&s, 1), 1);
         drop(peer);
@@ -1250,7 +1296,7 @@ mod tests {
         let mut owners = vec![acquire_and_roll_back(&s, 1, x)];
         // A peer that stays registered, as a descheduled one would:
         // nothing unlinked from here on may be freed.
-        let peer = s.inner().domain().begin();
+        let peer = s.vars.domain().begin();
         let mut pauses = 0;
         for _ in 0..BAG_BOUND + 1 + OVER {
             let before = piled(&s, 1);
@@ -1259,7 +1305,7 @@ mod tests {
             if before > BAG_BOUND {
                 pauses += 1;
                 assert!(started.elapsed() >= PARK_FLOOR, "no pause");
-                let pending = s.inner().domain().pending_memory();
+                let pending = s.vars.domain().pending_memory();
                 assert_eq!(pending, pauses, "the excess moved");
             }
             assert!(piled(&s, 1) <= BAG_BOUND + 1, "piled past the bound");

@@ -1,5 +1,5 @@
-//! Word-level adapter: exposes a [`Dstm`] through the uniform [`WordStm`]
-//! interface.
+//! [`DstmWord`]: a DSTM instance — its shared words and its t-variable
+//! table — behind the uniform [`WordStm`] interface.
 //!
 //! ## Read-only transactions
 //!
@@ -16,20 +16,23 @@
 //! transaction commits and O(|read-set|) once per foreign update commit;
 //! cheaper than the write path, but not wait-free.
 
-use super::stm::Dstm;
+use super::stm::{Dstm, Progress};
 use super::tvar::TVarInner;
-use super::tx::Tx;
-use crate::api::{TxResult, WordStm, WordTx};
+use super::tx::{Scratch, Tx};
+use crate::api::{WordStm, WordTx};
+use crate::kernel::CommitGate;
+use crate::line::Line;
 use crate::notify::CommitNotifier;
-use crate::reclaim::RetiredBlock;
-use crate::record;
-use crate::table::{Pinned, VarTable};
-use oftm_histories::{TVarId, TxId, Value};
+use crate::pool::SlotPool;
+use crate::record::{self, fresh_base_id};
+use crate::table::VarTable;
+use oftm_histories::{BaseObjId, TVarId, TxId, Value};
 use oftm_obs::{Counter, StmStats};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// A [`Dstm`] with a word-sized t-variable table, implementing [`WordStm`]:
-/// the one front end of the DSTM engine.
+/// A DSTM instance: its configuration ([`Dstm`]), the words every
+/// transaction of it shares and a word-sized t-variable table,
+/// implementing [`WordStm`].
 ///
 /// The table is a shared [`VarTable`], so t-variables allocated with
 /// [`WordStm::alloc_tvar`] — including mid-transaction — are immediately
@@ -39,21 +42,42 @@ use std::sync::Arc;
 /// transaction's read-set borrowed (the state and its locators) stays
 /// allocated until the zombie's guard is released.
 pub struct DstmWord {
-    stm: Dstm,
-    /// Built in `stm`'s domain: a transaction's one guard covers its
-    /// table lookups and its locators alike.
+    pub(super) cfg: Dstm,
+    /// Begin sequence numbers, the `TxId` counter. Every begin writes
+    /// it, so it is boxed on a [`Line`] of its own.
+    pub(super) tx_seq: Box<Line<AtomicU32>>,
+    /// Commit counter gating read-set validation (see `dstm::tx`): the
+    /// one word every transaction of this instance shares. Boxed for the
+    /// reason a [`Line`] is: the counter's cache-line alignment is the
+    /// heap block's, not `DstmWord`'s, which other structs embed.
+    pub(super) gate: Box<CommitGate<AtomicU64>>,
+    gate_base: BaseObjId,
+    /// Pooled per-transaction buffers and each process's one bag (keyed
+    /// by process), recycled across transactions so the steady state
+    /// allocates nothing per attempt.
+    pub(super) scratch: SlotPool<Scratch>,
+    /// Its domain is the instance's: every transaction registers there,
+    /// once, and everything the instance unlinks retires there —
+    /// locators, retired blocks and evicted states, into their process's
+    /// bag (in `scratch`); the abort path's frees into the shared bins.
+    /// One guard covers a transaction's table lookups and its locators
+    /// alike.
     pub(super) vars: VarTable<TVarInner>,
-    notify: CommitNotifier,
+    pub(super) notify: CommitNotifier,
     /// This table mirrors another engine's allocator of record
     /// ([`DstmWord::as_mirror`]): its t-variables are not counted.
     mirror: bool,
 }
 
 impl DstmWord {
-    pub fn new(stm: Dstm) -> Self {
+    pub fn new(cfg: Dstm) -> Self {
         DstmWord {
-            vars: VarTable::in_domain(Arc::clone(stm.domain())),
-            stm,
+            tx_seq: Box::new(Line(AtomicU32::new(cfg.tx_base))),
+            cfg,
+            gate: Box::default(),
+            gate_base: fresh_base_id(),
+            scratch: SlotPool::new(),
+            vars: VarTable::new(),
             notify: CommitNotifier::new(),
             mirror: false,
         }
@@ -70,9 +94,9 @@ impl DstmWord {
 
     /// Adds `n` to a t-variable count (`TvarsAllocated`, `TvarsFreed`),
     /// unless this table is a mirror.
-    fn count_tvars(&self, counter: Counter, n: u64) {
+    pub(super) fn count_tvars(&self, counter: Counter, n: u64) {
         if !self.mirror {
-            self.stm.stats().add(counter, n);
+            self.cfg.stats.add(counter, n);
         }
     }
 
@@ -83,14 +107,15 @@ impl DstmWord {
         self
     }
 
-    /// The engine's configuration and shared words.
-    pub fn inner(&self) -> &Dstm {
-        &self.stm
+    /// Base-object identity of the commit counter: what the strict-DAP
+    /// checkers name when t-variable-disjoint transactions meet on it.
+    pub fn commit_counter_base(&self) -> BaseObjId {
+        self.gate_base
     }
 
     /// Reads a t-variable non-transactionally (test oracle).
     pub fn peek(&self, x: TVarId) -> Option<Value> {
-        let pin = self.stm.domain().begin();
+        let pin = self.vars.domain().begin();
         self.vars.get_ref_in(x, &pin).map(|v| v.read_atomic(&pin))
     }
 
@@ -130,129 +155,27 @@ impl DstmWord {
         self.count_tvars(Counter::TvarsFreed, evicted);
     }
 
-    /// The transaction [`WordStm::begin`] (`ro`: [`WordStm::begin_ro`])
-    /// hands out, before the recorder's wrapper.
+    /// Begins a transaction of process `proc` (`ro`: the declared
+    /// read-only kind), before the recorder's wrapper.
+    ///
+    /// Per footnote 3 of the paper, the transaction id combines the process
+    /// id with a counter; we use a global counter, which also yields unique
+    /// ids.
     #[inline]
-    pub(super) fn begin_tx(&self, proc: u32, ro: bool) -> Box<DstmWordTx<'_>> {
+    pub(super) fn begin_tx(&self, proc: u32, ro: bool) -> Box<Tx<'_>> {
         if ro {
-            // `Begins` counts every begin (`Dstm::begin` increments it);
-            // `BeginsRo` counts the declared read-only subset.
-            self.stm.stats().incr(Counter::BeginsRo);
+            // `Begins` counts every begin; `BeginsRo` counts the declared
+            // read-only subset.
+            self.cfg.stats.incr(Counter::BeginsRo);
         }
-        Box::new(DstmWordTx {
-            tx: self.stm.begin(proc),
-            word: self,
-            retired: Vec::new(),
-            ro,
-            conflict_hint: None,
-        })
+        // ord: Relaxed — atomicity alone keeps transaction ids unique.
+        let seq = self.tx_seq.fetch_add(1, Ordering::Relaxed);
+        self.cfg.stats.incr(Counter::Begins);
+        Box::new(Tx::new(self, TxId::new(proc, seq), ro))
     }
 
     fn begin_inner(&self, proc: u32, ro: bool) -> Box<dyn WordTx + '_> {
-        record::observe(self.stm.recorder(), self.begin_tx(proc, ro))
-    }
-}
-
-/// The engine's transaction plus what the word interface adds. Its
-/// footprint is what the engine logs anyway — the read-set and, in its
-/// pooled scratch, `written` (recorded at op entry; what a successful
-/// commit publishes to the commit notifier) — plus the variable a read
-/// aborted on before it reached the read-set, so the async runtime parks
-/// on everything the attempt tried to access.
-pub(super) struct DstmWordTx<'s> {
-    /// Holds the transaction's one registration: dropping it (any abort
-    /// path) releases it and discards the retire-set with the transaction.
-    pub(super) tx: Tx<'s>,
-    word: &'s DstmWord,
-    retired: Vec<RetiredBlock>,
-    /// Declared read-only: writes and retires panic (caller bug), and the
-    /// commit takes the CAS-free read-only completion unconditionally.
-    ro: bool,
-    /// The variable an operation aborted on: not necessarily in either
-    /// log, but part of the footprint a parked re-run must wake on.
-    conflict_hint: Option<TVarId>,
-}
-
-impl DstmWordTx<'_> {
-    /// Looks `x` up for the operation at hand.
-    fn var(&self, x: TVarId) -> Pinned<TVarInner> {
-        let var = self.word.vars.get_ref_or_panic_in(x, self.tx.guard());
-        // SAFETY: loaded under the transaction's guard, of the domain the
-        // table retires into, and dereferenced by the calling operation
-        // only — which cannot borrow it from `self.tx` and mutate that.
-        unsafe { Pinned::new(var) }
-    }
-}
-
-impl WordTx for DstmWordTx<'_> {
-    fn id(&self) -> TxId {
-        self.tx.id()
-    }
-
-    fn read(&mut self, x: TVarId) -> TxResult<Value> {
-        let var = self.var(x);
-        let r = self.tx.read_var(&var);
-        if r.is_err() {
-            self.conflict_hint = Some(x);
-        }
-        r
-    }
-
-    fn write(&mut self, x: TVarId, v: Value) -> TxResult<()> {
-        assert!(!self.ro, "dstm: write on a declared read-only transaction");
-        let var = self.var(x);
-        self.tx.scratch.written.push(x);
-        self.tx.write_var(&var, v)
-    }
-
-    fn try_commit(mut self: Box<Self>) -> TxResult<()> {
-        // Detect-on-commit promotion: a transaction that wrote nothing
-        // installed no locators, so its descriptor is unreachable from
-        // every t-variable and the status CAS publishes nothing — take
-        // the validate-only read-only completion. Declared read-only
-        // transactions (`begin_ro`) land here by construction.
-        let r = if self.ro {
-            self.tx.complete_read_only(Counter::CommitsRo)
-        } else if self.tx.scratch.written.is_empty() {
-            self.tx.complete_read_only(Counter::CommitsPromoted)
-        } else {
-            self.tx.complete()
-        };
-        if r.is_ok() {
-            // The commit's status CAS made the new values current: wake
-            // transactions parked on what we wrote.
-            let written = &self.tx.scratch.written;
-            if !written.is_empty() {
-                self.word.notify.publish(written.iter().copied());
-            }
-            // Release the registration, hand over the locators and the
-            // retire-set as one batch and evict every block whose grace
-            // period has elapsed.
-            let DstmWordTx {
-                mut tx,
-                word,
-                retired,
-                ..
-            } = *self;
-            let evicted = tx.retire_into(&word.vars, retired);
-            word.count_tvars(Counter::TvarsFreed, evicted);
-        }
-        r
-    }
-
-    fn try_abort(self: Box<Self>) {
-        self.tx.rollback();
-    }
-
-    fn retire_tvar_block(&mut self, base: TVarId, len: usize) {
-        assert!(!self.ro, "dstm: retire on a declared read-only transaction");
-        self.retired.push(RetiredBlock { base, len });
-    }
-
-    fn footprint(&self, out: &mut Vec<TVarId>) {
-        out.extend(self.tx.read_ids());
-        out.extend_from_slice(&self.tx.scratch.written);
-        out.extend(self.conflict_hint);
+        record::observe(self.cfg.recorder.as_deref(), self.begin_tx(proc, ro))
     }
 }
 
@@ -273,14 +196,12 @@ impl WordStm for DstmWord {
     }
 
     fn free_tvar_block(&self, base: TVarId, len: usize) {
-        self.count_tvars(Counter::TvarsFreed, len as u64);
-        self.vars.remove_block(base, len);
+        let freed = self.vars.remove_block(base, len);
+        self.count_tvars(Counter::TvarsFreed, freed);
     }
 
     fn live_tvars(&self) -> usize {
-        let evicted = self
-            .vars
-            .evict_ripe_parked(self.stm.scratch(), |s| &mut s.bag);
+        let evicted = self.vars.evict_ripe_parked(&self.scratch, |s| &mut s.bag);
         self.count_tvars(Counter::TvarsFreed, evicted);
         self.vars.len()
     }
@@ -298,11 +219,11 @@ impl WordStm for DstmWord {
     }
 
     fn stats(&self) -> &StmStats {
-        self.stm.stats()
+        &self.cfg.stats
     }
 
     fn is_obstruction_free(&self) -> bool {
-        matches!(self.stm.progress(), super::stm::Progress::ObstructionFree)
+        matches!(self.cfg.progress, Progress::ObstructionFree)
     }
 }
 
@@ -312,6 +233,7 @@ mod tests {
     use crate::api::{run_transaction, TxError};
     use crate::cm::Courteous;
     use crate::record::Recorder;
+    use std::sync::Arc;
 
     fn word_stm() -> DstmWord {
         DstmWord::new(Dstm::new(Arc::new(Courteous)))
@@ -373,7 +295,7 @@ mod tests {
         s.register_tvar(TVarId(1), 0);
         run(&s, 0, TVarId(0));
         run(&s, 1, TVarId(1));
-        let counter = s.inner().commit_counter_base();
+        let counter = s.commit_counter_base();
         (oftm_histories::check_strict_dap(&rec.snapshot()), counter)
     }
 
@@ -502,7 +424,7 @@ mod tests {
         retirer.retire_tvar_block(node, 1);
         retirer.try_commit().unwrap();
         assert_eq!(piled(&s, 2), 1, "the block waits in the retirer's bag");
-        assert_eq!(s.stm.domain().pending_blocks(), 0);
+        assert_eq!(s.vars.domain().pending_blocks(), 0);
         assert_eq!(s.live_tvars(), 2, "block must survive the reader");
         assert_eq!(s.peek(node), Some(5));
         reader.try_abort();
@@ -510,15 +432,15 @@ mod tests {
         // its state, retired after the tombstone, freed.
         assert_eq!(s.live_tvars(), 1);
         assert_eq!(piled(&s, 2), 0);
-        assert_eq!(s.stm.domain().pending_blocks(), 0);
+        assert_eq!(s.vars.domain().pending_blocks(), 0);
         assert_eq!(s.peek(node), None);
     }
 
     /// Items waiting in process `p`'s bag.
     fn piled(s: &DstmWord, p: u32) -> usize {
-        let scratch = s.stm.scratch().take(p as usize).expect("parked scratch");
+        let scratch = s.scratch.take(p as usize).expect("parked scratch");
         let piled = scratch.bag.len();
-        s.stm.scratch().put(p as usize, scratch);
+        s.scratch.put(p as usize, scratch);
         piled
     }
 
@@ -546,8 +468,8 @@ mod tests {
             Ok(())
         });
         assert_eq!(piled(&s, 1), K as usize + 1, "one bag, every item");
-        assert_eq!(s.stm.domain().pending_memory(), 0);
-        assert_eq!(s.stm.domain().pending_blocks(), 0);
+        assert_eq!(s.vars.domain().pending_memory(), 0);
+        assert_eq!(s.vars.domain().pending_blocks(), 0);
         drop(peer);
         // Quiescent: the block is evicted, its states and the locators
         // freed, from the one bag.
@@ -597,7 +519,7 @@ mod tests {
         s.for_each_live_value(|id, _| walked.push(id));
         assert_eq!(walked, [TVarId(0)]);
         assert_eq!(s.live_tvars(), 1);
-        assert_eq!(s.stm.domain().pending_blocks(), 0);
+        assert_eq!(s.vars.domain().pending_blocks(), 0);
     }
 
     #[test]

@@ -233,10 +233,6 @@ impl<F: SyncFacade, W: WakeRef + Send> NotifyProto<F, W> {
         }
     }
 
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Committer half: for each listed shard, bump `seq` (1), probe
     /// `parked` (2), and drain the waiter list if anyone is registered.
     /// Wakes run after all shards are drained, outside the shard locks —

@@ -7,9 +7,12 @@
 //! and the crate's own reclamation domains ([`reclaim`]) for locators,
 //! table slots and t-variable ids alike.
 //!
-//! * [`dstm`] — the STM itself: word t-variables, transactions,
-//!   commit/abort via a single status-word CAS, revocable ownership,
-//!   behind [`dstm::DstmWord`].
+//! * [`dstm`] — the STM itself, in one layer: [`dstm::DstmWord`] is the
+//!   instance (the words its transactions share and its t-variable
+//!   table), built from a [`dstm::Dstm`] configuration; its one
+//!   transaction type implements [`api::WordTx`] directly — revocable
+//!   ownership, invisible reads, commit/abort via a single status-word
+//!   CAS.
 //! * [`cm`] — the two contention managers the engines run (Aggressive,
 //!   Courteous), each honouring the obstruction-freedom contract.
 //! * [`api`] — the uniform word-level [`api::WordStm`] interface shared

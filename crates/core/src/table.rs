@@ -532,20 +532,24 @@ impl<V: Send> VarTable<V> {
 
     /// Tombstones the `len` slots from `base`, pushing the states they held
     /// onto `states`; absent ids are skipped. One count update for the
-    /// block.
-    fn tombstone(&self, base: TVarId, len: usize, states: &mut Vec<Deferred>) {
+    /// block. Returns how many slots it tombstoned.
+    fn tombstone(&self, base: TVarId, len: usize, states: &mut Vec<Deferred>) -> u64 {
         let before = states.len();
         states.extend((0..len).filter_map(|k| self.unlink(TVarId(base.0 + k as u64))));
-        self.count_freed((states.len() - before) as u64);
+        let n = (states.len() - before) as u64;
+        self.count_freed(n);
+        n
     }
 
     /// Removes `len` contiguous t-variables starting at `base`, their
     /// states deferred into the shared bins under one tag. Absent ids are
-    /// skipped — removal is idempotent.
-    pub fn remove_block(&self, base: TVarId, len: usize) {
+    /// skipped — removal is idempotent. Returns how many t-variables it
+    /// removed: what a t-variable count may count as freed.
+    pub fn remove_block(&self, base: TVarId, len: usize) -> u64 {
         let mut states = Vec::new();
-        self.tombstone(base, len, &mut states);
+        let n = self.tombstone(base, len, &mut states);
         self.domain.defer_all(states);
+        n
     }
 
     /// Commit hook of a table-backed engine: releases the transaction's
@@ -570,32 +574,34 @@ impl<V: Send> VarTable<V> {
             return self.evict_ripe();
         }
         self.domain.retire(bag, retired);
-        self.settle(bag) + self.evict_ripe()
+        self.settle(bag).unwrap_or(0) + self.evict_ripe()
     }
 
     /// Takes the ripe front of `bag`: drops its memory, tombstones the
     /// slots of its blocks and retires the states that unlinked into the
     /// same bag under the next tag — their second grace period (module
-    /// docs). Returns how many t-variables the ripe blocks span.
-    fn settle(&self, bag: &mut Bag) -> u64 {
+    /// docs). Returns how many t-variables it tombstoned — a slot freed
+    /// already is skipped — or `None` when no block was ripe.
+    fn settle(&self, bag: &mut Bag) -> Option<u64> {
         let ripe = self.domain.reclaim(bag);
         if ripe.is_empty() {
-            return 0;
+            return None;
         }
         let mut states = Vec::new();
-        for blk in &ripe {
-            self.tombstone(blk.base, blk.len, &mut states);
-        }
+        let evicted = ripe
+            .iter()
+            .map(|blk| self.tombstone(blk.base, blk.len, &mut states))
+            .sum();
         self.domain
             .retire(bag, states.into_iter().map(Retired::Memory));
-        ripe.iter().map(|blk| blk.len as u64).sum()
+        Some(evicted)
     }
 
     /// Settles a parked `bag` with no commit to hang it on, until a pass
     /// finds no block ripe (the pass after an eviction judges the states
     /// it retired); returns how many t-variables that evicted.
     pub fn settle_parked(&self, bag: &mut Bag) -> u64 {
-        (0..).map(|_| self.settle(bag)).take_while(|&n| n > 0).sum()
+        std::iter::from_fn(|| self.settle(bag)).sum()
     }
 
     /// [`VarTable::settle_parked`] on every bag `pool` parks (`bag_of`
@@ -621,10 +627,9 @@ impl<V: Send> VarTable<V> {
     /// settled, what [`VarTable::len`] counts is live.
     pub fn evict_ripe(&self) -> u64 {
         let ripe = self.domain.flush();
-        for blk in &ripe {
-            self.remove_block(blk.base, blk.len);
-        }
-        ripe.iter().map(|blk| blk.len as u64).sum()
+        ripe.iter()
+            .map(|blk| self.remove_block(blk.base, blk.len))
+            .sum()
     }
 
     /// Number of live t-variables (exact; the leak-regression metric).

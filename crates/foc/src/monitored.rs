@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// `T_{p,k}` whose single operation brackets one step on the foc's base
 /// object — mirroring how Theorem 9's proof treats foc proposes as
 /// two-event operations. An aborted propose (`⊥`) records the abort
-/// response `A_{p,k}`; [`check_fo_obstruction_freedom`] then asserts
+/// response `A_{p,k}`; [`oftm_histories::check_of`] then asserts
 /// Definition 2 over the recorded history.
 pub struct MonitoredFoc<T: Clone, F: FoConsensus<T>> {
     inner: F,
@@ -73,23 +73,13 @@ impl<T: Clone + Send + Sync, F: FoConsensus<T>> FoConsensus<T> for MonitoredFoc<
     }
 }
 
-/// Checks fo-obstruction-freedom over a monitored history: every aborted
-/// propose must have encountered step contention. Returns the offending
-/// pseudo-transactions (empty = property holds).
-pub fn check_fo_obstruction_freedom(h: &History) -> Vec<TxId> {
-    h.tx_views()
-        .values()
-        .filter(|v| v.forcefully_aborted() && !h.step_contention(v.id))
-        .map(|v| v.id)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cas_foc::CasFoc;
     use crate::splitter_foc::SplitterFoc;
     use crate::traits::propose_until_decided;
+    use oftm_histories::check_of;
 
     #[test]
     fn sequential_proposes_record_no_violation() {
@@ -98,7 +88,7 @@ mod tests {
             assert!(m.propose(p, u64::from(p)).is_some());
         }
         let h = m.history();
-        assert!(check_fo_obstruction_freedom(&h).is_empty());
+        assert!(check_of(&h).is_empty());
         // 8 proposes = 8 pseudo-transactions, all completed.
         assert_eq!(h.tx_views().len(), 8);
     }
@@ -116,7 +106,7 @@ mod tests {
                 }
             });
             let h = m.history();
-            let violations = check_fo_obstruction_freedom(&h);
+            let violations = check_of(&h);
             assert!(
                 violations.is_empty(),
                 "aborts without recorded step contention: {violations:?}\n{}",

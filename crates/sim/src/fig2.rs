@@ -265,7 +265,7 @@ fn scan_row(prefix: usize) -> Fig2Row {
         t2_steps: steps_of(&h, t2),
         t3_steps: steps_of(&h, t3),
         t1_status: run.status_of(1),
-        counter: run.word.inner().commit_counter_base(),
+        counter: run.word.commit_counter_base(),
         serializable: serializable(&h, 8).is_serializable(),
         t2_t3_violations: check_strict_dap(&h)
             .into_iter()
